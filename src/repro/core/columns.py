@@ -19,7 +19,7 @@ Two kinds of columns coexist:
   (``supernode_id``/``kind``/latency mirrors, the ``active`` byte,
   the ``degraded`` flag) — are refreshed by the owning entity at every
   mutation that can change them.  Batch readers (the spatial
-  directory's ring scan, the vectorised departure/fault masks, shard
+  directory's ranking walk, the vectorised departure/fault masks, shard
   planners) test one byte instead of chasing Python properties per
   entry.
 

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import obs
 from ..network.latency import PLAYOUT_PROCESSING_MS
 from ..network.topology import Topology
 from ..reputation.scores import ReputationTable
+from .columns import SupernodeColumns
 from .entities import Supernode
 
 __all__ = ["SupernodeDirectory", "SelectionOutcome", "select_supernode",
@@ -63,188 +63,88 @@ def delay_threshold_ms(game_requirement_ms: float,
 class SupernodeDirectory:
     """The cloud's supernode table: locations and available capacities.
 
-    When the supernodes share one columnar store (the usual case: one
-    pool, one :class:`~repro.core.columns.SupernodeColumns`),
-    :meth:`candidates_for` is a single vectorised pass — mask by the
-    shared availability bytes, partition out the ``count`` nearest —
-    whose cost is flat no matter how saturated the pool is.  Mixed or
-    unbound supernode sets fall back to a uniform spatial grid: cells
-    hold pool indices and the lookup expands square rings around the
-    player's cell until the ``count`` nearest available supernodes are
-    guaranteed found (every point outside rings ``0..r`` lies strictly
-    farther than ``r`` cell widths from the player).
+    Every directory reads one shared columnar store
+    (:class:`~repro.core.columns.SupernodeColumns`): the pool's store in
+    a simulation, a private one bound here for a standalone supernode
+    set.  Both join modes answer from one cached per-player distance
+    ranking of the whole pool (:meth:`_pool_ranking`, built once per
+    store): :meth:`candidates_for` walks the player's ranking row and
+    keeps the first ``count`` available directory members, in
+    (distance², pool id) order, and :meth:`batch_candidates_for` does
+    the same for a whole cohort at once.  A row whose cached prefix is
+    exhausted by local saturation falls back to an exact scan of the
+    live pool (:meth:`_batch_scan`) with the same ordering.
     """
 
     def __init__(self, topology: Topology, supernodes: list[Supernode]):
         self.topology = topology
+        self._pool_cols: SupernodeColumns | None = None
+        self._topk: np.ndarray | None = None
         self._rebuild_state(supernodes)
 
     def __len__(self) -> int:
         return len(self.supernodes)
 
     def _rebuild_state(self, supernodes: list[Supernode]) -> None:
-        """(Re)derive coordinate arrays and the spatial grid."""
+        """(Re)derive the membership map and the scan arrays."""
         self.supernodes = supernodes
-        n = len(supernodes)
-        # Pool supernodes share one columnar store: the ring scan then
-        # tests a single availability byte per entry instead of three
-        # Python properties.  Mixed/unbound sets fall back to the
-        # per-object has_capacity path.
-        cols = supernodes[0].columns if supernodes else None
-        if cols is not None and all(sn.columns is cols for sn in supernodes):
-            self._avail: bytearray | None = cols.available
-            self._gids: list[int] | None = [sn.supernode_id
-                                            for sn in supernodes]
-            # Live uint8 view of the shared availability bytes (same
-            # memory — entity setters mutate it, the view sees it), plus
-            # the directory-index → global-id gather for the batch scan.
-            self._avail_np: np.ndarray | None = np.frombuffer(
-                cols.available, dtype=np.uint8)
-            self._gids_np: np.ndarray | None = np.array(self._gids,
-                                                        dtype=np.intp)
-            # The cached per-player pool ranking keys on the pool's
-            # immutable coordinates: keep it across rebuilds of the
-            # same pool, drop it when the store itself changes.
-            if getattr(self, "_pool_cols", None) is not cols:
+        if supernodes:
+            cols = _shared_columns(supernodes)
+            # The cached ranking keys on the pool's immutable
+            # coordinates: keep it across rebuilds of the same store
+            # (failures, heals and provisioning only flip availability
+            # bytes), drop it when the store itself changes.
+            if cols is not self._pool_cols:
                 self._pool_cols = cols
-                self._topk: np.ndarray | None = None
-        else:
-            self._avail = None
-            self._gids = None
+                self._topk = None
+        cols = self._pool_cols
+        if cols is None:
             self._avail_np = None
-            self._gids_np = None
-            self._pool_cols = None
-            self._topk = None
-        self._coords = np.array([[sn.x_km, sn.y_km] for sn in supernodes],
-                                dtype=np.float64).reshape(n, 2)
-        self._access = np.array([sn.access_ms for sn in supernodes],
-                                dtype=np.float64)
-        # Plain-float coordinate lists: the ring scan touches a handful
-        # of entries per lookup, where Python floats beat numpy scalars.
-        self._xs = self._coords[:, 0].tolist()
-        self._ys = self._coords[:, 1].tolist()
-        if n == 0:
-            self._origin = (0.0, 0.0)
-            self._cell_km = 1.0
-            self._grid_nx = self._grid_ny = 0
-            self._cells: dict[tuple[int, int], list[int]] = {}
             return
-        mins = self._coords.min(axis=0)
-        maxs = self._coords.max(axis=0)
-        extent = float(max(maxs[0] - mins[0], maxs[1] - mins[1]))
-        # ~2 supernodes per occupied cell keeps rings shallow without
-        # fragmenting the pool across thousands of empty cells.
-        per_axis = max(1, int(np.ceil(np.sqrt(n / 2.0))))
-        self._cell_km = extent / per_axis if extent > 0 else 1.0
-        self._origin = (float(mins[0]), float(mins[1]))
-        self._grid_nx = int((maxs[0] - mins[0]) / self._cell_km) + 1
-        self._grid_ny = int((maxs[1] - mins[1]) / self._cell_km) + 1
-        cells: dict[tuple[int, int], list[int]] = {}
-        for i in range(n):
-            key = (min(self._grid_nx - 1,
-                       int((self._xs[i] - self._origin[0]) / self._cell_km)),
-                   min(self._grid_ny - 1,
-                       int((self._ys[i] - self._origin[1]) / self._cell_km)))
-            cells.setdefault(key, []).append(i)
-        self._cells = cells
+        self._avail = cols.available
+        # Live uint8 view of the shared availability bytes (same
+        # memory: entity setters mutate it, the view sees it).
+        self._avail_np = np.frombuffer(cols.available, dtype=np.uint8)
+        # Global id -> directory member (None for pool rows outside the
+        # directory): the ranking walk's membership test and lookup.
+        members: list[Supernode | None] = [None] * cols.size
+        for sn in supernodes:
+            members[sn.supernode_id] = sn
+        self._members = members
+        # Directory-index -> global id: the exact scan's row set.
+        self._gids_np = np.array([sn.supernode_id for sn in supernodes],
+                                 dtype=np.intp)
 
     def rebuild(self, supernodes: list[Supernode]) -> None:
         """Replace the supernode set (dynamic provisioning re-deploys)."""
         self._rebuild_state(supernodes)
 
-    def _player_cell(self, player: int) -> tuple[float, float, int, int]:
-        px = float(self.topology.player_coords[player, 0])
-        py = float(self.topology.player_coords[player, 1])
-        cx = min(self._grid_nx - 1,
-                 max(0, int((px - self._origin[0]) // self._cell_km)))
-        cy = min(self._grid_ny - 1,
-                 max(0, int((py - self._origin[1]) // self._cell_km)))
-        return px, py, cx, cy
-
-    def _ring_cells(self, cx: int, cy: int, ring: int):
-        """Grid cells at Chebyshev distance exactly ``ring`` from (cx, cy)."""
-        nx, ny = self._grid_nx, self._grid_ny
-        if ring == 0:
-            yield (cx, cy)
-            return
-        x_lo, x_hi = cx - ring, cx + ring
-        y_lo, y_hi = cy - ring, cy + ring
-        for ix in range(max(0, x_lo), min(nx - 1, x_hi) + 1):
-            if y_lo >= 0:
-                yield (ix, y_lo)
-            if y_hi < ny:
-                yield (ix, y_hi)
-        for iy in range(max(0, y_lo + 1), min(ny - 1, y_hi - 1) + 1):
-            if x_lo >= 0:
-                yield (x_lo, iy)
-            if x_hi < nx:
-                yield (x_hi, iy)
-
     def candidates_for(self, player: int, count: int) -> list[Supernode]:
-        """The ``count`` closest supernodes with free capacity."""
+        """The ``count`` closest supernodes with free capacity.
+
+        Ordered by (distance², pool id) — the batch path's contract.
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
         if not self.supernodes:
             return []
-        if self._avail_np is not None:
-            # Columnar pool: one vectorised pass over the whole table
-            # beats the ring scan, whose cost degrades towards a full
-            # linear probe exactly when it matters (peak hours, pool
-            # nearly saturated).  Output is identical: the k nearest
-            # available, ties broken by pool index (stable argsort on
-            # equal distances == the (distance², index) tuple sort).
-            px = float(self.topology.player_coords[player, 0])
-            py = float(self.topology.player_coords[player, 1])
-            idx = np.flatnonzero(self._avail_np[self._gids_np])
-            if idx.size == 0:
-                return []
-            dx = self._coords[idx, 0] - px
-            dy = self._coords[idx, 1] - py
-            d2 = dx * dx + dy * dy
-            supernodes = self.supernodes
-            if idx.size > count:
-                # O(n) select of the k nearest, then sort just those.
-                # Everything tied with the k-th distance comes along so
-                # the final (distance², index) order — ties broken by
-                # ascending pool index, as ``idx`` is ascending — never
-                # depends on how argpartition split equal keys.
-                bound = np.partition(d2, count - 1)[count - 1]
-                sel = np.flatnonzero(d2 <= bound)
-                order = sel[np.argsort(d2[sel], kind="stable")[:count]]
-            else:
-                order = np.argsort(d2, kind="stable")
-            return [supernodes[int(i)] for i in idx[order]]
-        px, py, cx, cy = self._player_cell(player)
-        max_ring = max(cx, self._grid_nx - 1 - cx,
-                       cy, self._grid_ny - 1 - cy)
-        supernodes = self.supernodes
-        xs, ys = self._xs, self._ys
-        cells = self._cells
-        # (distance², pool index) pairs; plain tuples sort faster than a
-        # numpy partition at the handful of entries a lookup touches.
-        found: list[tuple[float, int]] = []
-        ring = 0
-        while ring <= max_ring:
-            for key in self._ring_cells(cx, cy, ring):
-                bucket = cells.get(key)
-                if bucket is None:
-                    continue
-                for i in bucket:
-                    if supernodes[i].has_capacity:
-                        dx = xs[i] - px
-                        dy = ys[i] - py
-                        found.append((dx * dx + dy * dy, i))
-            if len(found) >= count:
-                covered = ring * self._cell_km
-                found.sort()
-                if found[count - 1][0] <= covered * covered:
-                    break
-            ring += 1
-        obs.get_registry().histogram(
-            "repro_directory_rings_scanned",
-            buckets=(0, 1, 2, 3, 5, 8, 13, 21)).observe(ring)
-        found.sort()
-        return [supernodes[i] for _, i in found[:count]]
+        ranking = self._pool_ranking(count)
+        avail = self._avail
+        members = self._members
+        found: list[Supernode] = []
+        for gid in ranking[player].tolist():
+            if avail[gid]:
+                sn = members[gid]
+                if sn is not None:
+                    found.append(sn)
+                    if len(found) == count:
+                        return found
+        if ranking.shape[1] == self._pool_cols.size:
+            return found  # the prefix is the whole pool
+        # Local saturation exhausted the cached prefix: any pool row
+        # outside it may be the next nearest, so scan exactly.
+        ids, _ = self._batch_scan(np.array([player]), count)
+        return [members[gid] for gid in ids[0].tolist()]
 
     def batch_candidates_for(self, players: np.ndarray, count: int
                              ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -256,16 +156,16 @@ class SupernodeDirectory:
         snapshot instant* to ``players[j]``, ordered by (distance²,
         pool id), and their one-way probe delays; rows with fewer
         than ``k`` available candidates pad their tail with NaN
-        delays.  ``None`` when the pool has no shared columnar store
-        (the scalar ring scan is the only path) — callers fall back
-        to per-player :meth:`candidates_for`.
+        delays.  ``None`` when the directory has never held a
+        supernode (no store to rank) — callers fall back to per-player
+        :meth:`candidates_for`.
 
-        Unlike the scalar scan, every row reflects *one* availability
-        snapshot taken at the start of the cohort — the documented
-        batch-assignment semantics delta (DESIGN.md §15).  The
-        sequential capacity ask downstream still sees live bytes, so
-        a snapshot candidate that filled up mid-cohort is skipped, not
-        over-connected.
+        Unlike the per-player lookup, every row reflects *one*
+        availability snapshot taken at the start of the cohort — the
+        documented batch-assignment semantics delta (DESIGN.md §15).
+        The sequential capacity ask downstream still sees live bytes,
+        so a snapshot candidate that filled up mid-cohort is skipped,
+        not over-connected.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -358,6 +258,7 @@ class SupernodeDirectory:
         sx = np.asarray(cols.x_km)
         sy = np.asarray(cols.y_km)
         topk = np.empty((total, width), dtype=np.int32)
+        pool_ids = np.arange(n)
         chunk = max(1, int(4_000_000 // max(1, n)))
         # Reused scratch: the distance matrix is pure streaming work,
         # so allocator churn (five ~30 MB temporaries per chunk) is a
@@ -374,14 +275,7 @@ class SupernodeDirectory:
             np.subtract(coords[lo:hi, 1, None], sy[None, :], out=dy)
             np.multiply(dy, dy, out=dy)
             d2 = np.add(dx, dy, out=dx)
-            if n > width:
-                part = np.argpartition(d2, width - 1, axis=1)[:, :width]
-                d2w = np.take_along_axis(d2, part, axis=1)
-            else:
-                part = np.broadcast_to(np.arange(n), (hi - lo, n))
-                d2w = d2
-            order = np.lexsort((part, d2w), axis=1)
-            topk[lo:hi] = np.take_along_axis(part, order, axis=1)
+            topk[lo:hi] = _nearest(d2, width, pool_ids)
         self._topk = topk
         return topk
 
@@ -394,63 +288,112 @@ class SupernodeDirectory:
         ordering as the cached path.
         """
         m = len(players)
-        idx = np.flatnonzero(self._avail_np[self._gids_np])
-        gids = self._gids_np[idx]
+        gids = self._gids_np[np.flatnonzero(self._avail_np[self._gids_np])]
+        k = min(k, gids.size)
+        cols = self._pool_cols
         topo = self.topology
         px = topo.player_coords[players, 0]
         py = topo.player_coords[players, 1]
         pa = topo.player_access_ms[players]
         mskm = topo.latency_model.ms_per_km
-        sx = self._coords[idx, 0]
-        sy = self._coords[idx, 1]
+        sx = cols.x_km[gids]
+        sy = cols.y_km[gids]
         ids = np.empty((m, k), dtype=np.int64)
         delays = np.empty((m, k), dtype=np.float64)
+        if k == 0:
+            return ids, delays
         # Chunk the (m, a) distance matrix to ~32 MB so a large row
         # set over a large pool never materialises gigabytes.
-        chunk = max(1, int(4_000_000 // max(1, idx.size)))
+        chunk = max(1, int(4_000_000 // max(1, gids.size)))
         for lo in range(0, m, chunk):
             hi = min(m, lo + chunk)
             dx = px[lo:hi, None] - sx[None, :]
             dy = py[lo:hi, None] - sy[None, :]
             d2 = dx * dx + dy * dy
-            if idx.size > k:
-                part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            else:
-                part = np.broadcast_to(np.arange(k), (hi - lo, k))
+            part = _nearest(d2, k, gids)
             d2k = np.take_along_axis(d2, part, axis=1)
-            order = np.lexsort((gids[part], d2k), axis=1)
-            part = np.take_along_axis(part, order, axis=1)
-            d2k = np.take_along_axis(d2k, order, axis=1)
-            sel = idx[part]
             ids[lo:hi] = gids[part]
             delays[lo:hi] = (pa[lo:hi, None] + mskm * np.sqrt(d2k)
-                             + self._access[sel])
+                             + cols.access_ms[ids[lo:hi]])
         return ids, delays
 
     def probe_delays_ms(self, player: int,
-                        candidates: list[Supernode]) -> np.ndarray:
+                        candidates: list[Supernode]) -> list[float]:
         """One-way transmission delays from the player to each candidate.
 
         Scalar mirror of ``players_to_points_one_way_ms`` for the
-        handful of candidates a join probes.  Operand order matches the
-        vectorised path bit for bit: ``pairwise_distances`` squares via
-        numpy's x*x fast path (mirrored as ``dx*dx``, never ``dx**2``,
-        which would round through libm pow) under a correctly rounded
-        sqrt, and ``one_way_ms`` adds left-associatively.
+        handful of candidates a join probes, in Python floats.  Operand
+        order matches the vectorised path bit for bit:
+        ``pairwise_distances`` squares via numpy's x*x fast path
+        (mirrored as ``dx*dx``, never ``dx**2``, which would round
+        through libm pow) under a correctly rounded sqrt, and
+        ``one_way_ms`` adds left-associatively.
         """
         if not candidates:
-            return np.empty(0, dtype=np.float64)
+            return []
         topo = self.topology
         px = float(topo.player_coords[player, 0])
         py = float(topo.player_coords[player, 1])
         pa = float(topo.player_access_ms[player])
         mskm = topo.latency_model.ms_per_km
-        out = np.empty(len(candidates), dtype=np.float64)
-        for j, sn in enumerate(candidates):
+        delays = []
+        for sn in candidates:
             dx = px - sn.x_km
             dy = py - sn.y_km
-            out[j] = pa + mskm * math.sqrt(dx * dx + dy * dy) + sn.access_ms
-        return out
+            delays.append(pa + mskm * math.sqrt(dx * dx + dy * dy)
+                          + sn.access_ms)
+        return delays
+
+
+def _nearest(d2: np.ndarray, k: int, keys: np.ndarray) -> np.ndarray:
+    """Column positions of each row's ``k`` smallest (d2, key) pairs.
+
+    Rows of the result are in ascending (distance², key) order.
+    ``argpartition`` splits a run of equal distances at the ``k``-th
+    boundary arbitrarily, but the contract keeps the run's lowest keys;
+    selecting one column past the boundary shows which rows such a run
+    straddles (co-located hosts), and those rows re-rank exactly.
+    """
+    rows, n = d2.shape
+    if n > k:
+        part = np.argpartition(d2, k, axis=1)[:, :k + 1]
+        d2k = np.take_along_axis(d2, part, axis=1)
+    else:
+        part = np.broadcast_to(np.arange(n), (rows, n))
+        d2k = d2
+    order = np.lexsort((keys[part], d2k), axis=1)
+    part = np.take_along_axis(part, order, axis=1)
+    if n > k:
+        d2k = np.take_along_axis(d2k, order, axis=1)
+        for r in np.flatnonzero(d2k[:, k - 1] == d2k[:, k]).tolist():
+            part[r] = np.lexsort((keys, d2[r]))[:k + 1]
+    return part[:, :k]
+
+
+def _shared_columns(supernodes: list[Supernode]) -> SupernodeColumns:
+    """The one columnar store a directory's supernodes are bound to.
+
+    An all-standalone set (tests, ad-hoc construction) is bound here to
+    a private store sized by its largest id; a set split across stores,
+    or half bound, is rejected.
+    """
+    cols = supernodes[0].columns
+    if cols is None and all(sn.columns is None for sn in supernodes):
+        ids = [sn.supernode_id for sn in supernodes]
+        if min(ids) < 0 or len(set(ids)) != len(ids):
+            raise ValueError(
+                "standalone supernodes need distinct non-negative "
+                "supernode_ids to share a columnar store")
+        cols = SupernodeColumns(max(ids) + 1)
+        for sn in supernodes:
+            sn.bind_columns(cols)
+        return cols
+    if any(sn.columns is not cols for sn in supernodes):
+        raise ValueError(
+            "directory supernodes must all be bound to one "
+            "SupernodeColumns store (the pool's), or all be standalone; "
+            "bind the stragglers with Supernode.bind_columns(store)")
+    return cols
 
 
 @dataclass(frozen=True)
@@ -506,10 +449,9 @@ def select_supernode(
 
     join_latency = cloud_rtt_ms
     if candidates:
-        join_latency += 2.0 * float(delays.max())  # parallel probe RTTs
+        join_latency += 2.0 * max(delays)  # parallel probe RTTs
 
-    qualified = [(sn, float(delay))
-                 for sn, delay in zip(candidates, delays)
+    qualified = [(sn, delay) for sn, delay in zip(candidates, delays)
                  if delay <= l_max_ms]
     qualified_ids = tuple((sn.supernode_id, delay)
                           for sn, delay in qualified)

@@ -236,10 +236,10 @@ def _commit_cohort(state: SimState, ctx: SweepContext, plans,
                    sessions) -> None:
     """Insert a whole join cohort; commit its load spans in batch.
 
-    The batch-assignment counterpart of per-plan
-    :func:`_commit_session`: the table inserts stay per session (they
-    bind the columnar mirror), but the load/cloud-rate span additions
-    collapse into one :func:`_span_add` per array.
+    The non-admission counterpart of per-plan :func:`_commit_session`:
+    the table inserts stay per session (they bind the columnar
+    mirror), but the load/cloud-rate span additions collapse into one
+    :func:`_span_add` per array.
     """
     subcycle, hours = ctx.subcycle, ctx.hours
     games = state.games
@@ -282,20 +282,25 @@ def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
     """Join every plan starting this subcycle; commit its load span.
 
     Default mode joins one plan at a time — the §3.2.2 sequential
-    capacity-ask, each join seeing the loads left by the previous one.
-    Under ``state.use_batch_assignment`` whole cohorts are probed and
-    scored at once (:func:`~repro.core.lifecycle.join_cohort`); the
-    commit order stays plan order.  Admission control (backpressure)
-    always takes the scalar path: its shed decision depends on the
+    capacity-ask, each join seeing the supernode slots the previous
+    one took.  Under ``state.use_batch_assignment`` whole cohorts are
+    probed and scored at once (:func:`~repro.core.lifecycle.join_cohort`).
+    Either way no join reads the sweep's load timelines, so the whole
+    cohort commits afterwards in one :func:`_commit_cohort`, in plan
+    order.  Admission control (backpressure) joins and commits one
+    plan at a time in either mode: its shed decision depends on the
     cloud occupancy each prior join in the *same* subcycle committed.
     """
     subcycle = ctx.subcycle
     plans = ctx.starts.pop(subcycle, [])
     if not plans:
         return
-    if state.use_batch_assignment and ctx.admission is None:
-        _commit_cohort(state, ctx, plans,
-                       join_cohort(state, plans, ctx.rng))
+    if ctx.admission is None:
+        if state.use_batch_assignment:
+            sessions = join_cohort(state, plans, ctx.rng)
+        else:
+            sessions = [join(state, plan, ctx.rng) for plan in plans]
+        _commit_cohort(state, ctx, plans, sessions)
         return
     for plan in plans:
         session = join(state, plan, ctx.rng)

@@ -160,14 +160,21 @@ def run_sharded_config(config: SystemConfig, days: int, *,
 def resume_sharded_config(config: SystemConfig, checkpoint_dir, *,
                           days: int | None = None, shards: int = 1,
                           checkpoint_every: int = 1,
-                          use_batch_assignment: bool = False) -> RunResult:
-    """Resume a sharded run from its per-partition checkpoint dirs."""
+                          use_batch_assignment: bool = False,
+                          configure=None) -> RunResult:
+    """Resume a sharded run from its per-partition checkpoint dirs.
+
+    ``configure`` must be the hook the interrupted run was started
+    with (see :func:`run_sharded_config`): scenario state is not
+    checkpointed, so every resumed partition re-applies it.
+    """
     with obs.get_tracer().span("run_variant", variant="resume-sharded",
                                seed=config.seed, shards=shards):
         return resume_sharded(config, checkpoint_dir, days=days,
                               shards=shards,
                               checkpoint_every=checkpoint_every,
-                              use_batch_assignment=use_batch_assignment)
+                              use_batch_assignment=use_batch_assignment,
+                              configure=configure)
 
 
 def resume_config(source, days: int | None = None, checkpoint_dir=None,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.columns import SupernodeColumns
 from repro.core.entities import Supernode
 from repro.core.selection import (
     SupernodeDirectory,
@@ -21,12 +22,17 @@ def topology():
 
 
 def make_supernodes(topology, hosts, capacity=5):
-    return [
+    """A pool of supernodes bound to one columnar store, as in a run."""
+    supernodes = [
         Supernode(supernode_id=i, host_player=h, capacity=capacity,
                   upload_mbps=10.0, access_ms=4.0,
                   x_km=float(topology.player_coords[h, 0]),
                   y_km=float(topology.player_coords[h, 1]))
         for i, h in enumerate(hosts)]
+    store = SupernodeColumns(len(supernodes))
+    for sn in supernodes:
+        sn.bind_columns(store)
+    return supernodes
 
 
 def test_delay_threshold_subtracts_margin():
@@ -62,7 +68,7 @@ def test_directory_count_validation(topology):
     with pytest.raises(ValueError):
         directory.candidates_for(0, 0)
     assert directory.candidates_for(0, 3) == []
-    assert directory.probe_delays_ms(0, []).shape == (0,)
+    assert directory.probe_delays_ms(0, []) == []
 
 
 def test_selection_connects_to_qualified_supernode(topology):
@@ -174,18 +180,20 @@ def big_topology():
 
 
 def brute_force_nearest(directory, player, count):
-    """Reference lookup: distance-sort every available supernode."""
-    available = [(float(np.hypot(
-        sn.x_km - directory.topology.player_coords[player, 0],
-        sn.y_km - directory.topology.player_coords[player, 1])), i)
-        for i, sn in enumerate(directory.supernodes) if sn.has_capacity]
+    """Reference lookup: (distance², pool id)-sort every available
+    supernode of the directory."""
+    px, py = directory.topology.player_coords[player].tolist()
+    available = []
+    for sn in directory.supernodes:
+        if sn.has_capacity:
+            dx, dy = sn.x_km - px, sn.y_km - py
+            available.append((dx * dx + dy * dy, sn.supernode_id))
     available.sort()
-    return [directory.supernodes[i].supernode_id
-            for _, i in available[:count]]
+    return [sid for _, sid in available[:count]]
 
 
-def test_grid_lookup_matches_brute_force(big_topology):
-    """The spatial grid returns exactly the k nearest available nodes."""
+def test_lookup_matches_brute_force(big_topology):
+    """The ranking walk returns exactly the k nearest available nodes."""
     supernodes = make_supernodes(big_topology, hosts=list(range(0, 120, 2)))
     directory = SupernodeDirectory(big_topology, supernodes)
     for player in range(0, 200, 7):
@@ -195,7 +203,7 @@ def test_grid_lookup_matches_brute_force(big_topology):
             assert got == brute_force_nearest(directory, player, count)
 
 
-def test_grid_lookup_respects_incremental_capacity(big_topology):
+def test_lookup_respects_incremental_capacity(big_topology):
     """Filling nodes between lookups changes results without a rebuild."""
     supernodes = make_supernodes(big_topology, hosts=list(range(0, 40, 2)),
                                  capacity=1)
@@ -222,14 +230,67 @@ def test_rebuild_after_failure_matches_fresh_construction(big_topology):
         assert [sn.supernode_id
                 for sn in directory.candidates_for(player, 6)] == \
             [sn.supernode_id for sn in fresh.candidates_for(player, 6)]
-        assert directory.probe_delays_ms(
-            player, survivors[:5]).tolist() == \
-            fresh.probe_delays_ms(player, survivors[:5]).tolist()
+        assert directory.probe_delays_ms(player, survivors[:5]) == \
+            fresh.probe_delays_ms(player, survivors[:5])
 
 
-def test_grid_handles_single_cell_pool(topology):
-    """A tiny pool collapses to one grid cell; lookups still work."""
+def test_lookup_handles_single_supernode_pool(topology):
+    """A one-supernode pool ranks one row; lookups still work."""
     supernodes = make_supernodes(topology, hosts=[4])
     directory = SupernodeDirectory(topology, supernodes)
     assert [sn.supernode_id
             for sn in directory.candidates_for(0, 8)] == [0]
+
+
+def test_lookup_falls_back_when_the_ranking_prefix_is_saturated(
+        big_topology):
+    """A prefix with too few free rows hands over to the exact scan."""
+    supernodes = make_supernodes(big_topology, hosts=list(range(120)),
+                                 capacity=1)
+    directory = SupernodeDirectory(big_topology, supernodes)
+    width = directory._pool_ranking(1).shape[1]
+    assert width < len(supernodes)
+    # Fill every supernode in player 0's cached prefix.
+    for sid in directory._pool_ranking(1)[0].tolist():
+        supernodes[sid].connect(1000 + sid)
+    got = [sn.supernode_id for sn in directory.candidates_for(0, 1)]
+    assert got == brute_force_nearest(directory, 0, 1)
+    assert got[0] not in directory._pool_ranking(1)[0].tolist()
+
+
+def test_lookup_breaks_distance_ties_by_pool_id(big_topology):
+    """Co-located hosts tie exactly; the lower pool id ranks first,
+    whatever order the directory lists them in."""
+    supernodes = make_supernodes(big_topology, hosts=[7] * 6 + [3, 9])
+    directory = SupernodeDirectory(big_topology, supernodes[::-1])
+    got = [sn.supernode_id for sn in directory.candidates_for(7, 4)]
+    assert got == [0, 1, 2, 3]
+
+
+def test_standalone_supernodes_bind_to_a_private_store(topology):
+    supernodes = [
+        Supernode(supernode_id=i, host_player=h, capacity=2,
+                  upload_mbps=10.0, access_ms=4.0,
+                  x_km=float(topology.player_coords[h, 0]),
+                  y_km=float(topology.player_coords[h, 1]))
+        for i, h in enumerate([1, 2, 3])]
+    assert all(sn.columns is None for sn in supernodes)
+    directory = SupernodeDirectory(topology, supernodes)
+    store = supernodes[0].columns
+    assert store is not None
+    assert all(sn.columns is store for sn in supernodes)
+    assert [sn.supernode_id for sn in directory.candidates_for(0, 3)] == \
+        brute_force_nearest(directory, 0, 3)
+
+
+def test_mixed_supernode_sets_are_rejected(topology):
+    bound = make_supernodes(topology, hosts=[1, 2])
+    stray = make_supernodes(topology, hosts=[3])
+    with pytest.raises(ValueError, match="bind_columns"):
+        SupernodeDirectory(topology, bound + stray)
+    duplicate = [
+        Supernode(supernode_id=0, host_player=h, capacity=2,
+                  upload_mbps=10.0, access_ms=4.0)
+        for h in (1, 2)]
+    with pytest.raises(ValueError, match="distinct"):
+        SupernodeDirectory(topology, duplicate)

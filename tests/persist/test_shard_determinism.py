@@ -19,6 +19,8 @@ from repro.core.config import cloudfog_advanced
 from repro.core.shard import build_partitions, merge_results, run_sharded
 from repro.experiments import resume_sharded_config, run_sharded_config
 from repro.faults.plan import FaultPlan
+from repro.scenarios import Scenario
+from repro.scenarios.compile import compile_scenario
 from repro.sim.cycles import Schedule
 
 from ..helpers.golden import fault_summary_digest, run_result_digest
@@ -140,6 +142,36 @@ def test_sharded_resume_is_bit_identical(tmp_path, config):
             snapshot.unlink()
     resumed = resume_sharded_config(config, tmp_path, days=days, shards=1)
     assert digests(resumed) == expected
+
+
+def test_scenario_sharded_resume_keeps_the_configure_hook(tmp_path):
+    """A flash crowd installed by ``configure`` must survive a resume
+    through the runner: scenario state is not checkpointed, so the
+    resumed partitions have to re-apply the hook."""
+    compiled = compile_scenario(Scenario.from_dict({
+        "version": 1, "name": "resume-crowd", "seed": 5,
+        "population": {"daily_participants": 60},
+        "schedule": {"days": 3, "warmup_days": 1},
+        "workload": {"flash_crowds": [
+            {"day": 2, "subcycle": 20, "players": 40}]}}))
+    config, days = compiled.config, compiled.days
+    expected = digests(run_sharded_config(
+        config, days, shards=1, configure=compiled.configure))
+    run_sharded_config(config, days, shards=1, checkpoint_dir=tmp_path,
+                       configure=compiled.configure)
+
+    def resume(**kwargs):
+        # Interrupt after day 0 (the resume re-writes later snapshots).
+        for shard_dir in sorted(tmp_path.iterdir()):
+            for snapshot in sorted(
+                    shard_dir.glob("checkpoint-day*.json"))[1:]:
+                snapshot.unlink()
+        return digests(resume_sharded_config(config, tmp_path, days=days,
+                                             **kwargs))
+
+    assert resume(configure=compiled.configure) == expected
+    # Without the hook the resumed days lose the crowd: the test bites.
+    assert resume() != expected
 
 
 def test_sharded_resume_from_missing_dirs_runs_fresh(tmp_path):
