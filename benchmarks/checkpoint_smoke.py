@@ -6,6 +6,13 @@ reproduces the uninterrupted run's outputs **bit for bit** — session
 records, day metrics, every latency list and (with ``--chaos``) the
 fault-accounting summary.
 
+It also checks encoder parity on every file the run's checkpointer
+wrote, before and after the resume: the payload bytes in the file must
+be exactly ``canonical_json`` of the parsed payload, and the manifest
+digest must verify.  The checkpointer encodes result rows
+incrementally, so this fails loudly if that writer ever drifts from
+the one-shot canonical encoding.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/checkpoint_smoke.py
@@ -15,6 +22,7 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import sys
 import tempfile
@@ -26,7 +34,8 @@ from helpers.golden import fault_summary_digest, run_result_digest  # noqa: E402
 from repro.core import CloudFogSystem  # noqa: E402
 from repro.core.config import cloudfog_advanced  # noqa: E402
 from repro.faults.plan import FaultEvent, FaultPlan  # noqa: E402
-from repro.persist import Checkpointer, resume_run  # noqa: E402
+from repro.persist import (Checkpointer, canonical_json,  # noqa: E402
+                           payload_digest, resume_run)
 
 
 class _Interrupted(Exception):
@@ -41,6 +50,21 @@ def smoke_plan(days: int) -> FaultPlan:
         events.append(FaultEvent(day=day, subcycle=14, kind="flaky",
                                  severity=0.3))
     return FaultPlan(events=tuple(events), transient_refusal_prob=0.1)
+
+
+def encoding_drift(path: pathlib.Path) -> str | None:
+    """Why a checkpoint is not its parsed payload's canonical encoding
+    under a verifying digest, or None when it is."""
+    data = path.read_bytes()
+    document = json.loads(data)
+    # The writer's file is the canonical document, so this holds exactly
+    # when the payload bytes in it are canonical_json(payload).
+    if data != canonical_json(document).encode():
+        return "payload bytes differ from canonical_json(payload)"
+    if document["manifest"]["payload_sha256"] != \
+            payload_digest(document["payload"]):
+        return "manifest digest does not verify"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,7 +111,17 @@ def main(argv: list[str] | None = None) -> int:
             print("FAIL: the interruption hook never fired",
                   file=sys.stderr)
             return 1
-        resumed = resume_run(tmp)
+        # The same checkpointer keeps saving after the resume, which
+        # hands it a freshly restored result to encode.
+        resumed = resume_run(tmp, checkpointer=hook)
+        drifted = [(path.name, why) for path in hook.written
+                   if (why := encoding_drift(path)) is not None]
+    print(f"encoder parity: {len(hook.written) - len(drifted)}/"
+          f"{len(hook.written)} checkpoint files are canonical")
+    for name, why in drifted:
+        print(f"FAIL: {name}: {why}", file=sys.stderr)
+    if drifted:
+        return 1
 
     actual = (run_result_digest(resumed), fault_summary_digest(resumed.faults))
     print(f"interrupted after day {args.interrupt_after} of {args.days}"

@@ -76,7 +76,7 @@ from ..persist.snapshot import overlay_state, restore_result
 from ..sim.rng import RngFactory
 from ..social.graph import FriendGraph
 from ..workload.population import Population, build_population
-from .accounting import DayMetrics, RunResult
+from .accounting import DayMetrics, RunResult, SessionRecord
 from .config import SystemConfig
 from .state import SimState
 from .sweep import run_schedule
@@ -243,10 +243,12 @@ def merge_results(parts: list[RunResult],
                     for r in rows) / online)
         merged.days.append(day)
     for part, partition in zip(parts, partitions):
-        ids = partition.player_ids
+        ids = partition.player_ids.tolist()
         merged.sessions.extend(
-            replace(record, player=int(ids[record.player]))
-            for record in part.sessions)
+            SessionRecord(ids[r.player], r.day, r.game, r.kind, r.target,
+                          r.response_latency_ms, r.server_latency_ms,
+                          r.continuity, r.satisfied, r.join_latency_ms)
+            for r in part.sessions)
         merged.join_latencies_ms.extend(part.join_latencies_ms)
         merged.supernode_join_latencies_ms.extend(
             part.supernode_join_latencies_ms)

@@ -44,6 +44,7 @@ from .codec import (
     write_checkpoint,
 )
 from .snapshot import (
+    ResultEncoder,
     capture_result,
     capture_state,
     config_from_dict,
@@ -70,6 +71,7 @@ __all__ = [
     "overlay_state",
     "capture_result",
     "restore_result",
+    "ResultEncoder",
     "CHECKPOINT_GLOB",
     "checkpoint_path",
     "save_checkpoint",

@@ -29,8 +29,9 @@ from .. import obs
 from ..core.accounting import RunResult
 from ..core.state import SimState
 from ..core.sweep import run_schedule
-from .codec import CheckpointError, read_checkpoint, write_checkpoint
-from .snapshot import (capture_result, capture_state, restore_result,
+from .codec import (CheckpointError, canonical_json, canonical_object,
+                    read_checkpoint, write_checkpoint_text)
+from .snapshot import (ResultEncoder, capture_state, restore_result,
                        restore_state)
 
 __all__ = ["CHECKPOINT_GLOB", "checkpoint_path", "save_checkpoint",
@@ -50,8 +51,15 @@ def checkpoint_path(directory: str | Path, day: int) -> Path:
 
 
 def save_checkpoint(path: str | Path, state: SimState, result: RunResult,
-                    day: int, total_days: int) -> Path:
+                    day: int, total_days: int,
+                    encoder: ResultEncoder | None = None) -> Path:
     """Snapshot a run after ``day`` finished; returns the written path.
+
+    The payload is encoded once, straight to canonical JSON text.  Pass
+    the run's :class:`~repro.persist.snapshot.ResultEncoder` (a
+    :class:`Checkpointer` owns one) so a save re-encodes only the result
+    rows added since the previous one; without it a throwaway encoder
+    encodes the whole result.
 
     When telemetry is live (:func:`repro.obs.enable`), the accumulated
     time series and event log ride along under a ``telemetry`` key —
@@ -60,18 +68,21 @@ def save_checkpoint(path: str | Path, state: SimState, result: RunResult,
     matches the uninterrupted run's.  Disabled runs write the exact
     payload they always did.
     """
+    if encoder is None:
+        encoder = ResultEncoder()
     with obs.get_tracer().span("checkpoint_save", day=day):
         obs.get_events().emit("checkpoint_save", day=day, path=str(path))
-        payload = {
-            "day": day,
-            "run": {"total_days": total_days},
-            "state": capture_state(state),
-            "result": capture_result(result),
+        members = {
+            "day": canonical_json(day),
+            "run": canonical_json({"total_days": total_days}),
+            "state": canonical_json(capture_state(state)),
+            "result": encoder.encode(result),
         }
         telemetry = obs.capture_telemetry()
         if telemetry is not None:
-            payload["telemetry"] = telemetry
-        written = write_checkpoint(path, payload)
+            members["telemetry"] = canonical_json(telemetry)
+        written = write_checkpoint_text(path, canonical_object(members),
+                                        day)
     registry = obs.get_registry()
     registry.counter("repro_checkpoint_saves_total").inc()
     registry.gauge("repro_checkpoint_bytes").set(written.stat().st_size)
@@ -158,12 +169,18 @@ class Checkpointer:
     A final day off the cadence is *not* snapshotted — crash recovery
     restarts from the last cadence point, which is the deal ``every``
     buys.
+
+    Every file is a whole, self-contained snapshot; only the *encoding*
+    is incremental — the checkpointer's result encoder keeps the text
+    of the session rows and join latencies it already wrote.
     """
 
     directory: Path
     every: int = 1
     #: Paths written by this checkpointer, in save order.
     written: list[Path] = field(default_factory=list, init=False)
+    _encoder: ResultEncoder = field(default_factory=ResultEncoder,
+                                    init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.every < 1:
@@ -179,7 +196,8 @@ class Checkpointer:
         """The ``run_schedule``/``CycleScheduler`` day-end hook."""
         if (day + 1) % self.every == 0:
             self.written.append(save_checkpoint(
-                self.path_for(day), state, result, day, total_days))
+                self.path_for(day), state, result, day, total_days,
+                encoder=self._encoder))
 
 
 def resume_run(source: str | Path, days: int | None = None,

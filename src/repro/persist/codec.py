@@ -1,18 +1,25 @@
 """The versioned on-disk checkpoint format.
 
-One checkpoint is one JSON document::
+One checkpoint is one JSON document, itself in canonical form (sorted
+keys, no whitespace)::
 
-    {
-      "format": "repro-checkpoint",
-      "schema_version": 1,
-      "manifest": {"day": 3, "payload_sha256": "<hex digest>"},
-      "payload": {...}
-    }
+    {"format":"repro-checkpoint",
+     "manifest":{"day":3,"payload_sha256":"<hex digest>"},
+     "payload":{...},
+     "schema_version":2}
 
-The manifest digest is the SHA-256 of the *canonical* JSON encoding of
-the payload (sorted keys, no whitespace), so any byte of drift —
-truncation, a hand-edited field, a partially written file — is caught
-at load time before the simulation state is rebuilt.
+(shown wrapped; the file is one line).  The payload is encoded exactly
+once, as canonical JSON, and the manifest digest is the SHA-256 of
+those very bytes, so any byte of drift — truncation, a hand-edited
+field, a partially written file — is caught at load time before the
+simulation state is rebuilt.
+
+The reader has a fast path for files in exactly the writer's layout:
+it hashes the payload bytes as they sit in the file and parses them
+once.  Every other file, and any fast-path miss, takes the general
+path: parse the document, then re-encode the payload canonically and
+compare digests.  Both paths run the same format, schema-version,
+digest and manifest-day checks and raise the same errors.
 
 JSON is a deliberate choice over pickle: ``json`` round-trips every
 finite Python float exactly (``repr``-based shortest round-trip), the
@@ -37,12 +44,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 __all__ = ["FORMAT_NAME", "SCHEMA_VERSION", "CheckpointError",
            "CheckpointVersionError", "CheckpointCorruptError",
-           "canonical_json", "payload_digest", "write_checkpoint",
-           "read_checkpoint"]
+           "canonical_json", "canonical_object", "payload_digest",
+           "write_checkpoint", "write_checkpoint_text", "read_checkpoint"]
 
 #: Identifies a file as one of ours regardless of schema evolution.
 FORMAT_NAME = "repro-checkpoint"
@@ -51,6 +59,14 @@ FORMAT_NAME = "repro-checkpoint"
 #: v2: FaultSummary grew the correlated-loss counters (shed, drained,
 #: joins_shed) — a v1 reader would drop them silently on restore.
 SCHEMA_VERSION = 2
+
+#: The bytes around the payload in a file :func:`write_checkpoint_text`
+#: wrote; the reader's fast path recognises exactly this layout.
+_HEAD = re.compile(
+    rb'\{"format":"' + re.escape(FORMAT_NAME.encode()) + rb'","manifest":'
+    rb'\{"day":(0|[1-9][0-9]*),"payload_sha256":"([0-9a-f]{64})"\},'
+    rb'"payload":')
+_TAIL = b',"schema_version":%d}' % SCHEMA_VERSION
 
 
 class CheckpointError(RuntimeError):
@@ -70,6 +86,14 @@ def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def canonical_object(members: dict[str, str]) -> str:
+    """Canonical JSON of an object whose member values are already
+    canonical JSON text — equal to ``canonical_json`` of the decoded
+    object, without re-encoding the members."""
+    return "{" + ",".join(f"{json.dumps(key)}:{members[key]}"
+                          for key in sorted(members)) + "}"
+
+
 def payload_digest(payload: dict) -> str:
     """SHA-256 hex digest of a payload's canonical encoding."""
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
@@ -82,33 +106,68 @@ def write_checkpoint(path: str | Path, payload: dict) -> Path:
     snapshot was taken at the end of); it is mirrored into the manifest
     so tooling can list checkpoints without hashing payloads.
     """
-    day = payload.get("day")
-    if not isinstance(day, int) or day < 0:
+    return write_checkpoint_text(path, canonical_json(payload),
+                                 payload.get("day"))
+
+
+def write_checkpoint_text(path: str | Path, payload_text: str,
+                          day: int) -> Path:
+    """Write a checkpoint whose payload is already canonical JSON text.
+
+    ``payload_text`` must be ``canonical_json(payload)`` of a payload
+    whose ``"day"`` is ``day``; it is hashed and written as is, so the
+    payload is encoded only once per save.
+    """
+    if not isinstance(day, int) or isinstance(day, bool) or day < 0:
         raise CheckpointError(
             f"payload must carry a non-negative integer 'day', got {day!r}")
     path = Path(path)
-    document = {
-        "format": FORMAT_NAME,
-        "schema_version": SCHEMA_VERSION,
-        "manifest": {"day": day, "payload_sha256": payload_digest(payload)},
-        "payload": payload,
-    }
+    body = payload_text.encode()
+    head = (f'{{"format":"{FORMAT_NAME}","manifest":{{"day":{day},'
+            f'"payload_sha256":"{hashlib.sha256(body).hexdigest()}"}},'
+            f'"payload":').encode()
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(document, sort_keys=True))
+    with open(tmp, "wb") as handle:
+        handle.write(head)
+        handle.write(body)
+        handle.write(_TAIL)
     os.replace(tmp, path)
     return path
+
+
+def _fast_payload(data: bytes) -> dict | None:
+    """The payload of a file in exactly the writer's layout whose every
+    check passes, parsed once; None sends the file down the general
+    path, which raises the precise error."""
+    head = _HEAD.match(data)
+    if head is None or not data.endswith(_TAIL):
+        return None
+    body = data[head.end():len(data) - len(_TAIL)]
+    if hashlib.sha256(body).hexdigest() != head.group(2).decode():
+        return None
+    try:
+        payload = json.loads(body)
+    except ValueError:
+        return None
+    if not isinstance(payload, dict) \
+            or payload.get("day") != int(head.group(1)):
+        return None
+    return payload
 
 
 def read_checkpoint(path: str | Path) -> dict:
     """Load, schema-check and digest-verify a checkpoint; return its payload."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    payload = _fast_payload(data)
+    if payload is not None:
+        return payload
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
+        document = json.loads(data)
+    except ValueError as exc:
         raise CheckpointCorruptError(
             f"{path} is not valid JSON (truncated write?): {exc}") from exc
     if not isinstance(document, dict) \

@@ -79,11 +79,11 @@ from ..sim.cycles import Schedule
 from ..sim.rng import RngFactory
 from ..workload.churn import DurationMixture, StartTimeModel
 from ..workload.games import GAME_CATALOGUE
-from .codec import CheckpointCorruptError
+from .codec import CheckpointCorruptError, canonical_json, canonical_object
 
 __all__ = ["config_to_dict", "config_from_dict", "capture_state",
            "restore_state", "overlay_state", "capture_result",
-           "restore_result"]
+           "restore_result", "ResultEncoder"]
 
 _GAME_BY_NAME = {game.name: game for game in GAME_CATALOGUE}
 
@@ -324,8 +324,22 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
 # ----------------------------------------------------------------------
 # RunResult
 # ----------------------------------------------------------------------
-def capture_result(result: RunResult) -> dict:
-    """Serialize the accumulated accounting of a (partial) run."""
+def _session_rows(records) -> list[list]:
+    return [[r.player, r.day, r.game, r.kind.value, r.target,
+             r.response_latency_ms, r.server_latency_ms, r.continuity,
+             r.satisfied, r.join_latency_ms]
+            for r in records]
+
+
+#: The :class:`RunResult` lists a running schedule only ever appends
+#: to, each with the function turning a run of its items into payload
+#: rows.  Their items are immutable (frozen records, floats), so an
+#: encoded prefix stays valid while the list only grows.
+_APPENDED = (("sessions", _session_rows), ("join_latencies_ms", list))
+
+
+def _result_rest(result: RunResult) -> dict:
+    """Every captured :class:`RunResult` field except ``_APPENDED``."""
     return {
         "days": [
             [d.day, d.online_players, d.supernode_players,
@@ -333,18 +347,71 @@ def capture_result(result: RunResult) -> dict:
              d.mean_response_latency_ms, d.mean_server_latency_ms,
              d.mean_continuity, d.satisfied_ratio]
             for d in result.days],
-        "sessions": [
-            [r.player, r.day, r.game, r.kind.value, r.target,
-             r.response_latency_ms, r.server_latency_ms, r.continuity,
-             r.satisfied, r.join_latency_ms]
-            for r in result.sessions],
-        "join_latencies_ms": list(result.join_latencies_ms),
         "supernode_join_latencies_ms":
             list(result.supernode_join_latencies_ms),
         "migration_latencies_ms": list(result.migration_latencies_ms),
         "assignment_wall_times_s": list(result.assignment_wall_times_s),
         "faults": _summary_to_dict(result.faults),
     }
+
+
+def capture_result(result: RunResult) -> dict:
+    """Serialize the accumulated accounting of a (partial) run."""
+    payload = _result_rest(result)
+    for name, rows in _APPENDED:
+        payload[name] = rows(getattr(result, name))
+    return payload
+
+
+class _EncodedList:
+    """Canonical JSON of one append-only list, extended by its new tail.
+
+    The cached prefix is trusted only while the list is the same object,
+    has not shrunk and still holds the last encoded item at the same
+    position; otherwise the whole list is encoded again.
+    """
+
+    __slots__ = ("rows", "source", "count", "last", "text")
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+        self.source: list | None = None
+        self.count = 0
+        self.last = None
+        self.text = ""
+
+    def encode(self, values: list) -> str:
+        count = len(values)
+        if values is not self.source or count < self.count or (
+                self.count and values[self.count - 1] is not self.last):
+            self.source, self.count, self.last, self.text = \
+                values, 0, None, ""
+        if count > self.count:
+            tail = canonical_json(self.rows(values[self.count:]))[1:-1]
+            self.text = f"{self.text},{tail}" if self.text else tail
+            self.count, self.last = count, values[-1]
+        return f"[{self.text}]"
+
+
+class ResultEncoder:
+    """Incremental ``canonical_json(capture_result(result))``.
+
+    Successive :meth:`encode` calls over one growing run encode only
+    the session records and join latencies appended since the previous
+    call; the mutable day rows, the fault summary and the small lists
+    are encoded afresh each time.  The output is byte-identical to the
+    one-shot encoding.
+    """
+
+    def __init__(self) -> None:
+        self._lists = {name: _EncodedList(rows) for name, rows in _APPENDED}
+
+    def encode(self, result: RunResult) -> str:
+        members = {name: canonical_json(value)
+                   for name, value in _result_rest(result).items()}
+        for name, encoded in self._lists.items():
+            members[name] = encoded.encode(getattr(result, name))
+        return canonical_object(members)
 
 
 def restore_result(payload: dict) -> RunResult:

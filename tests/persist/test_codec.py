@@ -112,3 +112,79 @@ def test_write_is_atomic(tmp_path):
     write_checkpoint(path, {"day": 3, "state": {"seed": 8}})
     assert list(tmp_path.iterdir()) == [path]
     assert read_checkpoint(path)["state"]["seed"] == 8
+
+
+# ----------------------------------------------------------------------
+# the writer's one-encoding layout and the reader's fast path
+# ----------------------------------------------------------------------
+def test_file_is_the_canonical_document(tmp_path):
+    """The payload is written as its canonical bytes, so the whole file
+    is the canonical encoding of the document."""
+    path = write_checkpoint(tmp_path / "ck.json", PAYLOAD)
+    text = path.read_text()
+    assert text == canonical_json(json.loads(text))
+    assert f'"payload":{canonical_json(PAYLOAD)},' in text
+
+
+def test_fast_path_skips_the_canonical_re_encode(tmp_path, monkeypatch):
+    from repro.persist import codec
+
+    path = write_checkpoint(tmp_path / "ck.json", PAYLOAD)
+
+    def no_re_encode(payload):
+        raise AssertionError("writer-layout file took the general path")
+
+    monkeypatch.setattr(codec, "payload_digest", no_re_encode)
+    assert read_checkpoint(path) == PAYLOAD
+
+
+def test_fast_path_flipped_payload_byte_is_digest_mismatch(tmp_path):
+    path = write_checkpoint(tmp_path / "ck.json", PAYLOAD)
+    data = path.read_bytes()
+    flipped = data.replace(b'"seed":7', b'"seed":8')
+    assert flipped != data  # still valid JSON, still the writer layout
+    path.write_bytes(flipped)
+    with pytest.raises(CheckpointCorruptError, match="digest mismatch"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("keep", [1, 40, -30, -1])
+def test_fast_path_truncated_file_fails(tmp_path, keep):
+    path = write_checkpoint(tmp_path / "ck.json", PAYLOAD)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(CheckpointCorruptError):
+        read_checkpoint(path)
+
+
+def test_fast_path_manifest_day_disagreement_is_corrupt(tmp_path):
+    path = write_checkpoint(tmp_path / "ck.json", PAYLOAD)
+    data = path.read_bytes()
+    # Only the manifest changes: the payload digest stays valid.
+    path.write_bytes(data.replace(b'"manifest":{"day":3,',
+                                  b'"manifest":{"day":9,'))
+    with pytest.raises(CheckpointCorruptError, match="disagrees"):
+        read_checkpoint(path)
+
+
+def test_fast_path_schema_version_mismatch(tmp_path):
+    path = write_checkpoint(tmp_path / "ck.json", PAYLOAD)
+    data = path.read_bytes()
+    tail = b'"schema_version":%d}' % SCHEMA_VERSION
+    assert data.endswith(tail)
+    path.write_bytes(data[:-len(tail)] + b'"schema_version":999}')
+    with pytest.raises(CheckpointVersionError):
+        read_checkpoint(path)
+
+
+def test_previous_layout_still_loads(tmp_path):
+    """Files written before the one-encoding writer (default
+    separators, digest over the canonical re-encode) load unchanged."""
+    document = {
+        "format": FORMAT_NAME,
+        "schema_version": SCHEMA_VERSION,
+        "manifest": {"day": 3, "payload_sha256": payload_digest(PAYLOAD)},
+        "payload": PAYLOAD,
+    }
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(document, sort_keys=True))
+    assert read_checkpoint(path) == PAYLOAD

@@ -1,0 +1,162 @@
+"""The incremental checkpoint writer equals the one-shot encoding.
+
+A :class:`~repro.persist.Checkpointer` re-encodes only the session rows
+and join latencies appended since its previous save.  Whatever happens
+to the result between saves — appends, in-place mutation of the day
+rows and fault summary, a list swapped for a restored copy, a shrunk
+list, telemetry switched on or off — every file's payload must be
+byte-for-byte ``canonical_json`` of the payload built by
+``capture_state`` + ``capture_result``.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.core import CloudFogSystem
+from repro.core.accounting import DayMetrics, RunResult, SessionRecord
+from repro.core.config import cloudfog_advanced
+from repro.core.entities import ConnectionKind
+from repro.core.state import SimState
+from repro.persist import (
+    Checkpointer,
+    canonical_json,
+    capture_result,
+    capture_state,
+    payload_digest,
+    read_checkpoint,
+    restore_result,
+    resume_run,
+)
+
+from ..faults.regen_golden import CHAOS_PLAN
+
+STATE = SimState(cloudfog_advanced(num_players=30, num_supernodes=3,
+                                   seed=1))
+TOTAL_DAYS = 9
+
+_floats = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+_records = st.builds(
+    SessionRecord,
+    player=st.integers(0, 29), day=st.integers(0, 8),
+    game=st.sampled_from(["rpg", "fps"]),
+    kind=st.sampled_from(list(ConnectionKind)),
+    target=st.integers(-1, 5), response_latency_ms=_floats,
+    server_latency_ms=_floats,
+    continuity=st.floats(0.0, 1.0), satisfied=st.booleans(),
+    join_latency_ms=st.none() | _floats)
+
+_ops = st.one_of(
+    st.tuples(st.just("sessions"), st.lists(_records, max_size=4)),
+    st.tuples(st.just("joins"), st.lists(_floats, max_size=4)),
+    st.tuples(st.just("day"), _floats),
+    st.tuples(st.just("faults"), st.integers(1, 3), _floats),
+    st.tuples(st.just("restore"), st.booleans()),
+    st.tuples(st.just("shrink"), st.booleans()),
+    st.tuples(st.just("replace_last"), _records),
+    st.tuples(st.just("save"), st.booleans()),
+)
+
+
+def _apply(result: RunResult, op) -> None:
+    kind, *args = op
+    if kind == "sessions":
+        result.sessions.extend(args[0])
+    elif kind == "joins":
+        result.join_latencies_ms.extend(args[0])
+    elif kind == "day":
+        if not result.days or args[0] > 5e3:
+            result.days.append(DayMetrics(day=len(result.days)))
+        row = result.days[-1]
+        row.online_players += 1
+        row.cloud_bandwidth_mbps = args[0]
+    elif kind == "faults":
+        result.faults.displaced += args[0]
+        result.faults.recovered += args[0]
+        result.faults.time_to_recover_ms.append(args[1])
+    elif kind == "restore":
+        restored = restore_result(capture_result(result))
+        if args[0]:
+            result.sessions = restored.sessions
+        else:
+            result.join_latencies_ms = restored.join_latencies_ms
+    elif kind == "shrink":
+        values = result.sessions if args[0] else result.join_latencies_ms
+        del values[len(values) // 2:]
+    elif kind == "replace_last":
+        if result.sessions:
+            result.sessions[-1] = args[0]
+
+
+def _reference_text(result: RunResult, day: int) -> str:
+    payload = {"day": day, "run": {"total_days": TOTAL_DAYS},
+               "state": capture_state(STATE),
+               "result": capture_result(result)}
+    telemetry = obs.capture_telemetry()
+    if telemetry is not None:
+        payload["telemetry"] = telemetry
+    return canonical_json(payload)
+
+
+def _payload_text(path: Path) -> str:
+    """The payload's bytes exactly as they sit in the file."""
+    text = path.read_text()
+    start = text.index(',"payload":') + len(',"payload":')
+    end = text.rindex(',"schema_version":')
+    return text[start:end]
+
+
+@given(ops=st.lists(_ops, min_size=1, max_size=30))
+@settings(max_examples=40, deadline=None)
+def test_every_save_equals_the_one_shot_encoding(ops):
+    result = RunResult()
+    with tempfile.TemporaryDirectory() as tmp:
+        hook = Checkpointer(Path(tmp), every=1)
+        day = 0
+        try:
+            for op in ops + [("save", False)]:
+                if op[0] != "save":
+                    _apply(result, op)
+                    continue
+                if op[1]:
+                    obs.enable()
+                else:
+                    obs.disable()
+                hook.on_day_end(STATE, day, result, TOTAL_DAYS)
+                path = hook.written[-1]
+                assert _payload_text(path) == _reference_text(result, day)
+                assert read_checkpoint(path)["day"] == day
+                day += 1
+        finally:
+            obs.disable()
+
+
+def _without_host_times(payload: dict) -> dict:
+    payload["result"].pop("assignment_wall_times_s")
+    return payload
+
+
+def test_resumed_continuation_writes_the_uninterrupted_files(tmp_path):
+    """A resume hands the checkpointer a freshly restored result; the
+    files it writes from there on match the uninterrupted run's (all
+    but the host-timed assignment walls) and stay canonical."""
+    config = cloudfog_advanced(num_players=120, num_supernodes=8,
+                               seed=3).with_(fault_plan=CHAOS_PLAN)
+    days = 4
+    full = Checkpointer(tmp_path / "full", every=1)
+    CloudFogSystem(config).run(days=days, on_day_end=full.on_day_end)
+    rest = Checkpointer(tmp_path / "rest", every=1)
+    resume_run(full.path_for(0), checkpointer=rest)
+    assert [p.name for p in rest.written] == [
+        p.name for p in full.written[1:]]
+    for expected, actual in zip(full.written[1:], rest.written):
+        document = json.loads(actual.read_text())
+        assert _payload_text(actual) == canonical_json(document["payload"])
+        assert payload_digest(document["payload"]) == \
+            document["manifest"]["payload_sha256"]
+        assert _without_host_times(read_checkpoint(actual)) == \
+            _without_host_times(read_checkpoint(expected))
