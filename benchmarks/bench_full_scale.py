@@ -90,16 +90,13 @@ def test_full_scale_system_comparison(benchmark, emit):
 # ---------------------------------------------------------------------------
 # standalone snapshot writer (tools/bench_trend.py diffs these)
 # ---------------------------------------------------------------------------
-def _stage_walls(config, days: int, use_batch: bool) -> dict:
+def _stage_walls(config, days: int) -> dict:
     """Per-subcycle-stage wall clocks for one single-process run.
 
     Runs outside the sharded path on purpose: timer-wrapping
-    ``SUBCYCLE_STAGES`` only observes stages executed in this process,
-    and the single-process run makes replay-exact vs
-    ``use_batch_assignment`` directly comparable.
+    ``SUBCYCLE_STAGES`` only observes stages executed in this process.
     """
     system = CloudFogSystem(config)
-    system.state.use_batch_assignment = use_batch
     walls: dict[str, float] = {}
     original = sweep.SUBCYCLE_STAGES
 
@@ -143,18 +140,14 @@ def snapshot(scale: float, days: int, seed: int, shards: int,
     fog = run_sharded_config(fog_config, days, shards=shards)
     fog_s = time.perf_counter() - t0
 
-    # Columnar lifecycle comparison (DESIGN.md §15): the same fog
-    # workload run replay-exact and with ``use_batch_assignment``, with
-    # per-stage wall clocks.  ``arrivals`` is the join/assignment stage
-    # the batch mode rewrites; ``stages`` sums every subcycle stage
-    # (departures + faults + arrivals), i.e. the whole per-player
-    # lifecycle loop.
-    replay_walls = _stage_walls(fog_config, days, use_batch=False)
-    batch_walls = _stage_walls(fog_config, days, use_batch=True)
+    # Columnar lifecycle walls (DESIGN.md §15): the fog workload run
+    # single-process with per-stage wall clocks.  ``arrivals`` is the
+    # replay-exact join/assignment stage; ``stages`` sums every
+    # subcycle stage (departures + faults + scenario + arrivals), i.e.
+    # the whole per-player lifecycle loop.
+    replay_walls = _stage_walls(fog_config, days)
     replay_arrivals = replay_walls["stage_arrivals"]
-    batch_arrivals = batch_walls["stage_arrivals"]
     replay_stages = sum(replay_walls.values())
-    batch_stages = sum(batch_walls.values())
 
     # Warmup days execute the identical per-session pipeline (joins,
     # scoring, migration, faults) — they just don't record metrics — so
@@ -187,11 +180,7 @@ def snapshot(scale: float, days: int, seed: int, shards: int,
         },
         "lifecycle": {
             "replay_arrivals_s": replay_arrivals,
-            "batch_arrivals_s": batch_arrivals,
-            "arrivals_speedup": replay_arrivals / batch_arrivals,
             "replay_stages_s": replay_stages,
-            "batch_stages_s": batch_stages,
-            "stages_speedup": replay_stages / batch_stages,
         },
         "coverage": {
             "scale": coverage_scale,
@@ -258,12 +247,8 @@ def main(argv=None) -> int:
           f"fog {stages['fog_wall_s']:.1f}s "
           f"(total {stages['total_s']:.1f}s)")
     lifecycle = results["lifecycle"]
-    print(f"lifecycle: arrivals {lifecycle['replay_arrivals_s']:.1f}s "
-          f"replay vs {lifecycle['batch_arrivals_s']:.1f}s batched "
-          f"({lifecycle['arrivals_speedup']:.2f}x), all stages "
-          f"{lifecycle['replay_stages_s']:.1f}s vs "
-          f"{lifecycle['batch_stages_s']:.1f}s "
-          f"({lifecycle['stages_speedup']:.2f}x)")
+    print(f"lifecycle: arrivals {lifecycle['replay_arrivals_s']:.1f}s, "
+          f"all stages {lifecycle['replay_stages_s']:.1f}s")
     print(f"comparison: fog {comparison['fog_sessions_simulated']:,} "
           f"simulated sessions "
           f"({comparison['fog_sessions_recorded']:,} recorded over "

@@ -4,7 +4,8 @@ Measures three things and writes them to ``BENCH_perf.json``:
 
 * **Session scoring** — the batch scorer
   (:meth:`CloudFogSystem._score_sessions_inner`) against the scalar
-  reference loop on one day's sessions, in sessions/second.  The two
+  reference loop (:func:`repro.core.scoring.score_sessions_scalar`)
+  on one day's sessions, in sessions/second.  The two
   paths are bit-identical (asserted here before timing); the benchmark
   exists to show the batch path is also much faster.
 * **Directory joins** — :meth:`SupernodeDirectory.candidates_for`
@@ -34,6 +35,7 @@ import time
 
 import numpy as np
 
+from repro.core import scoring
 from repro.core.config import cloudfog_basic
 from repro.core.selection import SupernodeDirectory
 from repro.core.accounting import RunResult
@@ -63,8 +65,8 @@ def bench_scoring(num_players: int, num_supernodes: int, seed: int,
         num_players, num_supernodes, seed)
 
     def scalar():
-        return system._score_sessions_scalar(
-            0, sessions, loads, cloud_rate,
+        return scoring.score_sessions_scalar(
+            system.state, 0, sessions, loads, cloud_rate,
             system.rng_factory.stream("qos-0"))
 
     def batch():

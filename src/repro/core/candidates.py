@@ -95,43 +95,6 @@ class CandidateManager:
         ranked = sorted(entries.values(), key=_by_delay)
         self._lists[player] = ranked[:self.max_entries]
 
-    def remember_pairs(self, player: int, sn_ids: list[int],
-                       delays: list[float], n: int) -> None:
-        """:meth:`remember` over parallel id/delay lists.
-
-        Consumes the first ``n`` slots of each list.  The batched join
-        path keeps candidate rows as two flat scalar lists straight off
-        the cohort matrices; this entry point spares it materialising a
-        list of pairs per player just to tear it apart again here.
-        """
-        make = CandidateEntry._make
-        existing = self._lists.get(player)
-        if existing is None:
-            fresh: dict[int, CandidateEntry] = {}
-            for t in range(n):
-                delay = delays[t]
-                if delay < 0:
-                    raise ValueError("delay must be non-negative")
-                fresh[sn_ids[t]] = make((sn_ids[t], float(delay)))
-            ranked = sorted(fresh.values(), key=_by_delay)
-            self._lists[player] = ranked[:self.max_entries]
-            return
-        entries = {e.supernode_id: e for e in existing}
-        changed = False
-        for t in range(n):
-            sn_id = sn_ids[t]
-            delay = delays[t]
-            if delay < 0:
-                raise ValueError("delay must be non-negative")
-            prev = entries.get(sn_id)
-            if prev is None or prev.delay_ms != delay:
-                entries[sn_id] = make((sn_id, float(delay)))
-                changed = True
-        if not changed:
-            return
-        ranked = sorted(entries.values(), key=_by_delay)
-        self._lists[player] = ranked[:self.max_entries]
-
     def forget_supernode(self, supernode_id: int) -> None:
         """Drop a (failed/undeployed) supernode from every list."""
         self.forget_supernodes({supernode_id})

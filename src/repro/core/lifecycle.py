@@ -25,8 +25,8 @@ from .entities import ConnectionKind, Supernode
 from .selection import delay_threshold_ms, select_supernode
 from .state import Session, SimState, cloud_one_way_ms, player_supernode_ms
 
-__all__ = ["MigrationOutcome", "join", "join_cohort", "join_cdn",
-           "migrate", "session_window", "ordered_orphans",
+__all__ = ["MigrationOutcome", "join", "join_cdn", "migrate",
+           "session_window", "ordered_orphans",
            "take_offline", "bring_online", "admit_join",
            "fog_availability", "fail_supernodes"]
 
@@ -122,178 +122,6 @@ def _join_inner(state: SimState, plan: PlayerDayPlan,
                        outcome.join_latency_ms)
     return Session(plan, ConnectionKind.CLOUD, None, upstream, upstream,
                    outcome.join_latency_ms)
-
-
-def join_cohort(state: SimState, plans: list[PlayerDayPlan],
-                rng: np.random.Generator) -> list[Session]:
-    """Batch-assignment join: connect a whole arrival cohort at once.
-
-    The ``use_batch_assignment`` counterpart of per-plan :func:`join`.
-    Candidate discovery and probe-delay math run vectorised over the
-    cohort (one availability snapshot, one chunked distance matrix —
-    :meth:`~repro.core.selection.SupernodeDirectory.batch_candidates_for`),
-    then sessions commit *sequentially in plan order* against the live
-    availability bytes, so capacity is never oversubscribed.
-
-    Semantics delta vs the replay-exact path (DESIGN.md §15): every
-    cohort member sees the candidate table as it stood when the cohort
-    arrived, not as reshaped by the joins committed just before it
-    inside the same subcycle; sticky reuse checks the same snapshot
-    delays.  Selection RNG is drawn per player in plan order, so the
-    mode carries its own golden pins.
-    """
-    config = state.config
-    directory = state.directory
-    scols = state.supernode_columns
-    if (config.mode != "cloudfog" or directory is None
-            or not state.live_supernodes or scols is None or not plans):
-        return [join(state, plan, rng) for plan in plans]
-    batch = directory.batch_candidates_for(
-        np.fromiter((plan.player for plan in plans), dtype=np.int64,
-                    count=len(plans)), config.candidate_count)
-    if batch is None:
-        return [join(state, plan, rng) for plan in plans]
-    cand_ids, cand_delays = batch
-    m, k = cand_ids.shape
-
-    players = [plan.player for plan in plans]
-    games = [state.games[player] for player in players]
-    l_max = np.fromiter(
-        (delay_threshold_ms(game.latency_requirement_ms)
-         for game in games), dtype=np.float64, count=m)
-    upstreams = state.cloud_ms[players]
-    # nanmax: rows with fewer than k available candidates pad their
-    # delay tail with NaN — the player probes only real candidates.
-    probe_rtt = (2.0 * np.nanmax(cand_delays, axis=1) if k
-                 else np.zeros(m, dtype=np.float64))
-    qualified_mask = cand_delays <= l_max[:, None] if k else None
-
-    # Sticky targets and their probe delays, vectorised in one gather.
-    # Reputation-based selection disables sticky reuse entirely
-    # (§3.2.2), so those configs skip the gather — no map lookups, no
-    # delay math for rows that can never take the sticky branch.
-    use_sticky = not config.strategies.reputation_selection
-    if use_sticky:
-        sticky_ids = np.full(m, -1, dtype=np.int64)
-        for j, player in enumerate(players):
-            sid = state.sticky.get(player)
-            if sid is not None:
-                sticky_ids[j] = sid
-        topo = state.topology
-        mskm = topo.latency_model.ms_per_km
-        sdx = topo.player_coords[players, 0] - scols.x_km[sticky_ids]
-        sdy = topo.player_coords[players, 1] - scols.y_km[sticky_ids]
-        sticky_delays = (topo.player_access_ms[players]
-                         + mskm * np.sqrt(sdx * sdx + sdy * sdy)
-                         + scols.access_ms[sticky_ids])
-        sticky_ok = (sticky_ids >= 0) & (sticky_delays <= l_max)
-
-    # Bulk-convert every per-row quantity to Python scalars up front:
-    # the commit loop below then touches no numpy object per player (a
-    # np.float64 must never reach a Session field — digests hash reprs).
-    if k:
-        # Each row's qualified candidates in ascending-delay order,
-        # non-qualified pushed past the first ``qual_counts[j]`` slots.
-        # One stable argsort for the cohort replaces a flatnonzero and
-        # a sort per player; rows with no qualified candidate (cloud
-        # fallback) skip the sort and the scalar conversion entirely —
-        # ``qpos[j]`` maps a plan row to its slot in the trimmed lists.
-        nq_arr = qualified_mask.sum(axis=1)
-        qual_counts = nq_arr.tolist()
-        probe_rtts = probe_rtt.tolist()
-        qrows = np.flatnonzero(nq_arr)
-        qpos_arr = np.zeros(m, dtype=np.int64)
-        qpos_arr[qrows] = np.arange(qrows.size)
-        qpos = qpos_arr.tolist()
-        delay_order = np.argsort(
-            np.where(qualified_mask[qrows], cand_delays[qrows], np.inf),
-            axis=1, kind="stable")
-        ids_rows = np.take_along_axis(
-            cand_ids[qrows], delay_order, axis=1).tolist()
-        delays_rows = np.take_along_axis(
-            cand_delays[qrows], delay_order, axis=1).tolist()
-    if use_sticky:
-        oks = sticky_ok.tolist()
-        sticky_sids = sticky_ids.tolist()
-        sticky_ms = sticky_delays.tolist()
-    else:
-        oks = sticky_sids = sticky_ms = ()
-    ups = upstreams.tolist()
-
-    reputation = (state.reputation
-                  if config.strategies.reputation_selection else None)
-    score = reputation.score if reputation is not None else None
-    avail = scols.available
-    pool = state.supernode_pool
-    remember_pairs = state.candidates.remember_pairs
-    sessions: list[Session] = []
-    sticky_hits = 0
-    for j, plan in enumerate(plans):
-        player = players[j]
-        upstream = ups[j]
-        if use_sticky and oks[j] and avail[sticky_sids[j]]:
-            sid = sticky_sids[j]
-            pool[sid].connect(player)
-            sticky_hits += 1
-            sessions.append(Session(plan, ConnectionKind.SUPERNODE, sid,
-                                    sticky_ms[j], upstream, None))
-            continue
-        join_latency = 2.0 * upstream
-        session = None
-        if k:
-            join_latency += probe_rtts[j]
-            nq = qual_counts[j]
-            if nq:
-                row = qpos[j]
-                row_ids = ids_rows[row]
-                row_delays = delays_rows[row]
-                remember_pairs(player, row_ids, row_delays, nq)
-                if score is not None:
-                    scores = [score(player, row_ids[t])
-                              for t in range(nq)]
-                    if min(scores) == max(scores):
-                        # All tied (usually: never-rated) — the delay
-                        # order already is the (-score, delay) order.
-                        order = range(nq)
-                    else:
-                        # Stable descending sort on score alone keeps
-                        # the ascending-delay tie-break.
-                        order = sorted(range(nq),
-                                       key=scores.__getitem__,
-                                       reverse=True)
-                else:
-                    order = rng.permutation(nq).tolist()
-                # Sequential capacity ask against the *live* bytes: a
-                # snapshot candidate filled mid-cohort is skipped.
-                for t in order:
-                    sid = row_ids[t]
-                    if avail[sid]:
-                        delay = row_delays[t]
-                        pool[sid].connect(player)
-                        join_latency += 10.0 + delay
-                        state.sticky[player] = sid
-                        session = Session(plan, ConnectionKind.SUPERNODE,
-                                          sid, delay, upstream,
-                                          join_latency)
-                        break
-        if session is None:
-            session = Session(plan, ConnectionKind.CLOUD, None, upstream,
-                              upstream, join_latency)
-        sessions.append(session)
-
-    registry = obs.get_registry()
-    histogram = registry.histogram("repro_join_latency_ms")
-    kind_counts: dict[str, int] = {}
-    for session in sessions:
-        kind_counts[session.kind.value] = \
-            kind_counts.get(session.kind.value, 0) + 1
-        if session.join_latency_ms is not None:
-            histogram.observe(session.join_latency_ms)
-    for kind, count in kind_counts.items():
-        registry.counter("repro_joins_total", kind=kind).inc(count)
-    if sticky_hits:
-        registry.counter("repro_sticky_joins_total").inc(sticky_hits)
-    return sessions
 
 
 def join_cdn(state: SimState, plan: PlayerDayPlan, game: Game) -> Session:
@@ -506,8 +334,7 @@ def fail_supernodes(state: SimState, count: int, rng: np.random.Generator,
 
 def migrate(state: SimState, player: int, l_max: float,
             rng: np.random.Generator,
-            transient_refusal: float = 0.0,
-            candidate_start: int = 0) -> MigrationOutcome:
+            transient_refusal: float = 0.0) -> MigrationOutcome:
     """Walk a displaced player down the reconnect ladder.
 
     §3.2.2: the player first walks its own candidate list (probe +
@@ -521,18 +348,10 @@ def migrate(state: SimState, player: int, l_max: float,
     ``transient_refusal`` models churn turbulence: each selection
     round's handshake independently times out with this probability
     (never on the final attempt's success), forcing a backoff retry.
-
-    ``candidate_start`` skips the first entries of the candidate walk
-    — the batched re-home path pre-evaluates the list against an
-    availability snapshot and hands the first plausibly viable index,
-    so a mass displacement does not re-chase known-dead prefixes.
     """
     cols = state.supernode_columns
     pool_size = len(state.supernode_pool)
-    entries = state.candidates.candidates(player)
-    if candidate_start:
-        entries = entries[candidate_start:]
-    for entry in entries:
+    for entry in state.candidates.candidates(player):
         if entry.supernode_id >= pool_size:
             # Stale id (the pool never shrinks today, but a cache
             # loaded from elsewhere may disagree): invalidate it

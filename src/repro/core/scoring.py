@@ -66,14 +66,9 @@ def server_latency_ms(state: SimState, player: int,
 def score_sessions(state: SimState, day, sessions, loads, cloud_rate,
                    rng) -> list[SessionRecord]:
     with obs.get_tracer().span("score_sessions", day=day,
-                               sessions=len(sessions),
-                               batch=state.use_batch_scoring):
-        if state.use_batch_scoring:
-            records = score_sessions_batch(state, day, sessions, loads,
-                                           cloud_rate, rng)
-        else:
-            records = score_sessions_scalar(state, day, sessions, loads,
-                                            cloud_rate, rng)
+                               sessions=len(sessions)):
+        records = score_sessions_batch(state, day, sessions, loads,
+                                       cloud_rate, rng)
         if state.faults.active and state.faults.penalties:
             records = apply_fault_penalties(state, records)
         return records

@@ -66,14 +66,13 @@ class SupernodeDirectory:
     Every directory reads one shared columnar store
     (:class:`~repro.core.columns.SupernodeColumns`): the pool's store in
     a simulation, a private one bound here for a standalone supernode
-    set.  Both join modes answer from one cached per-player distance
-    ranking of the whole pool (:meth:`_pool_ranking`, built once per
-    store): :meth:`candidates_for` walks the player's ranking row and
-    keeps the first ``count`` available directory members, in
-    (distance², pool id) order, and :meth:`batch_candidates_for` does
-    the same for a whole cohort at once.  A row whose cached prefix is
-    exhausted by local saturation falls back to an exact scan of the
-    live pool (:meth:`_batch_scan`) with the same ordering.
+    set.  Lookups answer from one cached per-player distance ranking
+    of the whole pool (:meth:`_pool_ranking`, built once per store):
+    :meth:`candidates_for` walks the player's ranking row and keeps the
+    first ``count`` available directory members, in (distance², pool
+    id) order.  A row whose cached prefix is exhausted by local
+    saturation falls back to an exact scan of the live pool
+    (:meth:`_batch_scan`) with the same ordering.
     """
 
     def __init__(self, topology: Topology, supernodes: list[Supernode]):
@@ -122,7 +121,7 @@ class SupernodeDirectory:
     def candidates_for(self, player: int, count: int) -> list[Supernode]:
         """The ``count`` closest supernodes with free capacity.
 
-        Ordered by (distance², pool id) — the batch path's contract.
+        Ordered by (distance², pool id).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -146,113 +145,22 @@ class SupernodeDirectory:
         ids, _ = self._batch_scan(np.array([player]), count)
         return [members[gid] for gid in ids[0].tolist()]
 
-    def batch_candidates_for(self, players: np.ndarray, count: int
-                             ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Candidate lists for a whole join cohort at once.
-
-        Returns ``(ids, delays)`` — shape ``(m, k)`` with
-        ``k = min(count, available)`` — where row ``j`` holds the
-        global ids of the ``k`` nearest supernodes *available at the
-        snapshot instant* to ``players[j]``, ordered by (distance²,
-        pool id), and their one-way probe delays; rows with fewer
-        than ``k`` available candidates pad their tail with NaN
-        delays.  ``None`` when the directory has never held a
-        supernode (no store to rank) — callers fall back to per-player
-        :meth:`candidates_for`.
-
-        Unlike the per-player lookup, every row reflects *one*
-        availability snapshot taken at the start of the cohort — the
-        documented batch-assignment semantics delta (DESIGN.md §15).
-        The sequential capacity ask downstream still sees live bytes,
-        so a snapshot candidate that filled up mid-cohort is skipped,
-        not over-connected.
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if self._avail_np is None:
-            return None
-        m = len(players)
-        avail = self._avail_np
-        total_avail = int(avail.sum())
-        k = min(count, total_avail)
-        if m == 0 or k == 0:
-            return (np.empty((m, 0), dtype=np.int64),
-                    np.empty((m, 0), dtype=np.float64))
-        # Fast path: walk each player's cached distance ranking of the
-        # whole pool and keep the first ``k`` available rows.  Exact
-        # whenever the prefix holds ``k`` available supernodes (any
-        # pool row outside the prefix is farther than everything in
-        # it) or the whole available set; the rare uncovered rows —
-        # deep local saturation — re-run the full scan below.
-        #
-        # The prefix width scales with pool availability: a saturated
-        # steady-state pool (say 1 in 4 supernodes free) needs ~4× the
-        # prefix of a fresh one before ``k`` available rows land inside
-        # it, and an undersized prefix sends most of the cohort through
-        # the exact-scan fallback every subcycle.  3× headroom over the
-        # expected requirement keeps the fallback rare; rounding up to
-        # a power of two bounds how often a drifting availability level
-        # forces a ranking rebuild.
-        n = self._pool_cols.size
-        need = max(4 * count, -(-3 * count * n) // total_avail)
-        width = min(n, 1 << (int(need) - 1).bit_length())
-        ranking = self._pool_ranking(count, width)
-        cand = ranking[players]
-        ok = avail[cand] == 1
-        nav = ok.sum(axis=1)
-        covered = (nav >= k) | (nav >= total_avail)
-        # Stable argsort on ~ok lists the available prefix positions
-        # first, still in ranking (distance², pool id) order.
-        order = np.argsort(~ok, axis=1, kind="stable")[:, :k]
-        ids = np.take_along_axis(cand, order, axis=1).astype(np.int64)
-        valid = np.take_along_axis(ok, order, axis=1)
-        topo = self.topology
-        pa = topo.player_access_ms[players]
-        mskm = topo.latency_model.ms_per_km
-        cols = self._pool_cols
-        sx = np.asarray(cols.x_km)
-        sy = np.asarray(cols.y_km)
-        sa = np.asarray(cols.access_ms)
-        dx = topo.player_coords[players, 0][:, None] - sx[ids]
-        dy = topo.player_coords[players, 1][:, None] - sy[ids]
-        delays = (pa[:, None] + mskm * np.sqrt(dx * dx + dy * dy)
-                  + sa[ids])
-        # Rows shorter than ``k`` (the whole available set fits the
-        # prefix) pad with NaN: never qualified, skipped by the nanmax
-        # probe aggregation downstream.
-        delays[~valid] = np.nan
-        if not covered.all():
-            rows = np.flatnonzero(~covered)
-            sub_ids, sub_delays = self._batch_scan(players[rows], k)
-            ids[rows] = sub_ids
-            delays[rows] = sub_delays
-        return ids, delays
-
-    def _pool_ranking(self, count: int,
-                      width: int | None = None) -> np.ndarray:
+    def _pool_ranking(self, count: int) -> np.ndarray:
         """Every player's nearest pool rows, (distance², pool id) order.
 
         Pool coordinates are immutable after construction, so the
         ranking is built once per pool and survives directory rebuilds
         — failures, heals and daily provisioning only flip availability
-        bytes.  It is rebuilt (wider) only when the caller's requested
-        ``width`` outgrows the cached prefix; widening never changes
-        any row's candidate set, because a prefix row outside the old
-        width is farther than everything inside it.
+        bytes.  A build's cost is dominated by the full (players × pool)
+        distance matrix, not the kept width, so the prefix is generous
+        (``32 * count`` rows): wide enough that local saturation rarely
+        sends a lookup to the exact scan.
         """
         cols = self._pool_cols
         n = cols.size
-        if width is None:
-            width = min(n, max(32, 4 * count))
+        width = min(n, 32 * count)
         if self._topk is not None and self._topk.shape[1] >= width:
             return self._topk
-        # A build's cost is dominated by the full (players × pool)
-        # distance matrix, not the kept width — so never build narrow.
-        # One generous prefix up front absorbs the whole availability
-        # range a run drifts through; the stepwise 2× ladder the
-        # caller's power-of-two requests would otherwise climb costs a
-        # full rebuild per rung.
-        width = min(n, max(width, 32 * count))
         coords = self.topology.player_coords
         total = coords.shape[0]
         sx = np.asarray(cols.x_km)
@@ -283,7 +191,7 @@ class SupernodeDirectory:
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-nearest-available scan over the whole live pool.
 
-        The fallback for cohort rows whose cached ranking prefix is
+        The fallback for lookups whose cached ranking prefix is
         exhausted by local saturation; same (distance², pool id)
         ordering as the cached path.
         """

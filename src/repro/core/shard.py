@@ -329,12 +329,9 @@ def _test_hang_hook(index: int):
 
 def _run_partition(partition: ShardPartition, days: int | None,
                    checkpoint_dir, checkpoint_every: int,
-                   extra_hook=None,
-                   use_batch_assignment: bool = False,
-                   configure=None) -> RunResult:
+                   extra_hook=None, configure=None) -> RunResult:
     """Run one partition's full schedule in the current process."""
     state = SimState(partition.config, population=partition.population)
-    state.use_batch_assignment = use_batch_assignment
     if configure is not None:
         configure(state)
     hook = None
@@ -347,9 +344,7 @@ def _run_partition(partition: ShardPartition, days: int | None,
 
 def _resume_partition(partition: ShardPartition, days: int | None,
                       checkpoint_dir, checkpoint_every: int,
-                      extra_hook=None,
-                      use_batch_assignment: bool = False,
-                      configure=None) -> RunResult:
+                      extra_hook=None, configure=None) -> RunResult:
     """Resume one partition from its newest digest-valid checkpoint.
 
     A corrupt latest checkpoint falls back to the previous day's
@@ -368,7 +363,6 @@ def _resume_partition(partition: ShardPartition, days: int | None,
     if found is None:
         return _run_partition(partition, days, checkpoint_dir,
                               checkpoint_every, extra_hook,
-                              use_batch_assignment=use_batch_assignment,
                               configure=configure)
     path, payload = found
     if payload["state"]["config"]["num_players"] != \
@@ -398,19 +392,16 @@ def _partition_worker(args) -> RunResult:
     its newest valid checkpoint instead of starting over.
     """
     (config, index, days, checkpoint_dir, checkpoint_every, resume,
-     use_batch_assignment, configure) = args
+     configure) = args
     partition = build_partitions(config)[index]
     extra_hook = _compose_hooks(_test_kill_hook(index),
                                 _test_hang_hook(index))
     if resume:
         return _resume_partition(
             partition, days, checkpoint_dir, checkpoint_every, extra_hook,
-            use_batch_assignment=use_batch_assignment,
             configure=configure)
     return _run_partition(partition, days, checkpoint_dir,
-                          checkpoint_every, extra_hook,
-                          use_batch_assignment=use_batch_assignment,
-                          configure=configure)
+                          checkpoint_every, extra_hook, configure=configure)
 
 
 def _checkpoint_signature(checkpoint_dir, indexes) -> frozenset | None:
@@ -430,7 +421,6 @@ def _checkpoint_signature(checkpoint_dir, indexes) -> frozenset | None:
 def _run_supervised(config: SystemConfig, partitions, days,
                     checkpoint_dir, checkpoint_every, workers: int,
                     max_restarts: int, heartbeat_timeout_s: float | None,
-                    use_batch_assignment: bool = False,
                     configure=None) -> dict[int, RunResult]:
     """The self-healing supervisor loop over a worker pool.
 
@@ -451,7 +441,7 @@ def _run_supervised(config: SystemConfig, partitions, days,
             futures = {pool.submit(
                 _partition_worker,
                 (config, index, days, checkpoint_dir, checkpoint_every,
-                 resume[index], use_batch_assignment, configure)): index
+                 resume[index], configure)): index
                 for index in sorted(pending)}
             broken = False
             last_progress = _checkpoint_signature(checkpoint_dir, pending)
@@ -504,7 +494,6 @@ def run_sharded(config: SystemConfig, days: int | None = None, *,
                 shards: int = 1, checkpoint_dir=None,
                 checkpoint_every: int = 1, max_restarts: int = 2,
                 heartbeat_timeout_s: float | None = None,
-                use_batch_assignment: bool = False,
                 configure=None) -> RunResult:
     """Run a config as per-region partitions and merge the results.
 
@@ -520,11 +509,6 @@ def run_sharded(config: SystemConfig, days: int | None = None, *,
     writes no new checkpoint for a whole window is recycled the same
     way.  Healed runs merge bit-identically to uninterrupted ones.
 
-    ``use_batch_assignment`` turns on cohort-batched join assignment in
-    every partition (DESIGN.md §15) — a mode toggle like
-    ``use_batch_scoring``, carried into checkpoints, with its own
-    golden pins.
-
     ``configure`` is an optional callable applied to every partition's
     freshly built :class:`SimState` (the scenario seam).  It must be
     picklable when ``shards > 1`` — worker processes rebuild partitions
@@ -538,7 +522,6 @@ def run_sharded(config: SystemConfig, days: int | None = None, *,
     workers = min(shards, len(partitions), os.cpu_count() or 1)
     if workers <= 1:
         parts = [_run_partition(p, days, checkpoint_dir, checkpoint_every,
-                                use_batch_assignment=use_batch_assignment,
                                 configure=configure)
                  for p in partitions]
     else:
@@ -546,7 +529,6 @@ def run_sharded(config: SystemConfig, days: int | None = None, *,
                                   checkpoint_dir, checkpoint_every,
                                   workers, max_restarts,
                                   heartbeat_timeout_s,
-                                  use_batch_assignment=use_batch_assignment,
                                   configure=configure)
         parts = [results[p.index] for p in partitions]
     return merge_results(parts, partitions)
@@ -555,7 +537,6 @@ def run_sharded(config: SystemConfig, days: int | None = None, *,
 def resume_sharded(config: SystemConfig, checkpoint_dir, *,
                    days: int | None = None, shards: int = 1,
                    checkpoint_every: int = 1,
-                   use_batch_assignment: bool = False,
                    configure=None) -> RunResult:
     """Resume a sharded run from its per-partition checkpoints.
 
@@ -570,6 +551,6 @@ def resume_sharded(config: SystemConfig, checkpoint_dir, *,
     partitions = build_partitions(config)
     parts = [_resume_partition(
         partition, days, checkpoint_dir, checkpoint_every,
-        use_batch_assignment=use_batch_assignment, configure=configure)
+        configure=configure)
              for partition in partitions]
     return merge_results(parts, partitions)

@@ -235,17 +235,6 @@ class SimState:
             config.supernode_capable_share)
         self.topology = self.population.topology
         self.transport = TransportModel()
-        #: Batch (vectorised) session scoring.  The scalar reference
-        #: loop stays available behind this switch for the paired
-        #: equivalence tests and the benchmark harness.
-        self.use_batch_scoring = True
-        #: Batch (cohort) join assignment and re-home candidate
-        #: evaluation.  Off by default: the default mode replays the
-        #: sequential capacity-ask bit-for-bit against the golden pins;
-        #: the batch mode carries its own pins and a documented
-        #: semantics delta (DESIGN.md §15).
-        self.use_batch_assignment = False
-
         # Fault injection (repro.faults).  Without a FaultPlan this is
         # the shared no-op injector: no RNG stream is created, no hook
         # fires, and every output stays bit-identical to a system built

@@ -37,7 +37,7 @@ from ..workload.population import choose_game
 from .accounting import (RunResult, SweepLoads, cloud_bandwidth,
                          credit_contributors, summarize_day)
 from .entities import ConnectionKind
-from .lifecycle import admit_join, join, join_cohort
+from .lifecycle import admit_join, join
 from .scoring import score_sessions
 from .server_assignment import assign_players_randomly, assign_players_socially
 from .state import SessionTable, SimState, deploy
@@ -281,31 +281,26 @@ def _commit_cohort(state: SimState, ctx: SweepContext, plans,
 def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
     """Join every plan starting this subcycle; commit its load span.
 
-    Default mode joins one plan at a time — the §3.2.2 sequential
-    capacity-ask, each join seeing the supernode slots the previous
-    one took.  Under ``state.use_batch_assignment`` whole cohorts are
-    probed and scored at once (:func:`~repro.core.lifecycle.join_cohort`).
-    Either way no join reads the sweep's load timelines, so the whole
-    cohort commits afterwards in one :func:`_commit_cohort`, in plan
-    order.  Admission control (backpressure) joins and commits one
-    plan at a time in either mode: its shed decision depends on the
-    cloud occupancy each prior join in the *same* subcycle committed.
+    Plans join one at a time — the §3.2.2 sequential capacity-ask,
+    each join seeing the supernode slots the previous one took.  No
+    join reads the sweep's load timelines, so the whole cohort commits
+    afterwards in one :func:`_commit_cohort`, in plan order.  Admission
+    control (backpressure) joins and commits one plan at a time: its
+    shed decision depends on the cloud occupancy each prior join in
+    the *same* subcycle committed.
     """
     subcycle = ctx.subcycle
     plans = ctx.starts.pop(subcycle, [])
     if not plans:
         return
     if ctx.admission is None:
-        if state.use_batch_assignment:
-            sessions = join_cohort(state, plans, ctx.rng)
-        else:
-            sessions = [join(state, plan, ctx.rng) for plan in plans]
-        _commit_cohort(state, ctx, plans, sessions)
+        _commit_cohort(state, ctx, plans,
+                       [join(state, plan, ctx.rng) for plan in plans])
         return
     for plan in plans:
         session = join(state, plan, ctx.rng)
-        if ctx.admission is not None and not admit_join(
-                state, session, ctx.admission, subcycle, ctx.cloud_count):
+        if not admit_join(state, session, ctx.admission, subcycle,
+                          ctx.cloud_count):
             # Backpressure: the join is refused before it becomes a
             # session — never displaced, never scored.
             ctx.result.faults.joins_shed += 1

@@ -55,7 +55,7 @@ FAILURE_DETECTION_MS = 500.0
 #: SimState attributes mirrored 1:1 on the façade (read and write).
 _STATE_ATTRS = (
     "config", "rng_factory", "supernode_join_latencies_ms", "population",
-    "topology", "transport", "use_batch_scoring", "faults",
+    "topology", "transport", "faults",
     "failure_detector", "retry_policy", "fault_outcomes", "compression",
     "credits", "ledger", "reputation", "datacenters", "supernode_pool",
     "live_supernodes", "directory", "cdn_coords", "cdn_access",
@@ -203,10 +203,6 @@ class CloudFogSystem:
     def _score_sessions_inner(self, day, sessions, loads, cloud_rate, rng):
         return scoring.score_sessions_batch(self._state, day, sessions,
                                             loads, cloud_rate, rng)
-
-    def _score_sessions_scalar(self, day, sessions, loads, cloud_rate, rng):
-        return scoring.score_sessions_scalar(self._state, day, sessions,
-                                             loads, cloud_rate, rng)
 
     def _gather_session_params(self, sessions, loads, cloud_rate):
         return scoring.gather_session_params(self._state, sessions, loads,

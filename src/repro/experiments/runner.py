@@ -134,7 +134,6 @@ def run_config(config: SystemConfig, days: int, label: str = "custom",
 def run_sharded_config(config: SystemConfig, days: int, *,
                        shards: int = 1, label: str = "sharded",
                        checkpoint_dir=None, checkpoint_every: int = 1,
-                       use_batch_assignment: bool = False,
                        configure=None) -> RunResult:
     """Run a config as geographically sharded partitions and merge.
 
@@ -153,14 +152,12 @@ def run_sharded_config(config: SystemConfig, days: int, *,
         return run_sharded(config, days, shards=shards,
                            checkpoint_dir=checkpoint_dir,
                            checkpoint_every=checkpoint_every,
-                           use_batch_assignment=use_batch_assignment,
                            configure=configure)
 
 
 def resume_sharded_config(config: SystemConfig, checkpoint_dir, *,
                           days: int | None = None, shards: int = 1,
                           checkpoint_every: int = 1,
-                          use_batch_assignment: bool = False,
                           configure=None) -> RunResult:
     """Resume a sharded run from its per-partition checkpoint dirs.
 
@@ -173,7 +170,6 @@ def resume_sharded_config(config: SystemConfig, checkpoint_dir, *,
         return resume_sharded(config, checkpoint_dir, days=days,
                               shards=shards,
                               checkpoint_every=checkpoint_every,
-                              use_batch_assignment=use_batch_assignment,
                               configure=configure)
 
 

@@ -158,10 +158,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
     counts, rates = loads.counts, loads.rates
     summary = result.faults
     partitioned = injector.partition_active(subcycle)
-    ordered = ordered_orphans(orphan_sets)
-    hints = (_batch_candidate_hints(state, ordered)
-             if state.use_batch_assignment else None)
-    for sn, player in ordered:
+    for sn, player in ordered_orphans(orphan_sets):
         state.sticky.pop(player, None)
         state.reputation.penalize(player, sn.supernode_id, today=day)
         summary.displaced += 1
@@ -194,9 +191,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
                        detection_ms=detection)
         l_max = delay_threshold_ms(game.latency_requirement_ms)
         outcome = migrate(state, player, l_max, frng,
-                          transient_refusal=transient,
-                          candidate_start=(hints.get(player, 0)
-                                           if hints else 0))
+                          transient_refusal=transient)
         retries = max(0, outcome.attempts - 1)
         summary.retries += retries
         if retries:
@@ -272,64 +267,6 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
         remaining_ms = max(1.0,
                            (end - subcycle + 1) * 3_600_000.0)
         state.faults.add_penalty(player, ttr / remaining_ms)
-
-
-def _batch_candidate_hints(state: SimState, ordered) -> dict[int, int]:
-    """Pre-evaluate every orphan's candidate list in one batch.
-
-    Batch-assignment mode only.  Gathers each remembered candidate's
-    availability byte and delay threshold against *one* snapshot taken
-    at event start and computes, per orphan, the index of the first
-    entry that could possibly accept it — the ``candidate_start`` its
-    :func:`~repro.core.lifecycle.migrate` walk then begins at.  During
-    one event availability only shrinks (re-homes consume slots), so a
-    snapshot-dead prefix stays dead — except a slot freed by a
-    transient handshake refusal mid-event, which this mode's pins
-    accept as part of its documented semantics delta (DESIGN.md §15).
-    Players holding a stale (out-of-pool) id get no hint: the scalar
-    walk owns the invalidation side effect.
-    """
-    cols = state.supernode_columns
-    if cols is None:
-        return {}
-    avail = np.frombuffer(cols.available, dtype=np.uint8)
-    pool_size = len(state.supernode_pool)
-    get_candidates = state.candidates.candidates
-    games = state.games
-    hints: dict[int, int] = {}
-    flat_sid: list[int] = []
-    flat_delay: list[float] = []
-    flat_lmax: list[float] = []
-    spans: list[tuple[int, int, int]] = []  # (player, offset, length)
-    offset = 0
-    for _sn, player in ordered:
-        game = games.get(player)
-        if game is None:
-            continue
-        entries = get_candidates(player)
-        if not entries:
-            continue
-        if any(e.supernode_id >= pool_size for e in entries):
-            continue
-        l_max = delay_threshold_ms(game.latency_requirement_ms)
-        for e in entries:
-            flat_sid.append(e.supernode_id)
-            flat_delay.append(e.delay_ms)
-            flat_lmax.append(l_max)
-        spans.append((player, offset, len(entries)))
-        offset += len(entries)
-    if not spans:
-        return hints
-    sid = np.array(flat_sid, dtype=np.int64)
-    viable = ((avail[sid] == 1)
-              & (np.array(flat_delay) <= np.array(flat_lmax)))
-    for player, start, length in spans:
-        first = int(np.argmax(viable[start:start + length]))
-        if not viable[start + first]:
-            first = length  # nothing viable: skip straight to selection
-        if first:
-            hints[player] = first
-    return hints
 
 
 def _fail_domain(state: SimState, targets, event, day, subcycle, sessions,

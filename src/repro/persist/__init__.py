@@ -37,6 +37,7 @@ from .codec import (
     SCHEMA_VERSION,
     CheckpointCorruptError,
     CheckpointError,
+    CheckpointModeError,
     CheckpointVersionError,
     canonical_json,
     payload_digest,
@@ -60,6 +61,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointVersionError",
     "CheckpointCorruptError",
+    "CheckpointModeError",
     "canonical_json",
     "payload_digest",
     "read_checkpoint",

@@ -24,10 +24,15 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    non-None at day boundaries once the model is ready), fault
    penalties/accounting, the workload knobs
    (``daily_participants``/``weekly_weights``/start-time/duration
-   models), the execution-mode toggles (``use_batch_scoring``,
-   ``use_batch_assignment`` — a resumed run must score and assign in
-   the mode the original run pinned), and the accumulated
+   models), and the accumulated
    :class:`~repro.core.accounting.RunResult`.
+
+   Legacy keys: files written before the execution-mode toggles were
+   removed carry ``use_batch_scoring`` (ignored — both scorers were
+   bit-identical) and ``use_batch_assignment``.  A ``true`` value of
+   the latter marks a run of the removed batch-assignment join mode;
+   :func:`overlay_state` refuses it rather than resume it on the
+   replay-exact path.
 
    Deliberately *not* captured, with reasons:
 
@@ -79,7 +84,8 @@ from ..sim.cycles import Schedule
 from ..sim.rng import RngFactory
 from ..workload.churn import DurationMixture, StartTimeModel
 from ..workload.games import GAME_CATALOGUE
-from .codec import CheckpointCorruptError, canonical_json, canonical_object
+from .codec import (CheckpointCorruptError, CheckpointModeError,
+                    canonical_json, canonical_object)
 
 __all__ = ["config_to_dict", "config_from_dict", "capture_state",
            "restore_state", "overlay_state", "capture_result",
@@ -148,8 +154,6 @@ def capture_state(state: SimState) -> dict:
         "config": config_to_dict(state.config),
         "seed": state.rng_factory.seed,
         "current_day": state.current_day,
-        "use_batch_scoring": state.use_batch_scoring,
-        "use_batch_assignment": state.use_batch_assignment,
         "pool_size": len(state.supernode_pool),
         "supernodes": [
             {"id": sn.supernode_id, "online": sn.online,
@@ -231,6 +235,11 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
     inventory on top.  :func:`restore_state` is the plain-config
     composition of construction + overlay.
     """
+    if payload.get("use_batch_assignment"):
+        raise CheckpointModeError(
+            "checkpoint was written in batch-assignment join mode "
+            "(use_batch_assignment), which no longer exists; it cannot "
+            "be resumed on the replay-exact join path")
     if len(state.supernode_pool) != payload["pool_size"]:
         raise CheckpointCorruptError(
             f"deterministic reconstruction produced "
@@ -238,11 +247,6 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
             f"recorded {payload['pool_size']} — config/code drift?")
     state.rng_factory = RngFactory(payload["seed"])
     state.current_day = payload["current_day"]
-    state.use_batch_scoring = payload["use_batch_scoring"]
-    # Default False for pre-batch-assignment checkpoints: the flag did
-    # not exist when they were written and False is replay-exact mode.
-    state.use_batch_assignment = payload.get("use_batch_assignment",
-                                             False)
 
     # Live set first (deploy resets online flags and rebuilds the
     # directory), then the per-node mutable fields on top.

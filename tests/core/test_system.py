@@ -141,8 +141,6 @@ def test_facade_exposes_shared_state():
 
 def test_facade_attribute_writes_reach_state():
     system = CloudFogSystem(cloudfog_basic(**SMALL))
-    system.use_batch_scoring = False
-    assert system.state.use_batch_scoring is False
     system.daily_participants = 42
     assert system.state.daily_participants == 42
     system._games[7] = "placeholder"

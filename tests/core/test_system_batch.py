@@ -1,17 +1,19 @@
 """Batch session scoring pinned bit-identical to the scalar reference.
 
-``CloudFogSystem.use_batch_scoring`` selects between the vectorised
-scorer (the default) and the scalar loop kept verbatim from the
-pre-batch implementation.  A whole run must produce *identical*
-``SessionRecord`` and ``DayMetrics`` lists either way — same seed, same
-bits — across every deployment mode, with and without jitter, with and
-without cloud compression.
+The vectorised scorer (:func:`repro.core.scoring.score_sessions_batch`)
+is the only scoring path a run takes; the scalar loop kept verbatim
+from the pre-batch implementation (:func:`~repro.core.scoring.
+score_sessions_scalar`) is swapped in for it here.  A whole run must
+produce *identical* ``SessionRecord`` and ``DayMetrics`` lists either
+way — same seed, same bits — across every deployment mode, with and
+without jitter, with and without cloud compression.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import config as configs
+from repro.core import scoring
 from repro.core.accounting import DayMetrics, RunResult, SweepLoads
 from repro.core.system import CloudFogSystem
 from repro.network.transport import TransportModel
@@ -20,12 +22,15 @@ from repro.network.transport import TransportModel
 def run_both(build, days=2, transport=None):
     """One run per scoring path from identical configs; return both."""
     results = []
-    for batch in (True, False):
+    for scalar in (False, True):
         system = CloudFogSystem(build())
-        system.use_batch_scoring = batch
         if transport is not None:
             system.transport = transport
-        results.append(system.run(days=days))
+        with pytest.MonkeyPatch.context() as patch:
+            if scalar:
+                patch.setattr(scoring, "score_sessions_batch",
+                              scoring.score_sessions_scalar)
+            results.append(system.run(days=days))
     return results
 
 

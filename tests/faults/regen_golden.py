@@ -4,9 +4,7 @@ Run from the repo root::
 
     PYTHONPATH=src python -m tests.faults.regen_golden
 
-and paste the printed values into ``tests/faults/test_equivalence.py``
-(the replay-exact block) and ``tests/core/test_batch_assignment.py``
-(the ``use_batch_assignment`` block, printed second).
+and paste the printed values into ``tests/faults/test_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -45,11 +43,9 @@ CHAOS_SCENARIOS = {
 }
 
 
-def compute(*, use_batch_assignment: bool = False) -> dict[str, str]:
+def compute() -> dict[str, str]:
     def _run(config):
-        system = CloudFogSystem(config)
-        system.state.use_batch_assignment = use_batch_assignment
-        return system.run(days=2)
+        return CloudFogSystem(config).run(days=2)
 
     digests = {name: run_result_digest(_run(config))
                for name, config in SCENARIOS.items()}
@@ -63,7 +59,4 @@ def compute(*, use_batch_assignment: bool = False) -> dict[str, str]:
 if __name__ == "__main__":
     print("# replay-exact (tests/faults/test_equivalence.py)")
     for name, digest in compute().items():
-        print(f'    "{name}": "{digest}",')
-    print("# use_batch_assignment (tests/core/test_batch_assignment.py)")
-    for name, digest in compute(use_batch_assignment=True).items():
         print(f'    "{name}": "{digest}",')
