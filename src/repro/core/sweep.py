@@ -549,13 +549,12 @@ def run_day(state: SimState, day: int, result: RunResult,
         records = score_sessions(state, day, sessions, loads,
                                  cloud_rate, qos_rng)
         with tracer.span("ratings", day=day):
-            for record in records:
-                if record.kind is ConnectionKind.SUPERNODE:
-                    state.ledger.add(record.player, record.target,
-                                     record.continuity, day)
-            for player in {r.player for r in records
-                           if r.kind is ConnectionKind.SUPERNODE}:
-                state.reputation.refresh(player, today=day)
+            rated = [r for r in records
+                     if r.kind is ConnectionKind.SUPERNODE]
+            state.ledger.add_many([r.player for r in rated],
+                                  [r.target for r in rated],
+                                  [r.continuity for r in rated], day)
+            state.reputation.refresh([r.player for r in rated], day)
 
         # (5b) Credit the contributors.
         credit_contributors(state, loads)

@@ -6,7 +6,7 @@ keys, no whitespace)::
     {"format":"repro-checkpoint",
      "manifest":{"day":3,"payload_sha256":"<hex digest>"},
      "payload":{...},
-     "schema_version":2}
+     "schema_version":3}
 
 (shown wrapped; the file is one line).  The payload is encoded exactly
 once, as canonical JSON, and the manifest digest is the SHA-256 of
@@ -61,7 +61,11 @@ FORMAT_NAME = "repro-checkpoint"
 #: Bump on any payload layout change; readers reject other versions.
 #: v2: FaultSummary grew the correlated-loss counters (shed, drained,
 #: joins_shed) — a v1 reader would drop them silently on restore.
-SCHEMA_VERSION = 2
+#: v3: the state's ``ratings`` section is the rating ledger's columns
+#: (pair table, append-only rating log, aligned score column); the
+#: per-pair rating lists, the ``reputation`` section and its refresh
+#: day are gone.
+SCHEMA_VERSION = 3
 
 #: The bytes around the payload in a file :func:`write_checkpoint_text`
 #: wrote; the reader's fast path recognises exactly this layout.

@@ -16,10 +16,13 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    Captured: the supernode pool's mutable fields (throttle/online/
    supported_total/connected), the *ordered* live list (fault targeting
    indexes into it; ``SweepLoads`` rows follow its order), sticky
-   assignments, per-player candidate lists, the rating ledger, the
-   reputation score cache (it cannot be recomputed — scores age by
-   refresh day), credit accounts, per-datacenter player→server maps,
-   the server-latency cache, the provisioner's ARIMA hidden state
+   assignments, per-player candidate lists, the rating ledger (its
+   pair table and append-only rating log, as columns) with the
+   reputation score cache as one column aligned to the pair table (it
+   cannot be recomputed — scores age by refresh day; both go through
+   the reputation module's ``to_columns``/``load_columns``, which
+   validate on load), credit accounts, per-datacenter player→server
+   maps, the server-latency cache, the provisioner's ARIMA hidden state
    (``_history``/``_residuals``/``_last_forecast`` — the last is
    non-None at day boundaries once the model is ready), fault
    penalties/accounting, the workload knobs
@@ -32,7 +35,8 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    bit-identical) and ``use_batch_assignment``.  A ``true`` value of
    the latter marks a run of the removed batch-assignment join mode;
    :func:`overlay_state` refuses it rather than resume it on the
-   replay-exact path.
+   replay-exact path.  Files from that era are schema 2, which the
+   reader now refuses by version before this check runs.
 
    Deliberately *not* captured, with reasons:
 
@@ -67,8 +71,6 @@ object keys are strings) in original insertion order.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from ..core.accounting import DayMetrics, RunResult, SessionRecord
@@ -79,7 +81,6 @@ from ..core.state import SimState, deploy
 from ..economics.ledger import SupernodeAccount
 from ..faults import FaultSummary
 from ..faults.plan import FaultPlan
-from ..reputation.ratings import Rating
 from ..sim.cycles import Schedule
 from ..sim.rng import RngFactory
 from ..workload.churn import DurationMixture, StartTimeModel
@@ -170,14 +171,8 @@ def capture_state(state: SimState) -> dict:
         "candidates": [
             [player, [[e.supernode_id, e.delay_ms] for e in entries]]
             for player, entries in state.candidates._lists.items()],
-        "ratings": [
-            [player, sn, [[r.value, r.day] for r in ratings]]
-            for (player, sn), ratings in state.ledger._ratings.items()],
-        "reputation": {
-            "scores": [[player, sn, score] for (player, sn), score
-                       in state.reputation._scores.items()],
-            "last_refresh_day": state.reputation._last_refresh_day,
-        },
+        "ratings": {**state.ledger.to_columns(),
+                    **state.reputation.to_columns()},
         "credits": [
             {"supernode_id": a.supernode_id,
              "credits_usd": a.credits_usd, "costs_usd": a.costs_usd,
@@ -268,16 +263,11 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
                  for sn_id, delay in entries]
         for player, entries in payload["candidates"]}
 
-    state.ledger._ratings = defaultdict(list)
-    for player, sn, ratings in payload["ratings"]:
-        state.ledger._ratings[(player, sn)] = [
-            Rating(value=value, day=day) for value, day in ratings]
-    state.ledger._reindex()
-    state.reputation._scores = {
-        (player, sn): score
-        for player, sn, score in payload["reputation"]["scores"]}
-    state.reputation._last_refresh_day = \
-        payload["reputation"]["last_refresh_day"]
+    try:
+        state.ledger.load_columns(payload["ratings"])
+        state.reputation.load_columns(payload["ratings"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointCorruptError(f"ratings: {exc}") from exc
 
     for record in payload["credits"]:
         state.credits.accounts[record["supernode_id"]] = \

@@ -12,11 +12,23 @@ all ratings", so we normalise by the weight mass ``sum_k lambda^{d_k}``
 history score 0 — i.e. strangers rank below any supernode that ever
 delivered decent continuity.
 
-The batch scorer mirrors the paper's complexity note: computing all
-scores is O(m * n * N_r).
+All scores come from one kernel, :func:`_eq7_sums`: it gathers the
+live ratings of a set of pairs from the ledger's log and accumulates
+each pair's weight mass and weighted sum with ``np.bincount``.  The
+bincount adds in log order (oldest rating first) from 0.0, exactly as
+a left-to-right Python loop over the pair's ratings would, and every
+weight ``lambda^d`` is Python's scalar ``aging_factor ** d``, so the
+batched scores are bit-identical to the per-rating formula.  One
+refresh costs one pass over the log and one over the pair table,
+whatever the number of players refreshed; the paper's complexity note
+puts the full recomputation at O(m * n * N_r).
 """
 
 from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
 
 from .ratings import RatingLedger
 
@@ -35,28 +47,67 @@ def _check_lambda(aging_factor: float) -> None:
             f"aging factor must satisfy 0 < lambda < 1 (Eq. 7), got {aging_factor}")
 
 
+class _AgingPowers:
+    """The weights ``lambda^age`` for ages 0, 1, …, grown on demand.
+
+    Each entry is Python's ``aging_factor ** age`` (not numpy's power),
+    so a weight equals the scalar formula's bit for bit.
+    """
+
+    def __init__(self, aging_factor: float) -> None:
+        self.aging_factor = aging_factor
+        self._table = np.ones(1)
+
+    def __call__(self, ages: np.ndarray) -> np.ndarray:
+        top = int(ages.max()) if ages.size else 0
+        if top >= len(self._table):
+            self._table = np.array(
+                [self.aging_factor ** age
+                 for age in range(max(top + 1, 2 * len(self._table)))])
+        return self._table[ages]
+
+
+def _eq7_sums(ledger: RatingLedger, pairs: np.ndarray, today: int,
+              powers: _AgingPowers) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair: the weight mass ``sum_k lambda^{d_k}`` and the raw
+    Eq.-7 sum ``sum_k r_k lambda^{d_k}`` over its live ratings."""
+    rows, values, days = ledger.live_entries(pairs)
+    ages = today - days.astype(np.int64)
+    if ages.size and ages.min() < 0:
+        raise ValueError(f"today ({today}) precedes the rating day "
+                         f"({int(days.max())})")
+    weights = powers(ages)
+    mass = np.bincount(rows, weights=weights, minlength=len(pairs))
+    weighted = np.bincount(rows, weights=values * weights,
+                           minlength=len(pairs))
+    return mass, weighted
+
+
+def _pair_sums(ledger: RatingLedger, player: int, supernode: int,
+               today: int, aging_factor: float) -> tuple[float, float]:
+    _check_lambda(aging_factor)
+    pair = ledger.pair_id(player, supernode)
+    if pair is None:
+        return 0.0, 0.0
+    mass, weighted = _eq7_sums(ledger, np.array([pair]), today,
+                               _AgingPowers(aging_factor))
+    return float(mass[0]), float(weighted[0])
+
+
 def raw_reputation_sum(ledger: RatingLedger, player: int, supernode: int,
                        today: int,
                        aging_factor: float = DEFAULT_AGING_FACTOR) -> float:
     """The literal Eq. 7 sum (un-normalised)."""
-    _check_lambda(aging_factor)
-    return sum(r.value * aging_factor ** r.age_days(today)
-               for r in ledger.ratings(player, supernode))
+    return _pair_sums(ledger, player, supernode, today, aging_factor)[1]
 
 
 def reputation_score(ledger: RatingLedger, player: int, supernode: int,
                      today: int,
                      aging_factor: float = DEFAULT_AGING_FACTOR) -> float:
     """Eq. 7 as a weighted average; 0 without history."""
-    _check_lambda(aging_factor)
-    ratings = ledger.ratings(player, supernode)
-    if not ratings:
-        return 0.0
-    weights = [aging_factor ** r.age_days(today) for r in ratings]
-    mass = sum(weights)
-    if mass == 0.0:
-        return 0.0
-    return sum(r.value * w for r, w in zip(ratings, weights)) / mass
+    mass, weighted = _pair_sums(ledger, player, supernode, today,
+                                aging_factor)
+    return weighted / mass if mass != 0.0 else 0.0
 
 
 class ReputationTable:
@@ -65,7 +116,8 @@ class ReputationTable:
     §3.2.1: each player "periodically calculates the overall reputation
     scores of its supernodes."  The table recomputes all of one player's
     scores in one pass (the O(n_ratings) inner loop of the paper's
-    O(m n N_r) batch).
+    O(m n N_r) batch); one :meth:`refresh` call serves a whole day's
+    raters.
 
     ``neutral_prior`` is the score of never-rated supernodes.  The paper
     sets it to 0, which makes a player cling to the first supernode it
@@ -87,15 +139,23 @@ class ReputationTable:
         self.ledger = ledger
         self.aging_factor = aging_factor
         self.neutral_prior = neutral_prior
+        self._powers = _AgingPowers(aging_factor)
+        # The score cache: one dict lookup per selection candidate.
         self._scores: dict[tuple[int, int], float] = {}
-        self._last_refresh_day: int | None = None
 
-    def refresh(self, player: int, today: int) -> None:
-        """Recompute this player's scores for every rated supernode."""
-        for supernode in self.ledger.rated_supernodes(player):
-            self._scores[(player, supernode)] = reputation_score(
-                self.ledger, player, supernode, today, self.aging_factor)
-        self._last_refresh_day = today
+    def refresh(self, players: Iterable[int], today: int) -> None:
+        """Recompute every score these players hold, in one Eq.-7 pass
+        over the rating log; other players' scores stay as they were."""
+        pairs = self.ledger.player_pairs(players)
+        if not pairs:
+            return
+        mass, weighted = _eq7_sums(self.ledger, np.array(pairs), today,
+                                   self._powers)
+        # Eq. 7 as a weighted average; 0 where the mass underflowed.
+        scores = np.zeros_like(mass)
+        np.divide(weighted, mass, out=scores, where=mass != 0.0)
+        self._scores.update(zip(self.ledger.pair_keys(pairs),
+                                scores.tolist()))
 
     def score(self, player: int, supernode: int) -> float:
         """Cached score; the neutral prior for never-rated supernodes."""
@@ -114,7 +174,7 @@ class ReputationTable:
         history alone.
         """
         self.ledger.add(player, supernode, value, today)
-        self.refresh(player, today=today)
+        self.refresh((player,), today)
 
     def rank(self, player: int, candidates: list[int]) -> list[int]:
         """Candidates in descending reputation order (§3.2.2).
@@ -124,3 +184,25 @@ class ReputationTable:
         """
         return sorted(candidates,
                       key=lambda sn: -self.score(player, sn))
+
+    # -- columns out / in (checkpoints) -------------------------------------
+    def to_columns(self) -> dict[str, list]:
+        """The cached scores as one column aligned to the ledger's pair
+        table; None marks a pair never refreshed (it scores the prior)."""
+        scores = self._scores
+        return {"score": [scores.get(key) for key in self.ledger.pairs()]}
+
+    def load_columns(self, columns: dict) -> None:
+        """Replace the cache with :meth:`to_columns` output, after the
+        ledger's own columns are loaded.  Raises ``ValueError`` naming
+        the offending index on a length or type mismatch."""
+        column = columns["score"]
+        keys = list(self.ledger.pairs())
+        if len(column) != len(keys):
+            raise ValueError(f"score column holds {len(column)} entries "
+                             f"for {len(keys)} pairs")
+        for pair, score in enumerate(column):
+            if score is not None and not isinstance(score, float):
+                raise ValueError(f"score {pair} is not a float: {score!r}")
+        self._scores = {key: score for key, score in zip(keys, column)
+                        if score is not None}

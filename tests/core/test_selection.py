@@ -110,7 +110,7 @@ def test_selection_prefers_high_reputation(topology):
     ledger.add(0, 0, 0.10, day=0)
     ledger.add(0, 1, 0.10, day=0)
     table = ReputationTable(ledger)
-    table.refresh(0, today=0)
+    table.refresh((0,), today=0)
     outcome = select_supernode(0, directory, l_max_ms=500.0,
                                rng=np.random.default_rng(0),
                                reputation=table)
@@ -136,7 +136,7 @@ def test_sequential_ask_skips_filled_candidate(topology):
     ledger = RatingLedger()
     ledger.add(0, 0, 0.9, day=0)  # player 0 loves supernode 0
     table = ReputationTable(ledger)
-    table.refresh(0, today=0)
+    table.refresh((0,), today=0)
     # Fill supernode 0 after the directory snapshot.
     supernodes[0].connect(42)
     outcome = select_supernode(0, directory, l_max_ms=500.0,

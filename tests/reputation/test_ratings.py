@@ -69,3 +69,74 @@ def test_ratings_returns_copy():
     ledger.add(1, 7, 0.5, 0)
     ledger.ratings(1, 7).clear()
     assert len(ledger.ratings(1, 7)) == 1
+
+
+def test_add_many_records_in_order():
+    ledger = RatingLedger(max_ratings_per_pair=2)
+    ledger.add_many([1, 1, 2, 1], [7, 7, 7, 7], [0.1, 0.2, 0.3, 0.4], day=4)
+    assert [r.value for r in ledger.ratings(1, 7)] == [0.2, 0.4]
+    assert [r.day for r in ledger.ratings(2, 7)] == [4]
+    assert ledger.total_ratings() == 3
+
+
+@pytest.mark.parametrize("value", [1.5, -0.25, float("nan")])
+def test_add_many_rejects_the_whole_batch(value):
+    """One bad record rejects the batch before anything is recorded."""
+    ledger = RatingLedger()
+    ledger.add(1, 7, 0.5, day=0)
+    before = ledger.to_columns()
+    with pytest.raises(ValueError,
+                       match=r"rating 2 \(player 3, supernode 9\)"):
+        ledger.add_many([1, 2, 3], [7, 8, 9], [0.9, 0.8, value], day=1)
+    assert ledger.to_columns() == before
+    assert ledger.rated_supernodes(2) == []
+    assert not ledger.has_history(3, 9)
+
+
+def test_add_many_rejects_a_negative_day():
+    ledger = RatingLedger()
+    with pytest.raises(ValueError, match="non-negative"):
+        ledger.add_many([1], [7], [0.5], day=-1)
+    assert ledger.total_ratings() == 0
+    assert list(ledger.pairs()) == []
+
+
+def test_columns_round_trip():
+    ledger = RatingLedger(max_ratings_per_pair=2)
+    ledger.add_many([1, 1, 1, 2], [7, 7, 7, 3], [0.1, 0.2, 0.3, 0.4], day=0)
+    restored = RatingLedger(max_ratings_per_pair=2)
+    restored.load_columns(ledger.to_columns())
+    assert restored.to_columns() == ledger.to_columns()
+    assert [r.value for r in restored.ratings(1, 7)] == [0.2, 0.3]
+    restored.add(2, 3, 0.5, day=1)
+    assert restored.rated_supernodes(2) == [3]
+    assert restored.total_ratings() == 4
+
+
+@pytest.mark.parametrize("column, index, bad, message", [
+    ("log_pair", 1, 5, "entry 1 names no pair"),
+    ("log_pair", 2, -1, "entry 2 names no pair"),
+    ("log_value", 2, 1.5, r"entry 2 has a value outside \[0, 1\]"),
+    ("log_day", 0, -3, "entry 0 has a negative day"),
+])
+def test_load_columns_names_the_bad_entry(column, index, bad, message):
+    ledger = RatingLedger()
+    ledger.add_many([1, 1, 2], [7, 8, 7], [0.1, 0.2, 0.3], day=0)
+    columns = ledger.to_columns()
+    columns[column][index] = bad
+    fresh = RatingLedger()
+    with pytest.raises(ValueError, match=message):
+        fresh.load_columns(columns)
+    assert fresh.total_ratings() == 0
+
+
+def test_load_columns_checks_lengths_and_pairs():
+    ledger = RatingLedger()
+    ledger.add_many([1, 2], [7, 7], [0.1, 0.2], day=0)
+    columns = ledger.to_columns()
+    with pytest.raises(ValueError, match="rating log columns differ"):
+        RatingLedger().load_columns({**columns, "log_day": [0]})
+    with pytest.raises(ValueError, match="pair table columns differ"):
+        RatingLedger().load_columns({**columns, "pair_player": [1]})
+    with pytest.raises(ValueError, match=r"pair 0 \(1, 7\) appears again"):
+        RatingLedger().load_columns({**columns, "pair_player": [1, 1]})

@@ -59,7 +59,7 @@ def test_table_refresh_and_rank():
     ledger.add(1, 10, 0.9, day=0)
     ledger.add(1, 20, 0.4, day=0)
     table = ReputationTable(ledger)
-    table.refresh(player=1, today=0)
+    table.refresh((1,), today=0)
     assert table.score(1, 10) == pytest.approx(0.9)
     assert table.score(1, 99) == 0.0
     assert table.rank(1, [20, 10, 99]) == [10, 20, 99]
@@ -75,12 +75,12 @@ def test_table_tracks_updates_after_refresh():
     ledger = RatingLedger()
     ledger.add(1, 10, 0.2, day=0)
     table = ReputationTable(ledger)
-    table.refresh(1, today=0)
+    table.refresh((1,), today=0)
     assert table.score(1, 10) == pytest.approx(0.2)
     ledger.add(1, 10, 1.0, day=1)
     # Stale until refreshed (the paper's periodic recomputation).
     assert table.score(1, 10) == pytest.approx(0.2)
-    table.refresh(1, today=1)
+    table.refresh((1,), today=1)
     assert table.score(1, 10) > 0.2
 
 
