@@ -26,7 +26,7 @@ from .selection import delay_threshold_ms, select_supernode
 from .state import Session, SimState, cloud_one_way_ms, player_supernode_ms
 
 __all__ = ["MigrationOutcome", "join", "join_cdn", "migrate",
-           "session_window", "ordered_orphans",
+           "session_window", "ordered_orphans", "penalize_orphans",
            "take_offline", "bring_online", "admit_join",
            "fog_availability", "fail_supernodes"]
 
@@ -179,6 +179,25 @@ def ordered_orphans(orphan_sets: list[tuple[Supernode, set[int]]]
     return ordered
 
 
+def penalize_orphans(state: SimState,
+                     ordered: list[tuple[Supernode, int]],
+                     today: int) -> None:
+    """Charge every orphan of one fault event its failure rating at once.
+
+    Runs before the event's first migration, in place of a penalty
+    just before each orphan's own migration.  The two are equal: a
+    migration reads only its own player's scores, a player's scores
+    depend only on its own ratings, and the orphans of one event are
+    distinct players (asserted here) whose ratings enter the log in
+    the same order.
+    """
+    players = [player for _, player in ordered]
+    assert len(set(players)) == len(players), \
+        "one fault event orphaned a player twice"
+    state.reputation.penalize_many(
+        players, [sn.supernode_id for sn, _ in ordered], today)
+
+
 def take_offline(state: SimState, failed: list[Supernode]
                  ) -> list[tuple[Supernode, set[int]]]:
     """Remove supernodes from service; return their orphaned players.
@@ -298,10 +317,10 @@ def fail_supernodes(state: SimState, count: int, rng: np.random.Generator,
     # Out-of-band callers have no notion of heartbeat phase, so the
     # detector contributes its expectation (500 ms at defaults).
     detection = state.failure_detector.detection_latency_ms()
-    for sn, player in ordered_orphans(orphan_sets):
+    ordered = ordered_orphans(orphan_sets)
+    penalize_orphans(state, ordered, today)
+    for sn, player in ordered:
         state.sticky.pop(player, None)
-        state.reputation.penalize(player, sn.supernode_id,
-                                  today=today)
         game = state.games.get(player) or random_game(rng)
         l_max = delay_threshold_ms(game.latency_requirement_ms)
         summary.displaced += 1

@@ -1,20 +1,22 @@
 """Session scoring: per-day QoS evaluation of every live session.
 
 The scoring stage of the pipeline.  The batch scorer
-(:func:`score_sessions_batch`) and the scalar reference loop
-(:func:`score_sessions_scalar`) are pinned bit-identical to each other;
-fault penalties fold in *after* scoring so the RNG consumption of the
-scoring path never shifts (:func:`apply_fault_penalties`).
+(:func:`score_sessions_batch`) reads the day's
+:class:`~repro.core.state.SessionTable` columns in one vectorised
+gather; the scalar reference loop (:func:`score_sessions_scalar`) walks
+the ``Session`` objects.  The two are pinned bit-identical to each
+other; fault penalties fold in *after* scoring so the RNG consumption
+of the scoring path never shifts (:func:`apply_fault_penalties`).
 
-Layering: imports ``core.state`` / ``core.accounting`` and foundation
-modules only — never the orchestrator, the façade, or ``experiments``
-(``tools/check_layering.py``).
+Layering: imports ``core.state`` / ``core.accounting``, the leaf
+``core`` modules and foundation modules only — never the orchestrator,
+the façade, or ``experiments`` (``tools/check_layering.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +35,14 @@ from .accounting import (
     SessionRecord,
     cloud_egress_budget,
 )
+from .columns import KIND_CDN
 from .entities import ConnectionKind
-from .state import SimState
+from .state import SessionTable, SimState
 
 __all__ = ["CDN_COORDINATION_MS", "QOS_SAMPLES", "QOS_DURATION_S",
            "server_latency_ms", "score_sessions", "apply_fault_penalties",
-           "gather_session_params", "score_sessions_batch",
-           "score_sessions_scalar"]
+           "SessionParams", "window_means", "gather_session_params",
+           "score_sessions_batch", "score_sessions_scalar"]
 
 #: Coordination penalty when CDN sites cooperate on game state (§4.2:
 #: "the servers need to cooperate with each other to compute new game
@@ -98,153 +101,164 @@ def apply_fault_penalties(state: SimState,
     return out
 
 
-def gather_session_params(state: SimState, sessions, loads, cloud_rate):
-    """Per-session scoring inputs as parallel arrays.
+class SessionParams(NamedTuple):
+    """One day's scoring inputs, one entry per session in table order."""
 
-    The per-session arithmetic (load means, utilisation, per-flow
-    shares) runs on plain Python floats in session order — exactly
-    the scalar reference loop — so the batch scorer receives
-    bit-identical inputs.  Per-window utilisation and share values
-    are memoised per ``(target, start, end)`` key: the repeated
-    value is the scalar loop's own arithmetic computed once, not a
-    re-derivation, so the memo cannot change a bit.  Continuity deadline semantics: the
-    game's Table-2 requirement applies to packet delivery on the
-    downstream path (upstream 0, processing = encode only); server
-    interaction pipelines with rendering, so it affects only the
-    response metric.
+    players: list[int]
+    games: list
+    targets: list[int]
+    server_ms: list[float]
+    upstream_ms: np.ndarray
+    budget_ms: np.ndarray
+    path_ms: np.ndarray
+    sender_mbps: np.ndarray
+    receiver_mbps: np.ndarray
+    processing_ms: np.ndarray
+    utilization: np.ndarray
+
+
+def window_means(matrix: np.ndarray, rows: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """``matrix[rows[i], starts[i]:starts[i] + lengths[i]].mean()`` for
+    every ``i``, bit for bit.
+
+    The windows of one length gather into a C-contiguous ``(k, L)``
+    block.  Its row-wise ``np.add.reduce`` sums each row with numpy's
+    pairwise summation, exactly as ``slice.mean()`` sums its slice, and
+    one division by ``L`` follows, as in ``mean``.  A prefix-sum
+    difference would round differently.  The distinct lengths come from
+    ``np.bincount``: ``np.unique`` allocates a large one-off cache on
+    its first call in a process.
     """
-    hours = state.config.schedule.hours_per_day
-    budget = cloud_egress_budget(state)
-    download = state.topology.player_links.download_mbps
-    games = state.games
+    means = np.empty(len(rows))
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        index = np.flatnonzero(lengths == length)
+        block = matrix[rows[index, None],
+                       starts[index, None] + np.arange(length)]
+        means[index] = np.add.reduce(block, axis=1) / length
+    return means
+
+
+def gather_session_params(state: SimState, sessions: SessionTable, loads,
+                          cloud_rate) -> SessionParams:
+    """Every session's scoring inputs, read from the table's columns.
+
+    Arithmetic mirrors :func:`score_sessions_scalar` operation for
+    operation, as elementwise float64 (``np.minimum``/``np.maximum``
+    stand in for the scalar ``min``/``max`` clamps, equal for non-NaN
+    inputs), so the estimate receives the scalar loop's bits.  All
+    load and cloud window means come from one :func:`window_means`
+    pass over the stacked count, rate and cloud-rate timelines.
+    Continuity deadline semantics: the game's Table-2 requirement
+    applies to packet delivery on the downstream path (upstream 0,
+    processing = encode only); server interaction pipelines with
+    rendering, so it affects only the response metric.
+    """
+    cols = sessions.columns
+    players = np.fromiter(sessions.keys(), dtype=np.intp,
+                          count=len(sessions))
+    player_list = players.tolist()
+    games = [state.games[player] for player in player_list]
+    starts = cols.start_subcycle[players]
+    lengths = cols.end_subcycle[players] - starts + 1
+    sids = cols.supernode_id[players]
+    fog = sids >= 0
+    fog_at, cloud_at = np.flatnonzero(fog), np.flatnonzero(~fog)
+
+    # Window rows into [counts; rates; cloud_rate]: a fog session reads
+    # its supernode's count and rate rows, any other session the cloud.
+    num_rows = len(loads.ids)
+    row_of = np.zeros(len(state.supernode_pool), dtype=np.intp)
+    row_of[list(loads.ids)] = np.arange(num_rows)
+    fog_rows = row_of[sids[fog_at]]
+    means = window_means(
+        np.vstack((loads.counts, loads.rates, cloud_rate)),
+        np.concatenate((fog_rows, fog_rows + num_rows,
+                        np.full(len(cloud_at), 2 * num_rows))),
+        np.concatenate((starts[fog_at], starts[fog_at], starts[cloud_at])),
+        np.concatenate((lengths[fog_at], lengths[fog_at],
+                        lengths[cloud_at])))
+    num_fog = len(fog_at)
+    mean_count = np.maximum(1.0, means[:num_fog])
+    mean_rate = means[num_fog:2 * num_fog]
+    concurrent = means[2 * num_fog:]
+
     pool = state.supernode_pool
-    nearest_dc = state.nearest_dc
-    counts_mat, rates_mat = loads.counts, loads.rates
-    row_of = loads.row
+    upload = np.array([pool[sid].upload_mbps * pool[sid].throttle
+                       for sid in loads.ids])[fog_rows]
+    utilization = np.empty(len(players))
+    utilization[fog_at] = np.minimum(2.0, mean_rate / upload)
+    utilization[cloud_at] = np.minimum(
+        2.0, concurrent / cloud_egress_budget(state))
+    # A cloud share is always >= the 0.5 Mbps floor, so the scalar
+    # loop's max(0.05, share) clamp is a no-op there.
+    sender = np.empty(len(players))
+    sender[fog_at] = np.maximum(0.05, upload / mean_count)
+    sender[cloud_at] = np.maximum(
+        CLOUD_FLOW_SHARE_FLOOR_MBPS, CLOUD_FLOW_HEADROOM * np.array(
+            [games[i].stream_rate_mbps for i in cloud_at.tolist()]))
+    processing = np.zeros(len(players))
+    if state.compression is not None:
+        processing[cloud_at] = state.compression.encode_latency_ms
+
+    # The records keep the cache's own float objects: a run holds
+    # every record it scored, so fresh floats would cost 24 bytes each.
     server_cache = state.server_latency_cache
     default_hop_ms = state.datacenters[0].hop_ms
-    encode_cloud_ms = (state.compression.encode_latency_ms
-                       if state.compression is not None else 0.0)
-    load_stats: dict[tuple[int, int, int], tuple[float, float]] = {}
-    cloud_utils: dict[tuple[int, int], float] = {}
-    cols = getattr(sessions, "columns", None)
-    meta = []  # (player, session, game, target, server_latency_ms)
-    budgets: list[float] = []
-    path_lat: list[float] = []
-    senders: list[float] = []
-    processing: list[float] = []
-    utils: list[float] = []
-    for player, session in sessions.items():
-        game = games[player]
-        plan = session.plan
-        start = min(plan.start_subcycle, hours)
-        end = min(hours, start + math.ceil(plan.duration_hours) - 1)
-
-        sid = session.supernode_id
-        if sid is not None:
-            key = (sid, start, end)
-            stats = load_stats.get(key)
-            if stats is None:
-                row = row_of(sid)
-                mean_count = max(
-                    1.0, float(counts_mat[row, start:end + 1].mean()))
-                mean_rate = float(rates_mat[row, start:end + 1].mean())
-                sn = pool[sid]
-                effective_upload = sn.upload_mbps * sn.throttle
-                stats = (min(2.0, mean_rate / effective_upload),
-                         max(0.05, effective_upload / mean_count))
-                load_stats[key] = stats
-            utilization, sender_share = stats
-            encode_ms = 0.0
-            target = sid
-        else:
-            window = (start, end)
-            utilization = cloud_utils.get(window)
-            if utilization is None:
-                concurrent = float(cloud_rate[start:end + 1].mean())
-                utilization = min(2.0, concurrent / budget)
-                cloud_utils[window] = utilization
-            # Always >= the 0.5 Mbps floor, so the scalar loop's
-            # max(0.05, share) clamp is a no-op here.
-            sender_share = max(CLOUD_FLOW_SHARE_FLOOR_MBPS,
-                               CLOUD_FLOW_HEADROOM * game.stream_rate_mbps)
-            encode_ms = encode_cloud_ms
-            target = int(nearest_dc[player])
-
-        if session.kind is ConnectionKind.CDN:
-            server_latency = CDN_COORDINATION_MS
-        else:
-            server_latency = server_cache.get(player, default_hop_ms)
-        meta.append((player, session, game, target, server_latency))
-        budgets.append(game.latency_requirement_ms)
-        if cols is None:
-            path_lat.append(session.downstream_one_way_ms)
-        senders.append(sender_share)
-        processing.append(encode_ms)
-        utils.append(utilization)
-    # Latency and download columns gather in one indexed read each —
-    # the setter-maintained float64 mirrors hold the exact bits the
-    # per-session attribute reads appended, in the same (dict) order.
-    players_arr = np.fromiter((m[0] for m in meta), dtype=np.intp,
-                              count=len(meta))
-    path_arr = (cols.latency_ms[players_arr] if cols is not None
-                else np.asarray(path_lat, dtype=np.float64))
-    receivers_arr = np.asarray(download,
-                               dtype=np.float64)[players_arr]
-    arrays = (np.asarray(budgets, dtype=np.float64), path_arr,
-              np.asarray(senders, dtype=np.float64), receivers_arr,
-              np.asarray(processing, dtype=np.float64),
-              np.asarray(utils, dtype=np.float64))
-    return meta, arrays
+    server_ms = [CDN_COORDINATION_MS if kind == KIND_CDN
+                 else server_cache.get(player, default_hop_ms)
+                 for player, kind in zip(player_list,
+                                         cols.kind[players].tolist())]
+    return SessionParams(
+        players=player_list, games=games,
+        targets=np.where(fog, sids, state.nearest_dc[players]).tolist(),
+        server_ms=server_ms, upstream_ms=cols.upstream_ms[players],
+        budget_ms=np.array([game.latency_requirement_ms
+                            for game in games], dtype=np.float64),
+        path_ms=cols.latency_ms[players],
+        sender_mbps=sender,
+        receiver_mbps=np.asarray(
+            state.topology.player_links.download_mbps,
+            dtype=np.float64)[players],
+        processing_ms=processing, utilization=utilization)
 
 
-def score_sessions_batch(state: SimState, day, sessions, loads, cloud_rate,
-                         rng) -> list[SessionRecord]:
+def score_sessions_batch(state: SimState, day, sessions: SessionTable,
+                         loads, cloud_rate, rng) -> list[SessionRecord]:
     """Batch scorer: one vectorised QoS evaluation for the day.
 
     Bit-identical to :func:`score_sessions_scalar` for the same
-    RNG stream (pinned by tests): parameters are gathered with the
-    scalar loop's own arithmetic and the batched estimate draws the
-    identical random sequence.
+    RNG stream (pinned by tests): the gathered parameters carry the
+    scalar loop's bits and the batched estimate draws the identical
+    random sequence.
     """
     if not sessions:
         return []
-    meta, (budgets, path_lat, senders, receivers, processing, utils) = \
-        gather_session_params(state, sessions, loads, cloud_rate)
+    params = gather_session_params(state, sessions, loads, cloud_rate)
     outcome = estimate_continuity_batch(
-        budgets, path_lat, senders, receivers,
-        np.zeros_like(budgets), processing, utils, rng,
+        params.budget_ms, params.path_ms, params.sender_mbps,
+        params.receiver_mbps, np.zeros_like(params.budget_ms),
+        params.processing_ms, params.utilization, rng,
         duration_s=QOS_DURATION_S,
         adaptive=state.config.strategies.rate_adaptation,
         transport=state.transport, n_samples=QOS_SAMPLES)
     # Element-wise float64 addition in the scalar loop's operand
     # order, then one exact tolist() per column — identical bits to
-    # per-record Python-float arithmetic without 3 numpy scalar
-    # extractions per session.
-    cols = getattr(sessions, "columns", None)
-    if cols is not None:
-        upstreams = cols.upstream_ms[np.fromiter(
-            (m[0] for m in meta), dtype=np.intp, count=len(meta))]
-    else:
-        upstreams = np.array([m[1].upstream_one_way_ms for m in meta])
-    server_lats = np.array([m[4] for m in meta])
-    responses = (upstreams + outcome.mean_response_latency_ms
-                 + server_lats + PLAYOUT_PROCESSING_MS).tolist()
-    continuity = outcome.continuity.tolist()
-    satisfied = outcome.satisfied.tolist()
-    records = []
-    for i, (player, session, game, target, server_latency) in \
-            enumerate(meta):
-        records.append(SessionRecord(
+    # per-record Python-float arithmetic.
+    responses = (params.upstream_ms + outcome.mean_response_latency_ms
+                 + np.array(params.server_ms)
+                 + PLAYOUT_PROCESSING_MS).tolist()
+    return [
+        SessionRecord(
             player=player, day=day, game=game.name, kind=session.kind,
-            target=target,
-            response_latency_ms=responses[i],
-            server_latency_ms=server_latency,
-            continuity=continuity[i],
-            satisfied=satisfied[i],
-            join_latency_ms=session.join_latency_ms,
-        ))
-    return records
+            target=target, response_latency_ms=response,
+            server_latency_ms=server, continuity=continuity,
+            satisfied=satisfied, join_latency_ms=session.join_latency_ms)
+        for player, session, game, target, response, server, continuity,
+        satisfied in zip(params.players, sessions.values(), params.games,
+                         params.targets, responses, params.server_ms,
+                         outcome.continuity.tolist(),
+                         outcome.satisfied.tolist())]
 
 
 def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
@@ -256,7 +270,7 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
     rows instead of the old per-supernode dicts — same accumulated
     values).  It is the ground truth the batch path is pinned
     against and the baseline of the scoring benchmark, so it
-    deliberately shares none of the batch path's memoisation.
+    deliberately shares none of the batch path's gather.
     """
     records = []
     hours = state.config.schedule.hours_per_day

@@ -551,10 +551,11 @@ def run_day(state: SimState, day: int, result: RunResult,
         with tracer.span("ratings", day=day):
             rated = [r for r in records
                      if r.kind is ConnectionKind.SUPERNODE]
-            state.ledger.add_many([r.player for r in rated],
-                                  [r.target for r in rated],
-                                  [r.continuity for r in rated], day)
-            state.reputation.refresh([r.player for r in rated], day)
+            if rated:  # a day without fog sessions rates nothing
+                state.ledger.add_many([r.player for r in rated],
+                                      [r.target for r in rated],
+                                      [r.continuity for r in rated], day)
+                state.reputation.refresh([r.player for r in rated], day)
 
         # (5b) Credit the contributors.
         credit_contributors(state, loads)

@@ -204,10 +204,6 @@ class CloudFogSystem:
         return scoring.score_sessions_batch(self._state, day, sessions,
                                             loads, cloud_rate, rng)
 
-    def _gather_session_params(self, sessions, loads, cloud_rate):
-        return scoring.gather_session_params(self._state, sessions, loads,
-                                             cloud_rate)
-
     def _apply_fault_penalties(self, records):
         return scoring.apply_fault_penalties(self._state, records)
 

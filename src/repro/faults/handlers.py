@@ -34,7 +34,8 @@ from .. import obs
 from ..core.columns import KIND_CLOUD
 from ..core.entities import ConnectionKind, Supernode
 from ..core.lifecycle import (bring_online, migrate, ordered_orphans,
-                              session_window, take_offline)
+                              penalize_orphans, session_window,
+                              take_offline)
 from ..core.provisioning import choose_replacements
 from ..core.selection import delay_threshold_ms
 from ..core.state import SimState, player_supernode_ms
@@ -158,9 +159,10 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
     counts, rates = loads.counts, loads.rates
     summary = result.faults
     partitioned = injector.partition_active(subcycle)
-    for sn, player in ordered_orphans(orphan_sets):
+    ordered = ordered_orphans(orphan_sets)
+    penalize_orphans(state, ordered, day)
+    for sn, player in ordered:
         state.sticky.pop(player, None)
-        state.reputation.penalize(player, sn.supernode_id, today=day)
         summary.displaced += 1
         registry.counter("repro_fault_displaced_total").inc()
         session = sessions.get(player)

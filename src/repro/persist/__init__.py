@@ -37,7 +37,6 @@ from .codec import (
     SCHEMA_VERSION,
     CheckpointCorruptError,
     CheckpointError,
-    CheckpointModeError,
     CheckpointVersionError,
     canonical_json,
     payload_digest,
@@ -45,7 +44,7 @@ from .codec import (
     write_checkpoint,
 )
 from .snapshot import (
-    ResultEncoder,
+    SnapshotEncoder,
     capture_result,
     capture_state,
     config_from_dict,
@@ -61,7 +60,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointVersionError",
     "CheckpointCorruptError",
-    "CheckpointModeError",
     "canonical_json",
     "payload_digest",
     "read_checkpoint",
@@ -73,7 +71,7 @@ __all__ = [
     "overlay_state",
     "capture_result",
     "restore_result",
-    "ResultEncoder",
+    "SnapshotEncoder",
     "CHECKPOINT_GLOB",
     "checkpoint_path",
     "save_checkpoint",

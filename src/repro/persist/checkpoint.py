@@ -31,8 +31,7 @@ from ..core.state import SimState
 from ..core.sweep import run_schedule
 from .codec import (CheckpointError, canonical_json, canonical_object,
                     read_checkpoint, write_checkpoint_text)
-from .snapshot import (ResultEncoder, capture_state, restore_result,
-                       restore_state)
+from .snapshot import SnapshotEncoder, restore_result, restore_state
 
 __all__ = ["CHECKPOINT_GLOB", "checkpoint_path", "save_checkpoint",
            "load_checkpoint", "latest_checkpoint",
@@ -52,14 +51,14 @@ def checkpoint_path(directory: str | Path, day: int) -> Path:
 
 def save_checkpoint(path: str | Path, state: SimState, result: RunResult,
                     day: int, total_days: int,
-                    encoder: ResultEncoder | None = None) -> Path:
+                    encoder: SnapshotEncoder | None = None) -> Path:
     """Snapshot a run after ``day`` finished; returns the written path.
 
     The payload is encoded once, straight to canonical JSON text.  Pass
-    the run's :class:`~repro.persist.snapshot.ResultEncoder` (a
-    :class:`Checkpointer` owns one) so a save re-encodes only the result
-    rows added since the previous one; without it a throwaway encoder
-    encodes the whole result.
+    the run's :class:`~repro.persist.snapshot.SnapshotEncoder` (a
+    :class:`Checkpointer` owns one) so a save reuses the config text and
+    re-encodes only the result rows added since the previous one;
+    without it a throwaway encoder encodes everything.
 
     When telemetry is live (:func:`repro.obs.enable`), the accumulated
     time series and event log ride along under a ``telemetry`` key —
@@ -69,14 +68,14 @@ def save_checkpoint(path: str | Path, state: SimState, result: RunResult,
     payload they always did.
     """
     if encoder is None:
-        encoder = ResultEncoder()
+        encoder = SnapshotEncoder()
     with obs.get_tracer().span("checkpoint_save", day=day):
         obs.get_events().emit("checkpoint_save", day=day, path=str(path))
         members = {
             "day": canonical_json(day),
             "run": canonical_json({"total_days": total_days}),
-            "state": canonical_json(capture_state(state)),
-            "result": encoder.encode(result),
+            "state": encoder.encode_state(state),
+            "result": encoder.encode_result(result),
         }
         telemetry = obs.capture_telemetry()
         if telemetry is not None:
@@ -171,16 +170,18 @@ class Checkpointer:
     buys.
 
     Every file is a whole, self-contained snapshot; only the *encoding*
-    is incremental — the checkpointer's result encoder keeps the text
-    of the session rows and join latencies it already wrote.
+    is incremental — the checkpointer's encoder keeps the config text
+    and the text of the session rows and join latencies it already
+    wrote.
     """
 
     directory: Path
     every: int = 1
     #: Paths written by this checkpointer, in save order.
     written: list[Path] = field(default_factory=list, init=False)
-    _encoder: ResultEncoder = field(default_factory=ResultEncoder,
-                                    init=False, repr=False, compare=False)
+    _encoder: SnapshotEncoder = field(default_factory=SnapshotEncoder,
+                                      init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self) -> None:
         if self.every < 1:

@@ -31,10 +31,8 @@ Failure taxonomy::
 
     CheckpointError            anything checkpoint-related (base)
     ├── CheckpointVersionError schema newer/older than this code
-    ├── CheckpointCorruptError not a checkpoint / digest mismatch /
-    │                          malformed or inconsistent content
-    └── CheckpointModeError    written in an execution mode this code
-                               no longer has
+    └── CheckpointCorruptError not a checkpoint / digest mismatch /
+                               malformed or inconsistent content
 
 Writes are atomic (temp file + ``os.replace``) so an interrupted save
 never leaves a half-written checkpoint behind — the previous one stays
@@ -51,7 +49,6 @@ from pathlib import Path
 
 __all__ = ["FORMAT_NAME", "SCHEMA_VERSION", "CheckpointError",
            "CheckpointVersionError", "CheckpointCorruptError",
-           "CheckpointModeError",
            "canonical_json", "canonical_object", "payload_digest",
            "write_checkpoint", "write_checkpoint_text", "read_checkpoint"]
 
@@ -86,14 +83,6 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointCorruptError(CheckpointError):
     """The file is not a checkpoint, or its content fails validation."""
-
-
-class CheckpointModeError(CheckpointError):
-    """The run was checkpointed in an execution mode since removed.
-
-    Resuming it in the remaining mode would silently continue a
-    different simulation than the one the file started.
-    """
 
 
 def canonical_json(value) -> str:

@@ -30,14 +30,6 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    models), and the accumulated
    :class:`~repro.core.accounting.RunResult`.
 
-   Legacy keys: files written before the execution-mode toggles were
-   removed carry ``use_batch_scoring`` (ignored — both scorers were
-   bit-identical) and ``use_batch_assignment``.  A ``true`` value of
-   the latter marks a run of the removed batch-assignment join mode;
-   :func:`overlay_state` refuses it rather than resume it on the
-   replay-exact path.  Files from that era are schema 2, which the
-   reader now refuses by version before this check runs.
-
    Deliberately *not* captured, with reasons:
 
    * per-day session state — the :class:`~repro.core.state.
@@ -85,12 +77,11 @@ from ..sim.cycles import Schedule
 from ..sim.rng import RngFactory
 from ..workload.churn import DurationMixture, StartTimeModel
 from ..workload.games import GAME_CATALOGUE
-from .codec import (CheckpointCorruptError, CheckpointModeError,
-                    canonical_json, canonical_object)
+from .codec import CheckpointCorruptError, canonical_json, canonical_object
 
 __all__ = ["config_to_dict", "config_from_dict", "capture_state",
            "restore_state", "overlay_state", "capture_result",
-           "restore_result", "ResultEncoder"]
+           "restore_result", "SnapshotEncoder"]
 
 _GAME_BY_NAME = {game.name: game for game in GAME_CATALOGUE}
 
@@ -143,6 +134,11 @@ def _summary_from_dict(data: dict) -> FaultSummary:
 def capture_state(state: SimState) -> dict:
     """Serialize every mutable field of a :class:`SimState` at a day
     boundary (see the module docstring for the inventory)."""
+    return {"config": config_to_dict(state.config), **_state_rest(state)}
+
+
+def _state_rest(state: SimState) -> dict:
+    """Every captured :class:`SimState` field except the config."""
     provisioner = None
     if state.provisioner is not None:
         model = state.provisioner._model
@@ -152,7 +148,6 @@ def capture_state(state: SimState) -> dict:
             "last_forecast": model._last_forecast,
         }
     return {
-        "config": config_to_dict(state.config),
         "seed": state.rng_factory.seed,
         "current_day": state.current_day,
         "pool_size": len(state.supernode_pool),
@@ -230,11 +225,6 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
     inventory on top.  :func:`restore_state` is the plain-config
     composition of construction + overlay.
     """
-    if payload.get("use_batch_assignment"):
-        raise CheckpointModeError(
-            "checkpoint was written in batch-assignment join mode "
-            "(use_batch_assignment), which no longer exists; it cannot "
-            "be resumed on the replay-exact join path")
     if len(state.supernode_pool) != payload["pool_size"]:
         raise CheckpointCorruptError(
             f"deterministic reconstruction produced "
@@ -387,10 +377,15 @@ class _EncodedList:
         return f"[{self.text}]"
 
 
-class ResultEncoder:
-    """Incremental ``canonical_json(capture_result(result))``.
+class SnapshotEncoder:
+    """Incremental ``canonical_json`` of :func:`capture_state` and
+    :func:`capture_result` over the saves of one run.
 
-    Successive :meth:`encode` calls over one growing run encode only
+    :meth:`encode_state` encodes the config once per config object:
+    every dataclass in a :class:`SystemConfig` is frozen with tuple
+    fields, so its text is a pure function of the object, and the text
+    is reused while ``state.config`` is that object.  The mutable state
+    is encoded afresh each time.  :meth:`encode_result` encodes only
     the session records and join latencies appended since the previous
     call; the mutable day rows, the fault summary and the small lists
     are encoded afresh each time.  The output is byte-identical to the
@@ -398,9 +393,20 @@ class ResultEncoder:
     """
 
     def __init__(self) -> None:
+        self._config: SystemConfig | None = None
+        self._config_text = ""
         self._lists = {name: _EncodedList(rows) for name, rows in _APPENDED}
 
-    def encode(self, result: RunResult) -> str:
+    def encode_state(self, state: SimState) -> str:
+        if state.config is not self._config:
+            self._config = state.config
+            self._config_text = canonical_json(config_to_dict(state.config))
+        members = {name: canonical_json(value)
+                   for name, value in _state_rest(state).items()}
+        members["config"] = self._config_text
+        return canonical_object(members)
+
+    def encode_result(self, result: RunResult) -> str:
         members = {name: canonical_json(value)
                    for name, value in _result_rest(result).items()}
         for name, encoded in self._lists.items():

@@ -26,7 +26,7 @@ puts the full recomputation at O(m * n * N_r).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,8 +173,22 @@ class ReputationTable:
         a node could crash nightly and still be ranked on its sunny-day
         history alone.
         """
-        self.ledger.add(player, supernode, value, today)
-        self.refresh((player,), today)
+        self.penalize_many((player,), (supernode,), today, value)
+
+    def penalize_many(self, players: Sequence[int],
+                      supernodes: Sequence[int], today: int,
+                      value: float = 0.0) -> None:
+        """:meth:`penalize` every ``(player, supernode)`` pair: one
+        batched ledger add, then one refresh of all the players.
+
+        Leaves the ledger and every score equal to one :meth:`penalize`
+        per pair in order: the ratings enter the log in the same order,
+        and the last refresh of a player rescores all its pairs from
+        the whole log either way.
+        """
+        self.ledger.add_many(players, supernodes, [value] * len(players),
+                             today)
+        self.refresh(players, today)
 
     def rank(self, player: int, candidates: list[int]) -> list[int]:
         """Candidates in descending reputation order (§3.2.2).

@@ -1,7 +1,8 @@
 """The incremental checkpoint writer equals the one-shot encoding.
 
-A :class:`~repro.persist.Checkpointer` re-encodes only the session rows
-and join latencies appended since its previous save.  Whatever happens
+A :class:`~repro.persist.Checkpointer` encodes the config once and
+re-encodes only the session rows and join latencies appended since its
+previous save.  Whatever happens
 to the result between saves — appends, in-place mutation of the day
 rows and fault summary, a list swapped for a restored copy, a shrunk
 list, telemetry switched on or off — every file's payload must be
@@ -24,6 +25,7 @@ from repro.core.entities import ConnectionKind
 from repro.core.state import SimState
 from repro.persist import (
     Checkpointer,
+    SnapshotEncoder,
     canonical_json,
     capture_result,
     capture_state,
@@ -31,6 +33,7 @@ from repro.persist import (
     read_checkpoint,
     restore_result,
     resume_run,
+    write_checkpoint,
 )
 
 from ..faults.regen_golden import CHAOS_PLAN
@@ -160,3 +163,38 @@ def test_resumed_continuation_writes_the_uninterrupted_files(tmp_path):
             document["manifest"]["payload_sha256"]
         assert _without_host_times(read_checkpoint(actual)) == \
             _without_host_times(read_checkpoint(expected))
+
+
+def test_faulted_run_files_equal_the_one_shot_encoding(tmp_path):
+    """With the config text cached, every file of a faulted run holds
+    exactly the bytes of a one-shot ``write_checkpoint`` of the payload
+    captured at the same day end."""
+    config = cloudfog_advanced(num_players=120, num_supernodes=8,
+                               seed=3).with_(fault_plan=CHAOS_PLAN)
+    hook = Checkpointer(tmp_path / "run", every=1)
+    reference = []
+
+    def on_day_end(state, day, result, total_days):
+        hook.on_day_end(state, day, result, total_days)
+        reference.append(write_checkpoint(
+            tmp_path / f"reference-{day}.json",
+            {"day": day, "run": {"total_days": total_days},
+             "state": capture_state(state),
+             "result": capture_result(result)}))
+
+    CloudFogSystem(config).run(days=3, on_day_end=on_day_end)
+    assert len(hook.written) == 3
+    assert [path.read_bytes() for path in hook.written] == \
+        [path.read_bytes() for path in reference]
+
+
+def test_a_new_config_object_is_encoded_afresh():
+    state = SimState(cloudfog_advanced(num_players=30, num_supernodes=3,
+                                       seed=1))
+    encoder = SnapshotEncoder()
+    before = encoder.encode_state(state)
+    assert before == canonical_json(capture_state(state))
+    state.config = state.config.with_(fault_plan=CHAOS_PLAN)
+    after = encoder.encode_state(state)
+    assert after == canonical_json(capture_state(state))
+    assert after != before

@@ -102,3 +102,33 @@ def test_property_score_bounded_by_rating_range(values, aging):
                              aging_factor=aging)
     assert 0.0 <= score <= 1.0
     assert min(values[-64:]) - 1e-9 <= score <= max(values[-64:]) + 1e-9
+
+
+_history = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3),
+                              st.floats(0.0, 1.0)), max_size=30)
+
+
+@given(history=_history,
+       event=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)),
+                      max_size=8, unique_by=lambda pair: pair[0]),
+       cap=st.integers(1, 4), day=st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_batched_penalties_equal_sequential(history, event, cap, day):
+    """One fault event's penalties as one batch leave the ledger columns
+    and every score equal to one ``penalize`` per orphan, in order."""
+    tables = []
+    for _ in range(2):
+        ledger = RatingLedger(max_ratings_per_pair=cap)
+        table = ReputationTable(ledger, aging_factor=0.9)
+        for player, supernode, value in history:
+            ledger.add(player, supernode, value, day=0)
+        table.refresh(range(5), today=0)
+        tables.append(table)
+    sequential, batched = tables
+    for player, supernode in event:
+        sequential.penalize(player, supernode, today=day)
+    batched.penalize_many([player for player, _ in event],
+                          [supernode for _, supernode in event], today=day)
+    assert (batched.ledger.to_columns()
+            == sequential.ledger.to_columns())
+    assert batched.to_columns() == sequential.to_columns()
