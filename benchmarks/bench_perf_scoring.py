@@ -3,7 +3,7 @@
 Measures three things and writes them to ``BENCH_perf.json``:
 
 * **Session scoring** — the batch scorer
-  (:meth:`CloudFogSystem._score_sessions_inner`) against the scalar
+  (:func:`repro.core.scoring.score_sessions_batch`) against the scalar
   reference loop (:func:`repro.core.scoring.score_sessions_scalar`)
   on one day's sessions, in sessions/second.  The two
   paths are bit-identical (asserted here before timing); the benchmark
@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-from repro.core import scoring
+from repro.core import scoring, sweep
 from repro.core.config import cloudfog_basic
 from repro.core.selection import SupernodeDirectory
 from repro.core.accounting import RunResult
@@ -51,10 +51,12 @@ def _build_scored_day(num_players: int, num_supernodes: int, seed: int):
     config = cloudfog_basic(num_players=num_players,
                             num_supernodes=num_supernodes, seed=seed)
     system = CloudFogSystem(config)
-    plans = system._sample_plans(system.rng_factory.stream("plans-0"), day=0)
-    system._choose_games(plans, system.rng_factory.stream("games-0"))
-    sessions, loads, cloud_rate = system._sweep_day(
-        plans, system.rng_factory.stream("selection-0"), RunResult(),
+    state = system.state
+    plans = sweep.sample_plans(state, system.rng_factory.stream("plans-0"),
+                               day=0)
+    sweep.choose_games(state, plans, system.rng_factory.stream("games-0"))
+    sessions, loads, cloud_rate = sweep.sweep_day(
+        state, plans, system.rng_factory.stream("selection-0"), RunResult(),
         measuring=False)
     return system, sessions, loads, cloud_rate
 
@@ -70,8 +72,8 @@ def bench_scoring(num_players: int, num_supernodes: int, seed: int,
             system.rng_factory.stream("qos-0"))
 
     def batch():
-        return system._score_sessions_inner(
-            0, sessions, loads, cloud_rate,
+        return scoring.score_sessions_batch(
+            system.state, 0, sessions, loads, cloud_rate,
             system.rng_factory.stream("qos-0"))
 
     # Equivalence before speed: same named RNG stream, same records.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
+from ..core import sweep
 from ..core.config import cloudfog_basic
 from ..core.accounting import RunResult
 from ..core.system import CloudFogSystem
@@ -272,9 +273,10 @@ def fig9b_latencies_vs_supernodes(supernode_counts=(24, 48, 96),
 def _measure_migrations(system: CloudFogSystem, seed: int) -> list[float]:
     """Reconnect a day's sessions, then fail 10 % of the supernodes."""
     rng = np.random.default_rng(seed)
-    plans = system._sample_plans(rng)
-    system._choose_games(plans, rng)
-    system._sweep_day(plans, rng, RunResult(), measuring=False)
+    state = system.state
+    plans = sweep.sample_plans(state, rng)
+    sweep.choose_games(state, plans, rng)
+    sweep.sweep_day(state, plans, rng, RunResult(), measuring=False)
     # The sweep disconnects everything at day end; re-attach one player
     # per supernode so every failure displaces someone.
     next_player = 0

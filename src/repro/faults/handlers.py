@@ -82,8 +82,7 @@ def apply_faults(state: SimState, day, subcycle, sessions, loads,
         elif event.kind == "flaky":
             inject_flaky(state, event, frng)
         elif event.kind == "degrade_link":
-            inject_link_degradation(state, event, subcycle, sessions,
-                                    hours)
+            inject_link_degradation(state, event, subcycle, sessions)
         elif event.kind == "lose_updates":
             inject_update_loss(state, event, subcycle, sessions, hours,
                                registry)
@@ -328,40 +327,21 @@ def inject_dc_outage(state: SimState, event, day, subcycle, sessions,
     all_ms[:, dc] = np.inf
     fallback_ms = np.min(all_ms, axis=1)
     rerouted = 0
-    cols = getattr(sessions, "columns", None)
-    if cols is not None:
-        # Column mask over the session table: same set of sessions the
-        # scalar walk selected (active ≡ in the dict; the kind code and
-        # window columns mirror the object fields), and the per-session
-        # ``+=`` is order-independent, so the digests cannot move.
-        mask = ((cols.active == 1) & (cols.kind == KIND_CLOUD)
-                & (nearest == dc) & (cols.start_subcycle <= subcycle)
-                & (cols.end_subcycle >= subcycle))
-        for player in np.flatnonzero(mask).tolist():
-            session = sessions[player]
-            delta = (float(fallback_ms[player])
-                     - session.upstream_one_way_ms)
-            if delta <= 0.0:
-                continue
-            session.upstream_one_way_ms += delta
-            session.downstream_one_way_ms += delta
-            rerouted += 1
-    else:
-        for player, session in sessions.items():
-            if session.kind is not ConnectionKind.CLOUD:
-                continue
-            if int(nearest[player]) != dc:
-                continue
-            start, end = session_window(session, hours)
-            if not start <= subcycle <= end:
-                continue
-            delta = (float(fallback_ms[player])
-                     - session.upstream_one_way_ms)
-            if delta <= 0.0:
-                continue
-            session.upstream_one_way_ms += delta
-            session.downstream_one_way_ms += delta
-            rerouted += 1
+    cols = sessions.columns
+    # Active cloud sessions homed to the dead datacenter whose window
+    # covers this subcycle; each ``+=`` touches one session only, so
+    # the order of the walk cannot move a digest.
+    mask = ((cols.active == 1) & (cols.kind == KIND_CLOUD)
+            & (nearest == dc) & (cols.start_subcycle <= subcycle)
+            & (cols.end_subcycle >= subcycle))
+    for player in np.flatnonzero(mask).tolist():
+        session = sessions[player]
+        delta = float(fallback_ms[player]) - session.upstream_one_way_ms
+        if delta <= 0.0:
+            continue
+        session.upstream_one_way_ms += delta
+        session.downstream_one_way_ms += delta
+        rerouted += 1
     if rerouted:
         obs.get_registry().counter(
             "repro_cloud_sessions_rerouted_total").inc(rerouted)
@@ -534,7 +514,7 @@ def inject_flaky(state: SimState, event: FaultEvent,
 
 
 def inject_link_degradation(state: SimState, event: FaultEvent, subcycle,
-                            sessions, hours) -> None:
+                            sessions) -> None:
     """Add ``extra_ms`` one-way delay to active streams.
 
     Targets the event's supernode when set, otherwise every active
@@ -544,26 +524,15 @@ def inject_link_degradation(state: SimState, event: FaultEvent, subcycle,
     """
     if event.extra_ms <= 0.0:
         return
-    cols = getattr(sessions, "columns", None)
-    if cols is not None:
-        mask = ((cols.active == 1) & (cols.start_subcycle <= subcycle)
-                & (cols.end_subcycle >= subcycle))
-        if event.supernode_id is not None:
-            mask &= cols.supernode_id == event.supernode_id
-        # Each selected session gets one independent += through the
-        # entity setter (which re-mirrors the column): same sessions,
-        # same floats as the scalar walk.
-        for player in np.flatnonzero(mask).tolist():
-            sessions[player].downstream_one_way_ms += event.extra_ms
-        return
-    for player, session in sessions.items():
-        start, end = session_window(session, hours)
-        if not start <= subcycle <= end:
-            continue
-        if (event.supernode_id is not None
-                and session.supernode_id != event.supernode_id):
-            continue
-        session.downstream_one_way_ms += event.extra_ms
+    cols = sessions.columns
+    mask = ((cols.active == 1) & (cols.start_subcycle <= subcycle)
+            & (cols.end_subcycle >= subcycle))
+    if event.supernode_id is not None:
+        mask &= cols.supernode_id == event.supernode_id
+    # Each selected session gets one independent += through the entity
+    # setter (which re-mirrors the column).
+    for player in np.flatnonzero(mask).tolist():
+        sessions[player].downstream_one_way_ms += event.extra_ms
 
 
 def inject_update_loss(state: SimState, event: FaultEvent, subcycle,
@@ -578,36 +547,20 @@ def inject_update_loss(state: SimState, event: FaultEvent, subcycle,
     post-event world and are not penalised.
     """
     window_end = min(hours, subcycle + event.duration_subcycles - 1)
-    affected = 0
-    cols = getattr(sessions, "columns", None)
-    if cols is not None:
-        start = cols.start_subcycle
-        end = cols.end_subcycle
-        overlap = (np.minimum(end, window_end)
-                   - np.maximum(start, subcycle) + 1)
-        mask = ((cols.active == 1) & (cols.supernode_id >= 0)
-                & (overlap > 0))
-        players = np.flatnonzero(mask)
-        # severity * overlap / span_len in the scalar walk's operand
-        # order, then back to Python floats before the penalty map —
-        # bit-identical values, no numpy scalars past this point.
-        penalties = (event.severity * overlap[players]
-                     / (end[players] - start[players] + 1))
-        add_penalty = state.faults.add_penalty
-        for player, penalty in zip(players.tolist(), penalties.tolist()):
-            add_penalty(player, penalty)
-        affected = int(players.size)
-    else:
-        for player, session in sessions.items():
-            if session.supernode_id is None:
-                continue
-            start, end = session_window(session, hours)
-            overlap = min(end, window_end) - max(start, subcycle) + 1
-            if overlap <= 0:
-                continue
-            span_len = end - start + 1
-            state.faults.add_penalty(
-                player, event.severity * overlap / span_len)
-            affected += 1
+    cols = sessions.columns
+    start = cols.start_subcycle
+    end = cols.end_subcycle
+    overlap = (np.minimum(end, window_end)
+               - np.maximum(start, subcycle) + 1)
+    mask = ((cols.active == 1) & (cols.supernode_id >= 0) & (overlap > 0))
+    players = np.flatnonzero(mask)
+    # severity * overlap / span_len, evaluated left to right, then back
+    # to Python floats before the penalty map: no numpy scalars past
+    # this point.
+    penalties = (event.severity * overlap[players]
+                 / (end[players] - start[players] + 1))
+    add_penalty = state.faults.add_penalty
+    for player, penalty in zip(players.tolist(), penalties.tolist()):
+        add_penalty(player, penalty)
     registry.counter(
-        "repro_update_loss_affected_sessions_total").inc(affected)
+        "repro_update_loss_affected_sessions_total").inc(int(players.size))

@@ -1,12 +1,10 @@
-"""Metrics: result tables, rendering, and raw-record export."""
+"""Metrics: result tables, bar charts, and per-session CSV export."""
 
-from .export import export_days_csv, export_run_jsonl, export_sessions_csv
+from .export import export_sessions_csv
 from .plots import render_bars
 from .tables import ResultTable
 
 __all__ = [
-    "export_days_csv",
-    "export_run_jsonl",
     "export_sessions_csv",
     "render_bars",
     "ResultTable",

@@ -1,26 +1,21 @@
-"""Result export: CSV / JSON-lines dumps of a run's raw records.
+"""Result export: a CSV dump of a run's per-session records.
 
 Downstream analysis (pandas, R, spreadsheets) wants flat files, not
-Python objects.  These helpers write a :class:`~repro.core.RunResult`'s
-per-session records and per-day aggregates with stable column orders.
+Python objects.  :func:`export_sessions_csv` writes a
+:class:`~repro.core.RunResult`'s per-session records with a stable
+column order.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
-__all__ = ["export_sessions_csv", "export_days_csv", "export_run_jsonl"]
+__all__ = ["export_sessions_csv"]
 
 _SESSION_FIELDS = ("day", "player", "game", "kind", "target",
                    "response_latency_ms", "server_latency_ms",
                    "continuity", "satisfied", "join_latency_ms")
-
-_DAY_FIELDS = ("day", "online_players", "supernode_players",
-               "cloud_players", "cloud_bandwidth_mbps",
-               "mean_response_latency_ms", "mean_server_latency_ms",
-               "mean_continuity", "satisfied_ratio")
 
 
 def _session_row(record) -> dict:
@@ -36,10 +31,6 @@ def _session_row(record) -> dict:
         "satisfied": record.satisfied,
         "join_latency_ms": record.join_latency_ms,
     }
-
-
-def _day_row(day) -> dict:
-    return {field: getattr(day, field) for field in _DAY_FIELDS}
 
 
 def _check_overwrite(path: Path, overwrite: bool) -> None:
@@ -66,42 +57,3 @@ def export_sessions_csv(result, path: str | Path,
             writer.writerow(_session_row(record))
             count += 1
     return count
-
-
-def export_days_csv(result, path: str | Path,
-                    overwrite: bool = True) -> int:
-    """Write one CSV row per measured day; returns the row count.
-
-    ``overwrite`` defaults to True (replace an existing file); with
-    ``overwrite=False`` an existing ``path`` raises
-    :class:`FileExistsError`.
-    """
-    path = Path(path)
-    _check_overwrite(path, overwrite)
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_DAY_FIELDS)
-        writer.writeheader()
-        for day in result.days:
-            writer.writerow(_day_row(day))
-    return len(result.days)
-
-
-def export_run_jsonl(result, path: str | Path,
-                     overwrite: bool = True) -> int:
-    """Write the whole run as JSON lines: one ``day`` object per
-    measured day followed by its ``session`` objects; returns the line
-    count.  ``overwrite`` behaves as in :func:`export_sessions_csv`."""
-    path = Path(path)
-    _check_overwrite(path, overwrite)
-    lines = 0
-    with path.open("w") as handle:
-        for day in result.days:
-            handle.write(json.dumps({"type": "day", **_day_row(day)}) + "\n")
-            lines += 1
-            for record in result.sessions:
-                if record.day != day.day:
-                    continue
-                handle.write(json.dumps(
-                    {"type": "session", **_session_row(record)}) + "\n")
-                lines += 1
-    return lines

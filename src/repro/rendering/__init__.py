@@ -1,19 +1,9 @@
-"""Rendering substrate: GPU capability and view/interest management."""
+"""Rendering substrate: supernode GPU capability."""
 
 from .capability import GpuTier, RenderCapability, sample_gpu_tiers
-from .view import (
-    Viewpoint,
-    relevant_players,
-    update_bits_for_interest,
-    visible_players,
-)
 
 __all__ = [
     "GpuTier",
     "RenderCapability",
     "sample_gpu_tiers",
-    "Viewpoint",
-    "relevant_players",
-    "update_bits_for_interest",
-    "visible_players",
 ]

@@ -1,58 +1,23 @@
-"""Simulation substrate: discrete-event engine, cycle harness, RNG, probes."""
+"""Simulation substrate: discrete-event engine, cycle harness, RNG."""
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Condition,
-    EmptySchedule,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
-from .resources import (
-    Container,
-    FilterStore,
-    Preempted,
-    PreemptivePriorityResource,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
+from .engine import EmptySchedule, Environment, Event, Process, Timeout
+from .resources import Release, Request, Resource
 from .cycles import PAPER_SCHEDULE, Clock, CycleScheduler, Schedule
-from .monitor import Counter, Series, Summary, summarize
 from .rng import EmpiricalDistribution, RngFactory, pareto_capacities, powerlaw_counts
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "EmptySchedule",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Timeout",
-    "Container",
-    "FilterStore",
-    "Preempted",
-    "PreemptivePriorityResource",
-    "PriorityResource",
     "Release",
     "Request",
     "Resource",
-    "Store",
     "PAPER_SCHEDULE",
     "Clock",
     "CycleScheduler",
     "Schedule",
-    "Counter",
-    "Series",
-    "Summary",
-    "summarize",
     "EmpiricalDistribution",
     "RngFactory",
     "pareto_capacities",

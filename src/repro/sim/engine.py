@@ -3,16 +3,14 @@
 A from-scratch implementation of the process-based discrete-event
 simulation style popularised by SimPy.  The paper's streaming-level
 experiments need an event engine (segment deliveries, buffer drains,
-rate-adaptation decisions happen at irregular instants); SimPy itself is
-not available in this environment, so this module provides the same
-primitives:
+rate-adaptation decisions happen at irregular instants); SimPy is not a
+dependency, so this module provides the subset of its primitives those
+models use:
 
 * :class:`Environment` — the event loop and simulation clock.
 * :class:`Event` — a one-shot occurrence carrying a value or an error.
 * :class:`Timeout` — an event that fires after a delay.
 * :class:`Process` — a generator-driven coroutine that suspends on events.
-* :class:`AnyOf` / :class:`AllOf` — condition events over several events.
-* :class:`Interrupt` — exception thrown into a process by ``interrupt()``.
 
 The engine is deterministic: events scheduled at the same time fire in
 scheduling order (a monotone tie-break counter guarantees this).
@@ -21,7 +19,7 @@ scheduling order (a monotone tie-break counter guarantees this).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .. import obs
 
@@ -30,10 +28,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "AllOf",
-    "Condition",
-    "Interrupt",
     "StopSimulation",
     "EmptySchedule",
 ]
@@ -52,18 +46,6 @@ class EmptySchedule(Exception):
 
 class StopSimulation(Exception):
     """Raised internally to stop :meth:`Environment.run` at ``until``."""
-
-
-class Interrupt(Exception):
-    """Exception thrown into an interrupted :class:`Process`.
-
-    The interrupt ``cause`` is available both as ``exc.cause`` and as
-    ``exc.args[0]``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -132,12 +114,6 @@ class Event:
         self.env.schedule(self, priority=NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self, priority=NORMAL)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -183,55 +159,18 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = Initialize(env, self)
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not terminated."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        The interrupt is delivered as an urgent event so it preempts any
-        event the process is waiting on.  Interrupting a dead process is
-        an error; interrupting itself is too.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks = [self._resume]
-        self.env.schedule(interrupt_event, priority=URGENT)
+        Initialize(env, self)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or error) of ``event``."""
         env = self.env
-        env._active_process = self
         while True:
-            # Un-register from the old target: if we were interrupted while
-            # waiting, the original event must not resume us again later.
-            if self._target is not None and self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-            self._target = None
             try:
                 if event._ok:
                     next_event = self._generator.send(event._value)
                 else:
                     # The event failed; throw the error into the generator
-                    # (which may catch Interrupt and continue).
+                    # (which may catch it and continue).
                     event._defused = True
                     exc = event._value
                     next_event = self._generator.throw(type(exc), exc, None)
@@ -260,79 +199,10 @@ class Process(Event):
 
             if next_event.callbacks is not None:
                 # Pending or triggered-but-unprocessed: wait for it.
-                self._target = next_event
                 next_event.callbacks.append(self._resume)
                 break
             # Already processed: loop and feed its value straight back in.
             event = next_event
-        env._active_process = None
-
-
-class Condition(Event):
-    """An event that triggers when ``evaluate(events, count)`` is true.
-
-    The value of a condition is a dict mapping each *triggered* event to
-    its value, in trigger order.
-    """
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events must share one environment")
-
-        if not self._events:
-            self.succeed(self._collect_values())
-            return
-
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect_values(self) -> dict[Event, Any]:
-        return {e: e._value for e in self._events if e.processed and e._ok}
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(None)
-            # Defer value collection until processing so that same-instant
-            # sibling events are included.
-            self.callbacks.insert(0, self._build_value)
-
-    def _build_value(self, _event: Event) -> None:
-        self._value = self._collect_values()
-
-
-class AllOf(Condition):
-    """Condition that triggers once *all* events have triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        events = list(events)
-        super().__init__(env, lambda evs, count: count >= len(evs), events)
-
-
-class AnyOf(Condition):
-    """Condition that triggers once *any* event has triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda evs, count: count >= 1, events)
 
 
 class Environment:
@@ -343,7 +213,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         self.events_processed = 0
         self._trace_steps = trace_steps
         self._step_log = obs.get_logger(__name__) if trace_steps else None
@@ -364,11 +233,6 @@ class Environment:
         """Current simulation time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
     # -- event factories -------------------------------------------------
     def event(self) -> Event:
         """Create a new pending :class:`Event`."""
@@ -381,12 +245,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` driving ``generator``."""
         return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling and stepping ------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL,

@@ -1,37 +1,19 @@
-"""Shared-resource primitives for the discrete-event engine.
+"""Capacity-limited resource for the discrete-event engine.
 
-Provides the SimPy-style trio used throughout the streaming and cloud
-substrates:
-
-* :class:`Resource` — capacity-limited FIFO resource (e.g. a supernode's
-  rendering slots); :class:`PriorityResource` adds priority queueing.
-* :class:`Container` — continuous level with put/get (e.g. a byte budget).
-* :class:`Store` — object queue with put/get; :class:`FilterStore` gets by
-  predicate.
-
-Requests/puts/gets are events; processes ``yield`` them and resume once
-granted.  ``Resource.request()`` works as a context manager so usage
-follows the familiar ``with res.request() as req: yield req`` idiom.
+:class:`Resource` is a SimPy-style FIFO resource: a fixed number of
+slots, a wait queue, and requests that are events — processes
+``yield`` them and resume once granted.  ``Resource.request()`` works
+as a context manager so usage follows the familiar
+``with res.request() as req: yield req`` idiom.  The event-level
+supernode model (:mod:`repro.streaming.multiplex`) uses one as a
+shared uplink.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Optional
-
 from .engine import Environment, Event
 
-__all__ = [
-    "Request",
-    "Release",
-    "Resource",
-    "PriorityResource",
-    "PreemptivePriorityResource",
-    "Preempted",
-    "Container",
-    "Store",
-    "FilterStore",
-]
+__all__ = ["Request", "Release", "Resource"]
 
 
 class Request(Event):
@@ -40,10 +22,7 @@ class Request(Event):
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.usage_since: Optional[float] = None
-        #: Process that issued the request (preemption target).
-        self.owner = resource.env.active_process
-        resource._queue_request(self)
+        resource.queue.append(self)
         resource._trigger_requests()
 
     def __enter__(self) -> "Request":
@@ -102,261 +81,8 @@ class Resource:
         self._trigger_requests()
         return Release(self, request)
 
-    # -- internals -------------------------------------------------------
-    def _queue_request(self, request: Request) -> None:
-        self.queue.append(request)
-
-    def _next_request(self) -> Optional[Request]:
-        return self.queue[0] if self.queue else None
-
-    def _pop_next(self) -> Request:
-        return self.queue.pop(0)
-
     def _trigger_requests(self) -> None:
-        while len(self.users) < self._capacity:
-            request = self._next_request()
-            if request is None:
-                break
-            self._pop_next()
-            if request.triggered:  # cancelled while queued
-                continue
-            request.usage_since = self.env.now
+        while len(self.users) < self._capacity and self.queue:
+            request = self.queue.pop(0)
             self.users.append(request)
             request.succeed()
-
-
-class PriorityRequest(Request):
-    """Request with a priority (lower value = more important)."""
-
-    def __init__(self, resource: "PriorityResource", priority: float = 0.0):
-        self.priority = priority
-        self.time = resource.env.now
-        super().__init__(resource)
-
-
-class Preempted(Exception):
-    """Cause attached to an interrupt when a request is preempted."""
-
-    def __init__(self, by: Any, usage_since: Optional[float]) -> None:
-        super().__init__(by, usage_since)
-        self.by = by
-        self.usage_since = usage_since
-
-
-class PriorityResource(Resource):
-    """Resource whose queue is ordered by (priority, request time)."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: list[tuple[float, float, int, PriorityRequest]] = []
-        self._tie = 0
-
-    def request(self, priority: float = 0.0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _queue_request(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        self._tie += 1
-        heapq.heappush(self._heap, (request.priority, request.time, self._tie, request))
-        self.queue.append(request)
-
-    def _next_request(self) -> Optional[Request]:
-        while self._heap:
-            request = self._heap[0][3]
-            if request in self.queue:
-                return request
-            heapq.heappop(self._heap)  # withdrawn
-        return None
-
-    def _pop_next(self) -> Request:
-        request = heapq.heappop(self._heap)[3]
-        self.queue.remove(request)
-        return request
-
-
-class PreemptivePriorityResource(PriorityResource):
-    """Priority resource whose urgent requests evict running users.
-
-    When every slot is busy and a new request outranks the
-    lowest-priority current user (strictly smaller priority value), that
-    user's owning process is interrupted with a :class:`Preempted`
-    cause and its slot is handed over.  The evicted process must catch
-    the :class:`~repro.sim.engine.Interrupt` and release its request.
-    """
-
-    def request(self, priority: float = 0.0,
-                preempt: bool = True) -> PriorityRequest:  # type: ignore[override]
-        request = PriorityRequest.__new__(PriorityRequest)
-        request.priority = priority
-        request.time = self.env.now
-        request._preempt = preempt
-        Request.__init__(request, self)
-        return request
-
-    def _queue_request(self, request: Request) -> None:
-        super()._queue_request(request)
-        assert isinstance(request, PriorityRequest)
-        if not getattr(request, "_preempt", False) or not self.users:
-            return
-        if len(self.users) < self._capacity:
-            return
-        victim = max(self.users, key=lambda r: getattr(r, "priority", 0.0))
-        if getattr(victim, "priority", 0.0) <= request.priority:
-            return
-        owner = getattr(victim, "owner", None)
-        self.users.remove(victim)
-        if owner is not None and owner.is_alive:
-            owner.interrupt(Preempted(by=request,
-                                      usage_since=victim.usage_since))
-
-
-class ContainerPut(Event):
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"put amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"get amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """A continuous stock of some quantity (bytes, tokens, credits)."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie within [0, capacity]")
-        self.env = env
-        self._capacity = capacity
-        self._level = init
-        self._put_queue: list[ContainerPut] = []
-        self._get_queue: list[ContainerGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue:
-                put = self._put_queue[0]
-                if self._level + put.amount <= self._capacity:
-                    self._put_queue.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_queue:
-                get = self._get_queue[0]
-                if self._level >= get.amount:
-                    self._get_queue.pop(0)
-                    self._level -= get.amount
-                    get.succeed()
-                    progressed = True
-
-
-class StorePut(Event):
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-
-class StoreGet(Event):
-    def __init__(self, store: "Store") -> None:
-        super().__init__(store.env)
-        store._get_queue.append(self)
-        store._trigger()
-
-
-class FilterStoreGet(StoreGet):
-    def __init__(self, store: "FilterStore",
-                 predicate: Callable[[Any], bool]) -> None:
-        self.predicate = predicate
-        super().__init__(store)
-
-
-class Store:
-    """A FIFO queue of objects with blocking put/get."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self._capacity = capacity
-        self.items: list[Any] = []
-        self._put_queue: list[StorePut] = []
-        self._get_queue: list[StoreGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def put(self, item: Any) -> StorePut:
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        return StoreGet(self)
-
-    def _do_get(self, get: StoreGet) -> bool:
-        if self.items:
-            get.succeed(self.items.pop(0))
-            return True
-        return False
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue and len(self.items) < self._capacity:
-                put = self._put_queue.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            # Serve gets in order, skipping (for FilterStore) unmatched ones.
-            for get in list(self._get_queue):
-                if self._do_get(get):
-                    self._get_queue.remove(get)
-                    progressed = True
-
-
-class FilterStore(Store):
-    """Store whose gets take the first item matching a predicate."""
-
-    def get(self, predicate: Callable[[Any], bool] = lambda item: True
-            ) -> FilterStoreGet:  # type: ignore[override]
-        return FilterStoreGet(self, predicate)
-
-    def _do_get(self, get: StoreGet) -> bool:
-        assert isinstance(get, FilterStoreGet)
-        for index, item in enumerate(self.items):
-            if get.predicate(item):
-                self.items.pop(index)
-                get.succeed(item)
-                return True
-        return False

@@ -1,4 +1,4 @@
-"""Social substrate: friendship graphs, co-play records, communities."""
+"""Social substrate: friendship graphs and communities."""
 
 from .communities import (
     DEFAULT_MISS_LIMIT,
@@ -10,11 +10,6 @@ from .communities import (
     random_partition,
 )
 from .graph import FriendGraph, generate_friend_graph
-from .interactions import (
-    DEFAULT_IMPLICIT_THRESHOLD,
-    CoPlayRecorder,
-    combined_friendship,
-)
 
 __all__ = [
     "DEFAULT_MISS_LIMIT",
@@ -26,7 +21,4 @@ __all__ = [
     "random_partition",
     "FriendGraph",
     "generate_friend_graph",
-    "DEFAULT_IMPLICIT_THRESHOLD",
-    "CoPlayRecorder",
-    "combined_friendship",
 ]

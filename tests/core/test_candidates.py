@@ -87,6 +87,7 @@ def test_migration_prefers_own_list_over_cloud():
     """A displaced player with a live remembered candidate reconnects
     without the cloud round trip (latency ~= probe + handshake)."""
     from repro.core import CloudFogSystem, cloudfog_basic
+    from repro.core.lifecycle import migrate
     system = CloudFogSystem(cloudfog_basic(num_players=100,
                                            num_supernodes=10, seed=3))
     rng = np.random.default_rng(0)
@@ -97,14 +98,14 @@ def test_migration_prefers_own_list_over_cloud():
     a, b = live[0], live[1]
     a.connect(0)
     system.candidates.remember(0, [(b.supernode_id, 12.0)])
-    system._games[0] = __import__(
+    system.state.games[0] = __import__(
         "repro.workload.games", fromlist=["game_for_level"]).game_for_level(5)
     # Fail only supernode A.
     system.live_supernodes = [sn for sn in system.live_supernodes
                               if sn is not a]
     orphans = a.fail()
     system.directory.rebuild(system.live_supernodes)
-    outcome = system._migrate(0, l_max=98.0, rng=rng)
+    outcome = migrate(system.state, 0, l_max=98.0, rng=rng)
     assert 0 in b.connected
     assert outcome.via == "candidates"
     assert outcome.supernode_id == b.supernode_id

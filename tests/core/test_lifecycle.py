@@ -4,7 +4,7 @@ the §3.2.2 migration ladder."""
 import numpy as np
 import pytest
 
-from repro.core import CloudFogSystem, ConnectionKind, cloud_only, cloudfog_basic
+from repro.core import CloudFogSystem, ConnectionKind, cloud_only, cloudfog_basic, sweep
 from repro.core.accounting import RunResult
 from repro.core.lifecycle import (
     fail_supernodes,
@@ -67,9 +67,9 @@ def test_fail_supernodes_migrates_players():
     system.run(days=1)
     # Re-create a day's connections so supernodes hold players.
     rng = np.random.default_rng(0)
-    plans = system._sample_plans(rng)
-    system._choose_games(plans, rng)
-    system._sweep_day(plans, rng, RunResult(), measuring=False)
+    plans = sweep.sample_plans(system.state, rng)
+    sweep.choose_games(system.state, plans, rng)
+    sweep.sweep_day(system.state, plans, rng, RunResult(), measuring=False)
     # Re-connect one player to every live supernode so any failure
     # displaces someone.
     next_player = 0

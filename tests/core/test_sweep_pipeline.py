@@ -1,6 +1,6 @@
 """Tests for the staged subcycle pipeline in repro.core.sweep:
 stage ordering, state handoff through SweepContext, and façade
-delegation equivalence."""
+construction equivalence."""
 
 import numpy as np
 
@@ -100,8 +100,9 @@ def test_fault_stage_inert_without_plan(monkeypatch):
 
 
 def test_facade_sweep_matches_module_function():
-    """CloudFogSystem._sweep_day is pure delegation: same inputs, same
-    outputs as calling the pipeline directly."""
+    """A façade-built state swept through the stage functions gives the
+    same outputs as a directly built SimState: construction through
+    CloudFogSystem adds nothing."""
     state, plans = _prepared_state()
     direct_sessions, direct_loads, direct_cloud = sweep.sweep_day(
         state, plans, np.random.default_rng(1), RunResult(),
@@ -109,10 +110,10 @@ def test_facade_sweep_matches_module_function():
 
     system = CloudFogSystem(cloudfog_basic(**SMALL))
     rng = np.random.default_rng(0)
-    facade_plans = system._sample_plans(rng)
-    system._choose_games(facade_plans, rng)
-    facade_sessions, facade_loads, facade_cloud = system._sweep_day(
-        facade_plans, np.random.default_rng(1), RunResult(),
+    facade_plans = sweep.sample_plans(system.state, rng)
+    sweep.choose_games(system.state, facade_plans, rng)
+    facade_sessions, facade_loads, facade_cloud = sweep.sweep_day(
+        system.state, facade_plans, np.random.default_rng(1), RunResult(),
         measuring=False)
 
     assert set(facade_sessions) == set(direct_sessions)

@@ -130,21 +130,22 @@ def test_daily_participants_override():
 def test_facade_exposes_shared_state():
     system = CloudFogSystem(cloudfog_basic(**SMALL))
     assert isinstance(system.state, SimState)
-    # Public and legacy-private names are live views of the same state,
-    # not copies.
+    # The mirrored attributes are live views of the same state, not
+    # copies.
     assert system.supernode_pool is system.state.supernode_pool
-    assert system._games is system.state.games
-    assert system._sticky is system.state.sticky
-    assert system._live_ids is system.state.live_ids
-    assert system._nearest_dc is system.state.nearest_dc
+    assert system.live_supernodes is system.state.live_supernodes
+    assert system.candidates is system.state.candidates
+    assert system.directory is system.state.directory
+    assert system.reputation is system.state.reputation
 
 
 def test_facade_attribute_writes_reach_state():
     system = CloudFogSystem(cloudfog_basic(**SMALL))
     system.daily_participants = 42
     assert system.state.daily_participants == 42
-    system._games[7] = "placeholder"
-    assert system.state.games[7] == "placeholder"
+    pool = list(system.supernode_pool)
+    system.live_supernodes = pool
+    assert system.state.live_supernodes is pool
 
 
 # ----------------------------------------------------------------------

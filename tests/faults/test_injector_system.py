@@ -7,7 +7,7 @@ from repro.core import CloudFogSystem
 from repro.core.config import cloudfog_advanced
 from repro.core.entities import ConnectionKind
 from repro.experiments.chaos import baseline_chaos_plan, run_chaos
-from repro.faults import FaultInjector, NULL_INJECTOR, build_injector
+from repro.faults import FaultInjector, NULL_INJECTOR, build_injector, handlers
 from repro.faults.plan import FaultEvent, FaultPlan
 
 
@@ -123,7 +123,7 @@ def test_flaky_event_caps_throttle():
     before = {sn.supernode_id: sn.throttle for sn in system.live_supernodes}
     event = FaultEvent(day=0, subcycle=1, kind="flaky", severity=0.3,
                        count=len(system.live_supernodes))
-    system._inject_flaky(event, np.random.default_rng(0))
+    handlers.inject_flaky(system.state, event, np.random.default_rng(0))
     for sn in system.live_supernodes:
         assert sn.throttle == min(before[sn.supernode_id], 0.3)
 

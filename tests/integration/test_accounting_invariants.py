@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.gamestate import UPDATE_MESSAGE_BITS_PER_SUPERNODE
-from repro.core import CloudFogSystem, ConnectionKind, cloud_only, cloudfog_basic
+from repro.core import CloudFogSystem, ConnectionKind, cloud_only, cloudfog_basic, sweep
 from repro.workload.games import GAME_CATALOGUE
 
 
@@ -53,9 +53,9 @@ def test_cloud_only_bandwidth_identity():
     # Reconstruct: every session streams its game's bitrate for its
     # whole-subcycle span; the mean over 24 subcycles is the metric.
     rng = system.rng_factory.stream(f"plans-{day.day}")
-    plans = {p.player: p for p in system._sample_plans(rng)}
+    plans = {p.player: p for p in sweep.sample_plans(system.state, rng)}
     games_rng = system.rng_factory.stream(f"games-{day.day}")
-    system._choose_games(list(plans.values()), games_rng)
+    sweep.choose_games(system.state, list(plans.values()), games_rng)
     expected = 0.0
     for record in result.sessions:
         if record.day != day.day:
@@ -64,7 +64,7 @@ def test_cloud_only_bandwidth_identity():
         start = min(plan.start_subcycle, 24)
         hours = min(24, start + int(np.ceil(plan.duration_hours)) - 1) \
             - start + 1
-        game = system._games[record.player]
+        game = system.state.games[record.player]
         expected += game.stream_rate_mbps * hours
     assert day.cloud_bandwidth_mbps == pytest.approx(expected / 24,
                                                      rel=1e-6)

@@ -7,7 +7,7 @@ paper's results — who wins, in which metric — not absolute numbers.
 import numpy as np
 import pytest
 
-from repro.core import CloudFogSystem, cdn, cloud_only, cloudfog_advanced, cloudfog_basic
+from repro.core import CloudFogSystem, cdn, cloud_only, cloudfog_advanced, cloudfog_basic, sweep
 
 SCALE = dict(num_players=600, seed=11)
 N_SUPERNODES = 60
@@ -80,10 +80,10 @@ def test_fig9_migration_latency_sub_second():
     system = CloudFogSystem(
         cloudfog_basic(num_supernodes=N_SUPERNODES, **SCALE))
     rng = np.random.default_rng(0)
-    plans = system._sample_plans(rng)
-    system._choose_games(plans, rng)
+    plans = sweep.sample_plans(system.state, rng)
+    sweep.choose_games(system.state, plans, rng)
     from repro.core.accounting import RunResult
-    system._sweep_day(plans, rng, RunResult(), measuring=False)
+    sweep.sweep_day(system.state, plans, rng, RunResult(), measuring=False)
     player = 0
     for sn in system.live_supernodes:
         if sn.has_capacity:

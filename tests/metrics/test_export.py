@@ -1,16 +1,11 @@
 """Tests for result export."""
 
 import csv
-import json
 
 import pytest
 
 from repro.core import CloudFogSystem, cloudfog_basic
-from repro.metrics.export import (
-    export_days_csv,
-    export_run_jsonl,
-    export_sessions_csv,
-)
+from repro.metrics.export import export_sessions_csv
 
 
 @pytest.fixture(scope="module")
@@ -33,29 +28,7 @@ def test_sessions_csv_round_trip(tmp_path, result):
     assert 0.0 <= float(first["continuity"]) <= 1.0
 
 
-def test_days_csv_round_trip(tmp_path, result):
-    path = tmp_path / "days.csv"
-    count = export_days_csv(result, path)
-    assert count == len(result.days)
-    with path.open() as handle:
-        rows = list(csv.DictReader(handle))
-    assert int(rows[-1]["online_players"]) == result.days[-1].online_players
-
-
-def test_jsonl_structure(tmp_path, result):
-    path = tmp_path / "run.jsonl"
-    lines = export_run_jsonl(result, path)
-    parsed = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(parsed) == lines
-    assert parsed[0]["type"] == "day"
-    kinds = {p["type"] for p in parsed}
-    assert kinds == {"day", "session"}
-    sessions = [p for p in parsed if p["type"] == "session"]
-    assert len(sessions) == len(result.sessions)
-
-
-@pytest.mark.parametrize("export", [export_sessions_csv, export_days_csv,
-                                    export_run_jsonl])
+@pytest.mark.parametrize("export", [export_sessions_csv])
 def test_overwrite_false_refuses_existing_file(tmp_path, result, export):
     path = tmp_path / "out.dat"
     export(result, path)
@@ -65,8 +38,7 @@ def test_overwrite_false_refuses_existing_file(tmp_path, result, export):
     assert path.read_text() == original  # untouched
 
 
-@pytest.mark.parametrize("export", [export_sessions_csv, export_days_csv,
-                                    export_run_jsonl])
+@pytest.mark.parametrize("export", [export_sessions_csv])
 def test_overwrite_default_replaces_and_fresh_path_ok(tmp_path, result,
                                                       export):
     path = tmp_path / "out.dat"

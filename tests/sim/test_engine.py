@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    EmptySchedule,
-    Environment,
-    Interrupt,
-)
+from repro.sim.engine import EmptySchedule, Environment
 
 
 def test_clock_starts_at_zero():
@@ -221,102 +215,6 @@ def test_uncaught_process_exception_crashes_run():
         env.run()
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(10)
-        except Interrupt as interrupt:
-            log.append((env.now, interrupt.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(3)
-        victim.interrupt("churn")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(3.0, "churn")]
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(10)
-        except Interrupt:
-            pass
-        yield env.timeout(2)
-        log.append(env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(1)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [3.0]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    proc = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-    errors = []
-
-    def selfish(env):
-        try:
-            env.active_process.interrupt()
-        except RuntimeError:
-            errors.append("refused")
-        yield env.timeout(0)
-
-    env.process(selfish(env))
-    env.run()
-    assert errors == ["refused"]
-
-
-def test_stale_timeout_does_not_resume_interrupted_process():
-    """After an interrupt, the original timeout must not wake the process."""
-    env = Environment()
-    wakeups = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(10)
-            wakeups.append("timeout")
-        except Interrupt:
-            wakeups.append("interrupt")
-        # Sleep past the stale timeout's fire time.
-        yield env.timeout(20)
-        wakeups.append("second sleep done")
-
-    def interrupter(env, victim):
-        yield env.timeout(1)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert wakeups == ["interrupt", "second sleep done"]
-    assert env.now == 21.0
-
-
 def test_yield_non_event_raises():
     env = Environment()
 
@@ -326,70 +224,6 @@ def test_yield_non_event_raises():
     env.process(bad(env))
     with pytest.raises(RuntimeError, match="non-event"):
         env.run()
-
-
-def test_anyof_triggers_on_first():
-    env = Environment()
-    results = {}
-
-    def proc(env):
-        t1 = env.timeout(1, value="fast")
-        t2 = env.timeout(5, value="slow")
-        outcome = yield AnyOf(env, [t1, t2])
-        results["time"] = env.now
-        results["values"] = list(outcome.values())
-
-    env.process(proc(env))
-    env.run()
-    assert results["time"] == 1.0
-    assert results["values"] == ["fast"]
-
-
-def test_allof_waits_for_all():
-    env = Environment()
-    results = {}
-
-    def proc(env):
-        t1 = env.timeout(1, value="a")
-        t2 = env.timeout(5, value="b")
-        outcome = yield AllOf(env, [t1, t2])
-        results["time"] = env.now
-        results["values"] = sorted(outcome.values())
-
-    env.process(proc(env))
-    env.run()
-    assert results["time"] == 5.0
-    assert results["values"] == ["a", "b"]
-
-
-def test_allof_empty_succeeds_immediately():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        value = yield AllOf(env, [])
-        log.append((env.now, value))
-
-    env.process(proc(env))
-    env.run()
-    assert log == [(0.0, {})]
-
-
-def test_condition_failure_propagates():
-    env = Environment()
-    failing = env.event()
-    caught = []
-
-    def proc(env):
-        try:
-            yield AllOf(env, [env.timeout(5), failing])
-        except OSError:
-            caught.append(env.now)
-
-    env.process(proc(env))
-    failing.fail(OSError("nic died"))
-    env.run()
-    assert caught == [0.0]
 
 
 def test_step_on_empty_schedule_raises():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import AllOf, AnyOf, Environment
+from repro.sim.engine import Environment
 
 
 def test_run_until_failing_event_raises():
@@ -32,62 +32,6 @@ def test_defused_failure_does_not_crash_run():
     handled.fail(ValueError("handled elsewhere"))
     handled.defuse()
     env.run()  # no exception
-
-
-def test_condition_collects_same_instant_values():
-    """Events triggering at the same instant all appear in the value."""
-    env = Environment()
-    results = {}
-
-    def proc(env):
-        t1 = env.timeout(5, value="a")
-        t2 = env.timeout(5, value="b")
-        outcome = yield AllOf(env, [t1, t2])
-        results["values"] = sorted(outcome.values())
-
-    env.process(proc(env))
-    env.run()
-    assert results["values"] == ["a", "b"]
-
-
-def test_anyof_same_instant_includes_siblings():
-    env = Environment()
-    results = {}
-
-    def proc(env):
-        t1 = env.timeout(3, value="x")
-        t2 = env.timeout(3, value="y")
-        outcome = yield AnyOf(env, [t1, t2])
-        results["count"] = len(outcome)
-
-    env.process(proc(env))
-    env.run()
-    # Both fire at t=3; the condition processes after both, so the value
-    # dict includes every already-processed sibling.
-    assert results["count"] >= 1
-
-
-def test_condition_rejects_foreign_environment_events():
-    env_a = Environment()
-    env_b = Environment()
-    with pytest.raises(ValueError):
-        AllOf(env_a, [env_a.timeout(1), env_b.timeout(1)])
-
-
-def test_nested_conditions():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        inner = AnyOf(env, [env.timeout(1, value="fast"),
-                            env.timeout(9, value="slow")])
-        outer = AllOf(env, [inner, env.timeout(2, value="other")])
-        yield outer
-        log.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert log == [2.0]
 
 
 def test_process_waiting_on_finished_process():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1000.0),
@@ -48,30 +48,6 @@ def test_property_sequential_timeouts_sum(delays):
     env.process(sleeper(env))
     env.run()
     assert finish[0] == sum(delays)
-
-
-@given(items=st.lists(st.integers(), min_size=1, max_size=40))
-@settings(max_examples=100, deadline=None)
-def test_property_store_is_fifo(items):
-    """Whatever goes into a Store comes out in the same order."""
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-            yield env.timeout(0.1)
-
-    def consumer(env):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == items
 
 
 @given(capacity=st.integers(min_value=1, max_value=5),

@@ -1,18 +1,11 @@
-"""Unit tests for Resource / Container / Store primitives."""
+"""Unit tests for the Resource primitive."""
 
 import pytest
 
 from repro.sim.engine import Environment
-from repro.sim.resources import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Resource
 
 
-# ---------------------------------------------------------------- Resource
 def test_resource_grants_up_to_capacity():
     env = Environment()
     res = Resource(env, capacity=2)
@@ -130,325 +123,3 @@ def test_cancel_queued_request_is_skipped():
     env.process(patient(env, res))
     env.run()
     assert winners == [5.0]
-
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env, res):
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(2)
-        res.release(req)
-
-    def user(env, res, name, priority, delay):
-        yield env.timeout(delay)
-        req = res.request(priority=priority)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(holder(env, res))
-    env.process(user(env, res, "low", 5, 0.1))
-    env.process(user(env, res, "high", 1, 0.2))
-    env.run()
-    assert order == ["high", "low"]
-
-
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env, res):
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(2)
-        res.release(req)
-
-    def user(env, res, name, delay):
-        yield env.timeout(delay)
-        req = res.request(priority=5)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(holder(env, res))
-    env.process(user(env, res, "early", 0.1))
-    env.process(user(env, res, "late", 0.2))
-    env.run()
-    assert order == ["early", "late"]
-
-
-# --------------------------------------------------------------- Container
-def test_container_put_get():
-    env = Environment()
-    tank = Container(env, capacity=100, init=10)
-    log = []
-
-    def producer(env, tank):
-        yield env.timeout(1)
-        yield tank.put(50)
-
-    def consumer(env, tank):
-        yield tank.get(40)  # must wait for producer
-        log.append((env.now, tank.level))
-
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert log == [(1.0, 20.0)]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    log = []
-
-    def producer(env, tank):
-        yield tank.put(5)
-        log.append(env.now)
-
-    def consumer(env, tank):
-        yield env.timeout(4)
-        yield tank.get(5)
-
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert log == [4.0]
-
-
-def test_container_rejects_nonpositive_amounts():
-    env = Environment()
-    tank = Container(env, capacity=10, init=5)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-
-
-def test_container_invalid_init():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-
-
-# ------------------------------------------------------------------- Store
-def test_store_fifo_items():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer(env, store):
-        for item in ["x", "y", "z"]:
-            yield store.put(item)
-            yield env.timeout(1)
-
-    def consumer(env, store):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert got == ["x", "y", "z"]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    log = []
-
-    def consumer(env, store):
-        item = yield store.get()
-        log.append((env.now, item))
-
-    def producer(env, store):
-        yield env.timeout(7)
-        yield store.put("late")
-
-    env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert log == [(7.0, "late")]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env, store):
-        yield store.put(1)
-        yield store.put(2)  # blocks until the consumer frees a slot
-        log.append(env.now)
-
-    def consumer(env, store):
-        yield env.timeout(3)
-        yield store.get()
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert log == [3.0]
-
-
-def test_filter_store_gets_matching_item():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def producer(env, store):
-        yield store.put({"id": 1})
-        yield store.put({"id": 2})
-
-    def consumer(env, store):
-        item = yield store.get(lambda it: it["id"] == 2)
-        got.append(item["id"])
-        item = yield store.get()
-        got.append(item["id"])
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert got == [2, 1]
-
-
-def test_filter_store_waits_for_match():
-    env = Environment()
-    store = FilterStore(env)
-    log = []
-
-    def consumer(env, store):
-        item = yield store.get(lambda it: it == "wanted")
-        log.append((env.now, item))
-
-    def producer(env, store):
-        yield store.put("other")
-        yield env.timeout(5)
-        yield store.put("wanted")
-
-    env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert log == [(5.0, "wanted")]
-    assert store.items == ["other"]
-
-
-# --------------------------------------------------- preemptive resource
-def test_preemptive_resource_evicts_lower_priority():
-    from repro.sim.engine import Interrupt
-    from repro.sim.resources import Preempted, PreemptivePriorityResource
-
-    env = Environment()
-    res = PreemptivePriorityResource(env, capacity=1)
-    log = []
-
-    def low(env):
-        req = res.request(priority=5)
-        yield req
-        log.append(("low granted", env.now))
-        try:
-            yield env.timeout(10)
-            log.append(("low finished", env.now))
-        except Interrupt as interrupt:
-            assert isinstance(interrupt.cause, Preempted)
-            log.append(("low preempted", env.now))
-        finally:
-            res.release(req)
-
-    def high(env):
-        yield env.timeout(2)
-        req = res.request(priority=1)
-        yield req
-        log.append(("high granted", env.now))
-        yield env.timeout(1)
-        res.release(req)
-
-    env.process(low(env))
-    env.process(high(env))
-    env.run()
-    assert ("low granted", 0.0) in log
-    assert ("low preempted", 2.0) in log
-    assert ("high granted", 2.0) in log
-    assert all(entry[0] != "low finished" for entry in log)
-
-
-def test_preemptive_resource_equal_priority_does_not_evict():
-    from repro.sim.resources import PreemptivePriorityResource
-
-    env = Environment()
-    res = PreemptivePriorityResource(env, capacity=1)
-    log = []
-
-    def holder(env):
-        req = res.request(priority=1)
-        yield req
-        yield env.timeout(5)
-        res.release(req)
-        log.append(("holder done", env.now))
-
-    def rival(env):
-        yield env.timeout(1)
-        req = res.request(priority=1)  # same priority: must wait
-        yield req
-        log.append(("rival granted", env.now))
-        res.release(req)
-
-    env.process(holder(env))
-    env.process(rival(env))
-    env.run()
-    assert ("holder done", 5.0) in log
-    assert ("rival granted", 5.0) in log
-
-
-def test_preemptive_request_can_opt_out():
-    from repro.sim.resources import PreemptivePriorityResource
-
-    env = Environment()
-    res = PreemptivePriorityResource(env, capacity=1)
-    log = []
-
-    def holder(env):
-        req = res.request(priority=9)
-        yield req
-        yield env.timeout(5)
-        res.release(req)
-        log.append(("holder done", env.now))
-
-    def polite(env):
-        yield env.timeout(1)
-        req = res.request(priority=0, preempt=False)
-        yield req
-        log.append(("polite granted", env.now))
-        res.release(req)
-
-    env.process(holder(env))
-    env.process(polite(env))
-    env.run()
-    assert ("holder done", 5.0) in log
-    assert ("polite granted", 5.0) in log
-
-
-def test_preemption_with_free_slots_never_fires():
-    from repro.sim.resources import PreemptivePriorityResource
-
-    env = Environment()
-    res = PreemptivePriorityResource(env, capacity=2)
-    log = []
-
-    def user(env, priority, hold):
-        req = res.request(priority=priority)
-        yield req
-        yield env.timeout(hold)
-        res.release(req)
-        log.append(priority)
-
-    env.process(user(env, 9, 5))
-    env.process(user(env, 0, 1))
-    env.run()
-    assert sorted(log) == [0, 9]  # both completed untouched
