@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from repro.core import CloudFogSystem
 from repro.core.config import cloudfog_advanced, cloudfog_basic
-from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.plan import (AdmissionPolicy, FaultEvent, FaultPlan,
+                               HealingPolicy)
 
 from ..helpers.golden import fault_summary_digest, run_result_digest
 
@@ -37,9 +38,30 @@ CHAOS_PLAN = FaultPlan(
     transient_refusal_prob=0.2,
 )
 
+#: The correlated-domain branches no other pin reaches: an announced
+#: preemption drains gracefully, a datacenter outage re-routes cloud
+#: sessions and heals, a partition queues crash orphans and then drains
+#: them to the cloud (or sheds the one its window outlived), and the
+#: admission cap sheds cloud joins.
+DOMAINS_PLAN = FaultPlan(
+    events=(
+        FaultEvent(day=1, subcycle=8, kind="preempt", count=2,
+                   warning_subcycles=2),
+        FaultEvent(day=1, subcycle=11, kind="dc_outage", datacenter=0),
+        FaultEvent(day=1, subcycle=17, kind="partition",
+                   duration_subcycles=2),
+        FaultEvent(day=1, subcycle=18, kind="crash", count=12),
+    ),
+    transient_refusal_prob=0.2,
+    admission=AdmissionPolicy(max_cloud_sessions=60),
+    healing=HealingPolicy(delay_subcycles=2),
+)
+
 CHAOS_SCENARIOS = {
     "chaos_advanced": SCENARIOS["cloudfog_advanced"].with_(
         fault_plan=CHAOS_PLAN),
+    "chaos_domains": SCENARIOS["cloudfog_advanced"].with_(
+        fault_plan=DOMAINS_PLAN),
 }
 
 

@@ -158,10 +158,37 @@ def test_partition_queues_then_resolves_displaced_sessions():
     assert summary.conserved()
     queued = _events("session_queued")
     assert queued, "partition must force displaced sessions to queue"
-    # Each queued session resolved exactly once: degraded once the link
-    # healed, or shed because the window outlived it.
-    assert summary.shed + summary.degraded >= len(queued)
+    # Each queued session resolves exactly once.  Here the window
+    # outlives every queued session, so all of them are shed (the
+    # degrade branch is pinned by the next test).
+    assert summary.shed == len(queued)
+    assert len(_events("session_shed")) == len(queued)
     assert _events("fog_cloud_partition")[0].attrs["until_subcycle"] == 17
+
+
+def test_partition_drains_queued_sessions_to_the_cloud():
+    # A short window closing before the orphans' play windows end: the
+    # queue drains at subcycle 20 and every queued session degrades to
+    # the cloud, paying the stalled wait as a continuity penalty.
+    plan = FaultPlan(events=(
+        FaultEvent(day=0, subcycle=18, kind="partition",
+                   duration_subcycles=2),
+        FaultEvent(day=0, subcycle=18, kind="crash", count=11),))
+    system, result = _run(plan, seed=3)
+    summary = result.faults
+    assert summary.conserved()
+    queued = {e.attrs["player"] for e in _events("session_queued")}
+    drained = [e for e in _events("cloud_fallback")
+               if e.attrs["from_supernode"] is None]
+    assert len(queued) == 3
+    assert {e.attrs["player"] for e in drained} == queued
+    assert all(e.subcycle == 20 for e in drained)
+    assert summary.degraded == 3 and summary.shed == 0
+    penalties = system._state.faults.penalties
+    assert all(penalties.get(player, 0.0) > 0.0 for player in queued)
+    records = [r for r in result.sessions if r.player in queued]
+    assert len(records) == 3
+    assert all(r.kind is ConnectionKind.CLOUD for r in records)
 
 
 def test_partition_outliving_sessions_sheds_them():
@@ -175,9 +202,10 @@ def test_partition_outliving_sessions_sheds_them():
     _, result = _run(plan)
     summary = result.faults
     assert summary.conserved()
-    if _events("session_queued"):
-        assert summary.shed > 0
-        assert _events("session_shed")
+    queued = _events("session_queued")
+    assert queued
+    assert summary.shed == len(queued)
+    assert len(_events("session_shed")) == len(queued)
 
 
 # -- admission backpressure ---------------------------------------------

@@ -33,6 +33,10 @@ GOLDEN = {
         "c840ba01b83eda1249c9e26e81bda3e1e7c07757943a2d798e896f452e6df540",
     "chaos_advanced_faults":
         "8f68ec3b5f6a32f54844857ca5d7c4a9c8e52017381b5a89d77d2b44f003cbf2",
+    "chaos_domains":
+        "edb484c740d186ca265ac6931ae3bc7ade8f8a29e9bc5c27ddbb703da914e4c2",
+    "chaos_domains_faults":
+        "8eafd182a1fe798b123adcad7908145bbdfbe761f257c3679420c4e36713f5e3",
 }
 
 
@@ -66,3 +70,21 @@ def test_chaos_run_is_bit_identical():
         == GOLDEN["chaos_advanced_faults"]
     assert result.faults.events_applied == 5
     assert result.faults.conserved()
+
+
+def test_chaos_domains_run_is_bit_identical():
+    """The correlated-domain branches pinned: a graceful preemption
+    drain, a datacenter outage's cloud re-route and heal, the
+    partition queue drained to the cloud or shed, and admission
+    shedding.  The summary digest omits the shed/drained counters, so
+    they are asserted directly."""
+    result = CloudFogSystem(CHAOS_SCENARIOS["chaos_domains"]).run(days=2)
+    assert run_result_digest(result) == GOLDEN["chaos_domains"]
+    assert fault_summary_digest(result.faults) \
+        == GOLDEN["chaos_domains_faults"]
+    summary = result.faults
+    assert summary.events_applied == 4
+    assert (summary.displaced, summary.recovered, summary.degraded,
+            summary.shed, summary.drained, summary.joins_shed) \
+        == (9, 2, 6, 1, 1, 82)
+    assert summary.conserved()
