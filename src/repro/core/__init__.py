@@ -18,7 +18,7 @@ from .config import (
     cloudfog_advanced,
     cloudfog_basic,
 )
-from .entities import ConnectionKind, PlayerConnection, Supernode
+from .entities import ConnectionKind, Supernode
 from .provisioning import (
     Provisioner,
     rank_preference_selection,
@@ -56,7 +56,6 @@ __all__ = [
     "cloudfog_advanced",
     "cloudfog_basic",
     "ConnectionKind",
-    "PlayerConnection",
     "Supernode",
     "Provisioner",
     "rank_preference_selection",

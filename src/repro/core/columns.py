@@ -1,34 +1,24 @@
 """Dense columnar entity tables: parallel typed arrays over entity ids.
 
-The object layer (:class:`~repro.core.entities.Supernode`,
-:class:`~repro.core.state.Session`) keeps the per-entity API the
-pipeline mutates — ``connect``/``disconnect``/``fail`` and the scalar
-attribute reads the lifecycle stages make a handful of times per
-session.  The batch layer (directory scans, vectorised selection,
-probe latency math, the vectorised sweep stages) instead reads these
-columns: one contiguous array per field, indexed by entity id.
+Two tables live here, and they relate to their entities differently:
 
-Two kinds of columns coexist:
+* :class:`SessionColumns` *is* the session state.  A session is a row
+  of the day's :class:`~repro.core.state.SessionTable`: the join writes
+  it whole, the fault handlers rewrite its mutable fields in place,
+  and scoring reads it in one gather.  There is no session object.
+* :class:`SupernodeColumns` mirrors the :class:`~repro.core.entities.
+  Supernode` objects, which keep the per-entity API the pipeline
+  mutates (``connect``/``disconnect``/``fail``).  Its immutable columns
+  (coordinates, access delay, upload, capacity) are written once when
+  a supernode binds to the store; its one derived mutable column, the
+  ``available`` byte (``online and load < capacity``), is refreshed by
+  the owning supernode at every mutation that can change it, so the
+  directory's ranking walk tests one byte per entry.
 
-* **Immutable columns** (coordinates, access delay, upload, capacity;
-  a session's committed rate and play window) are written once when an
-  entity binds to the store and never change — the object keeps its
-  own copy for scalar reads, so there is no dual-write hazard.
-* **Derived mutable columns** — the ``available`` byte per supernode
-  (``online and load < capacity``), and a session's mutable fields
-  (``supernode_id``/``kind``/latency mirrors, the ``active`` byte,
-  the ``degraded`` flag) — are refreshed by the owning entity at every
-  mutation that can change them.  Batch readers (the spatial
-  directory's ranking walk, the vectorised departure/fault masks, shard
-  planners) test one byte instead of chasing Python properties per
-  entry.
-
-The stores are plain data: no methods mutate them except the owning
-entities.  They are *not* checkpointed — :mod:`repro.persist.snapshot`
-restores the mutable entity state through the entity setters, which
-refresh the derived columns as a side effect (and sessions never cross
-a day boundary at all, so a day's :class:`SessionColumns` dies with
-its sweep).
+Neither table is checkpointed.  :mod:`repro.persist.snapshot` restores
+supernodes through their setters, which refresh ``available`` as a
+side effect, and sessions never cross a day boundary, so a day's
+:class:`SessionColumns` dies with its sweep.
 """
 
 from __future__ import annotations
@@ -76,19 +66,16 @@ class SupernodeColumns:
 class SessionColumns:
     """Parallel typed arrays over ``player`` id for one sweep day.
 
-    Row ``i`` mirrors the live :class:`~repro.core.state.Session` of
-    player ``i`` (``active[i] == 1``) or is dead garbage from an
-    earlier session (``active[i] == 0``) — sessions never outlive a
-    day, so the table is rebuilt by every ``sweep_day``.  The owning
-    ``Session`` object stays the source of truth for scalar reads; the
-    columns exist for the batch masks the vectorised sweep stages and
-    fault handlers take (departure selection, window overlap, kind and
-    supernode filters).
+    Row ``i`` is player ``i``'s session while ``active[i] == 1``, and
+    dead garbage from an earlier session otherwise: an insert writes
+    every field.  Sessions never outlive a day, so the table is rebuilt
+    by every ``sweep_day``.  Scalar reads convert with ``float()`` or
+    ``tolist()``, so no numpy scalar reaches a digest-bound record.
     """
 
-    __slots__ = ("size", "active", "supernode_id", "kind", "rate_mbps",
-                 "latency_ms", "upstream_ms", "start_subcycle",
-                 "end_subcycle", "join_latency_ms", "degraded")
+    __slots__ = ("size", "active", "supernode_id", "kind", "latency_ms",
+                 "upstream_ms", "start_subcycle", "end_subcycle",
+                 "join_latency_ms")
 
     def __init__(self, size: int) -> None:
         if size < 0:
@@ -100,16 +87,12 @@ class SessionColumns:
         self.supernode_id = np.full(size, -1, dtype=np.int64)
         #: ``KIND_*`` code of the connection, or ``KIND_NONE``.
         self.kind = np.full(size, KIND_NONE, dtype=np.int8)
-        #: Raw game stream rate committed at join (Mbps).
-        self.rate_mbps = np.zeros(size, dtype=np.float64)
-        #: Downstream one-way latency mirror (ms).
+        #: Downstream one-way latency (ms).
         self.latency_ms = np.zeros(size, dtype=np.float64)
-        #: Upstream one-way latency mirror (ms).
+        #: Upstream one-way latency (ms).
         self.upstream_ms = np.zeros(size, dtype=np.float64)
-        #: Inclusive play window in subcycles, set once at bind.
+        #: Inclusive play window in subcycles, clamped to the day.
         self.start_subcycle = np.zeros(size, dtype=np.int64)
         self.end_subcycle = np.zeros(size, dtype=np.int64)
-        #: Join latency mirror (ms); NaN when the join was sticky.
+        #: Join latency (ms); NaN when the join ran no selection.
         self.join_latency_ms = np.full(size, np.nan, dtype=np.float64)
-        #: 1 once a fault pushed the session from fog to cloud.
-        self.degraded = np.zeros(size, dtype=np.uint8)

@@ -1,4 +1,4 @@
-"""Core entities: supernodes and player connection state.
+"""Core entities: supernodes and the connection kinds of a session.
 
 §3.1.1's supernode requirements (reliable, stable, superior network
 connection, pre-installed game client) become fields and invariants
@@ -9,14 +9,13 @@ state on the entity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .columns import SupernodeColumns
 
-__all__ = ["Supernode", "ConnectionKind", "PlayerConnection"]
+__all__ = ["Supernode", "ConnectionKind"]
 
 
 class ConnectionKind(Enum):
@@ -226,17 +225,3 @@ class Supernode:
             throttles = rng.random() < probability
             self.throttle = self.throttle_class if throttles else 1.0
 
-
-@dataclass
-class PlayerConnection:
-    """A player's current video source."""
-
-    player: int
-    kind: ConnectionKind
-    #: Supernode id (SUPERNODE), datacenter index (CLOUD) or CDN site (CDN).
-    target: int
-    downstream_one_way_ms: float
-
-    def __post_init__(self) -> None:
-        if self.downstream_one_way_ms < 0:
-            raise ValueError("latency must be non-negative")

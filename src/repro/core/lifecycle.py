@@ -14,6 +14,7 @@ the scorer, the orchestrator, the façade, or ``experiments``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +24,29 @@ from ..workload.churn import PlayerDayPlan
 from ..workload.games import Game, random_game
 from .entities import ConnectionKind, Supernode
 from .selection import delay_threshold_ms, select_supernode
-from .state import Session, SimState, cloud_one_way_ms, player_supernode_ms
+from .state import SimState, cloud_one_way_ms, player_supernode_ms
 
-__all__ = ["MigrationOutcome", "join", "join_cdn", "migrate",
-           "session_window", "ordered_orphans", "penalize_orphans",
+__all__ = ["JoinOutcome", "MigrationOutcome", "join", "join_cdn", "migrate",
+           "ordered_orphans", "penalize_orphans",
            "take_offline", "bring_online", "admit_join",
            "fog_availability", "fail_supernodes"]
 
 _log = obs.get_logger(__name__)
+
+
+class JoinOutcome(NamedTuple):
+    """Where one starting session connected, as the sweep commits it.
+
+    ``supernode_id`` is None for cloud and CDN sessions;
+    ``join_latency_ms`` is None when the join ran no selection (a
+    sticky reuse, the cloud and CDN baselines).
+    """
+
+    kind: ConnectionKind
+    supernode_id: int | None
+    downstream_ms: float
+    upstream_ms: float
+    join_latency_ms: float | None
 
 
 @dataclass(frozen=True)
@@ -55,7 +71,7 @@ class MigrationOutcome:
 # joins
 # ----------------------------------------------------------------------
 def join(state: SimState, plan: PlayerDayPlan,
-         rng: np.random.Generator) -> Session:
+         rng: np.random.Generator) -> JoinOutcome:
     """Connect one starting session to its video source.
 
     Joins happen thousands of times per simulated day, so they are
@@ -63,19 +79,19 @@ def join(state: SimState, plan: PlayerDayPlan,
     histogram) rather than individually spanned — the enclosing
     ``sweep_day`` span carries their aggregate wall clock.
     """
-    session = _join_inner(state, plan, rng)
+    outcome = _join_inner(state, plan, rng)
     registry = obs.get_registry()
-    registry.counter("repro_joins_total", kind=session.kind.value).inc()
-    if session.join_latency_ms is not None:
+    registry.counter("repro_joins_total", kind=outcome.kind.value).inc()
+    if outcome.join_latency_ms is not None:
         registry.histogram("repro_join_latency_ms").observe(
-            session.join_latency_ms)
-    elif session.kind is ConnectionKind.SUPERNODE:
+            outcome.join_latency_ms)
+    elif outcome.kind is ConnectionKind.SUPERNODE:
         registry.counter("repro_sticky_joins_total").inc()
-    return session
+    return outcome
 
 
 def _join_inner(state: SimState, plan: PlayerDayPlan,
-                rng: np.random.Generator) -> Session:
+                rng: np.random.Generator) -> JoinOutcome:
     player = plan.player
     game = state.games[player]
     config = state.config
@@ -85,8 +101,8 @@ def _join_inner(state: SimState, plan: PlayerDayPlan,
     if (config.mode != "cloudfog" or state.directory is None
             or not state.live_supernodes):
         upstream = cloud_one_way_ms(state, player)
-        return Session(plan, ConnectionKind.CLOUD, None, upstream,
-                       upstream, None)
+        return JoinOutcome(ConnectionKind.CLOUD, None, upstream, upstream,
+                           None)
 
     upstream = cloud_one_way_ms(state, player)
     l_max = delay_threshold_ms(game.latency_requirement_ms)
@@ -103,8 +119,8 @@ def _join_inner(state: SimState, plan: PlayerDayPlan,
             delay = player_supernode_ms(state, player, sn)
             if delay <= l_max:
                 sn.connect(player)
-                return Session(plan, ConnectionKind.SUPERNODE, sticky_id,
-                               delay, upstream, None)
+                return JoinOutcome(ConnectionKind.SUPERNODE, sticky_id,
+                                   delay, upstream, None)
 
     reputation = (state.reputation
                   if config.strategies.reputation_selection else None)
@@ -116,15 +132,15 @@ def _join_inner(state: SimState, plan: PlayerDayPlan,
         state.candidates.remember(player, list(outcome.qualified))
     if outcome.supernode_id is not None:
         state.sticky[player] = outcome.supernode_id
-        return Session(plan, ConnectionKind.SUPERNODE,
-                       outcome.supernode_id,
-                       outcome.downstream_one_way_ms, upstream,
+        return JoinOutcome(ConnectionKind.SUPERNODE, outcome.supernode_id,
+                           outcome.downstream_one_way_ms, upstream,
+                           outcome.join_latency_ms)
+    return JoinOutcome(ConnectionKind.CLOUD, None, upstream, upstream,
                        outcome.join_latency_ms)
-    return Session(plan, ConnectionKind.CLOUD, None, upstream, upstream,
-                   outcome.join_latency_ms)
 
 
-def join_cdn(state: SimState, plan: PlayerDayPlan, game: Game) -> Session:
+def join_cdn(state: SimState, plan: PlayerDayPlan,
+             game: Game) -> JoinOutcome:
     """CDN baseline: the nearest edge site serves everything if it
     meets the game's delivery deadline; otherwise fall back to the
     cloud (the CDN's user-coverage limit)."""
@@ -135,22 +151,10 @@ def join_cdn(state: SimState, plan: PlayerDayPlan, game: Game) -> Session:
     site_delay = float(delays[site])
     l_max = delay_threshold_ms(game.latency_requirement_ms)
     if 2.0 * site_delay <= l_max:
-        return Session(plan, ConnectionKind.CDN, None, site_delay,
-                       site_delay, None)
+        return JoinOutcome(ConnectionKind.CDN, None, site_delay,
+                           site_delay, None)
     upstream = cloud_one_way_ms(state, player)
-    return Session(plan, ConnectionKind.CLOUD, None, upstream, upstream,
-                   None)
-
-
-# ----------------------------------------------------------------------
-# session windows
-# ----------------------------------------------------------------------
-def session_window(session: Session, hours: int) -> tuple[int, int]:
-    """The (start, end) subcycle span of a session, sweep semantics."""
-    start = min(session.plan.start_subcycle, hours)
-    end = min(hours,
-              start + int(np.ceil(session.plan.duration_hours)) - 1)
-    return start, end
+    return JoinOutcome(ConnectionKind.CLOUD, None, upstream, upstream, None)
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +256,8 @@ def bring_online(state: SimState, supernodes: list[Supernode]) -> None:
         fog_availability(state))
 
 
-def admit_join(state: SimState, session: Session, policy, subcycle: int,
-               cloud_count: np.ndarray | None) -> bool:
+def admit_join(state: SimState, outcome: JoinOutcome, policy,
+               subcycle: int, cloud_count: np.ndarray | None) -> bool:
     """Admission control: may this just-joined session enter service?
 
     Applies only to cloud-direct sessions — a session that landed on a
@@ -266,7 +270,7 @@ def admit_join(state: SimState, session: Session, policy, subcycle: int,
     :class:`~repro.faults.plan.AdmissionPolicy` duck-typed to keep
     the layering acyclic.
     """
-    if session.kind is not ConnectionKind.CLOUD:
+    if outcome.kind is not ConnectionKind.CLOUD:
         return True
     if policy.shed_during_partition and state.faults.partition_active(
             subcycle):

@@ -3,9 +3,9 @@
 The scoring stage of the pipeline.  The batch scorer
 (:func:`score_sessions_batch`) reads the day's
 :class:`~repro.core.state.SessionTable` columns in one vectorised
-gather; the scalar reference loop (:func:`score_sessions_scalar`) walks
-the ``Session`` objects.  The two are pinned bit-identical to each
-other; fault penalties fold in *after* scoring so the RNG consumption
+gather; the scalar reference loop (:func:`score_sessions_scalar`) reads
+the same rows one session at a time.  The two are pinned bit-identical
+to each other; fault penalties fold in *after* scoring so the RNG consumption
 of the scoring path never shifts (:func:`apply_fault_penalties`).
 
 Layering: imports ``core.state`` / ``core.accounting``, the leaf
@@ -37,7 +37,7 @@ from .accounting import (
 )
 from .columns import KIND_CDN
 from .entities import ConnectionKind
-from .state import SessionTable, SimState
+from .state import KIND_OF_CODE, SessionTable, SimState
 
 __all__ = ["CDN_COORDINATION_MS", "QOS_SAMPLES", "QOS_DURATION_S",
            "server_latency_ms", "score_sessions", "apply_fault_penalties",
@@ -155,8 +155,7 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
     rendering, so it affects only the response metric.
     """
     cols = sessions.columns
-    players = np.fromiter(sessions.keys(), dtype=np.intp,
-                          count=len(sessions))
+    players = sessions.players()
     player_list = players.tolist()
     games = [state.games[player] for player in player_list]
     starts = cols.start_subcycle[players]
@@ -248,17 +247,23 @@ def score_sessions_batch(state: SimState, day, sessions: SessionTable,
     responses = (params.upstream_ms + outcome.mean_response_latency_ms
                  + np.array(params.server_ms)
                  + PLAYOUT_PROCESSING_MS).tolist()
+    cols = sessions.columns
+    rows = np.asarray(params.players, dtype=np.intp)
+    kinds = [KIND_OF_CODE[code] for code in cols.kind[rows].tolist()]
+    # NaN (no selection ran) reads back as None.
+    joins = [None if ms != ms else ms
+             for ms in cols.join_latency_ms[rows].tolist()]
     return [
         SessionRecord(
-            player=player, day=day, game=game.name, kind=session.kind,
+            player=player, day=day, game=game.name, kind=kind,
             target=target, response_latency_ms=response,
             server_latency_ms=server, continuity=continuity,
-            satisfied=satisfied, join_latency_ms=session.join_latency_ms)
-        for player, session, game, target, response, server, continuity,
-        satisfied in zip(params.players, sessions.values(), params.games,
-                         params.targets, responses, params.server_ms,
-                         outcome.continuity.tolist(),
-                         outcome.satisfied.tolist())]
+            satisfied=satisfied, join_latency_ms=join_ms)
+        for player, kind, join_ms, game, target, response, server,
+        continuity, satisfied in zip(
+            params.players, kinds, joins, params.games, params.targets,
+            responses, params.server_ms, outcome.continuity.tolist(),
+            outcome.satisfied.tolist())]
 
 
 def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
@@ -267,23 +272,27 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
 
     Kept verbatim from the pre-batch implementation (adapted only
     to read the dense :class:`~repro.core.accounting.SweepLoads`
-    rows instead of the old per-supernode dicts — same accumulated
-    values).  It is the ground truth the batch path is pinned
-    against and the baseline of the scoring benchmark, so it
-    deliberately shares none of the batch path's gather.
+    rows instead of the old per-supernode dicts, and each session's
+    fields from its table row — the same values).  It is the ground
+    truth the batch path is pinned against and the baseline of the
+    scoring benchmark, so it deliberately shares none of the batch
+    path's gather.
     """
     records = []
-    hours = state.config.schedule.hours_per_day
     budget = cloud_egress_budget(state)
-    for player, session in sessions.items():
+    cols = sessions.columns
+    for player in sessions:
         game = state.games[player]
-        plan = session.plan
-        start = min(plan.start_subcycle, hours)
-        end = min(hours, start + int(np.ceil(plan.duration_hours)) - 1)
+        start = int(cols.start_subcycle[player])
+        end = int(cols.end_subcycle[player])
+        sid = int(cols.supernode_id[player])
+        supernode_id = None if sid < 0 else sid
+        kind = KIND_OF_CODE[int(cols.kind[player])]
+        join_ms = float(cols.join_latency_ms[player])
 
-        if session.supernode_id is not None:
-            sn = state.supernode_pool[session.supernode_id]
-            row = loads.row(session.supernode_id)
+        if supernode_id is not None:
+            sn = state.supernode_pool[supernode_id]
+            row = loads.row(supernode_id)
             counts = loads.counts[row, start:end + 1]
             rates = loads.rates[row, start:end + 1]
             mean_count = max(1.0, float(counts.mean()))
@@ -291,7 +300,7 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
             effective_upload = sn.upload_mbps * sn.throttle
             utilization = min(2.0, mean_rate / effective_upload)
             share = effective_upload / mean_count
-            target = session.supernode_id
+            target = supernode_id
         else:
             concurrent = float(cloud_rate[start:end + 1].mean())
             utilization = min(2.0, concurrent / budget)
@@ -299,13 +308,13 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
                         CLOUD_FLOW_HEADROOM * game.stream_rate_mbps)
             target = int(state.nearest_dc[player])
 
-        server_latency = server_latency_ms(state, player, session.kind)
+        server_latency = server_latency_ms(state, player, kind)
         encode_ms = 0.0
         if (state.compression is not None
-                and session.supernode_id is None):
+                and supernode_id is None):
             encode_ms = state.compression.encode_latency_ms
         path = PathSpec(
-            one_way_latency_ms=session.downstream_one_way_ms,
+            one_way_latency_ms=float(cols.latency_ms[player]),
             sender_share_mbps=max(0.05, share),
             receiver_download_mbps=float(
                 state.topology.player_links.download_mbps[player]))
@@ -325,16 +334,16 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
         )
         outcome = estimate_continuity(session_config, rng, state.transport,
                                       n_samples=QOS_SAMPLES)
-        response = (session.upstream_one_way_ms
+        response = (float(cols.upstream_ms[player])
                     + outcome.mean_response_latency_ms
                     + server_latency + PLAYOUT_PROCESSING_MS)
         records.append(SessionRecord(
-            player=player, day=day, game=game.name, kind=session.kind,
+            player=player, day=day, game=game.name, kind=kind,
             target=target,
             response_latency_ms=response,
             server_latency_ms=server_latency,
             continuity=outcome.continuity,
             satisfied=outcome.satisfied,
-            join_latency_ms=session.join_latency_ms,
+            join_latency_ms=None if join_ms != join_ms else join_ms,
         ))
     return records

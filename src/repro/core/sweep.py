@@ -135,8 +135,7 @@ class SweepContext:
     loads: SweepLoads
     cloud_rate: np.ndarray
     starts: dict[int, list[PlayerDayPlan]]
-    #: Live sessions keyed by player, with their columnar mirror
-    #: (``sessions.columns``) the vectorised stages mask over.
+    #: The day's sessions, one ``sessions.columns`` row per player.
     sessions: SessionTable
     fault_rng: np.random.Generator | None = None
     #: Admission-control policy (duck-typed AdmissionPolicy) and the
@@ -165,9 +164,8 @@ def stage_departures(state: SimState, ctx: SweepContext) -> None:
 
     Vectorised over :class:`~repro.core.columns.SessionColumns`: the
     mask ``active & end_subcycle == subcycle-1 & supernode_id >= 0``
-    selects exactly the players the per-player ``ends`` bookkeeping
-    used to pop — a popped (dropped/shed) session has ``active == 0``
-    and a cloud/queued session mirrors ``supernode_id == -1``.
+    selects the fog sessions that just ended — a shed session has
+    ``active == 0`` and a cloud/queued session ``supernode_id == -1``.
     """
     cols = ctx.sessions.columns
     ended = np.flatnonzero((cols.active == 1)
@@ -188,28 +186,6 @@ def stage_faults(state: SimState, ctx: SweepContext) -> None:
         handlers.apply_faults(state, ctx.day, ctx.subcycle, ctx.sessions,
                               ctx.loads, ctx.cloud_rate, ctx.fault_rng,
                               ctx.result, ctx.measuring, ctx.hours)
-
-
-def _commit_session(state: SimState, ctx: SweepContext, plan, session):
-    """Insert one admitted session and commit its load span."""
-    subcycle, hours = ctx.subcycle, ctx.hours
-    end = min(hours, subcycle + int(np.ceil(plan.duration_hours)) - 1)
-    game = state.games[plan.player]
-    ctx.sessions.add(session, subcycle, end, game.stream_rate_mbps)
-    span = slice(subcycle, end + 1)
-    if session.supernode_id is not None:
-        row = ctx.loads.row(session.supernode_id)
-        ctx.loads.counts[row, span] += 1
-        ctx.loads.rates[row, span] += game.stream_rate_mbps
-    elif session.kind is ConnectionKind.CLOUD:
-        rate = game.stream_rate_mbps
-        if state.compression is not None:
-            rate = state.compression.compressed_mbps(rate)
-        ctx.cloud_rate[span] += rate
-        if ctx.cloud_count is not None:
-            ctx.cloud_count[span] += 1
-    if ctx.measuring and session.join_latency_ms is not None:
-        ctx.result.join_latencies_ms.append(session.join_latency_ms)
 
 
 def _span_add(target: np.ndarray, rows, ends, start: int, values) -> None:
@@ -233,41 +209,41 @@ def _span_add(target: np.ndarray, rows, ends, start: int, values) -> None:
 
 
 def _commit_cohort(state: SimState, ctx: SweepContext, plans,
-                   sessions) -> None:
-    """Insert a whole join cohort; commit its load spans in batch.
+                   joins) -> None:
+    """Insert a cohort of joined sessions; commit their load spans.
 
-    The non-admission counterpart of per-plan :func:`_commit_session`:
-    the table inserts stay per session (they bind the columnar
-    mirror), but the load/cloud-rate span additions collapse into one
-    :func:`_span_add` per array.
+    The table rows are written in one insert, and the load and
+    cloud-rate span additions collapse into one :func:`_span_add` per
+    array.  A session is committed for the subcycles ``ctx.subcycle``
+    through its clamped end, inclusive.
     """
     subcycle, hours = ctx.subcycle, ctx.hours
     games = state.games
-    table = ctx.sessions
     compression = state.compression
     measuring = ctx.measuring
     latencies = ctx.result.join_latencies_ms
+    players = [plan.player for plan in plans]
     ends = np.minimum(hours, subcycle - 1 + np.ceil(
         [plan.duration_hours for plan in plans]).astype(np.int64)).tolist()
+    ctx.sessions.add(players, subcycle, ends, joins)
     sn_rows: list[int] = []
     sn_ends: list[int] = []
     sn_rates: list[float] = []
     cloud_ends: list[int] = []
     cloud_rates: list[float] = []
-    for plan, session, end in zip(plans, sessions, ends):
-        rate = games[plan.player].stream_rate_mbps
-        table.add(session, subcycle, end, rate)
-        if session.supernode_id is not None:
-            sn_rows.append(ctx.loads.row(session.supernode_id))
+    for player, joined, end in zip(players, joins, ends):
+        rate = games[player].stream_rate_mbps
+        if joined.supernode_id is not None:
+            sn_rows.append(ctx.loads.row(joined.supernode_id))
             sn_ends.append(end)
             sn_rates.append(rate)
-        elif session.kind is ConnectionKind.CLOUD:
+        elif joined.kind is ConnectionKind.CLOUD:
             if compression is not None:
                 rate = compression.compressed_mbps(rate)
             cloud_ends.append(end)
             cloud_rates.append(rate)
-        if measuring and session.join_latency_ms is not None:
-            latencies.append(session.join_latency_ms)
+        if measuring and joined.join_latency_ms is not None:
+            latencies.append(joined.join_latency_ms)
     if sn_rows:
         _span_add(ctx.loads.counts, sn_rows, sn_ends, subcycle, 1)
         _span_add(ctx.loads.rates, sn_rows, sn_ends, subcycle, sn_rates)
@@ -284,10 +260,10 @@ def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
     Plans join one at a time — the §3.2.2 sequential capacity-ask,
     each join seeing the supernode slots the previous one took.  No
     join reads the sweep's load timelines, so the whole cohort commits
-    afterwards in one :func:`_commit_cohort`, in plan order.  Admission
-    control (backpressure) joins and commits one plan at a time: its
-    shed decision depends on the cloud occupancy each prior join in
-    the *same* subcycle committed.
+    afterwards in one :func:`_commit_cohort`, in plan order.  Under
+    admission control (backpressure) each admitted join commits on its
+    own before the next one joins: its shed decision depends on the
+    cloud occupancy each prior join in the *same* subcycle committed.
     """
     subcycle = ctx.subcycle
     plans = ctx.starts.pop(subcycle, [])
@@ -298,8 +274,8 @@ def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
                        [join(state, plan, ctx.rng) for plan in plans])
         return
     for plan in plans:
-        session = join(state, plan, ctx.rng)
-        if not admit_join(state, session, ctx.admission, subcycle,
+        joined = join(state, plan, ctx.rng)
+        if not admit_join(state, joined, ctx.admission, subcycle,
                           ctx.cloud_count):
             # Backpressure: the join is refused before it becomes a
             # session — never displaced, never scored.
@@ -308,7 +284,7 @@ def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
             obs.get_events().emit("join_shed", day=ctx.day,
                                   subcycle=subcycle, player=plan.player)
             continue
-        _commit_session(state, ctx, plan, session)
+        _commit_cohort(state, ctx, [plan], [joined])
 
 
 def stage_scenario(state: SimState, ctx: SweepContext) -> None:
@@ -588,10 +564,10 @@ def run_schedule(state: SimState, days: int | None = None, *,
                  on_day_end=None) -> RunResult:
     """Run the configured schedule and return measured-day results.
 
-    Execution goes through the PeerSim-style
-    :class:`~repro.sim.cycles.CycleScheduler`: each cycle (day) fires
-    as a day-start hook — exactly the paper's cycle-driven execution
-    model.  Short runs always measure at least the final day.
+    Each day is one cycle of the paper's cycle-driven execution model
+    (§4.1), traced as a ``cycle_day`` span; its subcycles run inside
+    :func:`sweep_day`.  Short runs always measure at least the final
+    day.
 
     The keyword-only parameters are the checkpoint/resume seam
     (:mod:`repro.persist`):
@@ -605,12 +581,10 @@ def run_schedule(state: SimState, days: int | None = None, *,
       only on the *total* day count, so a resumed run measures exactly
       the days the uninterrupted run would have.
     * ``on_day_end`` — called as ``on_day_end(state, day, result,
-      total_days)`` through the scheduler's day-end hook chain after
-      each completed day; the :class:`~repro.persist.Checkpointer`
+      total_days)`` after each completed day, inside its
+      ``cycle_day`` span; the :class:`~repro.persist.Checkpointer`
       plugs in here.
     """
-    from ..sim.cycles import CycleScheduler, Schedule
-
     schedule = state.config.schedule
     total_days = schedule.days if days is None else days
     if total_days <= 0:
@@ -622,17 +596,10 @@ def run_schedule(state: SimState, days: int | None = None, *,
         result.supernode_join_latencies_ms = list(
             state.supernode_join_latencies_ms)
     warmup = min(schedule.warmup_days, max(0, total_days - 1))
-
-    driver = CycleScheduler(schedule=Schedule(
-        days=total_days,
-        hours_per_day=schedule.hours_per_day,
-        warmup_days=warmup,
-        peak_subcycles=schedule.peak_subcycles))
-    driver.on_day_start(
-        lambda day: run_day(state, day, result, measuring=day >= warmup))
-    if on_day_end is not None:
-        driver.on_day_end(
-            lambda day: on_day_end(state, day, result, total_days))
+    tracer = obs.get_tracer()
     for day in range(start_day, total_days):
-        driver.run_day(day)
+        with tracer.span("cycle_day", day=day):
+            run_day(state, day, result, measuring=day >= warmup)
+            if on_day_end is not None:
+                on_day_end(state, day, result, total_days)
     return result

@@ -32,10 +32,9 @@ import numpy as np
 
 from .. import obs
 from ..core.columns import KIND_CLOUD
-from ..core.entities import ConnectionKind, Supernode
+from ..core.entities import Supernode
 from ..core.lifecycle import (bring_online, migrate, ordered_orphans,
-                              penalize_orphans, session_window,
-                              take_offline)
+                              penalize_orphans, take_offline)
 from ..core.provisioning import choose_replacements
 from ..core.selection import delay_threshold_ms
 from ..core.state import SimState, player_supernode_ms
@@ -78,7 +77,7 @@ def apply_faults(state: SimState, day, subcycle, sessions, loads,
                        extra_ms=event.extra_ms)
         if event.kind == "crash":
             inject_crash(state, event, day, subcycle, sessions, loads,
-                         cloud_rate, frng, result, measuring, hours)
+                         cloud_rate, frng, result, measuring)
         elif event.kind == "flaky":
             inject_flaky(state, event, frng)
         elif event.kind == "degrade_link":
@@ -115,7 +114,7 @@ def fault_targets(state: SimState, event: FaultEvent,
 
 
 def inject_crash(state: SimState, event, day, subcycle, sessions, loads,
-                 cloud_rate, frng, result, measuring, hours) -> None:
+                 cloud_rate, frng, result, measuring) -> None:
     """Crash supernodes mid-day and walk their sessions to recovery.
 
     Every displaced session is accounted exactly once per
@@ -134,11 +133,11 @@ def inject_crash(state: SimState, event, day, subcycle, sessions, loads,
     state.faults.failed_ids.update(sn.supernode_id
                                    for sn, _ in orphan_sets)
     _rehome_orphans(state, orphan_sets, day, subcycle, sessions, loads,
-                    cloud_rate, frng, result, measuring, hours)
+                    cloud_rate, frng, result, measuring)
 
 
 def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
-                    loads, cloud_rate, frng, result, measuring, hours, *,
+                    loads, cloud_rate, frng, result, measuring, *,
                     graceful: bool = False) -> None:
     """Walk every orphaned session down the §3.2.2 recovery ladder.
 
@@ -158,14 +157,15 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
     counts, rates = loads.counts, loads.rates
     summary = result.faults
     partitioned = injector.partition_active(subcycle)
+    cols = sessions.columns
     ordered = ordered_orphans(orphan_sets)
     penalize_orphans(state, ordered, day)
     for sn, player in ordered:
         state.sticky.pop(player, None)
         summary.displaced += 1
         registry.counter("repro_fault_displaced_total").inc()
-        session = sessions.get(player)
-        if session is None or session.supernode_id != sn.supernode_id:
+        if (not cols.active[player]
+                or cols.supernode_id[player] != sn.supernode_id):
             # No live session bookkeeping to re-home (connected
             # out of band): account it as dropped, not lost.
             summary.dropped += 1
@@ -175,7 +175,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
                            supernode_id=sn.supernode_id)
             continue
         game = state.games[player]
-        start, end = session_window(session, hours)
+        end = int(cols.end_subcycle[player])
         span = slice(subcycle, end + 1)
         row = loads.row(sn.supernode_id)
         if row is not None:
@@ -205,9 +205,9 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
                 counts[new_row, span] += 1
                 rates[new_row, span] += game.stream_rate_mbps
             new_sn = state.supernode_pool[outcome.supernode_id]
-            session.supernode_id = outcome.supernode_id
-            session.downstream_one_way_ms = \
-                player_supernode_ms(state, player, new_sn)
+            cols.supernode_id[player] = outcome.supernode_id
+            cols.latency_ms[player] = player_supernode_ms(state, player,
+                                                          new_sn)
             summary.recovered += 1
             summary.time_to_recover_ms.append(ttr)
             if measuring:
@@ -228,10 +228,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             # The cloud fallback is the severed link: park the
             # session until the partition window closes.  Its
             # resolution (degraded or shed) is deferred.
-            session.kind = ConnectionKind.CLOUD
-            session.supernode_id = None
-            session.downstream_one_way_ms = \
-                session.upstream_one_way_ms
+            _to_cloud(cols, player)
             rate = game.stream_rate_mbps
             if state.compression is not None:
                 rate = state.compression.compressed_mbps(rate)
@@ -245,10 +242,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
         else:
             # Graceful degradation: the cloud streams directly
             # for the rest of the session.
-            session.kind = ConnectionKind.CLOUD
-            session.supernode_id = None
-            session.downstream_one_way_ms = \
-                session.upstream_one_way_ms
+            _to_cloud(cols, player)
             rate = game.stream_rate_mbps
             if state.compression is not None:
                 rate = state.compression.compressed_mbps(rate)
@@ -270,6 +264,13 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
         state.faults.add_penalty(player, ttr / remaining_ms)
 
 
+def _to_cloud(cols, player: int) -> None:
+    """Point ``player``'s session row at the cloud's direct stream."""
+    cols.kind[player] = KIND_CLOUD
+    cols.supernode_id[player] = -1
+    cols.latency_ms[player] = cols.upstream_ms[player]
+
+
 def _fail_domain(state: SimState, targets, event, day, subcycle, sessions,
                  loads, cloud_rate, frng, result, measuring, hours, *,
                  graceful: bool = False) -> None:
@@ -286,8 +287,7 @@ def _fail_domain(state: SimState, targets, event, day, subcycle, sessions,
                           datacenter=event.datacenter,
                           graceful=graceful)
     _rehome_orphans(state, orphan_sets, day, subcycle, sessions, loads,
-                    cloud_rate, frng, result, measuring, hours,
-                    graceful=graceful)
+                    cloud_rate, frng, result, measuring, graceful=graceful)
     healing = injector.plan.healing
     if healing is not None:
         due = subcycle + healing.delay_subcycles
@@ -326,22 +326,19 @@ def inject_dc_outage(state: SimState, event, day, subcycle, sessions,
         latency_model.datacenter_access_ms)
     all_ms[:, dc] = np.inf
     fallback_ms = np.min(all_ms, axis=1)
-    rerouted = 0
     cols = sessions.columns
     # Active cloud sessions homed to the dead datacenter whose window
-    # covers this subcycle; each ``+=`` touches one session only, so
-    # the order of the walk cannot move a digest.
-    mask = ((cols.active == 1) & (cols.kind == KIND_CLOUD)
-            & (nearest == dc) & (cols.start_subcycle <= subcycle)
-            & (cols.end_subcycle >= subcycle))
-    for player in np.flatnonzero(mask).tolist():
-        session = sessions[player]
-        delta = float(fallback_ms[player]) - session.upstream_one_way_ms
-        if delta <= 0.0:
-            continue
-        session.upstream_one_way_ms += delta
-        session.downstream_one_way_ms += delta
-        rerouted += 1
+    # covers this subcycle and whose fallback path is longer; each
+    # element's ``+=`` is the scalar float64 addition, per session.
+    live = np.flatnonzero(
+        (cols.active == 1) & (cols.kind == KIND_CLOUD) & (nearest == dc)
+        & (cols.start_subcycle <= subcycle)
+        & (cols.end_subcycle >= subcycle))
+    delta = fallback_ms[live] - cols.upstream_ms[live]
+    players, delta = live[delta > 0.0], delta[delta > 0.0]
+    cols.upstream_ms[players] += delta
+    cols.latency_ms[players] += delta
+    rerouted = int(players.size)
     if rerouted:
         obs.get_registry().counter(
             "repro_cloud_sessions_rerouted_total").inc(rerouted)
@@ -423,8 +420,7 @@ def _drain_partition_queue(state: SimState, day, subcycle, sessions,
     event_log = obs.get_events()
     summary = result.faults
     for player, rate, end, queued_at in injector.queued:
-        session = sessions.get(player)
-        if session is not None and end >= subcycle:
+        if player in sessions and end >= subcycle:
             cloud_rate[subcycle:end + 1] += rate
             summary.degraded += 1
             registry.counter("repro_fault_degraded_total").inc()
@@ -435,7 +431,7 @@ def _drain_partition_queue(state: SimState, day, subcycle, sessions,
                            player=player, from_supernode=None,
                            retries=0, ttr_ms=None)
         else:
-            sessions.pop(player, None)
+            sessions.discard(player)
             summary.shed += 1
             registry.counter("repro_fault_shed_total").inc()
             event_log.emit("session_shed", day=day, subcycle=subcycle,
@@ -492,7 +488,7 @@ def finish_day(state: SimState, ctx) -> None:
     event_log = obs.get_events()
     summary = ctx.result.faults
     for player, _rate, _end, _queued_at in injector.queued:
-        ctx.sessions.pop(player, None)
+        ctx.sessions.discard(player)
         summary.shed += 1
         registry.counter("repro_fault_shed_total").inc()
         event_log.emit("session_shed", day=ctx.day, subcycle=ctx.hours,
@@ -529,10 +525,7 @@ def inject_link_degradation(state: SimState, event: FaultEvent, subcycle,
             & (cols.end_subcycle >= subcycle))
     if event.supernode_id is not None:
         mask &= cols.supernode_id == event.supernode_id
-    # Each selected session gets one independent += through the entity
-    # setter (which re-mirrors the column).
-    for player in np.flatnonzero(mask).tolist():
-        sessions[player].downstream_one_way_ms += event.extra_ms
+    cols.latency_ms[mask] += event.extra_ms
 
 
 def inject_update_loss(state: SimState, event: FaultEvent, subcycle,

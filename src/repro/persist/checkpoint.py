@@ -1,9 +1,9 @@
 """Checkpoint/resume driver: save at day boundaries, resume bit-identically.
 
 The :class:`Checkpointer` is a ``run_schedule`` day-end hook: wired via
-``run_schedule(..., on_day_end=checkpointer.on_day_end)`` it rides the
-:class:`~repro.sim.cycles.CycleScheduler`'s ``on_day_end`` hook chain
-and snapshots the complete run state every ``every`` days.
+``run_schedule(..., on_day_end=checkpointer.on_day_end)`` it runs after
+each completed day and snapshots the complete run state every
+``every`` days.
 
 :func:`resume_run` is the other half: load a checkpoint (a file, or a
 directory's latest), rebuild state + accumulated results, and continue
@@ -194,7 +194,7 @@ class Checkpointer:
 
     def on_day_end(self, state: SimState, day: int, result: RunResult,
                    total_days: int) -> None:
-        """The ``run_schedule``/``CycleScheduler`` day-end hook."""
+        """The ``run_schedule`` day-end hook."""
         if (day + 1) % self.every == 0:
             self.written.append(save_checkpoint(
                 self.path_for(day), state, result, day, total_days,

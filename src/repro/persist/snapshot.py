@@ -34,7 +34,7 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
 
    * per-day session state — the :class:`~repro.core.state.
      SessionTable` and its :class:`~repro.core.columns.SessionColumns`
-     mirror live inside one ``sweep_day`` call and never cross a day
+     rows live inside one ``sweep_day`` call and never cross a day
      boundary (§4.1: cycles do not wrap);
 
    * population/topology/transport/datacenter structure/CDN sites —

@@ -2,7 +2,7 @@
 
 from .engine import EmptySchedule, Environment, Event, Process, Timeout
 from .resources import Release, Request, Resource
-from .cycles import PAPER_SCHEDULE, Clock, CycleScheduler, Schedule
+from .cycles import PAPER_SCHEDULE, Schedule
 from .rng import EmpiricalDistribution, RngFactory, pareto_capacities, powerlaw_counts
 
 __all__ = [
@@ -15,8 +15,6 @@ __all__ = [
     "Request",
     "Resource",
     "PAPER_SCHEDULE",
-    "Clock",
-    "CycleScheduler",
     "Schedule",
     "EmpiricalDistribution",
     "RngFactory",

@@ -1,4 +1,4 @@
-"""Cycle-driven simulation harness (the PeerSim execution model).
+"""The cycle-driven schedule of the paper's experiments (PeerSim model).
 
 The paper's macro experiments run on PeerSim in *cycle-driven* mode: the
 experiment "is divided into 28 cycles with each cycle representing one
@@ -6,40 +6,16 @@ day's gaming activities; each cycle is further divided into 24 one-hour
 subcycles" (§4.1), with subcycles 20–24 forming the nightly peak and the
 first 21 cycles (3 weeks) used as a reputation warm-up.
 
-This module reproduces that execution model: a :class:`CycleScheduler`
-advances a :class:`Clock` through (day, hour) steps and invokes
-registered protocols in order each subcycle, plus day-boundary hooks.
+:class:`Schedule` holds that layout.  The loop that executes it is
+``repro.core.sweep``: ``run_schedule`` runs the days, ``sweep_day`` the
+subcycles of one day.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol
+from dataclasses import dataclass
 
-from .. import obs
-
-__all__ = ["Clock", "Schedule", "CycleProtocol", "CycleScheduler", "PAPER_SCHEDULE"]
-
-
-@dataclass(frozen=True)
-class Clock:
-    """A (day, hour) instant in the cycle-driven experiment."""
-
-    day: int
-    hour: int
-
-    @property
-    def subcycle(self) -> int:
-        """1-based hour-of-day index, matching the paper's subcycle ids."""
-        return self.hour + 1
-
-    @property
-    def absolute_hour(self) -> int:
-        """Hours elapsed since the start of the experiment."""
-        return self.day * 24 + self.hour
-
-    def __str__(self) -> str:
-        return f"day {self.day} hour {self.hour:02d}"
+__all__ = ["Schedule", "PAPER_SCHEDULE"]
 
 
 @dataclass(frozen=True)
@@ -67,95 +43,11 @@ class Schedule:
         if not 1 <= lo <= hi <= self.hours_per_day:
             raise ValueError(f"invalid peak window {self.peak_subcycles}")
 
-    def is_peak(self, clock: Clock) -> bool:
-        lo, hi = self.peak_subcycles
-        return lo <= clock.subcycle <= hi
-
-    def is_warmup(self, clock: Clock) -> bool:
-        return clock.day < self.warmup_days
-
     @property
     def measured_days(self) -> int:
         return self.days - self.warmup_days
-
-    def instants(self) -> Iterator[Clock]:
-        """All (day, hour) instants in execution order."""
-        for day in range(self.days):
-            for hour in range(self.hours_per_day):
-                yield Clock(day, hour)
 
 
 #: The exact schedule used by the paper's evaluation (§4.1): 28 one-day
 #: cycles of 24 subcycles, 3 warm-up weeks, nightly peak 8 pm–midnight.
 PAPER_SCHEDULE = Schedule()
-
-
-class CycleProtocol(Protocol):
-    """A component invoked once per subcycle (PeerSim protocol analogue)."""
-
-    def on_subcycle(self, clock: Clock) -> None:  # pragma: no cover - protocol
-        ...
-
-
-@dataclass
-class CycleScheduler:
-    """Runs protocols through a :class:`Schedule`.
-
-    Protocols execute in registration order within each subcycle; day
-    hooks run at day boundaries (``on_day_start`` before hour 0,
-    ``on_day_end`` after the final hour).  This matches PeerSim's ordered
-    protocol execution and lets e.g. churn run before streaming before
-    rating updates.
-    """
-
-    schedule: Schedule = field(default_factory=Schedule)
-    protocols: list[CycleProtocol] = field(default_factory=list)
-    day_start_hooks: list[Callable[[int], None]] = field(default_factory=list)
-    day_end_hooks: list[Callable[[int], None]] = field(default_factory=list)
-    subcycle_hooks: list[Callable[[Clock], None]] = field(
-        default_factory=list)
-
-    def add_protocol(self, protocol: CycleProtocol) -> None:
-        self.protocols.append(protocol)
-
-    def on_day_start(self, hook: Callable[[int], None]) -> None:
-        self.day_start_hooks.append(hook)
-
-    def on_day_end(self, hook: Callable[[int], None]) -> None:
-        self.day_end_hooks.append(hook)
-
-    def on_subcycle(self, hook: Callable[[Clock], None]) -> None:
-        """Register a per-(day, hour) hook without the protocol shape.
-
-        Fault drivers and probes register here: unlike a protocol they
-        are plain callables and run *before* the protocols of each
-        subcycle, mirroring how in-system fault injection fires before
-        the subcycle's joins.
-        """
-        self.subcycle_hooks.append(hook)
-
-    def run(self) -> None:
-        """Execute the full schedule."""
-        for day in range(self.schedule.days):
-            self.run_day(day)
-
-    def run_day(self, day: int) -> None:
-        """Execute one day: start hooks, every subcycle, end hooks."""
-        tracer = obs.get_tracer()
-        with tracer.span("cycle_day", day=day):
-            for hook in self.day_start_hooks:
-                hook(day)
-            for hour in range(self.schedule.hours_per_day):
-                clock = Clock(day, hour)
-                # Subcycle spans only matter when protocols run per
-                # subcycle; hook-driven systems would emit 24 empty
-                # spans per day otherwise.
-                if self.protocols or self.subcycle_hooks:
-                    with tracer.span("subcycle", day=day,
-                                     subcycle=clock.subcycle):
-                        for hook in self.subcycle_hooks:
-                            hook(clock)
-                        for protocol in self.protocols:
-                            protocol.on_subcycle(clock)
-            for hook in self.day_end_hooks:
-                hook(day)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.entities import ConnectionKind, PlayerConnection, Supernode
+from repro.core.entities import Supernode
 
 
 def make_supernode(**kwargs):
@@ -115,9 +115,3 @@ def test_supernode_identity_semantics():
     assert a != b  # eq=False: distinct deployments are never equal
     assert a == a
 
-
-def test_player_connection_validation():
-    conn = PlayerConnection(1, ConnectionKind.SUPERNODE, 3, 12.0)
-    assert conn.kind is ConnectionKind.SUPERNODE
-    with pytest.raises(ValueError):
-        PlayerConnection(1, ConnectionKind.CLOUD, 0, -1.0)

@@ -10,28 +10,35 @@ from repro.core.lifecycle import (
     fail_supernodes,
     fog_availability,
     join,
-    session_window,
     take_offline,
 )
-from repro.core.state import Session, SimState
+from repro.core.state import SimState
 from repro.workload.churn import PlayerDayPlan
 
 SMALL = dict(num_players=150, num_supernodes=12, seed=3)
 
 
-def _session(start, duration):
-    plan = PlayerDayPlan(player=0, start_subcycle=start,
-                         duration_hours=duration)
-    return Session(plan, ConnectionKind.CLOUD, None, 10.0, 10.0, None)
-
-
 def test_session_window_clamps_to_day():
-    assert session_window(_session(3, 2.0), hours=24) == (3, 4)
-    assert session_window(_session(3, 2.5), hours=24) == (3, 5)
-    # Starts past the day clamp to the last subcycle.
-    assert session_window(_session(30, 4.0), hours=24) == (24, 24)
-    # Long sessions end at the day boundary (cycles do not wrap).
-    assert session_window(_session(22, 9.0), hours=24) == (22, 24)
+    """A committed session's row holds its play window clamped to the
+    day: it starts at its (clamped) start subcycle and ends after
+    ``ceil(duration)`` subcycles or at the day boundary."""
+    state = SimState(cloud_only(**SMALL))
+    cases = {0: (3, 2.0, 3, 4), 1: (3, 2.5, 3, 5),
+             # Starts past the day clamp to the last subcycle.
+             2: (30, 4.0, 24, 24),
+             # Long sessions end at the day boundary (cycles do not wrap).
+             3: (22, 9.0, 22, 24)}
+    plans = [PlayerDayPlan(player=p, start_subcycle=start,
+                           duration_hours=duration)
+             for p, (start, duration, _, _) in cases.items()]
+    sweep.choose_games(state, plans, np.random.default_rng(0))
+    sessions, _, _ = sweep.sweep_day(state, plans,
+                                     np.random.default_rng(1),
+                                     RunResult(), measuring=False)
+    cols = sessions.columns
+    for player, (_, _, start, end) in cases.items():
+        assert (cols.start_subcycle[player],
+                cols.end_subcycle[player]) == (start, end)
 
 
 def test_join_connects_and_counts():
@@ -44,9 +51,7 @@ def test_join_connects_and_counts():
     choose_games(state, plans, rng)
     kinds = set()
     for plan in plans:
-        session = join(state, plan, rng)
-        kinds.add(session.kind)
-        assert session.plan is plan
+        kinds.add(join(state, plan, rng).kind)
     assert ConnectionKind.SUPERNODE in kinds
 
 

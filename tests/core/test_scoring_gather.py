@@ -85,8 +85,8 @@ def _scored_days(config, days):
     """Run ``config``; score every day both ways and compare.
 
     Returns the days' records and what the days exercised: the ids of
-    load rows grown mid-day, how many degraded sessions were scored and
-    how many fog sessions averaged under one player on their row (a
+    load rows grown mid-day, how many sessions a fault degraded to the
+    cloud and how many fog sessions averaged under one player on their row (a
     session moved mid-window; its share clamps the count to 1).
     """
     batch_scorer = scoring.score_sessions_batch
@@ -105,8 +105,7 @@ def _scored_days(config, days):
         assert records == scoring.score_sessions_scalar(
             state, day, sessions, loads, cloud_rate, twin)
         cols = sessions.columns
-        players = np.fromiter(sessions.keys(), dtype=np.intp)
-        seen["degraded"] += int(cols.degraded[players].sum())
+        players = sessions.players()
         for player in players[cols.supernode_id[players] >= 0].tolist():
             row = loads.row(int(cols.supernode_id[player]))
             window = slice(cols.start_subcycle[player],
@@ -118,7 +117,8 @@ def _scored_days(config, days):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scoring, "score_sessions_batch", checked)
         patch.setattr(SweepLoads, "ensure_row", tracking_ensure_row)
-        CloudFogSystem(config).run(days=days)
+        seen["degraded"] = CloudFogSystem(config).run(
+            days=days).faults.degraded
     return seen
 
 

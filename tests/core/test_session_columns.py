@@ -1,12 +1,14 @@
-"""``SessionColumns`` stays in lock-step with the ``Session`` objects.
+"""``SessionColumns`` rows are the sessions: their invariants hold.
 
-Unit tests cover the bind/unbind/setter contract directly; the
+Unit tests cover the table's insert/discard contract directly; the
 property-style test appends a verifier stage to
 :data:`~repro.core.sweep.SUBCYCLE_STAGES` and replays seed-randomised
 chaos runs — joins, migrations, crashes, degradations, partitions,
-update loss, departures — asserting after *every* subcycle that the
-columnar mirror and the object table describe the same world.  Any
-future mutation path that forgets to dual-write fails here before it
+update loss, departures — asserting after *every* subcycle that every
+live row describes a consistent session: its kind agrees with its
+supernode id, its window has started, and an open fog session is
+connected to the supernode its row names.  Any mutation path that
+updates one field of a row and forgets another fails here before it
 can corrupt a vectorised stage.
 """
 
@@ -16,99 +18,65 @@ import numpy as np
 import pytest
 
 from repro.core import CloudFogSystem, sweep
-from repro.core.columns import (
-    KIND_CLOUD,
-    KIND_NONE,
-    KIND_SUPERNODE,
-    SessionColumns,
-)
+from repro.core.columns import KIND_CLOUD, KIND_NONE, KIND_SUPERNODE
 from repro.core.entities import ConnectionKind, Supernode
-from repro.core.state import _KIND_CODE, Session, SessionTable
+from repro.core.lifecycle import JoinOutcome
+from repro.core.state import SessionTable
 from repro.faults.plan import FaultPlan
-from repro.workload.churn import PlayerDayPlan
 
 from ..faults.regen_golden import SCENARIOS
 
-
-def make_session(player=3, kind=ConnectionKind.SUPERNODE, supernode_id=5):
-    plan = PlayerDayPlan(player=player, start_subcycle=2,
-                         duration_hours=3.0)
-    return Session(plan, kind, supernode_id, 12.5, 30.0, 95.0)
+FOG = JoinOutcome(ConnectionKind.SUPERNODE, 5, 12.5, 30.0, 95.0)
 
 
-# -- unit: bind / setters / unbind -------------------------------------
-def test_bind_writes_the_full_row():
-    cols = SessionColumns(8)
-    session = make_session()
-    session.bind_columns(cols, start=2, end=4, rate_mbps=4.5)
+# -- unit: add / discard -----------------------------------------------
+def test_add_writes_the_full_row():
+    table = SessionTable(8)
+    table.add([3], 2, [4], [FOG])
+    cols = table.columns
     assert cols.active[3] == 1
     assert cols.supernode_id[3] == 5
     assert cols.kind[3] == KIND_SUPERNODE
-    assert cols.rate_mbps[3] == 4.5
     assert cols.latency_ms[3] == 12.5
     assert cols.upstream_ms[3] == 30.0
     assert cols.start_subcycle[3] == 2
     assert cols.end_subcycle[3] == 4
     assert cols.join_latency_ms[3] == 95.0
-    assert cols.degraded[3] == 0
+    assert 3 in table and len(table) == 1
 
 
-def test_bind_overwrites_dead_garbage_from_an_earlier_session():
-    cols = SessionColumns(8)
-    stale = make_session()
-    stale.bind_columns(cols, start=1, end=9, rate_mbps=9.0)
-    stale.kind = ConnectionKind.CLOUD       # leaves degraded=1 behind
-    stale.unbind_columns()
-
-    fresh = Session(PlayerDayPlan(player=3, start_subcycle=5,
-                                  duration_hours=1.0),
-                    ConnectionKind.CLOUD, None, 40.0, 40.0, None)
-    fresh.bind_columns(cols, start=5, end=5, rate_mbps=2.0)
+def test_add_overwrites_dead_garbage_from_an_earlier_session():
+    table = SessionTable(8)
+    table.add([3], 1, [9], [FOG])
+    table.discard(3)
+    table.add([3], 5, [5], [JoinOutcome(ConnectionKind.CLOUD, None, 40.0,
+                                        40.0, None)])
+    cols = table.columns
     assert cols.active[3] == 1
     assert cols.supernode_id[3] == -1
     assert cols.kind[3] == KIND_CLOUD
-    assert cols.degraded[3] == 0
+    assert cols.latency_ms[3] == 40.0
+    assert (cols.start_subcycle[3], cols.end_subcycle[3]) == (5, 5)
     assert math.isnan(cols.join_latency_ms[3])
 
 
-def test_setters_mirror_only_while_bound():
-    cols = SessionColumns(8)
-    session = make_session()
-    session.supernode_id = 7                # unbound: object only
-    assert cols.supernode_id[3] == -1
-    session.bind_columns(cols, start=2, end=4, rate_mbps=4.5)
-    session.supernode_id = 9
-    session.downstream_one_way_ms = 20.0
-    session.upstream_one_way_ms = 33.0
-    assert cols.supernode_id[3] == 9
-    assert cols.latency_ms[3] == 20.0
-    assert cols.upstream_ms[3] == 33.0
-    session.unbind_columns()
-    session.supernode_id = 1                # unbound again: no write
-    assert cols.supernode_id[3] == 9
-
-
-def test_fog_to_cloud_fault_marks_degraded():
-    cols = SessionColumns(8)
-    session = make_session()
-    session.bind_columns(cols, start=2, end=4, rate_mbps=4.5)
-    session.kind = ConnectionKind.CLOUD
-    assert cols.kind[3] == KIND_CLOUD
-    assert cols.degraded[3] == 1
-    # Cloud → cloud (or any non-fog source) must not re-flag.
-    cols.degraded[3] = 0
-    session.kind = ConnectionKind.CLOUD
-    assert cols.degraded[3] == 0
-
-
-def test_table_pop_clears_active():
+def test_table_keeps_insertion_order_of_live_players():
     table = SessionTable(8)
-    session = make_session()
-    table.add(session, start=2, end=4, rate_mbps=4.5)
+    table.add([6, 1], 1, [2, 2], [FOG, FOG])
+    table.add([4], 2, [3], [FOG])
+    assert table.players().tolist() == [6, 1, 4]
+    table.discard(1)
+    table.add([1], 3, [3], [FOG])
+    assert list(table) == [6, 4, 1]
+
+
+def test_table_discard_clears_active():
+    table = SessionTable(8)
+    table.add([3], 2, [4], [FOG])
     assert table.columns.active[3] == 1
-    assert table.pop(3) is session
+    table.discard(3)
     assert table.columns.active[3] == 0
-    assert table.pop(3, "missing") == "missing"
+    table.discard(3)  # no session: nothing to do
     assert 3 not in table and len(table) == 0
 
 
@@ -128,33 +96,33 @@ def test_disconnect_many_matches_sequential_disconnects():
     assert one.has_capacity == many.has_capacity
 
 
-# -- property: the mirror survives whole chaotic runs ------------------
-def _assert_mirror_consistent(state, ctx):
+# -- property: the row invariants survive whole chaotic runs -----------
+def _assert_rows_consistent(state, ctx):
     table = ctx.sessions
     cols = table.columns
-    active = set(np.flatnonzero(cols.active == 1).tolist())
-    assert active == set(table.keys())
-    for player, session in table.items():
-        expect_sid = (-1 if session.supernode_id is None
-                      else session.supernode_id)
-        assert cols.supernode_id[player] == expect_sid
-        assert cols.kind[player] == _KIND_CODE.get(session.kind, KIND_NONE)
-        assert cols.latency_ms[player] == session.downstream_one_way_ms
-        assert cols.upstream_ms[player] == session.upstream_one_way_ms
-        if session.join_latency_ms is None:
-            assert math.isnan(cols.join_latency_ms[player])
-        else:
-            assert cols.join_latency_ms[player] == session.join_latency_ms
-        # Sessions stay in the table after their window closes (the
-        # day-end flush reads them), so only the lower bounds hold.
-        assert cols.start_subcycle[player] <= ctx.subcycle
-        assert cols.start_subcycle[player] <= cols.end_subcycle[player]
+    live = np.flatnonzero(cols.active == 1)
+    assert set(live.tolist()) == set(table)
+    assert not np.any(cols.kind[live] == KIND_NONE)
+    fog = cols.supernode_id[live] >= 0
+    assert np.array_equal(fog, cols.kind[live] == KIND_SUPERNODE)
+    # Sessions stay in the table after their window closes (the
+    # day-end flush reads them), so only the lower bounds hold.
+    assert np.all(cols.start_subcycle[live] <= ctx.subcycle)
+    assert np.all(cols.start_subcycle[live] <= cols.end_subcycle[live])
+    open_fog = live[fog & (cols.end_subcycle[live] >= ctx.subcycle)]
+    pool = state.supernode_pool
+    for player, sid in zip(open_fog.tolist(),
+                           cols.supernode_id[open_fog].tolist()):
+        assert player in pool[sid].connected
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_columns_track_sessions_through_chaos(monkeypatch, seed):
+    checked = []
+
     def verifier_stage(state, ctx):
-        _assert_mirror_consistent(state, ctx)
+        _assert_rows_consistent(state, ctx)
+        checked.append(len(ctx.sessions))
 
     monkeypatch.setattr(sweep, "SUBCYCLE_STAGES",
                         sweep.SUBCYCLE_STAGES + (verifier_stage,))
@@ -164,3 +132,5 @@ def test_columns_track_sessions_through_chaos(monkeypatch, seed):
                                      seed=seed + 100))
     result = CloudFogSystem(config).run(days=2)
     assert result.days  # the run actually measured something
+    assert result.faults.displaced > 0  # and a fault moved sessions
+    assert len(checked) == 48 and max(checked) > 0

@@ -1,9 +1,10 @@
 """Tests for the staged subcycle pipeline in repro.core.sweep:
-stage ordering, state handoff through SweepContext, and façade
-construction equivalence."""
+stage ordering, state handoff through SweepContext, the day loop of
+run_schedule, and façade construction equivalence."""
 
 import numpy as np
 
+from repro import obs
 from repro.core import CloudFogSystem, cloudfog_basic
 from repro.core import sweep
 from repro.core.accounting import RunResult
@@ -116,11 +117,12 @@ def test_facade_sweep_matches_module_function():
         system.state, facade_plans, np.random.default_rng(1), RunResult(),
         measuring=False)
 
-    assert set(facade_sessions) == set(direct_sessions)
-    assert all(facade_sessions[p].kind == direct_sessions[p].kind
-               and facade_sessions[p].supernode_id
-               == direct_sessions[p].supernode_id
-               for p in direct_sessions)
+    assert list(facade_sessions) == list(direct_sessions)
+    players = direct_sessions.players()
+    for field in ("kind", "supernode_id"):
+        assert np.array_equal(
+            getattr(facade_sessions.columns, field)[players],
+            getattr(direct_sessions.columns, field)[players])
     assert np.array_equal(facade_loads.counts, direct_loads.counts)
     assert np.array_equal(facade_cloud, direct_cloud)
 
@@ -134,3 +136,30 @@ def test_run_day_appends_measured_metrics():
     assert len(result.days) == 1
     assert result.days[0].day == 1
     assert result.sessions
+
+
+def test_run_schedule_runs_each_day_and_its_hook_in_a_cycle_day_span(
+        monkeypatch):
+    """Days run in order from ``start_day``; each day's ``on_day_end``
+    hook fires after it, inside the same ``cycle_day`` span."""
+    log = []
+    monkeypatch.setattr(sweep, "run_day",
+                        lambda state, day, result, measuring:
+                        log.append(("day", day, measuring)))
+    state, _ = _prepared_state()
+    tracer, _ = obs.enable()
+    try:
+        result = sweep.run_schedule(
+            state, 4, start_day=1,
+            on_day_end=lambda _state, day, _result, total:
+            log.append(("end", day, total)))
+        spans = [span for span in tracer.finished
+                 if span.name == "cycle_day"]
+    finally:
+        obs.disable()
+    assert result.days == []
+    # A 4-day run keeps 3 warm-up days (cloudfog_basic's 21, capped).
+    assert log == [("day", 1, False), ("end", 1, 4),
+                   ("day", 2, False), ("end", 2, 4),
+                   ("day", 3, True), ("end", 3, 4)]
+    assert [span.attrs["day"] for span in spans] == [1, 2, 3]

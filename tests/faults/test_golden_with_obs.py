@@ -1,4 +1,4 @@
-"""Acceptance pin: all four golden digests hold with observability ON.
+"""Acceptance pin: every golden digest holds with observability ON.
 
 ``tests/obs/conftest``-style hygiene is inlined here (this package has
 no obs fixtures): every test enables the full five-pillar runtime and
@@ -47,3 +47,24 @@ def test_chaos_digests_hold_with_observability_on():
     displaced_days = [s.day for s in obs.get_timeseries().samples("all")
                       if s.faults_displaced > 0]
     assert displaced_days, "chaos run must show displacement telemetry"
+
+
+def test_chaos_domains_digests_hold_with_observability_on():
+    result = CloudFogSystem(CHAOS_SCENARIOS["chaos_domains"]).run(days=2)
+    assert run_result_digest(result) == GOLDEN["chaos_domains"]
+    assert fault_summary_digest(result.faults) \
+        == GOLDEN["chaos_domains_faults"]
+    # Every branch the golden exists for was reached.
+    events = obs.get_events()
+    counts = {kind: len(list(events.iter_events(kind=kind)))
+              for kind in ("cloud_rerouted", "session_queued",
+                           "session_shed", "join_shed", "capacity_healed")}
+    assert counts == {"cloud_rerouted": 1, "session_queued": 6,
+                      "session_shed": 1, "join_shed": 82,
+                      "capacity_healed": 2}
+    drained = [e for e in events.iter_events(kind="cloud_fallback")
+               if e.attrs["from_supernode"] is None]
+    assert len(drained) == 5
+    assert [e.attrs["graceful"]
+            for e in events.iter_events(kind="domain_outage")] \
+        == [True, False]

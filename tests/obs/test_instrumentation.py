@@ -7,7 +7,6 @@ import pytest
 from repro import obs
 from repro.experiments.runner import run_config, run_variant
 from repro.experiments.testbeds import Testbed
-from repro.sim.cycles import Clock, CycleScheduler, Schedule
 from repro.sim.engine import Environment
 
 TINY = Testbed(name="tiny", num_players=80, num_datacenters=2,
@@ -155,29 +154,3 @@ def test_environment_step_tracing_logs(capsys):
     output = stream.getvalue()
     assert "des step" in output
     assert "event=Timeout" in output
-
-
-def test_scheduler_emits_subcycle_spans_only_with_protocols():
-    tracer, _ = obs.enable()
-
-    class Recorder:
-        def __init__(self):
-            self.clocks = []
-
-        def on_subcycle(self, clock: Clock) -> None:
-            self.clocks.append(clock)
-
-    schedule = Schedule(days=1, hours_per_day=3, warmup_days=0,
-                        peak_subcycles=(1, 3))
-    recorder = Recorder()
-    scheduler = CycleScheduler(schedule=schedule, protocols=[recorder])
-    scheduler.run()
-    subcycles = [s for s in tracer.finished if s.name == "subcycle"]
-    assert len(subcycles) == 3
-    assert [s.attrs["subcycle"] for s in subcycles] == [1, 2, 3]
-    assert len(recorder.clocks) == 3
-
-    tracer.clear()
-    CycleScheduler(schedule=schedule).run()  # hook-driven: no protocols
-    assert not any(s.name == "subcycle" for s in tracer.finished)
-    assert any(s.name == "cycle_day" for s in tracer.finished)

@@ -1,8 +1,8 @@
-"""Tests for the cycle-driven (PeerSim-style) harness."""
+"""Tests for the cycle-driven (PeerSim-style) schedule."""
 
 import pytest
 
-from repro.sim.cycles import PAPER_SCHEDULE, Clock, CycleScheduler, Schedule
+from repro.sim.cycles import PAPER_SCHEDULE, Schedule
 
 
 def test_paper_schedule_matches_section_4_1():
@@ -11,38 +11,6 @@ def test_paper_schedule_matches_section_4_1():
     assert PAPER_SCHEDULE.warmup_days == 21
     assert PAPER_SCHEDULE.peak_subcycles == (20, 24)
     assert PAPER_SCHEDULE.measured_days == 7
-
-
-def test_clock_subcycle_is_one_based():
-    assert Clock(0, 0).subcycle == 1
-    assert Clock(0, 23).subcycle == 24
-
-
-def test_clock_absolute_hour():
-    assert Clock(0, 0).absolute_hour == 0
-    assert Clock(2, 5).absolute_hour == 53
-
-
-def test_peak_window_membership():
-    schedule = Schedule()
-    assert not schedule.is_peak(Clock(0, 18))  # subcycle 19
-    assert schedule.is_peak(Clock(0, 19))      # subcycle 20
-    assert schedule.is_peak(Clock(0, 23))      # subcycle 24
-
-
-def test_warmup_membership():
-    schedule = Schedule(days=28, warmup_days=21)
-    assert schedule.is_warmup(Clock(20, 0))
-    assert not schedule.is_warmup(Clock(21, 0))
-
-
-def test_instants_cover_full_grid():
-    schedule = Schedule(days=2, hours_per_day=3, warmup_days=0,
-                        peak_subcycles=(2, 3))
-    instants = list(schedule.instants())
-    assert len(instants) == 6
-    assert instants[0] == Clock(0, 0)
-    assert instants[-1] == Clock(1, 2)
 
 
 def test_invalid_schedules_rejected():
@@ -54,78 +22,3 @@ def test_invalid_schedules_rejected():
         Schedule(peak_subcycles=(25, 26))
     with pytest.raises(ValueError):
         Schedule(peak_subcycles=(5, 2))
-
-
-class RecordingProtocol:
-    def __init__(self, name, log):
-        self.name = name
-        self.log = log
-
-    def on_subcycle(self, clock):
-        self.log.append((self.name, clock.day, clock.hour))
-
-
-def test_scheduler_runs_protocols_in_order():
-    log = []
-    schedule = Schedule(days=1, hours_per_day=2, warmup_days=0,
-                        peak_subcycles=(1, 2))
-    scheduler = CycleScheduler(schedule=schedule)
-    scheduler.add_protocol(RecordingProtocol("churn", log))
-    scheduler.add_protocol(RecordingProtocol("stream", log))
-    scheduler.run()
-    assert log == [
-        ("churn", 0, 0), ("stream", 0, 0),
-        ("churn", 0, 1), ("stream", 0, 1),
-    ]
-
-
-def test_day_hooks_fire_at_boundaries():
-    events = []
-    schedule = Schedule(days=2, hours_per_day=1, warmup_days=0,
-                        peak_subcycles=(1, 1))
-    scheduler = CycleScheduler(schedule=schedule)
-    scheduler.on_day_start(lambda day: events.append(("start", day)))
-    scheduler.on_day_end(lambda day: events.append(("end", day)))
-    scheduler.add_protocol(
-        type("P", (), {"on_subcycle": lambda self, clock: events.append(("sub", clock.day))})())
-    scheduler.run()
-    assert events == [
-        ("start", 0), ("sub", 0), ("end", 0),
-        ("start", 1), ("sub", 1), ("end", 1),
-    ]
-
-
-def test_subcycle_hooks_run_before_protocols():
-    """Hooks (e.g. fault injection) see each instant before protocols."""
-    log = []
-    schedule = Schedule(days=1, hours_per_day=2, warmup_days=0,
-                        peak_subcycles=(1, 2))
-    scheduler = CycleScheduler(schedule=schedule)
-    scheduler.on_subcycle(lambda clock: log.append(("hook", clock.day,
-                                                    clock.hour)))
-    scheduler.add_protocol(RecordingProtocol("p", log))
-    scheduler.run()
-    assert log == [
-        ("hook", 0, 0), ("p", 0, 0),
-        ("hook", 0, 1), ("p", 0, 1),
-    ]
-
-
-def test_subcycle_hooks_fire_without_protocols():
-    log = []
-    scheduler = CycleScheduler(
-        schedule=Schedule(days=1, hours_per_day=2, warmup_days=0,
-                          peak_subcycles=(1, 2)))
-    scheduler.on_subcycle(lambda clock: log.append(clock.subcycle))
-    scheduler.run()
-    assert log == [1, 2]
-
-
-def test_run_day_executes_single_day():
-    log = []
-    scheduler = CycleScheduler(
-        schedule=Schedule(days=5, hours_per_day=2, warmup_days=0,
-                          peak_subcycles=(1, 2)))
-    scheduler.add_protocol(RecordingProtocol("p", log))
-    scheduler.run_day(3)
-    assert log == [("p", 3, 0), ("p", 3, 1)]
