@@ -94,5 +94,8 @@ class SessionColumns:
         #: Inclusive play window in subcycles, clamped to the day.
         self.start_subcycle = np.zeros(size, dtype=np.int64)
         self.end_subcycle = np.zeros(size, dtype=np.int64)
-        #: Join latency (ms); NaN when the join ran no selection.
-        self.join_latency_ms = np.full(size, np.nan, dtype=np.float64)
+        #: Join latency (ms), or None when the join ran no selection.
+        #: Object dtype: the row holds the join's own float, which the
+        #: scored record then shares with ``RunResult.join_latencies_ms``
+        #: (a run keeps every record, so a copy would cost 24 bytes each).
+        self.join_latency_ms = np.full(size, None, dtype=object)

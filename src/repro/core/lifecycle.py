@@ -14,7 +14,6 @@ the scorer, the orchestrator, the façade, or ``experiments``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,29 +23,15 @@ from ..workload.churn import PlayerDayPlan
 from ..workload.games import Game, random_game
 from .entities import ConnectionKind, Supernode
 from .selection import delay_threshold_ms, select_supernode
-from .state import SimState, cloud_one_way_ms, player_supernode_ms
+from .state import (JoinOutcome, SimState, cloud_one_way_ms,
+                    player_supernode_ms)
 
-__all__ = ["JoinOutcome", "MigrationOutcome", "join", "join_cdn", "migrate",
+__all__ = ["MigrationOutcome", "join", "join_cdn", "migrate",
            "ordered_orphans", "penalize_orphans",
            "take_offline", "bring_online", "admit_join",
            "fog_availability", "fail_supernodes"]
 
 _log = obs.get_logger(__name__)
-
-
-class JoinOutcome(NamedTuple):
-    """Where one starting session connected, as the sweep commits it.
-
-    ``supernode_id`` is None for cloud and CDN sessions;
-    ``join_latency_ms`` is None when the join ran no selection (a
-    sticky reuse, the cloud and CDN baselines).
-    """
-
-    kind: ConnectionKind
-    supernode_id: int | None
-    downstream_ms: float
-    upstream_ms: float
-    join_latency_ms: float | None
 
 
 @dataclass(frozen=True)

@@ -250,9 +250,7 @@ def score_sessions_batch(state: SimState, day, sessions: SessionTable,
     cols = sessions.columns
     rows = np.asarray(params.players, dtype=np.intp)
     kinds = [KIND_OF_CODE[code] for code in cols.kind[rows].tolist()]
-    # NaN (no selection ran) reads back as None.
-    joins = [None if ms != ms else ms
-             for ms in cols.join_latency_ms[rows].tolist()]
+    joins = cols.join_latency_ms[rows].tolist()
     return [
         SessionRecord(
             player=player, day=day, game=game.name, kind=kind,
@@ -288,7 +286,6 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
         sid = int(cols.supernode_id[player])
         supernode_id = None if sid < 0 else sid
         kind = KIND_OF_CODE[int(cols.kind[player])]
-        join_ms = float(cols.join_latency_ms[player])
 
         if supernode_id is not None:
             sn = state.supernode_pool[supernode_id]
@@ -344,6 +341,6 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
             server_latency_ms=server_latency,
             continuity=outcome.continuity,
             satisfied=outcome.satisfied,
-            join_latency_ms=None if join_ms != join_ms else join_ms,
+            join_latency_ms=cols.join_latency_ms[player],
         ))
     return records

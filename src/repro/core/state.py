@@ -19,6 +19,8 @@ orchestrator, or ``experiments``.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .. import obs
@@ -42,7 +44,8 @@ from .entities import ConnectionKind, Supernode
 from .provisioning import Provisioner
 from .selection import SupernodeDirectory
 
-__all__ = ["SUPERNODE_MBPS_PER_SLOT", "SessionTable", "SimState",
+__all__ = ["SUPERNODE_MBPS_PER_SLOT", "JoinOutcome", "SessionTable",
+           "SimState",
            "build_supernode_pool", "build_cdn_sites", "deploy",
            "set_arrival_rates", "cloud_one_way_ms", "player_supernode_ms",
            "KIND_OF_CODE"]
@@ -57,6 +60,21 @@ _KIND_CODE = {ConnectionKind.SUPERNODE: KIND_SUPERNODE,
               ConnectionKind.CLOUD: KIND_CLOUD,
               ConnectionKind.CDN: KIND_CDN}
 KIND_OF_CODE = {code: kind for kind, code in _KIND_CODE.items()}
+
+
+class JoinOutcome(NamedTuple):
+    """Where one starting session connected (``lifecycle.join``).
+
+    ``supernode_id`` is None for cloud and CDN sessions;
+    ``join_latency_ms`` is None when the join ran no selection (a
+    sticky reuse, the cloud and CDN baselines).
+    """
+
+    kind: ConnectionKind
+    supernode_id: int | None
+    downstream_ms: float
+    upstream_ms: float
+    join_latency_ms: float | None
 
 
 class SessionTable:
@@ -76,13 +94,12 @@ class SessionTable:
         self._order: dict[int, None] = {}
 
     def add(self, players: list[int], start: int, ends: list[int],
-            joins) -> None:
+            joins: list[JoinOutcome]) -> None:
         """Insert the sessions of ``players``, all starting at ``start``.
 
-        ``joins`` are the players' join outcomes (kind, supernode id,
-        downstream and upstream one-way ms, join latency or None) and
-        ``ends`` their inclusive last subcycles.  Each row is written
-        whole, since the slot may hold a dead earlier session.
+        ``joins`` are the players' join outcomes and ``ends`` their
+        inclusive last subcycles.  Each row is written whole, since the
+        slot may hold a dead earlier session.
         """
         cols = self.columns
         rows = np.asarray(players, dtype=np.intp)
@@ -93,8 +110,7 @@ class SessionTable:
                                    for sid in sids]
         cols.latency_ms[rows] = downstream
         cols.upstream_ms[rows] = upstream
-        cols.join_latency_ms[rows] = [np.nan if ms is None else ms
-                                      for ms in join_ms]
+        cols.join_latency_ms[rows] = join_ms
         cols.start_subcycle[rows] = start
         cols.end_subcycle[rows] = ends
         self._order.update(dict.fromkeys(players))

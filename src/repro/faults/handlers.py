@@ -335,7 +335,8 @@ def inject_dc_outage(state: SimState, event, day, subcycle, sessions,
         & (cols.start_subcycle <= subcycle)
         & (cols.end_subcycle >= subcycle))
     delta = fallback_ms[live] - cols.upstream_ms[live]
-    players, delta = live[delta > 0.0], delta[delta > 0.0]
+    longer = delta > 0.0
+    players, delta = live[longer], delta[longer]
     cols.upstream_ms[players] += delta
     cols.latency_ms[players] += delta
     rerouted = int(players.size)

@@ -12,16 +12,13 @@ updates one field of a row and forgets another fails here before it
 can corrupt a vectorised stage.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.core import CloudFogSystem, sweep
 from repro.core.columns import KIND_CLOUD, KIND_NONE, KIND_SUPERNODE
 from repro.core.entities import ConnectionKind, Supernode
-from repro.core.lifecycle import JoinOutcome
-from repro.core.state import SessionTable
+from repro.core.state import JoinOutcome, SessionTable
 from repro.faults.plan import FaultPlan
 
 from ..faults.regen_golden import SCENARIOS
@@ -57,7 +54,7 @@ def test_add_overwrites_dead_garbage_from_an_earlier_session():
     assert cols.kind[3] == KIND_CLOUD
     assert cols.latency_ms[3] == 40.0
     assert (cols.start_subcycle[3], cols.end_subcycle[3]) == (5, 5)
-    assert math.isnan(cols.join_latency_ms[3])
+    assert cols.join_latency_ms[3] is None
 
 
 def test_table_keeps_insertion_order_of_live_players():
@@ -78,6 +75,18 @@ def test_table_discard_clears_active():
     assert table.columns.active[3] == 0
     table.discard(3)  # no session: nothing to do
     assert 3 not in table and len(table) == 0
+
+
+def test_records_share_the_join_latency_float():
+    """A scored record holds the join's own latency float, the object
+    ``RunResult.join_latencies_ms`` also holds: a run keeps every
+    record, so a copy per record would grow its peak memory."""
+    result = CloudFogSystem(SCENARIOS["cloudfog_advanced"]).run(days=2)
+    shared = {id(ms) for ms in result.join_latencies_ms}
+    joined = [r.join_latency_ms for r in result.sessions
+              if r.join_latency_ms is not None]
+    assert joined
+    assert all(id(ms) in shared for ms in joined)
 
 
 def test_disconnect_many_matches_sequential_disconnects():
