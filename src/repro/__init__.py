@@ -15,7 +15,7 @@ Quickstart::
 Packages:
 
 * ``repro.core`` — the CloudFog system and its four strategies.
-* ``repro.sim`` — discrete-event engine + cycle harness.
+* ``repro.sim`` — discrete-event engine + cycle schedule.
 * ``repro.network`` / ``repro.cloud`` / ``repro.streaming`` /
   ``repro.social`` / ``repro.reputation`` / ``repro.forecast`` /
   ``repro.economics`` / ``repro.workload`` — the substrates.

@@ -1,4 +1,4 @@
-"""Simulation substrate: discrete-event engine, cycle harness, RNG."""
+"""Simulation substrate: discrete-event engine, cycle schedule, RNG."""
 
 from .engine import EmptySchedule, Environment, Event, Process, Timeout
 from .resources import Release, Request, Resource
