@@ -47,9 +47,11 @@ def run_result_digest(result) -> str:
 
 
 def fault_summary_digest(summary) -> str:
-    """SHA-256 over a FaultSummary's accounting (chaos-run pins)."""
+    """SHA-256 over a FaultSummary's accounting (chaos-run pins), shed,
+    drained and admission-shed counters included."""
     parts = [repr(v) for v in (
         summary.events_applied, summary.displaced, summary.recovered,
-        summary.degraded, summary.dropped, summary.retries)]
+        summary.degraded, summary.dropped, summary.retries,
+        summary.shed, summary.drained, summary.joins_shed)]
     parts.append("|".join(repr(v) for v in summary.time_to_recover_ms))
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()

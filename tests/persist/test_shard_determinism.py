@@ -40,10 +40,10 @@ CHAOS = replace(
 #: configs through :func:`run_sharded` and printing ``digests``.
 GOLDEN_BASELINE = (
     "6486b94b67372df749178a27305cb10ceb2512aaf2cbfed00bd2595f5c03265d",
-    "acb88cc45a983fc5559854d1193217b31aa4efbbd52b0bf154ab0873194cf7a9")
+    "b001705bffae5bd2f6dac78b083f095d273d2e9eb7e5323395e4f6176a943c3c")
 GOLDEN_CHAOS = (
     "209f8ebe3f6937d031f6cb3392a7f8ed9db2cdafa22f40eef79084a42151f266",
-    "f56b49ed3211229332d150a21b54bd9e43f0727264375e8a02e93072692b8a2d")
+    "bfcf60db3a683cfb361c68910e0b83a23de8fa0bf577c6560af4df93967dc8ba")
 
 
 def digests(result):
