@@ -34,13 +34,21 @@ class AssignmentResult:
 
 
 def _restrict(graph: FriendGraph, players: list[int]) -> FriendGraph:
-    """Friendship graph reindexed to the given players (dense 0..n-1)."""
+    """Friendship graph reindexed to the given players (dense 0..n-1).
+
+    Reads only these players' cached adjacency, never the whole edge
+    list.  Walking them in ascending id and keeping each friendship at
+    its lower end adds the edges in the parent's ``edges()`` order, so
+    the dense graph is the one a full edge scan would build.
+    """
     index_of = {p: i for i, p in enumerate(players)}
     dense = FriendGraph(len(players))
-    player_set = set(players)
-    for a, b in graph.edges():
-        if a in player_set and b in player_set:
-            dense.add_friendship(index_of[a], index_of[b])
+    adjacency = graph.adjacency()
+    for a in sorted(index_of):
+        i = index_of[a]
+        for b in adjacency[a]:
+            if b > a and b in index_of:
+                dense.add_friendship(i, index_of[b])
     return dense
 
 

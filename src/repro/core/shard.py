@@ -146,8 +146,8 @@ def _slice_population(parent: Population, player_ids: np.ndarray
     friends = FriendGraph(len(player_ids))
     adjacency = parent.friends.adjacency()
     for g, i in local.items():
-        for neighbour in adjacency.get(g, ()):
-            j = local.get(int(neighbour))
+        for neighbour in adjacency[g]:
+            j = local.get(neighbour)
             if j is not None and i < j:
                 friends.add_friendship(i, j)
     return Population(

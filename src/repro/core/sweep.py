@@ -102,10 +102,11 @@ def choose_games(state: SimState, plans: list[PlayerDayPlan],
             state.games[plan.player] = catalogue[
                 int(rng.choice(len(catalogue), p=probs))]
     else:
-        for index in rng.permutation(len(plans)):
-            plan = plans[int(index)]
-            state.games[plan.player] = choose_game(
-                plan.player, state.population.friends, state.games, rng)
+        adjacency = state.population.friends.adjacency()
+        games = state.games
+        for index in rng.permutation(len(plans)).tolist():
+            player = plans[index].player
+            games[player] = choose_game(player, adjacency, games, rng)
     cap = state.quality_ceiling
     if cap is not None:
         # Bandwidth-constrained thin clients: nothing streams above
@@ -362,10 +363,10 @@ def run_server_assignment(state: SimState, rng: np.random.Generator,
     if state.config.mode == "cdn":
         return
     players_by_dc: dict[int, list[int]] = {}
-    for player in range(state.topology.num_players):
-        players_by_dc.setdefault(
-            int(state.nearest_dc[player]), []).append(player)
+    for player, dc_index in enumerate(state.nearest_dc.tolist()):
+        players_by_dc.setdefault(dc_index, []).append(player)
     state.server_latency_cache.clear()
+    adjacency = state.population.friends.adjacency()
     total_wall = 0.0
     for dc_index, players in players_by_dc.items():
         datacenter = state.datacenters[dc_index]
@@ -376,22 +377,22 @@ def run_server_assignment(state: SimState, rng: np.random.Generator,
             assignment = assign_players_randomly(datacenter, players, rng)
         total_wall += assignment.wall_time_s
         # Per-player expected server latency: share of its friends on
-        # other servers times the cross-server round trip.  The counts
-        # are order-insensitive, so the cached adjacency tuples stand
-        # in for the friend sets.
-        adjacency = state.population.friends.adjacency()
-        nearest = state.nearest_dc
+        # other servers times the cross-server round trip.  A friend
+        # counts when it shares the datacenter, i.e. has a server here;
+        # the counts are order-insensitive, so the adjacency tuples
+        # stand in for the friend sets.
+        server_at = {p: datacenter.server_of(p) for p in players}
+        hop_ms = datacenter.hop_ms
         for player in players:
-            friends = [f for f in adjacency.get(player, ())
-                       if nearest[f] == dc_index]
-            if not friends:
-                state.server_latency_cache[player] = 0.0
-                continue
-            server = datacenter.server_of(player)
-            crossing = sum(
-                1 for f in friends if datacenter.server_of(f) != server)
+            server = server_at[player]
+            local = crossing = 0
+            for friend in adjacency[player]:
+                if friend in server_at:
+                    local += 1
+                    if server_at[friend] != server:
+                        crossing += 1
             state.server_latency_cache[player] = (
-                2.0 * datacenter.hop_ms * crossing / len(friends))
+                2.0 * hop_ms * crossing / local if local else 0.0)
     result.assignment_wall_times_s.append(total_wall)
 
 

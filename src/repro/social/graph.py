@@ -8,16 +8,25 @@ F(i) denoting i's friend set.
 Generation uses a configuration-model-style stub matching over the
 power-law degree sequence (self-loops and duplicate edges discarded),
 which yields the right degree shape without imposing extra structure.
+
+Storage is one insertion-ordered neighbour dict per player (the
+networkx ``Graph`` layout without the library): every query below
+returns what a networkx graph built by the same ``add_friendship``
+calls returns, in the same order, so the partitioner's RNG draws and
+float sums do not move.  networkx is imported only by
+:meth:`FriendGraph.to_networkx`, for the reference ablation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import networkx as nx
 import numpy as np
 
 from ..sim.rng import powerlaw_counts
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["FriendGraph", "generate_friend_graph"]
 
@@ -30,9 +39,10 @@ class FriendGraph:
         if num_players < 0:
             raise ValueError(f"num_players must be non-negative, got {num_players}")
         self.num_players = num_players
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(num_players))
-        self._num_edges: int | None = 0
+        # Dict keys in first-insertion order; the values are unused.
+        self._neighbours: list[dict[int, None]] = [
+            {} for _ in range(num_players)]
+        self._num_edges = 0
         self._adjacency: dict[int, tuple[int, ...]] | None = None
         for a, b in edges:
             self.add_friendship(a, b)
@@ -43,14 +53,10 @@ class FriendGraph:
         self._check(b)
         if a == b:
             raise ValueError(f"player {a} cannot befriend itself")
-        self._graph.add_edge(a, b)
-        self._num_edges = None
-        self._adjacency = None
-
-    def remove_friendship(self, a: int, b: int) -> None:
-        if self._graph.has_edge(a, b):
-            self._graph.remove_edge(a, b)
-            self._num_edges = None
+        if b not in self._neighbours[a]:
+            self._neighbours[a][b] = None
+            self._neighbours[b][a] = None
+            self._num_edges += 1
             self._adjacency = None
 
     def _check(self, player: int) -> None:
@@ -62,53 +68,49 @@ class FriendGraph:
     def friends(self, player: int) -> set[int]:
         """F(i): the friend set of a player."""
         self._check(player)
-        return set(self._graph.neighbors(player))
-
-    def are_friends(self, a: int, b: int) -> bool:
-        return self._graph.has_edge(a, b)
+        return set(self._neighbours[player])
 
     def degree(self, player: int) -> int:
         self._check(player)
-        return int(self._graph.degree(player))
+        return len(self._neighbours[player])
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        return iter(self._graph.edges())
+        """Each friendship once, as networkx yields it: by the lower
+        id, then in that player's insertion order."""
+        for a, neighbours in enumerate(self._neighbours):
+            for b in neighbours:
+                if b > a:
+                    yield a, b
 
     @property
     def num_edges(self) -> int:
-        # Cached: modularity-style algorithms read |E| once per
-        # candidate move, and networkx recounts degrees every call.
-        if self._num_edges is None:
-            self._num_edges = self._graph.number_of_edges()
         return self._num_edges
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Every player's friends as immutable tuples, cached.
 
-        The per-day game-choice and server-assignment loops read friend
-        sets for (almost) every player; building a fresh ``set`` per
-        call from the networkx structure dominates those loops.  The
-        cache is invalidated by any mutation.  Tuple order follows the
-        networkx adjacency (insertion order), which is deterministic
-        for a deterministically built graph.
+        The per-day game-choice and server-assignment loops and the
+        §3.4 partitioner read friend lists for (almost) every player;
+        building a fresh ``set`` per call dominates those loops.  The
+        cache is invalidated by any mutation.  Tuple order is insertion
+        order, which is deterministic for a deterministically built
+        graph.
         """
         if self._adjacency is None:
             self._adjacency = {
-                player: tuple(neighbors)
-                for player, neighbors in self._graph.adjacency()}
+                player: tuple(neighbours)
+                for player, neighbours in enumerate(self._neighbours)}
         return self._adjacency
 
-    def subgraph_players(self, players: Iterable[int]) -> "FriendGraph":
-        """Friendships restricted to a player subset (ids preserved)."""
-        players = set(players)
-        sub = FriendGraph(self.num_players)
-        for a, b in self._graph.subgraph(players).edges():
-            sub.add_friendship(a, b)
-        return sub
+    def to_networkx(self) -> "nx.Graph":
+        """A networkx copy with the same nodes and ``edges()`` sequence
+        (for reference algorithms)."""
+        import networkx as nx
 
-    def to_networkx(self) -> nx.Graph:
-        """A copy as a plain networkx graph (for reference algorithms)."""
-        return self._graph.copy()
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.num_players))
+        graph.add_edges_from(self.edges())
+        return graph
 
 
 def generate_friend_graph(rng: np.random.Generator, num_players: int,
@@ -133,7 +135,7 @@ def generate_friend_graph(rng: np.random.Generator, num_players: int,
     rng.shuffle(stubs)
     if len(stubs) % 2 == 1:
         stubs = stubs[:-1]
-    for a, b in zip(stubs[0::2], stubs[1::2]):
+    for a, b in zip(stubs[0::2].tolist(), stubs[1::2].tolist()):
         if a != b:
-            graph.add_friendship(int(a), int(b))
+            graph.add_friendship(a, b)
     return graph

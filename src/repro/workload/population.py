@@ -10,8 +10,8 @@ friends playing."
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -66,23 +66,44 @@ def build_population(rng: np.random.Generator, num_players: int,
                       supernode_capable=capable)
 
 
-def choose_game(player: int, friends: FriendGraph,
-                playing: dict[int, Game], rng: np.random.Generator) -> Game:
+#: Catalogue position of each game name (built backwards, so a repeated
+#: name keeps its earliest position).
+_CATALOGUE_POSITION: dict[str, int] = {
+    game.name: position
+    for position, game in reversed(list(enumerate(GAME_CATALOGUE)))}
+
+
+def choose_game(player: int, adjacency: Mapping[int, Sequence[int]],
+                playing: Mapping[int, Game],
+                rng: np.random.Generator) -> Game:
     """The §4.1 social game-choice rule.
 
-    ``playing`` maps currently-online players to the game they play.
-    Ties between games go to the earlier catalogue entry (deterministic).
+    ``adjacency`` is the friend graph's cached :meth:`~repro.social.
+    graph.FriendGraph.adjacency`; ``playing`` maps currently-online
+    players to the game they play.  Friends' games are counted by name
+    at their catalogue position; ties go to the earlier catalogue entry
+    (deterministic).  If a non-catalogue name alone holds the top
+    count, the first playing friend's game is returned.  The RNG draws
+    only when no friend plays.
     """
-    # adjacency() is the cached tuple form of friends(); the majority
-    # count below is order-insensitive, so the tuple order is safe.
-    friend_games = [playing[f] for f in friends.adjacency().get(player, ())
-                    if f in playing]
-    if not friend_games:
+    counts = [0] * len(GAME_CATALOGUE)
+    first: Game | None = None
+    others: dict[str, int] | None = None
+    for friend in adjacency.get(player, ()):
+        if friend in playing:
+            game = playing[friend]
+            if first is None:
+                first = game
+            position = _CATALOGUE_POSITION.get(game.name)
+            if position is not None:
+                counts[position] += 1
+            else:
+                if others is None:
+                    others = {}
+                others[game.name] = others.get(game.name, 0) + 1
+    if first is None:
         return random_game(rng)
-    counts = Counter(game.name for game in friend_games)
-    best_count = max(counts.values())
-    for game in GAME_CATALOGUE:
-        if counts.get(game.name, 0) == best_count:
-            return game
-    # Unreachable for catalogue games; defensive for custom games.
-    return friend_games[0]
+    best = max(counts)
+    if others is not None and max(others.values()) > best:
+        return first
+    return GAME_CATALOGUE[counts.index(best)]

@@ -40,7 +40,7 @@ def test_population_consistency_checks():
 def test_choose_game_random_without_friends_playing():
     rng = np.random.default_rng(0)
     friends = FriendGraph(5, edges=[(0, 1)])
-    games = {choose_game(0, friends, playing={}, rng=rng).name
+    games = {choose_game(0, friends.adjacency(), playing={}, rng=rng).name
              for _ in range(200)}
     assert len(games) >= 3  # spreads across the catalogue
 
@@ -51,7 +51,7 @@ def test_choose_game_follows_friend_majority():
     friends = FriendGraph(6, edges=[(0, 1), (0, 2), (0, 3)])
     playing = {1: game_for_level(2), 2: game_for_level(2),
                3: game_for_level(4)}
-    chosen = choose_game(0, friends, playing, rng)
+    chosen = choose_game(0, friends.adjacency(), playing, rng)
     assert chosen.default_level == 2
 
 
@@ -59,7 +59,7 @@ def test_choose_game_ignores_non_friends():
     rng = np.random.default_rng(0)
     friends = FriendGraph(6, edges=[(0, 1)])
     playing = {5: game_for_level(3)}  # player 5 is not a friend of 0
-    counts = {choose_game(0, friends, playing, rng).name for _ in range(200)}
+    counts = {choose_game(0, friends.adjacency(), playing, rng).name for _ in range(200)}
     assert len(counts) >= 3  # still effectively random
 
 
@@ -67,5 +67,5 @@ def test_choose_game_tie_is_deterministic():
     rng = np.random.default_rng(0)
     friends = FriendGraph(6, edges=[(0, 1), (0, 2)])
     playing = {1: game_for_level(5), 2: game_for_level(2)}
-    results = {choose_game(0, friends, playing, rng).name for _ in range(20)}
+    results = {choose_game(0, friends.adjacency(), playing, rng).name for _ in range(20)}
     assert results == {GAME_CATALOGUE[1].name}  # earlier catalogue entry wins
