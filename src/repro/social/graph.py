@@ -68,7 +68,10 @@ class FriendGraph:
     def friends(self, player: int) -> set[int]:
         """F(i): the friend set of a player."""
         self._check(player)
-        return set(self._neighbours[player])
+        # Built from an iterator, not the dict itself (which presizes
+        # the table): the set then iterates in the order the networkx
+        # era's ``set(neighbors(i))`` did, which callers may depend on.
+        return set(iter(self._neighbours[player]))
 
     def degree(self, player: int) -> int:
         self._check(player)

@@ -52,6 +52,10 @@ def test_friend_graph_matches_networkx(case):
     assert [graph.degree(p) for p in range(n)] == \
         [reference.degree(p) for p in range(n)]
     assert graph.num_edges == reference.number_of_edges()
+    # Same members and the same iteration order as a set built from
+    # the networkx neighbour iterator.
+    assert [list(graph.friends(p)) for p in range(n)] == \
+        [list(set(reference.neighbors(p))) for p in range(n)]
     copy = graph.to_networkx()
     assert list(copy.nodes()) == list(reference.nodes())
     assert list(copy.edges()) == list(reference.edges())
