@@ -38,8 +38,8 @@ def _restrict(graph: FriendGraph, players: list[int]) -> FriendGraph:
 
     Reads only these players' cached adjacency, never the whole edge
     list.  Walking them in ascending id and keeping each friendship at
-    its lower end adds the edges in the parent's ``edges()`` order, so
-    the dense graph is the one a full edge scan would build.
+    its lower end adds the edges in the full graph's ``edges()`` order,
+    so the dense graph is the one a full edge scan would build.
     """
     index_of = {p: i for i, p in enumerate(players)}
     dense = FriendGraph(len(players))

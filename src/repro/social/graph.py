@@ -68,9 +68,9 @@ class FriendGraph:
     def friends(self, player: int) -> set[int]:
         """F(i): the friend set of a player."""
         self._check(player)
-        # Built from an iterator, not the dict itself (which presizes
-        # the table): the set then iterates in the order the networkx
-        # era's ``set(neighbors(i))`` did, which callers may depend on.
+        # Built from an iterator, not from the dict (which presizes the
+        # table), so the set iterates as ``set(neighbors(i))`` of a
+        # networkx graph does; the kd-tree ablation draws in that order.
         return set(iter(self._neighbours[player]))
 
     def degree(self, player: int) -> int:
@@ -105,7 +105,7 @@ class FriendGraph:
                 for player, neighbours in enumerate(self._neighbours)}
         return self._adjacency
 
-    def to_networkx(self) -> "nx.Graph":
+    def to_networkx(self) -> nx.Graph:
         """A networkx copy with the same nodes and ``edges()`` sequence
         (for reference algorithms)."""
         import networkx as nx
