@@ -1,4 +1,4 @@
-"""Regenerate the pinned golden digests (no-faults and chaos pins).
+"""Regenerate the pinned golden digests (no-faults, chaos and scenario pins).
 
 Run from the repo root::
 
@@ -13,6 +13,8 @@ from repro.core import CloudFogSystem
 from repro.core.config import cloudfog_advanced, cloudfog_basic
 from repro.faults.plan import (AdmissionPolicy, FaultEvent, FaultPlan,
                                HealingPolicy)
+from repro.scenarios.hooks import FlashCrowdStage, ScenarioConfigurator
+from repro.sim.cycles import Schedule
 
 from ..helpers.golden import fault_summary_digest, run_result_digest
 
@@ -65,6 +67,34 @@ CHAOS_SCENARIOS = {
 }
 
 
+#: The scenario workload seams no other pin reaches: a participant
+#: subset, per-region timezone offsets shifting the start subcycles, a
+#: weighted game mix under a quality ceiling, a flash crowd queued onto
+#: a peak subcycle that already holds organic starts, and an admission
+#: cap, so arrivals commit join by join and shed cloud joins.
+SCENARIO_WORKLOAD = ScenarioConfigurator(
+    daily_participants=170,
+    game_weights=(("ArenaStrike", 3.0), ("WarBanner", 1.0),
+                  ("EmpireForge", 1.0), ("KingdomSaga", 2.0)),
+    start_offsets=(0, 3, 21, 0, 7),
+    quality_ceiling=4,
+    stages=(FlashCrowdStage(day=2, subcycle=21, players=50),
+            FlashCrowdStage(day=1, subcycle=22, players=20,
+                            duration_hours=0.5, game="BladeDuel")))
+
+#: Three days, the last two measured, so both crowds land in the digest.
+SCENARIO_WORKLOAD_CONFIG = SCENARIOS["cloudfog_advanced"].with_(
+    schedule=Schedule(days=3, warmup_days=1),
+    fault_plan=FaultPlan(admission=AdmissionPolicy(max_cloud_sessions=25)))
+
+
+def run_scenario_workload():
+    """The ``scenario_workload`` run: its config under its hook."""
+    system = CloudFogSystem(SCENARIO_WORKLOAD_CONFIG)
+    SCENARIO_WORKLOAD(system.state)
+    return system.run()
+
+
 def compute() -> dict[str, str]:
     def _run(config):
         return CloudFogSystem(config).run(days=2)
@@ -75,6 +105,9 @@ def compute() -> dict[str, str]:
         result = _run(config)
         digests[name] = run_result_digest(result)
         digests[name + "_faults"] = fault_summary_digest(result.faults)
+    result = run_scenario_workload()
+    digests["scenario_workload"] = run_result_digest(result)
+    digests["scenario_workload_faults"] = fault_summary_digest(result.faults)
     return digests
 
 

@@ -22,7 +22,7 @@ from repro.core import CloudFogSystem
 from repro.faults.plan import FaultPlan
 
 from ..helpers.golden import fault_summary_digest, run_result_digest
-from .regen_golden import CHAOS_SCENARIOS, SCENARIOS
+from .regen_golden import CHAOS_SCENARIOS, SCENARIOS, run_scenario_workload
 
 GOLDEN = {
     "cloudfog_basic":
@@ -37,6 +37,10 @@ GOLDEN = {
         "edb484c740d186ca265ac6931ae3bc7ade8f8a29e9bc5c27ddbb703da914e4c2",
     "chaos_domains_faults":
         "5af521e238346196ffb42c35a5bc71d59dfb733ea64dd84d9b8a39601ccf28f7",
+    "scenario_workload":
+        "3d0cacd4075ac7d265a51039a1d0db2f20985d9c3d7416315c95de5df72a4438",
+    "scenario_workload_faults":
+        "a159eaccc0004957d2c53cee4d79c4a354327c9e00d5fe851ddbdb58c25f094c",
 }
 
 
@@ -89,3 +93,16 @@ def test_chaos_domains_run_is_bit_identical():
             summary.shed, summary.drained, summary.joins_shed) \
         == (9, 2, 6, 1, 1, 82)
     assert summary.conserved()
+
+
+def test_scenario_workload_run_is_bit_identical():
+    """The scenario workload seams pinned: a participant subset,
+    timezone-shifted starts, a weighted game mix under a quality
+    ceiling, flash crowds queued behind organic starts of the same
+    subcycle, and join-by-join admission shedding."""
+    result = run_scenario_workload()
+    assert run_result_digest(result) == GOLDEN["scenario_workload"]
+    assert fault_summary_digest(result.faults) \
+        == GOLDEN["scenario_workload_faults"]
+    assert result.faults.joins_shed == 62
+    assert len(result.sessions) == 364
