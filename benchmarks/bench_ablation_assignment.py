@@ -60,7 +60,7 @@ def run_ablation(num_players: int = 500, z: int = 8, seed: int = 0):
     positions = _friend_correlated_positions(graph, rng)
 
     strategies = {
-        "random": random_partition(graph, z, np.random.default_rng(seed + 1)),
+        "random": random_partition(graph.num_players, z, np.random.default_rng(seed + 1)),
         "kd-tree spatial": KdTreePartitioner(z).fit(positions).assign(
             positions),
         "social (paper)": paper_partition(

@@ -43,7 +43,7 @@ def run_ablation(num_players: int = 500, z: int = 10, seed: int = 0):
                  "server_latency_ms", "wall_s"])
     algorithms = [
         ("random", lambda: random_partition(
-            graph, z, np.random.default_rng(seed + 1))),
+            graph.num_players, z, np.random.default_rng(seed + 1))),
         ("paper h1=100", lambda: paper_partition(
             graph, z, np.random.default_rng(seed + 1), h1=100, h2=10)),
         ("paper h1=400", lambda: paper_partition(

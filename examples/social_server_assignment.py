@@ -41,7 +41,7 @@ def main() -> None:
     print(f"{graph.num_players} players, {graph.num_edges} friendships, "
           f"{z} servers\n")
 
-    random_assign = random_partition(graph, z, np.random.default_rng(1))
+    random_assign = random_partition(graph.num_players, z, np.random.default_rng(1))
     paper_assign = paper_partition(graph, z, np.random.default_rng(1),
                                    h1=200, h2=20)
     reference = greedy_modularity_reference(graph, z)

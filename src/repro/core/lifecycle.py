@@ -19,7 +19,6 @@ import numpy as np
 
 from .. import obs
 from ..obs.metrics import DEFAULT_RECOVERY_BUCKETS_MS
-from ..workload.churn import PlayerDayPlan
 from ..workload.games import Game, random_game
 from .entities import ConnectionKind, Supernode
 from .selection import delay_threshold_ms, select_supernode
@@ -55,16 +54,16 @@ class MigrationOutcome:
 # ----------------------------------------------------------------------
 # joins
 # ----------------------------------------------------------------------
-def join(state: SimState, plan: PlayerDayPlan,
+def join(state: SimState, player: int,
          rng: np.random.Generator) -> JoinOutcome:
-    """Connect one starting session to its video source.
+    """Connect ``player``'s starting session to its video source.
 
     Joins happen thousands of times per simulated day, so they are
     counted (by connection kind, sticky reuse, join latency
     histogram) rather than individually spanned — the enclosing
     ``sweep_day`` span carries their aggregate wall clock.
     """
-    outcome = _join_inner(state, plan, rng)
+    outcome = _join_inner(state, player, rng)
     registry = obs.get_registry()
     registry.counter("repro_joins_total", kind=outcome.kind.value).inc()
     if outcome.join_latency_ms is not None:
@@ -75,14 +74,13 @@ def join(state: SimState, plan: PlayerDayPlan,
     return outcome
 
 
-def _join_inner(state: SimState, plan: PlayerDayPlan,
+def _join_inner(state: SimState, player: int,
                 rng: np.random.Generator) -> JoinOutcome:
-    player = plan.player
     game = state.games[player]
     config = state.config
 
     if config.mode == "cdn":
-        return join_cdn(state, plan, game)
+        return join_cdn(state, player, game)
     if (config.mode != "cloudfog" or state.directory is None
             or not state.live_supernodes):
         upstream = cloud_one_way_ms(state, player)
@@ -124,12 +122,10 @@ def _join_inner(state: SimState, plan: PlayerDayPlan,
                        outcome.join_latency_ms)
 
 
-def join_cdn(state: SimState, plan: PlayerDayPlan,
-             game: Game) -> JoinOutcome:
+def join_cdn(state: SimState, player: int, game: Game) -> JoinOutcome:
     """CDN baseline: the nearest edge site serves everything if it
     meets the game's delivery deadline; otherwise fall back to the
     cloud (the CDN's user-coverage limit)."""
-    player = plan.player
     delays = state.topology.players_to_points_one_way_ms(
         np.array([player]), state.cdn_coords, state.cdn_access)[0]
     site = int(np.argmin(delays))

@@ -74,8 +74,7 @@ def assign_players_randomly(datacenter: Datacenter, players: list[int],
                             rng: np.random.Generator) -> AssignmentResult:
     """Baseline: uniform random server per player."""
     start = time.perf_counter()
-    dense = random_partition(FriendGraph(len(players)),
-                             datacenter.num_servers, rng)
+    dense = random_partition(len(players), datacenter.num_servers, rng)
     partition = {players[i]: c for i, c in dense.items()}
     datacenter.assign_partition(partition)
     elapsed = time.perf_counter() - start

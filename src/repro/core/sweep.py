@@ -4,7 +4,8 @@ The top of the core layering.  One day runs as the §4.1 cycle:
 
 1. throttle re-roll (``stage`` order documented in :data:`run_day`);
 2. weekly server assignment;
-3. day plans + social game choice;
+3. day plans (one :class:`~repro.workload.churn.DayPlans` of columns)
+   + social game choice;
 4. the subcycle sweep — per subcycle the explicit stage tuple
    :data:`SUBCYCLE_STAGES` runs in order: departures → fault
    injection (which walks migration/retry ladders) → scenario hooks
@@ -25,13 +26,13 @@ never ``core.system`` or ``experiments`` (``tools/check_layering.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
 from ..faults import handlers
-from ..workload.churn import PlayerDayPlan, sample_day_plans
+from ..workload.churn import DayPlans, sample_day_plans
 from ..workload.games import GAME_CATALOGUE, game_for_level
 from ..workload.population import choose_game
 from .accounting import (RunResult, SweepLoads, cloud_bandwidth,
@@ -44,9 +45,8 @@ from .state import SessionTable, SimState, deploy
 
 __all__ = ["SweepContext", "SUBCYCLE_STAGES", "stage_departures",
            "stage_faults", "stage_scenario", "stage_arrivals",
-           "sample_plans",
-           "choose_games", "sweep_day", "run_server_assignment",
-           "run_provisioning", "day_end_flush", "run_day",
+           "sample_plans", "choose_games", "start_cohorts", "sweep_day",
+           "run_server_assignment", "run_provisioning", "day_end_flush", "run_day",
            "run_schedule"]
 
 _log = obs.get_logger(__name__)
@@ -56,7 +56,7 @@ _log = obs.get_logger(__name__)
 # plans / games
 # ----------------------------------------------------------------------
 def sample_plans(state: SimState, rng: np.random.Generator,
-                 day: int = 0) -> list[PlayerDayPlan]:
+                 day: int = 0) -> DayPlans:
     n = state.topology.num_players
     if state.daily_participants is not None:
         weight = 1.0
@@ -75,20 +75,18 @@ def sample_plans(state: SimState, rng: np.random.Generator,
         # shift is applied after sampling, so the draw sequence — and
         # with it every no-scenario baseline — is untouched.
         hours = state.config.schedule.hours_per_day
-        nearest = state.nearest_dc
-        plans = [
-            plan if offset == 0 else
-            replace(plan, start_subcycle=(
-                (plan.start_subcycle - 1 + offset) % hours) + 1)
-            for plan in plans
-            for offset in (int(offsets[int(nearest[plan.player])
-                                       % len(offsets)]),)]
+        shift = np.asarray(offsets, dtype=np.int64)[
+            state.nearest_dc[plans.player] % len(offsets)]
+        plans = DayPlans(plans.player, np.where(
+            shift == 0, plans.start, (plans.start - 1 + shift) % hours + 1),
+            plans.hours)
     return plans
 
 
-def choose_games(state: SimState, plans: list[PlayerDayPlan],
+def choose_games(state: SimState, plans: DayPlans,
                  rng: np.random.Generator) -> None:
     state.games.clear()
+    players = plans.player.tolist()
     weights = state.game_weights
     if weights is not None:
         # Scenario game mix: a weighted catalogue draw replaces the
@@ -97,15 +95,14 @@ def choose_games(state: SimState, plans: list[PlayerDayPlan],
                      if weights.get(game.name, 0.0) > 0.0]
         probs = np.array([weights[game.name] for game in catalogue])
         probs = probs / probs.sum()
-        for index in rng.permutation(len(plans)):
-            plan = plans[int(index)]
-            state.games[plan.player] = catalogue[
+        for index in rng.permutation(len(players)).tolist():
+            state.games[players[index]] = catalogue[
                 int(rng.choice(len(catalogue), p=probs))]
     else:
         adjacency = state.population.friends.adjacency()
         games = state.games
-        for index in rng.permutation(len(plans)).tolist():
-            player = plans[index].player
+        for index in rng.permutation(len(players)).tolist():
+            player = players[index]
             games[player] = choose_game(player, adjacency, games, rng)
     cap = state.quality_ceiling
     if cap is not None:
@@ -135,7 +132,8 @@ class SweepContext:
     measuring: bool
     loads: SweepLoads
     cloud_rate: np.ndarray
-    starts: dict[int, list[PlayerDayPlan]]
+    #: Start subcycle → the plans joining then, in plan order.
+    starts: dict[int, DayPlans]
     #: The day's sessions, one ``sessions.columns`` row per player.
     sessions: SessionTable
     fault_rng: np.random.Generator | None = None
@@ -209,23 +207,23 @@ def _span_add(target: np.ndarray, rows, ends, start: int, values) -> None:
                   np.repeat(np.asarray(values, dtype=np.float64), lengths))
 
 
-def _commit_cohort(state: SimState, ctx: SweepContext, plans,
-                   joins) -> None:
+def _commit_cohort(state: SimState, ctx: SweepContext, players: list[int],
+                   hours, joins) -> None:
     """Insert a cohort of joined sessions; commit their load spans.
 
-    The table rows are written in one insert, and the load and
-    cloud-rate span additions collapse into one :func:`_span_add` per
-    array.  A session is committed for the subcycles ``ctx.subcycle``
-    through its clamped end, inclusive.
+    ``players`` joined this subcycle with play times ``hours`` and
+    outcomes ``joins``.  The table rows are written in one insert, and
+    the load and cloud-rate span additions collapse into one
+    :func:`_span_add` per array.  A session is committed for the
+    subcycles ``ctx.subcycle`` through its clamped end, inclusive.
     """
-    subcycle, hours = ctx.subcycle, ctx.hours
+    subcycle = ctx.subcycle
     games = state.games
     compression = state.compression
     measuring = ctx.measuring
     latencies = ctx.result.join_latencies_ms
-    players = [plan.player for plan in plans]
-    ends = np.minimum(hours, subcycle - 1 + np.ceil(
-        [plan.duration_hours for plan in plans]).astype(np.int64)).tolist()
+    ends = np.minimum(ctx.hours, subcycle - 1 + np.ceil(hours).astype(
+        np.int64)).tolist()
     ctx.sessions.add(players, subcycle, ends, joins)
     sn_rows: list[int] = []
     sn_ends: list[int] = []
@@ -267,15 +265,16 @@ def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
     cloud occupancy each prior join in the *same* subcycle committed.
     """
     subcycle = ctx.subcycle
-    plans = ctx.starts.pop(subcycle, [])
+    plans = ctx.starts.pop(subcycle, None)
     if not plans:
         return
+    players = plans.player.tolist()
     if ctx.admission is None:
-        _commit_cohort(state, ctx, plans,
-                       [join(state, plan, ctx.rng) for plan in plans])
+        _commit_cohort(state, ctx, players, plans.hours,
+                       [join(state, player, ctx.rng) for player in players])
         return
-    for plan in plans:
-        joined = join(state, plan, ctx.rng)
+    for player, hours in zip(players, plans.hours.tolist()):
+        joined = join(state, player, ctx.rng)
         if not admit_join(state, joined, ctx.admission, subcycle,
                           ctx.cloud_count):
             # Backpressure: the join is refused before it becomes a
@@ -283,9 +282,9 @@ def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
             ctx.result.faults.joins_shed += 1
             obs.get_registry().counter("repro_joins_shed_total").inc()
             obs.get_events().emit("join_shed", day=ctx.day,
-                                  subcycle=subcycle, player=plan.player)
+                                  subcycle=subcycle, player=player)
             continue
-        _commit_cohort(state, ctx, [plan], [joined])
+        _commit_cohort(state, ctx, [player], [hours], [joined])
 
 
 def stage_scenario(state: SimState, ctx: SweepContext) -> None:
@@ -309,6 +308,19 @@ SUBCYCLE_STAGES = (stage_departures, stage_faults, stage_scenario,
                    stage_arrivals)
 
 
+def start_cohorts(plans: DayPlans, hours: int) -> dict[int, DayPlans]:
+    """Group plans by start subcycle, clamped to the day's last.
+
+    One stable sort on the clamped start keeps every cohort in plan
+    order, the order its players join in.
+    """
+    clamped = np.minimum(plans.start, hours)
+    order = np.argsort(clamped, kind="stable")
+    subcycles, firsts = np.unique(clamped[order], return_index=True)
+    return {subcycle: plans.take(rows) for subcycle, rows in zip(
+        subcycles.tolist(), np.split(order, firsts[1:]))}
+
+
 def sweep_day(state: SimState, plans, rng, result, measuring, day=0):
     """Process joins/leaves hour by hour; build load timelines.
 
@@ -321,14 +333,11 @@ def sweep_day(state: SimState, plans, rng, result, measuring, day=0):
     pairable with its fault-free baseline.
     """
     hours = state.config.schedule.hours_per_day
-    starts: dict[int, list[PlayerDayPlan]] = {}
-    for plan in plans:
-        starts.setdefault(min(plan.start_subcycle, hours), []).append(plan)
-
     ctx = SweepContext(
         day=day, hours=hours, rng=rng, result=result, measuring=measuring,
         loads=SweepLoads.for_supernodes(state.live_supernodes, hours),
-        cloud_rate=np.zeros(hours + 2), starts=starts,
+        cloud_rate=np.zeros(hours + 2),
+        starts=start_cohorts(plans, hours),
         sessions=SessionTable(state.topology.num_players))
 
     if state.faults.active:
@@ -399,21 +408,17 @@ def run_server_assignment(state: SimState, rng: np.random.Generator,
 # ----------------------------------------------------------------------
 # provisioning
 # ----------------------------------------------------------------------
-def run_provisioning(state: SimState, plans: list[PlayerDayPlan],
+def run_provisioning(state: SimState, plans: DayPlans,
                      rng: np.random.Generator) -> None:
     """Observe per-window player counts; redeploy for the next window."""
     assert state.provisioner is not None
     hours = state.config.schedule.hours_per_day
     window = state.provisioner.window_hours
-    # Vectorised per-window occupancy: a plan overlaps [ws, we] iff
-    # start <= we and start + ceil(duration) - 1 >= ws — exactly
-    # ``any(plan.online_at(s) for s in window)`` for a contiguous
-    # window, without the per-plan per-subcycle Python loop.
-    starts = np.fromiter((p.start_subcycle for p in plans),
-                         dtype=np.int64, count=len(plans))
-    durations = np.fromiter((p.duration_hours for p in plans),
-                            dtype=np.float64, count=len(plans))
-    ends = starts + np.ceil(durations).astype(np.int64) - 1
+    # Per-window occupancy: a plan is online in subcycles start
+    # through start + ceil(hours) - 1, so it overlaps [ws, we] iff
+    # start <= we and that end >= ws.
+    starts = plans.start
+    ends = starts + np.ceil(plans.hours).astype(np.int64) - 1
     with obs.get_tracer().span("run_provisioning", windows=max(
             1, -(-hours // window))):
         for window_start in range(1, hours + 1, window):

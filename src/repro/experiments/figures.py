@@ -226,22 +226,11 @@ def fig9_setup_latencies(player_counts=(400, 800, 1600),
     testbed = testbed or peersim()
     table = ResultTable(
         title=f"Fig 9: setup and churn latencies ({testbed.name})",
-        columns=["players", "supernodes", "assignment_s", "sn_join_ms",
-                 "player_join_ms", "migration_ms"])
+        columns=["players", "supernodes", *_LATENCY_COLUMNS])
     for players in player_counts:
         num_supernodes = max(4, int(players * supernode_ratio))
-        system = build_system(
-            "CloudFog/B", testbed, seed=seed, num_players=players,
-            num_supernodes=num_supernodes)
-        result = system.run(days=2)
-        migration = _measure_migrations(system, seed)
-        table.add_row(
-            players, num_supernodes,
-            float(np.mean(result.assignment_wall_times_s)),
-            float(np.mean(result.supernode_join_latencies_ms)),
-            float(np.mean(result.join_latencies_ms)),
-            float(np.mean(migration)) if migration else float("nan"),
-        )
+        table.add_row(players, num_supernodes, *_latency_row(
+            testbed, seed, players, num_supernodes))
     return table
 
 
@@ -252,22 +241,39 @@ def fig9b_latencies_vs_supernodes(supernode_counts=(24, 48, 96),
     testbed = planetlab()
     table = ResultTable(
         title="Fig 9b: setup and churn latencies vs #supernodes",
-        columns=["supernodes", "assignment_s", "sn_join_ms",
-                 "player_join_ms", "migration_ms"])
+        columns=["supernodes", *_LATENCY_COLUMNS])
     for num_supernodes in supernode_counts:
-        system = build_system(
-            "CloudFog/B", testbed, seed=seed, num_players=num_players,
-            num_supernodes=num_supernodes)
-        result = system.run(days=2)
-        migration = _measure_migrations(system, seed)
-        table.add_row(
-            num_supernodes,
+        table.add_row(num_supernodes, *_latency_row(
+            testbed, seed, num_players, num_supernodes))
+    return table
+
+
+_LATENCY_COLUMNS = ("assignment_s", "assignment_random_s", "sn_join_ms",
+                    "player_join_ms", "migration_ms")
+
+
+def _latency_row(testbed: Testbed, seed: int, players: int,
+                 num_supernodes: int) -> list[float]:
+    """One Fig. 9 row of :data:`_LATENCY_COLUMNS`.
+
+    ``assignment_s`` times CloudFog/A's day-0 §3.4 social pass over
+    every datacenter.  The other columns come from a 2-day CloudFog/B
+    run of the same population, whose weekly pass is the random
+    baseline (``assignment_random_s``).
+    """
+    overrides = dict(num_players=players, num_supernodes=num_supernodes)
+    system = build_system("CloudFog/B", testbed, seed=seed, **overrides)
+    result = system.run(days=2)
+    migration = _measure_migrations(system, seed)
+    social = build_system("CloudFog/A", testbed, seed=seed, **overrides)
+    timed = RunResult()
+    sweep.run_server_assignment(
+        social.state, social.rng_factory.stream("assignment-0"), timed)
+    return [timed.assignment_wall_times_s[0],
             float(np.mean(result.assignment_wall_times_s)),
             float(np.mean(result.supernode_join_latencies_ms)),
             float(np.mean(result.join_latencies_ms)),
-            float(np.mean(migration)) if migration else float("nan"),
-        )
-    return table
+            float(np.mean(migration)) if migration else float("nan")]
 
 
 def _measure_migrations(system: CloudFogSystem, seed: int) -> list[float]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..workload.churn import DurationMixture, PlayerDayPlan, StartTimeModel
+from ..workload.churn import DayPlans, DurationMixture, StartTimeModel
 from ..workload.games import GAME_CATALOGUE
 
 __all__ = ["ScenarioConfigurator", "FlashCrowdStage"]
@@ -42,9 +42,9 @@ class FlashCrowdStage:
     its own coordinates.  Joiners are drawn (without replacement, from
     a dedicated RNG stream) among players with no plan today — neither
     a session in the table nor a pending start — and queued into
-    ``ctx.starts`` for this very subcycle, so ``stage_arrivals`` walks
-    them through the ordinary §3.2.2 join path against the post-fault
-    directory.
+    ``ctx.starts`` for this very subcycle, after any organic plans
+    already starting then, so ``stage_arrivals`` walks them through the
+    ordinary §3.2.2 join path against the post-fault directory.
     """
 
     day: int
@@ -60,27 +60,26 @@ class FlashCrowdStage:
             return
         rng = state.rng_factory.stream(
             f"scenario-flash-{self.day}-{self.subcycle}")
-        busy = set(ctx.sessions)
-        for plans in ctx.starts.values():
-            busy.update(plan.player for plan in plans)
-        idle = [player for player in range(state.topology.num_players)
-                if player not in busy]
+        busy = [ctx.sessions.players()]
+        busy.extend(plans.player for plans in ctx.starts.values())
+        idle = np.setdiff1d(np.arange(state.topology.num_players),
+                            np.concatenate(busy)).tolist()
         if not idle:
             return
         count = min(self.players, len(idle))
         chosen = rng.choice(len(idle), size=count, replace=False)
-        queue = ctx.starts.setdefault(self.subcycle, [])
+        joiners = [idle[index] for index in np.sort(chosen).tolist()]
         catalogue = GAME_CATALOGUE
-        for index in np.sort(chosen).tolist():
-            player = idle[index]
+        for player in joiners:
             if self.game is not None:
                 state.games[player] = _GAMES_BY_NAME[self.game]
             elif player not in state.games:
                 state.games[player] = catalogue[
                     int(rng.integers(len(catalogue)))]
-            queue.append(PlayerDayPlan(
-                player=player, start_subcycle=self.subcycle,
-                duration_hours=self.duration_hours))
+        crowd = DayPlans.of(joiners, self.subcycle, self.duration_hours)
+        queued = ctx.starts.get(self.subcycle)
+        ctx.starts[self.subcycle] = (crowd if queued is None
+                                     else queued.append(crowd))
 
 
 @dataclass(frozen=True)

@@ -155,12 +155,12 @@ class Partition:
         return dict(enumerate(self.community_of))
 
 
-def random_partition(graph: FriendGraph, z: int,
+def random_partition(num_players: int, z: int,
                      rng: np.random.Generator) -> dict[int, int]:
-    """Baseline: uniform random community per player."""
+    """Baseline: uniform random community for each of ``num_players``."""
     if z <= 0:
         raise ValueError(f"z must be positive, got {z}")
-    return {p: int(rng.integers(0, z)) for p in range(graph.num_players)}
+    return {p: int(rng.integers(0, z)) for p in range(num_players)}
 
 
 class _OrderStatSet:

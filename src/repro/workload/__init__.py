@@ -1,9 +1,8 @@
 """Workload substrate: games, churn, populations."""
 
 from .churn import (
-    ArrivalProcess,
+    DayPlans,
     DurationMixture,
-    PlayerDayPlan,
     StartTimeModel,
     sample_day_plans,
 )
@@ -11,9 +10,8 @@ from .games import GAME_CATALOGUE, Game, game_for_level, random_game
 from .population import Population, build_population, choose_game
 
 __all__ = [
-    "ArrivalProcess",
+    "DayPlans",
     "DurationMixture",
-    "PlayerDayPlan",
     "StartTimeModel",
     "sample_day_plans",
     "GAME_CATALOGUE",

@@ -1,13 +1,13 @@
-"""Player churn: session start times, durations and arrival processes.
+"""Player churn: session start times, durations and day plans.
 
 §4.1's workload settings:
 
 * play-duration mixture [48]: 50 % of players play (0, 2] hours a day,
   30 % play (2, 5] hours and 20 % play (5, 24] hours;
 * session start: probability 30 % uniformly in subcycles [1, 19] and
-  70 % in the peak subcycles [20, 24];
-* joins follow a Poisson process (5 players/second in the full-scale
-  simulation; the provisioning experiments sweep peak-hour rates).
+  70 % in the peak subcycles [20, 24].
+
+A day's joins are its plans' start subcycles (:class:`DayPlans`).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DurationMixture", "StartTimeModel", "ArrivalProcess",
-           "PlayerDayPlan", "sample_day_plans"]
+__all__ = ["DurationMixture", "StartTimeModel", "DayPlans",
+           "sample_day_plans"]
 
 
 @dataclass(frozen=True)
@@ -77,74 +77,68 @@ class StartTimeModel:
         return int(starts[0]) if n is None else starts
 
 
-@dataclass(frozen=True)
-class ArrivalProcess:
-    """Poisson joins with distinct peak / off-peak rates (per minute)."""
+@dataclass(frozen=True, eq=False)
+class DayPlans:
+    """One day's plans as columns, one row per participant.
 
-    offpeak_rate_per_min: float = 5.0
-    peak_rate_per_min: float = 10.0
+    ``player`` (int64) plays from the 1-based subcycle ``start``
+    (int64) for ``hours`` (float64) hours: ``ceil(hours)`` whole
+    subcycles, clamped to the day (cycles do not wrap, §4.1).  Rows
+    keep the sampling order, which every consumer walks in.
+    Construction checks the whole batch at once and names the first
+    bad row.
+    """
 
-    def __post_init__(self) -> None:
-        if self.offpeak_rate_per_min < 0 or self.peak_rate_per_min < 0:
-            raise ValueError("rates must be non-negative")
-
-    def rate_for(self, is_peak: bool) -> float:
-        return self.peak_rate_per_min if is_peak else self.offpeak_rate_per_min
-
-    def sample_arrivals(self, rng: np.random.Generator, is_peak: bool,
-                        minutes: float = 60.0) -> int:
-        """Number of joins in an interval (Poisson)."""
-        if minutes < 0:
-            raise ValueError("minutes must be non-negative")
-        return int(rng.poisson(self.rate_for(is_peak) * minutes))
-
-    def sample_interarrival_s(self, rng: np.random.Generator,
-                              is_peak: bool) -> float:
-        """Exponential gap between two joins, in seconds."""
-        rate = self.rate_for(is_peak)
-        if rate == 0:
-            return float("inf")
-        return float(rng.exponential(60.0 / rate))
-
-
-@dataclass(frozen=True)
-class PlayerDayPlan:
-    """One player's gaming plan for one day."""
-
-    player: int
-    start_subcycle: int       # 1-based
-    duration_hours: float
+    player: np.ndarray
+    start: np.ndarray
+    hours: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.start_subcycle < 1:
-            raise ValueError("start_subcycle is 1-based")
-        if self.duration_hours <= 0:
-            raise ValueError("duration must be positive")
+        if not len(self.player) == len(self.start) == len(self.hours):
+            raise ValueError("plan columns differ in length")
+        for name, bad, rule in (("start", self.start < 1, ">= 1"),
+                                ("hours", ~(self.hours > 0), "> 0")):
+            if bad.any():
+                index = int(np.argmax(bad))
+                raise ValueError(
+                    f"plan {index} (player {self.player[index]}): {name} "
+                    f"must be {rule}, got {getattr(self, name)[index]}")
 
-    def online_at(self, subcycle: int) -> bool:
-        """Is the player online during a (1-based) subcycle?
+    @classmethod
+    def of(cls, player, start, hours) -> "DayPlans":
+        """Plans from array-likes or scalars, cast to the column dtypes."""
+        player = np.asarray(player, dtype=np.int64)
+        return cls(player, np.full(player.shape, start, dtype=np.int64),
+                   np.full(player.shape, hours, dtype=np.float64))
 
-        Sessions run for ceil(duration) whole subcycles and do not wrap
-        past midnight (each cycle is one day's activities, §4.1).
-        """
-        if subcycle < 1:
-            raise ValueError("subcycle is 1-based")
-        end = self.start_subcycle + int(np.ceil(self.duration_hours)) - 1
-        return self.start_subcycle <= subcycle <= end
+    def __len__(self) -> int:
+        return len(self.player)
+
+    def take(self, index) -> "DayPlans":
+        """The rows at ``index``, in that order."""
+        return DayPlans(self.player[index], self.start[index],
+                        self.hours[index])
+
+    def append(self, other: "DayPlans") -> "DayPlans":
+        """These rows followed by ``other``'s."""
+        return DayPlans(np.concatenate((self.player, other.player)),
+                        np.concatenate((self.start, other.start)),
+                        np.concatenate((self.hours, other.hours)))
 
 
 def sample_day_plans(rng: np.random.Generator, players: np.ndarray,
                      durations: DurationMixture | None = None,
-                     starts: StartTimeModel | None = None
-                     ) -> list[PlayerDayPlan]:
-    """Sample one day's plans for a set of player ids."""
+                     starts: StartTimeModel | None = None) -> DayPlans:
+    """Sample one day's plans for a set of player ids.
+
+    Durations are drawn first, then starts, each as one batch; play
+    time is floored at 1e-3 h.
+    """
     durations = durations or DurationMixture()
     starts = starts or StartTimeModel()
     players = np.asarray(players, dtype=np.int64)
-    n = len(players)
-    if n == 0:
-        return []
-    hours = np.atleast_1d(durations.sample_hours(rng, n))
-    subcycles = np.atleast_1d(starts.sample_subcycles(rng, n))
-    return [PlayerDayPlan(int(p), int(s), float(max(h, 1e-3)))
-            for p, s, h in zip(players, subcycles, hours)]
+    if len(players) == 0:
+        return DayPlans.of(players, [], [])
+    hours = durations.sample_hours(rng, len(players))
+    subcycles = starts.sample_subcycles(rng, len(players))
+    return DayPlans.of(players, subcycles, np.maximum(hours, 1e-3))

@@ -13,7 +13,7 @@ from repro.core.lifecycle import (
     take_offline,
 )
 from repro.core.state import SimState
-from repro.workload.churn import PlayerDayPlan
+from repro.workload.churn import DayPlans
 
 SMALL = dict(num_players=150, num_supernodes=12, seed=3)
 
@@ -28,9 +28,8 @@ def test_session_window_clamps_to_day():
              2: (30, 4.0, 24, 24),
              # Long sessions end at the day boundary (cycles do not wrap).
              3: (22, 9.0, 22, 24)}
-    plans = [PlayerDayPlan(player=p, start_subcycle=start,
-                           duration_hours=duration)
-             for p, (start, duration, _, _) in cases.items()]
+    plans = DayPlans.of(list(cases), [case[0] for case in cases.values()],
+                        [case[1] for case in cases.values()])
     sweep.choose_games(state, plans, np.random.default_rng(0))
     sessions, _, _ = sweep.sweep_day(state, plans,
                                      np.random.default_rng(1),
@@ -44,14 +43,10 @@ def test_session_window_clamps_to_day():
 def test_join_connects_and_counts():
     state = SimState(cloudfog_basic(**SMALL))
     rng = np.random.default_rng(0)
-    plans = [PlayerDayPlan(player=p, start_subcycle=1, duration_hours=2.0)
-             for p in range(40)]
-    from repro.core.sweep import choose_games
-
-    choose_games(state, plans, rng)
-    kinds = set()
-    for plan in plans:
-        kinds.add(join(state, plan, rng).kind)
+    plans = DayPlans.of(range(40), 1, 2.0)
+    sweep.choose_games(state, plans, rng)
+    kinds = {join(state, player, rng).kind
+             for player in plans.player.tolist()}
     assert ConnectionKind.SUPERNODE in kinds
 
 

@@ -40,6 +40,8 @@ def test_fig9_structure(tiny):
     table = figures.fig9_setup_latencies(player_counts=(150,), testbed=tiny)
     assert len(table.rows) == 1
     assert table.column("player_join_ms")[0] > 0
+    assert table.column("assignment_s")[0] > 0
+    assert table.column("assignment_random_s")[0] > 0
 
 
 def test_fig11_structure():

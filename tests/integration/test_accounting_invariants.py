@@ -53,16 +53,17 @@ def test_cloud_only_bandwidth_identity():
     # Reconstruct: every session streams its game's bitrate for its
     # whole-subcycle span; the mean over 24 subcycles is the metric.
     rng = system.rng_factory.stream(f"plans-{day.day}")
-    plans = {p.player: p for p in sweep.sample_plans(system.state, rng)}
+    plans = sweep.sample_plans(system.state, rng)
     games_rng = system.rng_factory.stream(f"games-{day.day}")
-    sweep.choose_games(system.state, list(plans.values()), games_rng)
+    sweep.choose_games(system.state, plans, games_rng)
+    row = {player: index for index, player in enumerate(plans.player.tolist())}
     expected = 0.0
     for record in result.sessions:
         if record.day != day.day:
             continue
-        plan = plans[record.player]
-        start = min(plan.start_subcycle, 24)
-        hours = min(24, start + int(np.ceil(plan.duration_hours)) - 1) \
+        index = row[record.player]
+        start = min(int(plans.start[index]), 24)
+        hours = min(24, start + int(np.ceil(plans.hours[index])) - 1) \
             - start + 1
         game = system.state.games[record.player]
         expected += game.stream_rate_mbps * hours

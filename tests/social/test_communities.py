@@ -84,11 +84,20 @@ def test_partition_move_returns_old_and_noop():
 def test_random_partition_covers_all_players():
     graph = two_cliques()
     rng = np.random.default_rng(0)
-    assignment = random_partition(graph, 3, rng)
+    assignment = random_partition(graph.num_players, 3, rng)
     assert set(assignment) == set(range(8))
     assert set(assignment.values()) <= {0, 1, 2}
     with pytest.raises(ValueError):
-        random_partition(graph, 0, rng)
+        random_partition(graph.num_players, 0, rng)
+
+
+def test_random_partition_draws_one_integer_per_player():
+    """One ``integers(0, z)`` draw per player, in player order."""
+    twin = np.random.default_rng(5)
+    expected = {p: int(twin.integers(0, 4)) for p in range(50)}
+    rng = np.random.default_rng(5)
+    assert random_partition(50, 4, rng) == expected
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_paper_partition_recovers_clique_structure():
@@ -105,7 +114,8 @@ def test_paper_partition_beats_random_on_power_law_graph():
     rng = np.random.default_rng(1)
     graph = generate_friend_graph(rng, 300)
     ours = modularity(graph, paper_partition(graph, 5, np.random.default_rng(2)))
-    rand = modularity(graph, random_partition(graph, 5, np.random.default_rng(2)))
+    rand = modularity(graph, random_partition(
+        graph.num_players, 5, np.random.default_rng(2)))
     assert ours > rand
 
 

@@ -1,12 +1,14 @@
-"""Tests for churn models (durations, start times, arrivals)."""
+"""Tests for churn models (durations, start times, day plans)."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core import sweep
 from repro.workload.churn import (
-    ArrivalProcess,
+    DayPlans,
     DurationMixture,
-    PlayerDayPlan,
     StartTimeModel,
     sample_day_plans,
 )
@@ -66,54 +68,71 @@ def test_start_time_validation():
         StartTimeModel(peak_range=(0, 5))
 
 
-def test_arrival_process_rates():
-    arrivals = ArrivalProcess(offpeak_rate_per_min=5.0, peak_rate_per_min=60.0)
-    assert arrivals.rate_for(is_peak=False) == 5.0
-    assert arrivals.rate_for(is_peak=True) == 60.0
-    rng = np.random.default_rng(0)
-    counts = [arrivals.sample_arrivals(rng, True, minutes=1.0)
-              for _ in range(2000)]
-    assert abs(np.mean(counts) - 60.0) < 2.0
+class RecordingProvisioner:
+    """Records the window counts it observes; never redeploys."""
+
+    ready = False
+
+    def __init__(self, window_hours: int = 1):
+        self.window_hours = window_hours
+        self.observed = []
+
+    def observe(self, count):
+        self.observed.append(count)
 
 
-def test_arrival_interarrival_times():
-    arrivals = ArrivalProcess(offpeak_rate_per_min=6.0, peak_rate_per_min=6.0)
-    rng = np.random.default_rng(0)
-    gaps = [arrivals.sample_interarrival_s(rng, False) for _ in range(2000)]
-    assert abs(np.mean(gaps) - 10.0) < 1.0  # 6/min -> 10 s mean gap
-    silent = ArrivalProcess(offpeak_rate_per_min=0.0, peak_rate_per_min=0.0)
-    assert silent.sample_interarrival_s(rng, False) == float("inf")
-
-
-def test_arrival_validation():
-    with pytest.raises(ValueError):
-        ArrivalProcess(offpeak_rate_per_min=-1.0)
-    with pytest.raises(ValueError):
-        ArrivalProcess().sample_arrivals(np.random.default_rng(0), True,
-                                         minutes=-1.0)
+def online_subcycles(start: int, hours: float) -> list[int]:
+    """The subcycles of a 48-subcycle day in which a one-plan day counts
+    as online, read from ``run_provisioning`` at one-subcycle windows."""
+    state = SimpleNamespace(
+        config=SimpleNamespace(schedule=SimpleNamespace(hours_per_day=48)),
+        provisioner=RecordingProvisioner())
+    sweep.run_provisioning(state, DayPlans.of([1], start, hours),
+                           np.random.default_rng(0))
+    return [subcycle for subcycle, count
+            in enumerate(state.provisioner.observed, start=1) if count]
 
 
 def test_day_plan_online_window():
-    plan = PlayerDayPlan(player=1, start_subcycle=20, duration_hours=2.5)
-    assert not plan.online_at(19)
-    assert plan.online_at(20)
-    assert plan.online_at(22)  # ceil(2.5) = 3 subcycles: 20, 21, 22
-    assert not plan.online_at(23)
+    # ceil(2.5) = 3 subcycles: 20, 21, 22.
+    assert online_subcycles(20, 2.5) == [20, 21, 22]
+    assert online_subcycles(1, 1e-3) == [1]
 
 
 def test_day_plan_validation():
-    with pytest.raises(ValueError):
-        PlayerDayPlan(1, 0, 1.0)
-    with pytest.raises(ValueError):
-        PlayerDayPlan(1, 1, 0.0)
-    with pytest.raises(ValueError):
-        PlayerDayPlan(1, 1, 1.0).online_at(0)
+    """The batch is validated once; the error names the first bad row,
+    its player and its value."""
+    for start, hours, message in (
+            (0, 1.0, "plan 2 (player 12): start must be >= 1, got 0"),
+            (1, 0.0, "plan 2 (player 12): hours must be > 0, got 0.0"),
+            (1, float("nan"),
+             "plan 2 (player 12): hours must be > 0, got nan")):
+        with pytest.raises(ValueError) as excinfo:
+            DayPlans.of([10, 11, 12, 13], [3, 4, start, start],
+                        [1.0, 2.0, hours, hours])
+        assert str(excinfo.value) == message
+    with pytest.raises(ValueError, match="differ in length"):
+        DayPlans(np.array([1, 2]), np.array([1]), np.array([1.0, 1.0]))
 
 
 def test_sample_day_plans():
     rng = np.random.default_rng(0)
     plans = sample_day_plans(rng, np.arange(100))
     assert len(plans) == 100
-    assert {p.player for p in plans} == set(range(100))
-    assert all(1 <= p.start_subcycle <= 24 for p in plans)
-    assert sample_day_plans(rng, np.array([], dtype=int)) == []
+    assert plans.player.tolist() == list(range(100))
+    assert (plans.player.dtype, plans.start.dtype, plans.hours.dtype) \
+        == (np.int64, np.int64, np.float64)
+    assert np.all((plans.start >= 1) & (plans.start <= 24))
+    assert np.all(plans.hours >= 1e-3)
+    empty = sample_day_plans(rng, np.array([], dtype=int))
+    assert len(empty) == 0 and empty.start.dtype == np.int64
+
+
+def test_day_plans_take_and_append_keep_row_order():
+    plans = DayPlans.of([5, 6, 7], [2, 3, 4], [0.5, 1.5, 2.5])
+    picked = plans.take(np.array([2, 0]))
+    assert picked.player.tolist() == [7, 5]
+    assert picked.hours.tolist() == [2.5, 0.5]
+    both = picked.append(DayPlans.of([9], 21, 2.0))
+    assert both.player.tolist() == [7, 5, 9]
+    assert both.start.tolist() == [4, 2, 21]

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.workload.churn import (
     DurationMixture,
-    PlayerDayPlan,
     StartTimeModel,
     sample_day_plans,
 )
+
+from .test_churn import online_subcycles
 
 
 @given(seed=st.integers(min_value=0, max_value=1000),
@@ -39,13 +40,10 @@ def test_property_day_plans_cover_each_player_once(seed, n):
     rng = np.random.default_rng(seed)
     plans = sample_day_plans(rng, np.arange(n))
     assert len(plans) == n
-    assert {p.player for p in plans} == set(range(n))
-    for plan in plans:
-        # Every plan is online at its own start subcycle...
-        assert plan.online_at(plan.start_subcycle)
-        # ...and offline strictly before it.
-        if plan.start_subcycle > 1:
-            assert not plan.online_at(plan.start_subcycle - 1)
+    assert plans.player.tolist() == list(range(n))
+    # Every plan starts inside the day and plays at least one subcycle.
+    assert np.all((plans.start >= 1) & (plans.start <= 24))
+    assert np.all(np.ceil(plans.hours) >= 1)
 
 
 @given(start=st.integers(min_value=1, max_value=24),
@@ -53,12 +51,11 @@ def test_property_day_plans_cover_each_player_once(seed, n):
        probe=st.integers(min_value=1, max_value=48))
 @settings(max_examples=200, deadline=None)
 def test_property_online_window_is_contiguous(start, duration, probe):
-    plan = PlayerDayPlan(player=0, start_subcycle=start,
-                         duration_hours=duration)
-    online = [s for s in range(1, 49) if plan.online_at(s)]
+    online = online_subcycles(start, duration)
     # The online subcycles form one contiguous block starting at start.
     assert online
     assert online[0] == start
     assert online == list(range(online[0], online[-1] + 1))
     expected_span = int(np.ceil(duration))
     assert len(online) == expected_span
+    assert (probe in online) == (start <= probe < start + expected_span)
