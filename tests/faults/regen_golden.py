@@ -1,4 +1,5 @@
-"""Regenerate the pinned golden digests (no-faults, chaos and scenario pins).
+"""Regenerate the pinned golden digests (no-faults, chaos, scenario and
+checkpoint state-payload pins).
 
 Run from the repo root::
 
@@ -9,10 +10,13 @@ and paste the printed values into ``tests/faults/test_equivalence.py``.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.core import CloudFogSystem
 from repro.core.config import cloudfog_advanced, cloudfog_basic
 from repro.faults.plan import (AdmissionPolicy, FaultEvent, FaultPlan,
                                HealingPolicy)
+from repro.persist import SnapshotEncoder
 from repro.scenarios.hooks import FlashCrowdStage, ScenarioConfigurator
 from repro.sim.cycles import Schedule
 
@@ -95,6 +99,29 @@ def run_scenario_workload():
     return system.run()
 
 
+#: Checkpoint state payloads pinned at the day-1 boundary: a plain
+#: CloudFog/A run (throttle classes, supported totals), the chaos run
+#: (a partial live set, a flaky throttle of 0.3 not yet re-rolled) and
+#: the domain-chaos run, whose final crash leaves no node online.
+STATE_SCENARIOS = {
+    "state_cloudfog_advanced": SCENARIOS["cloudfog_advanced"],
+    "state_chaos_advanced": CHAOS_SCENARIOS["chaos_advanced"],
+    "state_chaos_domains": CHAOS_SCENARIOS["chaos_domains"],
+}
+
+
+def state_payload_digest(config) -> str:
+    """SHA-256 of ``SnapshotEncoder().encode_state`` after day 1."""
+    encoded: list[str] = []
+
+    def capture(state, day, _result, _total_days):
+        if day == 1:
+            encoded.append(SnapshotEncoder().encode_state(state))
+
+    CloudFogSystem(config).run(days=2, on_day_end=capture)
+    return hashlib.sha256(encoded[0].encode()).hexdigest()
+
+
 def compute() -> dict[str, str]:
     def _run(config):
         return CloudFogSystem(config).run(days=2)
@@ -108,6 +135,8 @@ def compute() -> dict[str, str]:
     result = run_scenario_workload()
     digests["scenario_workload"] = run_result_digest(result)
     digests["scenario_workload_faults"] = fault_summary_digest(result.faults)
+    for name, config in STATE_SCENARIOS.items():
+        digests[name] = state_payload_digest(config)
     return digests
 
 

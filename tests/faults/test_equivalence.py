@@ -22,7 +22,8 @@ from repro.core import CloudFogSystem
 from repro.faults.plan import FaultPlan
 
 from ..helpers.golden import fault_summary_digest, run_result_digest
-from .regen_golden import CHAOS_SCENARIOS, SCENARIOS, run_scenario_workload
+from .regen_golden import (CHAOS_SCENARIOS, SCENARIOS, STATE_SCENARIOS,
+                           run_scenario_workload, state_payload_digest)
 
 GOLDEN = {
     "cloudfog_basic":
@@ -41,6 +42,12 @@ GOLDEN = {
         "3d0cacd4075ac7d265a51039a1d0db2f20985d9c3d7416315c95de5df72a4438",
     "scenario_workload_faults":
         "a159eaccc0004957d2c53cee4d79c4a354327c9e00d5fe851ddbdb58c25f094c",
+    "state_cloudfog_advanced":
+        "08eb3378734ed6991e96ba2f469ab36ba583c57329a09e9443da9bae1036f7bc",
+    "state_chaos_advanced":
+        "3520a41bf2313f2c3e0f598b554ccc4fe357e7ac4be7c3e39a53b4bdb598186a",
+    "state_chaos_domains":
+        "6aaae51f9e023f656f108ee8fa33c825dd3bea5bf26eb5cd2324dc62268ed33f",
 }
 
 
@@ -106,3 +113,11 @@ def test_scenario_workload_run_is_bit_identical():
         == GOLDEN["scenario_workload_faults"]
     assert result.faults.joins_shed == 62
     assert len(result.sessions) == 364
+
+
+@pytest.mark.parametrize("name", sorted(STATE_SCENARIOS))
+def test_state_payload_is_bit_identical(name):
+    """The checkpoint's state payload at the day-1 boundary, byte for
+    byte: the per-supernode records (online, throttle, supported total,
+    connected), the ordered live list and every other captured field."""
+    assert state_payload_digest(STATE_SCENARIOS[name]) == GOLDEN[name]
