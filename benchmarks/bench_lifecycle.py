@@ -7,10 +7,10 @@ moved onto columnar state, and writes ``BENCH_lifecycle.json``:
   replay-exact join path (one §3.2.2 capacity ask per join).  The
   arrivals wall clock comes from timer-wrapped ``SUBCYCLE_STAGES``.
   Throughput only — there is no second join path to compare against.
-* **Departures** — :meth:`Supernode.disconnect_many` (one set
-  difference + one availability refresh) against the scalar
-  per-player ``disconnect`` loop it replaced.  The two are
-  bit-identical (asserted on a fresh pool before timing).
+* **Departures** — :meth:`SupernodePool.disconnect_many` over each
+  node's whole departing batch (one set difference + one
+  availability write) against one call per departing player.  The
+  two are bit-identical (asserted on a fresh pool before timing).
 * **Migrations** — :func:`repro.core.lifecycle.fail_supernodes` over a
   warmed system: players re-attached through their candidate lists,
   then a supernode failure wave re-homes them down the §3.2.2
@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core import sweep
 from repro.core.config import cloudfog_advanced
-from repro.core.entities import Supernode
+from repro.core.columns import SupernodePool
 from repro.core.lifecycle import fail_supernodes
 from repro.core.system import CloudFogSystem
 
@@ -102,48 +102,48 @@ def bench_departures(num_supernodes: int, per_node: int, rounds: int,
          for offset in rng.permutation(per_node)[:per_node // 2]]
         for sid in range(num_supernodes)]
 
-    def build_pool() -> list[Supernode]:
-        pool = []
+    def build_pool() -> SupernodePool:
+        pool = SupernodePool(
+            host_player=[-1] * num_supernodes,
+            capacity=[per_node] * num_supernodes,
+            upload_mbps=[30.0] * num_supernodes,
+            access_ms=[5.0] * num_supernodes)
         for sid in range(num_supernodes):
-            sn = Supernode(supernode_id=sid, host_player=-1,
-                           capacity=per_node, upload_mbps=30.0,
-                           access_ms=5.0)
             for offset in range(per_node):
-                sn.connect(sid * per_node + offset)
-            pool.append(sn)
+                pool.connect(sid, sid * per_node + offset)
         return pool
+
+    def reconnect(pool: SupernodePool) -> None:
+        for sid, players in enumerate(departing):
+            for player in players:
+                pool.connect(sid, player)
 
     # Equivalence before speed: same departures, same end state.
     scalar_pool, batch_pool = build_pool(), build_pool()
-    for sn, players in zip(scalar_pool, departing):
+    for sid, players in enumerate(departing):
         for player in players:
-            sn.disconnect(player)
-    for sn, players in zip(batch_pool, departing):
-        sn.disconnect_many(players)
-    assert all(a.connected == b.connected and a.has_capacity
-               == b.has_capacity
-               for a, b in zip(scalar_pool, batch_pool)), \
-        "disconnect_many diverged from the scalar loop"
+            scalar_pool.disconnect_many(sid, (player,))
+    for sid, players in enumerate(departing):
+        batch_pool.disconnect_many(sid, players)
+    assert (scalar_pool.connected == batch_pool.connected
+            and scalar_pool.available == batch_pool.available), \
+        "batched departures diverged from the per-player loop"
 
     pool = build_pool()
     total = sum(len(players) for players in departing)
     scalar_times, batch_times = [], []
     for _ in range(rounds):  # interleaved best-of-N
         t0 = time.perf_counter()
-        for sn, players in zip(pool, departing):
+        for sid, players in enumerate(departing):
             for player in players:
-                sn.disconnect(player)
+                pool.disconnect_many(sid, (player,))
         scalar_times.append(time.perf_counter() - t0)
-        for sn, players in zip(pool, departing):
-            for player in players:
-                sn.connect(player)
+        reconnect(pool)
         t0 = time.perf_counter()
-        for sn, players in zip(pool, departing):
-            sn.disconnect_many(players)
+        for sid, players in enumerate(departing):
+            pool.disconnect_many(sid, players)
         batch_times.append(time.perf_counter() - t0)
-        for sn, players in zip(pool, departing):
-            for player in players:
-                sn.connect(player)
+        reconnect(pool)
     scalar_s, batch_s = min(scalar_times), min(batch_times)
     return {
         "departures": total,
@@ -167,12 +167,14 @@ def bench_migrations(num_players: int, num_supernodes: int,
     # node only to half capacity: a saturated pool would drop every
     # displaced player instead of migrating it.
     attached = 0
+    pool = state.supernode_pool
     for player in range(num_players):
         for entry in state.candidates.candidates(player):
-            sn = state.supernode_pool[entry.supernode_id]
-            if sn.online and sn.load * 2 < sn.capacity:
-                sn.connect(player)
-                state.sticky[player] = sn.supernode_id
+            sid = entry.supernode_id
+            if (pool.online[sid]
+                    and len(pool.connected[sid]) * 2 < pool.capacity[sid]):
+                pool.connect(sid, player)
+                state.sticky[player] = sid
                 attached += 1
                 break
 
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
                         help="schedule length for the joins run")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless batched departures beat "
-                             "the scalar loop")
+                             "one call per player")
     parser.add_argument("--output", default=None,
                         help="output path (default benchmarks/results/"
                              "BENCH_lifecycle.json)")
@@ -242,8 +244,8 @@ def main(argv=None) -> int:
     print(f"wrote {output}")
 
     if args.check and departs["speedup"] <= 1.0:
-        print("FAIL: disconnect_many is not faster than the scalar loop",
-              file=sys.stderr)
+        print("FAIL: batched disconnect_many is not faster than one call "
+              "per player", file=sys.stderr)
         return 1
     return 0
 

@@ -102,17 +102,13 @@ def bench_scoring(num_players: int, num_supernodes: int, seed: int,
 def _linear_candidates(directory: SupernodeDirectory, player: int,
                        count: int):
     """Reference lookup: per-call capacity scan over the whole
-    directory, vectorised distances, full (distance², pool id) sort."""
-    available = [sn for sn in directory.supernodes if sn.has_capacity]
-    if not available:
-        return []
-    cols = available[0].columns
-    ids = np.array([sn.supernode_id for sn in available])
+    pool, vectorised distances, full (distance², pool id) sort."""
+    pool = directory.pool
+    ids = np.flatnonzero(np.frombuffer(pool.available, dtype=np.uint8))
     px, py = directory.topology.player_coords[player]
-    dx = cols.x_km[ids] - px
-    dy = cols.y_km[ids] - py
-    order = np.lexsort((ids, dx * dx + dy * dy))[:count]
-    return [available[int(i)] for i in order]
+    dx = pool.x_km[ids] - px
+    dy = pool.y_km[ids] - py
+    return ids[np.lexsort((ids, dx * dx + dy * dy))[:count]].tolist()
 
 
 def bench_joins(num_players: int, num_supernodes: int, seed: int,
@@ -127,8 +123,7 @@ def bench_joins(num_players: int, num_supernodes: int, seed: int,
     for player in players[:50]:  # correctness spot-check before timing
         ranked = directory.candidates_for(int(player), count)
         linear = _linear_candidates(directory, int(player), count)
-        assert [sn.supernode_id for sn in ranked] == \
-            [sn.supernode_id for sn in linear], "ranking lookup diverged"
+        assert ranked == linear, "ranking lookup diverged"
 
     # Interleaved best-of-3, same rationale as the scoring bench.  The
     # first lookup above built the cached ranking, so the timed loops
@@ -146,7 +141,7 @@ def bench_joins(num_players: int, num_supernodes: int, seed: int,
     ranked_s, linear_s = min(ranked_times), min(linear_times)
     return {
         "lookups": lookups,
-        "supernodes": len(directory),
+        "supernodes": len(system.live_supernodes),
         "ranking_joins_per_s": lookups / ranked_s,
         "linear_joins_per_s": lookups / linear_s,
         "speedup": linear_s / ranked_s,

@@ -13,7 +13,7 @@ Run with::
 
 import numpy as np
 
-from repro.core.entities import Supernode
+from repro.core.columns import SupernodePool
 from repro.core.provisioning import Provisioner, rank_preference_selection
 from repro.forecast.diurnal import DiurnalPattern
 
@@ -48,16 +48,12 @@ def main() -> None:
     print(f"\nmean absolute forecast error: {np.mean(errors):.1%}")
 
     # Which candidates get deployed: Eq. 16's 1/rank preference.
-    candidates = []
-    for sn_id in range(12):
-        sn = Supernode(supernode_id=sn_id, host_player=sn_id, capacity=5,
-                       upload_mbps=15.0, access_ms=5.0)
-        sn.supported_total = 120 - 10 * sn_id  # busiest first
-        candidates.append(sn)
+    pool = SupernodePool(host_player=range(12), capacity=[5] * 12,
+                         upload_mbps=[15.0] * 12, access_ms=[5.0] * 12)
+    pool.supported_total[:] = 120 - 10 * np.arange(12)  # busiest first
     chosen = provisioner.choose_deployment(
-        candidates, count=5, rng=np.random.default_rng(1))
-    print("\nEq. 16 deployment pick (5 of 12, busiest-favoured):",
-          [sn.supernode_id for sn in chosen])
+        pool, count=5, rng=np.random.default_rng(1))
+    print("\nEq. 16 deployment pick (5 of 12, busiest-favoured):", chosen)
 
 
 if __name__ == "__main__":

@@ -36,15 +36,15 @@ def main() -> None:
     fraudsters = {3, 11, 19}
     profile = MaliciousProfile(ThreatKind.JUNK_INJECTION, inflation=3.0)
     reports = []
-    for sn in system.live_supernodes:
-        expected_gb = sn.supported_total * 0.45  # ~1 Mbit/s for an hour
-        if sn.supernode_id in fraudsters:
+    supported = system.supernode_pool.supported_total.tolist()
+    for sid in system.live_supernodes:
+        expected_gb = supported[sid] * 0.45  # ~1 Mbit/s for an hour
+        if sid in fraudsters:
             reports.append(malicious_report(
-                sn.supernode_id, expected_gb, sn.supported_total, profile,
-                rng))
+                sid, expected_gb, supported[sid], profile, rng))
         else:
             reports.append(honest_report(
-                sn.supernode_id, expected_gb, sn.supported_total, rng))
+                sid, expected_gb, supported[sid], rng))
 
     auditor = RewardAuditor(tolerance=1.5)
     audit = auditor.audit(reports)

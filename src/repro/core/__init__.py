@@ -18,7 +18,8 @@ from .config import (
     cloudfog_advanced,
     cloudfog_basic,
 )
-from .entities import ConnectionKind, Supernode
+from .columns import SupernodePool
+from .entities import ConnectionKind
 from .provisioning import (
     Provisioner,
     rank_preference_selection,
@@ -56,7 +57,7 @@ __all__ = [
     "cloudfog_advanced",
     "cloudfog_basic",
     "ConnectionKind",
-    "Supernode",
+    "SupernodePool",
     "Provisioner",
     "rank_preference_selection",
     "required_supernodes",

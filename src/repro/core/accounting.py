@@ -18,7 +18,7 @@ import numpy as np
 from ..cloud.gamestate import UPDATE_MESSAGE_BITS_PER_SUPERNODE
 from ..faults import FaultSummary
 from ..streaming.continuity import satisfied_ratio
-from .entities import ConnectionKind, Supernode
+from .entities import ConnectionKind
 
 __all__ = ["DEFAULT_DC_EGRESS_MBPS", "CLOUD_FLOW_HEADROOM",
            "CLOUD_FLOW_SHARE_FLOOR_MBPS", "SessionRecord", "DayMetrics",
@@ -189,9 +189,9 @@ class SweepLoads:
     _rows: dict[int, int] = field(repr=False)
 
     @classmethod
-    def for_supernodes(cls, supernodes: list[Supernode],
+    def for_supernodes(cls, supernode_ids: list[int],
                        hours: int) -> "SweepLoads":
-        ids = tuple(sn.supernode_id for sn in supernodes)
+        ids = tuple(supernode_ids)
         shape = (len(ids), hours + 2)
         return cls(ids=ids, counts=np.zeros(shape), rates=np.zeros(shape),
                    _rows={sn_id: row for row, sn_id in enumerate(ids)})
@@ -280,8 +280,8 @@ def summarize_day(state, day: int, records: list[SessionRecord],
 def credit_contributors(state, loads: SweepLoads) -> None:
     """Credit supernode hosts: one hour at rate r Mbit/s is r * 0.45 GB;
     a live supernode is online the whole day."""
-    for sn in state.live_supernodes:
-        row = loads.row(sn.supernode_id)
+    for sid in state.live_supernodes:
+        row = loads.row(sid)
         gb = (float(loads.rates[row, 1:25].sum()) * 0.45
               if row is not None else 0.0)
-        state.credits.record_day(sn.supernode_id, gb, hours_online=24.0)
+        state.credits.record_day(sid, gb, hours_online=24.0)

@@ -20,7 +20,7 @@ import numpy as np
 from .. import obs
 from ..obs.metrics import DEFAULT_RECOVERY_BUCKETS_MS
 from ..workload.games import Game, random_game
-from .entities import ConnectionKind, Supernode
+from .entities import ConnectionKind
 from .selection import delay_threshold_ms, select_supernode
 from .state import (JoinOutcome, SimState, cloud_one_way_ms,
                     player_supernode_ms)
@@ -97,11 +97,11 @@ def _join_inner(state: SimState, player: int,
     sticky_id = (None if config.strategies.reputation_selection
                  else state.sticky.get(player))
     if sticky_id is not None:
-        sn = state.supernode_pool[sticky_id]
-        if sn.online and sn.has_capacity:
-            delay = player_supernode_ms(state, player, sn)
+        pool = state.supernode_pool
+        if pool.available[sticky_id]:
+            delay = player_supernode_ms(state, player, sticky_id)
             if delay <= l_max:
-                sn.connect(player)
+                pool.connect(sticky_id, player)
                 return JoinOutcome(ConnectionKind.SUPERNODE, sticky_id,
                                    delay, upstream, None)
 
@@ -141,31 +141,31 @@ def join_cdn(state: SimState, player: int, game: Game) -> JoinOutcome:
 # ----------------------------------------------------------------------
 # failures / migration
 # ----------------------------------------------------------------------
-def ordered_orphans(orphan_sets: list[tuple[Supernode, set[int]]]
-                    ) -> list[tuple[Supernode, int]]:
+def ordered_orphans(orphan_sets: list[tuple[int, set[int]]]
+                    ) -> list[tuple[int, int]]:
     """One deterministic re-home ordering for a whole fault event.
 
     Flattens :func:`take_offline`'s per-supernode orphan sets into a
-    single concatenated ``(supernode, player)`` sequence: each set
-    sorted once through numpy, sets kept in their pool order.  The
+    single concatenated ``(supernode id, player)`` sequence: each set
+    sorted once through numpy, sets kept in their failure order.  The
     iteration order is exactly the nested ``for sn, orphans …: for
     player in sorted(orphans)`` loop it replaces, so the existing
     golden digests pin it bit-identically.  ``tolist()`` hands back
     Python ints — dict keys and JSON event payloads never see numpy
     scalars.
     """
-    ordered: list[tuple[Supernode, int]] = []
-    for sn, orphans in orphan_sets:
+    ordered: list[tuple[int, int]] = []
+    for sid, orphans in orphan_sets:
         if not orphans:
             continue
         players = np.sort(np.fromiter(
             orphans, dtype=np.int64, count=len(orphans))).tolist()
-        ordered.extend((sn, player) for player in players)
+        ordered.extend((sid, player) for player in players)
     return ordered
 
 
 def penalize_orphans(state: SimState,
-                     ordered: list[tuple[Supernode, int]],
+                     ordered: list[tuple[int, int]],
                      today: int) -> None:
     """Charge every orphan of one fault event its failure rating at once.
 
@@ -180,23 +180,23 @@ def penalize_orphans(state: SimState,
     assert len(set(players)) == len(players), \
         "one fault event orphaned a player twice"
     state.reputation.penalize_many(
-        players, [sn.supernode_id for sn, _ in ordered], today)
+        players, [sid for sid, _ in ordered], today)
 
 
-def take_offline(state: SimState, failed: list[Supernode]
-                 ) -> list[tuple[Supernode, set[int]]]:
+def take_offline(state: SimState, failed: list[int]
+                 ) -> list[tuple[int, set[int]]]:
     """Remove supernodes from service; return their orphaned players.
 
     Shared by the out-of-band :func:`fail_supernodes` entry point
-    and in-run crash injection: directory, ``live_ids``, candidate
-    caches and the availability gauge all stay mutually consistent.
+    and in-run crash injection: the pool rows, the live list,
+    candidate caches and the availability gauge all stay mutually
+    consistent.
     """
-    failed_ids = {sn.supernode_id for sn in failed}
-    orphan_sets = [(sn, sn.fail()) for sn in failed]
-    state.live_supernodes = [sn for sn in state.live_supernodes
-                             if sn.supernode_id not in failed_ids]
-    state.live_ids -= failed_ids
-    state.directory.rebuild(state.live_supernodes)
+    failed_ids = set(failed)
+    fail = state.supernode_pool.fail
+    orphan_sets = [(sid, fail(sid)) for sid in failed]
+    state.live_supernodes = [sid for sid in state.live_supernodes
+                             if sid not in failed_ids]
     state.candidates.forget_supernodes(failed_ids)
     registry = obs.get_registry()
     registry.counter("repro_supernode_failures_total").inc(len(failed))
@@ -207,26 +207,25 @@ def take_offline(state: SimState, failed: list[Supernode]
     return orphan_sets
 
 
-def bring_online(state: SimState, supernodes: list[Supernode]) -> None:
+def bring_online(state: SimState, supernode_ids: list[int]) -> None:
     """Bring replacement supernodes into service (self-healing).
 
     The inverse of :func:`take_offline`, used by the healing hook
-    after a confirmed domain loss: each node joins the live set and
-    the directory, and pays the same registration latency a scheduled
+    after a confirmed domain loss: each node goes online at the end of
+    the live list and pays the same registration latency a scheduled
     deployment would (one cloud RTT + handshake).  ``deployed_count``
     grows so the availability gauge never reads above 1.0 after a
     heal.  Already-online nodes are skipped.
     """
-    fresh = [sn for sn in supernodes if not sn.online]
+    pool = state.supernode_pool
+    fresh = [sid for sid in supernode_ids if not pool.online[sid]]
     if not fresh:
         return
-    for sn in fresh:
-        sn.online = True
-        state.live_supernodes.append(sn)
-        state.live_ids.add(sn.supernode_id)
-        rtt = 2.0 * float(state.cloud_ms[sn.host_player])
+    pool.set_online(fresh, True)
+    state.live_supernodes.extend(fresh)
+    for host in pool.host_player[fresh].tolist():
+        rtt = 2.0 * float(state.cloud_ms[host])
         state.supernode_join_latencies_ms.append(rtt + 20.0)
-    state.directory.rebuild(state.live_supernodes)
     state.deployed_count = max(state.deployed_count,
                                len(state.live_supernodes))
     registry = obs.get_registry()
@@ -304,7 +303,7 @@ def fail_supernodes(state: SimState, count: int, rng: np.random.Generator,
     detection = state.failure_detector.detection_latency_ms()
     ordered = ordered_orphans(orphan_sets)
     penalize_orphans(state, ordered, today)
-    for sn, player in ordered:
+    for _sid, player in ordered:
         state.sticky.pop(player, None)
         game = state.games.get(player) or random_game(rng)
         l_max = delay_threshold_ms(game.latency_requirement_ms)
@@ -353,8 +352,8 @@ def migrate(state: SimState, player: int, l_max: float,
     round's handshake independently times out with this probability
     (never on the final attempt's success), forcing a backoff retry.
     """
-    cols = state.supernode_columns
-    pool_size = len(state.supernode_pool)
+    pool = state.supernode_pool
+    pool_size = len(pool)
     for entry in state.candidates.candidates(player):
         if entry.supernode_id >= pool_size:
             # Stale id (the pool never shrinks today, but a cache
@@ -365,23 +364,14 @@ def migrate(state: SimState, player: int, l_max: float,
                                     supernode=entry.supernode_id))
             state.candidates.forget_supernode(entry.supernode_id)
             continue
-        # The columnar availability byte is exactly
-        # ``online and has_capacity`` (refreshed by every entity
-        # mutation), so the bound-columns path skips two property
-        # chases per entry without changing a single outcome.
-        if cols is not None:
-            available = bool(cols.available[entry.supernode_id])
-        else:
-            candidate = state.supernode_pool[entry.supernode_id]
-            available = candidate.online and candidate.has_capacity
-        if available and entry.delay_ms <= l_max:
-            candidate = state.supernode_pool[entry.supernode_id]
-            candidate.connect(player)
-            state.sticky[player] = candidate.supernode_id
+        sid = entry.supernode_id
+        if pool.available[sid] and entry.delay_ms <= l_max:
+            pool.connect(sid, player)
+            state.sticky[player] = sid
             # Probe RTT + connect handshake, no cloud involvement.
             return MigrationOutcome(
-                2.0 * entry.delay_ms + 10.0 + entry.delay_ms,
-                candidate.supernode_id, 0, "candidates")
+                2.0 * entry.delay_ms + 10.0 + entry.delay_ms, sid, 0,
+                "candidates")
     upstream = cloud_one_way_ms(state, player)
     reputation = (state.reputation
                   if state.config.strategies.reputation_selection
@@ -410,7 +400,7 @@ def migrate(state: SimState, player: int, l_max: float,
                     and rng.random() < transient_refusal):
                 # Handshake timed out mid-churn: release the slot,
                 # remember the refusal, back off and retry.
-                state.supernode_pool[sid].disconnect(player)
+                pool.disconnect_many(sid, (player,))
                 refused.add(sid)
                 continue
             state.sticky[player] = sid

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..economics.provider import ProviderModel
 from ..forecast.arima import SeasonalArima
-from .entities import Supernode
+from .columns import SupernodePool
 
 __all__ = ["required_supernodes", "rank_preference_selection",
            "choose_replacements", "Provisioner"]
@@ -58,9 +58,8 @@ def rank_preference_selection(ranked_candidates: list[int], count: int,
     return [ranked_candidates[int(i)] for i in sorted(picks)]
 
 
-def choose_replacements(pool: list[Supernode], excluded_ids: set[int],
-                        count: int, rng: np.random.Generator
-                        ) -> list[Supernode]:
+def choose_replacements(pool: SupernodePool, excluded_ids: set[int],
+                        count: int, rng: np.random.Generator) -> list[int]:
     """Pick replacement capacity after a confirmed domain loss.
 
     Candidates are the idle pool — offline nodes that did not fail
@@ -72,15 +71,18 @@ def choose_replacements(pool: list[Supernode], excluded_ids: set[int],
     """
     if count <= 0:
         return []
-    candidates = [sn for sn in pool
-                  if not sn.online and sn.supernode_id not in excluded_ids]
+    candidates = [sid for sid in np.flatnonzero(~pool.online).tolist()
+                  if sid not in excluded_ids]
     if not candidates:
         return []
-    ranked = sorted(candidates, key=lambda sn: -sn.supported_total)
-    picked_ids = rank_preference_selection(
-        [sn.supernode_id for sn in ranked], count, rng)
-    by_id = {sn.supernode_id: sn for sn in candidates}
-    return [by_id[sn_id] for sn_id in picked_ids]
+    return rank_preference_selection(
+        _by_support(pool, candidates), count, rng)
+
+
+def _by_support(pool: SupernodePool, ids: list[int]) -> list[int]:
+    """``ids`` by descending lifetime support; ties keep their order."""
+    supported = pool.supported_total.tolist()
+    return sorted(ids, key=lambda sid: -supported[sid])
 
 
 @dataclass
@@ -144,7 +146,7 @@ class Provisioner:
                    required_supernodes(predicted, self.average_capacity,
                                        self.epsilon))
 
-    def deployment_worthwhile(self, supernode: Supernode,
+    def deployment_worthwhile(self, capacity: int, upload_mbps: float,
                               utilization: float = 0.6) -> bool:
         """§3.1.2: deploy sn_j only when G_s(j) > 0 (Eq. 6).
 
@@ -154,15 +156,14 @@ class Provisioner:
         if self.provider_model is None:
             return True
         return self.provider_model.deployment_is_worthwhile(
-            supernode.capacity, supernode.upload_mbps, utilization)
+            capacity, upload_mbps, utilization)
 
-    def choose_deployment(self, candidates: list[Supernode], count: int,
-                          rng: np.random.Generator) -> list[Supernode]:
-        """Eq. 16 preference selection over economically viable
-        candidates (Eq. 6 gate first, 1/rank preference second)."""
-        viable = [sn for sn in candidates if self.deployment_worthwhile(sn)]
-        ranked = sorted(viable, key=lambda sn: -sn.supported_total)
-        picked_ids = rank_preference_selection(
-            [sn.supernode_id for sn in ranked], count, rng)
-        by_id = {sn.supernode_id: sn for sn in viable}
-        return [by_id[sn_id] for sn_id in picked_ids]
+    def choose_deployment(self, pool: SupernodePool, count: int,
+                          rng: np.random.Generator) -> list[int]:
+        """Eq. 16 preference selection over the pool's economically
+        viable rows (Eq. 6 gate first, 1/rank preference second)."""
+        viable = [sid for sid, (capacity, upload) in enumerate(zip(
+                      pool.capacity.tolist(), pool.upload_mbps.tolist()))
+                  if self.deployment_worthwhile(capacity, upload)]
+        return rank_preference_selection(
+            _by_support(pool, viable), count, rng)

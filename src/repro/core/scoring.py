@@ -183,8 +183,8 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
     concurrent = means[2 * num_fog:]
 
     pool = state.supernode_pool
-    upload = np.array([pool[sid].upload_mbps * pool[sid].throttle
-                       for sid in loads.ids])[fog_rows]
+    live = np.array(loads.ids, dtype=np.intp)
+    upload = (pool.upload_mbps[live] * pool.throttle[live])[fog_rows]
     utilization = np.empty(len(players))
     utilization[fog_at] = np.minimum(2.0, mean_rate / upload)
     utilization[cloud_at] = np.minimum(
@@ -288,13 +288,14 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
         kind = KIND_OF_CODE[int(cols.kind[player])]
 
         if supernode_id is not None:
-            sn = state.supernode_pool[supernode_id]
+            pool = state.supernode_pool
             row = loads.row(supernode_id)
             counts = loads.counts[row, start:end + 1]
             rates = loads.rates[row, start:end + 1]
             mean_count = max(1.0, float(counts.mean()))
             mean_rate = float(rates.mean())
-            effective_upload = sn.upload_mbps * sn.throttle
+            effective_upload = (float(pool.upload_mbps[supernode_id])
+                                * float(pool.throttle[supernode_id]))
             utilization = min(2.0, mean_rate / effective_upload)
             share = effective_upload / mean_count
             target = supernode_id

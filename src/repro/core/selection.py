@@ -30,8 +30,7 @@ import numpy as np
 from ..network.latency import PLAYOUT_PROCESSING_MS
 from ..network.topology import Topology
 from ..reputation.scores import ReputationTable
-from .columns import SupernodeColumns
-from .entities import Supernode
+from .columns import SupernodePool
 
 __all__ = ["SupernodeDirectory", "SelectionOutcome", "select_supernode",
            "delay_threshold_ms"]
@@ -63,108 +62,74 @@ def delay_threshold_ms(game_requirement_ms: float,
 class SupernodeDirectory:
     """The cloud's supernode table: locations and available capacities.
 
-    Every directory reads one shared columnar store
-    (:class:`~repro.core.columns.SupernodeColumns`): the pool's store in
-    a simulation, a private one bound here for a standalone supernode
-    set.  Lookups answer from one cached per-player distance ranking
-    of the whole pool (:meth:`_pool_ranking`, built once per store):
-    :meth:`candidates_for` walks the player's ranking row and keeps the
-    first ``count`` available directory members, in (distance², pool
-    id) order.  A row whose cached prefix is exhausted by local
-    saturation falls back to an exact scan of the live pool
-    (:meth:`_batch_scan`) with the same ordering.
+    A view over one :class:`~repro.core.columns.SupernodePool`: its
+    members are the pool's online rows, and a lookup answers from one
+    cached per-player distance ranking of the whole pool
+    (:meth:`_pool_ranking`).  :meth:`candidates_for` walks the
+    player's ranking row and keeps the first ``count`` rows whose
+    ``available`` byte is set, in (distance², pool id) order.  A row
+    whose cached prefix is exhausted by local saturation falls back to
+    an exact scan of the available rows (:meth:`_batch_scan`) with the
+    same ordering.  Deployments, failures and heals only flip pool
+    bytes, so the directory never rebuilds.
     """
 
-    def __init__(self, topology: Topology, supernodes: list[Supernode]):
+    def __init__(self, topology: Topology, pool: SupernodePool):
         self.topology = topology
-        self._pool_cols: SupernodeColumns | None = None
+        self.pool = pool
         self._topk: np.ndarray | None = None
-        self._rebuild_state(supernodes)
+        #: Live uint8 view of the pool's availability bytes.
+        self._avail_np = np.frombuffer(pool.available, dtype=np.uint8)
+        # Python-float copies of the immutable probe columns: a join
+        # probes a handful of rows, and list reads keep the probe
+        # arithmetic in Python floats.
+        self._probe_columns = (pool.x_km.tolist(), pool.y_km.tolist(),
+                               pool.access_ms.tolist())
 
-    def __len__(self) -> int:
-        return len(self.supernodes)
-
-    def _rebuild_state(self, supernodes: list[Supernode]) -> None:
-        """(Re)derive the membership map and the scan arrays."""
-        self.supernodes = supernodes
-        if supernodes:
-            cols = _shared_columns(supernodes)
-            # The cached ranking keys on the pool's immutable
-            # coordinates: keep it across rebuilds of the same store
-            # (failures, heals and provisioning only flip availability
-            # bytes), drop it when the store itself changes.
-            if cols is not self._pool_cols:
-                self._pool_cols = cols
-                self._topk = None
-        cols = self._pool_cols
-        if cols is None:
-            self._avail_np = None
-            return
-        self._avail = cols.available
-        # Live uint8 view of the shared availability bytes (same
-        # memory: entity setters mutate it, the view sees it).
-        self._avail_np = np.frombuffer(cols.available, dtype=np.uint8)
-        # Global id -> directory member (None for pool rows outside the
-        # directory): the ranking walk's membership test and lookup.
-        members: list[Supernode | None] = [None] * cols.size
-        for sn in supernodes:
-            members[sn.supernode_id] = sn
-        self._members = members
-        # Directory-index -> global id: the exact scan's row set.
-        self._gids_np = np.array([sn.supernode_id for sn in supernodes],
-                                 dtype=np.intp)
-
-    def rebuild(self, supernodes: list[Supernode]) -> None:
-        """Replace the supernode set (dynamic provisioning re-deploys)."""
-        self._rebuild_state(supernodes)
-
-    def candidates_for(self, player: int, count: int) -> list[Supernode]:
-        """The ``count`` closest supernodes with free capacity.
+    def candidates_for(self, player: int, count: int) -> list[int]:
+        """Ids of the ``count`` closest supernodes with free capacity.
 
         Ordered by (distance², pool id).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        if not self.supernodes:
+        if not self.pool.size:
             return []
         ranking = self._pool_ranking(count)
-        avail = self._avail
-        members = self._members
-        found: list[Supernode] = []
+        avail = self.pool.available
+        found: list[int] = []
         for gid in ranking[player].tolist():
             if avail[gid]:
-                sn = members[gid]
-                if sn is not None:
-                    found.append(sn)
-                    if len(found) == count:
-                        return found
-        if ranking.shape[1] == self._pool_cols.size:
+                found.append(gid)
+                if len(found) == count:
+                    return found
+        if ranking.shape[1] == self.pool.size:
             return found  # the prefix is the whole pool
         # Local saturation exhausted the cached prefix: any pool row
         # outside it may be the next nearest, so scan exactly.
         ids, _ = self._batch_scan(np.array([player]), count)
-        return [members[gid] for gid in ids[0].tolist()]
+        return ids[0].tolist()
 
     def _pool_ranking(self, count: int) -> np.ndarray:
         """Every player's nearest pool rows, (distance², pool id) order.
 
         Pool coordinates are immutable after construction, so the
-        ranking is built once per pool and survives directory rebuilds
+        ranking is built once per pool and serves every later lookup
         — failures, heals and daily provisioning only flip availability
         bytes.  A build's cost is dominated by the full (players × pool)
         distance matrix, not the kept width, so the prefix is generous
         (``32 * count`` rows): wide enough that local saturation rarely
         sends a lookup to the exact scan.
         """
-        cols = self._pool_cols
-        n = cols.size
+        pool = self.pool
+        n = pool.size
         width = min(n, 32 * count)
         if self._topk is not None and self._topk.shape[1] >= width:
             return self._topk
         coords = self.topology.player_coords
         total = coords.shape[0]
-        sx = np.asarray(cols.x_km)
-        sy = np.asarray(cols.y_km)
+        sx = pool.x_km
+        sy = pool.y_km
         topk = np.empty((total, width), dtype=np.int32)
         pool_ids = np.arange(n)
         chunk = max(1, int(4_000_000 // max(1, n)))
@@ -189,23 +154,23 @@ class SupernodeDirectory:
 
     def _batch_scan(self, players: np.ndarray, k: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact k-nearest-available scan over the whole live pool.
+        """Exact k-nearest-available scan over the whole pool.
 
         The fallback for lookups whose cached ranking prefix is
         exhausted by local saturation; same (distance², pool id)
         ordering as the cached path.
         """
         m = len(players)
-        gids = self._gids_np[np.flatnonzero(self._avail_np[self._gids_np])]
+        gids = np.flatnonzero(self._avail_np)
         k = min(k, gids.size)
-        cols = self._pool_cols
+        pool = self.pool
         topo = self.topology
         px = topo.player_coords[players, 0]
         py = topo.player_coords[players, 1]
         pa = topo.player_access_ms[players]
         mskm = topo.latency_model.ms_per_km
-        sx = cols.x_km[gids]
-        sy = cols.y_km[gids]
+        sx = pool.x_km[gids]
+        sy = pool.y_km[gids]
         ids = np.empty((m, k), dtype=np.int64)
         delays = np.empty((m, k), dtype=np.float64)
         if k == 0:
@@ -222,11 +187,11 @@ class SupernodeDirectory:
             d2k = np.take_along_axis(d2, part, axis=1)
             ids[lo:hi] = gids[part]
             delays[lo:hi] = (pa[lo:hi, None] + mskm * np.sqrt(d2k)
-                             + cols.access_ms[ids[lo:hi]])
+                             + pool.access_ms[ids[lo:hi]])
         return ids, delays
 
     def probe_delays_ms(self, player: int,
-                        candidates: list[Supernode]) -> list[float]:
+                        candidates: list[int]) -> list[float]:
         """One-way transmission delays from the player to each candidate.
 
         Scalar mirror of ``players_to_points_one_way_ms`` for the
@@ -244,12 +209,13 @@ class SupernodeDirectory:
         py = float(topo.player_coords[player, 1])
         pa = float(topo.player_access_ms[player])
         mskm = topo.latency_model.ms_per_km
+        xs, ys, access = self._probe_columns
         delays = []
-        for sn in candidates:
-            dx = px - sn.x_km
-            dy = py - sn.y_km
+        for sid in candidates:
+            dx = px - xs[sid]
+            dy = py - ys[sid]
             delays.append(pa + mskm * math.sqrt(dx * dx + dy * dy)
-                          + sn.access_ms)
+                          + access[sid])
         return delays
 
 
@@ -276,32 +242,6 @@ def _nearest(d2: np.ndarray, k: int, keys: np.ndarray) -> np.ndarray:
         for r in np.flatnonzero(d2k[:, k - 1] == d2k[:, k]).tolist():
             part[r] = np.lexsort((keys, d2[r]))[:k + 1]
     return part[:, :k]
-
-
-def _shared_columns(supernodes: list[Supernode]) -> SupernodeColumns:
-    """The one columnar store a directory's supernodes are bound to.
-
-    An all-standalone set (tests, ad-hoc construction) is bound here to
-    a private store sized by its largest id; a set split across stores,
-    or half bound, is rejected.
-    """
-    cols = supernodes[0].columns
-    if cols is None and all(sn.columns is None for sn in supernodes):
-        ids = [sn.supernode_id for sn in supernodes]
-        if min(ids) < 0 or len(set(ids)) != len(ids):
-            raise ValueError(
-                "standalone supernodes need distinct non-negative "
-                "supernode_ids to share a columnar store")
-        cols = SupernodeColumns(max(ids) + 1)
-        for sn in supernodes:
-            sn.bind_columns(cols)
-        return cols
-    if any(sn.columns is not cols for sn in supernodes):
-        raise ValueError(
-            "directory supernodes must all be bound to one "
-            "SupernodeColumns store (the pool's), or all be standalone; "
-            "bind the stragglers with Supernode.bind_columns(store)")
-    return cols
 
 
 @dataclass(frozen=True)
@@ -351,18 +291,15 @@ def select_supernode(
         raise ValueError("l_max_ms must be positive")
     candidates = directory.candidates_for(player, candidate_count)
     if exclude:
-        candidates = [sn for sn in candidates
-                      if sn.supernode_id not in exclude]
+        candidates = [sid for sid in candidates if sid not in exclude]
     delays = directory.probe_delays_ms(player, candidates)
 
     join_latency = cloud_rtt_ms
     if candidates:
         join_latency += 2.0 * max(delays)  # parallel probe RTTs
 
-    qualified = [(sn, delay) for sn, delay in zip(candidates, delays)
-                 if delay <= l_max_ms]
-    qualified_ids = tuple((sn.supernode_id, delay)
-                          for sn, delay in qualified)
+    qualified = tuple((sid, delay) for sid, delay in zip(candidates, delays)
+                      if delay <= l_max_ms)
     if not qualified:
         return SelectionOutcome(None, 0.0, join_latency, len(candidates))
 
@@ -371,20 +308,19 @@ def select_supernode(
         # effectively prefer closer supernodes.
         ordered = sorted(
             qualified,
-            key=lambda item: (-reputation.score(
-                player, item[0].supernode_id), item[1]))
+            key=lambda item: (-reputation.score(player, item[0]), item[1]))
     else:
         indices = rng.permutation(len(qualified))
         ordered = [qualified[int(i)] for i in indices]
 
     # Sequential capacity ask (§3.2.2): a candidate may have filled up
     # between the cloud's answer and now.
-    for supernode, delay in ordered:
-        if supernode.has_capacity:
-            supernode.connect(player)
+    pool = directory.pool
+    for sid, delay in ordered:
+        if pool.available[sid]:
+            pool.connect(sid, player)
             join_latency += handshake_ms + delay
-            return SelectionOutcome(supernode.supernode_id, delay,
-                                    join_latency, len(candidates),
-                                    qualified_ids)
+            return SelectionOutcome(sid, delay, join_latency,
+                                    len(candidates), qualified)
     return SelectionOutcome(None, 0.0, join_latency, len(candidates),
-                            qualified_ids)
+                            qualified)

@@ -12,8 +12,8 @@ config → state → pipeline.
 Layering contract (enforced by ``tools/check_layering.py``): this
 module imports only the foundation layers (network, sim, workload,
 streaming, cloud, economics, reputation, rendering, forecast, obs, the
-faults runtime) plus the leaf ``core`` modules (config, entities,
-candidates, selection, provisioning) — never a stage module, the
+faults runtime) plus the leaf ``core`` modules (config, columns,
+entities, candidates, selection, provisioning) — never a stage module, the
 orchestrator, or ``experiments``.
 """
 
@@ -38,9 +38,9 @@ from ..workload.games import Game
 from ..workload.population import Population, build_population
 from .candidates import CandidateManager
 from .columns import (KIND_CDN, KIND_CLOUD, KIND_SUPERNODE, SessionColumns,
-                      SupernodeColumns)
+                      SupernodePool)
 from .config import SystemConfig
-from .entities import ConnectionKind, Supernode
+from .entities import ConnectionKind
 from .provisioning import Provisioner
 from .selection import SupernodeDirectory
 
@@ -206,22 +206,21 @@ class SimState:
             latency_model.datacenter_access_ms), axis=1)
 
         # Infrastructure by mode.
-        self.supernode_pool: list[Supernode] = []
-        #: Dense columnar mirror of the pool (built alongside it);
-        #: row i == supernode_id i.  Never checkpointed: immutable
-        #: columns rebuild with the pool, and the availability byte is
-        #: refreshed by the entity setters the restore path goes
-        #: through.
-        self.supernode_columns: SupernodeColumns | None = None
-        self.live_supernodes: list[Supernode] = []
+        #: The cloud's supernode table (empty outside CloudFog).
+        self.supernode_pool = SupernodePool([], [], [], [])
+        #: Ids of the live supernodes, in deployment order: fault
+        #: targeting draws indices into it and ``SweepLoads`` rows
+        #: follow it.
+        self.live_supernodes: list[int] = []
         self.directory: SupernodeDirectory | None = None
         self.cdn_coords = np.empty((0, 2))
         self.cdn_access = np.empty(0)
-        self.live_ids: set[int] = set()
         if config.mode == "cloudfog":
-            build_supernode_pool(self)
+            self.supernode_pool = build_supernode_pool(self)
+            self.directory = SupernodeDirectory(self.topology,
+                                                self.supernode_pool)
             count = min(config.num_supernodes, len(self.supernode_pool))
-            deploy(self, self.supernode_pool[:count])
+            deploy(self, list(range(count)))
         elif config.mode == "cdn":
             build_cdn_sites(self)
 
@@ -230,8 +229,7 @@ class SimState:
         if (config.mode == "cloudfog"
                 and config.strategies.dynamic_provisioning
                 and self.supernode_pool):
-            mean_capacity = float(np.mean(
-                [sn.capacity for sn in self.supernode_pool]))
+            mean_capacity = float(np.mean(self.supernode_pool.capacity))
             self.provisioner = Provisioner(
                 average_capacity=mean_capacity,
                 epsilon=config.provisioning_epsilon,
@@ -271,8 +269,8 @@ class SimState:
 # ----------------------------------------------------------------------
 # infrastructure construction
 # ----------------------------------------------------------------------
-def build_supernode_pool(state: SimState) -> None:
-    """Create supernode entities for the qualified capable players.
+def build_supernode_pool(state: SimState) -> SupernodePool:
+    """The supernode table over the qualified capable players.
 
     §3.1.1: "The nodes with sufficient hardware are chosen as
     supernodes" — a contributor's GPU must render several streams
@@ -296,63 +294,52 @@ def build_supernode_pool(state: SimState) -> None:
                              dtype=np.int64)
     else:
         capacities = model.sample_supernode_capacities(rng, len(hosts))
-    sn_id = 0
-    for host, capacity, tier in zip(hosts, capacities, tiers):
-        host = int(host)
-        render = RenderCapability(tier)
+    kept_hosts, kept_capacities, kept_tiers = [], [], []
+    for host, capacity, tier in zip(hosts.tolist(), capacities, tiers):
         if config.supernode_capacity_override is None:
+            render = RenderCapability(tier)
             if not render.meets_supernode_requirement():
                 continue
             capacity = min(int(capacity), render.render_capacity())
-        # Supernodes have superior connections (§3.1.1): access delay
-        # is the better of the host's last mile and a business line.
-        access = float(min(topology.player_access_ms[host], 8.0))
-        upload = (config.supernode_upload_override_mbps
-                  if config.supernode_upload_override_mbps is not None
-                  else float(capacity) * SUPERNODE_MBPS_PER_SLOT)
-        state.supernode_pool.append(Supernode(
-            supernode_id=sn_id,
-            host_player=host,
-            capacity=int(capacity),
-            upload_mbps=float(upload),
-            access_ms=access,
-            x_km=float(topology.player_coords[host, 0]),
-            y_km=float(topology.player_coords[host, 1]),
-            gpu_tier=tier,
-        ))
-        sn_id += 1
+        kept_hosts.append(host)
+        kept_capacities.append(int(capacity))
+        kept_tiers.append(tier)
+    capacity = np.array(kept_capacities, dtype=np.int64)
+    # Supernodes have superior connections (§3.1.1): access delay is
+    # the better of the host's last mile and a business line.
+    host = np.array(kept_hosts, dtype=np.int64)
+    upload = (np.full(len(host), config.supernode_upload_override_mbps,
+                      dtype=np.float64)
+              if config.supernode_upload_override_mbps is not None
+              else capacity * SUPERNODE_MBPS_PER_SLOT)
     # Designate the §4.1 throttling classes over the whole pool.
-    n = len(state.supernode_pool)
+    n = len(host)
     n80 = int(n * config.throttle_80_share)
     n50 = int(n * config.throttle_50_share)
     marked = rng.permutation(n)
-    for index in marked[:n80]:
-        state.supernode_pool[int(index)].throttle_class = 0.8
-    for index in marked[n80:n80 + n50]:
-        state.supernode_pool[int(index)].throttle_class = 0.5
-    # Bind the finished pool to its dense columnar mirror.
-    state.supernode_columns = SupernodeColumns(n)
-    for sn in state.supernode_pool:
-        sn.bind_columns(state.supernode_columns)
+    throttle_class = np.ones(n)
+    throttle_class[marked[:n80]] = 0.8
+    throttle_class[marked[n80:n80 + n50]] = 0.5
+    return SupernodePool(
+        host_player=host, capacity=capacity, upload_mbps=upload,
+        access_ms=np.minimum(topology.player_access_ms[host], 8.0),
+        x_km=topology.player_coords[host, 0],
+        y_km=topology.player_coords[host, 1],
+        throttle_class=throttle_class, gpu_tier=kept_tiers)
 
 
-def deploy(state: SimState, supernodes: list[Supernode]) -> None:
-    """Set the live supernode set and rebuild the cloud's table."""
-    obs.get_registry().gauge("repro_live_supernodes").set(len(supernodes))
-    state.deployed_count = len(supernodes)
-    live_ids = {sn.supernode_id for sn in supernodes}
-    for sn in state.supernode_pool:
-        sn.online = sn.supernode_id in live_ids
-    state.live_supernodes = list(supernodes)
-    state.live_ids = live_ids
-    if state.directory is None:
-        state.directory = SupernodeDirectory(state.topology,
-                                             state.live_supernodes)
-    else:
-        state.directory.rebuild(state.live_supernodes)
+def deploy(state: SimState, supernode_ids: list[int]) -> None:
+    """Set the live supernodes: these ids online, every other offline."""
+    obs.get_registry().gauge("repro_live_supernodes").set(
+        len(supernode_ids))
+    state.deployed_count = len(supernode_ids)
+    pool = state.supernode_pool
+    pool.set_online(np.arange(pool.size), False)
+    pool.set_online(supernode_ids, True)
+    state.live_supernodes = list(supernode_ids)
     # Supernode join latency: one RTT to the cloud + registration.
-    for sn in supernodes:
-        rtt = 2.0 * float(state.cloud_ms[sn.host_player])
+    for host in pool.host_player[supernode_ids].tolist():
+        rtt = 2.0 * float(state.cloud_ms[host])
         state.supernode_join_latencies_ms.append(rtt + 20.0)
 
 
@@ -401,10 +388,12 @@ def cloud_one_way_ms(state: SimState, player: int) -> float:
 
 
 def player_supernode_ms(state: SimState, player: int,
-                        sn: Supernode) -> float:
+                        supernode_id: int) -> float:
     """One-way latency from a player to a supernode host."""
     topology = state.topology
+    pool = state.supernode_pool
     return topology.latency_model.point_one_way_ms(
         topology.player_coords[player, 0], topology.player_coords[player, 1],
-        sn.x_km, sn.y_km,
-        topology.player_access_ms[player], sn.access_ms)
+        float(pool.x_km[supernode_id]), float(pool.y_km[supernode_id]),
+        topology.player_access_ms[player],
+        float(pool.access_ms[supernode_id]))

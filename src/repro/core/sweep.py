@@ -153,9 +153,9 @@ def _grouped_disconnect(state: SimState, players: np.ndarray,
     order-independent and the availability byte depends only on the
     final load, so grouping changes nothing observable.
     """
-    pool = state.supernode_pool
+    disconnect_many = state.supernode_pool.disconnect_many
     for sid in np.unique(sids).tolist():
-        pool[sid].disconnect_many(players[sids == sid].tolist())
+        disconnect_many(sid, players[sids == sid].tolist())
 
 
 def stage_departures(state: SimState, ctx: SweepContext) -> None:
@@ -486,24 +486,9 @@ def run_day(state: SimState, day: int, result: RunResult,
     state.current_day = day
     with day_span:
         # (1) Throttle re-roll (its own stream: no workload shift).
-        # Honest nodes draw nothing; the misbehaving classes draw one
-        # uniform each in pool order, batched into a single call (the
-        # RNG-ordering contract: k sequential random() calls produce
-        # the same doubles as random(size=k)).
-        throttle_rng = state.rng_factory.stream(f"throttle-{day}")
-        probability = config.throttle_probability
-        if not 0 <= probability <= 1:
-            raise ValueError("probability must lie in [0, 1]")
-        misbehaving = [sn for sn in state.supernode_pool
-                       if sn.throttle_class < 1.0]
-        for sn in state.supernode_pool:
-            if sn.throttle_class >= 1.0:
-                sn.throttle = 1.0
-        if misbehaving:
-            draws = throttle_rng.random(len(misbehaving))
-            for sn, draw in zip(misbehaving, draws):
-                sn.throttle = sn.throttle_class if draw < probability \
-                    else 1.0
+        state.supernode_pool.roll_throttle(
+            state.rng_factory.stream(f"throttle-{day}"),
+            config.throttle_probability)
 
         # (Weekly) server assignment.
         if day % 7 == 0:

@@ -286,13 +286,14 @@ def _measure_migrations(system: CloudFogSystem, seed: int) -> list[float]:
     # The sweep disconnects everything at day end; re-attach one player
     # per supernode so every failure displaces someone.
     next_player = 0
-    for sn in system.live_supernodes:
-        if sn.has_capacity:
-            while next_player in sn.connected:
+    pool = system.supernode_pool
+    for sid in system.live_supernodes:
+        if pool.available[sid]:
+            while next_player in pool.connected[sid]:
                 next_player += 1
             if next_player >= system.topology.num_players:
                 break
-            sn.connect(next_player)
+            pool.connect(sid, next_player)
             next_player += 1
     count = max(1, len(system.live_supernodes) // 10)
     return system.fail_supernodes(count, rng)

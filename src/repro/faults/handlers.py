@@ -32,7 +32,6 @@ import numpy as np
 
 from .. import obs
 from ..core.columns import KIND_CLOUD
-from ..core.entities import Supernode
 from ..core.lifecycle import (bring_online, migrate, ordered_orphans,
                               penalize_orphans, take_offline)
 from ..core.provisioning import choose_replacements
@@ -100,14 +99,13 @@ def apply_faults(state: SimState, day, subcycle, sessions, loads,
 
 
 def fault_targets(state: SimState, event: FaultEvent,
-                  frng: np.random.Generator) -> list[Supernode]:
-    """Resolve a fault event to live supernode targets (may be [])."""
+                  frng: np.random.Generator) -> list[int]:
+    """Resolve a fault event to live supernode ids (may be [])."""
     live = state.live_supernodes
     if not live:
         return []
     if event.supernode_id is not None:
-        return [sn for sn in live
-                if sn.supernode_id == event.supernode_id]
+        return [sid for sid in live if sid == event.supernode_id]
     count = min(event.count, len(live))
     picks = frng.choice(len(live), size=count, replace=False)
     return [live[int(i)] for i in picks]
@@ -130,8 +128,7 @@ def inject_crash(state: SimState, event, day, subcycle, sessions, loads,
     if not targets:
         return
     orphan_sets = take_offline(state, targets)
-    state.faults.failed_ids.update(sn.supernode_id
-                                   for sn, _ in orphan_sets)
+    state.faults.failed_ids.update(targets)
     _rehome_orphans(state, orphan_sets, day, subcycle, sessions, loads,
                     cloud_rate, frng, result, measuring)
 
@@ -160,24 +157,23 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
     cols = sessions.columns
     ordered = ordered_orphans(orphan_sets)
     penalize_orphans(state, ordered, day)
-    for sn, player in ordered:
+    for sid, player in ordered:
         state.sticky.pop(player, None)
         summary.displaced += 1
         registry.counter("repro_fault_displaced_total").inc()
-        if (not cols.active[player]
-                or cols.supernode_id[player] != sn.supernode_id):
+        if not cols.active[player] or cols.supernode_id[player] != sid:
             # No live session bookkeeping to re-home (connected
             # out of band): account it as dropped, not lost.
             summary.dropped += 1
             registry.counter("repro_fault_dropped_total").inc()
             event_log.emit("session_dropped", day=day,
                            subcycle=subcycle, player=player,
-                           supernode_id=sn.supernode_id)
+                           supernode_id=sid)
             continue
         game = state.games[player]
         end = int(cols.end_subcycle[player])
         span = slice(subcycle, end + 1)
-        row = loads.row(sn.supernode_id)
+        row = loads.row(sid)
         if row is not None:
             counts[row, span] -= 1
             rates[row, span] -= game.stream_rate_mbps
@@ -188,7 +184,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
         else:
             detection = detector.detection_latency_ms(frng)
         event_log.emit("detector_trip", day=day, subcycle=subcycle,
-                       player=player, supernode_id=sn.supernode_id,
+                       player=player, supernode_id=sid,
                        detection_ms=detection)
         l_max = delay_threshold_ms(game.latency_requirement_ms)
         outcome = migrate(state, player, l_max, frng,
@@ -204,10 +200,9 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             if new_row is not None:
                 counts[new_row, span] += 1
                 rates[new_row, span] += game.stream_rate_mbps
-            new_sn = state.supernode_pool[outcome.supernode_id]
             cols.supernode_id[player] = outcome.supernode_id
-            cols.latency_ms[player] = player_supernode_ms(state, player,
-                                                          new_sn)
+            cols.latency_ms[player] = player_supernode_ms(
+                state, player, outcome.supernode_id)
             summary.recovered += 1
             summary.time_to_recover_ms.append(ttr)
             if measuring:
@@ -221,7 +216,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
                 buckets=DEFAULT_RECOVERY_BUCKETS_MS).observe(ttr)
             event_log.emit("migration", day=day, subcycle=subcycle,
                            player=player,
-                           from_supernode=sn.supernode_id,
+                           from_supernode=sid,
                            to_supernode=outcome.supernode_id,
                            retries=retries, ttr_ms=ttr)
         elif partitioned:
@@ -237,7 +232,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             registry.counter("repro_fault_queued_total").inc()
             event_log.emit("session_queued", day=day,
                            subcycle=subcycle, player=player,
-                           from_supernode=sn.supernode_id,
+                           from_supernode=sid,
                            retries=retries)
         else:
             # Graceful degradation: the cloud streams directly
@@ -251,7 +246,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             registry.counter("repro_fault_degraded_total").inc()
             event_log.emit("cloud_fallback", day=day,
                            subcycle=subcycle, player=player,
-                           from_supernode=sn.supernode_id,
+                           from_supernode=sid,
                            retries=retries, ttr_ms=ttr)
         if queued or graceful:
             # Queue wait is charged at drain time; a graceful
@@ -279,7 +274,7 @@ def _fail_domain(state: SimState, targets, event, day, subcycle, sessions,
         return
     injector = state.faults
     orphan_sets = take_offline(state, targets)
-    injector.failed_ids.update(sn.supernode_id for sn, _ in orphan_sets)
+    injector.failed_ids.update(targets)
     obs.get_registry().counter("repro_domain_outages_total",
                                kind=event.kind).inc()
     obs.get_events().emit("domain_outage", day=day, subcycle=subcycle,
@@ -312,8 +307,9 @@ def inject_dc_outage(state: SimState, event, day, subcycle, sessions,
     """
     dc = event.datacenter
     nearest = state.nearest_dc
-    targets = [sn for sn in state.live_supernodes
-               if int(nearest[sn.host_player]) == dc]
+    live = np.array(state.live_supernodes, dtype=np.intp)
+    targets = live[nearest[state.supernode_pool.host_player[live]]
+                   == dc].tolist()
     _fail_domain(state, targets, event, day, subcycle, sessions, loads,
                  cloud_rate, frng, result, measuring, hours)
     if state.config.num_datacenters < 2:
@@ -364,8 +360,10 @@ def inject_regional_outage(state: SimState, event, day, subcycle,
         coords = state.topology.datacenter_coords[event.datacenter]
         cx, cy = float(coords[0]), float(coords[1])
     radius_sq = event.radius_km * event.radius_km
-    targets = [sn for sn in state.live_supernodes
-               if (sn.x_km - cx) ** 2 + (sn.y_km - cy) ** 2 <= radius_sq]
+    xs = state.supernode_pool.x_km.tolist()
+    ys = state.supernode_pool.y_km.tolist()
+    targets = [sid for sid in state.live_supernodes
+               if (xs[sid] - cx) ** 2 + (ys[sid] - cy) ** 2 <= radius_sq]
     _fail_domain(state, targets, event, day, subcycle, sessions, loads,
                  cloud_rate, frng, result, measuring, hours)
 
@@ -464,14 +462,13 @@ def _execute_heals(state: SimState, day, subcycle, loads, frng) -> None:
                            requested=count)
             continue
         bring_online(state, replacements)
-        for sn in replacements:
-            loads.ensure_row(sn.supernode_id)
+        for sid in replacements:
+            loads.ensure_row(sid)
         registry.counter("repro_capacity_healed_total").inc(
             len(replacements))
         event_log.emit("capacity_healed", day=day, subcycle=subcycle,
                        requested=count, healed=len(replacements),
-                       supernode_ids=[sn.supernode_id
-                                      for sn in replacements])
+                       supernode_ids=list(replacements))
 
 
 def finish_day(state: SimState, ctx) -> None:
@@ -506,8 +503,10 @@ def inject_flaky(state: SimState, event: FaultEvent,
     through the machinery that already models misbehaving
     supernodes.  The next day's throttle re-roll clears it.
     """
-    for sn in fault_targets(state, event, frng):
-        sn.throttle = min(sn.throttle, max(0.05, event.severity))
+    throttle = state.supernode_pool.throttle
+    for sid in fault_targets(state, event, frng):
+        throttle[sid] = min(float(throttle[sid]),
+                            max(0.05, event.severity))
 
 
 def inject_link_degradation(state: SimState, event: FaultEvent, subcycle,

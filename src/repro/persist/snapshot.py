@@ -13,8 +13,9 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    so "checkpoint the RNG" means "store the seed".
 
 2. **Everything else that crosses a day boundary is enumerated here.**
-   Captured: the supernode pool's mutable fields (throttle/online/
-   supported_total/connected), the *ordered* live list (fault targeting
+   Captured: the supernode pool's mutable columns (throttle/online/
+   supported_total/connected, one record per id), the *ordered* live
+   id list (fault targeting
    indexes into it; ``SweepLoads`` rows follow its order), sticky
    assignments, per-player candidate lists, the rating ledger (its
    pair table and append-only rating log, as columns) with the
@@ -39,12 +40,14 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
 
    * population/topology/transport/datacenter structure/CDN sites —
      rebuilt deterministically from the serialized ``SystemConfig``;
-   * the supernode directory/spatial index — rebuilt from the live
-     list by :func:`~repro.core.state.deploy`;
+   * the supernode pool's immutable columns, its ``available`` bytes
+     and the directory's distance ranking — rebuilt from the config,
+     and recomputed from the restored columns;
    * ``state.games`` — cleared by ``choose_games`` at each day start
      before any read;
    * supernode ``throttle`` *semantics*: captured for robustness, but
-     ``roll_throttle`` re-rolls it unconditionally at day start;
+     ``SupernodePool.roll_throttle`` re-rolls it unconditionally at
+     day start;
    * retry/backoff state — :class:`~repro.faults.retry.RetryPolicy`
      and :class:`~repro.faults.detection.FailureDetector` are frozen;
      attempt counters live on the stack inside ``lifecycle.migrate``;
@@ -147,19 +150,20 @@ def _state_rest(state: SimState) -> dict:
             "residuals": list(model._residuals),
             "last_forecast": model._last_forecast,
         }
+    pool = state.supernode_pool
     return {
         "seed": state.rng_factory.seed,
         "current_day": state.current_day,
-        "pool_size": len(state.supernode_pool),
+        "pool_size": len(pool),
         "supernodes": [
-            {"id": sn.supernode_id, "online": sn.online,
-             "throttle": sn.throttle,
-             "supported_total": sn.supported_total,
-             "connected": sorted(sn.connected)}
-            for sn in state.supernode_pool],
+            {"id": sid, "online": online, "throttle": throttle,
+             "supported_total": supported, "connected": sorted(connected)}
+            for sid, (online, throttle, supported, connected) in enumerate(
+                zip(pool.online.tolist(), pool.throttle.tolist(),
+                    pool.supported_total.tolist(), pool.connected))],
         # Ordered: fault targeting draws indices into this list and
         # SweepLoads rows follow its order, so a set would not do.
-        "live_ids": [sn.supernode_id for sn in state.live_supernodes],
+        "live_ids": list(state.live_supernodes),
         "supernode_join_latencies_ms":
             list(state.supernode_join_latencies_ms),
         "sticky": [[player, sn] for player, sn in state.sticky.items()],
@@ -225,27 +229,30 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
     inventory on top.  :func:`restore_state` is the plain-config
     composition of construction + overlay.
     """
-    if len(state.supernode_pool) != payload["pool_size"]:
+    pool = state.supernode_pool
+    if len(pool) != payload["pool_size"]:
         raise CheckpointCorruptError(
-            f"deterministic reconstruction produced "
-            f"{len(state.supernode_pool)} supernodes but the checkpoint "
-            f"recorded {payload['pool_size']} — config/code drift?")
+            f"deterministic reconstruction produced {len(pool)} "
+            f"supernodes but the checkpoint recorded "
+            f"{payload['pool_size']} — config/code drift?")
     state.rng_factory = RngFactory(payload["seed"])
     state.current_day = payload["current_day"]
 
-    # Live set first (deploy resets online flags and rebuilds the
-    # directory), then the per-node mutable fields on top.
-    live = [state.supernode_pool[sn_id] for sn_id in payload["live_ids"]]
-    if state.supernode_pool:
-        deploy(state, live)
+    # Live list first (deploy resets the online column), then the
+    # per-id mutable columns on top, then the availability bytes.
+    if len(pool):
+        deploy(state, payload["live_ids"])
     state.supernode_join_latencies_ms = list(
         payload["supernode_join_latencies_ms"])
-    for record in payload["supernodes"]:
-        sn = state.supernode_pool[record["id"]]
-        sn.online = record["online"]
-        sn.throttle = record["throttle"]
-        sn.supported_total = record["supported_total"]
-        sn.connected = set(record["connected"])
+    records = payload["supernodes"]
+    ids = [record["id"] for record in records]
+    pool.online[ids] = [record["online"] for record in records]
+    pool.throttle[ids] = [record["throttle"] for record in records]
+    pool.supported_total[ids] = [record["supported_total"]
+                                 for record in records]
+    for sid, record in zip(ids, records):
+        pool.connected[sid] = set(record["connected"])
+    pool.sync_available()
 
     state.sticky = {player: sn for player, sn in payload["sticky"]}
     state.candidates._lists = {

@@ -39,8 +39,8 @@ def test_sweep_loads_rows_map_live_supernodes():
     state = SimState(cloudfog_basic(**SMALL))
     loads = SweepLoads.for_supernodes(state.live_supernodes, hours=24)
     assert loads.counts.shape == (len(state.live_supernodes), 26)
-    for row, sn in enumerate(state.live_supernodes):
-        assert loads.row(sn.supernode_id) == row
+    for row, sid in enumerate(state.live_supernodes):
+        assert loads.row(sid) == row
     assert loads.row(10**6) is None
 
 

@@ -87,28 +87,26 @@ def test_migration_prefers_own_list_over_cloud():
     """A displaced player with a live remembered candidate reconnects
     without the cloud round trip (latency ~= probe + handshake)."""
     from repro.core import CloudFogSystem, cloudfog_basic
-    from repro.core.lifecycle import migrate
+    from repro.core.lifecycle import migrate, take_offline
     system = CloudFogSystem(cloudfog_basic(num_players=100,
                                            num_supernodes=10, seed=3))
     rng = np.random.default_rng(0)
     system.run(days=1)
     # Hand-craft: player 0 connected to supernode A, remembers B nearby.
-    live = [sn for sn in system.live_supernodes if sn.has_capacity]
+    pool = system.supernode_pool
+    live = [sid for sid in system.live_supernodes if pool.available[sid]]
     assert len(live) >= 2
     a, b = live[0], live[1]
-    a.connect(0)
-    system.candidates.remember(0, [(b.supernode_id, 12.0)])
+    pool.connect(a, 0)
+    system.candidates.remember(0, [(b, 12.0)])
     system.state.games[0] = __import__(
         "repro.workload.games", fromlist=["game_for_level"]).game_for_level(5)
     # Fail only supernode A.
-    system.live_supernodes = [sn for sn in system.live_supernodes
-                              if sn is not a]
-    orphans = a.fail()
-    system.directory.rebuild(system.live_supernodes)
+    assert take_offline(system.state, [a]) == [(a, {0})]
     outcome = migrate(system.state, 0, l_max=98.0, rng=rng)
-    assert 0 in b.connected
+    assert 0 in pool.connected[b]
     assert outcome.via == "candidates"
-    assert outcome.supernode_id == b.supernode_id
+    assert outcome.supernode_id == b
     assert outcome.attempts == 0  # no selection round, no backoff
     # 2 x 12 probe + 10 handshake + 12 connect = 46 ms, no cloud RTT.
     assert outcome.latency_ms == pytest.approx(46.0)

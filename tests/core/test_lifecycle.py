@@ -55,9 +55,13 @@ def test_take_offline_updates_directory_and_availability():
     live_before = len(state.live_supernodes)
     victim = state.live_supernodes[0]
     orphans = take_offline(state, [victim])
-    assert orphans[0][0] is victim
+    assert orphans[0][0] == victim
     assert len(state.live_supernodes) == live_before - 1
-    assert victim.supernode_id not in state.live_ids
+    assert victim not in state.live_supernodes
+    assert not state.supernode_pool.online[victim]
+    assert not state.supernode_pool.available[victim]
+    for player in range(0, SMALL["num_players"], 10):
+        assert victim not in state.directory.candidates_for(player, 8)
     assert fog_availability(state) == pytest.approx(
         (live_before - 1) / state.deployed_count)
 
@@ -73,11 +77,12 @@ def test_fail_supernodes_migrates_players():
     # Re-connect one player to every live supernode so any failure
     # displaces someone.
     next_player = 0
-    for sn in list(system.live_supernodes):
-        if sn.has_capacity:
-            while next_player in sn.connected:
+    pool = system.supernode_pool
+    for sid in list(system.live_supernodes):
+        if pool.available[sid]:
+            while next_player in pool.connected[sid]:
                 next_player += 1
-            sn.connect(next_player)
+            pool.connect(sid, next_player)
             next_player += 1
     before = len(system.live_supernodes)
     latencies = system.fail_supernodes(before // 2, rng)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.entities import Supernode
+from repro.core.columns import SupernodePool
 from repro.core.provisioning import (
     Provisioner,
     rank_preference_selection,
@@ -94,22 +94,24 @@ def test_provisioner_minimum_floor():
     assert provisioner.target_supernodes() == 3
 
 
-def make_supernode(sn_id, supported):
-    sn = Supernode(supernode_id=sn_id, host_player=sn_id, capacity=5,
-                   upload_mbps=10.0, access_ms=4.0)
-    sn.supported_total = supported
-    return sn
+def make_pool(supported, upload_mbps=None):
+    size = len(supported)
+    pool = SupernodePool(
+        host_player=list(range(size)), capacity=[5] * size,
+        upload_mbps=upload_mbps or [10.0] * size, access_ms=[4.0] * size)
+    pool.supported_total[:] = supported
+    return pool
 
 
 def test_choose_deployment_prefers_busy_supernodes():
     """§3.5: supernodes that supported many players get redeployed."""
     provisioner = Provisioner(average_capacity=5.0)
-    candidates = [make_supernode(i, supported=100 - i * 10) for i in range(8)]
+    pool = make_pool([100 - i * 10 for i in range(8)])
     rng = np.random.default_rng(0)
     counts = {i: 0 for i in range(8)}
     for _ in range(500):
-        for sn in provisioner.choose_deployment(candidates, 3, rng):
-            counts[sn.supernode_id] += 1
+        for sid in provisioner.choose_deployment(pool, 3, rng):
+            counts[sid] += 1
     assert counts[0] > counts[7]
     assert counts[0] > counts[4]
 
@@ -124,18 +126,14 @@ def test_eq6_gate_filters_unprofitable_candidates():
     model = ProviderModel(stream_rate_mbps=1.0, revenue_per_mbps_hour=1.0,
                           incentives=IncentiveModel(reward_per_gb=1.0))
     provisioner = Provisioner(average_capacity=5.0, provider_model=model)
-    cheap = make_supernode(0, supported=10)      # 10 Mbit/s upload
-    expensive = make_supernode(1, supported=99)
-    expensive.upload_mbps = 500.0                # reward swamps revenue
-    assert provisioner.deployment_worthwhile(cheap)
-    assert not provisioner.deployment_worthwhile(expensive)
+    # Row 0 uploads 10 Mbit/s; row 1's 500 Mbit/s reward swamps revenue.
+    pool = make_pool([10, 99], upload_mbps=[10.0, 500.0])
+    assert provisioner.deployment_worthwhile(5, 10.0)
+    assert not provisioner.deployment_worthwhile(5, 500.0)
     rng = np.random.default_rng(0)
-    chosen = provisioner.choose_deployment([cheap, expensive], 2, rng)
-    assert [sn.supernode_id for sn in chosen] == [0]
+    assert provisioner.choose_deployment(pool, 2, rng) == [0]
 
 
 def test_no_provider_model_passes_everyone():
     provisioner = Provisioner(average_capacity=5.0)
-    sn = make_supernode(0, supported=1)
-    sn.upload_mbps = 10_000.0
-    assert provisioner.deployment_worthwhile(sn)
+    assert provisioner.deployment_worthwhile(5, 10_000.0)

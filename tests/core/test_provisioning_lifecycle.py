@@ -30,9 +30,9 @@ def test_fixed_mode_never_changes_live_set():
     config = cloudfog_basic(num_players=150, num_supernodes=6, seed=2)
     system = CloudFogSystem(config)
     assert system.provisioner is None
-    live_before = [sn.supernode_id for sn in system.live_supernodes]
+    live_before = list(system.live_supernodes)
     system.run(days=3)
-    live_after = [sn.supernode_id for sn in system.live_supernodes]
+    live_after = list(system.live_supernodes)
     assert live_before == live_after
 
 

@@ -3,16 +3,14 @@
 The lookup walks a cached per-player ranking of the pool and falls back
 to an exact scan when local saturation exhausts the cached prefix; both
 must agree with a brute-force k-nearest-available search in (distance²,
-pool id) order, whatever the pool geometry, availability and directory
-membership.
+pool id) order, whatever the pool geometry, load and online rows.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columns import SupernodeColumns
-from repro.core.entities import Supernode
+from repro.core.columns import SupernodePool
 from repro.core.selection import SupernodeDirectory, select_supernode
 from repro.network.topology import build_topology
 
@@ -20,89 +18,79 @@ TOPOLOGY = build_topology(np.random.default_rng(5), num_players=40,
                           num_datacenters=2)
 
 
-def brute_force(topology, members, player, count):
-    """(distance², pool id)-sorted ids of the available members."""
+def brute_force(topology, pool, player, count):
+    """(distance², pool id)-sorted ids of the online rows with a free
+    slot."""
     px, py = topology.player_coords[player].tolist()
     ranked = []
-    for sn in members:
-        if sn.has_capacity:
-            dx, dy = sn.x_km - px, sn.y_km - py
-            ranked.append((dx * dx + dy * dy, sn.supernode_id))
+    for sid, (x, y) in enumerate(zip(pool.x_km.tolist(),
+                                     pool.y_km.tolist())):
+        if pool.online[sid] and len(pool.connected[sid]) < \
+                pool.capacity[sid]:
+            dx, dy = x - px, y - py
+            ranked.append((dx * dx + dy * dy, sid))
     ranked.sort()
     return [sid for _, sid in ranked[:count]]
 
 
 @st.composite
 def pools(draw):
-    """A bound pool (up to 90 rows, so wider than small-count ranking
-    prefixes), its directory members and a random availability mask.
+    """A pool (up to 90 rows, so wider than small-count ranking
+    prefixes) with random full and offline rows.
 
     Few distinct hosts force co-located supernodes, i.e. exact distance
     ties; the saturation level runs from a fresh pool to one with
     nearly every row full or offline, which exhausts ranking prefixes.
+    Half the pools also take a random subset of rows offline, so the
+    directory's members are a subset of the pool.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     size = draw(st.integers(1, 90))
     hosts = rng.integers(0, draw(st.integers(1, 40)), size=size)
-    store = SupernodeColumns(size)
-    pool = []
-    for sid, host in enumerate(hosts.tolist()):
-        sn = Supernode(supernode_id=sid, host_player=host, capacity=1,
-                       upload_mbps=10.0,
-                       access_ms=float(rng.uniform(0.5, 6.0)),
-                       x_km=float(TOPOLOGY.player_coords[host, 0]),
-                       y_km=float(TOPOLOGY.player_coords[host, 1]))
-        sn.bind_columns(store)
-        pool.append(sn)
+    pool = SupernodePool(
+        host_player=hosts, capacity=[1] * size, upload_mbps=[10.0] * size,
+        access_ms=rng.uniform(0.5, 6.0, size=size),
+        x_km=TOPOLOGY.player_coords[hosts, 0],
+        y_km=TOPOLOGY.player_coords[hosts, 1])
     saturation = draw(st.sampled_from([0.0, 0.3, 0.7, 0.9, 0.97, 1.0]))
-    for sn in pool:
+    for sid in range(size):
         if rng.random() < saturation:
             if rng.random() < 0.5:
-                sn.connect(1000 + sn.supernode_id)
+                pool.connect(sid, 1000 + sid)
             else:
-                sn.online = False
-    # Members in shuffled order: ties must break by pool id, not by
-    # the directory's listing order.
+                pool.set_online([sid], False)
     keep = rng.random(size) < draw(st.sampled_from([0.5, 1.0]))
-    members = [pool[int(i)] for i in rng.permutation(size) if keep[i]]
-    return pool, members
+    pool.set_online(np.flatnonzero(~keep), False)
+    return pool
 
 
-@given(scenario=pools(), count=st.integers(1, 10))
+@given(pool=pools(), count=st.integers(1, 10))
 @settings(max_examples=150, deadline=None)
-def test_property_lookup_is_exact_k_nearest_available(scenario, count):
-    pool, members = scenario
+def test_property_lookup_is_exact_k_nearest_available(pool, count):
     directory = SupernodeDirectory(TOPOLOGY, pool)
-    directory.rebuild(members)
     for player in range(TOPOLOGY.num_players):
-        got = [sn.supernode_id
-               for sn in directory.candidates_for(player, count)]
-        assert got == brute_force(TOPOLOGY, members, player, count)
+        assert directory.candidates_for(player, count) == \
+            brute_force(TOPOLOGY, pool, player, count)
 
 
-@given(scenario=pools(), count=st.integers(1, 8),
+@given(pool=pools(), count=st.integers(1, 8),
        exclude=st.sets(st.integers(0, 89), max_size=12),
        l_max=st.floats(5.0, 120.0))
 @settings(max_examples=100, deadline=None)
 def test_property_selection_probes_the_exact_candidates(
-        scenario, count, exclude, l_max):
+        pool, count, exclude, l_max):
     """select_supernode probes the brute-force candidates minus the
     excluded ids, with delays bit-identical to the topology's
     vectorised latency matrix."""
-    pool, members = scenario
-    directory = SupernodeDirectory(TOPOLOGY, members)
+    directory = SupernodeDirectory(TOPOLOGY, pool)
     player = 3
-    expected = [sid for sid in brute_force(TOPOLOGY, members, player,
-                                           count)
+    expected = [sid for sid in brute_force(TOPOLOGY, pool, player, count)
                 if sid not in exclude]
     reference = TOPOLOGY.players_to_points_one_way_ms(
         np.array([player]),
-        np.array([[pool[sid].x_km, pool[sid].y_km]
-                  for sid in expected]).reshape(-1, 2),
-        np.array([pool[sid].access_ms for sid in expected]))[0].tolist()
-    probed = directory.probe_delays_ms(player,
-                                       [pool[sid] for sid in expected])
-    assert probed == reference
+        np.column_stack((pool.x_km[expected], pool.y_km[expected])),
+        pool.access_ms[expected])[0].tolist()
+    assert directory.probe_delays_ms(player, expected) == reference
     outcome = select_supernode(player, directory, l_max,
                                np.random.default_rng(0), exclude=exclude,
                                candidate_count=count)

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core import CloudFogSystem, sweep
-from repro.core.columns import KIND_CLOUD, KIND_NONE, KIND_SUPERNODE
-from repro.core.entities import ConnectionKind, Supernode
+from repro.core.columns import (KIND_CLOUD, KIND_NONE, KIND_SUPERNODE,
+                                SupernodePool)
+from repro.core.entities import ConnectionKind
 from repro.core.state import JoinOutcome, SessionTable
 from repro.faults.plan import FaultPlan
 
@@ -91,18 +92,17 @@ def test_records_share_the_join_latency_float():
 
 def test_disconnect_many_matches_sequential_disconnects():
     def build():
-        sn = Supernode(supernode_id=0, host_player=99, capacity=8,
-                       upload_mbps=30.0, access_ms=5.0)
+        pool = SupernodePool([99], [8], [30.0], [5.0])
         for player in range(8):
-            sn.connect(player)
-        return sn
+            pool.connect(0, player)
+        return pool
 
     one, many = build(), build()
     for player in (1, 4, 6):
-        one.disconnect(player)
-    many.disconnect_many([1, 4, 6])
+        one.disconnect_many(0, [player])
+    many.disconnect_many(0, [1, 4, 6])
     assert one.connected == many.connected
-    assert one.has_capacity == many.has_capacity
+    assert one.available == many.available == bytearray(b"\x01")
 
 
 # -- property: the row invariants survive whole chaotic runs -----------
@@ -122,7 +122,7 @@ def _assert_rows_consistent(state, ctx):
     pool = state.supernode_pool
     for player, sid in zip(open_fog.tolist(),
                            cols.supernode_id[open_fog].tolist()):
-        assert player in pool[sid].connected
+        assert player in pool.connected[sid]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])

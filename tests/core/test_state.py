@@ -26,16 +26,15 @@ def test_state_builds_infrastructure(state):
     assert state.live_supernodes
     assert len(state.live_supernodes) <= SMALL["num_supernodes"]
     assert state.directory is not None
-    assert state.live_ids == {sn.supernode_id
-                              for sn in state.live_supernodes}
+    assert np.flatnonzero(state.supernode_pool.online).tolist() \
+        == sorted(state.live_supernodes)
 
 
 def test_state_matches_facade_construction():
     """The façade's state is bit-for-bit the directly built one."""
     direct = SimState(cloudfog_basic(**SMALL))
     facade = CloudFogSystem(cloudfog_basic(**SMALL)).state
-    assert ([sn.supernode_id for sn in direct.live_supernodes]
-            == [sn.supernode_id for sn in facade.live_supernodes])
+    assert direct.live_supernodes == facade.live_supernodes
     assert direct.supernode_join_latencies_ms \
         == facade.supernode_join_latencies_ms
     assert np.array_equal(direct.nearest_dc, facade.nearest_dc)
@@ -43,12 +42,14 @@ def test_state_matches_facade_construction():
 
 def test_deploy_keeps_live_ids_consistent():
     state = SimState(cloudfog_basic(**SMALL))
-    subset = state.supernode_pool[:4]
+    subset = [5, 0, 3, 1]
     deploy(state, subset)
     assert state.deployed_count == 4
-    assert state.live_ids == {sn.supernode_id for sn in subset}
-    for sn in state.supernode_pool:
-        assert sn.online == (sn.supernode_id in state.live_ids)
+    assert state.live_supernodes == subset
+    pool = state.supernode_pool
+    for sid in range(len(pool)):
+        assert pool.online[sid] == (sid in subset)
+        assert pool.available[sid] == (sid in subset)
 
 
 def test_set_arrival_rates_drive_participation():
@@ -87,13 +88,13 @@ def test_weekly_weights_modulate_daily_participants():
 def test_latency_helpers_use_single_formula(state):
     """Path latencies route through LatencyModel.point_one_way_ms."""
     topology = state.topology
-    sn = state.supernode_pool[0]
-    got = player_supernode_ms(state, 5, sn)
+    pool = state.supernode_pool
+    got = player_supernode_ms(state, 5, 0)
     expected = topology.latency_model.point_one_way_ms(
         float(topology.player_coords[5, 0]),
         float(topology.player_coords[5, 1]),
-        sn.x_km, sn.y_km,
-        float(topology.player_access_ms[5]), sn.access_ms)
+        float(pool.x_km[0]), float(pool.y_km[0]),
+        float(topology.player_access_ms[5]), float(pool.access_ms[0]))
     assert got == expected
     assert cloud_one_way_ms(state, 5) \
         == topology.nearest_datacenter_one_way_ms(5)

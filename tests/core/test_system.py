@@ -72,8 +72,9 @@ def test_assignment_wall_times_recorded(basic_result):
 
 def test_supernode_loads_respect_capacity(basic_result):
     system, _ = basic_result
-    for sn in system.supernode_pool:
-        assert sn.load <= sn.capacity
+    pool = system.supernode_pool
+    for players, capacity in zip(pool.connected, pool.capacity.tolist()):
+        assert len(players) <= capacity
 
 
 def test_same_seed_reproduces_run():
@@ -143,9 +144,9 @@ def test_facade_attribute_writes_reach_state():
     system = CloudFogSystem(cloudfog_basic(**SMALL))
     system.daily_participants = 42
     assert system.state.daily_participants == 42
-    pool = list(system.supernode_pool)
-    system.live_supernodes = pool
-    assert system.state.live_supernodes is pool
+    live = list(range(len(system.supernode_pool)))
+    system.live_supernodes = live
+    assert system.state.live_supernodes is live
 
 
 # ----------------------------------------------------------------------

@@ -69,8 +69,8 @@ def test_sweep_loads_rows_track_live_supernodes():
     loads = SweepLoads.for_supernodes(system.live_supernodes, hours)
     assert loads.counts.shape == (len(system.live_supernodes), hours + 2)
     assert loads.rates.shape == loads.counts.shape
-    for row, sn in enumerate(system.live_supernodes):
-        assert loads.row(sn.supernode_id) == row
+    for row, sid in enumerate(system.live_supernodes):
+        assert loads.row(sid) == row
     assert loads.row(10_000) is None
 
 
@@ -78,16 +78,17 @@ def test_fail_supernodes_keeps_live_ids_consistent():
     system = CloudFogSystem(configs.cloudfog_basic(
         num_players=150, num_supernodes=10, seed=3))
     system.run(days=1)
-    before = {sn.supernode_id for sn in system.live_supernodes}
-    assert system.state.live_ids == before
+    online = system.supernode_pool.online
+    before = set(system.live_supernodes)
+    assert set(np.flatnonzero(online).tolist()) == before
     system.fail_supernodes(3, np.random.default_rng(0))
-    after = {sn.supernode_id for sn in system.live_supernodes}
+    after = set(system.live_supernodes)
     assert len(after) == len(before) - 3
-    assert system.state.live_ids == after  # was left stale before the fix
+    assert set(np.flatnonzero(online).tolist()) == after
     # The directory only ever serves live supernodes afterwards.
     for player in range(0, 150, 30):
-        for sn in system.directory.candidates_for(player, 5):
-            assert sn.supernode_id in after
+        for sid in system.directory.candidates_for(player, 5):
+            assert sid in after
 
 
 def make_day(day, continuity, online=100, supernode=40):

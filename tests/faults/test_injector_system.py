@@ -90,12 +90,12 @@ def test_transient_refusals_drive_retries():
     rng = np.random.default_rng(0)
     system.run(days=1)
     player = 0
-    for sn in system.live_supernodes:
+    for sid in system.live_supernodes:
         for _ in range(3):
-            sn.connect(player)
+            system.supernode_pool.connect(sid, player)
             player += 1
     system.candidates.forget_supernodes(
-        {sn.supernode_id for sn in system.supernode_pool})
+        set(range(len(system.supernode_pool))))
     latencies = system.fail_supernodes(3, rng)
     summary = system.fault_outcomes
     assert summary.displaced > 0
@@ -120,12 +120,13 @@ def test_flaky_event_caps_throttle():
         num_players=150, num_supernodes=10, seed=2,
         fault_plan=FaultPlan()))
     system.run(days=1)
-    before = {sn.supernode_id: sn.throttle for sn in system.live_supernodes}
+    throttle = system.supernode_pool.throttle
+    before = throttle.copy()
     event = FaultEvent(day=0, subcycle=1, kind="flaky", severity=0.3,
                        count=len(system.live_supernodes))
     handlers.inject_flaky(system.state, event, np.random.default_rng(0))
-    for sn in system.live_supernodes:
-        assert sn.throttle == min(before[sn.supernode_id], 0.3)
+    for sid in system.live_supernodes:
+        assert throttle[sid] == min(before[sid], 0.3)
 
 
 def test_link_degradation_raises_latency_vs_baseline():

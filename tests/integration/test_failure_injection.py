@@ -14,10 +14,11 @@ def _connect_everyone(system, rng):
     sweep.choose_games(state, plans, rng)
     sweep.sweep_day(state, plans, rng, RunResult(), measuring=False)
     player = 0
-    for sn in system.live_supernodes:
-        while sn.has_capacity and player < system.topology.num_players:
-            if player not in sn.connected:
-                sn.connect(player)
+    pool = system.supernode_pool
+    for sid in system.live_supernodes:
+        while pool.available[sid] and player < system.topology.num_players:
+            if player not in pool.connected[sid]:
+                pool.connect(sid, player)
             player += 1
 
 
@@ -56,13 +57,14 @@ def test_partial_outage_migrates_and_keeps_serving():
     assert summary.displaced > 0
     assert summary.conserved()
     assert summary.recovered == len(latencies)
-    assert sum(sn.load for sn in system.live_supernodes) > 0
+    pool = system.supernode_pool
+    assert sum(len(pool.connected[sid])
+               for sid in system.live_supernodes) > 0
 
     # Release the synthetic connections so the next day's sweep starts
     # from a clean slate (sessions normally disconnect at day end).
-    for sn in system.live_supernodes:
-        for player in list(sn.connected):
-            sn.disconnect(player)
+    for sid in system.live_supernodes:
+        pool.disconnect_many(sid, list(pool.connected[sid]))
     result = RunResult()
     system.run_day(1, result, measuring=True)
     kinds = {r.kind for r in result.sessions}
@@ -76,12 +78,13 @@ def test_failed_supernodes_never_get_new_connections():
     system.run(days=1)
     _connect_everyone(system, rng)
     system.fail_supernodes(5, rng)
-    dead = [sn for sn in system.supernode_pool
-            if not sn.online and sn.supernode_id < 10]
+    pool = system.supernode_pool
+    dead = np.flatnonzero(~pool.online[:10]).tolist()
+    assert dead
     result = RunResult()
     system.run_day(1, result, measuring=True)
-    for sn in dead:
-        assert sn.load == 0
+    for sid in dead:
+        assert not pool.connected[sid]
 
 
 def test_repeated_failures_are_stable():
@@ -93,9 +96,10 @@ def test_repeated_failures_are_stable():
     for _ in range(5):
         _connect_everyone(system, rng)
         system.fail_supernodes(3, rng)
-        for sn in system.live_supernodes:
-            assert sn.online
-            assert sn.load <= sn.effective_capacity
+        pool = system.supernode_pool
+        for sid in system.live_supernodes:
+            assert pool.online[sid]
+            assert len(pool.connected[sid]) <= pool.capacity[sid]
     # Asking for more failures than survivors is clamped, not an error.
     system.fail_supernodes(999, rng)
     assert system.live_supernodes == []
@@ -104,8 +108,9 @@ def test_repeated_failures_are_stable():
 def test_failures_until_pool_empty_keep_bookkeeping_consistent():
     """Repeated waves drain the fog completely; every structure agrees.
 
-    After each wave the directory, the live-id set, the candidate
-    caches and the per-node loads must stay mutually consistent, the
+    After each wave the online column, the live list, the directory,
+    the candidate caches and the per-node loads must stay mutually
+    consistent, the
     resilience ledger must conserve sessions, and once the pool is
     empty the system must still serve everyone via the cloud.
     """
@@ -118,18 +123,19 @@ def test_failures_until_pool_empty_keep_bookkeeping_consistent():
     while system.live_supernodes:
         system.fail_supernodes(4, rng)
         waves += 1
-        live_ids = {sn.supernode_id for sn in system.live_supernodes}
-        assert system.state.live_ids == live_ids
-        assert len(system.directory) == len(system.live_supernodes)
-        assert {sn.supernode_id for sn in system.directory.supernodes} \
-            == live_ids
-        # Candidate caches never point at a dead supernode.
+        pool = system.supernode_pool
+        live_ids = set(system.live_supernodes)
+        assert len(live_ids) == len(system.live_supernodes)
+        assert set(np.flatnonzero(pool.online).tolist()) == live_ids
+        # Candidate caches and directory answers never name a dead
+        # supernode.
         for player in range(system.topology.num_players):
             for entry in system.candidates.candidates(player):
                 assert entry.supernode_id in live_ids
-        for sn in system.live_supernodes:
-            assert sn.online
-            assert sn.load == len(sn.connected) <= sn.effective_capacity
+            assert set(system.directory.candidates_for(player, 8)) \
+                <= live_ids
+        for sid in system.live_supernodes:
+            assert len(pool.connected[sid]) <= pool.capacity[sid]
         summary = system.fault_outcomes
         assert summary.conserved()
         assert waves < 100  # termination guard

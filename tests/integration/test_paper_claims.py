@@ -85,11 +85,12 @@ def test_fig9_migration_latency_sub_second():
     from repro.core.accounting import RunResult
     sweep.sweep_day(system.state, plans, rng, RunResult(), measuring=False)
     player = 0
-    for sn in system.live_supernodes:
-        if sn.has_capacity:
-            while player in sn.connected:
+    pool = system.supernode_pool
+    for sid in system.live_supernodes:
+        if pool.available[sid]:
+            while player in pool.connected[sid]:
                 player += 1
-            sn.connect(player)
+            pool.connect(sid, player)
             player += 1
     latencies = system.fail_supernodes(10, rng)
     assert latencies

@@ -42,8 +42,9 @@ def test_property_run_invariants(seed):
         assert record.kind in (ConnectionKind.SUPERNODE,
                                ConnectionKind.CLOUD)
     # No supernode ever exceeds its advertised capacity.
-    for sn in system.supernode_pool:
-        assert sn.load <= sn.capacity
+    pool = system.supernode_pool
+    for players, capacity in zip(pool.connected, pool.capacity.tolist()):
+        assert len(players) <= capacity
 
 
 @given(seed=st.integers(min_value=0, max_value=20),
@@ -56,17 +57,18 @@ def test_property_failures_never_corrupt_state(seed, failures):
     system.run(days=1)
     rng = np.random.default_rng(seed)
     system.fail_supernodes(failures, rng)
-    live_ids = {sn.supernode_id for sn in system.live_supernodes}
-    for sn in system.supernode_pool:
-        if sn.supernode_id in live_ids:
-            assert sn.online
+    pool = system.supernode_pool
+    live_ids = set(system.live_supernodes)
+    for sid in range(len(pool)):
+        if sid in live_ids:
+            assert pool.online[sid]
         else:
-            assert sn.load == 0 or sn.online  # dead supernodes hold nobody
+            assert not pool.connected[sid]  # dead supernodes hold nobody
     # The directory only advertises live supernodes.
-    assert len(system.directory) == len(system.live_supernodes)
+    for player in range(0, system.topology.num_players, 7):
+        assert set(system.directory.candidates_for(player, 8)) <= live_ids
     # Candidate lists no longer reference the failed supernodes.
-    dead = {sn.supernode_id for sn in system.supernode_pool
-            if not sn.online}
+    dead = set(np.flatnonzero(~pool.online).tolist())
     for player in range(system.topology.num_players):
         for entry in system.candidates.candidates(player):
             assert entry.supernode_id not in dead

@@ -98,9 +98,10 @@ def test_failures_count_migrations():
     system.run(days=1)
     rng = np.random.default_rng(0)
     # re-attach one player per supernode so every failure displaces one
-    for player, sn in enumerate(system.live_supernodes):
-        if sn.has_capacity:
-            sn.connect(player)
+    pool = system.supernode_pool
+    for player, sid in enumerate(system.live_supernodes):
+        if pool.available[sid]:
+            pool.connect(sid, player)
     failed = len(system.live_supernodes) // 2
     latencies = system.fail_supernodes(failed, rng)
     assert latencies

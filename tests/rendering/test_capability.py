@@ -68,8 +68,9 @@ def test_system_pool_respects_render_limits():
     from repro.core import CloudFogSystem, cloudfog_basic
     system = CloudFogSystem(cloudfog_basic(num_players=300,
                                            num_supernodes=10, seed=2))
-    assert system.supernode_pool
-    for sn in system.supernode_pool:
-        cap = RenderCapability(sn.gpu_tier)
+    pool = system.supernode_pool
+    assert pool
+    for tier, capacity in zip(pool.gpu_tier, pool.capacity.tolist()):
+        cap = RenderCapability(tier)
         assert cap.meets_supernode_requirement()
-        assert sn.capacity <= cap.render_capacity()
+        assert capacity <= cap.render_capacity()
