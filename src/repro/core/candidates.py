@@ -95,10 +95,6 @@ class CandidateManager:
         ranked = sorted(entries.values(), key=_by_delay)
         self._lists[player] = ranked[:self.max_entries]
 
-    def forget_supernode(self, supernode_id: int) -> None:
-        """Drop a (failed/undeployed) supernode from every list."""
-        self.forget_supernodes({supernode_id})
-
     def forget_supernodes(self, supernode_ids: set[int]) -> None:
         """Drop several supernodes from every list in one pass.
 

@@ -353,17 +353,7 @@ def migrate(state: SimState, player: int, l_max: float,
     (never on the final attempt's success), forcing a backoff retry.
     """
     pool = state.supernode_pool
-    pool_size = len(pool)
     for entry in state.candidates.candidates(player):
-        if entry.supernode_id >= pool_size:
-            # Stale id (the pool never shrinks today, but a cache
-            # loaded from elsewhere may disagree): invalidate it
-            # everywhere instead of silently re-probing forever.
-            _log.debug("dropping stale candidate entry",
-                       extra=obs.kv(player=player,
-                                    supernode=entry.supernode_id))
-            state.candidates.forget_supernode(entry.supernode_id)
-            continue
         sid = entry.supernode_id
         if pool.available[sid] and entry.delay_ms <= l_max:
             pool.connect(sid, player)

@@ -209,6 +209,41 @@ def _state_rest(state: SimState) -> dict:
     }
 
 
+def _check_supernode_ids(field: str, rows, ids, pool_size: int) -> None:
+    """Reject a supernode id outside ``[0, pool_size)``.
+
+    ``ids[i]`` sits at row ``rows[i]`` of the payload's ``field``; the
+    error names the field and the row of the first bad id.
+    """
+    try:
+        values = np.asarray(ids, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointCorruptError(f"{field}: {exc}") from exc
+    bad = np.flatnonzero((values < 0) | (values >= pool_size))
+    if bad.size:
+        first = int(bad[0])
+        raise CheckpointCorruptError(
+            f"{field}[{rows[first]}]: supernode id {ids[first]!r} lies "
+            f"outside the pool's [0, {pool_size})")
+
+
+def _check_payload_ids(payload: dict, pool_size: int) -> None:
+    """Every supernode id the payload names must index the pool."""
+    live = payload["live_ids"]
+    _check_supernode_ids("live_ids", range(len(live)), live, pool_size)
+    records = payload["supernodes"]
+    _check_supernode_ids("supernodes", range(len(records)),
+                         [record["id"] for record in records], pool_size)
+    sticky = payload["sticky"]
+    _check_supernode_ids("sticky", range(len(sticky)),
+                         [sid for _, sid in sticky], pool_size)
+    rows, ids = [], []
+    for row, (_, entries) in enumerate(payload["candidates"]):
+        rows += [row] * len(entries)
+        ids += [sid for sid, _ in entries]
+    _check_supernode_ids("candidates", rows, ids, pool_size)
+
+
 def restore_state(payload: dict) -> SimState:
     """Rebuild a :class:`SimState` bit-identical to the captured one.
 
@@ -235,6 +270,7 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
             f"deterministic reconstruction produced {len(pool)} "
             f"supernodes but the checkpoint recorded "
             f"{payload['pool_size']} — config/code drift?")
+    _check_payload_ids(payload, len(pool))
     state.rng_factory = RngFactory(payload["seed"])
     state.current_day = payload["current_day"]
 

@@ -48,7 +48,7 @@ def test_forget_supernode_drops_everywhere():
     manager = CandidateManager()
     manager.remember(1, [(10, 1.0), (11, 2.0)])
     manager.remember(2, [(10, 3.0)])
-    manager.forget_supernode(10)
+    manager.forget_supernodes({10})
     assert [e.supernode_id for e in manager.candidates(1)] == [11]
     assert manager.candidates(2) == []
 

@@ -38,7 +38,7 @@ def test_property_forget_removes_only_the_victim(batch, victim):
     manager = CandidateManager(max_entries=50)
     manager.remember(1, batch)
     before = {e.supernode_id for e in manager.candidates(1)}
-    manager.forget_supernode(victim)
+    manager.forget_supernodes({victim})
     after = {e.supernode_id for e in manager.candidates(1)}
     assert victim not in after
     assert after == before - {victim}

@@ -7,15 +7,18 @@ including under a chaos :class:`~repro.faults.plan.FaultPlan` and
 including the golden digests pinned in ``tests/faults``.
 """
 
+import copy
 import json
 
 import pytest
 
 from repro.core import CloudFogSystem
-from repro.core.config import cloudfog_advanced
+from repro.core.config import cloudfog_advanced, cloudfog_basic
 from repro.persist import (
+    CheckpointCorruptError,
     Checkpointer,
     CheckpointError,
+    capture_state,
     checkpoint_path,
     config_from_dict,
     config_to_dict,
@@ -23,6 +26,7 @@ from repro.persist import (
     latest_valid_checkpoint,
     load_checkpoint,
     read_checkpoint,
+    restore_state,
     resume_run,
     save_checkpoint,
 )
@@ -223,3 +227,37 @@ def test_config_round_trips_through_json(config):
 def test_checkpoint_path_is_stable(tmp_path):
     assert checkpoint_path(tmp_path, 7).name == "checkpoint-day0007.json"
     assert save_checkpoint.__doc__  # exported and documented
+
+
+@pytest.fixture(scope="module")
+def day_one_payload():
+    """A captured state with sticky and candidate entries to corrupt."""
+    system = CloudFogSystem(cloudfog_basic(num_players=120,
+                                           num_supernodes=8, seed=3))
+    system.run(days=1)
+    payload = json.loads(json.dumps(capture_state(system.state)))
+    assert payload["sticky"] and payload["candidates"]
+    return payload
+
+
+@pytest.mark.parametrize("bad_id", [-1, 10**6])
+@pytest.mark.parametrize("field, corrupt", [
+    ("live_ids", lambda p, v: p["live_ids"].__setitem__(2, v)),
+    ("supernodes", lambda p, v: p["supernodes"][2].__setitem__("id", v)),
+    ("sticky", lambda p, v: p["sticky"][2].__setitem__(1, v)),
+    ("candidates", lambda p, v: p["candidates"][2][1][0].__setitem__(0, v)),
+])
+def test_restore_rejects_supernode_ids_outside_the_pool(
+        day_one_payload, field, corrupt, bad_id):
+    """A negative id would silently wrap to the last pool row; every
+    field naming supernodes is checked and the error names the row."""
+    payload = copy.deepcopy(day_one_payload)
+    corrupt(payload, bad_id)
+    with pytest.raises(CheckpointCorruptError,
+                       match=rf"^{field}\[2\]: supernode id {bad_id} "):
+        restore_state(payload)
+
+
+def test_restore_accepts_its_own_payload(day_one_payload):
+    state = restore_state(copy.deepcopy(day_one_payload))
+    assert json.loads(json.dumps(capture_state(state))) == day_one_payload
