@@ -33,7 +33,7 @@ import numpy as np
 from .. import obs
 from ..faults import handlers
 from ..workload.churn import DayPlans, sample_day_plans
-from ..workload.games import GAME_CATALOGUE, game_for_level
+from ..workload.games import draw_weighted, under_ceiling, weighted_catalogue
 from ..workload.population import choose_game
 from .accounting import (RunResult, SweepLoads, cloud_bandwidth,
                          credit_contributors, summarize_day)
@@ -91,13 +91,9 @@ def choose_games(state: SimState, plans: DayPlans,
     if weights is not None:
         # Scenario game mix: a weighted catalogue draw replaces the
         # social rule wholesale (an esports final is not organic play).
-        catalogue = [game for game in GAME_CATALOGUE
-                     if weights.get(game.name, 0.0) > 0.0]
-        probs = np.array([weights[game.name] for game in catalogue])
-        probs = probs / probs.sum()
+        mix = weighted_catalogue(weights)
         for index in rng.permutation(len(players)).tolist():
-            state.games[players[index]] = catalogue[
-                int(rng.choice(len(catalogue), p=probs))]
+            state.games[players[index]] = draw_weighted(rng, *mix)
     else:
         adjacency = state.population.friends.adjacency()
         games = state.games
@@ -108,10 +104,8 @@ def choose_games(state: SimState, plans: DayPlans,
     if cap is not None:
         # Bandwidth-constrained thin clients: nothing streams above
         # the ceiling level, whatever game the social rule picked.
-        substitute = game_for_level(cap)
         for player, game in state.games.items():
-            if game.default_level > cap:
-                state.games[player] = substitute
+            state.games[player] = under_ceiling(game, cap)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..workload.churn import DayPlans, DurationMixture, StartTimeModel
-from ..workload.games import GAME_CATALOGUE
+from ..workload.games import (GAME_CATALOGUE, draw_weighted, random_game,
+                              under_ceiling, weighted_catalogue)
 
 __all__ = ["ScenarioConfigurator", "FlashCrowdStage"]
 
@@ -44,7 +45,10 @@ class FlashCrowdStage:
     a session in the table nor a pending start — and queued into
     ``ctx.starts`` for this very subcycle, after any organic plans
     already starting then, so ``stage_arrivals`` walks them through the
-    ordinary §3.2.2 join path against the post-fault directory.
+    ordinary §3.2.2 join path against the post-fault directory.  A
+    joiner's game follows the day's game rules: the scenario game mix
+    when ``state.game_weights`` is set (a uniform catalogue draw
+    otherwise), and never above ``state.quality_ceiling``.
     """
 
     day: int
@@ -52,7 +56,7 @@ class FlashCrowdStage:
     players: int
     duration_hours: float = 2.0
     #: Game every crowd member plays (catalogue name); None keeps each
-    #: joiner's day game, drawing uniformly for players without one.
+    #: joiner's day game and draws one for players without one.
     game: str | None = None
 
     def __call__(self, state, ctx) -> None:
@@ -69,13 +73,19 @@ class FlashCrowdStage:
         count = min(self.players, len(idle))
         chosen = rng.choice(len(idle), size=count, replace=False)
         joiners = [idle[index] for index in np.sort(chosen).tolist()]
-        catalogue = GAME_CATALOGUE
+        weights = state.game_weights
+        mix = None if weights is None else weighted_catalogue(weights)
+        games = state.games
         for player in joiners:
             if self.game is not None:
-                state.games[player] = _GAMES_BY_NAME[self.game]
-            elif player not in state.games:
-                state.games[player] = catalogue[
-                    int(rng.integers(len(catalogue)))]
+                game = _GAMES_BY_NAME[self.game]
+            elif player in games:
+                game = games[player]
+            elif mix is None:
+                game = random_game(rng)
+            else:
+                game = draw_weighted(rng, *mix)
+            games[player] = under_ceiling(game, state.quality_ceiling)
         crowd = DayPlans.of(joiners, self.subcycle, self.duration_hours)
         queued = ctx.starts.get(self.subcycle)
         ctx.starts[self.subcycle] = (crowd if queued is None

@@ -16,7 +16,8 @@ import numpy as np
 
 from ..streaming.video import QUALITY_LADDER, QualityLevel
 
-__all__ = ["Game", "GAME_CATALOGUE", "game_for_level", "random_game"]
+__all__ = ["Game", "GAME_CATALOGUE", "game_for_level", "random_game",
+           "weighted_catalogue", "draw_weighted", "under_ceiling"]
 
 
 @dataclass(frozen=True)
@@ -72,3 +73,26 @@ def game_for_level(level: int) -> Game:
 def random_game(rng: np.random.Generator) -> Game:
     """Uniform random game (a joining player with no friends playing)."""
     return GAME_CATALOGUE[int(rng.integers(0, len(GAME_CATALOGUE)))]
+
+
+def weighted_catalogue(weights) -> tuple[tuple[Game, ...], np.ndarray]:
+    """A scenario game mix: the catalogue games of positive weight and
+    their draw probabilities (``weights`` maps game name to weight)."""
+    games = tuple(game for game in GAME_CATALOGUE
+                  if weights.get(game.name, 0.0) > 0.0)
+    probs = np.array([weights[game.name] for game in games])
+    return games, probs / probs.sum()
+
+
+def draw_weighted(rng: np.random.Generator, games: tuple[Game, ...],
+                  probs: np.ndarray) -> Game:
+    """One game from a :func:`weighted_catalogue` mix."""
+    return games[int(rng.choice(len(games), p=probs))]
+
+
+def under_ceiling(game: Game, ceiling: int | None) -> Game:
+    """``game``, or the ceiling level's game when ``game`` would stream
+    above it (bandwidth-constrained thin clients; None = no ceiling)."""
+    if ceiling is None or game.default_level <= ceiling:
+        return game
+    return game_for_level(ceiling)

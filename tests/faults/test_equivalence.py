@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import CloudFogSystem
 from repro.faults.plan import FaultPlan
+from repro.workload.games import GAME_CATALOGUE
 
 from ..helpers.golden import fault_summary_digest, run_result_digest
 from .regen_golden import (CHAOS_SCENARIOS, SCENARIOS, STATE_SCENARIOS,
@@ -39,9 +40,9 @@ GOLDEN = {
     "chaos_domains_faults":
         "5af521e238346196ffb42c35a5bc71d59dfb733ea64dd84d9b8a39601ccf28f7",
     "scenario_workload":
-        "3d0cacd4075ac7d265a51039a1d0db2f20985d9c3d7416315c95de5df72a4438",
+        "9c373db43a4533d3fec0061a970e0898c1f5ef2c348f5a7efa9c80b536e25bb1",
     "scenario_workload_faults":
-        "a159eaccc0004957d2c53cee4d79c4a354327c9e00d5fe851ddbdb58c25f094c",
+        "face2738a57bc42581f97144dbcf5b3329253ddc0b1172fa656aefd5c33281b8",
     "state_cloudfog_advanced":
         "08eb3378734ed6991e96ba2f469ab36ba583c57329a09e9443da9bae1036f7bc",
     "state_chaos_advanced":
@@ -106,13 +107,21 @@ def test_scenario_workload_run_is_bit_identical():
     """The scenario workload seams pinned: a participant subset,
     timezone-shifted starts, a weighted game mix under a quality
     ceiling, flash crowds queued behind organic starts of the same
-    subcycle, and join-by-join admission shedding."""
+    subcycle, and join-by-join admission shedding.  Flash-crowd joiners
+    follow the game mix and the ceiling too, so no session streams a
+    game the mix leaves out or above the ceiling level."""
     result = run_scenario_workload()
     assert run_result_digest(result) == GOLDEN["scenario_workload"]
     assert fault_summary_digest(result.faults) \
         == GOLDEN["scenario_workload_faults"]
-    assert result.faults.joins_shed == 62
-    assert len(result.sessions) == 364
+    assert result.faults.joins_shed == 64
+    assert len(result.sessions) == 362
+    levels = {game.name: game.default_level for game in GAME_CATALOGUE}
+    # The mix weighs four games; KingdomSaga (level 5) streams as the
+    # ceiling's level-4 game, and the crowd's BladeDuel is explicit.
+    assert {r.game for r in result.sessions} <= {
+        "ArenaStrike", "WarBanner", "EmpireForge", "BladeDuel"}
+    assert max(levels[r.game] for r in result.sessions) <= 4
 
 
 @pytest.mark.parametrize("name", sorted(STATE_SCENARIOS))
