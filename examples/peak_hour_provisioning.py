@@ -14,7 +14,7 @@ Run with::
 import numpy as np
 
 from repro.core.columns import SupernodePool
-from repro.core.provisioning import Provisioner, rank_preference_selection
+from repro.core.provisioning import Provisioner
 from repro.forecast.diurnal import DiurnalPattern
 
 

@@ -78,28 +78,25 @@ class SupernodePool:
         self.host_player = np.array(host_player, dtype=np.int64, ndmin=1)
         size = self.size = len(self.host_player)
 
-        def column(values, default):
+        def column(values, default=0.0, dtype=np.float64):
             if values is None:
-                return np.full(size, default, dtype=np.float64)
-            out = np.array(values, dtype=np.float64, ndmin=1)
+                return np.full(size, default, dtype=dtype)
+            out = np.array(values, dtype=dtype, ndmin=1)
             if out.shape != (size,):
                 raise ValueError(f"every column needs {size} rows, "
                                  f"got shape {out.shape}")
             return out
 
         #: Maximum number of normal nodes (Pareto, §4.1).
-        self.capacity = np.array(capacity, dtype=np.int64, ndmin=1)
-        if self.capacity.shape != (size,):
-            raise ValueError(f"every column needs {size} rows, got "
-                             f"shape {self.capacity.shape}")
+        self.capacity = column(capacity, dtype=np.int64)
         #: Raw upload bandwidth (Mbit/s).
-        self.upload_mbps = column(upload_mbps, 0.0)
+        self.upload_mbps = column(upload_mbps)
         #: One-way access delay (ms): supernodes have a "superior
         #: network connection" (§3.1.1).
-        self.access_ms = column(access_ms, 0.0)
+        self.access_ms = column(access_ms)
         #: Location (km).
-        self.x_km = column(x_km, 0.0)
-        self.y_km = column(y_km, 0.0)
+        self.x_km = column(x_km)
+        self.y_km = column(y_km)
         #: Designated misbehaviour class: 1.0, 0.8 or 0.5 (§4.1).
         self.throttle_class = column(throttle_class, 1.0)
         _first_bad("capacity", self.capacity, self.capacity < 1, ">= 1")
@@ -195,10 +192,8 @@ class SupernodePool:
             raise ValueError("probability must lie in [0, 1]")
         self.throttle[:] = 1.0
         misbehaving = np.flatnonzero(self.throttle_class < 1.0)
-        if misbehaving.size:
-            draws = rng.random(misbehaving.size)
-            throttled = misbehaving[draws < probability]
-            self.throttle[throttled] = self.throttle_class[throttled]
+        throttled = misbehaving[rng.random(misbehaving.size) < probability]
+        self.throttle[throttled] = self.throttle_class[throttled]
 
 
 class SessionColumns:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..network.latency import PLAYOUT_PROCESSING_MS
 from ..network.topology import Topology
 from ..reputation.scores import ReputationTable
 from .columns import SupernodePool

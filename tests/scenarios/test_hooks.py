@@ -8,8 +8,6 @@ otherwise, and every joiner's game is held under
 
 from types import SimpleNamespace
 
-import numpy as np
-
 from repro.core.config import cloudfog_basic
 from repro.core.state import SessionTable, SimState
 from repro.scenarios.hooks import FlashCrowdStage
