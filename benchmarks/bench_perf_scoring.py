@@ -4,8 +4,8 @@ Measures three things and writes them to ``BENCH_perf.json``:
 
 * **Session scoring** — the batch scorer
   (:func:`repro.core.scoring.score_sessions_batch`) against the scalar
-  reference loop (:func:`repro.core.scoring.score_sessions_scalar`)
-  on one day's sessions, in sessions/second.  The two
+  reference loop (``score_sessions_scalar``, the frozen oracle in
+  ``tests/core/scoring_oracle.py``) on one day's sessions, in sessions/second.  The two
   paths are bit-identical (asserted here before timing); the benchmark
   exists to show the batch path is also much faster.
 * **Directory joins** — :meth:`SupernodeDirectory.candidates_for`
@@ -43,6 +43,9 @@ from repro.core.system import CloudFogSystem
 from repro.experiments.parallel import VariantTask, run_variants
 from repro.experiments.testbeds import Testbed
 
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
+from tests.core.scoring_oracle import score_sessions_scalar  # noqa: E402
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
@@ -67,7 +70,7 @@ def bench_scoring(num_players: int, num_supernodes: int, seed: int,
         num_players, num_supernodes, seed)
 
     def scalar():
-        return scoring.score_sessions_scalar(
+        return score_sessions_scalar(
             system.state, 0, sessions, loads, cloud_rate,
             system.rng_factory.stream("qos-0"))
 

@@ -1,16 +1,8 @@
-"""Cloud substrate: datacenters, game-state servers, the virtual world."""
+"""Cloud substrate: datacenters, game-state servers, update traffic."""
 
 from .datacenter import DEFAULT_SERVERS_PER_DATACENTER, Datacenter
 from .regions import KdTreePartitioner, Region2D
-from .gamestate import (
-    ACTION_SIZE_BITS,
-    UPDATE_MESSAGE_BITS_PER_SUPERNODE,
-    Action,
-    ActionType,
-    Avatar,
-    UpdateMessage,
-    VirtualWorld,
-)
+from .gamestate import UPDATE_MESSAGE_BITS_PER_SUPERNODE
 from .server import SERVER_HOP_MS, GameServer
 
 __all__ = [
@@ -18,13 +10,7 @@ __all__ = [
     "Region2D",
     "DEFAULT_SERVERS_PER_DATACENTER",
     "Datacenter",
-    "ACTION_SIZE_BITS",
     "UPDATE_MESSAGE_BITS_PER_SUPERNODE",
-    "Action",
-    "ActionType",
-    "Avatar",
-    "UpdateMessage",
-    "VirtualWorld",
     "SERVER_HOP_MS",
     "GameServer",
 ]

@@ -3,10 +3,11 @@
 The scoring stage of the pipeline.  The batch scorer
 (:func:`score_sessions_batch`) reads the day's
 :class:`~repro.core.state.SessionTable` columns in one vectorised
-gather; the scalar reference loop (:func:`score_sessions_scalar`) reads
-the same rows one session at a time.  The two are pinned bit-identical
-to each other; fault penalties fold in *after* scoring so the RNG consumption
-of the scoring path never shifts (:func:`apply_fault_penalties`).
+gather.  The tests pin it bit-identical to a frozen scalar oracle that
+reads the same rows one session at a time
+(``tests/core/scoring_oracle.py``); fault penalties fold in *after*
+scoring so the RNG consumption of the scoring path never shifts
+(:func:`apply_fault_penalties`).
 
 Layering: imports ``core.state`` / ``core.accounting``, the leaf
 ``core`` modules and foundation modules only — never the orchestrator,
@@ -22,13 +23,8 @@ import numpy as np
 
 from .. import obs
 from ..network.latency import PLAYOUT_PROCESSING_MS
-from ..network.transport import PathSpec
 from ..streaming.continuity import is_satisfied
-from ..streaming.session import (
-    SessionConfig,
-    estimate_continuity,
-    estimate_continuity_batch,
-)
+from ..streaming.session import estimate_continuity_batch
 from .accounting import (
     CLOUD_FLOW_HEADROOM,
     CLOUD_FLOW_SHARE_FLOOR_MBPS,
@@ -36,13 +32,12 @@ from .accounting import (
     cloud_egress_budget,
 )
 from .columns import KIND_CDN
-from .entities import ConnectionKind
 from .state import KIND_OF_CODE, SessionTable, SimState
 
 __all__ = ["CDN_COORDINATION_MS", "QOS_SAMPLES", "QOS_DURATION_S",
-           "server_latency_ms", "score_sessions", "apply_fault_penalties",
+           "score_sessions", "apply_fault_penalties",
            "SessionParams", "window_means", "gather_session_params",
-           "score_sessions_batch", "score_sessions_scalar"]
+           "score_sessions_batch"]
 
 #: Coordination penalty when CDN sites cooperate on game state (§4.2:
 #: "the servers need to cooperate with each other to compute new game
@@ -55,15 +50,6 @@ CDN_COORDINATION_MS = 35.0
 QOS_SAMPLES = 64
 #: Modelled session length (seconds) fed to the estimate.
 QOS_DURATION_S = 60.0
-
-
-def server_latency_ms(state: SimState, player: int,
-                      kind: ConnectionKind) -> float:
-    """Interaction (server) latency for a player this epoch."""
-    if kind is ConnectionKind.CDN:
-        return CDN_COORDINATION_MS
-    return state.server_latency_cache.get(
-        player, state.datacenters[0].hop_ms)
 
 
 def score_sessions(state: SimState, day, sessions, loads, cloud_rate,
@@ -85,8 +71,8 @@ def apply_fault_penalties(state: SimState,
     Penalties accumulate per player during the sweep (stream
     interruption while recovering, lost update messages) as a
     continuity fraction lost; they apply *after* scoring so the
-    batch and scalar scorers stay bit-identical to each other and
-    the RNG consumption of the scoring path never shifts.
+    batch scorer stays bit-identical to the scalar oracle and the
+    RNG consumption of the scoring path never shifts.
     """
     penalties = state.faults.penalties
     out = []
@@ -143,8 +129,8 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
                           cloud_rate) -> SessionParams:
     """Every session's scoring inputs, read from the table's columns.
 
-    Arithmetic mirrors :func:`score_sessions_scalar` operation for
-    operation, as elementwise float64 (``np.minimum``/``np.maximum``
+    Arithmetic mirrors the scalar oracle
+    (``tests/core/scoring_oracle.py``) operation for operation, as elementwise float64 (``np.minimum``/``np.maximum``
     stand in for the scalar ``min``/``max`` clamps, equal for non-NaN
     inputs), so the estimate receives the scalar loop's bits.  All
     load and cloud window means come from one :func:`window_means`
@@ -226,8 +212,8 @@ def score_sessions_batch(state: SimState, day, sessions: SessionTable,
                          loads, cloud_rate, rng) -> list[SessionRecord]:
     """Batch scorer: one vectorised QoS evaluation for the day.
 
-    Bit-identical to :func:`score_sessions_scalar` for the same
-    RNG stream (pinned by tests): the gathered parameters carry the
+    Bit-identical to the scalar oracle (``tests/core/scoring_oracle.py``)
+    for the same RNG stream (pinned by tests): the gathered parameters carry the
     scalar loop's bits and the batched estimate draws the identical
     random sequence.
     """
@@ -262,86 +248,3 @@ def score_sessions_batch(state: SimState, day, sessions: SessionTable,
             params.players, kinds, joins, params.games, params.targets,
             responses, params.server_ms, outcome.continuity.tolist(),
             outcome.satisfied.tolist())]
-
-
-def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
-                          rng) -> list[SessionRecord]:
-    """Scalar reference scorer: one estimate call per session.
-
-    Kept verbatim from the pre-batch implementation (adapted only
-    to read the dense :class:`~repro.core.accounting.SweepLoads`
-    rows instead of the old per-supernode dicts, and each session's
-    fields from its table row — the same values).  It is the ground
-    truth the batch path is pinned against and the baseline of the
-    scoring benchmark, so it deliberately shares none of the batch
-    path's gather.
-    """
-    records = []
-    budget = cloud_egress_budget(state)
-    cols = sessions.columns
-    for player in sessions:
-        game = state.games[player]
-        start = int(cols.start_subcycle[player])
-        end = int(cols.end_subcycle[player])
-        sid = int(cols.supernode_id[player])
-        supernode_id = None if sid < 0 else sid
-        kind = KIND_OF_CODE[int(cols.kind[player])]
-
-        if supernode_id is not None:
-            pool = state.supernode_pool
-            row = loads.row(supernode_id)
-            counts = loads.counts[row, start:end + 1]
-            rates = loads.rates[row, start:end + 1]
-            mean_count = max(1.0, float(counts.mean()))
-            mean_rate = float(rates.mean())
-            effective_upload = (float(pool.upload_mbps[supernode_id])
-                                * float(pool.throttle[supernode_id]))
-            utilization = min(2.0, mean_rate / effective_upload)
-            share = effective_upload / mean_count
-            target = supernode_id
-        else:
-            concurrent = float(cloud_rate[start:end + 1].mean())
-            utilization = min(2.0, concurrent / budget)
-            share = max(CLOUD_FLOW_SHARE_FLOOR_MBPS,
-                        CLOUD_FLOW_HEADROOM * game.stream_rate_mbps)
-            target = int(state.nearest_dc[player])
-
-        server_latency = server_latency_ms(state, player, kind)
-        encode_ms = 0.0
-        if (state.compression is not None
-                and supernode_id is None):
-            encode_ms = state.compression.encode_latency_ms
-        path = PathSpec(
-            one_way_latency_ms=float(cols.latency_ms[player]),
-            sender_share_mbps=max(0.05, share),
-            receiver_download_mbps=float(
-                state.topology.player_links.download_mbps[player]))
-        # Continuity deadline: the game's Table-2 requirement applied
-        # to packet delivery on the downstream path.  Server
-        # interaction pipelines with rendering, so it affects the
-        # response metric but not per-packet delivery.
-        session_config = SessionConfig(
-            response_budget_ms=game.latency_requirement_ms,
-            tolerance=game.tolerance,
-            path=path,
-            upstream_one_way_ms=0.0,
-            processing_ms=encode_ms,
-            sender_utilization=utilization,
-            duration_s=QOS_DURATION_S,
-            adaptive=state.config.strategies.rate_adaptation,
-        )
-        outcome = estimate_continuity(session_config, rng, state.transport,
-                                      n_samples=QOS_SAMPLES)
-        response = (float(cols.upstream_ms[player])
-                    + outcome.mean_response_latency_ms
-                    + server_latency + PLAYOUT_PROCESSING_MS)
-        records.append(SessionRecord(
-            player=player, day=day, game=game.name, kind=kind,
-            target=target,
-            response_latency_ms=response,
-            server_latency_ms=server_latency,
-            continuity=outcome.continuity,
-            satisfied=outcome.satisfied,
-            join_latency_ms=cols.join_latency_ms[player],
-        ))
-    return records

@@ -1,7 +1,6 @@
 """Simulation substrate: discrete-event engine, cycle schedule, RNG."""
 
 from .engine import EmptySchedule, Environment, Event, Process, Timeout
-from .resources import Release, Request, Resource
 from .cycles import PAPER_SCHEDULE, Schedule
 from .rng import EmpiricalDistribution, RngFactory, pareto_capacities, powerlaw_counts
 
@@ -11,9 +10,6 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
-    "Release",
-    "Request",
-    "Resource",
     "PAPER_SCHEDULE",
     "Schedule",
     "EmpiricalDistribution",

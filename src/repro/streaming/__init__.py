@@ -10,18 +10,15 @@ from .continuity import (
     satisfied_ratio,
 )
 from .compression import LIVERENDER_LIKE, CompressionModel
-from .multiplex import MultiplexConfig, PlayerOutcome, simulate_supernode
 from .qoe import MosBreakdown, QoeModel
 from .segments import DEFAULT_SEGMENT_SECONDS, Segment
 from .session import (
     BatchSessionOutcome,
     SessionConfig,
     SessionResult,
-    estimate_continuity,
     estimate_continuity_batch,
     initial_levels_batch,
     simulate_session,
-    stationary_level,
     stationary_levels_batch,
 )
 from .video import (
@@ -46,9 +43,6 @@ __all__ = [
     "satisfied_ratio",
     "LIVERENDER_LIKE",
     "CompressionModel",
-    "MultiplexConfig",
-    "PlayerOutcome",
-    "simulate_supernode",
     "MosBreakdown",
     "QoeModel",
     "DEFAULT_SEGMENT_SECONDS",
@@ -56,11 +50,9 @@ __all__ = [
     "BatchSessionOutcome",
     "SessionConfig",
     "SessionResult",
-    "estimate_continuity",
     "estimate_continuity_batch",
     "initial_levels_batch",
     "simulate_session",
-    "stationary_level",
     "stationary_levels_batch",
     "FRAME_RATE_FPS",
     "QUALITY_LADDER",

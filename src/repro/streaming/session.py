@@ -1,6 +1,6 @@
 """Streaming sessions: detailed (discrete-event) and fast (estimated).
 
-Two fidelities, consistent with each other:
+Two fidelities:
 
 * :func:`simulate_session` runs a full discrete-event session on the
   :mod:`repro.sim` engine: a sender process paces segments at the
@@ -10,11 +10,13 @@ Two fidelities, consistent with each other:
   Per-packet response latencies are recorded against the game's budget.
   Used by the encoding-rate-adaptation experiments (Fig. 11).
 
-* :func:`estimate_continuity` computes the same session's continuity in
-  closed form (stationary adaptation level + sampled per-packet
-  delays).  Used by the macro experiments, where hundreds of thousands
-  of sessions per run make the event-level path too slow.  A test pins
-  the two against each other.
+* :func:`estimate_continuity_batch` computes the continuity of a whole
+  day's sessions in closed form (stationary adaptation level + sampled
+  per-packet delays), one array slot per session.  Used by the macro
+  experiments, where hundreds of thousands of sessions per run make the
+  event-level path too slow.  Tests pin it against a frozen per-session
+  oracle (``tests/streaming/session_oracle.py``) and against the
+  event-level path.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .video import (
 )
 
 __all__ = ["SessionConfig", "SessionResult", "simulate_session",
-           "estimate_continuity", "BatchSessionOutcome",
+           "BatchSessionOutcome",
            "estimate_continuity_batch", "initial_levels_batch",
            "stationary_levels_batch"]
 
@@ -250,84 +252,6 @@ def simulate_session(config: SessionConfig,
     )
 
 
-def stationary_level(config: SessionConfig,
-                     transport: TransportModel | None = None) -> int:
-    """The level adaptation settles at for a given path and load.
-
-    Adapt-down fires while the stream bitrate exceeds what the congested
-    bottleneck sustains (with a safety margin matching the controller's
-    proactive down-threshold); adapt-up never exceeds the game's fitting
-    level.  Without adaptation the level is pinned at the game default.
-    """
-    transport = transport or TransportModel()
-    level = config.initial_level()
-    if not config.adaptive:
-        return level
-    # Waiting inflates delay, not throughput, but a controller adapting
-    # on buffer estimates effectively backs off once queueing builds, so
-    # the sustainable rate discounts the congestion factor.
-    sustainable_mbps = (transport.effective_throughput_mbps(config.path)
-                        / transport.congestion_factor(config.sender_utilization))
-    while level > 1:
-        bitrate_mbps = get_level(level).bitrate_bps / 1e6
-        if bitrate_mbps <= 0.9 * sustainable_mbps:
-            break
-        level -= 1
-    return level
-
-
-def estimate_continuity(config: SessionConfig,
-                        rng: np.random.Generator,
-                        transport: TransportModel | None = None,
-                        n_samples: int = 128) -> SessionResult:
-    """Closed-form session estimate consistent with the event-level path.
-
-    1. Find the stationary adaptation level.
-    2. The deliverable packet share is capped by bottleneck throughput /
-       stream bitrate (a persistently oversubscribed queue makes the
-       excess share late no matter what).
-    3. Sample per-packet delays (service + propagation + jitter) and
-       losses; continuity = deliverable share x on-time share.
-    """
-    transport = transport or TransportModel()
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    level = stationary_level(config, transport)
-    quality = get_level(level)
-    segment = Segment(0, quality, config.segment_s)
-
-    service_ms = transport.serialization_ms(
-        segment.packet_size_bits, config.path, config.sender_utilization)
-    throughput_mbps = transport.effective_throughput_mbps(config.path)
-    deliverable = min(1.0, throughput_mbps / (quality.bitrate_bps / 1e6))
-
-    delays = np.full(n_samples, config.path.one_way_latency_ms + service_ms)
-    if transport.jitter_fraction > 0:
-        delays = delays * rng.uniform(1.0 - transport.jitter_fraction,
-                                      1.0 + transport.jitter_fraction,
-                                      size=n_samples)
-    lost = transport.sample_losses(n_samples, config.sender_utilization, rng)
-    responses = config.upstream_one_way_ms + delays + config.processing_ms
-    on_time_share = float(((responses <= config.response_budget_ms) & ~lost).mean())
-    continuity = deliverable * on_time_share
-
-    total_packets = int(round(config.duration_s / config.segment_s)
-                        * segment.packet_count)
-    stats = ContinuityStats(
-        packets_total=max(total_packets, 1),
-        packets_on_time=int(round(continuity * max(total_packets, 1))),
-        stall_events=0 if continuity > 0.9 else 1,
-        total_stall_s=max(0.0, (1.0 - deliverable) * config.duration_s),
-    )
-    return SessionResult(
-        stats=stats,
-        mean_response_latency_ms=float(responses.mean()),
-        final_level=level,
-        mean_bitrate_kbps=float(quality.bitrate_kbps),
-        adjustments=abs(config.initial_level() - level),
-    )
-
-
 # ---------------------------------------------------------------------------
 # batch (vectorised) estimation — the macro-experiment hot path
 # ---------------------------------------------------------------------------
@@ -350,11 +274,16 @@ def stationary_levels_batch(initial_levels, sender_share_mbps,
                             adaptive=True,
                             transport: TransportModel | None = None
                             ) -> np.ndarray:
-    """Vectorised :func:`stationary_level` over per-session arrays.
+    """The level adaptation settles at, per session.
 
-    Replays the scalar adapt-down loop level by level (the ladder is
-    tiny) with element-wise identical arithmetic, so the returned
-    levels match the scalar function exactly.
+    Adapt-down fires while the stream bitrate exceeds what the congested
+    bottleneck sustains (with a safety margin matching the controller's
+    proactive down-threshold); adapt-up never exceeds the game's fitting
+    level.  Without adaptation the level is pinned at the game default.
+    The adapt-down loop runs level by level (the ladder is tiny) with
+    the arithmetic of the per-session oracle
+    (``tests/streaming/session_oracle.py``), so the levels match it
+    exactly.
     """
     transport = transport or TransportModel()
     levels = np.array(initial_levels, dtype=np.int64, copy=True)
@@ -441,22 +370,29 @@ def estimate_continuity_batch(
     transport: TransportModel | None = None,
     n_samples: int = 128,
 ) -> BatchSessionOutcome:
-    """Vectorised :func:`estimate_continuity` over arrays of sessions.
+    """Closed-form session estimate over arrays of sessions.
+
+    1. Find the stationary adaptation level.
+    2. The deliverable packet share is capped by bottleneck throughput /
+       stream bitrate (a persistently oversubscribed queue makes the
+       excess share late no matter what).
+    3. Sample per-packet delays (service + propagation + jitter) and
+       losses; continuity = deliverable share x on-time share.
 
     All parameters broadcast against each other to one session axis;
     ``levels`` optionally supplies precomputed stationary levels
     (otherwise :func:`stationary_levels_batch` derives them).
 
-    RNG-ordering contract (pinned by tests): the scalar loop draws, per
-    session, one jitter block (``uniform(1-j, 1+j, n_samples)``) then
+    RNG-ordering contract (pinned by tests): the per-session oracle
+    (``tests/streaming/session_oracle.py``) draws, per session, one jitter block (``uniform(1-j, 1+j, n_samples)``) then
     one loss block (``random(n_samples)``).  Both map the *same*
     underlying uniform doubles (``uniform(lo, hi)`` is exactly
     ``lo + (hi - lo) * random()`` draw for draw), so the batch path
     draws one ``(n, 2 * n_samples)`` block — the identical stream — and
-    splits it per session.  With jitter disabled the scalar loop draws
-    only the loss block, and so does the batch.  Every arithmetic step
-    is element-wise identical to the scalar function, which keeps
-    results bit-identical for the same seed.
+    splits it per session.  With jitter disabled the oracle draws only
+    the loss block, and so does the batch.  Every arithmetic step is
+    element-wise identical to the oracle's, which keeps results
+    bit-identical for the same seed.
     """
     transport = transport or TransportModel()
     if n_samples <= 0:

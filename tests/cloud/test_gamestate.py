@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.cloud.gamestate import (
+from repro.cloud.gamestate import UPDATE_MESSAGE_BITS_PER_SUPERNODE
+
+from .gamestate_oracle import (
     ACTION_SIZE_BITS,
-    UPDATE_MESSAGE_BITS_PER_SUPERNODE,
     Action,
     ActionType,
     Avatar,

@@ -9,7 +9,7 @@ Two layers are pinned with ``==``, never a tolerance:
   as running sums of game stream rates;
 * whole days: every day a run scores goes through both
   :func:`~repro.core.scoring.score_sessions_batch` and the scalar
-  oracle :func:`~repro.core.scoring.score_sessions_scalar` on twin RNG
+  oracle ``scoring_oracle.score_sessions_scalar`` on twin RNG
   streams, over generated configs — cloud compression, CDN mode, a
   throttle probability of 1, and fault healing, which grows load rows
   mid-day and pushes fog sessions to the cloud.
@@ -27,6 +27,8 @@ from repro.core import config as configs
 from repro.core.accounting import SweepLoads
 from repro.faults.plan import FaultEvent, FaultPlan, HealingPolicy
 from repro.workload.games import GAME_CATALOGUE
+
+from .scoring_oracle import score_sessions_scalar
 
 WIDTH = 28  # hours + 2 slots, as in SweepLoads
 RATES = [game.stream_rate_mbps for game in GAME_CATALOGUE]
@@ -102,7 +104,7 @@ def _scored_days(config, days):
         twin = copy.deepcopy(rng)
         records = batch_scorer(state, day, sessions, loads, cloud_rate,
                                rng)
-        assert records == scoring.score_sessions_scalar(
+        assert records == score_sessions_scalar(
             state, day, sessions, loads, cloud_rate, twin)
         cols = sessions.columns
         players = sessions.players()

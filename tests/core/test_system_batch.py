@@ -2,9 +2,9 @@
 
 The vectorised scorer (:func:`repro.core.scoring.score_sessions_batch`)
 is the only scoring path a run takes; the scalar loop kept verbatim
-from the pre-batch implementation (:func:`~repro.core.scoring.
-score_sessions_scalar`) is swapped in for it here.  A whole run must
-produce *identical* ``SessionRecord`` and ``DayMetrics`` lists either
+from the pre-batch implementation (the oracle
+``scoring_oracle.score_sessions_scalar``) is swapped in for it here.
+A whole run must produce *identical* ``SessionRecord`` and ``DayMetrics`` lists either
 way — same seed, same bits — across every deployment mode, with and
 without jitter, with and without cloud compression.
 """
@@ -18,6 +18,8 @@ from repro.core.accounting import DayMetrics, RunResult, SweepLoads
 from repro.core.system import CloudFogSystem
 from repro.network.transport import TransportModel
 
+from .scoring_oracle import score_sessions_scalar
+
 
 def run_both(build, days=2, transport=None):
     """One run per scoring path from identical configs; return both."""
@@ -29,7 +31,7 @@ def run_both(build, days=2, transport=None):
         with pytest.MonkeyPatch.context() as patch:
             if scalar:
                 patch.setattr(scoring, "score_sessions_batch",
-                              scoring.score_sessions_scalar)
+                              score_sessions_scalar)
             results.append(system.run(days=days))
     return results
 

@@ -10,13 +10,10 @@ same regime as the Λ constant used by the bandwidth accounting.
 import numpy as np
 import pytest
 
-from repro.cloud.gamestate import (
-    UPDATE_MESSAGE_BITS_PER_SUPERNODE,
-    Action,
-    ActionType,
-    VirtualWorld,
-)
+from repro.cloud.gamestate import UPDATE_MESSAGE_BITS_PER_SUPERNODE
 from repro.streaming.video import QUALITY_LADDER
+
+from ..cloud.gamestate_oracle import Action, ActionType, VirtualWorld
 
 TICK_RATE_HZ = 10  # state ticks per second (typical MMOG server rate)
 

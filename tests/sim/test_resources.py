@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource
+
+from ..streaming.multiplex_oracle import Resource
 
 
 def test_resource_grants_up_to_capacity():

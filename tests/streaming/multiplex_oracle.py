@@ -1,13 +1,15 @@
-"""Event-level supernode multiplexing: k players on one shared uplink.
+"""Frozen oracle: the event-level supernode multiplexer.
 
-The macro simulation approximates a supernode serving k players with a
-fair upload share and an M/D/1 waiting factor.  This module checks that
-approximation from below: a full discrete-event simulation in which one
-supernode's uplink is a shared :class:`~repro.sim.resources.Resource`
-and every connected player's frames queue through it FIFO.
-
-Used by the model-validation tests (micro DES vs macro estimator) and
-available to users who want packet-accurate supernode studies.
+Verbatim copies, taken when they left ``src/``, of
+``repro.streaming.multiplex`` (``MultiplexConfig``, ``PlayerOutcome``,
+``simulate_supernode``) and of the FIFO ``Resource`` primitive
+(``Request``, ``Release``) from ``repro.sim.resources`` that only the
+multiplexer used.  The macro estimate approximates a supernode serving
+k players with a fair upload share and an M/D/1 waiting factor; this
+packet-level model, one shared uplink with every player's frames
+queued through it FIFO on the ``repro.sim.engine`` event loop, checks
+that approximation from below (``test_multiplex.py``).  Do not edit
+this file to follow the live code.
 """
 
 from __future__ import annotations
@@ -16,13 +18,82 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim.engine import Environment
-from ..sim.resources import Resource
-from ..workload.games import Game
-from .segments import Segment
-from .video import FRAME_RATE_FPS
+from repro.sim.engine import Environment, Event
+from repro.streaming.segments import Segment
+from repro.streaming.video import FRAME_RATE_FPS
+from repro.workload.games import Game
 
-__all__ = ["MultiplexConfig", "PlayerOutcome", "simulate_supernode"]
+
+class Request(Event):
+    """A pending claim on a :class:`Resource` slot."""
+
+    def __init__(self, resource: "Resource") -> None:
+        super().__init__(resource.env)
+        self.resource = resource
+        resource.queue.append(self)
+        resource._trigger_requests()
+
+    def __enter__(self) -> "Request":
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        self.cancel()
+
+    def cancel(self) -> None:
+        """Release the slot (or abandon the queue position)."""
+        self.resource.release(self)
+
+
+class Release(Event):
+    """Event that fires once a :class:`Request` has been released."""
+
+    def __init__(self, resource: "Resource", request: Request) -> None:
+        super().__init__(resource.env)
+        self.resource = resource
+        self.request = request
+        self._ok = True
+        self._value = None
+        self.env.schedule(self)
+
+
+class Resource:
+    """A capacity-limited resource with a FIFO wait queue."""
+
+    def __init__(self, env: Environment, capacity: int = 1) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.env = env
+        self._capacity = capacity
+        self.users: list[Request] = []
+        self.queue: list[Request] = []
+
+    @property
+    def capacity(self) -> int:
+        return self._capacity
+
+    @property
+    def count(self) -> int:
+        """Number of slots currently in use."""
+        return len(self.users)
+
+    def request(self) -> Request:
+        """Claim a slot; the returned event fires once granted."""
+        return Request(self)
+
+    def release(self, request: Request) -> Release:
+        """Release a granted slot or withdraw a queued request."""
+        if request in self.users:
+            self.users.remove(request)
+        elif request in self.queue:
+            self.queue.remove(request)
+        self._trigger_requests()
+        return Release(self, request)
+
+    def _trigger_requests(self) -> None:
+        while len(self.users) < self._capacity and self.queue:
+            request = self.queue.pop(0)
+            self.users.append(request)
+            request.succeed()
 
 
 @dataclass(frozen=True)

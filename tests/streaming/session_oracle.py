@@ -1,0 +1,100 @@
+"""Frozen oracle: the scalar session estimate, one session per call.
+
+Verbatim copies, taken when the scalar twins left ``src/``, of
+``stationary_level`` and ``estimate_continuity`` from
+``repro.streaming.session``.  A run scores every session through the
+vectorised ``estimate_continuity_batch`` /
+``stationary_levels_batch``; these are the per-session definitions
+those functions are pinned against (``test_session_batch.py``), the
+scalar scorer oracle (``tests/core/scoring_oracle.py``) calls, and
+the event-level tests compare against.  Do not edit this file to
+follow the live code.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.network.transport import TransportModel
+from repro.streaming.continuity import ContinuityStats
+from repro.streaming.segments import Segment
+from repro.streaming.session import SessionConfig, SessionResult
+from repro.streaming.video import get_level
+
+
+def stationary_level(config: SessionConfig,
+                     transport: TransportModel | None = None) -> int:
+    """The level adaptation settles at for a given path and load.
+
+    Adapt-down fires while the stream bitrate exceeds what the congested
+    bottleneck sustains (with a safety margin matching the controller's
+    proactive down-threshold); adapt-up never exceeds the game's fitting
+    level.  Without adaptation the level is pinned at the game default.
+    """
+    transport = transport or TransportModel()
+    level = config.initial_level()
+    if not config.adaptive:
+        return level
+    # Waiting inflates delay, not throughput, but a controller adapting
+    # on buffer estimates effectively backs off once queueing builds, so
+    # the sustainable rate discounts the congestion factor.
+    sustainable_mbps = (transport.effective_throughput_mbps(config.path)
+                        / transport.congestion_factor(config.sender_utilization))
+    while level > 1:
+        bitrate_mbps = get_level(level).bitrate_bps / 1e6
+        if bitrate_mbps <= 0.9 * sustainable_mbps:
+            break
+        level -= 1
+    return level
+
+
+def estimate_continuity(config: SessionConfig,
+                        rng: np.random.Generator,
+                        transport: TransportModel | None = None,
+                        n_samples: int = 128) -> SessionResult:
+    """Closed-form session estimate consistent with the event-level path.
+
+    1. Find the stationary adaptation level.
+    2. The deliverable packet share is capped by bottleneck throughput /
+       stream bitrate (a persistently oversubscribed queue makes the
+       excess share late no matter what).
+    3. Sample per-packet delays (service + propagation + jitter) and
+       losses; continuity = deliverable share x on-time share.
+    """
+    transport = transport or TransportModel()
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
+    level = stationary_level(config, transport)
+    quality = get_level(level)
+    segment = Segment(0, quality, config.segment_s)
+
+    service_ms = transport.serialization_ms(
+        segment.packet_size_bits, config.path, config.sender_utilization)
+    throughput_mbps = transport.effective_throughput_mbps(config.path)
+    deliverable = min(1.0, throughput_mbps / (quality.bitrate_bps / 1e6))
+
+    delays = np.full(n_samples, config.path.one_way_latency_ms + service_ms)
+    if transport.jitter_fraction > 0:
+        delays = delays * rng.uniform(1.0 - transport.jitter_fraction,
+                                      1.0 + transport.jitter_fraction,
+                                      size=n_samples)
+    lost = transport.sample_losses(n_samples, config.sender_utilization, rng)
+    responses = config.upstream_one_way_ms + delays + config.processing_ms
+    on_time_share = float(((responses <= config.response_budget_ms) & ~lost).mean())
+    continuity = deliverable * on_time_share
+
+    total_packets = int(round(config.duration_s / config.segment_s)
+                        * segment.packet_count)
+    stats = ContinuityStats(
+        packets_total=max(total_packets, 1),
+        packets_on_time=int(round(continuity * max(total_packets, 1))),
+        stall_events=0 if continuity > 0.9 else 1,
+        total_stall_s=max(0.0, (1.0 - deliverable) * config.duration_s),
+    )
+    return SessionResult(
+        stats=stats,
+        mean_response_latency_ms=float(responses.mean()),
+        final_level=level,
+        mean_bitrate_kbps=float(quality.bitrate_kbps),
+        adjustments=abs(config.initial_level() - level),
+    )

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.network.transport import PathSpec, TransportModel
-from repro.streaming.multiplex import (
+from repro.streaming.session import SessionConfig
+from repro.workload.games import game_for_level
+
+from .multiplex_oracle import (
     MultiplexConfig,
     simulate_supernode,
 )
-from repro.streaming.session import SessionConfig, estimate_continuity
-from repro.workload.games import game_for_level
+from .session_oracle import estimate_continuity
 
 
 def test_config_validation():

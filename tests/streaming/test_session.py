@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.network.transport import PathSpec, TransportModel
-from repro.streaming.session import (
-    SessionConfig,
+from repro.streaming.session import SessionConfig, simulate_session
+
+from .session_oracle import (
     estimate_continuity,
-    simulate_session,
     stationary_level,
 )
 

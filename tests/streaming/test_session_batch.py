@@ -1,25 +1,32 @@
-"""Batch estimator equivalence: bit-identical to the scalar path.
+"""Batch estimator equivalence: bit-identical to the scalar oracle.
 
 The batch scorer's whole value rests on the RNG-ordering contract
 documented on :func:`estimate_continuity_batch`: scoring ``n`` sessions
 with one vectorised call must consume the generator stream exactly as
-``n`` scalar :func:`estimate_continuity` calls would, and every
-arithmetic step must be element-wise identical.  These tests pin that
-contract field by field — ``==``, never ``approx``.
+``n`` calls of the per-session oracle (``session_oracle.py``) would,
+and every arithmetic step must be element-wise identical.  These tests
+pin that contract field by field — ``==``, never ``approx`` — on seeded
+draws and on generated sessions that sit on the model's edges: budgets
+on the Table-2 level boundaries, sender utilisation 0, just below 1 and
+above 1, receiver links below the stream bitrate and link rates whose
+adapt-down threshold equals a level's bitrate exactly.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.network.transport import PathSpec, TransportModel
 from repro.streaming.session import (
     SessionConfig,
-    estimate_continuity,
     estimate_continuity_batch,
     initial_levels_batch,
-    stationary_level,
     stationary_levels_batch,
 )
+from repro.streaming.video import QUALITY_LADDER
+
+from .session_oracle import estimate_continuity, stationary_level
 
 N_SAMPLES = 64
 
@@ -159,3 +166,67 @@ def test_batch_validation_errors():
         estimate_continuity_batch(**good, rng=rng, n_samples=0)
     with pytest.raises(ValueError):
         initial_levels_batch([90.0, -1.0])
+
+
+# -- generated sessions on the model's edges ---------------------------------
+_REQUIREMENTS = [level.latency_requirement_ms for level in QUALITY_LADDER]
+_BUDGETS = [float(edge) for req in _REQUIREMENTS
+            for edge in (np.nextafter(req, 0.0), req, np.nextafter(req, 300.0))]
+_UTILIZATIONS = [0.0, 0.5, 0.85, float(np.nextafter(1.0, 0.0)), 1.0,
+                 1.25, 2.0]
+#: Link rates whose adapt-down threshold (0.9 x rate at utilisation 0)
+#: equals a level's bitrate exactly, and rates below every bitrate.
+_LINK_EDGES = [level.bitrate_kbps / 1000.0 / 0.9 for level in QUALITY_LADDER]
+_LINKS = st.one_of(st.sampled_from(_LINK_EDGES),
+                   st.floats(0.05, 0.29), st.floats(0.05, 30.0))
+_SESSION = st.fixed_dictionaries(dict(
+    response_budget_ms=st.one_of(st.sampled_from(_BUDGETS),
+                                 st.floats(1.0, 200.0)),
+    path_latency_ms=st.floats(0.0, 60.0),
+    sender_share_mbps=_LINKS,
+    receiver_download_mbps=_LINKS,
+    upstream_one_way_ms=st.floats(0.0, 30.0),
+    processing_ms=st.sampled_from([0.0, 5.0, 20.0]),
+    sender_utilization=st.one_of(st.sampled_from(_UTILIZATIONS),
+                                 st.floats(0.0, 2.5)),
+))
+_FIELDS = ("final_levels", "packets_total", "packets_on_time",
+           "stall_events", "total_stall_s", "mean_response_latency_ms",
+           "mean_bitrate_kbps", "adjustments")
+
+
+def _oracle_fields(result):
+    """One oracle result as the batch outcome's fields, in order."""
+    stats = result.stats
+    return (result.final_level, stats.packets_total, stats.packets_on_time,
+            stats.stall_events, stats.total_stall_s,
+            result.mean_response_latency_ms, result.mean_bitrate_kbps,
+            result.adjustments)
+
+
+_EDGE = dict(response_budget_ms=110.0, path_latency_ms=10.0,
+             sender_share_mbps=2.0, receiver_download_mbps=30.0,
+             upstream_one_way_ms=0.0, processing_ms=0.0,
+             sender_utilization=0.0)
+
+
+@given(sessions=st.lists(_SESSION, min_size=1, max_size=12),
+       adaptive=st.booleans(), jitter=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(sessions=[_EDGE], adaptive=True, jitter=0.0, seed=0)
+@settings(max_examples=300, deadline=None)
+def test_generated_batch_equals_oracle(sessions, adaptive, jitter, seed):
+    transport = TransportModel(jitter_fraction=jitter)
+    params = {key: np.array([session[key] for session in sessions])
+              for key in sessions[0]}
+    oracle_rng = np.random.default_rng(seed)
+    expected = [_oracle_fields(result) for result in scalar_results(
+        params, transport, oracle_rng, adaptive)]
+    batch_rng = np.random.default_rng(seed)
+    batch = estimate_continuity_batch(
+        **params, rng=batch_rng, duration_s=60.0, adaptive=adaptive,
+        transport=transport, n_samples=N_SAMPLES)
+    for index, name in enumerate(_FIELDS):
+        assert getattr(batch, name).tolist() == [
+            fields[index] for fields in expected], name
+    assert batch_rng.bit_generator.state == oracle_rng.bit_generator.state
