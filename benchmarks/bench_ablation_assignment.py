@@ -14,6 +14,7 @@ kd-tree keeping the best load balance (its design goal).
 """
 
 import numpy as np
+import pytest
 
 from repro.cloud.datacenter import Datacenter
 from repro.cloud.regions import KdTreePartitioner
@@ -24,6 +25,10 @@ from repro.social.communities import (
     random_partition,
 )
 from repro.social.graph import generate_friend_graph
+
+pytest.importorskip(
+    "networkx", reason="the networkx CNM reference needs the 'ablation' "
+    "extra: pip install -e '.[ablation]'")
 
 
 def _friend_correlated_positions(graph, rng, world_size=1000.0,

@@ -13,6 +13,7 @@ fraction of its cost (it was designed for per-week online re-runs).
 import time
 
 import numpy as np
+import pytest
 
 from repro.cloud.datacenter import Datacenter
 from repro.metrics.tables import ResultTable
@@ -23,6 +24,10 @@ from repro.social.communities import (
     random_partition,
 )
 from repro.social.graph import generate_friend_graph
+
+pytest.importorskip(
+    "networkx", reason="the networkx CNM reference needs the 'ablation' "
+    "extra: pip install -e '.[ablation]'")
 
 
 def _evaluate(graph, assignment, z):

@@ -75,6 +75,7 @@ def test_generate_tiny_populations():
 
 
 def test_to_networkx_is_a_copy():
+    pytest.importorskip("networkx")
     graph = FriendGraph(3, edges=[(0, 1)])
     nx_graph = graph.to_networkx()
     nx_graph.add_edge(1, 2)

@@ -7,8 +7,8 @@ rule must return the same values and leave the generator in the same
 state, so no RNG draw and no keep/rollback decision moved.
 """
 
-import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,10 @@ from repro.streaming.video import QUALITY_LADDER
 from repro.workload.games import GAME_CATALOGUE, Game
 from repro.workload.population import choose_game
 
-from . import nx_oracle
+nx = pytest.importorskip(
+    "networkx", reason="the networkx oracle needs the 'ablation' extra")
+
+from . import nx_oracle  # noqa: E402
 
 
 @st.composite
