@@ -194,11 +194,9 @@ class SimState:
         self.nearest_dc = np.argmin(
             self.topology.player_datacenter_distances(), axis=1)
         # Columnar per-player cloud latency: the nearest-datacenter
-        # one-way delay, precomputed once.  Row p is bit-identical to
-        # topology.nearest_datacenter_one_way_ms(p) — the same
-        # elementwise latency formula and the same min, evaluated over
-        # the whole (n, d) matrix instead of per call; every join reads
-        # its upstream delay from here.
+        # one-way delay, precomputed once: the elementwise latency
+        # formula and its min, evaluated over the whole (n, d) matrix;
+        # every join reads its upstream delay from here.
         latency_model = self.topology.latency_model
         self.cloud_ms = np.min(latency_model.one_way_ms(
             self.topology.player_datacenter_distances(),

@@ -101,10 +101,6 @@ class CloudFogSystem:
                                   start_day=start_day,
                                   on_day_end=on_day_end)
 
-    def run_day(self, day: int, result: accounting.RunResult,
-                measuring: bool) -> None:
-        sweep.run_day(self._state, day, result, measuring)
-
     def set_arrival_rates(self, offpeak_per_min: float,
                           peak_per_min: float) -> None:
         """Drive daily participation from arrival rates (Figs. 13-15)."""

@@ -13,14 +13,13 @@ from ..core.config import (
     cloudfog_basic,
 )
 from ..core.accounting import RunResult
-from ..core.shard import resume_sharded, run_sharded
+from ..core.shard import run_sharded
 from ..core.system import CloudFogSystem
 from ..persist import Checkpointer, resume_run
 from .testbeds import Testbed
 
 __all__ = ["VARIANTS", "variant_config", "build_system", "run_variant",
-           "run_config", "resume_config", "run_sharded_config",
-           "resume_sharded_config"]
+           "run_config", "resume_config", "run_sharded_config"]
 
 
 def _checkpointer(checkpoint_dir, checkpoint_every: int
@@ -153,24 +152,6 @@ def run_sharded_config(config: SystemConfig, days: int, *,
                            checkpoint_dir=checkpoint_dir,
                            checkpoint_every=checkpoint_every,
                            configure=configure)
-
-
-def resume_sharded_config(config: SystemConfig, checkpoint_dir, *,
-                          days: int | None = None, shards: int = 1,
-                          checkpoint_every: int = 1,
-                          configure=None) -> RunResult:
-    """Resume a sharded run from its per-partition checkpoint dirs.
-
-    ``configure`` must be the hook the interrupted run was started
-    with (see :func:`run_sharded_config`): scenario state is not
-    checkpointed, so every resumed partition re-applies it.
-    """
-    with obs.get_tracer().span("run_variant", variant="resume-sharded",
-                               seed=config.seed, shards=shards):
-        return resume_sharded(config, checkpoint_dir, days=days,
-                              shards=shards,
-                              checkpoint_every=checkpoint_every,
-                              configure=configure)
 
 
 def resume_config(source, days: int | None = None, checkpoint_dir=None,

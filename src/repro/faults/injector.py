@@ -3,10 +3,12 @@
 The :class:`FaultInjector` is what a :class:`~repro.core.system.
 CloudFogSystem` holds when a :class:`~repro.faults.plan.FaultPlan` is
 configured; the :data:`NULL_INJECTOR` is what it holds otherwise.  The
-null object follows the repo's obs convention: every hook is a cheap
-no-op, no RNG stream is ever created and no state accumulates, so a
-system without a plan is bit-identical to one built before this
-subsystem existed (pinned by ``tests/faults/test_equivalence.py``).
+null object carries only ``active = False`` and the default resilience
+parameters: every caller checks ``.active`` before it reads the
+schedule or the penalty ledger, so no RNG stream is ever created and
+no state accumulates, and a system without a plan is bit-identical to
+one built before this subsystem existed (pinned by
+``tests/faults/test_equivalence.py``).
 
 The injector itself owns only *cross-cutting* fault state:
 
@@ -84,7 +86,7 @@ class FaultSummary:
 
 
 class NullFaultInjector:
-    """The disabled path: shared, stateless, allocation-free no-ops."""
+    """The disabled path: shared and stateless; callers check ``active``."""
 
     active = False
     plan: FaultPlan | None = None
@@ -94,22 +96,6 @@ class NullFaultInjector:
     retry = RetryPolicy()
     #: Always-empty read-only view; never mutated.
     penalties: dict[int, float] = {}
-
-    def events_at(self, day: int, subcycle: int) -> tuple[FaultEvent, ...]:
-        return ()
-
-    def has_events_on(self, day: int) -> bool:
-        return False
-
-    def start_day(self, day: int) -> None:
-        pass
-
-    def partition_active(self, subcycle: int) -> bool:
-        return False
-
-    def add_penalty(self, player: int, fraction: float) -> None:
-        raise RuntimeError(
-            "cannot record fault penalties without a FaultPlan")
 
 
 #: Module-wide shared disabled injector.

@@ -70,40 +70,7 @@ class Topology:
                 self.player_coords, self.datacenter_coords)
         return self._dc_distance_cache
 
-    def nearest_datacenter(self, player: int) -> tuple[int, float]:
-        """(datacenter index, distance km) nearest to ``player``."""
-        distances = self.player_datacenter_distances()[player]
-        index = int(np.argmin(distances))
-        return index, float(distances[index])
-
-    def player_distance(self, a: int, b: int) -> float:
-        """Distance in km between two players."""
-        delta = self.player_coords[a] - self.player_coords[b]
-        return float(np.sqrt((delta ** 2).sum()))
-
     # -- latencies --------------------------------------------------------
-    def player_to_datacenter_one_way_ms(self, player: int,
-                                        datacenter: int) -> float:
-        distance = self.player_datacenter_distances()[player, datacenter]
-        return float(self.latency_model.one_way_ms(
-            distance,
-            self.player_access_ms[player],
-            self.latency_model.datacenter_access_ms))
-
-    def nearest_datacenter_one_way_ms(self, player: int) -> float:
-        distances = self.player_datacenter_distances()[player]
-        one_ways = self.latency_model.one_way_ms(
-            distances,
-            self.player_access_ms[player],
-            self.latency_model.datacenter_access_ms)
-        return float(np.min(one_ways))
-
-    def player_to_player_one_way_ms(self, a: int, b: int) -> float:
-        return self.latency_model.point_one_way_ms(
-            float(self.player_coords[a, 0]), float(self.player_coords[a, 1]),
-            float(self.player_coords[b, 0]), float(self.player_coords[b, 1]),
-            self.player_access_ms[a], self.player_access_ms[b])
-
     def players_to_points_one_way_ms(self, players: np.ndarray,
                                      point_coords: np.ndarray,
                                      point_access_ms: np.ndarray) -> np.ndarray:

@@ -25,7 +25,9 @@ import on demand (``from repro.obs import server``).
 The stack is instrumented unconditionally but observability is **off by
 default**: :func:`get_tracer` / :func:`get_registry` /
 :func:`get_timeseries` / :func:`get_events` hand back shared null
-objects whose methods are no-ops, so a disabled run does no timing,
+objects whose recording methods are no-ops (readers and exporters
+exist only on the live objects, and callers check ``enabled`` before
+using them), so a disabled run does no timing,
 allocates nothing per call, never touches the RNG streams and produces
 bit-identical results (the determinism test in ``tests/obs`` pins this).
 Call :func:`enable` (the CLI does when any observability flag is

@@ -28,7 +28,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = ["Event", "EventLog", "NullEventLog", "NULL_EVENT_LOG",
            "DEFAULT_MAX_EVENTS"]
@@ -92,34 +92,11 @@ class EventLog:
         return event
 
     # -- query -----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def events(self) -> list[Event]:
-        return list(self._events)
-
-    def iter_events(self, kind: str | None = None,
-                    day: int | None = None) -> Iterator[Event]:
-        for event in self._events:
-            if kind is not None and event.kind != kind:
-                continue
-            if day is not None and event.day != day:
-                continue
-            yield event
-
     def tail(self, count: int) -> list[Event]:
+        """The newest ``count`` held events, oldest first."""
         if count <= 0:
             return []
         return list(self._events)[-count:]
-
-    def by_day(self) -> dict[int, list[Event]]:
-        """Events grouped by day (events without a day are dropped)."""
-        out: dict[int, list[Event]] = {}
-        for event in self._events:
-            if event.day is not None:
-                out.setdefault(event.day, []).append(event)
-        return out
 
     # -- persistence -----------------------------------------------------
     def export_jsonl(self, path: str | Path) -> int:
@@ -152,32 +129,9 @@ class NullEventLog:
     """No-op log handed out while observability is disabled."""
 
     enabled = False
-    max_events = 0
-    events: list = []
 
     def emit(self, kind: str, *, day=None, subcycle=None, **attrs) -> None:
         return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def iter_events(self, kind=None, day=None) -> Iterator:
-        return iter(())
-
-    def tail(self, count: int) -> list:
-        return []
-
-    def by_day(self) -> dict:
-        return {}
-
-    def export_jsonl(self, path) -> int:
-        return 0
-
-    def as_payload(self) -> dict:
-        return {"max_events": 0, "next_seq": 1, "events": []}
-
-    def load_payload(self, payload) -> None:
-        pass
 
 
 #: The module-wide disabled log (see :mod:`repro.obs`).

@@ -356,33 +356,6 @@ class NullRegistry:
                   **labels) -> NullHistogram:
         return _NULL_HISTOGRAM
 
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def reset(self) -> None:
-        pass
-
-    def merge_dump(self, dump: Mapping[str, list]) -> None:
-        pass
-
-    def to_prometheus(self) -> str:
-        return ""
-
-    def as_dict(self) -> dict:
-        return {}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return "{}"
-
-    def write_prometheus(self, path: str | Path) -> None:
-        pass
-
-    def write_json(self, path: str | Path) -> None:
-        pass
-
 
 #: The module-wide disabled registry (see :mod:`repro.obs`).
 NULL_REGISTRY = NullRegistry()

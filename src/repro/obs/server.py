@@ -46,7 +46,10 @@ SNAPSHOT_EVENT_TAIL = 200
 
 
 def build_snapshot(policy: SloPolicy | None = None) -> dict:
-    """The /snapshot.json document over the live observability objects."""
+    """The /snapshot.json document over the live observability objects.
+
+    A disabled pillar contributes an empty section.
+    """
     registry = get_registry()
     timeseries = get_timeseries()
     events = get_events()
@@ -54,10 +57,12 @@ def build_snapshot(policy: SloPolicy | None = None) -> dict:
         "enabled": {"metrics": registry.enabled,
                     "timeseries": timeseries.enabled,
                     "events": events.enabled},
-        "metrics": registry.as_dict(),
-        "timeseries": timeseries.as_payload(),
+        "metrics": registry.as_dict() if registry.enabled else {},
+        "timeseries": (timeseries.as_payload() if timeseries.enabled
+                       else {"max_days": 0, "days": []}),
         "events": [event.as_dict()
-                   for event in events.tail(SNAPSHOT_EVENT_TAIL)],
+                   for event in events.tail(SNAPSHOT_EVENT_TAIL)]
+        if events.enabled else [],
     }
     if timeseries.enabled and len(timeseries):
         used = policy if policy is not None else default_policy()
@@ -71,7 +76,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
         if path == "/metrics":
-            body = get_registry().to_prometheus().encode()
+            registry = get_registry()
+            body = (registry.to_prometheus().encode() if registry.enabled
+                    else b"")
             self._reply(200, PROMETHEUS_CONTENT_TYPE, body)
         elif path == "/snapshot.json":
             snapshot = build_snapshot(getattr(self.server, "obs_policy",

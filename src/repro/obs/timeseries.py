@@ -241,9 +241,6 @@ class TimeSeriesStore:
         """Number of days currently held."""
         return len(self._days)
 
-    def days(self) -> list[int]:
-        return [day[0].day for day in self._days]
-
     def regions(self) -> list[str]:
         seen: dict[str, None] = {}
         for day in self._days:
@@ -259,19 +256,6 @@ class TimeSeriesStore:
                 if region is None or sample.region == region:
                     out.append(sample)
         return out
-
-    def latest(self, region: str = ALL_REGIONS) -> DaySample | None:
-        for day in reversed(self._days):
-            for sample in day:
-                if sample.region == region:
-                    return sample
-        return None
-
-    def series(self, metric: str,
-               region: str = ALL_REGIONS) -> list[tuple[int, float]]:
-        """``(day, value)`` pairs of one sample field in one region."""
-        return [(s.day, getattr(s, metric))
-                for s in self.samples(region=region)]
 
     # -- persistence -----------------------------------------------------
     def as_payload(self) -> dict:
@@ -297,42 +281,11 @@ class NullTimeSeries:
     """No-op store handed out while observability is disabled."""
 
     enabled = False
-    max_days = 0
 
     def observe_day(self, day, records, region_of=None,
                     cloud_bandwidth_mbps=0.0, fault_deltas=None,
                     recovery_ms=()) -> list:
         return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def days(self) -> list:
-        return []
-
-    def regions(self) -> list:
-        return []
-
-    def samples(self, region=None) -> list:
-        return []
-
-    def latest(self, region=ALL_REGIONS):
-        return None
-
-    def series(self, metric, region=ALL_REGIONS) -> list:
-        return []
-
-    def as_payload(self) -> dict:
-        return {"max_days": 0, "days": []}
-
-    def load_payload(self, payload) -> None:
-        pass
-
-    def to_json(self, indent: int | None = None) -> str:
-        return "{}"
-
-    def write_json(self, path) -> None:
-        pass
 
 
 #: The module-wide disabled store (see :mod:`repro.obs`).

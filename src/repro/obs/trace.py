@@ -179,15 +179,6 @@ class NullTracer:
     def span(self, name: str, **attrs) -> NullSpan:
         return _NULL_SPAN
 
-    def clear(self) -> None:
-        pass
-
-    def iter_finished(self, name: str | None = None) -> Iterator:
-        return iter(())
-
-    def export_jsonl(self, path: str | Path) -> int:
-        return 0
-
 
 #: The module-wide disabled tracer (see :mod:`repro.obs`).
 NULL_TRACER = NullTracer()

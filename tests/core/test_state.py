@@ -13,6 +13,8 @@ from repro.core.state import (
     set_arrival_rates,
 )
 
+from ..network import topology_oracle
+
 SMALL = dict(num_players=150, num_supernodes=12, seed=3)
 
 
@@ -97,4 +99,4 @@ def test_latency_helpers_use_single_formula(state):
         float(topology.player_access_ms[5]), float(pool.access_ms[0]))
     assert got == expected
     assert cloud_one_way_ms(state, 5) \
-        == topology.nearest_datacenter_one_way_ms(5)
+        == topology_oracle.nearest_datacenter_one_way_ms(topology, 5)

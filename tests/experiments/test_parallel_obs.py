@@ -85,7 +85,7 @@ def test_disabled_parent_spawns_disabled_workers():
     results = run_variants(tiny_tasks(), jobs=2)
     assert len(results) == 3
     assert not obs.enabled()
-    assert len(obs.get_registry()) == 0
+    assert obs.get_registry() is obs.NULL_REGISTRY
 
 
 def test_merge_dump_unit_semantics():

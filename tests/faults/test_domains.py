@@ -16,6 +16,8 @@ from repro.core.entities import ConnectionKind
 from repro.faults.plan import (AdmissionPolicy, FaultEvent, FaultPlan,
                                HealingPolicy)
 
+from ..helpers.events import held_events
+
 
 @pytest.fixture(autouse=True)
 def _observability():
@@ -35,7 +37,7 @@ def _run(plan, *, days=1, num_players=200, num_supernodes=12,
 
 
 def _events(kind):
-    return list(obs.get_events().iter_events(kind=kind))
+    return held_events(obs.get_events(), kind)
 
 
 # -- dc_outage -----------------------------------------------------------

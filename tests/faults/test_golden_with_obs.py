@@ -13,6 +13,7 @@ import pytest
 from repro import obs
 from repro.core import CloudFogSystem
 
+from ..helpers.events import held_events
 from ..helpers.golden import fault_summary_digest, run_result_digest
 from .regen_golden import CHAOS_SCENARIOS, SCENARIOS
 from .test_equivalence import GOLDEN
@@ -31,7 +32,7 @@ def test_baseline_digests_hold_with_observability_on(name):
     assert run_result_digest(result) == GOLDEN[name]
     # the run also actually produced telemetry
     store = obs.get_timeseries()
-    assert store.days() == [0, 1]
+    assert [s.day for s in store.samples("all")] == [0, 1]
     assert all(s.faults_displaced == 0 for s in store.samples())
 
 
@@ -42,7 +43,7 @@ def test_chaos_digests_hold_with_observability_on():
         == GOLDEN["chaos_advanced_faults"]
     # telemetry saw the injected chaos: events and per-day fault deltas
     events = obs.get_events()
-    injected = list(events.iter_events(kind="fault_injected"))
+    injected = held_events(events, "fault_injected")
     assert len(injected) == 5
     displaced_days = [s.day for s in obs.get_timeseries().samples("all")
                       if s.faults_displaced > 0]
@@ -56,15 +57,15 @@ def test_chaos_domains_digests_hold_with_observability_on():
         == GOLDEN["chaos_domains_faults"]
     # Every branch the golden exists for was reached.
     events = obs.get_events()
-    counts = {kind: len(list(events.iter_events(kind=kind)))
+    counts = {kind: len(held_events(events, kind))
               for kind in ("cloud_rerouted", "session_queued",
                            "session_shed", "join_shed", "capacity_healed")}
     assert counts == {"cloud_rerouted": 1, "session_queued": 6,
                       "session_shed": 1, "join_shed": 82,
                       "capacity_healed": 2}
-    drained = [e for e in events.iter_events(kind="cloud_fallback")
+    drained = [e for e in held_events(events, "cloud_fallback")
                if e.attrs["from_supernode"] is None]
     assert len(drained) == 5
     assert [e.attrs["graceful"]
-            for e in events.iter_events(kind="domain_outage")] \
+            for e in held_events(events, "domain_outage")] \
         == [True, False]

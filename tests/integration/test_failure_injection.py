@@ -1,7 +1,6 @@
 """Failure-injection tests: the system degrades gracefully, never breaks."""
 
 import numpy as np
-import pytest
 
 from repro.core import CloudFogSystem, cloudfog_advanced, cloudfog_basic, sweep
 from repro.core.entities import ConnectionKind
@@ -33,7 +32,7 @@ def test_total_fog_outage_falls_back_to_cloud():
     assert system.live_supernodes == []
 
     result = RunResult()
-    system.run_day(1, result, measuring=True)
+    sweep.run_day(system.state, 1, result, measuring=True)
     assert result.days
     day = result.days[-1]
     assert day.online_players > 0
@@ -66,7 +65,7 @@ def test_partial_outage_migrates_and_keeps_serving():
     for sid in system.live_supernodes:
         pool.disconnect_many(sid, list(pool.connected[sid]))
     result = RunResult()
-    system.run_day(1, result, measuring=True)
+    sweep.run_day(system.state, 1, result, measuring=True)
     kinds = {r.kind for r in result.sessions}
     assert ConnectionKind.SUPERNODE in kinds  # survivors still serve
 
@@ -82,7 +81,7 @@ def test_failed_supernodes_never_get_new_connections():
     dead = np.flatnonzero(~pool.online[:10]).tolist()
     assert dead
     result = RunResult()
-    system.run_day(1, result, measuring=True)
+    sweep.run_day(system.state, 1, result, measuring=True)
     for sid in dead:
         assert not pool.connected[sid]
 
@@ -143,7 +142,7 @@ def test_failures_until_pool_empty_keep_bookkeeping_consistent():
     assert system.fault_outcomes.displaced > 0
     # The emptied fog still serves the whole population from the cloud.
     result = RunResult()
-    system.run_day(1, result, measuring=True)
+    sweep.run_day(system.state, 1, result, measuring=True)
     day = result.days[-1]
     assert day.online_players > 0
     assert day.cloud_players == day.online_players
@@ -157,8 +156,8 @@ def test_advanced_system_survives_outage_with_provisioning():
     result = RunResult()
     # Warm the provisioner past its one-week season (window 4 h).
     for day in range(8):
-        system.run_day(day, result, measuring=False)
+        sweep.run_day(system.state, day, result, measuring=False)
     system.fail_supernodes(len(system.live_supernodes) // 2, rng)
-    system.run_day(8, result, measuring=True)
+    sweep.run_day(system.state, 8, result, measuring=True)
     # Provisioning redeployed: the live set is non-empty again.
     assert len(system.live_supernodes) > 0

@@ -83,9 +83,7 @@ def test_ring_buffer_drops_oldest_days():
     for day in range(4):
         store.observe_day(day=day, records=[make_record(0)])
     assert len(store) == 2
-    assert store.days() == [2, 3]
-    latest = store.latest()
-    assert latest is not None and latest.day == 3
+    assert [sample.day for sample in store.samples()] == [2, 3]
     with pytest.raises(ValueError):
         TimeSeriesStore(max_days=0)
 
@@ -96,8 +94,10 @@ def test_series_and_regions_query():
         store.observe_day(day=day, records=[make_record(0), make_record(1)],
                           region_of={0: 1, 1: 0})
     assert store.regions() == [ALL_REGIONS, "dc0", "dc1"]
-    assert store.series("sessions") == [(0, 2), (1, 2), (2, 2)]
-    assert store.series("sessions", region="dc1") == [(0, 1), (1, 1), (2, 1)]
+    assert [(s.day, s.sessions) for s in store.samples(ALL_REGIONS)] \
+        == [(0, 2), (1, 2), (2, 2)]
+    assert [(s.day, s.sessions) for s in store.samples("dc1")] \
+        == [(0, 1), (1, 1), (2, 1)]
 
 
 def test_day_without_recoveries_reports_none_not_zero():
@@ -126,8 +126,7 @@ def test_day_without_recoveries_reports_none_not_zero():
 
 def test_none_fields_round_trip_through_payload():
     store = TimeSeriesStore(qoe=FlatQoe())
-    store.observe_day(day=0, records=[], recovery_ms=[])
-    sample = store.latest()
+    (sample,) = store.observe_day(day=0, records=[], recovery_ms=[])
     assert sample.p95_response_latency_ms is None
     assert sample.recovery_p95_ms is None
     clone = TimeSeriesStore(qoe=FlatQoe())
@@ -176,10 +175,6 @@ def test_mos_uses_catalogue_qos_with_fallback():
 def test_null_store_is_inert():
     assert not NULL_TIMESERIES.enabled
     assert NULL_TIMESERIES.observe_day(0, [make_record(0)]) == []
-    assert len(NULL_TIMESERIES) == 0
-    assert NULL_TIMESERIES.latest() is None
-    assert NULL_TIMESERIES.samples() == []
-    assert NULL_TIMESERIES.as_payload() == {"max_days": 0, "days": []}
 
 
 def test_day_sample_dict_round_trip():

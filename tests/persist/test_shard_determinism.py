@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import cloudfog_advanced
-from repro.core.shard import build_partitions, merge_results, run_sharded
-from repro.experiments import resume_sharded_config, run_sharded_config
+from repro.core.shard import (build_partitions, merge_results,
+                              resume_sharded, run_sharded)
+from repro.experiments import run_sharded_config
 from repro.faults.plan import FaultPlan
 from repro.scenarios import Scenario
 from repro.scenarios.compile import compile_scenario
@@ -140,13 +141,13 @@ def test_sharded_resume_is_bit_identical(tmp_path, config):
     for shard_dir in sorted(tmp_path.iterdir()):
         for snapshot in sorted(shard_dir.glob("checkpoint-day*.json"))[1:]:
             snapshot.unlink()
-    resumed = resume_sharded_config(config, tmp_path, days=days, shards=1)
+    resumed = resume_sharded(config, tmp_path, days=days, shards=1)
     assert digests(resumed) == expected
 
 
 def test_scenario_sharded_resume_keeps_the_configure_hook(tmp_path):
     """A flash crowd installed by ``configure`` must survive a resume
-    through the runner: scenario state is not checkpointed, so the
+    through ``resume_sharded``: scenario state is not checkpointed, so the
     resumed partitions have to re-apply the hook."""
     compiled = compile_scenario(Scenario.from_dict({
         "version": 1, "name": "resume-crowd", "seed": 5,
@@ -166,8 +167,8 @@ def test_scenario_sharded_resume_keeps_the_configure_hook(tmp_path):
             for snapshot in sorted(
                     shard_dir.glob("checkpoint-day*.json"))[1:]:
                 snapshot.unlink()
-        return digests(resume_sharded_config(config, tmp_path, days=days,
-                                             **kwargs))
+        return digests(resume_sharded(config, tmp_path, days=days,
+                                      **kwargs))
 
     assert resume(configure=compiled.configure) == expected
     # Without the hook the resumed days lose the crowd: the test bites.
@@ -178,8 +179,8 @@ def test_sharded_resume_from_missing_dirs_runs_fresh(tmp_path):
     days = BASELINE.schedule.days
     expected = digests(run_sharded(BASELINE, days, shards=1))
     # No checkpoints at all: every partition runs from scratch.
-    assert digests(resume_sharded_config(BASELINE, tmp_path / "nothing",
-                                         days=days)) == expected
+    assert digests(resume_sharded(BASELINE, tmp_path / "nothing",
+                                  days=days)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -255,5 +256,5 @@ def test_healed_run_resumes_from_valid_snapshot_despite_corruption(
     for shard_dir in sorted(tmp_path.iterdir()):
         newest = sorted(shard_dir.glob("checkpoint-day*.json"))[-1]
         newest.write_text(newest.read_text()[:-40])  # truncate: corrupt
-    resumed = resume_sharded_config(CHAOS, tmp_path, days=days)
+    resumed = resume_sharded(CHAOS, tmp_path, days=days)
     assert digests(resumed) == expected

@@ -15,6 +15,7 @@ from repro.core.config import cloudfog_advanced
 from repro.persist import Checkpointer, read_checkpoint, resume_run
 
 from ..faults.regen_golden import CHAOS_PLAN
+from ..helpers.events import held_events
 from ..helpers.golden import fault_summary_digest, run_result_digest
 
 CHAOS = cloudfog_advanced(num_players=120, num_supernodes=8,
@@ -38,7 +39,7 @@ def _event_essence(log):
     """Events minus the tolerated differences (the seam markers; seq
     shifts after the inserted load; span ids are process-history-bound)."""
     return [(e.kind, e.day, e.subcycle, tuple(sorted(e.attrs.items())))
-            for e in log.events if e.kind not in _SEAM_KINDS]
+            for e in held_events(log) if e.kind not in _SEAM_KINDS]
 
 
 def test_resumed_telemetry_matches_uninterrupted(tmp_path):
@@ -49,7 +50,7 @@ def test_resumed_telemetry_matches_uninterrupted(tmp_path):
     full_series = obs.get_timeseries().as_payload()
     full_events = _event_essence(obs.get_events())
     assert any(kind == "fault_injected" for kind, *_ in full_events)
-    saves = list(obs.get_events().iter_events(kind="checkpoint_save"))
+    saves = held_events(obs.get_events(), "checkpoint_save")
     assert [event.day for event in saves] == list(range(DAYS))
 
     for k in range(DAYS - 1):
@@ -61,7 +62,7 @@ def test_resumed_telemetry_matches_uninterrupted(tmp_path):
             f"time series diverged resuming after day {k}"
         assert _event_essence(obs.get_events()) == full_events, \
             f"event log diverged resuming after day {k}"
-        loads = list(obs.get_events().iter_events(kind="checkpoint_load"))
+        loads = held_events(obs.get_events(), "checkpoint_load")
         assert len(loads) == 1 and loads[0].day == k
 
 
@@ -101,4 +102,4 @@ def test_resume_with_observability_off_ignores_telemetry(tmp_path):
     obs.disable()
     resumed = resume_run(hook.path_for(0))
     assert run_result_digest(resumed) == expected
-    assert len(obs.get_timeseries()) == 0  # still the null store
+    assert obs.get_timeseries() is obs.NULL_TIMESERIES  # still null
