@@ -66,19 +66,17 @@ class SupernodeDirectory:
     cached per-player distance ranking of the whole pool
     (:meth:`_pool_ranking`).  :meth:`candidates_for` walks the
     player's ranking row and keeps the first ``count`` rows whose
-    ``available`` byte is set, in (distance², pool id) order.  A row
-    whose cached prefix is exhausted by local saturation falls back to
-    an exact scan of the available rows (:meth:`_batch_scan`) with the
-    same ordering.  Deployments, failures and heals only flip pool
-    bytes, so the directory never rebuilds.
+    ``available`` byte is set, in (distance², pool id) order.  When
+    local saturation exhausts the cached prefix, the player's whole
+    pool row is ranked the same way (:meth:`_rank_row`) and the walk
+    goes on past the prefix.  Deployments, failures and heals only flip
+    pool bytes, so the directory never rebuilds.
     """
 
     def __init__(self, topology: Topology, pool: SupernodePool):
         self.topology = topology
         self.pool = pool
         self._topk: np.ndarray | None = None
-        #: Live uint8 view of the pool's availability bytes.
-        self._avail_np = np.frombuffer(pool.available, dtype=np.uint8)
         # Python-float copies of the immutable probe columns: a join
         # probes a handful of rows, and list reads keep the probe
         # arithmetic in Python floats.
@@ -96,18 +94,15 @@ class SupernodeDirectory:
             return []
         ranking = self._pool_ranking(count)
         avail = self.pool.available
-        found: list[int] = []
-        for gid in ranking[player].tolist():
-            if avail[gid]:
-                found.append(gid)
-                if len(found) == count:
-                    return found
-        if ranking.shape[1] == self.pool.size:
-            return found  # the prefix is the whole pool
+        found = _first_available(ranking[player], avail, count)
+        width = ranking.shape[1]
+        if len(found) == count or width == self.pool.size:
+            return found
         # Local saturation exhausted the cached prefix: any pool row
-        # outside it may be the next nearest, so scan exactly.
-        ids, _ = self._batch_scan(np.array([player]), count)
-        return ids[0].tolist()
+        # outside it may be the next nearest, so rank the whole row and
+        # walk on from where the prefix ended.
+        return found + _first_available(self._rank_row(player)[width:],
+                                        avail, count - len(found))
 
     def _pool_ranking(self, count: int) -> np.ndarray:
         """Every player's nearest pool rows, (distance², pool id) order.
@@ -118,7 +113,7 @@ class SupernodeDirectory:
         bytes.  A build's cost is dominated by the full (players × pool)
         distance matrix, not the kept width, so the prefix is generous
         (``32 * count`` rows): wide enough that local saturation rarely
-        sends a lookup to the exact scan.
+        sends a lookup to :meth:`_rank_row`.
         """
         pool = self.pool
         n = pool.size
@@ -151,43 +146,19 @@ class SupernodeDirectory:
         self._topk = topk
         return topk
 
-    def _batch_scan(self, players: np.ndarray, k: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact k-nearest-available scan over the whole pool.
+    def _rank_row(self, player: int) -> np.ndarray:
+        """All pool rows for one player, (distance², pool id) order.
 
-        The fallback for lookups whose cached ranking prefix is
-        exhausted by local saturation; same (distance², pool id)
-        ordering as the cached path.
+        The squared distances repeat :meth:`_pool_ranking`'s arithmetic
+        operation for operation, so the row's first entries are the
+        cached prefix.
         """
-        m = len(players)
-        gids = np.flatnonzero(self._avail_np)
-        k = min(k, gids.size)
         pool = self.pool
-        topo = self.topology
-        px = topo.player_coords[players, 0]
-        py = topo.player_coords[players, 1]
-        pa = topo.player_access_ms[players]
-        mskm = topo.latency_model.ms_per_km
-        sx = pool.x_km[gids]
-        sy = pool.y_km[gids]
-        ids = np.empty((m, k), dtype=np.int64)
-        delays = np.empty((m, k), dtype=np.float64)
-        if k == 0:
-            return ids, delays
-        # Chunk the (m, a) distance matrix to ~32 MB so a large row
-        # set over a large pool never materialises gigabytes.
-        chunk = max(1, int(4_000_000 // max(1, gids.size)))
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            dx = px[lo:hi, None] - sx[None, :]
-            dy = py[lo:hi, None] - sy[None, :]
-            d2 = dx * dx + dy * dy
-            part = _nearest(d2, k, gids)
-            d2k = np.take_along_axis(d2, part, axis=1)
-            ids[lo:hi] = gids[part]
-            delays[lo:hi] = (pa[lo:hi, None] + mskm * np.sqrt(d2k)
-                             + pool.access_ms[ids[lo:hi]])
-        return ids, delays
+        x, y = self.topology.player_coords[player]
+        dx = x - pool.x_km
+        dy = y - pool.y_km
+        d2 = dx * dx + dy * dy
+        return _nearest(d2[None, :], pool.size, np.arange(pool.size))[0]
 
     def probe_delays_ms(self, player: int,
                         candidates: list[int]) -> list[float]:
@@ -216,6 +187,18 @@ class SupernodeDirectory:
             delays.append(pa + mskm * math.sqrt(dx * dx + dy * dy)
                           + access[sid])
         return delays
+
+
+def _first_available(ranked: np.ndarray, avail: bytearray,
+                     count: int) -> list[int]:
+    """The first ``count`` ids of ``ranked`` whose availability byte is set."""
+    found: list[int] = []
+    for gid in ranked.tolist():
+        if avail[gid]:
+            found.append(gid)
+            if len(found) == count:
+                break
+    return found
 
 
 def _nearest(d2: np.ndarray, k: int, keys: np.ndarray) -> np.ndarray:
