@@ -212,10 +212,9 @@ def bring_online(state: SimState, supernode_ids: list[int]) -> None:
 
     The inverse of :func:`take_offline`, used by the healing hook
     after a confirmed domain loss: each node goes online at the end of
-    the live list and pays the same registration latency a scheduled
-    deployment would (one cloud RTT + handshake).  ``deployed_count``
-    grows so the availability gauge never reads above 1.0 after a
-    heal.  Already-online nodes are skipped.
+    the live list.  ``deployed_count`` grows so the availability gauge
+    never reads above 1.0 after a heal.  Already-online nodes are
+    skipped.
     """
     pool = state.supernode_pool
     fresh = [sid for sid in supernode_ids if not pool.online[sid]]
@@ -223,9 +222,6 @@ def bring_online(state: SimState, supernode_ids: list[int]) -> None:
         return
     pool.set_online(fresh, True)
     state.live_supernodes.extend(fresh)
-    for host in pool.host_player[fresh].tolist():
-        rtt = 2.0 * float(state.cloud_ms[host])
-        state.supernode_join_latencies_ms.append(rtt + 20.0)
     state.deployed_count = max(state.deployed_count,
                                len(state.live_supernodes))
     registry = obs.get_registry()

@@ -219,6 +219,12 @@ class SimState:
                                                 self.supernode_pool)
             count = min(config.num_supernodes, len(self.supernode_pool))
             deploy(self, list(range(count)))
+            # Supernode join latency (Fig. 9), sampled once for the
+            # construction-time deployment: one RTT to the cloud +
+            # registration.
+            for host in self.supernode_pool.host_player[:count].tolist():
+                rtt = 2.0 * float(self.cloud_ms[host])
+                self.supernode_join_latencies_ms.append(rtt + 20.0)
         elif config.mode == "cdn":
             build_cdn_sites(self)
 
@@ -335,10 +341,6 @@ def deploy(state: SimState, supernode_ids: list[int]) -> None:
     pool.set_online(np.arange(pool.size), False)
     pool.set_online(supernode_ids, True)
     state.live_supernodes = list(supernode_ids)
-    # Supernode join latency: one RTT to the cloud + registration.
-    for host in pool.host_player[supernode_ids].tolist():
-        rtt = 2.0 * float(state.cloud_ms[host])
-        state.supernode_join_latencies_ms.append(rtt + 20.0)
 
 
 def build_cdn_sites(state: SimState) -> None:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import CloudFogSystem, StrategyFlags, cloudfog_basic
+from repro.core import (CloudFogSystem, StrategyFlags, cloudfog_advanced,
+                        cloudfog_basic, sweep)
+from repro.core.lifecycle import bring_online, take_offline
 
 
 def provisioning_only(**overrides):
@@ -24,6 +26,32 @@ def test_dynamic_provisioning_redeploys_after_one_season():
                    len(system.supernode_pool))
     assert len(system.live_supernodes) == expected
     assert result.days  # the run still measured
+
+
+def test_supernode_join_samples_come_from_the_initial_deployment(
+        monkeypatch):
+    """Redeploys and heals add no supernode-join samples: a result
+    copies the list once, at run start, so later samples would reach
+    only the checkpoint."""
+    redeploys = []
+    real_deploy = sweep.deploy
+
+    def counting_deploy(state, supernode_ids):
+        redeploys.append(len(supernode_ids))
+        real_deploy(state, supernode_ids)
+
+    monkeypatch.setattr(sweep, "deploy", counting_deploy)
+    system = CloudFogSystem(cloudfog_advanced(num_players=300,
+                                              num_supernodes=18, seed=5))
+    result = system.run(days=9)
+    assert len(redeploys) > 1  # provisioning redeployed every window
+    assert len(system.supernode_join_latencies_ms) == 18
+    assert result.supernode_join_latencies_ms \
+        == system.supernode_join_latencies_ms
+    healed = list(system.live_supernodes[:3])
+    take_offline(system.state, healed)
+    bring_online(system.state, healed)
+    assert len(system.supernode_join_latencies_ms) == 18
 
 
 def test_fixed_mode_never_changes_live_set():

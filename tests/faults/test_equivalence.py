@@ -48,7 +48,7 @@ GOLDEN = {
     "state_chaos_advanced":
         "3520a41bf2313f2c3e0f598b554ccc4fe357e7ac4be7c3e39a53b4bdb598186a",
     "state_chaos_domains":
-        "6aaae51f9e023f656f108ee8fa33c825dd3bea5bf26eb5cd2324dc62268ed33f",
+        "43ef84706d677d35c806b86b11a688a5826ea0b24c9ce06580f19f00b6674f4e",
 }
 
 
