@@ -130,9 +130,10 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
     """Every session's scoring inputs, read from the table's columns.
 
     Arithmetic mirrors the scalar oracle
-    (``tests/core/scoring_oracle.py``) operation for operation, as elementwise float64 (``np.minimum``/``np.maximum``
-    stand in for the scalar ``min``/``max`` clamps, equal for non-NaN
-    inputs), so the estimate receives the scalar loop's bits.  All
+    (``tests/core/scoring_oracle.py``) operation for operation, as
+    elementwise float64 (``np.minimum``/``np.maximum`` stand in for the
+    scalar ``min``/``max`` clamps, equal for non-NaN inputs), so the
+    estimate receives the scalar loop's bits.  All
     load and cloud window means come from one :func:`window_means`
     pass over the stacked count, rate and cloud-rate timelines.
     Continuity deadline semantics: the game's Table-2 requirement
@@ -213,9 +214,9 @@ def score_sessions_batch(state: SimState, day, sessions: SessionTable,
     """Batch scorer: one vectorised QoS evaluation for the day.
 
     Bit-identical to the scalar oracle (``tests/core/scoring_oracle.py``)
-    for the same RNG stream (pinned by tests): the gathered parameters carry the
-    scalar loop's bits and the batched estimate draws the identical
-    random sequence.
+    for the same RNG stream (pinned by tests): the gathered parameters
+    carry the scalar loop's bits and the batched estimate draws the
+    identical random sequence.
     """
     if not sessions:
         return []

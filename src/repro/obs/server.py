@@ -60,9 +60,9 @@ def build_snapshot(policy: SloPolicy | None = None) -> dict:
         "metrics": registry.as_dict() if registry.enabled else {},
         "timeseries": (timeseries.as_payload() if timeseries.enabled
                        else {"max_days": 0, "days": []}),
-        "events": [event.as_dict()
-                   for event in events.tail(SNAPSHOT_EVENT_TAIL)]
-        if events.enabled else [],
+        "events": ([event.as_dict()
+                    for event in events.tail(SNAPSHOT_EVENT_TAIL)]
+                   if events.enabled else []),
     }
     if timeseries.enabled and len(timeseries):
         used = policy if policy is not None else default_policy()

@@ -8,15 +8,16 @@ Two fidelities:
   queue, a receiver updates the playback buffer and the Eq. 8–9
   estimate, and the rate controller adjusts the level with hysteresis.
   Per-packet response latencies are recorded against the game's budget.
-  Used by the encoding-rate-adaptation experiments (Fig. 11).
+  Used by the rate-adaptation ablation bench and example; the Fig. 11
+  sweep scores its sessions with the batch estimator below.
 
 * :func:`estimate_continuity_batch` computes the continuity of a whole
   day's sessions in closed form (stationary adaptation level + sampled
   per-packet delays), one array slot per session.  Used by the macro
   experiments, where hundreds of thousands of sessions per run make the
-  event-level path too slow.  Tests pin it against a frozen per-session
-  oracle (``tests/streaming/session_oracle.py``) and against the
-  event-level path.
+  event-level path too slow.  Tests pin it bit for bit against a frozen
+  per-session oracle (``tests/streaming/session_oracle.py``) and check
+  that oracle against the event-level path on clear cases.
 """
 
 from __future__ import annotations
