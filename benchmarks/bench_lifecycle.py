@@ -11,11 +11,13 @@ moved onto columnar state, and writes ``BENCH_lifecycle.json``:
   node's whole departing batch (one set difference + one
   availability write) against one call per departing player.  The
   two are bit-identical (asserted on a fresh pool before timing).
-* **Migrations** — :func:`repro.core.lifecycle.fail_supernodes` over a
-  warmed system: players re-attached through their candidate lists,
-  then a supernode failure wave re-homes them down the §3.2.2
-  reconnect ladder.  Throughput only — there is no scalar twin, the
-  ladder *is* the product path.
+* **Migrations** — one in-run crash wave (a seeded
+  :class:`~repro.faults.plan.FaultPlan` event at a peak subcycle of
+  the measured day) whose streaming sessions walk the §3.2.2
+  reconnect ladder inside the sweep.  The wall clock is the
+  timer-wrapped ``stage_faults``; displaced and recovered counts come
+  from ``RunResult.faults``.  Throughput only — there is no scalar
+  twin, the ladder *is* the product path.
 
 Default workload is the paper's population (100 k players, 6 000
 supernodes) over a 2-day schedule; ``--tiny`` shrinks everything to
@@ -45,8 +47,8 @@ import numpy as np
 from repro.core import sweep
 from repro.core.config import cloudfog_advanced
 from repro.core.columns import SupernodePool
-from repro.core.lifecycle import fail_supernodes
 from repro.core.system import CloudFogSystem
+from repro.faults.plan import FaultEvent, FaultPlan
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -153,42 +155,28 @@ def bench_departures(num_supernodes: int, per_node: int, rounds: int,
     }
 
 
+#: The crash wave lands in the evening peak (subcycles 20-24), when
+#: the most sessions stream through supernodes.
+MIGRATION_SUBCYCLE = 21
+
+
 def bench_migrations(num_players: int, num_supernodes: int,
                      fail_count: int, seed: int) -> dict:
+    plan = FaultPlan(events=(FaultEvent(
+        day=1, subcycle=MIGRATION_SUBCYCLE, kind="crash",
+        count=fail_count),))
     config = cloudfog_advanced(num_players=num_players, num_datacenters=6,
-                               num_supernodes=num_supernodes, seed=seed)
-    system = CloudFogSystem(config)
-    system.run(days=2)  # warm: candidate lists, reputation, geometry
-    state = system.state
-
-    # The schedule drains every connection by day end, so re-attach
-    # players through their remembered candidates — the same lists the
-    # reconnect ladder will walk — before the failure wave.  Fill each
-    # node only to half capacity: a saturated pool would drop every
-    # displaced player instead of migrating it.
-    attached = 0
-    pool = state.supernode_pool
-    for player in range(num_players):
-        for entry in state.candidates.candidates(player):
-            sid = entry.supernode_id
-            if (pool.online[sid]
-                    and len(pool.connected[sid]) * 2 < pool.capacity[sid]):
-                pool.connect(sid, player)
-                state.sticky[player] = sid
-                attached += 1
-                break
-
-    before = state.fault_outcomes.displaced
-    t0 = time.perf_counter()
-    fail_supernodes(state, fail_count, np.random.default_rng(seed + 1))
-    wall = time.perf_counter() - t0
-    displaced = state.fault_outcomes.displaced - before
+                               num_supernodes=num_supernodes, seed=seed,
+                               fault_plan=plan)
+    walls, result = _timed_run(config, days=2)
+    faults = result.faults
+    faults_s = walls["stage_faults"]
     return {
-        "attached": attached,
         "failed_supernodes": fail_count,
-        "displaced": displaced,
-        "recovered": state.fault_outcomes.recovered,
-        "migrations_per_s": displaced / wall if wall else 0.0,
+        "displaced": faults.displaced,
+        "recovered": faults.recovered,
+        "faults_s": faults_s,
+        "migrations_per_s": faults.displaced / faults_s,
     }
 
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..obs.metrics import DEFAULT_RECOVERY_BUCKETS_MS
-from ..workload.games import Game, random_game
+from ..workload.games import Game
 from .entities import ConnectionKind
 from .selection import delay_threshold_ms, select_supernode
 from .state import (JoinOutcome, SimState, cloud_one_way_ms,
@@ -28,9 +27,7 @@ from .state import (JoinOutcome, SimState, cloud_one_way_ms,
 __all__ = ["MigrationOutcome", "join", "join_cdn", "migrate",
            "ordered_orphans", "penalize_orphans",
            "take_offline", "bring_online", "admit_join",
-           "fog_availability", "fail_supernodes"]
-
-_log = obs.get_logger(__name__)
+           "fog_availability"]
 
 
 @dataclass(frozen=True)
@@ -187,10 +184,9 @@ def take_offline(state: SimState, failed: list[int]
                  ) -> list[tuple[int, set[int]]]:
     """Remove supernodes from service; return their orphaned players.
 
-    Shared by the out-of-band :func:`fail_supernodes` entry point
-    and in-run crash injection: the pool rows, the live list,
-    candidate caches and the availability gauge all stay mutually
-    consistent.
+    Shared by every crash-like fault handler: the pool rows, the live
+    list, candidate caches and the availability gauge all stay
+    mutually consistent.
     """
     failed_ids = set(failed)
     fail = state.supernode_pool.fail
@@ -265,72 +261,6 @@ def fog_availability(state: SimState) -> float:
     return len(state.live_supernodes) / state.deployed_count
 
 
-def fail_supernodes(state: SimState, count: int, rng: np.random.Generator,
-                    day: int | None = None) -> list[float]:
-    """Fail ``count`` random live supernodes; reconnect their players.
-
-    Out-of-band fault entry point (tests and ad-hoc churn probes; a
-    :class:`~repro.faults.plan.FaultPlan` injects mid-sweep instead).
-    Returns the end-to-end migration latency — failure detection
-    plus the reconnect ladder — of every player that re-attached to
-    a supernode.  Players with no qualified candidate are *not*
-    silently folded into that list: they degrade to direct cloud
-    streaming conceptually, but with no live session to re-home
-    here they are recorded as dropped and their sticky/game state
-    cleared.  All accounting lands in ``state.fault_outcomes``.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if not state.live_supernodes:
-        return []
-    count = min(count, len(state.live_supernodes))
-    picks = rng.choice(len(state.live_supernodes), size=count,
-                       replace=False)
-    failed = [state.live_supernodes[int(i)] for i in picks]
-    orphan_sets = take_offline(state, failed)
-    registry = obs.get_registry()
-    latencies: list[float] = []
-    summary = state.fault_outcomes
-    today = state.current_day if day is None else day
-    transient = (state.faults.plan.transient_refusal_prob
-                 if state.faults.active else 0.0)
-    # Out-of-band callers have no notion of heartbeat phase, so the
-    # detector contributes its expectation (500 ms at defaults).
-    detection = state.failure_detector.detection_latency_ms()
-    ordered = ordered_orphans(orphan_sets)
-    penalize_orphans(state, ordered, today)
-    for _sid, player in ordered:
-        state.sticky.pop(player, None)
-        game = state.games.get(player) or random_game(rng)
-        l_max = delay_threshold_ms(game.latency_requirement_ms)
-        summary.displaced += 1
-        registry.counter("repro_migrations_total").inc()
-        outcome = migrate(state, player, l_max, rng,
-                          transient_refusal=transient)
-        retries = max(0, outcome.attempts - 1)
-        summary.retries += retries
-        if retries:
-            registry.counter("repro_fault_retries_total").inc(retries)
-        if outcome.supernode_id is not None:
-            latency = detection + outcome.latency_ms
-            latencies.append(latency)
-            summary.recovered += 1
-            summary.time_to_recover_ms.append(latency)
-            registry.histogram("repro_migration_latency_ms").observe(
-                latency)
-            registry.histogram(
-                "repro_time_to_recover_ms",
-                buckets=DEFAULT_RECOVERY_BUCKETS_MS).observe(latency)
-        else:
-            summary.dropped += 1
-            state.games.pop(player, None)
-            registry.counter("repro_fault_dropped_total").inc()
-    _log.info("supernode failures handled", extra=obs.kv(
-        failed=len(failed), displaced=summary.displaced,
-        migrated=len(latencies)))
-    return latencies
-
-
 def migrate(state: SimState, player: int, l_max: float,
             rng: np.random.Generator,
             transient_refusal: float = 0.0) -> MigrationOutcome:
@@ -362,7 +292,7 @@ def migrate(state: SimState, player: int, l_max: float,
     reputation = (state.reputation
                   if state.config.strategies.reputation_selection
                   else None)
-    policy = state.retry_policy
+    policy = state.faults.retry
     latency = 0.0
     refused: set[int] = set()
     attempts = 0

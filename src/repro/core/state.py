@@ -26,7 +26,7 @@ import numpy as np
 from .. import obs
 from ..cloud.datacenter import Datacenter
 from ..economics.ledger import CreditLedger
-from ..faults import FaultSummary, build_injector
+from ..faults import build_injector
 from ..network.bandwidth import BandwidthModel
 from ..network.transport import TransportModel
 from ..reputation.ratings import RatingLedger
@@ -161,15 +161,10 @@ class SimState:
             # schedule/topology this plan is about to run against.
             config.fault_plan.validate_for(
                 config.schedule.hours_per_day, config.num_datacenters)
-        self.failure_detector = self.faults.detector
-        self.retry_policy = self.faults.retry
         if (config.fault_plan is not None
                 and config.fault_plan.ambient_loss_boost > 0.0):
             self.transport = self.transport.degraded(
                 config.fault_plan.ambient_loss_boost)
-        #: Accounting for out-of-band ``fail_supernodes`` calls (in-run
-        #: injection accounts into ``RunResult.faults`` instead).
-        self.fault_outcomes = FaultSummary()
         self.current_day = 0
         self.deployed_count = 0
 

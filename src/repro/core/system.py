@@ -34,28 +34,18 @@ bit-identical to the pre-split engine by the golden digests in
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..workload.population import Population
-from . import accounting, lifecycle, sweep
+from . import accounting, sweep
 from . import state as simstate
 from .config import SystemConfig
 from .state import SimState
 
-__all__ = ["FAILURE_DETECTION_MS", "CloudFogSystem"]
-
-#: Legacy fixed failure-detection timeout (§3.2.2); dominates the
-#: ~0.8 s migration latency.  Kept as the documented expectation of the
-#: default heartbeat model: :class:`repro.faults.FailureDetector`'s
-#: ``expected_detection_ms`` equals this value, and
-#: ``detection_latency_ms`` draws the actual phase-dependent latency.
-FAILURE_DETECTION_MS = 500.0
+__all__ = ["CloudFogSystem"]
 
 #: SimState attributes mirrored 1:1 on the façade (read and write).
 _STATE_ATTRS = (
     "config", "rng_factory", "supernode_join_latencies_ms", "population",
-    "topology", "transport", "faults",
-    "failure_detector", "retry_policy", "fault_outcomes", "compression",
+    "topology", "transport", "faults", "compression",
     "credits", "ledger", "reputation", "datacenters", "supernode_pool",
     "live_supernodes", "directory", "cdn_coords", "cdn_access",
     "provisioner", "candidates", "daily_participants",
@@ -106,11 +96,6 @@ class CloudFogSystem:
         """Drive daily participation from arrival rates (Figs. 13-15)."""
         simstate.set_arrival_rates(self._state, offpeak_per_min,
                                    peak_per_min)
-
-    def fail_supernodes(self, count: int, rng: np.random.Generator,
-                        day: int | None = None) -> list[float]:
-        """Fail ``count`` random live supernodes; reconnect their players."""
-        return lifecycle.fail_supernodes(self._state, count, rng, day)
 
 
 for _attr in _STATE_ATTRS:

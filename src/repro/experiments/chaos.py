@@ -57,10 +57,12 @@ def run_chaos(plan: FaultPlan, days: int = 4, seed: int = 0,
 
 
 def _resilience_columns(result: RunResult) -> tuple:
+    """The ledger columns; time-to-recover is NaN when nothing recovered
+    (no data is not 0 ms)."""
     s = result.faults
     ttr = s.time_to_recover_ms
-    median = float(np.median(ttr)) if ttr else 0.0
-    p95 = float(np.percentile(ttr, 95)) if ttr else 0.0
+    median = float(np.median(ttr)) if ttr else float("nan")
+    p95 = float(np.percentile(ttr, 95)) if ttr else float("nan")
     return (s.displaced, s.recovered, s.degraded, s.dropped, s.retries,
             median, p95)
 
@@ -129,7 +131,7 @@ def chaos_scenario(faults: str | FaultPlan | None = None, seed: int = 0,
     table.add_row("unaccounted", summary.unaccounted())
     table.add_row("selection retries", summary.retries)
     table.add_row("median time-to-recover (ms)",
-                  float(np.median(ttr)) if ttr else 0.0)
+                  float(np.median(ttr)) if ttr else float("nan"))
     table.add_row("mean continuity", result.mean_continuity)
     table.add_row("satisfied ratio", result.mean_satisfied_ratio)
     return table

@@ -17,6 +17,7 @@ from ..core.accounting import RunResult
 from ..core.system import CloudFogSystem
 from ..economics.incentives import IncentiveModel, daily_economics
 from ..economics.provider import renting_comparison
+from ..faults.plan import FaultEvent, FaultPlan
 from ..metrics.tables import ResultTable
 from ..sim.rng import RngFactory
 from ..workload.population import build_population
@@ -252,19 +253,32 @@ _LATENCY_COLUMNS = ("assignment_s", "assignment_random_s", "sn_join_ms",
                     "player_join_ms", "migration_ms")
 
 
+#: Fig. 9's churn probe: crash waves at these subcycles of the measured
+#: day, each failing a tenth of the deployment (rounded up).
+MIGRATION_WAVE_SUBCYCLES = (12, 15, 18, 21)
+
+
 def _latency_row(testbed: Testbed, seed: int, players: int,
                  num_supernodes: int) -> list[float]:
     """One Fig. 9 row of :data:`_LATENCY_COLUMNS`.
 
     ``assignment_s`` times CloudFog/A's day-0 §3.4 social pass over
-    every datacenter.  The other columns come from a 2-day CloudFog/B
+    every datacenter.  The join columns come from a 2-day CloudFog/B
     run of the same population, whose weekly pass is the random
-    baseline (``assignment_random_s``).
+    baseline (``assignment_random_s``).  ``migration_ms`` is the mean
+    time-to-recover of a second such run whose measured day suffers
+    the :data:`MIGRATION_WAVE_SUBCYCLES` crash waves.
     """
     overrides = dict(num_players=players, num_supernodes=num_supernodes)
-    system = build_system("CloudFog/B", testbed, seed=seed, **overrides)
-    result = system.run(days=2)
-    migration = _measure_migrations(system, seed)
+    result = build_system("CloudFog/B", testbed, seed=seed,
+                          **overrides).run(days=2)
+    waves = FaultPlan(events=tuple(
+        FaultEvent(day=1, subcycle=subcycle, kind="crash",
+                   count=-(-num_supernodes // 10))
+        for subcycle in MIGRATION_WAVE_SUBCYCLES))
+    migration = build_system("CloudFog/B", testbed, seed=seed,
+                             fault_plan=waves, **overrides
+                             ).run(days=2).migration_latencies_ms
     social = build_system("CloudFog/A", testbed, seed=seed, **overrides)
     timed = RunResult()
     sweep.run_server_assignment(
@@ -274,29 +288,6 @@ def _latency_row(testbed: Testbed, seed: int, players: int,
             float(np.mean(result.supernode_join_latencies_ms)),
             float(np.mean(result.join_latencies_ms)),
             float(np.mean(migration)) if migration else float("nan")]
-
-
-def _measure_migrations(system: CloudFogSystem, seed: int) -> list[float]:
-    """Reconnect a day's sessions, then fail 10 % of the supernodes."""
-    rng = np.random.default_rng(seed)
-    state = system.state
-    plans = sweep.sample_plans(state, rng)
-    sweep.choose_games(state, plans, rng)
-    sweep.sweep_day(state, plans, rng, RunResult(), measuring=False)
-    # The sweep disconnects everything at day end; re-attach one player
-    # per supernode so every failure displaces someone.
-    next_player = 0
-    pool = system.supernode_pool
-    for sid in system.live_supernodes:
-        if pool.available[sid]:
-            while next_player in pool.connected[sid]:
-                next_player += 1
-            if next_player >= system.topology.num_players:
-                break
-            pool.connect(sid, next_player)
-            next_player += 1
-    count = max(1, len(system.live_supernodes) // 10)
-    return system.fail_supernodes(count, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ Three deliberate choices:
   processes.  Workers are clamped to the machine's core count (extra
   workers only thrash one core), and when the tasks are too small to
   amortize pool start-up (below :data:`MIN_TASK_PLAYER_DAYS` of
-  simulated work per task) the sweep runs in-process instead — with a
-  shared population cache, since every task keyed by the same
+  simulated work per task) the sweep runs in-process instead, as a
+  ``jobs <= 1`` sweep always does — with a shared population cache, since every task keyed by the same
   ``(seed, players, datacenters, capable share)`` deterministically
   builds the *same* population (``SimState`` derives it from the
   ``population`` stream of the config seed), so a 4-variant comparison
@@ -53,7 +53,7 @@ from ..core.accounting import RunResult
 from ..core.system import CloudFogSystem
 from ..sim.rng import RngFactory
 from ..workload.population import Population, build_population
-from .runner import run_variant, variant_config
+from .runner import variant_config
 from .testbeds import Testbed
 
 __all__ = ["MIN_TASK_PLAYER_DAYS", "VariantTask", "resolve_jobs",
@@ -177,9 +177,11 @@ def run_variants(tasks, jobs: int | None = None) -> list[RunResult]:
     """Run every task and return results in task order.
 
     ``jobs`` <= 1 runs sequentially in-process (observability stays
-    live); ``jobs`` > 1 fans the tasks out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Results are
-    identical either way — each task's randomness is self-contained.
+    live), sharing one population build per key; ``jobs`` > 1 fans
+    the tasks out over a :class:`~concurrent.futures.
+    ProcessPoolExecutor` unless the work plan decides one worker.
+    Results are identical either way — each task's randomness is
+    self-contained.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
@@ -198,14 +200,7 @@ def run_variants(tasks, jobs: int | None = None) -> list[RunResult]:
                                jobs=jobs, workers=max(1, workers)):
         registry.counter("repro_sweep_tasks_total").inc(len(tasks))
         if workers <= 1:
-            if jobs > 1 and tasks:
-                # The caller asked for a fast sweep; the plan decided
-                # one worker.  Amortize in-process instead of paying
-                # per-task construction.
-                return _run_chunk_inprocess(tasks)
-            return [run_variant(task.variant, task.testbed, seed=task.seed,
-                                days=task.days, **task.overrides)
-                    for task in tasks]
+            return _run_chunk_inprocess(tasks)
         chunks = _chunk_evenly(tasks, workers)
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_obs_worker_init,

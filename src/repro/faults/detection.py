@@ -1,9 +1,9 @@
 """Heartbeat-style failure detection — the §3.2.2 timeout model.
 
 The paper attributes ~0.5 s of the ~0.8 s migration latency to the
-player noticing its supernode is gone ("periodic probing").  The seed
-repo hard-coded that as a ``FAILURE_DETECTION_MS = 500.0`` constant;
-this module replaces it with the mechanism behind the number:
+player noticing its supernode is gone ("periodic probing").  This
+module models the mechanism behind that number instead of a fixed
+timeout:
 
 * the player expects a heartbeat every ``heartbeat_interval_ms``;
 * it declares the supernode dead after ``misses_to_declare``
@@ -13,12 +13,12 @@ this module replaces it with the mechanism behind the number:
 Detection latency therefore spans the *phase* of the crash within the
 heartbeat period — a crash right after a beat takes almost a full
 extra interval to notice.  :meth:`FailureDetector.detection_latency_ms`
-draws that phase uniformly when given an RNG and returns the exact
-expectation otherwise, so out-of-band callers (the Fig. 9 experiment)
-stay deterministic while in-run fault injection sees realistic spread.
+draws that phase uniformly from the crash handler's ``faults-{day}``
+stream, once per displaced session; ``expected_detection_ms`` is the
+mean of those draws.
 
-The defaults reproduce the historical constant exactly:
-``125 + 250·(2−1) + 125 = 500 ms`` expected.
+The defaults put the expectation at the paper's half second:
+``125 + 250·(2−1) + 125 = 500 ms``.
 """
 
 from __future__ import annotations
@@ -73,11 +73,8 @@ class FailureDetector:
         """
         return self.probe_timeout_ms
 
-    def detection_latency_ms(
-            self, rng: np.random.Generator | None = None) -> float:
-        """One detection latency draw; the expectation when ``rng`` is None."""
-        if rng is None:
-            return self.expected_detection_ms
+    def detection_latency_ms(self, rng: np.random.Generator) -> float:
+        """One detection latency draw: a uniform heartbeat phase."""
         phase = float(rng.uniform(0.0, self.heartbeat_interval_ms))
         return (phase
                 + (self.misses_to_declare - 1) * self.heartbeat_interval_ms

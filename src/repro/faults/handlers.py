@@ -148,8 +148,8 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
     """
     registry = obs.get_registry()
     event_log = obs.get_events()
-    detector = state.failure_detector
     injector = state.faults
+    detector = injector.detector
     transient = injector.plan.transient_refusal_prob
     counts, rates = loads.counts, loads.rates
     summary = result.faults

@@ -3,9 +3,10 @@
 The :class:`FaultInjector` is what a :class:`~repro.core.system.
 CloudFogSystem` holds when a :class:`~repro.faults.plan.FaultPlan` is
 configured; the :data:`NULL_INJECTOR` is what it holds otherwise.  The
-null object carries only ``active = False`` and the default resilience
-parameters: every caller checks ``.active`` before it reads the
-schedule or the penalty ledger, so no RNG stream is ever created and
+null object carries only ``active = False``, no plan and an empty
+penalty view: every caller checks ``.active`` before it reads the
+schedule, the resilience parameters or the penalty ledger, so no RNG
+stream is ever created and
 no state accumulates, and a system without a plan is bit-identical to
 one built before this subsystem existed (pinned by
 ``tests/faults/test_equivalence.py``).
@@ -28,9 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .detection import FailureDetector
 from .plan import FaultEvent, FaultPlan
-from .retry import RetryPolicy
 
 __all__ = ["FaultSummary", "FaultInjector", "NullFaultInjector",
            "NULL_INJECTOR", "build_injector"]
@@ -38,7 +37,7 @@ __all__ = ["FaultSummary", "FaultInjector", "NullFaultInjector",
 
 @dataclass
 class FaultSummary:
-    """Resilience accounting over one run (or one out-of-band call).
+    """Resilience accounting over one run.
 
     Counts are per *displacement*: a session displaced twice by
     cascading crashes contributes two displacements, and each of them
@@ -90,10 +89,6 @@ class NullFaultInjector:
 
     active = False
     plan: FaultPlan | None = None
-    #: Default resilience parameters, shared with the active path so
-    #: ``fail_supernodes`` behaves identically either way.
-    detector = FailureDetector()
-    retry = RetryPolicy()
     #: Always-empty read-only view; never mutated.
     penalties: dict[int, float] = {}
 

@@ -26,7 +26,6 @@ from .checkpoint import (
     Checkpointer,
     LoadedCheckpoint,
     checkpoint_path,
-    latest_checkpoint,
     latest_valid_checkpoint,
     load_checkpoint,
     resume_run,
@@ -76,7 +75,6 @@ __all__ = [
     "checkpoint_path",
     "save_checkpoint",
     "load_checkpoint",
-    "latest_checkpoint",
     "latest_valid_checkpoint",
     "LoadedCheckpoint",
     "Checkpointer",

@@ -34,8 +34,7 @@ from .codec import (CheckpointError, canonical_json, canonical_object,
 from .snapshot import SnapshotEncoder, restore_result, restore_state
 
 __all__ = ["CHECKPOINT_GLOB", "checkpoint_path", "save_checkpoint",
-           "load_checkpoint", "latest_checkpoint",
-           "latest_valid_checkpoint", "LoadedCheckpoint",
+           "load_checkpoint", "latest_valid_checkpoint", "LoadedCheckpoint",
            "Checkpointer", "resume_run"]
 
 #: File-name pattern of one day's checkpoint inside a checkpoint dir.
@@ -106,30 +105,21 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     before resuming), then a ``checkpoint_load`` event marks the seam.
     """
     with obs.get_tracer().span("checkpoint_load", path=str(path)):
-        payload = read_checkpoint(path)
-        loaded = LoadedCheckpoint(
-            day=payload["day"],
-            total_days=payload["run"]["total_days"],
-            state=restore_state(payload["state"]),
-            result=restore_result(payload["result"]))
-        obs.restore_telemetry(payload.get("telemetry"))
-        obs.get_events().emit("checkpoint_load", day=payload["day"],
-                              path=str(path))
+        return _restored(path, read_checkpoint(path))
+
+
+def _restored(path: str | Path, payload: dict) -> LoadedCheckpoint:
+    """Rebuild live state from the verified ``payload`` of ``path``."""
+    loaded = LoadedCheckpoint(
+        day=payload["day"],
+        total_days=payload["run"]["total_days"],
+        state=restore_state(payload["state"]),
+        result=restore_result(payload["result"]))
+    obs.restore_telemetry(payload.get("telemetry"))
+    obs.get_events().emit("checkpoint_load", day=payload["day"],
+                          path=str(path))
     obs.get_registry().counter("repro_checkpoint_loads_total").inc()
     return loaded
-
-
-def latest_checkpoint(directory: str | Path) -> Path | None:
-    """The highest-day checkpoint file in a directory, if any."""
-    best: tuple[int, Path] | None = None
-    for candidate in Path(directory).glob(CHECKPOINT_GLOB):
-        match = _NAME_RE.search(candidate.name)
-        if match is None:
-            continue
-        day = int(match.group(1))
-        if best is None or day > best[0]:
-            best = (day, candidate)
-    return None if best is None else best[1]
 
 
 def latest_valid_checkpoint(directory: str | Path
@@ -205,8 +195,10 @@ def resume_run(source: str | Path, days: int | None = None,
                checkpointer: Checkpointer | None = None) -> RunResult:
     """Resume an interrupted run from a checkpoint; return its result.
 
-    ``source`` is a checkpoint file or a checkpoint directory (the
-    latest checkpoint wins).  ``days`` overrides the run's total length
+    ``source`` is a checkpoint file or a checkpoint directory, where
+    the newest checkpoint that passes verification wins
+    (:func:`latest_valid_checkpoint`: a corrupt newest file falls back
+    to the previous day's).  ``days`` overrides the run's total length
     — by default the resumed run finishes the originally planned
     schedule, which is what bit-identity requires (warm-up and
     measurement windows depend on the total).  Pass a ``checkpointer``
@@ -216,12 +208,15 @@ def resume_run(source: str | Path, days: int | None = None,
     result unchanged.
     """
     path = Path(source)
-    if path.is_dir():
-        found = latest_checkpoint(path)
-        if found is None:
-            raise CheckpointError(f"no checkpoints found in {path}")
-        path = found
-    loaded = load_checkpoint(path)
+    if not path.is_dir():
+        loaded = load_checkpoint(path)
+    else:
+        with obs.get_tracer().span("checkpoint_load", path=str(path)):
+            found = latest_valid_checkpoint(path)
+            if found is None:
+                raise CheckpointError(
+                    f"no checkpoints found in {path}")
+            loaded = _restored(*found)
     total_days = loaded.total_days if days is None else days
     hook = None if checkpointer is None else checkpointer.on_day_end
     return run_schedule(loaded.state, total_days, result=loaded.result,

@@ -62,7 +62,10 @@ FORMAT_NAME = "repro-checkpoint"
 #: (pair table, append-only rating log, aligned score column); the
 #: per-pair rating lists, the ``reputation`` section and its refresh
 #: day are gone.
-SCHEMA_VERSION = 3
+#: v4: the state's second fault summary (the ledger of a removed
+#: out-of-band failure walker) is gone; every fault is accounted once,
+#: in the result's ``faults`` section.
+SCHEMA_VERSION = 4
 
 #: The bytes around the payload in a file :func:`write_checkpoint_text`
 #: wrote; the reader's fast path recognises exactly this layout.

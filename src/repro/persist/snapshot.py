@@ -25,11 +25,12 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    validate on load), credit accounts, per-datacenter player→server
    maps, the server-latency cache, the provisioner's ARIMA hidden state
    (``_history``/``_residuals``/``_last_forecast`` — the last is
-   non-None at day boundaries once the model is ready), fault
-   penalties/accounting, the workload knobs
+   non-None at day boundaries once the model is ready), the fault
+   penalty ledger, the workload knobs
    (``daily_participants``/``weekly_weights``/start-time/duration
    models), and the accumulated
-   :class:`~repro.core.accounting.RunResult`.
+   :class:`~repro.core.accounting.RunResult`, whose ``faults`` summary
+   is the run's one fault ledger.
 
    Deliberately *not* captured, with reasons:
 
@@ -49,7 +50,8 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
      ``SupernodePool.roll_throttle`` re-rolls it unconditionally at
      day start;
    * retry/backoff state — :class:`~repro.faults.retry.RetryPolicy`
-     and :class:`~repro.faults.detection.FailureDetector` are frozen;
+     and :class:`~repro.faults.detection.FailureDetector` are frozen
+     members of the config's fault plan;
      attempt counters live on the stack inside ``lifecycle.migrate``;
    * obs tracer/registry — telemetry, not simulation state.  The
      accumulated *telemetry series* (time-series samples + event log)
@@ -185,7 +187,6 @@ def _state_rest(state: SimState) -> dict:
             [player, ms] for player, ms
             in state.server_latency_cache.items()],
         "provisioner": provisioner,
-        "fault_outcomes": _summary_to_dict(state.fault_outcomes),
         "fault_penalties": (
             [[player, fraction] for player, fraction
              in state.faults.penalties.items()]
@@ -323,7 +324,6 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
                             payload["provisioner"]["residuals"]]
         model._last_forecast = payload["provisioner"]["last_forecast"]
 
-    state.fault_outcomes = _summary_from_dict(payload["fault_outcomes"])
     if state.faults.active:
         state.faults.penalties = {
             player: fraction

@@ -16,6 +16,7 @@ from repro.core import config as configs
 from repro.core import scoring
 from repro.core.accounting import DayMetrics, RunResult, SweepLoads
 from repro.core.system import CloudFogSystem
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.network.transport import TransportModel
 
 from .scoring_oracle import score_sessions_scalar
@@ -77,13 +78,14 @@ def test_sweep_loads_rows_track_live_supernodes():
 
 
 def test_fail_supernodes_keeps_live_ids_consistent():
+    plan = FaultPlan(events=(FaultEvent(day=0, subcycle=12, kind="crash",
+                                        count=3),))
     system = CloudFogSystem(configs.cloudfog_basic(
-        num_players=150, num_supernodes=10, seed=3))
-    system.run(days=1)
+        num_players=150, num_supernodes=10, seed=3, fault_plan=plan))
     online = system.supernode_pool.online
     before = set(system.live_supernodes)
     assert set(np.flatnonzero(online).tolist()) == before
-    system.fail_supernodes(3, np.random.default_rng(0))
+    system.run(days=1)
     after = set(system.live_supernodes)
     assert len(after) == len(before) - 3
     assert set(np.flatnonzero(online).tolist()) == after

@@ -11,7 +11,9 @@ from repro.experiments.parallel import (
     run_seeds,
     run_variants,
 )
+from repro.experiments.runner import run_variant
 from repro.experiments.testbeds import Testbed
+from repro.workload.population import build_population
 
 TINY = Testbed(name="tiny", num_players=60, num_datacenters=2,
                num_supernodes=5, supernode_capable_share=0.5,
@@ -32,15 +34,42 @@ def test_resolve_jobs():
         resolve_jobs(-1)
 
 
+def reference(tasks):
+    """One uncached ``run_variant`` per task: the sequential reference."""
+    return [run_variant(task.variant, task.testbed, seed=task.seed,
+                        days=task.days, **task.overrides)
+            for task in tasks]
+
+
 def test_parallel_matches_sequential_bitwise():
     tasks = tiny_tasks()
-    sequential = run_variants(tasks, jobs=1)
-    parallel = run_variants(tasks, jobs=2)
-    assert len(sequential) == len(parallel) == len(tasks)
-    for seq, par in zip(sequential, parallel):
-        assert seq.sessions == par.sessions
-        assert seq.days == par.days
-        assert seq.join_latencies_ms == par.join_latencies_ms
+    expected = reference(tasks)
+    for jobs in (1, 2):
+        results = run_variants(tasks, jobs=jobs)
+        assert len(results) == len(tasks)
+        for ref, got in zip(expected, results):
+            assert ref.sessions == got.sessions
+            assert ref.days == got.days
+            assert ref.join_latencies_ms == got.join_latencies_ms
+
+
+def test_sequential_sweep_builds_each_population_once(monkeypatch):
+    """Two variants of one population share one build in-process."""
+    from repro.core import state as state_module
+
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args[1:])
+        return build_population(*args, **kwargs)
+
+    monkeypatch.setattr(state_module, "build_population", counting)
+    monkeypatch.setattr(parallel, "build_population", counting)
+    tasks = tiny_tasks()[1:]
+    results = run_variants(tasks, jobs=1)
+    assert len(builds) == 1
+    for ref, got in zip(reference(tasks), results):
+        assert ref.sessions == got.sessions
 
 
 def test_results_come_back_in_task_order():
@@ -57,11 +86,13 @@ def test_run_variants_empty_task_list():
 
 
 def test_run_seeds_orders_and_matches_sequential():
+    expected = [run_variant("CloudFog/B", TINY, seed=seed, days=1)
+                for seed in (0, 1)]
     sequential = run_seeds("CloudFog/B", TINY, seeds=(0, 1), days=1)
     parallel = run_seeds("CloudFog/B", TINY, seeds=(0, 1), days=1, jobs=2)
     assert len(sequential) == 2
-    for seq, par in zip(sequential, parallel):
-        assert seq.sessions == par.sessions
+    for ref, seq, par in zip(expected, sequential, parallel):
+        assert ref.sessions == seq.sessions == par.sessions
     # Different seeds produce genuinely different runs.
     assert sequential[0].sessions != sequential[1].sessions
 

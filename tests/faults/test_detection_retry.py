@@ -9,15 +9,13 @@ from repro.faults.retry import RetryPolicy
 
 def test_default_expectation_matches_legacy_constant():
     """Heartbeat defaults reproduce the historical 500 ms timeout."""
-    from repro.core.system import FAILURE_DETECTION_MS
-
-    detector = FailureDetector()
-    assert detector.expected_detection_ms == FAILURE_DETECTION_MS
+    assert FailureDetector().expected_detection_ms == 500.0
 
 
-def test_detection_without_rng_is_the_expectation():
-    detector = FailureDetector()
-    assert detector.detection_latency_ms() == detector.expected_detection_ms
+def test_detection_requires_an_rng():
+    """Every detection is a per-crash draw; there is no default."""
+    with pytest.raises(TypeError):
+        FailureDetector().detection_latency_ms()
 
 
 def test_detection_with_rng_spans_the_phase_window():

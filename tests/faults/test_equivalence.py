@@ -44,11 +44,11 @@ GOLDEN = {
     "scenario_workload_faults":
         "face2738a57bc42581f97144dbcf5b3329253ddc0b1172fa656aefd5c33281b8",
     "state_cloudfog_advanced":
-        "08eb3378734ed6991e96ba2f469ab36ba583c57329a09e9443da9bae1036f7bc",
+        "e35c7d9dab995e5a8bafd55214d9f28e1464a965454f3c94fb984de86f295892",
     "state_chaos_advanced":
-        "3520a41bf2313f2c3e0f598b554ccc4fe357e7ac4be7c3e39a53b4bdb598186a",
+        "0374c7194e52fa5b6c11202cdc2255e71255eea79ba8548220127e750f131e2e",
     "state_chaos_domains":
-        "43ef84706d677d35c806b86b11a688a5826ea0b24c9ce06580f19f00b6674f4e",
+        "734d4f41f95e599d8975e6d22c72689c29e21377bf45c3dbfdea57c393a9a00e",
 }
 
 

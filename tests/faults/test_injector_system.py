@@ -1,12 +1,15 @@
 """In-run fault injection through the subcycle sweep."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import CloudFogSystem
 from repro.core.config import cloudfog_advanced
 from repro.core.entities import ConnectionKind
-from repro.experiments.chaos import baseline_chaos_plan, run_chaos
+from repro.experiments.chaos import (baseline_chaos_plan, chaos_failure_sweep,
+                                     chaos_scenario, run_chaos)
 from repro.faults import FaultInjector, NULL_INJECTOR, build_injector, handlers
 from repro.faults.plan import FaultEvent, FaultPlan
 
@@ -77,28 +80,27 @@ def test_transient_refusals_drive_retries():
     """Handshake timeouts push displaced players into backoff retries.
 
     The candidate-list rung needs no cloud round trip, so to exercise
-    the retry machinery the lists are wiped first — every displaced
-    player must then re-ask the cloud, where each round's handshake
-    times out with the plan's ``transient_refusal_prob``.
+    the retry machinery a scenario stage wipes the lists after every
+    subcycle's faults — every player displaced by the peak-hour crash
+    must then re-ask the cloud, where each round's handshake times out
+    with the plan's ``transient_refusal_prob``.
     """
-    plan = FaultPlan(transient_refusal_prob=0.9)
+    plan = FaultPlan(events=(
+        FaultEvent(day=1, subcycle=21, kind="crash", count=3),),
+        transient_refusal_prob=0.9)
     system = CloudFogSystem(cloudfog_advanced(
         num_players=200, num_supernodes=12, seed=2, fault_plan=plan))
-    rng = np.random.default_rng(0)
-    system.run(days=1)
-    player = 0
-    for sid in system.live_supernodes:
-        for _ in range(3):
-            system.supernode_pool.connect(sid, player)
-            player += 1
-    system.candidates.forget_supernodes(
-        set(range(len(system.supernode_pool))))
-    latencies = system.fail_supernodes(3, rng)
-    summary = system.fault_outcomes
+
+    def forget_candidates(state, _ctx):
+        state.candidates.forget_supernodes(
+            set(range(len(state.supernode_pool))))
+
+    system.state.scenario_stages = (forget_candidates,)
+    summary = system.run(days=2).faults
     assert summary.displaced > 0
     assert summary.conserved()
     assert summary.retries > 0
-    assert summary.recovered == len(latencies)
+    assert summary.recovered == len(summary.time_to_recover_ms)
 
 
 def test_baseline_chaos_rate_keeps_median_recovery_sub_second():
@@ -108,6 +110,20 @@ def test_baseline_chaos_rate_keeps_median_recovery_sub_second():
     assert summary.recovered > 0
     assert summary.conserved()
     assert float(np.median(summary.time_to_recover_ms)) < 1000.0
+
+
+def test_chaos_tables_report_nan_recovery_when_nothing_recovered():
+    """No recovery is no data, not a 0 ms time-to-recover."""
+    sweep = chaos_failure_sweep(rates=(0.0,), days=2, num_players=80,
+                                num_supernodes=6)
+    assert sweep.column("displaced") == [0]
+    assert math.isnan(sweep.column("median ttr (ms)")[0])
+    assert math.isnan(sweep.column("p95 ttr (ms)")[0])
+    summary = chaos_scenario(FaultPlan(), days=2, num_players=80,
+                             num_supernodes=6)
+    rows = dict(zip(summary.column("metric"), summary.column("value")))
+    assert rows["recovered (supernode)"] == 0
+    assert math.isnan(rows["median time-to-recover (ms)"])
 
 
 # -- non-crash fault kinds ----------------------------------------------

@@ -7,7 +7,9 @@ paper's results — who wins, in which metric — not absolute numbers.
 import numpy as np
 import pytest
 
-from repro.core import CloudFogSystem, cdn, cloud_only, cloudfog_advanced, cloudfog_basic, sweep
+from repro.core import CloudFogSystem, cdn, cloud_only, cloudfog_advanced, cloudfog_basic
+from repro.experiments.figures import MIGRATION_WAVE_SUBCYCLES
+from repro.faults.plan import FaultEvent, FaultPlan
 
 SCALE = dict(num_players=600, seed=11)
 N_SUPERNODES = 60
@@ -76,22 +78,18 @@ def test_satisfaction_ordering(results):
 
 
 def test_fig9_migration_latency_sub_second():
-    """Fig. 9: migration ~0.8 s, players resume without restarting."""
-    system = CloudFogSystem(
-        cloudfog_basic(num_supernodes=N_SUPERNODES, **SCALE))
-    rng = np.random.default_rng(0)
-    plans = sweep.sample_plans(system.state, rng)
-    sweep.choose_games(system.state, plans, rng)
-    from repro.core.accounting import RunResult
-    sweep.sweep_day(system.state, plans, rng, RunResult(), measuring=False)
-    player = 0
-    pool = system.supernode_pool
-    for sid in system.live_supernodes:
-        if pool.available[sid]:
-            while player in pool.connected[sid]:
-                player += 1
-            pool.connect(sid, player)
-            player += 1
-    latencies = system.fail_supernodes(10, rng)
+    """Fig. 9: migration ~0.8 s, players resume without restarting.
+
+    Four crash waves on the measured day, each failing a tenth of the
+    deployment, displace streaming sessions; the mean time-to-recover
+    of those that re-home onto a supernode stays under a second.
+    """
+    plan = FaultPlan(events=tuple(
+        FaultEvent(day=1, subcycle=subcycle, kind="crash",
+                   count=N_SUPERNODES // 10)
+        for subcycle in MIGRATION_WAVE_SUBCYCLES))
+    result = CloudFogSystem(cloudfog_basic(
+        num_supernodes=N_SUPERNODES, fault_plan=plan, **SCALE)).run(days=2)
+    latencies = result.migration_latencies_ms
     assert latencies
-    assert 400.0 < float(np.mean(latencies)) < 1500.0
+    assert 400.0 < float(np.mean(latencies)) < 1000.0

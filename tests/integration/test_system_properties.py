@@ -45,30 +45,3 @@ def test_property_run_invariants(seed):
     pool = system.supernode_pool
     for players, capacity in zip(pool.connected, pool.capacity.tolist()):
         assert len(players) <= capacity
-
-
-@given(seed=st.integers(min_value=0, max_value=20),
-       failures=st.integers(min_value=1, max_value=10))
-@settings(max_examples=10, deadline=None)
-def test_property_failures_never_corrupt_state(seed, failures):
-    """Random failure waves keep connection bookkeeping consistent."""
-    system = CloudFogSystem(cloudfog_basic(num_players=80,
-                                           num_supernodes=8, seed=seed))
-    system.run(days=1)
-    rng = np.random.default_rng(seed)
-    system.fail_supernodes(failures, rng)
-    pool = system.supernode_pool
-    live_ids = set(system.live_supernodes)
-    for sid in range(len(pool)):
-        if sid in live_ids:
-            assert pool.online[sid]
-        else:
-            assert not pool.connected[sid]  # dead supernodes hold nobody
-    # The directory only advertises live supernodes.
-    for player in range(0, system.topology.num_players, 7):
-        assert set(system.directory.candidates_for(player, 8)) <= live_ids
-    # Candidate lists no longer reference the failed supernodes.
-    dead = set(np.flatnonzero(~pool.online).tolist())
-    for player in range(system.topology.num_players):
-        for entry in system.candidates.candidates(player):
-            assert entry.supernode_id not in dead

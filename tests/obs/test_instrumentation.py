@@ -89,31 +89,30 @@ def test_run_config_wraps_custom_configs_in_run_variant_span():
 
 
 def test_failures_count_migrations():
-    import numpy as np
-
-    from repro.experiments.runner import build_system
+    from repro.faults.plan import FaultEvent, FaultPlan
 
     _, registry = obs.enable()
-    system = build_system("CloudFog/B", TINY, seed=5)
-    system.run(days=1)
-    rng = np.random.default_rng(0)
-    # re-attach one player per supernode so every failure displaces one
-    pool = system.supernode_pool
-    for player, sid in enumerate(system.live_supernodes):
-        if pool.available[sid]:
-            pool.connect(sid, player)
-    failed = len(system.live_supernodes) // 2
-    latencies = system.fail_supernodes(failed, rng)
-    assert latencies
-    summary = system.fault_outcomes
+    failed = TINY.num_supernodes // 2
+    plan = FaultPlan(events=(
+        FaultEvent(day=1, subcycle=21, kind="crash", count=failed),))
+    result = run_variant("CloudFog/B", TINY, seed=5, days=2,
+                         fault_plan=plan)
+    summary = result.faults
+    assert summary.recovered
     assert summary.conserved()
     dump = registry.as_dict()
     assert dump["repro_supernode_failures_total"][0]["value"] == failed
-    # One migration attempt per displacement; the latency histogram only
-    # sees the ones that recovered onto a supernode.
-    assert dump["repro_migrations_total"][0]["value"] == summary.displaced
-    assert dump["repro_migration_latency_ms"][0]["count"] == len(latencies)
-    assert dump["repro_time_to_recover_ms"][0]["count"] == len(latencies)
+    assert dump["repro_fault_displaced_total"][0]["value"] == \
+        summary.displaced
+    # A migration is a recovery onto a supernode: the counter and both
+    # latency histograms see exactly the recovered displacements.
+    assert dump["repro_fault_recovered_total"][0]["value"] == \
+        summary.recovered
+    assert dump["repro_migrations_total"][0]["value"] == summary.recovered
+    assert dump["repro_migration_latency_ms"][0]["count"] == \
+        summary.recovered
+    assert dump["repro_time_to_recover_ms"][0]["count"] == \
+        summary.recovered
 
 
 def test_environment_counts_processed_events():

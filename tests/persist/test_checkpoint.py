@@ -18,11 +18,11 @@ from repro.persist import (
     CheckpointCorruptError,
     Checkpointer,
     CheckpointError,
+    CheckpointVersionError,
     capture_state,
     checkpoint_path,
     config_from_dict,
     config_to_dict,
-    latest_checkpoint,
     latest_valid_checkpoint,
     load_checkpoint,
     read_checkpoint,
@@ -30,6 +30,7 @@ from repro.persist import (
     resume_run,
     save_checkpoint,
 )
+from repro.persist.codec import FORMAT_NAME, SCHEMA_VERSION, payload_digest
 
 from ..faults.regen_golden import CHAOS_PLAN, CHAOS_SCENARIOS, SCENARIOS
 from ..faults.test_equivalence import GOLDEN
@@ -101,8 +102,23 @@ def test_genuine_interruption_mid_schedule(tmp_path, config):
 def test_resume_from_directory_picks_latest(tmp_path):
     hook = Checkpointer(tmp_path, every=1)
     CloudFogSystem(BASELINE).run(days=2, on_day_end=hook.on_day_end)
-    assert latest_checkpoint(tmp_path) == hook.path_for(1)
-    assert load_checkpoint(latest_checkpoint(tmp_path)).day == 1
+    path, payload = latest_valid_checkpoint(tmp_path)
+    assert path == hook.path_for(1)
+    assert payload["day"] == 1
+    assert load_checkpoint(path).day == 1
+
+
+def test_resume_from_directory_skips_a_corrupt_newest_checkpoint(tmp_path):
+    """A truncated newest snapshot falls back to the previous day's,
+    and the resumed run still reproduces the uninterrupted one."""
+    expected = run_digests(CloudFogSystem(BASELINE).run(days=DAYS))
+    hook = Checkpointer(tmp_path, every=1)
+    CloudFogSystem(BASELINE).run(days=DAYS, on_day_end=hook.on_day_end)
+    newest = hook.path_for(DAYS - 1)
+    newest.write_text(newest.read_text()[:-40])
+    with pytest.raises(CheckpointCorruptError):
+        load_checkpoint(newest)
+    assert run_digests(resume_run(tmp_path)) == expected
 
 
 def test_resume_from_empty_directory_raises(tmp_path):
@@ -129,6 +145,23 @@ def test_latest_valid_checkpoint_skips_corrupt_snapshots(tmp_path):
     assert payload["day"] == DAYS - 3
     path.unlink()
     assert latest_valid_checkpoint(tmp_path) is None
+
+
+def test_schema_3_checkpoint_is_refused(tmp_path):
+    """A schema-3 file (the state still carrying its own
+    ``fault_outcomes`` ledger) is refused by version, never restored."""
+    assert SCHEMA_VERSION == 4
+    hook = Checkpointer(tmp_path / "run", every=1)
+    CloudFogSystem(BASELINE).run(days=1, on_day_end=hook.on_day_end)
+    payload = read_checkpoint(hook.path_for(0))
+    payload["state"]["fault_outcomes"] = payload["result"]["faults"]
+    old = tmp_path / "v3.json"
+    old.write_text(json.dumps({
+        "format": FORMAT_NAME, "schema_version": 3,
+        "manifest": {"day": 0, "payload_sha256": payload_digest(payload)},
+        "payload": payload}, sort_keys=True))
+    with pytest.raises(CheckpointVersionError, match="version 3"):
+        resume_run(old)
 
 
 def test_checkpoint_every_cadence(tmp_path):
