@@ -4,7 +4,10 @@ The CI ``checkpoint-smoke`` job runs this script and fails unless a run
 interrupted right after its checkpoint landed and resumed from disk
 reproduces the uninterrupted run's outputs **bit for bit** — session
 records, day metrics, every latency list and (with ``--chaos``) the
-fault-accounting summary.
+fault-accounting summary.  ``--scenario NAME`` runs a built-in scenario
+instead (its own config and run length), so its workload overrides —
+flash crowds, timezone offsets, quality ceiling, downlink cap — must
+come back from the checkpoint too.
 
 It also checks encoder parity on every file the run's checkpointer
 wrote, before and after the resume: the payload bytes in the file must
@@ -17,6 +20,7 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/checkpoint_smoke.py
     PYTHONPATH=src python benchmarks/checkpoint_smoke.py --chaos --days 4
+    PYTHONPATH=src python benchmarks/checkpoint_smoke.py --scenario esports-final
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from repro.core.config import cloudfog_advanced  # noqa: E402
 from repro.faults.plan import FaultEvent, FaultPlan  # noqa: E402
 from repro.persist import (Checkpointer, canonical_json,  # noqa: E402
                            payload_digest, resume_run)
+from repro.scenarios import get_scenario, scenario_names  # noqa: E402
+from repro.scenarios.compile import compile_scenario  # noqa: E402
 
 
 class _Interrupted(Exception):
@@ -69,7 +75,8 @@ def encoding_drift(path: pathlib.Path) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--days", type=int, default=3)
+    parser.add_argument("--days", type=int, default=None,
+                        help="run length (default 3, or the scenario's)")
     parser.add_argument("--interrupt-after", type=int, default=0,
                         metavar="DAY",
                         help="kill the run after this day's checkpoint "
@@ -80,15 +87,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chaos", action="store_true",
                         help="inject faults (crashes, flaky throttling, "
                              "transient refusals) during the run")
+    parser.add_argument("--scenario", choices=scenario_names(),
+                        metavar="NAME",
+                        help="run this built-in scenario instead "
+                             "(ignores --players/--supernodes/--seed)")
     args = parser.parse_args(argv)
+    if args.scenario is not None and args.chaos:
+        parser.error("--chaos and --scenario are exclusive")
+    if args.scenario is not None:
+        compiled = compile_scenario(get_scenario(args.scenario))
+        config = compiled.config
+        args.days = args.days or compiled.days
+    else:
+        args.days = args.days or 3
+        config = cloudfog_advanced(
+            num_players=args.players, num_supernodes=args.supernodes,
+            seed=args.seed,
+            fault_plan=smoke_plan(args.days) if args.chaos else None)
     if not 0 <= args.interrupt_after < args.days - 1:
         parser.error("--interrupt-after must leave at least one day to "
                      "resume")
-
-    config = cloudfog_advanced(
-        num_players=args.players, num_supernodes=args.supernodes,
-        seed=args.seed,
-        fault_plan=smoke_plan(args.days) if args.chaos else None)
 
     baseline = CloudFogSystem(config).run(days=args.days)
     expected = (run_result_digest(baseline),
@@ -124,8 +142,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     actual = (run_result_digest(resumed), fault_summary_digest(resumed.faults))
+    kind = (f"scenario {args.scenario}" if args.scenario
+            else "chaos" if args.chaos else "baseline")
     print(f"interrupted after day {args.interrupt_after} of {args.days}"
-          f" ({'chaos' if args.chaos else 'baseline'} run)")
+          f" ({kind} run)")
     print(f"uninterrupted: {expected[0][:16]}…  faults {expected[1][:16]}…")
     print(f"resumed:       {actual[0][:16]}…  faults {actual[1][:16]}…")
     if actual != expected:

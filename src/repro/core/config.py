@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from ..cloud.datacenter import DEFAULT_SERVERS_PER_DATACENTER
 from ..faults.plan import FaultPlan
 from ..sim.cycles import Schedule
+from ..workload.overrides import WorkloadOverrides
 
 __all__ = ["StrategyFlags", "SystemConfig", "cloud_only", "cloud_compressed",
            "cdn", "cloudfog_basic", "cloudfog_advanced"]
@@ -110,6 +111,11 @@ class SystemConfig:
     #: built before the fault subsystem existed (pinned by
     #: ``tests/faults/test_equivalence.py``).
     fault_plan: FaultPlan | None = None
+
+    # -- workload (repro.workload.overrides) -----------------------------
+    #: Participation, start-time, duration, game-mix, timezone, quality
+    #: and flash-crowd overrides; the default overrides nothing.
+    workload: WorkloadOverrides = field(default_factory=WorkloadOverrides)
 
     def __post_init__(self) -> None:
         if self.num_players <= 0:

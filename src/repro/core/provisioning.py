@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..economics.provider import ProviderModel
 from ..forecast.arima import SeasonalArima
 from .columns import SupernodePool
 
@@ -101,10 +100,6 @@ class Provisioner:
     theta: float = 0.2
     seasonal_theta: float = 0.2
     minimum_supernodes: int = 1
-    #: Optional §3.1.2 economics gate: when set, a candidate is deployed
-    #: only if its revenue gain G_s(j) (Eq. 6) is positive for the new
-    #: players its capacity would cover.
-    provider_model: ProviderModel | None = None
     _model: SeasonalArima = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -122,15 +117,6 @@ class Provisioner:
     def windows_per_week(self) -> int:
         return 7 * 24 // self.window_hours
 
-    @property
-    def windows_per_day(self) -> int:
-        return 24 // self.window_hours
-
-    def window_of_hour(self, hour_of_day: int) -> int:
-        if not 0 <= hour_of_day < 24:
-            raise ValueError("hour_of_day out of range")
-        return hour_of_day // self.window_hours
-
     def observe(self, player_count: float) -> None:
         """Record the realised player count of the closing window."""
         self._model.observe(player_count)
@@ -146,24 +132,8 @@ class Provisioner:
                    required_supernodes(predicted, self.average_capacity,
                                        self.epsilon))
 
-    def deployment_worthwhile(self, capacity: int, upload_mbps: float,
-                              utilization: float = 0.6) -> bool:
-        """§3.1.2: deploy sn_j only when G_s(j) > 0 (Eq. 6).
-
-        The new players a candidate would cover are approximated by its
-        capacity.  Without a provider model every candidate passes.
-        """
-        if self.provider_model is None:
-            return True
-        return self.provider_model.deployment_is_worthwhile(
-            capacity, upload_mbps, utilization)
-
     def choose_deployment(self, pool: SupernodePool, count: int,
                           rng: np.random.Generator) -> list[int]:
-        """Eq. 16 preference selection over the pool's economically
-        viable rows (Eq. 6 gate first, 1/rank preference second)."""
-        viable = [sid for sid, (capacity, upload) in enumerate(zip(
-                      pool.capacity.tolist(), pool.upload_mbps.tolist()))
-                  if self.deployment_worthwhile(capacity, upload)]
+        """Eq. 16 preference selection over every pool row."""
         return rank_preference_selection(
-            _by_support(pool, viable), count, rng)
+            _by_support(pool, list(range(len(pool)))), count, rng)

@@ -187,6 +187,13 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
     if state.compression is not None:
         processing[cloud_at] = state.compression.encode_latency_ms
 
+    receiver = np.asarray(state.topology.player_links.download_mbps,
+                          dtype=np.float64)[players]
+    cap = state.config.workload.downlink_cap_mbps
+    if cap is not None:
+        # Scenario downlink cap (thin clients on constrained links).
+        receiver = np.minimum(receiver, cap)
+
     # The records keep the cache's own float objects: a run holds
     # every record it scored, so fresh floats would cost 24 bytes each.
     server_cache = state.server_latency_cache
@@ -203,9 +210,7 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
                             for game in games], dtype=np.float64),
         path_ms=cols.latency_ms[players],
         sender_mbps=sender,
-        receiver_mbps=np.asarray(
-            state.topology.player_links.download_mbps,
-            dtype=np.float64)[players],
+        receiver_mbps=receiver,
         processing_ms=processing, utilization=utilization)
 
 

@@ -36,9 +36,10 @@ the unsharded digests — the toggle discipline of DESIGN.md §12.
 
 Checkpoint/resume composes per partition: each partition checkpoints
 into its own ``shard-NN/`` subdirectory, and resume rebuilds the
-partition states deterministically from the parent config before
-overlaying the captured mutable state
-(:func:`repro.persist.snapshot.overlay_state`).
+partition states deterministically from the parent config — workload
+overrides and flash crowds included, since they are
+``SystemConfig.workload`` — before overlaying the captured mutable
+state (:func:`repro.persist.snapshot.overlay_state`).
 
 The parallel runner is itself **self-healing**: a worker process that
 dies (OOM-killed, SIGKILLed, segfaulted) breaks the pool, and the
@@ -351,10 +352,10 @@ def _resume_partition(partition: ShardPartition, days: int | None,
     snapshot (:func:`repro.persist.checkpoint.latest_valid_checkpoint`);
     with nothing valid on disk the partition simply runs from scratch —
     bit-identical either way, because resume replays the exact
-    day-scoped RNG schedule.  ``configure`` (set-once scenario state)
-    is re-applied to the rebuilt state *before* the snapshot overlay,
-    so a resumed partition carries the same overrides the original run
-    started with.
+    day-scoped RNG schedule.  The partition config carries the run's
+    workload overrides, so the rebuilt state has the original run's
+    flash crowds and the rest; ``configure`` (extra hooks) is
+    re-applied to it *before* the snapshot overlay.
     """
     directory = _shard_dir(checkpoint_dir, partition.index) \
         if checkpoint_dir is not None else None
@@ -509,10 +510,13 @@ def run_sharded(config: SystemConfig, days: int | None = None, *,
     writes no new checkpoint for a whole window is recycled the same
     way.  Healed runs merge bit-identically to uninterrupted ones.
 
-    ``configure`` is an optional callable applied to every partition's
-    freshly built :class:`SimState` (the scenario seam).  It must be
-    picklable when ``shards > 1`` — worker processes rebuild partitions
-    locally and re-apply it.
+    Each partition's config carries the run's workload overrides
+    (``SystemConfig.workload``).  ``configure`` is an optional callable
+    applied to every partition's freshly built :class:`SimState`, for
+    hooks outside the config (instrumentation stages appended to
+    ``state.scenario_stages``, say).  It must be picklable when
+    ``shards > 1`` — worker processes rebuild partitions locally and
+    re-apply it.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -544,7 +548,9 @@ def resume_sharded(config: SystemConfig, checkpoint_dir, *,
     each one resumes from the newest digest-valid checkpoint in its
     ``shard-NN/`` subdirectory — a corrupt file falls back to the
     previous day's snapshot — or runs from scratch with none, then the
-    results merge exactly as in :func:`run_sharded`.
+    results merge exactly as in :func:`run_sharded`.  The workload
+    comes back with the config; ``configure`` is re-applied as in
+    :func:`run_sharded`.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")

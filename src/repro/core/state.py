@@ -33,7 +33,6 @@ from ..reputation.ratings import RatingLedger
 from ..reputation.scores import ReputationTable
 from ..sim.rng import RngFactory
 from ..streaming.compression import LIVERENDER_LIKE
-from ..workload.churn import DurationMixture, StartTimeModel
 from ..workload.games import Game
 from ..workload.population import Population, build_population
 from .candidates import CandidateManager
@@ -47,7 +46,7 @@ from .selection import SupernodeDirectory
 __all__ = ["SUPERNODE_MBPS_PER_SLOT", "JoinOutcome", "SessionTable",
            "SimState",
            "build_supernode_pool", "build_cdn_sites", "deploy",
-           "set_arrival_rates", "cloud_one_way_ms", "player_supernode_ms",
+           "cloud_one_way_ms", "player_supernode_ms",
            "KIND_OF_CODE"]
 
 #: Upload provisioned per supernode player slot (Mbit/s): enough for the
@@ -234,35 +233,18 @@ class SimState:
                 epsilon=config.provisioning_epsilon,
                 window_hours=config.provisioning_window_hours)
 
-        #: Day-of-week participation weights (set by set_arrival_rates).
-        self.weekly_weights = None
-
         # Churn state (§3.2.2): per-player candidate supernode lists
         # plus the sticky last-used supernode.
         self.candidates = CandidateManager(
             max_entries=config.candidate_count)
         self.sticky: dict[int, int] = {}
         self.games: dict[int, Game] = {}
-        self.duration_mixture = DurationMixture()
-        self.start_times = StartTimeModel()
-        #: Optional override of daily participants (provisioning sweeps).
-        self.daily_participants: int | None = None
         self.server_latency_cache: dict[int, float] = {}
 
-        # Scenario seam (repro.scenarios): set-once overrides installed
-        # by a scenario's ``configure`` hook before the run starts.
-        # The null defaults leave every baseline sweep bit-identical.
-        #: Extra sweep stages, run by ``stage_scenario`` each subcycle.
-        self.scenario_stages: tuple = ()
-        #: Per-game sampling weights ``{game name: weight}`` (None =
-        #: the default social/permutation draw).
-        self.game_weights: dict[str, float] | None = None
-        #: Per-region start-subcycle shifts (timezone profiles), one
-        #: entry per datacenter region, cycled when shorter.
-        self.start_offsets: tuple | None = None
-        #: Quality-ladder ceiling: sessions never stream above this
-        #: ladder level (bandwidth-constrained thin clients).
-        self.quality_ceiling: int | None = None
+        #: Extra sweep stages, run by ``stage_scenario`` each subcycle:
+        #: the config's flash crowds, then any hook a caller appends.
+        #: Empty by default, which leaves every baseline bit-identical.
+        self.scenario_stages: tuple = config.workload.flash_crowds
 
 
 # ----------------------------------------------------------------------
@@ -346,32 +328,6 @@ def build_cdn_sites(state: SimState) -> None:
                        replace=False)
     state.cdn_coords = state.topology.player_coords[picks].copy()
     state.cdn_access = np.full(count, 3.0)
-
-
-# ----------------------------------------------------------------------
-# workload knobs
-# ----------------------------------------------------------------------
-def set_arrival_rates(state: SimState, offpeak_per_min: float,
-                      peak_per_min: float) -> None:
-    """Drive daily participation from arrival rates (Figs. 13-15).
-
-    Off-peak joiners arrive over 19 subcycles, peak joiners over 5;
-    the start-time split follows from the two rates.
-    """
-    if offpeak_per_min < 0 or peak_per_min < 0:
-        raise ValueError("arrival rates must be non-negative")
-    offpeak_total = offpeak_per_min * 60.0 * 19.0
-    peak_total = peak_per_min * 60.0 * 5.0
-    total = offpeak_total + peak_total
-    if total <= 0:
-        raise ValueError("at least one arrival rate must be positive")
-    state.daily_participants = int(round(total))
-    state.start_times = StartTimeModel(offpeak_share=offpeak_total / total)
-    # Arrival-driven participation follows the weekly pattern the
-    # paper's forecasting premise rests on ([36, 37]): weekends run
-    # hotter, midweek cooler.
-    from ..forecast.diurnal import DiurnalPattern
-    state.weekly_weights = DiurnalPattern().daily_weights
 
 
 # ----------------------------------------------------------------------

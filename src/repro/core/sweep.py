@@ -58,17 +58,18 @@ _log = obs.get_logger(__name__)
 def sample_plans(state: SimState, rng: np.random.Generator,
                  day: int = 0) -> DayPlans:
     n = state.topology.num_players
-    if state.daily_participants is not None:
+    workload = state.config.workload
+    if workload.daily_participants is not None:
         weight = 1.0
-        if state.weekly_weights is not None:
-            weight = float(state.weekly_weights[day % 7])
-        count = min(n, int(round(state.daily_participants * weight)))
+        if workload.weekly_weights is not None:
+            weight = float(workload.weekly_weights[day % 7])
+        count = min(n, int(round(workload.daily_participants * weight)))
         players = rng.choice(n, size=max(1, count), replace=False)
     else:
         players = np.arange(n)
-    plans = sample_day_plans(rng, players, state.duration_mixture,
-                             state.start_times)
-    offsets = state.start_offsets
+    plans = sample_day_plans(rng, players, workload.durations(),
+                             workload.start_times())
+    offsets = workload.start_offsets
     if offsets:
         # Timezone profiles (repro.scenarios): shift each player's
         # start by its region's offset, wrapping inside the day.  The
@@ -87,11 +88,11 @@ def choose_games(state: SimState, plans: DayPlans,
                  rng: np.random.Generator) -> None:
     state.games.clear()
     players = plans.player.tolist()
-    weights = state.game_weights
-    if weights is not None:
+    workload = state.config.workload
+    if workload.game_weights is not None:
         # Scenario game mix: a weighted catalogue draw replaces the
         # social rule wholesale (an esports final is not organic play).
-        mix = weighted_catalogue(weights)
+        mix = weighted_catalogue(dict(workload.game_weights))
         for index in rng.permutation(len(players)).tolist():
             state.games[players[index]] = draw_weighted(rng, *mix)
     else:
@@ -100,7 +101,7 @@ def choose_games(state: SimState, plans: DayPlans,
         for index in rng.permutation(len(players)).tolist():
             player = players[index]
             games[player] = choose_game(player, adjacency, games, rng)
-    cap = state.quality_ceiling
+    cap = workload.quality_ceiling
     if cap is not None:
         # Bandwidth-constrained thin clients: nothing streams above
         # the ceiling level, whatever game the social rule picked.

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from ..workload.population import Population
 from . import accounting, sweep
-from . import state as simstate
 from .config import SystemConfig
 from .state import SimState
 
@@ -48,7 +47,7 @@ _STATE_ATTRS = (
     "topology", "transport", "faults", "compression",
     "credits", "ledger", "reputation", "datacenters", "supernode_pool",
     "live_supernodes", "directory", "cdn_coords", "cdn_access",
-    "provisioner", "candidates", "daily_participants",
+    "provisioner", "candidates",
 )
 
 
@@ -90,12 +89,6 @@ class CloudFogSystem:
         return sweep.run_schedule(self._state, days, result=result,
                                   start_day=start_day,
                                   on_day_end=on_day_end)
-
-    def set_arrival_rates(self, offpeak_per_min: float,
-                          peak_per_min: float) -> None:
-        """Drive daily participation from arrival rates (Figs. 13-15)."""
-        simstate.set_arrival_rates(self._state, offpeak_per_min,
-                                   peak_per_min)
 
 
 for _attr in _STATE_ATTRS:

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import obs
 from ..core import sweep
 from ..core.config import cloudfog_basic
 from ..core.accounting import RunResult
-from ..core.system import CloudFogSystem
 from ..economics.incentives import IncentiveModel, daily_economics
 from ..economics.provider import renting_comparison
 from ..faults.plan import FaultEvent, FaultPlan
 from ..metrics.tables import ResultTable
 from ..sim.rng import RngFactory
+from ..workload.overrides import set_arrival_rates
 from ..workload.population import build_population
 from .coverage import (
     PAPER_LATENCY_REQUIREMENTS_MS,
@@ -403,14 +402,11 @@ def _provisioning_results(peak_rates, offpeak_rate, num_players, seed, days
                     4, int(min(peak_rates) * 60 * 5 * 0.5 / 5)),
                 provisioning_window_hours=8,
                 seed=seed,
+                workload=set_arrival_rates(offpeak_rate, peak_rate),
             ).with_(strategies=_single_strategy(
                 "dynamic_provisioning", dynamic))
-            system = CloudFogSystem(config)
-            system.set_arrival_rates(offpeak_rate, peak_rate)
-            with obs.get_tracer().span("run_variant", variant=label,
-                                       seed=seed, days=days,
-                                       peak_rate=peak_rate):
-                results[(peak_rate, label)] = system.run(days=days)
+            results[(peak_rate, label)] = run_config(config, days=days,
+                                                     label=label)
     return results
 
 

@@ -103,24 +103,18 @@ def run_variant(variant: str, testbed: Testbed, seed: int = 0,
 
 
 def run_config(config: SystemConfig, days: int, label: str = "custom",
-               checkpoint_dir=None, checkpoint_every: int = 1,
-               configure=None) -> RunResult:
+               checkpoint_dir=None, checkpoint_every: int = 1) -> RunResult:
     """Run an explicitly configured system under a ``run_variant`` span.
 
     The ablation figures (10-15) build bespoke :class:`SystemConfig`\\ s
     instead of named variants; routing them through this helper keeps
     every system run visible in traces under the same span name.
     ``checkpoint_dir``/``checkpoint_every`` behave as in
-    :func:`run_variant`.  ``configure`` is an optional callable applied
-    to the freshly built :class:`~repro.core.state.SimState` before the
-    run starts — the seam scenarios use to install workload overrides
-    and sweep-stage hooks without touching :class:`SystemConfig`.
+    :func:`run_variant`.
     """
     if days <= 0:
         raise ValueError("days must be positive")
     system = CloudFogSystem(config)
-    if configure is not None:
-        configure(system.state)
     hook = _checkpointer(checkpoint_dir, checkpoint_every)
     with obs.get_tracer().span("run_variant", variant=label,
                                seed=config.seed, days=days,
@@ -139,9 +133,9 @@ def run_sharded_config(config: SystemConfig, days: int, *,
     Thin tracing wrapper over :func:`repro.core.shard.run_sharded`:
     fixed per-region partitions, ``shards`` worker processes, ordered
     deterministic merge — the merged result is identical for every
-    ``shards`` value (pinned by ``tests/persist``).  ``configure``
-    (which must be picklable — worker processes re-apply it to every
-    partition state) behaves as in :func:`run_config`.
+    ``shards`` value (pinned by ``tests/persist``).  ``configure`` is
+    an optional picklable callable applied to every partition's freshly
+    built state (see :func:`repro.core.shard.run_sharded`).
     """
     if days <= 0:
         raise ValueError("days must be positive")

@@ -117,9 +117,8 @@ def inject_crash(state: SimState, event, day, subcycle, sessions, loads,
 
     Every displaced session is accounted exactly once per
     displacement: recovered onto another supernode, degraded to
-    direct cloud streaming, shed when a fog↔cloud partition outlives
-    it, or (when its bookkeeping is gone) dropped — the conservation
-    invariant the chaos tests assert.  Load matrices move with the
+    direct cloud streaming, or shed when a fog↔cloud partition outlives
+    it — the conservation invariant the chaos tests assert.  Load matrices move with the
     session: the crashed row keeps the already-served span and loses
     the remainder, which lands on the new row or the cloud's rate
     line.
@@ -161,15 +160,6 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
         state.sticky.pop(player, None)
         summary.displaced += 1
         registry.counter("repro_fault_displaced_total").inc()
-        if not cols.active[player] or cols.supernode_id[player] != sid:
-            # No live session bookkeeping to re-home (connected
-            # out of band): account it as dropped, not lost.
-            summary.dropped += 1
-            registry.counter("repro_fault_dropped_total").inc()
-            event_log.emit("session_dropped", day=day,
-                           subcycle=subcycle, player=player,
-                           supernode_id=sid)
-            continue
         game = state.games[player]
         end = int(cols.end_subcycle[player])
         span = slice(subcycle, end + 1)

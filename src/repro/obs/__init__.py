@@ -40,10 +40,9 @@ Instrumented code always fetches the current objects at call time::
     with obs.get_tracer().span("run_day", day=day):
         obs.get_registry().counter("repro_joins_total", kind="cloud").inc()
 
-Very hot paths (the DES event loop) bind an instrument once at
-construction instead; such objects register themselves with
-:func:`bind_instruments` and are re-bound whenever the switch flips, so
-enable-after-construct observes them too.
+The DES event loop, the one very hot path, adds its processed-event
+count to its counter once per ``Environment.run`` call instead of once
+per event.
 
 Telemetry survives checkpoint/resume: :func:`capture_telemetry` dumps
 the accumulated time series and event log into the checkpoint payload
@@ -52,8 +51,6 @@ resume (:mod:`repro.persist.checkpoint`).
 """
 
 from __future__ import annotations
-
-import weakref
 
 from .events import NULL_EVENT_LOG, EventLog, NullEventLog
 from .log import configure_logging, get_logger, kv
@@ -71,7 +68,6 @@ __all__ = [
     "get_registry",
     "get_timeseries",
     "get_events",
-    "bind_instruments",
     "capture_telemetry",
     "restore_telemetry",
     "configure_logging",
@@ -97,12 +93,6 @@ _tracer: Tracer | NullTracer = NULL_TRACER
 _registry: MetricsRegistry | NullRegistry = NULL_REGISTRY
 _timeseries: TimeSeriesStore | NullTimeSeries = NULL_TIMESERIES
 _events: EventLog | NullEventLog = NULL_EVENT_LOG
-
-#: Live objects that bound instruments at construction time; re-bound
-#: (``obj.rebind_instruments()``) whenever the global switch flips.  A
-#: WeakSet so short-lived objects (per-join DES environments) never
-#: accumulate.
-_BOUND: "weakref.WeakSet" = weakref.WeakSet()
 
 
 def enabled() -> bool:
@@ -137,23 +127,6 @@ def get_events() -> EventLog | NullEventLog:
     return _events
 
 
-def bind_instruments(obj) -> None:
-    """Register a hot-path object that binds instruments at construction.
-
-    ``obj.rebind_instruments()`` is called immediately and again on
-    every :func:`enable` / :func:`disable`, so instruments bound once
-    for speed still follow the global switch.  Held by weak reference —
-    registration never extends a lifetime.
-    """
-    obj.rebind_instruments()
-    _BOUND.add(obj)
-
-
-def _rebind_all() -> None:
-    for obj in list(_BOUND):
-        obj.rebind_instruments()
-
-
 def enable(tracing: bool = True, metrics: bool = True,
            log_level: str | int | None = None, *,
            timeseries: bool = True, events: bool = True
@@ -177,7 +150,6 @@ def enable(tracing: bool = True, metrics: bool = True,
         _events = EventLog(tracer=_tracer)
     if log_level is not None:
         configure_logging(log_level)
-    _rebind_all()
     return _tracer, _registry
 
 
@@ -188,7 +160,6 @@ def disable() -> None:
     _registry = NULL_REGISTRY
     _timeseries = NULL_TIMESERIES
     _events = NULL_EVENT_LOG
-    _rebind_all()
 
 
 def capture_telemetry() -> dict | None:

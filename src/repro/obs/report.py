@@ -45,7 +45,7 @@ RUN_FILES = {
 
 #: Event kinds rendered in the fault timeline, in severity order.
 FAULT_EVENT_KINDS = ("fault_injected", "detector_trip", "migration",
-                     "cloud_fallback", "session_dropped")
+                     "cloud_fallback")
 
 
 # ---------------------------------------------------------------------------

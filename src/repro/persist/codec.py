@@ -6,7 +6,7 @@ keys, no whitespace)::
     {"format":"repro-checkpoint",
      "manifest":{"day":3,"payload_sha256":"<hex digest>"},
      "payload":{...},
-     "schema_version":3}
+     "schema_version":5}
 
 (shown wrapped; the file is one line).  The payload is encoded exactly
 once, as canonical JSON, and the manifest digest is the SHA-256 of
@@ -65,7 +65,10 @@ FORMAT_NAME = "repro-checkpoint"
 #: v4: the state's second fault summary (the ledger of a removed
 #: out-of-band failure walker) is gone; every fault is accounted once,
 #: in the result's ``faults`` section.
-SCHEMA_VERSION = 4
+#: v5: the state's ``workload`` member is gone; the workload overrides
+#: are the config's ``workload`` value, which the ``config`` member
+#: already carries (flash crowds, game mix and the rest included).
+SCHEMA_VERSION = 5
 
 #: The bytes around the payload in a file :func:`write_checkpoint_text`
 #: wrote; the reader's fast path recognises exactly this layout.

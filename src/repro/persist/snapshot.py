@@ -26,11 +26,13 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    maps, the server-latency cache, the provisioner's ARIMA hidden state
    (``_history``/``_residuals``/``_last_forecast`` — the last is
    non-None at day boundaries once the model is ready), the fault
-   penalty ledger, the workload knobs
-   (``daily_participants``/``weekly_weights``/start-time/duration
-   models), and the accumulated
+   penalty ledger, and the accumulated
    :class:`~repro.core.accounting.RunResult`, whose ``faults`` summary
-   is the run's one fault ledger.
+   is the run's one fault ledger.  There is no workload member: the
+   workload overrides (participation, start times, durations, game
+   mix, timezone offsets, quality ceiling, downlink cap, flash crowds)
+   are ``SystemConfig.workload``, so they travel in the serialized
+   config and the restored state rebuilds them from it.
 
    Deliberately *not* captured, with reasons:
 
@@ -39,8 +41,9 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
      rows live inside one ``sweep_day`` call and never cross a day
      boundary (§4.1: cycles do not wrap);
 
-   * population/topology/transport/datacenter structure/CDN sites —
-     rebuilt deterministically from the serialized ``SystemConfig``;
+   * population/topology/transport/datacenter structure/CDN sites and
+     the scenario stages (the config's flash crowds) — rebuilt
+     deterministically from the serialized ``SystemConfig``;
    * the supernode pool's immutable columns, its ``available`` bytes
      and the directory's distance ranking — rebuilt from the config,
      and recomputed from the restored columns;
@@ -80,8 +83,8 @@ from ..faults import FaultSummary
 from ..faults.plan import FaultPlan
 from ..sim.cycles import Schedule
 from ..sim.rng import RngFactory
-from ..workload.churn import DurationMixture, StartTimeModel
 from ..workload.games import GAME_CATALOGUE
+from ..workload.overrides import WorkloadOverrides
 from .codec import CheckpointCorruptError, canonical_json, canonical_object
 
 __all__ = ["config_to_dict", "config_from_dict", "capture_state",
@@ -115,6 +118,7 @@ def config_from_dict(data: dict) -> SystemConfig:
     data["schedule"] = Schedule(**schedule)
     plan = data.get("fault_plan")
     data["fault_plan"] = None if plan is None else FaultPlan.from_dict(plan)
+    data["workload"] = WorkloadOverrides.from_dict(data["workload"])
     return SystemConfig(**data)
 
 
@@ -191,22 +195,6 @@ def _state_rest(state: SimState) -> dict:
             [[player, fraction] for player, fraction
              in state.faults.penalties.items()]
             if state.faults.active else []),
-        "workload": {
-            "daily_participants": state.daily_participants,
-            "weekly_weights": (
-                None if state.weekly_weights is None
-                else [float(w) for w in state.weekly_weights]),
-            "start_times": {
-                "offpeak_share": state.start_times.offpeak_share,
-                "offpeak_range": list(state.start_times.offpeak_range),
-                "peak_range": list(state.start_times.peak_range),
-            },
-            "duration_mixture": {
-                "short_share": state.duration_mixture.short_share,
-                "medium_share": state.duration_mixture.medium_share,
-                "long_share": state.duration_mixture.long_share,
-            },
-        },
     }
 
 
@@ -333,18 +321,6 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
             "checkpoint carries fault penalties but the config has no "
             "fault plan")
 
-    workload = payload["workload"]
-    state.daily_participants = workload["daily_participants"]
-    state.weekly_weights = (
-        None if workload["weekly_weights"] is None
-        else np.asarray(workload["weekly_weights"], dtype=np.float64))
-    starts = workload["start_times"]
-    state.start_times = StartTimeModel(
-        offpeak_share=starts["offpeak_share"],
-        offpeak_range=tuple(starts["offpeak_range"]),
-        peak_range=tuple(starts["peak_range"]))
-    state.duration_mixture = DurationMixture(
-        **workload["duration_mixture"])
     return state
 
 

@@ -4,16 +4,16 @@ A scenario is one versioned JSON/TOML document describing a whole
 experiment — population and diurnal shape, game mix and flash crowds,
 testbed/variant infrastructure, a fault plan (inline or by reference),
 streaming constraints and economics knobs.  The compiler lowers it onto
-the existing seams (``SystemConfig`` + the ``SimState`` scenario fields
-+ ``SUBCYCLE_STAGES`` hooks); the runner executes it and emits a JSON
-report.  See DESIGN.md §16 and ``python -m repro scenario list``.
+one :class:`~repro.core.config.SystemConfig`, whose ``workload`` value
+(:mod:`repro.workload.overrides`) carries the workload overrides and
+the flash crowds; the runner executes it and emits a JSON report.  See
+DESIGN.md §16 and ``python -m repro scenario list``.
 
-This package namespace is foundation-rank (schema/hooks/library only);
+This package namespace is foundation-rank (schema/library only);
 the ``compile``/``run`` submodules sit at experiments rank and must be
 imported explicitly.
 """
 
-from .hooks import FlashCrowdStage, ScenarioConfigurator
 from .library import (BUILTIN_SCENARIOS, get_scenario, resolve,
                       scenario_names)
 from .schema import (SCHEMA_VERSION, EconomicsSpec, FlashCrowdSpec,
@@ -25,6 +25,5 @@ __all__ = [
     "SCHEMA_VERSION", "Scenario", "PopulationSpec", "WorkloadSpec",
     "FlashCrowdSpec", "InfrastructureSpec", "StreamingSpec",
     "EconomicsSpec", "ScheduleSpec", "load_scenario",
-    "FlashCrowdStage", "ScenarioConfigurator",
     "BUILTIN_SCENARIOS", "scenario_names", "get_scenario", "resolve",
 ]

@@ -1,20 +1,19 @@
 """Compile a declarative :class:`~repro.scenarios.schema.Scenario` into
-runnable pieces: a :class:`~repro.core.config.SystemConfig`, the run
-length, and the :class:`~repro.scenarios.hooks.ScenarioConfigurator`
-carrying workload overrides plus sweep-stage hooks.
+runnable pieces: a :class:`~repro.core.config.SystemConfig` and the run
+length.
 
 The pipeline (DESIGN.md §16)::
 
-    Scenario --compile--> (SystemConfig, days, configure)
-                              |              |
-                         CloudFogSystem   configure(state)
-                              |              |
-                              +--- run_config / run_sharded_config ---+
+    Scenario --compile--> (SystemConfig, days)
+                              |
+                   run_config / run_sharded_config
 
-Everything scenario-specific rides either in the config (testbed,
-variant, faults, schedule, strategy flags) or in the configurator (the
-null-defaulted ``SimState`` seams + ``SUBCYCLE_STAGES`` hooks) — no new
-façade logic, per the standing layering constraint.
+Everything scenario-specific rides in the config: testbed, variant,
+faults, schedule and strategy flags, plus the workload overrides
+(``SystemConfig.workload``: participation, game mix, timezone offsets,
+quality ceiling, downlink cap and the flash crowds, which the built
+state installs as ``SUBCYCLE_STAGES`` hooks).  A resumed or sharded run
+therefore rebuilds the whole scenario from the config alone.
 
 Experiments-rank module: imports ``repro.experiments`` freely.
 """
@@ -29,7 +28,7 @@ from ..experiments.runner import VARIANTS, variant_config
 from ..experiments.testbeds import Testbed, peersim, planetlab
 from ..faults.plan import load_fault_plan
 from ..sim.cycles import Schedule
-from .hooks import FlashCrowdStage, ScenarioConfigurator
+from ..workload.overrides import FlashCrowdStage, WorkloadOverrides
 from .schema import SCENARIO_VARIANTS, Scenario
 
 __all__ = ["CompiledScenario", "compile_scenario"]
@@ -48,7 +47,9 @@ class CompiledScenario:
     testbed: Testbed
     config: SystemConfig
     days: int
-    configure: ScenarioConfigurator
+    #: Always None: the config carries the whole scenario.  Kept only
+    #: for callers that still pass it on as a ``configure`` hook.
+    configure = None
 
     @property
     def label(self) -> str:
@@ -79,7 +80,7 @@ def _build_schedule(scenario: Scenario, hours_default: Schedule
 def compile_scenario(scenario: Scenario,
                      base_dir: str | Path | None = None,
                      seed: int | None = None) -> CompiledScenario:
-    """Compile ``scenario`` into config + configurator.
+    """Compile ``scenario`` into a config and a run length.
 
     ``base_dir`` resolves a ``faults = {"ref": ...}`` file reference
     (defaults to the working directory); ``seed`` overrides the
@@ -112,34 +113,32 @@ def compile_scenario(scenario: Scenario,
     if schedule is not None:
         overrides["schedule"] = schedule
 
-    config = variant_config(infra.variant, testbed,
-                            seed if seed is not None else scenario.seed,
-                            **overrides)
-    adaptation = scenario.streaming.rate_adaptation
-    if adaptation is not None:
-        config = config.with_(strategies=replace(
-            config.strategies, rate_adaptation=adaptation))
-
     workload = scenario.workload
-    stages = tuple(
-        FlashCrowdStage(day=crowd.day, subcycle=crowd.subcycle,
-                        players=crowd.players,
-                        duration_hours=crowd.duration_hours,
-                        game=crowd.game)
-        for crowd in workload.flash_crowds)
-    # NB: in sharded runs the configurator applies per partition, so a
+    streaming = scenario.streaming
+    # NB: in sharded runs every partition carries this workload, so a
     # flash-crowd spike injects its player count into *each* region —
     # fixed partitions keep that deterministic across shard counts.
-    configure = ScenarioConfigurator(
+    overrides["workload"] = WorkloadOverrides(
         daily_participants=population.daily_participants,
         weekly_weights=population.weekly_weights,
         duration_shares=workload.duration_shares,
         offpeak_share=population.offpeak_share,
         game_weights=workload.game_weights,
         start_offsets=population.start_offsets,
-        quality_ceiling=scenario.streaming.quality_ceiling,
-        downlink_cap_mbps=scenario.streaming.downlink_cap_mbps,
-        stages=stages)
-    return CompiledScenario(
-        scenario=scenario, testbed=testbed, config=config,
-        days=config.schedule.days, configure=configure)
+        quality_ceiling=streaming.quality_ceiling,
+        downlink_cap_mbps=streaming.downlink_cap_mbps,
+        flash_crowds=tuple(
+            FlashCrowdStage(day=crowd.day, subcycle=crowd.subcycle,
+                            players=crowd.players,
+                            duration_hours=crowd.duration_hours,
+                            game=crowd.game)
+            for crowd in workload.flash_crowds))
+
+    config = variant_config(infra.variant, testbed,
+                            seed if seed is not None else scenario.seed,
+                            **overrides)
+    if streaming.rate_adaptation is not None:
+        config = config.with_(strategies=replace(
+            config.strategies, rate_adaptation=streaming.rate_adaptation))
+    return CompiledScenario(scenario=scenario, testbed=testbed,
+                            config=config, days=config.schedule.days)

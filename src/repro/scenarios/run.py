@@ -39,7 +39,7 @@ from .schema import Scenario
 __all__ = ["run_scenario", "scenario_main"]
 
 
-def _provider_model(scenario: Scenario) -> ProviderModel:
+def _economics_model(scenario: Scenario) -> ProviderModel:
     """The §4.4 provider model with the scenario's economics knobs."""
     eco = scenario.economics
     incentive_kwargs = {}
@@ -58,7 +58,7 @@ def _provider_model(scenario: Scenario) -> ProviderModel:
 def _economics_summary(scenario: Scenario, compiled: CompiledScenario,
                        result) -> dict:
     """Eq. 2 bandwidth reduction and the hourly revenue/reward split."""
-    provider = _provider_model(scenario)
+    provider = _economics_model(scenario)
     supported = sum(day.supernode_players for day in result.days) \
         / len(result.days)
     supernodes = compiled.config.num_supernodes
@@ -104,11 +104,10 @@ def run_scenario(scenario: Scenario,
         if shards > 1:
             result = run_sharded_config(
                 compiled.config, run_days, shards=shards,
-                label=compiled.label, configure=compiled.configure)
+                label=compiled.label)
         else:
-            result = run_config(
-                compiled.config, run_days, label=compiled.label,
-                configure=compiled.configure)
+            result = run_config(compiled.config, run_days,
+                                label=compiled.label)
         slo = evaluate(policy, obs.get_timeseries())
         report = _build_report(scenario, compiled, result, run_days,
                                seed, shards, slo, policy)

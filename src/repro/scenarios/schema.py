@@ -10,9 +10,9 @@ style (unknown keys rejected with the valid list, every error prefixed
 by its section path, list entries by index), and an exact
 ``from_dict(to_dict(s)) == s`` round trip for every scenario.
 
-Compilation to a runnable :class:`~repro.core.config.SystemConfig` +
-configure hook lives in :mod:`repro.scenarios.compile` (an experiments-
-rank module); this module imports only foundation layers.
+Compilation to a runnable :class:`~repro.core.config.SystemConfig`
+lives in :mod:`repro.scenarios.compile` (an experiments-rank module);
+this module imports only foundation layers.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ class PopulationSpec:
 
     #: Player count (overrides the testbed's); None keeps the testbed's.
     players: int | None = None
-    #: Daily participant cap (``SimState.daily_participants``).
+    #: Daily participant cap (``SystemConfig.workload``).
     daily_participants: int | None = None
     #: Day-of-week participation multipliers (7 entries, the
-    #: ``forecast.diurnal`` weekly shape feeding ``weekly_weights``).
+    #: ``forecast.diurnal`` weekly shape).
     weekly_weights: tuple[float, ...] | None = None
     #: Per-region start-subcycle shifts (timezone profile), one entry
     #: per datacenter region, cycled when shorter.

@@ -208,25 +208,11 @@ class Process(Event):
 class Environment:
     """The simulation environment: clock plus event queue."""
 
-    def __init__(self, initial_time: float = 0.0,
-                 trace_steps: bool = False) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self.events_processed = 0
-        self._trace_steps = trace_steps
-        self._step_log = obs.get_logger(__name__) if trace_steps else None
-        # Bound once: step() is the hottest loop in the repo, so it pays
-        # one no-op call when observability is disabled, not a registry
-        # lookup.  Registered with the obs binding registry, so the
-        # counter follows enable()/disable() even for environments
-        # constructed before the switch flipped.
-        obs.bind_instruments(self)
-
-    def rebind_instruments(self) -> None:
-        """Re-fetch construction-bound instruments (obs switch flip)."""
-        self._obs_events = obs.get_registry().counter(
-            "repro_des_events_total")
 
     @property
     def now(self) -> float:
@@ -265,10 +251,6 @@ class Environment:
             raise EmptySchedule() from None
 
         self.events_processed += 1
-        self._obs_events.inc()
-        if self._trace_steps:
-            self._step_log.debug("des step", extra=obs.kv(
-                t=self._now, event=type(event).__name__))
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -283,7 +265,8 @@ class Environment:
 
         ``until`` may be ``None`` (run to exhaustion), a time (run up to
         that instant), or an :class:`Event` (run until it is processed and
-        return its value).
+        return its value).  The events this call processed are added to
+        ``repro_des_events_total`` once, when it returns or raises.
         """
         stop: Optional[Event] = None
         if until is not None:
@@ -303,6 +286,7 @@ class Environment:
                 self.schedule(stop, priority=URGENT, delay=horizon - self._now)
                 stop.callbacks.append(self._stop_callback)
 
+        processed = self.events_processed
         try:
             while True:
                 self.step()
@@ -313,6 +297,9 @@ class Environment:
                 raise RuntimeError(
                     "no more events scheduled but the until-event never fired")
             return None
+        finally:
+            obs.get_registry().counter("repro_des_events_total").inc(
+                self.events_processed - processed)
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

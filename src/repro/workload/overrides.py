@@ -1,0 +1,180 @@
+"""A run's workload overrides: one frozen value on ``SystemConfig``.
+
+§4.1 drives every experiment through workload settings (daily
+participants, the 30 %/70 % start split, the 50/30/20 duration mix,
+and for Figs. 13–15 arrival rates); the scenario DSL adds game mixes,
+timezone offsets, a quality ceiling, downlink caps and flash crowds.
+:class:`WorkloadOverrides` holds all of them, as
+``SystemConfig.workload``.  The config is the only place a run's
+workload lives, so a sharded partition, a resumed run and a fresh run
+all read the same value, and a checkpoint carries it inside its
+serialized config.
+
+Every field defaults to "no override"; the all-default value leaves
+every baseline bit-identical.  The sweep (``core.sweep``) and
+:class:`FlashCrowdStage` read it from ``state.config.workload``, and
+scoring applies the downlink cap where it gathers the receivers'
+download rates — no population is mutated.
+
+Foundation rank: imports only ``workload`` and ``forecast`` leaves.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+
+import numpy as np
+
+from ..forecast.diurnal import DiurnalPattern
+from .churn import DayPlans, DurationMixture, StartTimeModel
+from .games import (GAME_CATALOGUE, draw_weighted, random_game,
+                    under_ceiling, weighted_catalogue)
+
+__all__ = ["FlashCrowdStage", "WorkloadOverrides", "set_arrival_rates"]
+
+_GAMES_BY_NAME = {game.name: game for game in GAME_CATALOGUE}
+
+
+@dataclass(frozen=True)
+class FlashCrowdStage:
+    """Inject ``players`` extra joiners at one (day, subcycle).
+
+    A ``SUBCYCLE_STAGES`` hook: ``stage_scenario`` runs it every
+    subcycle, between faults and arrivals, and it acts only at its own
+    coordinates.  Joiners are drawn (without replacement, from the
+    dedicated ``scenario-flash-{day}-{subcycle}`` stream, so every
+    baseline stream stays untouched) among players with no plan today —
+    neither a session in the table nor a pending start — and queued
+    into ``ctx.starts`` for this very subcycle, after any organic plans
+    already starting then, so ``stage_arrivals`` walks them through the
+    ordinary §3.2.2 join path against the post-fault directory.  A
+    joiner's game follows the day's game rules: the workload's game mix
+    when it has one (a uniform catalogue draw otherwise), and never
+    above its quality ceiling.
+    """
+
+    day: int
+    subcycle: int
+    players: int
+    duration_hours: float = 2.0
+    #: Game every crowd member plays (catalogue name); None keeps each
+    #: joiner's day game and draws one for players without one.
+    game: str | None = None
+
+    def __call__(self, state, ctx) -> None:
+        if ctx.day != self.day or ctx.subcycle != self.subcycle:
+            return
+        rng = state.rng_factory.stream(
+            f"scenario-flash-{self.day}-{self.subcycle}")
+        busy = [ctx.sessions.players()]
+        busy.extend(plans.player for plans in ctx.starts.values())
+        idle = np.setdiff1d(np.arange(state.topology.num_players),
+                            np.concatenate(busy)).tolist()
+        if not idle:
+            return
+        count = min(self.players, len(idle))
+        chosen = rng.choice(len(idle), size=count, replace=False)
+        joiners = [idle[index] for index in np.sort(chosen).tolist()]
+        workload = state.config.workload
+        weights = workload.game_weights
+        mix = None if weights is None else weighted_catalogue(dict(weights))
+        games = state.games
+        for player in joiners:
+            if self.game is not None:
+                game = _GAMES_BY_NAME[self.game]
+            elif player in games:
+                game = games[player]
+            elif mix is None:
+                game = random_game(rng)
+            else:
+                game = draw_weighted(rng, *mix)
+            games[player] = under_ceiling(game, workload.quality_ceiling)
+        crowd = DayPlans.of(joiners, self.subcycle, self.duration_hours)
+        queued = ctx.starts.get(self.subcycle)
+        ctx.starts[self.subcycle] = (crowd if queued is None
+                                     else queued.append(crowd))
+
+
+@dataclass(frozen=True)
+class WorkloadOverrides:
+    """The workload overrides of one run; every field optional.
+
+    In a sharded run every partition carries the same value, so the
+    participant count and each flash crowd apply per region.
+    """
+
+    #: Players drawn to play each day (None: everyone plays).
+    daily_participants: int | None = None
+    #: Day-of-week multipliers of ``daily_participants`` (7 entries).
+    weekly_weights: tuple[float, ...] | None = None
+    #: (short, medium, long) play-duration shares (None: 50/30/20).
+    duration_shares: tuple[float, float, float] | None = None
+    #: Share of starts outside the evening peak (None: 30 %).
+    offpeak_share: float | None = None
+    #: ``(game name, weight)`` pairs replacing the social game choice.
+    game_weights: tuple[tuple[str, float], ...] | None = None
+    #: Per-region start-subcycle shifts (timezone profiles), one entry
+    #: per datacenter region, cycled when shorter.
+    start_offsets: tuple[int, ...] | None = None
+    #: Quality-ladder ceiling: no session streams above this level.
+    quality_ceiling: int | None = None
+    #: Cap on every player's download rate (Mbit/s) when scored.
+    downlink_cap_mbps: float | None = None
+    #: Scripted join spikes, run in this order every subcycle.
+    flash_crowds: tuple[FlashCrowdStage, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Fail at config build, not on the first day's draw.
+        self.durations()
+        self.start_times()
+
+    def durations(self) -> DurationMixture:
+        """The daily play-duration mixture."""
+        if self.duration_shares is None:
+            return DurationMixture()
+        return DurationMixture(*self.duration_shares)
+
+    def start_times(self) -> StartTimeModel:
+        """The start-subcycle model."""
+        if self.offpeak_share is None:
+            return StartTimeModel()
+        return StartTimeModel(offpeak_share=self.offpeak_share)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "WorkloadOverrides":
+        """Rebuild from ``dataclasses.asdict`` output, JSON-decoded or
+        not (lists back to tuples, crowds back to stages)."""
+        values = {item.name: data[item.name] for item in fields(cls)}
+        for name in ("weekly_weights", "duration_shares", "start_offsets"):
+            if values[name] is not None:
+                values[name] = tuple(values[name])
+        if values["game_weights"] is not None:
+            values["game_weights"] = tuple(
+                (name, weight) for name, weight in values["game_weights"])
+        values["flash_crowds"] = tuple(
+            FlashCrowdStage(**crowd) for crowd in values["flash_crowds"])
+        return cls(**values)
+
+
+def set_arrival_rates(offpeak_per_min: float, peak_per_min: float
+                      ) -> WorkloadOverrides:
+    """The workload that drives participation from arrival rates
+    (Figs. 13-15).
+
+    Off-peak joiners arrive over 19 subcycles, peak joiners over 5;
+    the start-time split follows from the two rates.
+    """
+    if offpeak_per_min < 0 or peak_per_min < 0:
+        raise ValueError("arrival rates must be non-negative")
+    offpeak_total = offpeak_per_min * 60.0 * 19.0
+    peak_total = peak_per_min * 60.0 * 5.0
+    total = offpeak_total + peak_total
+    if total <= 0:
+        raise ValueError("at least one arrival rate must be positive")
+    # Arrival-driven participation follows the weekly pattern the
+    # paper's forecasting premise rests on ([36, 37]): weekends run
+    # hotter, midweek cooler.
+    return WorkloadOverrides(
+        daily_participants=int(round(total)),
+        weekly_weights=tuple(DiurnalPattern().daily_weights.tolist()),
+        offpeak_share=offpeak_total / total)

@@ -56,12 +56,7 @@ def test_eq16_validation():
 
 def test_provisioner_window_arithmetic():
     provisioner = Provisioner(average_capacity=5.0, window_hours=4)
-    assert provisioner.windows_per_day == 6
     assert provisioner.windows_per_week == 42
-    assert provisioner.window_of_hour(0) == 0
-    assert provisioner.window_of_hour(23) == 5
-    with pytest.raises(ValueError):
-        provisioner.window_of_hour(24)
     with pytest.raises(ValueError):
         Provisioner(average_capacity=5.0, window_hours=5)  # 5 does not divide 24
 
@@ -94,11 +89,11 @@ def test_provisioner_minimum_floor():
     assert provisioner.target_supernodes() == 3
 
 
-def make_pool(supported, upload_mbps=None):
+def make_pool(supported):
     size = len(supported)
     pool = SupernodePool(
         host_player=list(range(size)), capacity=[5] * size,
-        upload_mbps=upload_mbps or [10.0] * size, access_ms=[4.0] * size)
+        upload_mbps=[10.0] * size, access_ms=[4.0] * size)
     pool.supported_total[:] = supported
     return pool
 
@@ -114,26 +109,3 @@ def test_choose_deployment_prefers_busy_supernodes():
             counts[sid] += 1
     assert counts[0] > counts[7]
     assert counts[0] > counts[4]
-
-
-def test_eq6_gate_filters_unprofitable_candidates():
-    """§3.1.2: with a provider model, G_s(j) <= 0 candidates never deploy."""
-    from repro.economics.incentives import IncentiveModel
-    from repro.economics.provider import ProviderModel
-
-    # Rewards scale with upload, so over-provisioned candidates whose
-    # reward bill swamps the bandwidth revenue fail the Eq.-6 gate.
-    model = ProviderModel(stream_rate_mbps=1.0, revenue_per_mbps_hour=1.0,
-                          incentives=IncentiveModel(reward_per_gb=1.0))
-    provisioner = Provisioner(average_capacity=5.0, provider_model=model)
-    # Row 0 uploads 10 Mbit/s; row 1's 500 Mbit/s reward swamps revenue.
-    pool = make_pool([10, 99], upload_mbps=[10.0, 500.0])
-    assert provisioner.deployment_worthwhile(5, 10.0)
-    assert not provisioner.deployment_worthwhile(5, 500.0)
-    rng = np.random.default_rng(0)
-    assert provisioner.choose_deployment(pool, 2, rng) == [0]
-
-
-def test_no_provider_model_passes_everyone():
-    provisioner = Provisioner(average_capacity=5.0)
-    assert provisioner.deployment_worthwhile(5, 10_000.0)

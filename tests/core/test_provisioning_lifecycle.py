@@ -5,6 +5,7 @@ import pytest
 from repro.core import (CloudFogSystem, StrategyFlags, cloudfog_advanced,
                         cloudfog_basic, sweep)
 from repro.core.lifecycle import bring_online, take_offline
+from repro.workload.overrides import WorkloadOverrides
 
 
 def provisioning_only(**overrides):
@@ -67,10 +68,11 @@ def test_fixed_mode_never_changes_live_set():
 def test_provisioned_target_tracks_population():
     """More daily participants => more supernodes deployed."""
     def live_after(participants):
-        config = provisioning_only(num_players=400, num_supernodes=4,
-                                   provisioning_window_hours=8, seed=2)
+        config = provisioning_only(
+            num_players=400, num_supernodes=4, provisioning_window_hours=8,
+            seed=2,
+            workload=WorkloadOverrides(daily_participants=participants))
         system = CloudFogSystem(config)
-        system.daily_participants = participants
         system.run(days=8)
         return len(system.live_supernodes)
 

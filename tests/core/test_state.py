@@ -1,5 +1,5 @@
-"""Tests for repro.core.state: SimState construction, workload knobs,
-and the shared path-latency helpers."""
+"""Tests for repro.core.state: SimState construction, the arrival-rate
+workload, and the shared path-latency helpers."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from repro.core.state import (
     cloud_one_way_ms,
     deploy,
     player_supernode_ms,
-    set_arrival_rates,
 )
+from repro.workload.overrides import set_arrival_rates
 
 from ..network import topology_oracle
 
@@ -55,32 +55,34 @@ def test_deploy_keeps_live_ids_consistent():
 
 
 def test_set_arrival_rates_drive_participation():
-    system = CloudFogSystem(cloudfog_basic(**SMALL))
-    system.set_arrival_rates(offpeak_per_min=0.05, peak_per_min=0.2)
+    workload = set_arrival_rates(offpeak_per_min=0.05, peak_per_min=0.2)
     # 0.05*60*19 + 0.2*60*5 = 57 + 60 = 117 participants baseline.
-    assert system.daily_participants == 117
+    assert workload.daily_participants == 117
+    assert workload.offpeak_share == 57 / 117
+    system = CloudFogSystem(cloudfog_basic(**SMALL, workload=workload))
     result = system.run(days=2)
     assert all(d.online_players <= 150 for d in result.days)
     with pytest.raises(ValueError):
-        system.set_arrival_rates(-1.0, 1.0)
+        set_arrival_rates(-1.0, 1.0)
     with pytest.raises(ValueError):
-        system.set_arrival_rates(0.0, 0.0)
+        set_arrival_rates(0.0, 0.0)
 
 
 def test_set_arrival_rates_on_state():
-    state = SimState(cloudfog_basic(**SMALL))
-    set_arrival_rates(state, offpeak_per_min=0.1, peak_per_min=0.1)
-    assert state.daily_participants == int(round(0.1 * 60 * 19
-                                                 + 0.1 * 60 * 5))
-    assert state.weekly_weights is not None
+    """The arrival-rate workload reaches the state through its config."""
+    workload = set_arrival_rates(offpeak_per_min=0.1, peak_per_min=0.1)
+    state = SimState(cloudfog_basic(**SMALL, workload=workload))
+    assert state.config.workload.daily_participants == int(round(
+        0.1 * 60 * 19 + 0.1 * 60 * 5))
+    assert len(state.config.workload.weekly_weights) == 7
 
 
 def test_weekly_weights_modulate_daily_participants():
     from repro.core.sweep import sample_plans
 
-    state = SimState(cloudfog_basic(num_players=2000,
-                                    num_supernodes=12, seed=3))
-    set_arrival_rates(state, offpeak_per_min=0.5, peak_per_min=1.0)
+    state = SimState(cloudfog_basic(
+        num_players=2000, num_supernodes=12, seed=3,
+        workload=set_arrival_rates(offpeak_per_min=0.5, peak_per_min=1.0)))
     rng = np.random.default_rng(0)
     midweek = len(sample_plans(state, rng, day=0))   # weight 0.92
     saturday = len(sample_plans(state, rng, day=5))  # weight 1.12

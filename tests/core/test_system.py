@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.scoring import CDN_COORDINATION_MS
 from repro.core.state import SimState
+from repro.workload.overrides import WorkloadOverrides
 
 SMALL = dict(num_players=150, num_supernodes=12, seed=3)
 
@@ -119,8 +120,8 @@ def test_reputation_accumulates_ratings(basic_result):
 
 
 def test_daily_participants_override():
-    system = CloudFogSystem(cloudfog_basic(**SMALL))
-    system.daily_participants = 30
+    system = CloudFogSystem(cloudfog_basic(
+        **SMALL, workload=WorkloadOverrides(daily_participants=30)))
     result = system.run(days=2)
     assert all(d.online_players <= 30 for d in result.days)
 
@@ -142,8 +143,8 @@ def test_facade_exposes_shared_state():
 
 def test_facade_attribute_writes_reach_state():
     system = CloudFogSystem(cloudfog_basic(**SMALL))
-    system.daily_participants = 42
-    assert system.state.daily_participants == 42
+    system.provisioner = None
+    assert system.state.provisioner is None
     live = list(range(len(system.supernode_pool)))
     system.live_supernodes = live
     assert system.state.live_supernodes is live

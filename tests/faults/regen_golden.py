@@ -17,8 +17,8 @@ from repro.core.config import cloudfog_advanced, cloudfog_basic
 from repro.faults.plan import (AdmissionPolicy, FaultEvent, FaultPlan,
                                HealingPolicy)
 from repro.persist import SnapshotEncoder
-from repro.scenarios.hooks import FlashCrowdStage, ScenarioConfigurator
 from repro.sim.cycles import Schedule
+from repro.workload.overrides import FlashCrowdStage, WorkloadOverrides
 
 from ..helpers.golden import fault_summary_digest, run_result_digest
 
@@ -76,27 +76,26 @@ CHAOS_SCENARIOS = {
 #: weighted game mix under a quality ceiling, a flash crowd queued onto
 #: a peak subcycle that already holds organic starts, and an admission
 #: cap, so arrivals commit join by join and shed cloud joins.
-SCENARIO_WORKLOAD = ScenarioConfigurator(
+SCENARIO_WORKLOAD = WorkloadOverrides(
     daily_participants=170,
     game_weights=(("ArenaStrike", 3.0), ("WarBanner", 1.0),
                   ("EmpireForge", 1.0), ("KingdomSaga", 2.0)),
     start_offsets=(0, 3, 21, 0, 7),
     quality_ceiling=4,
-    stages=(FlashCrowdStage(day=2, subcycle=21, players=50),
-            FlashCrowdStage(day=1, subcycle=22, players=20,
-                            duration_hours=0.5, game="BladeDuel")))
+    flash_crowds=(FlashCrowdStage(day=2, subcycle=21, players=50),
+                  FlashCrowdStage(day=1, subcycle=22, players=20,
+                                  duration_hours=0.5, game="BladeDuel")))
 
 #: Three days, the last two measured, so both crowds land in the digest.
 SCENARIO_WORKLOAD_CONFIG = SCENARIOS["cloudfog_advanced"].with_(
     schedule=Schedule(days=3, warmup_days=1),
-    fault_plan=FaultPlan(admission=AdmissionPolicy(max_cloud_sessions=25)))
+    fault_plan=FaultPlan(admission=AdmissionPolicy(max_cloud_sessions=25)),
+    workload=SCENARIO_WORKLOAD)
 
 
 def run_scenario_workload():
-    """The ``scenario_workload`` run: its config under its hook."""
-    system = CloudFogSystem(SCENARIO_WORKLOAD_CONFIG)
-    SCENARIO_WORKLOAD(system.state)
-    return system.run()
+    """The ``scenario_workload`` run: its config, workload included."""
+    return CloudFogSystem(SCENARIO_WORKLOAD_CONFIG).run()
 
 
 #: Checkpoint state payloads pinned at the day-1 boundary: a plain

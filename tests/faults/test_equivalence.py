@@ -44,11 +44,11 @@ GOLDEN = {
     "scenario_workload_faults":
         "face2738a57bc42581f97144dbcf5b3329253ddc0b1172fa656aefd5c33281b8",
     "state_cloudfog_advanced":
-        "e35c7d9dab995e5a8bafd55214d9f28e1464a965454f3c94fb984de86f295892",
+        "163bd9fcc48b1fe286c26abbc4e6f3178a49d21e85cefdd93f763abe3f32a9ce",
     "state_chaos_advanced":
-        "0374c7194e52fa5b6c11202cdc2255e71255eea79ba8548220127e750f131e2e",
+        "4b3d2f60a2467b3138cded069b3c24136a017bb8a3e7eefd4d06445c483e6832",
     "state_chaos_domains":
-        "734d4f41f95e599d8975e6d22c72689c29e21377bf45c3dbfdea57c393a9a00e",
+        "f3f1074cca152687f5dbfe5424957c27ea9ffdc7e31ba71bfe4008393c69cc0e",
 }
 
 

@@ -12,14 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def assert_supernode_bookkeeping(state, loads=None, subcycle=None) -> None:
+def assert_supernode_bookkeeping(state, loads=None, subcycle=None,
+                                 sessions=None) -> None:
     """The live list, the pool, the directory and the caches agree.
 
     * the pool's ``online`` column names exactly the live list;
     * directory answers and candidate lists name only live nodes;
     * dead nodes hold nobody;
     * no node holds, or is charged this subcycle's load of, more
-      sessions than its capacity.
+      sessions than its capacity;
+    * every player a node holds has an active session row on that node
+      that has not ended before ``subcycle`` (the sweep is the only
+      path that connects a player, and departures disconnect it), so a
+      crash always finds a live session to re-home.
     """
     pool = state.supernode_pool
     live = state.live_supernodes
@@ -32,6 +37,14 @@ def assert_supernode_bookkeeping(state, loads=None, subcycle=None) -> None:
         if sid not in live_ids:
             assert held == 0, f"dead supernode {sid} holds {held}"
         assert held <= capacity[sid]
+        if sessions is not None:
+            cols = sessions.columns
+            for player in pool.connected[sid]:
+                assert cols.active[player] == 1 \
+                    and cols.supernode_id[player] == sid \
+                    and cols.end_subcycle[player] >= subcycle, \
+                    f"supernode {sid} holds player {player} without " \
+                    f"a live session on it"
     if loads is not None and subcycle is not None:
         for sid in live:
             row = loads.row(sid)
@@ -52,7 +65,8 @@ def bookkeeping_stage(log: list | None = None):
     so a test can tell the stage ran.
     """
     def stage(state, ctx) -> None:
-        assert_supernode_bookkeeping(state, ctx.loads, ctx.subcycle)
+        assert_supernode_bookkeeping(state, ctx.loads, ctx.subcycle,
+                                     ctx.sessions)
         if log is not None:
             log.append((ctx.day, ctx.subcycle, len(state.live_supernodes)))
 

@@ -141,16 +141,3 @@ def test_environment_counts_even_when_disabled():
 def _two_timeouts(env):
     yield env.timeout(1.0)
     yield env.timeout(2.0)
-
-
-def test_environment_step_tracing_logs(capsys):
-    import io
-
-    stream = io.StringIO()
-    obs.configure_logging("debug", stream=stream)
-    env = Environment(trace_steps=True)
-    env.process(_two_timeouts(env))
-    env.run()
-    output = stream.getvalue()
-    assert "des step" in output
-    assert "event=Timeout" in output

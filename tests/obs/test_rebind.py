@@ -1,16 +1,11 @@
-"""Satellite pin: instruments bind at construction time, so flipping the
-global switch must *re*-bind already-constructed hot-path objects.
+"""The DES event counter follows the observability switch.
 
-Before the rebind registry existed, an ``Environment`` built while
-observability was off kept its null counter forever — enabling obs
-mid-session silently dropped its DES-event counts.  These tests pin the
-fix: :func:`repro.obs.bind_instruments` re-binds on every enable/disable
-flip, and the registry holds weak references so short-lived objects
-(one ``Environment`` per join) do not accumulate.
+``Environment.run`` adds the events it processed to
+``repro_des_events_total`` of the registry that is live when it
+returns, so an ``Environment`` built before an ``enable`` is counted,
+one run after a ``disable`` touches no dead registry, and each
+``enable`` starts from a fresh count.
 """
-
-import gc
-import weakref
 
 from repro import obs
 from repro.sim.engine import Environment
@@ -55,12 +50,3 @@ def test_each_enable_gets_a_fresh_registry():
     assert second is not first
     assert first.counter("repro_des_events_total").value == first_count
     assert second.counter("repro_des_events_total").value > 0
-
-
-def test_bound_objects_are_weakly_held():
-    obs.enable()
-    env = Environment()
-    ref = weakref.ref(env)
-    del env
-    gc.collect()
-    assert ref() is None, "bind_instruments must not keep objects alive"

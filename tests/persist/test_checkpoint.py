@@ -150,7 +150,7 @@ def test_latest_valid_checkpoint_skips_corrupt_snapshots(tmp_path):
 def test_schema_3_checkpoint_is_refused(tmp_path):
     """A schema-3 file (the state still carrying its own
     ``fault_outcomes`` ledger) is refused by version, never restored."""
-    assert SCHEMA_VERSION == 4
+    assert SCHEMA_VERSION == 5
     hook = Checkpointer(tmp_path / "run", every=1)
     CloudFogSystem(BASELINE).run(days=1, on_day_end=hook.on_day_end)
     payload = read_checkpoint(hook.path_for(0))
@@ -161,6 +161,24 @@ def test_schema_3_checkpoint_is_refused(tmp_path):
         "manifest": {"day": 0, "payload_sha256": payload_digest(payload)},
         "payload": payload}, sort_keys=True))
     with pytest.raises(CheckpointVersionError, match="version 3"):
+        resume_run(old)
+
+
+def test_schema_4_checkpoint_is_refused(tmp_path):
+    """A schema-4 file (the state carrying its own ``workload`` member,
+    the config none) is refused by version, never restored."""
+    hook = Checkpointer(tmp_path / "run", every=1)
+    CloudFogSystem(BASELINE).run(days=1, on_day_end=hook.on_day_end)
+    payload = read_checkpoint(hook.path_for(0))
+    del payload["state"]["config"]["workload"]
+    payload["state"]["workload"] = {"daily_participants": None,
+                                    "weekly_weights": None}
+    old = tmp_path / "v4.json"
+    old.write_text(json.dumps({
+        "format": FORMAT_NAME, "schema_version": 4,
+        "manifest": {"day": 0, "payload_sha256": payload_digest(payload)},
+        "payload": payload}, sort_keys=True))
+    with pytest.raises(CheckpointVersionError, match="version 4"):
         resume_run(old)
 
 

@@ -146,9 +146,9 @@ def test_sharded_resume_is_bit_identical(tmp_path, config):
 
 
 def test_scenario_sharded_resume_keeps_the_configure_hook(tmp_path):
-    """A flash crowd installed by ``configure`` must survive a resume
-    through ``resume_sharded``: scenario state is not checkpointed, so the
-    resumed partitions have to re-apply the hook."""
+    """A flash crowd must survive a resume through ``resume_sharded``:
+    it rides in the config's workload, so the rebuilt partitions carry
+    it with no ``configure`` hook at all."""
     compiled = compile_scenario(Scenario.from_dict({
         "version": 1, "name": "resume-crowd", "seed": 5,
         "population": {"daily_participants": 60},
@@ -156,23 +156,22 @@ def test_scenario_sharded_resume_keeps_the_configure_hook(tmp_path):
         "workload": {"flash_crowds": [
             {"day": 2, "subcycle": 20, "players": 40}]}}))
     config, days = compiled.config, compiled.days
-    expected = digests(run_sharded_config(
-        config, days, shards=1, configure=compiled.configure))
-    run_sharded_config(config, days, shards=1, checkpoint_dir=tmp_path,
-                       configure=compiled.configure)
+    expected = digests(run_sharded_config(config, days, shards=1))
+    run_sharded_config(config, days, shards=1, checkpoint_dir=tmp_path)
 
-    def resume(**kwargs):
+    def resume(config):
         # Interrupt after day 0 (the resume re-writes later snapshots).
         for shard_dir in sorted(tmp_path.iterdir()):
             for snapshot in sorted(
                     shard_dir.glob("checkpoint-day*.json"))[1:]:
                 snapshot.unlink()
-        return digests(resume_sharded(config, tmp_path, days=days,
-                                      **kwargs))
+        return digests(resume_sharded(config, tmp_path, days=days))
 
-    assert resume(configure=compiled.configure) == expected
-    # Without the hook the resumed days lose the crowd: the test bites.
-    assert resume() != expected
+    assert resume(config) == expected
+    # A config without the crowd resumes without it: the test bites.
+    crowdless = config.with_(workload=replace(config.workload,
+                                              flash_crowds=()))
+    assert resume(crowdless) != expected
 
 
 def test_sharded_resume_from_missing_dirs_runs_fresh(tmp_path):

@@ -1,4 +1,4 @@
-"""Compilation: scenario documents lower onto SystemConfig + hooks."""
+"""Compilation: scenario documents lower onto one SystemConfig."""
 
 from pathlib import Path
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.scenarios import BUILTIN_SCENARIOS, Scenario, get_scenario
 from repro.scenarios.compile import compile_scenario
-from repro.scenarios.hooks import FlashCrowdStage
+from repro.workload.overrides import FlashCrowdStage
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -21,7 +21,7 @@ def test_every_builtin_compiles(name):
 
 def test_flash_crowds_become_sweep_stages():
     compiled = compile_scenario(get_scenario("esports-final"))
-    stages = compiled.configure.stages
+    stages = compiled.config.workload.flash_crowds
     assert len(stages) == 2
     assert all(isinstance(stage, FlashCrowdStage) for stage in stages)
     assert stages[0].day == 2 and stages[0].subcycle == 20
@@ -88,21 +88,44 @@ def test_missing_faults_ref_is_an_actionable_error():
         compile_scenario(scenario, base_dir=EXAMPLES)
 
 
-def test_configurator_installs_the_scenario_seams():
+def test_configurator_installs_the_scenario_seams(monkeypatch):
+    """The config carries the streaming limits and the flash crowds; a
+    built state installs the crowds as its scenario stages, and the
+    downlink cap applies where scoring reads the links, so the
+    population itself is never mutated."""
+    from repro.core import sweep
+    from repro.core.scoring import gather_session_params
     from repro.core.system import CloudFogSystem
 
     compiled = compile_scenario(get_scenario("mobile-thin-clients"))
+    assert compiled.configure is None
+    workload = compiled.config.workload
+    assert workload.quality_ceiling == 2
+    assert workload.downlink_cap_mbps == 1.5
     system = CloudFogSystem(compiled.config)
-    assert system.state.quality_ceiling is None  # untouched by default
-    compiled.configure(system.state)
-    assert system.state.quality_ceiling == 2
     links = system.state.topology.player_links.download_mbps
-    assert links.max() <= 1.5
+    assert links.max() > 1.5
+    scored = {}
+    real = sweep.score_sessions
+
+    def spy(state, day, sessions, loads, cloud_rate, rng):
+        scored["receiver"] = gather_session_params(
+            state, sessions, loads, cloud_rate).receiver_mbps
+        return real(state, day, sessions, loads, cloud_rate, rng)
+
+    monkeypatch.setattr(sweep, "score_sessions", spy)
+    system.run(days=1)
+    assert 0 < scored["receiver"].max() <= 1.5
+    assert links.max() > 1.5
+    crowds = compile_scenario(get_scenario("esports-final")).config
+    assert CloudFogSystem(crowds).state.scenario_stages \
+        == crowds.workload.flash_crowds
 
 
 def test_configurator_is_picklable_for_sharded_workers():
+    """Worker processes receive the config, workload value included."""
     import pickle
 
     for name in BUILTIN_SCENARIOS:
-        configure = compile_scenario(get_scenario(name)).configure
-        assert pickle.loads(pickle.dumps(configure)) == configure
+        config = compile_scenario(get_scenario(name)).config
+        assert pickle.loads(pickle.dumps(config)) == config

@@ -1,27 +1,27 @@
 """Flash-crowd joiners follow the day's game rules.
 
-A crowd member without a day game draws one: from the scenario game mix
-when ``state.game_weights`` is set, uniformly from the catalogue
-otherwise, and every joiner's game is held under
-``state.quality_ceiling``.
+A crowd member without a day game draws one: from the workload's game
+mix when it has one, uniformly from the catalogue otherwise, and every
+joiner's game is held under the workload's quality ceiling.
 """
 
 from types import SimpleNamespace
 
 from repro.core.config import cloudfog_basic
 from repro.core.state import SessionTable, SimState
-from repro.scenarios.hooks import FlashCrowdStage
 from repro.workload.games import GAME_CATALOGUE
+from repro.workload.overrides import FlashCrowdStage, WorkloadOverrides
 
 CROWD = FlashCrowdStage(day=0, subcycle=20, players=150)
 
 
 def run_crowd(game_weights=None, quality_ceiling=None, crowd=CROWD):
     """Fire ``crowd`` on a fresh state; return its joiners' games."""
-    state = SimState(cloudfog_basic(num_players=200, num_supernodes=6,
-                                    seed=4))
-    state.game_weights = game_weights
-    state.quality_ceiling = quality_ceiling
+    weights = None if game_weights is None else tuple(game_weights.items())
+    state = SimState(cloudfog_basic(
+        num_players=200, num_supernodes=6, seed=4,
+        workload=WorkloadOverrides(game_weights=weights,
+                                   quality_ceiling=quality_ceiling)))
     ctx = SimpleNamespace(day=crowd.day, subcycle=crowd.subcycle,
                           sessions=SessionTable(200), starts={})
     crowd(state, ctx)

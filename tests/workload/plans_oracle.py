@@ -68,17 +68,18 @@ def sample_plans(state, rng: np.random.Generator,
                  day: int = 0) -> list[PlayerDayPlan]:
     """``sweep.sample_plans``: participants, plans, timezone shift."""
     n = state.topology.num_players
-    if state.daily_participants is not None:
+    workload = state.config.workload
+    if workload.daily_participants is not None:
         weight = 1.0
-        if state.weekly_weights is not None:
-            weight = float(state.weekly_weights[day % 7])
-        count = min(n, int(round(state.daily_participants * weight)))
+        if workload.weekly_weights is not None:
+            weight = float(workload.weekly_weights[day % 7])
+        count = min(n, int(round(workload.daily_participants * weight)))
         players = rng.choice(n, size=max(1, count), replace=False)
     else:
         players = np.arange(n)
-    plans = sample_day_plans(rng, players, state.duration_mixture,
-                             state.start_times)
-    offsets = state.start_offsets
+    plans = sample_day_plans(rng, players, workload.durations(),
+                             workload.start_times())
+    offsets = workload.start_offsets
     if offsets:
         hours = state.config.schedule.hours_per_day
         nearest = state.nearest_dc

@@ -53,19 +53,23 @@ def plan_states(draw):
         st.tuples(st.integers(0, 4), st.integers(0, 4),
                   st.integers(1, 4)).map(
             lambda w: DurationMixture(*(x / sum(w) for x in w)))))
-    return SimpleNamespace(
-        topology=SimpleNamespace(num_players=n),
+    starts = StartTimeModel(
+        offpeak_share=draw(st.floats(min_value=0.0, max_value=1.0)))
+    workload = SimpleNamespace(
         daily_participants=draw(st.one_of(
             st.none(), st.integers(min_value=0, max_value=n + 10))),
         weekly_weights=draw(st.one_of(
             st.none(), st.lists(st.floats(0.0, 1.5), min_size=7,
                                 max_size=7).map(np.array))),
-        duration_mixture=durations,
-        start_times=StartTimeModel(
-            offpeak_share=draw(st.floats(min_value=0.0, max_value=1.0))),
-        start_offsets=offsets,
-        config=SimpleNamespace(schedule=SimpleNamespace(
-            hours_per_day=draw(st.integers(min_value=12, max_value=24)))),
+        durations=lambda: durations,
+        start_times=lambda: starts,
+        start_offsets=offsets)
+    return SimpleNamespace(
+        topology=SimpleNamespace(num_players=n),
+        config=SimpleNamespace(
+            schedule=SimpleNamespace(hours_per_day=draw(
+                st.integers(min_value=12, max_value=24))),
+            workload=workload),
         nearest_dc=np.array(draw(st.lists(
             st.integers(min_value=0, max_value=num_dcs - 1),
             min_size=n, max_size=n)), dtype=np.int64))

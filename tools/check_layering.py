@@ -16,7 +16,7 @@ only modules at its own rank or below::
      40  repro.core.accounting
      30  repro.core.state
      10  repro.core.*               (leaf modules: config, entities, …)
-     10  repro.scenarios.*          (schema/hooks/library leaves)
+     10  repro.scenarios.*          (schema/library leaves)
       0  everything else            (foundation: network, sim, obs, …)
 
 An import whose target ranks *above* the importer is an upward import —
@@ -50,7 +50,7 @@ RANKS = {
     "repro.scenarios.compile": 100,  # builds variant configs
     "repro.scenarios.run": 100,      # drives experiments.runner
     "repro.core.system": 90,
-    # repro.scenarios itself (schema/hooks/library) stays foundation:
+    # repro.scenarios itself (schema/library) stays foundation:
     # it may import only workload/streaming/faults leaves, so the
     # sweep's stage_scenario hook point never pulls experiments in.
     "repro.scenarios": 10,
