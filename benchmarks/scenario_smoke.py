@@ -6,8 +6,12 @@ The CI ``scenario-smoke`` job runs this script and fails unless
    ``.toml``) parses, round-trips exactly through ``to_dict`` and
    compiles to a runnable config;
 2. every built-in of the scenario library runs end to end and its JSON
-   report carries measured days, sessions and an SLO verdict; and
-3. the whole sweep stays inside the wall budget.
+   report carries measured days, sessions and an SLO verdict;
+3. ``python -m repro scenario validate`` refuses a handful of bad
+   documents — one bad value per workload section, one bad flash crowd
+   and one unknown ``infrastructure.overrides`` key — with exit 1 and a
+   single ``invalid: <document path>: …`` line, no traceback; and
+4. the whole sweep stays inside the wall budget.
 
 Run standalone::
 
@@ -19,15 +23,35 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import subprocess
 import sys
+import tempfile
 import time
 
 from repro.scenarios import BUILTIN_SCENARIOS, Scenario, load_scenario
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.run import run_scenario
 
-EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
+
+#: Bad documents for phase 3: the section each one breaks, the
+#: document path its error must start with.
+BAD_DOCUMENTS = [
+    ({"population": {"weekly_weights": [1.0, 1.0]}},
+     "population.weekly_weights:"),
+    ({"workload": {"duration_shares": [0.9, 0.9, 0.9]}},
+     "workload.duration_shares:"),
+    ({"streaming": {"quality_ceiling": 9}}, "streaming.quality_ceiling:"),
+    ({"workload": {"flash_crowds": [
+        {"day": 1, "subcycle": 20, "players": 5},
+        {"day": 1, "subcycle": 0, "players": 5}]}},
+     "workload.flash_crowds[1].subcycle:"),
+    ({"infrastructure": {"overrides": {"num_supernodez": 3}}},
+     "infrastructure.overrides:"),
+]
 
 
 def check_examples() -> list[str]:
@@ -79,6 +103,31 @@ def check_builtins(seed: int | None) -> list[str]:
     return failures
 
 
+def check_bad_documents() -> list[str]:
+    """Phase 3: the CLI refuses each bad document with one clean line."""
+    failures = []
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, (sections, path) in enumerate(BAD_DOCUMENTS):
+            document = pathlib.Path(tmp) / f"bad{index}.json"
+            document.write_text(json.dumps(
+                {"version": 1, "name": f"bad{index}", **sections}))
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "scenario", "validate",
+                 str(document)], capture_output=True, text=True, env=env)
+            lines = proc.stderr.strip().splitlines()
+            if proc.returncode != 1 or len(lines) != 1 \
+                    or not lines[0].startswith(f"invalid: {path}"):
+                failures.append(
+                    f"bad document {path} exited {proc.returncode} "
+                    f"with stderr {proc.stderr.strip()!r}")
+                continue
+            print(f"bad document {path} refused: ok")
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=None,
@@ -90,6 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     failures = check_examples()
     failures += check_builtins(args.seed)
+    failures += check_bad_documents()
     wall = time.perf_counter() - t0
     print(f"wall: {wall:.1f}s (budget {args.budget:.0f}s)")
     if wall > args.budget:

@@ -20,7 +20,7 @@ Experiments-rank module: imports ``repro.experiments`` freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ..core.config import SystemConfig
@@ -28,7 +28,6 @@ from ..experiments.runner import VARIANTS, variant_config
 from ..experiments.testbeds import Testbed, peersim, planetlab
 from ..faults.plan import load_fault_plan
 from ..sim.cycles import Schedule
-from ..workload.overrides import FlashCrowdStage, WorkloadOverrides
 from .schema import SCENARIO_VARIANTS, Scenario
 
 __all__ = ["CompiledScenario", "compile_scenario"]
@@ -37,6 +36,14 @@ assert set(SCENARIO_VARIANTS) == set(VARIANTS), \
     "schema.SCENARIO_VARIANTS drifted from experiments.runner.VARIANTS"
 
 _TESTBEDS = {"peersim": peersim, "planetlab": planetlab}
+
+_CONFIG_FIELDS = {item.name for item in fields(SystemConfig)}
+
+#: Config fields that another part of the document sets, so
+#: ``infrastructure.overrides`` may not.
+_OWNED = {"num_players": "population.players", "seed": "seed",
+          "schedule": "schedule section", "fault_plan": "faults section",
+          "workload": "population, workload and streaming sections"}
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,16 @@ def compile_scenario(scenario: Scenario,
     infra = scenario.infrastructure
     testbed = _TESTBEDS[infra.testbed](infra.scale)
     overrides = dict(infra.overrides)
-    population = scenario.population
-    if population.players is not None:
-        overrides["num_players"] = population.players
+    for key in sorted(overrides):
+        if key not in _CONFIG_FIELDS:
+            raise ValueError(
+                f"infrastructure.overrides: unknown key {key!r}; valid "
+                f"keys: {sorted(_CONFIG_FIELDS - set(_OWNED))}")
+        if key in _OWNED:
+            raise ValueError(f"infrastructure.overrides: {key!r} is set "
+                             f"by the document's {_OWNED[key]}")
+    if scenario.players is not None:
+        overrides["num_players"] = scenario.players
 
     faults = scenario.faults
     if scenario.faults_ref is not None:
@@ -113,32 +127,16 @@ def compile_scenario(scenario: Scenario,
     if schedule is not None:
         overrides["schedule"] = schedule
 
-    workload = scenario.workload
-    streaming = scenario.streaming
     # NB: in sharded runs every partition carries this workload, so a
     # flash-crowd spike injects its player count into *each* region —
     # fixed partitions keep that deterministic across shard counts.
-    overrides["workload"] = WorkloadOverrides(
-        daily_participants=population.daily_participants,
-        weekly_weights=population.weekly_weights,
-        duration_shares=workload.duration_shares,
-        offpeak_share=population.offpeak_share,
-        game_weights=workload.game_weights,
-        start_offsets=population.start_offsets,
-        quality_ceiling=streaming.quality_ceiling,
-        downlink_cap_mbps=streaming.downlink_cap_mbps,
-        flash_crowds=tuple(
-            FlashCrowdStage(day=crowd.day, subcycle=crowd.subcycle,
-                            players=crowd.players,
-                            duration_hours=crowd.duration_hours,
-                            game=crowd.game)
-            for crowd in workload.flash_crowds))
+    overrides["workload"] = scenario.workload
 
     config = variant_config(infra.variant, testbed,
                             seed if seed is not None else scenario.seed,
                             **overrides)
-    if streaming.rate_adaptation is not None:
+    if scenario.rate_adaptation is not None:
         config = config.with_(strategies=replace(
-            config.strategies, rate_adaptation=streaming.rate_adaptation))
+            config.strategies, rate_adaptation=scenario.rate_adaptation))
     return CompiledScenario(scenario=scenario, testbed=testbed,
                             config=config, days=config.schedule.days)

@@ -4,11 +4,18 @@ A *scenario* is one JSON (or TOML) document that composes everything a
 run needs — population shape, workload mix, infrastructure/variant,
 faults, streaming constraints and economics knobs — the workload-library
 answer to the ROADMAP's "as many scenarios as you can imagine".  This
-module is the pure data layer: frozen section dataclasses, strict
-``from_dict`` parsing in the :meth:`repro.faults.plan.FaultPlan.from_dict`
-style (unknown keys rejected with the valid list, every error prefixed
-by its section path, list entries by index), and an exact
-``from_dict(to_dict(s)) == s`` round trip for every scenario.
+module is the pure data layer: strict ``from_dict`` parsing in the
+:meth:`repro.faults.plan.FaultPlan.from_dict` style (unknown keys
+rejected with the valid list, every error prefixed by its document
+path, list entries by index), and an exact ``from_dict(to_dict(s)) ==
+s`` round trip for every scenario.
+
+The ``population``, ``workload`` and ``streaming`` sections parse
+straight into one :class:`~repro.workload.overrides.WorkloadOverrides`
+value, ``Scenario.workload``: one table, :data:`SECTION_OF`, places
+each of its fields in a section, and ``repro.workload.overrides``
+checks them.  The other sections (infrastructure, economics, schedule)
+are frozen dataclasses here.
 
 Compilation to a runnable :class:`~repro.core.config.SystemConfig`
 lives in :mod:`repro.scenarios.compile` (an experiments-rank module);
@@ -18,18 +25,15 @@ this module imports only foundation layers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
 from ..faults.plan import FaultPlan
-from ..streaming.adaptation import clamped_ladder
-from ..workload.churn import DurationMixture
-from ..workload.games import GAME_CATALOGUE
+from ..workload.overrides import FlashCrowdStage, WorkloadOverrides
 
 __all__ = ["SCHEMA_VERSION", "SCENARIO_VARIANTS", "TESTBED_NAMES",
-           "PopulationSpec", "FlashCrowdSpec", "WorkloadSpec",
-           "InfrastructureSpec", "StreamingSpec", "EconomicsSpec",
+           "SECTION_OF", "InfrastructureSpec", "EconomicsSpec",
            "ScheduleSpec", "Scenario", "load_scenario"]
 
 #: The schema version this parser accepts.
@@ -44,8 +48,6 @@ SCENARIO_VARIANTS = ("Cloud", "CDN-small", "CDN", "CloudFog/B",
 
 #: Testbed presets of :mod:`repro.experiments.testbeds`.
 TESTBED_NAMES = ("peersim", "planetlab")
-
-_GAME_NAMES = tuple(game.name for game in GAME_CATALOGUE)
 
 
 def _require_keys(section: str, payload: Mapping, valid: tuple) -> None:
@@ -75,198 +77,75 @@ def _opt_positive_float(section: str, name: str, value) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# sections
+# the workload sections
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PopulationSpec:
-    """Population size, participation and diurnal/timezone shape."""
+#: The document section of every key the three workload sections hold,
+#: in document order.  All but ``players`` and ``rate_adaptation`` are
+#: :class:`~repro.workload.overrides.WorkloadOverrides` fields, which
+#: parse straight into ``Scenario.workload`` and are checked there.
+SECTION_OF = {
+    "players": "population",
+    "daily_participants": "population",
+    "weekly_weights": "population",
+    "start_offsets": "population",
+    "offpeak_share": "population",
+    "game_weights": "workload",
+    "duration_shares": "workload",
+    "flash_crowds": "workload",
+    "quality_ceiling": "streaming",
+    "downlink_cap_mbps": "streaming",
+    "rate_adaptation": "streaming",
+}
 
-    #: Player count (overrides the testbed's); None keeps the testbed's.
-    players: int | None = None
-    #: Daily participant cap (``SystemConfig.workload``).
-    daily_participants: int | None = None
-    #: Day-of-week participation multipliers (7 entries, the
-    #: ``forecast.diurnal`` weekly shape).
-    weekly_weights: tuple[float, ...] | None = None
-    #: Per-region start-subcycle shifts (timezone profile), one entry
-    #: per datacenter region, cycled when shorter.
-    start_offsets: tuple[int, ...] | None = None
-    #: Share of starts outside the evening peak (``workload.churn``).
-    offpeak_share: float | None = None
+#: The document's sections, in document order.
+_SECTIONS = ("population", "workload", "infrastructure", "streaming",
+             "economics", "schedule")
 
-    _KEYS = ("players", "daily_participants", "weekly_weights",
-             "start_offsets", "offpeak_share")
+#: The section keys that are ``Scenario`` fields, not workload fields.
+_SCENARIO_KEYS = ("players", "rate_adaptation")
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "PopulationSpec":
-        section = "population"
-        _require_keys(section, payload, cls._KEYS)
-        weights = payload.get("weekly_weights")
-        if weights is not None:
-            if len(weights) != 7:
-                raise ValueError(f"{section}: weekly_weights needs 7 "
-                                 f"entries (one per weekday), got "
-                                 f"{len(weights)}")
-            if any(w <= 0 for w in weights):
-                raise ValueError(f"{section}: weekly_weights must all be "
-                                 f"positive")
-            weights = tuple(float(w) for w in weights)
-        offsets = payload.get("start_offsets")
-        if offsets is not None:
-            bad = [o for o in offsets
-                   if not isinstance(o, int) or isinstance(o, bool)
-                   or o < 0]
-            if bad or not offsets:
-                raise ValueError(f"{section}: start_offsets must be a "
-                                 f"non-empty list of non-negative "
-                                 f"integer subcycle shifts, got "
-                                 f"{list(offsets)!r}")
-            offsets = tuple(int(o) for o in offsets)
-        offpeak = payload.get("offpeak_share")
-        if offpeak is not None and not 0 <= offpeak <= 1:
-            raise ValueError(f"{section}: offpeak_share must lie in "
-                             f"[0, 1], got {offpeak}")
-        return cls(
-            players=_opt_positive_int(section, "players",
-                                      payload.get("players")),
-            daily_participants=_opt_positive_int(
-                section, "daily_participants",
-                payload.get("daily_participants")),
-            weekly_weights=weights,
-            start_offsets=offsets,
-            offpeak_share=None if offpeak is None else float(offpeak))
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.players is not None:
-            out["players"] = self.players
-        if self.daily_participants is not None:
-            out["daily_participants"] = self.daily_participants
-        if self.weekly_weights is not None:
-            out["weekly_weights"] = list(self.weekly_weights)
-        if self.start_offsets is not None:
-            out["start_offsets"] = list(self.start_offsets)
-        if self.offpeak_share is not None:
-            out["offpeak_share"] = self.offpeak_share
-        return out
+_CROWD_KEYS = tuple(item.name for item in fields(FlashCrowdStage))
+_CROWD_REQUIRED = tuple(item.name for item in fields(FlashCrowdStage)
+                        if item.default is MISSING)
 
 
-@dataclass(frozen=True)
-class FlashCrowdSpec:
-    """One scripted join spike (an esports final, a launch event)."""
-
-    day: int
-    subcycle: int
-    players: int
-    duration_hours: float = 2.0
-    #: Game the crowd plays; None draws per-player from the day's mix.
-    game: str | None = None
-
-    _KEYS = ("day", "subcycle", "players", "duration_hours", "game")
-
-    @classmethod
-    def from_dict(cls, section: str, payload: Mapping) -> "FlashCrowdSpec":
-        _require_keys(section, payload, cls._KEYS)
-        for required in ("day", "subcycle", "players"):
-            if required not in payload:
-                raise ValueError(f"{section}: missing required key "
-                                 f"{required!r}")
-        day = payload["day"]
-        if not isinstance(day, int) or isinstance(day, bool) or day < 0:
-            raise ValueError(f"{section}: day must be a non-negative "
-                             f"integer, got {day!r}")
-        subcycle = payload["subcycle"]
-        if not isinstance(subcycle, int) or subcycle < 1:
-            raise ValueError(f"{section}: subcycle is 1-based, got "
-                             f"{subcycle!r}")
-        game = payload.get("game")
-        if game is not None and game not in _GAME_NAMES:
-            raise ValueError(f"{section}: unknown game {game!r}; one of "
-                             f"{sorted(_GAME_NAMES)}")
-        return cls(
-            day=day, subcycle=subcycle,
-            players=_opt_positive_int(section, "players",
-                                      payload["players"]),
-            duration_hours=_opt_positive_float(
-                section, "duration_hours",
-                payload.get("duration_hours", 2.0)),
-            game=game)
-
-    def to_dict(self) -> dict:
-        out = {"day": self.day, "subcycle": self.subcycle,
-               "players": self.players,
-               "duration_hours": self.duration_hours}
-        if self.game is not None:
-            out["game"] = self.game
-        return out
+def _flash_crowd(path: str, entry) -> FlashCrowdStage:
+    if not isinstance(entry, Mapping):
+        raise ValueError(f"{path}: must be an object")
+    _require_keys(path, entry, _CROWD_KEYS)
+    for key in _CROWD_REQUIRED:
+        if key not in entry:
+            raise ValueError(f"{path}.{key}: missing required key")
+    try:
+        return FlashCrowdStage(**entry)
+    except ValueError as exc:
+        raise ValueError(f"{path}.{exc}") from None
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Game mix, play-duration mixture and scripted flash crowds."""
+def _decode(key: str, value):
+    """A document value as the ``WorkloadOverrides`` argument."""
+    if key == "game_weights":
+        if not isinstance(value, Mapping):
+            raise ValueError(f"{key}: must be an object of per-game "
+                             f"weights, got {value!r}")
+        return tuple(value.items())
+    if key == "flash_crowds":
+        if not isinstance(value, list):
+            raise ValueError(f"{key}: must be a list of crowd objects")
+        return tuple(_flash_crowd(f"{key}[{i}]", entry)
+                     for i, entry in enumerate(value))
+    return value
 
-    #: Per-game sampling weights (replaces the social choice rule).
-    game_weights: tuple[tuple[str, float], ...] | None = None
-    #: (short, medium, long) daily play-duration shares, summing to 1.
-    duration_shares: tuple[float, float, float] | None = None
-    flash_crowds: tuple[FlashCrowdSpec, ...] = ()
 
-    _KEYS = ("game_weights", "duration_shares", "flash_crowds")
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "WorkloadSpec":
-        section = "workload"
-        _require_keys(section, payload, cls._KEYS)
-        weights = payload.get("game_weights")
-        if weights is not None:
-            unknown = sorted(set(weights) - set(_GAME_NAMES))
-            if unknown:
-                raise ValueError(
-                    f"{section}.game_weights: unknown games {unknown}; "
-                    f"valid games: {sorted(_GAME_NAMES)}")
-            if not weights or all(w <= 0 for w in weights.values()):
-                raise ValueError(f"{section}.game_weights: at least one "
-                                 f"game needs positive weight")
-            if any(w < 0 for w in weights.values()):
-                raise ValueError(f"{section}.game_weights: weights must "
-                                 f"be non-negative")
-            # Canonical catalogue order makes the round trip exact.
-            weights = tuple((name, float(weights[name]))
-                            for name in _GAME_NAMES if name in weights)
-        shares = payload.get("duration_shares")
-        if shares is not None:
-            if len(shares) != 3:
-                raise ValueError(f"{section}: duration_shares needs 3 "
-                                 f"entries (short, medium, long), got "
-                                 f"{len(shares)}")
-            shares = tuple(float(s) for s in shares)
-            # DurationMixture re-validates; surface its message with
-            # the section prefix so the author sees where to fix it.
-            try:
-                DurationMixture(*shares)
-            except ValueError as exc:
-                raise ValueError(f"{section}.duration_shares: {exc}") \
-                    from None
-        crowds = []
-        for i, entry in enumerate(payload.get("flash_crowds", ())):
-            if not isinstance(entry, Mapping):
-                raise ValueError(f"{section}.flash_crowds[{i}]: must be "
-                                 f"an object")
-            crowds.append(FlashCrowdSpec.from_dict(
-                f"{section}.flash_crowds[{i}]", entry))
-        return cls(game_weights=weights, duration_shares=shares,
-                   flash_crowds=tuple(crowds))
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.game_weights is not None:
-            out["game_weights"] = dict(self.game_weights)
-        if self.duration_shares is not None:
-            out["duration_shares"] = list(self.duration_shares)
-        if self.flash_crowds:
-            out["flash_crowds"] = [crowd.to_dict()
-                                   for crowd in self.flash_crowds]
-        return out
+def _encode(key: str, value):
+    """A ``WorkloadOverrides`` value as its document form."""
+    if key == "game_weights":
+        return dict(value)
+    if key == "flash_crowds":
+        return [{name: field_value
+                 for name, field_value in asdict(crowd).items()
+                 if field_value is not None} for crowd in value]
+    return list(value) if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -306,63 +185,10 @@ class InfrastructureSpec:
             overrides=tuple(sorted(overrides.items())))
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        if self.testbed != "peersim":
-            out["testbed"] = self.testbed
-        if self.scale != 0.002:
-            out["scale"] = self.scale
-        if self.variant != "CloudFog/A":
-            out["variant"] = self.variant
+        out = {name: value for name in ("testbed", "scale", "variant")
+               if (value := getattr(self, name)) != getattr(type(self), name)}
         if self.overrides:
             out["overrides"] = dict(self.overrides)
-        return out
-
-
-@dataclass(frozen=True)
-class StreamingSpec:
-    """Bandwidth caps and quality-ladder constraints."""
-
-    #: Highest quality-ladder level any session may stream (1-based).
-    quality_ceiling: int | None = None
-    #: Cap every player's downlink at this rate (thin mobile clients).
-    downlink_cap_mbps: float | None = None
-    #: Force §3.3 receiver-driven adaptation on/off (None = variant's).
-    rate_adaptation: bool | None = None
-
-    _KEYS = ("quality_ceiling", "downlink_cap_mbps", "rate_adaptation")
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "StreamingSpec":
-        section = "streaming"
-        _require_keys(section, payload, cls._KEYS)
-        ceiling = payload.get("quality_ceiling")
-        if ceiling is not None:
-            if not isinstance(ceiling, int) or isinstance(ceiling, bool):
-                raise ValueError(f"{section}: quality_ceiling must be an "
-                                 f"integer ladder level, got {ceiling!r}")
-            try:
-                clamped_ladder(ceiling)
-            except ValueError as exc:
-                raise ValueError(f"{section}: {exc}") from None
-        adaptation = payload.get("rate_adaptation")
-        if adaptation is not None and not isinstance(adaptation, bool):
-            raise ValueError(f"{section}: rate_adaptation must be a "
-                             f"boolean, got {adaptation!r}")
-        return cls(
-            quality_ceiling=ceiling,
-            downlink_cap_mbps=_opt_positive_float(
-                section, "downlink_cap_mbps",
-                payload.get("downlink_cap_mbps")),
-            rate_adaptation=adaptation)
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.quality_ceiling is not None:
-            out["quality_ceiling"] = self.quality_ceiling
-        if self.downlink_cap_mbps is not None:
-            out["downlink_cap_mbps"] = self.downlink_cap_mbps
-        if self.rate_adaptation is not None:
-            out["rate_adaptation"] = self.rate_adaptation
         return out
 
 
@@ -423,12 +249,8 @@ class ScheduleSpec:
         return cls(days=days, warmup_days=warmup)
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        if self.days is not None:
-            out["days"] = self.days
-        if self.warmup_days is not None:
-            out["warmup_days"] = self.warmup_days
-        return out
+        return {name: value for name in self._KEYS
+                if (value := getattr(self, name)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +264,21 @@ class Scenario:
     description: str = ""
     version: int = SCHEMA_VERSION
     seed: int = 0
-    population: PopulationSpec = field(default_factory=PopulationSpec)
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
+    #: ``population.players``: the player count; None keeps the
+    #: testbed's.
+    players: int | None = None
+    #: Every workload key of the ``population``, ``workload`` and
+    #: ``streaming`` sections (:data:`SECTION_OF`).
+    workload: WorkloadOverrides = field(default_factory=WorkloadOverrides)
     infrastructure: InfrastructureSpec = field(
         default_factory=InfrastructureSpec)
     #: Inline fault plan, or a ``faults = {"ref": path}`` file reference
     #: resolved relative to the scenario file at compile time.
     faults: FaultPlan | None = None
     faults_ref: str | None = None
-    streaming: StreamingSpec = field(default_factory=StreamingSpec)
+    #: ``streaming.rate_adaptation``: force §3.3 receiver-driven
+    #: adaptation on or off (None keeps the variant's).
+    rate_adaptation: bool | None = None
     economics: EconomicsSpec = field(default_factory=EconomicsSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
 
@@ -496,48 +324,70 @@ class Scenario:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"scenario: seed must be an integer, "
                              f"got {seed!r}")
-        for section in ("population", "workload", "infrastructure",
-                        "streaming", "economics", "schedule"):
+        for section in _SECTIONS:
             value = payload.get(section)
             if value is not None and not isinstance(value, Mapping):
                 raise ValueError(f"{section}: must be an object")
+        workload = {}
+        for section in ("population", "workload", "streaming"):
+            body = payload.get(section, {})
+            _require_keys(section, body, tuple(
+                key for key, home in SECTION_OF.items() if home == section))
+            # One partial value per section, so an error names its
+            # document path: ``population.weekly_weights: …``.
+            try:
+                values = {key: _decode(key, value)
+                          for key, value in body.items()
+                          if key not in _SCENARIO_KEYS}
+                WorkloadOverrides(**values)
+            except ValueError as exc:
+                raise ValueError(f"{section}.{exc}") from None
+            workload.update(values)
+        rate_adaptation = payload.get("streaming", {}).get(
+            "rate_adaptation")
+        if rate_adaptation is not None \
+                and not isinstance(rate_adaptation, bool):
+            raise ValueError(f"streaming: rate_adaptation must be a "
+                             f"boolean, got {rate_adaptation!r}")
         return cls(
             name=payload["name"],
             description=str(payload.get("description", "")),
             version=payload.get("version", SCHEMA_VERSION),
             seed=seed,
-            population=PopulationSpec.from_dict(
-                payload.get("population", {})),
-            workload=WorkloadSpec.from_dict(payload.get("workload", {})),
+            players=_opt_positive_int(
+                "population", "players",
+                payload.get("population", {}).get("players")),
+            workload=WorkloadOverrides(**workload),
             infrastructure=InfrastructureSpec.from_dict(
                 payload.get("infrastructure", {})),
             faults=faults,
             faults_ref=faults_ref,
-            streaming=StreamingSpec.from_dict(
-                payload.get("streaming", {})),
+            rate_adaptation=rate_adaptation,
             economics=EconomicsSpec.from_dict(
                 payload.get("economics", {})),
             schedule=ScheduleSpec.from_dict(payload.get("schedule", {})))
 
     def to_dict(self) -> dict:
+        sections: dict = {section: {} for section in _SECTIONS}
+        for key, section in SECTION_OF.items():
+            value = getattr(self if key in _SCENARIO_KEYS else self.workload,
+                            key)
+            if value is not None and value != ():
+                sections[section][key] = _encode(key, value)
+        for section in ("infrastructure", "economics", "schedule"):
+            sections[section] = getattr(self, section).to_dict()
         out: dict = {"version": self.version, "name": self.name}
         if self.description:
             out["description"] = self.description
         if self.seed:
             out["seed"] = self.seed
-        for section in ("population", "workload", "infrastructure",
-                        "streaming", "economics", "schedule"):
-            payload = getattr(self, section).to_dict()
-            if payload:
-                out[section] = payload
+        out.update((section, body) for section, body in sections.items()
+                   if body)
         if self.faults is not None:
             out["faults"] = self.faults.to_dict()
         elif self.faults_ref is not None:
             out["faults"] = {"ref": self.faults_ref}
         return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -25,29 +25,11 @@ from typing import Sequence
 
 from .video import QUALITY_LADDER, QualityLevel, adjust_up_factor, get_level
 
-__all__ = ["Adjustment", "RateController", "DEFAULT_ADJUST_DOWN_THRESHOLD",
-           "clamped_ladder"]
+__all__ = ["Adjustment", "RateController", "DEFAULT_ADJUST_DOWN_THRESHOLD"]
 
 #: Default adjust-down threshold theta (>= 1 per Eq. 12); the evaluation
 #: section's default setting.
 DEFAULT_ADJUST_DOWN_THRESHOLD = 1.5
-
-
-def clamped_ladder(max_level: int,
-                   ladder: Sequence[QualityLevel] = QUALITY_LADDER
-                   ) -> tuple[QualityLevel, ...]:
-    """The ladder truncated at ``max_level`` (1-based, inclusive).
-
-    The scenario layer's quality-ceiling override: a bandwidth-capped
-    deployment simply never offers the levels above the ceiling, so
-    adaptation (and the Eq. 11 beta it derives) operates on the short
-    ladder.  Raises for a level outside ``ladder``.
-    """
-    if not 1 <= max_level <= len(ladder):
-        raise ValueError(
-            f"quality ceiling must lie in [1, {len(ladder)}], "
-            f"got {max_level}")
-    return tuple(ladder[:max_level])
 
 
 class Adjustment(Enum):

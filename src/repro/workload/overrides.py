@@ -10,13 +10,23 @@ workload lives, so a sharded partition, a resumed run and a fresh run
 all read the same value, and a checkpoint carries it inside its
 serialized config.
 
+This module is also the one schema and the one validator of that
+value.  :class:`WorkloadOverrides` and :class:`FlashCrowdStage` check
+every field at construction, whoever builds them — code,
+:func:`set_arrival_rates`, a checkpoint's config or a scenario
+document — and store it in one canonical form (tuples, floats, game
+weights in catalogue order).  Each error names its field first
+(``weekly_weights: …``), so the scenario parser only prefixes the
+document section.
+
 Every field defaults to "no override"; the all-default value leaves
 every baseline bit-identical.  The sweep (``core.sweep``) and
 :class:`FlashCrowdStage` read it from ``state.config.workload``, and
 scoring applies the downlink cap where it gathers the receivers'
 download rates — no population is mutated.
 
-Foundation rank: imports only ``workload`` and ``forecast`` leaves.
+Foundation rank: imports only ``workload``, ``forecast`` and
+``streaming.video`` leaves.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..forecast.diurnal import DiurnalPattern
+from ..streaming.video import QUALITY_LADDER
 from .churn import DayPlans, DurationMixture, StartTimeModel
 from .games import (GAME_CATALOGUE, draw_weighted, random_game,
                     under_ceiling, weighted_catalogue)
@@ -33,6 +44,37 @@ from .games import (GAME_CATALOGUE, draw_weighted, random_game,
 __all__ = ["FlashCrowdStage", "WorkloadOverrides", "set_arrival_rates"]
 
 _GAMES_BY_NAME = {game.name: game for game in GAME_CATALOGUE}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive_int(name: str, value) -> int:
+    if not _is_int(value) or value <= 0:
+        raise ValueError(f"{name}: must be a positive integer, "
+                         f"got {value!r}")
+    return value
+
+
+def _positive_float(name: str, value) -> float:
+    if not _is_number(value) or not value > 0:
+        raise ValueError(f"{name}: must be a positive number, "
+                         f"got {value!r}")
+    return float(value)
+
+
+def _entries(name: str, value, count: int | None = None) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name}: must be a list, got {value!r}")
+    if count is not None and len(value) != count:
+        raise ValueError(f"{name}: needs {count} entries, "
+                         f"got {len(value)}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -60,6 +102,20 @@ class FlashCrowdStage:
     #: Game every crowd member plays (catalogue name); None keeps each
     #: joiner's day game and draws one for players without one.
     game: str | None = None
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.day) or self.day < 0:
+            raise ValueError(f"day: must be a non-negative integer, "
+                             f"got {self.day!r}")
+        if not _is_int(self.subcycle) or self.subcycle < 1:
+            raise ValueError(f"subcycle: is 1-based, got "
+                             f"{self.subcycle!r}")
+        _positive_int("players", self.players)
+        object.__setattr__(self, "duration_hours", _positive_float(
+            "duration_hours", self.duration_hours))
+        if self.game is not None and self.game not in _GAMES_BY_NAME:
+            raise ValueError(f"game: unknown game {self.game!r}; one of "
+                             f"{sorted(_GAMES_BY_NAME)}")
 
     def __call__(self, state, ctx) -> None:
         if ctx.day != self.day or ctx.subcycle != self.subcycle:
@@ -95,6 +151,95 @@ class FlashCrowdStage:
                                      else queued.append(crowd))
 
 
+def _weekly_weights(name: str, weights) -> tuple[float, ...]:
+    weights = _entries(name, weights, 7)
+    if not all(_is_number(w) and w > 0 for w in weights):
+        raise ValueError(f"{name}: must all be positive numbers, "
+                         f"got {list(weights)!r}")
+    return tuple(float(w) for w in weights)
+
+
+def _duration_shares(name: str, shares) -> tuple[float, float, float]:
+    shares = _entries(name, shares, 3)
+    if not all(_is_number(share) for share in shares):
+        raise ValueError(f"{name}: must be numbers, got {list(shares)!r}")
+    shares = tuple(float(share) for share in shares)
+    try:
+        DurationMixture(*shares)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    return shares
+
+
+def _share(name: str, share) -> float:
+    if not _is_number(share) or not 0 <= share <= 1:
+        raise ValueError(f"{name}: must lie in [0, 1], got {share!r}")
+    return float(share)
+
+
+def _game_weights(name: str, pairs) -> tuple[tuple[str, float], ...]:
+    pairs = _entries(name, pairs)
+    if not all(isinstance(pair, (list, tuple)) and len(pair) == 2
+               and isinstance(pair[0], str) for pair in pairs):
+        raise ValueError(f"{name}: entries must be (game name, weight) "
+                         f"pairs, got {list(pairs)!r}")
+    weights = dict(pairs)
+    if len(weights) != len(pairs):
+        raise ValueError(f"{name}: a game appears more than once")
+    unknown = sorted(set(weights) - set(_GAMES_BY_NAME))
+    if unknown:
+        raise ValueError(f"{name}: unknown games {unknown}; valid games: "
+                         f"{sorted(_GAMES_BY_NAME)}")
+    if not all(_is_number(w) and w >= 0 for w in weights.values()):
+        raise ValueError(f"{name}: weights must be non-negative numbers")
+    if not any(w > 0 for w in weights.values()):
+        raise ValueError(f"{name}: at least one game needs positive "
+                         f"weight")
+    # Catalogue order: one canonical value however the pairs were given.
+    return tuple((game, float(weights[game])) for game in _GAMES_BY_NAME
+                 if game in weights)
+
+
+def _start_offsets(name: str, offsets) -> tuple[int, ...]:
+    offsets = _entries(name, offsets)
+    if not offsets or not all(_is_int(o) and o >= 0 for o in offsets):
+        raise ValueError(f"{name}: must be a non-empty list of "
+                         f"non-negative integer subcycle shifts, got "
+                         f"{list(offsets)!r}")
+    return offsets
+
+
+def _quality_ceiling(name: str, level) -> int:
+    if not _is_int(level) or not 1 <= level <= len(QUALITY_LADDER):
+        raise ValueError(f"{name}: must be a ladder level in "
+                         f"[1, {len(QUALITY_LADDER)}], got {level!r}")
+    return level
+
+
+def _flash_crowds(name: str, crowds) -> tuple[FlashCrowdStage, ...]:
+    crowds = _entries(name, crowds)
+    for crowd in crowds:
+        if not isinstance(crowd, FlashCrowdStage):
+            raise ValueError(f"{name}: entries must be FlashCrowdStage "
+                             f"values, got {crowd!r}")
+    return crowds
+
+
+#: The check of every field, run on each value that is not None; each
+#: returns the field's canonical form.
+_CHECKS = {
+    "daily_participants": _positive_int,
+    "weekly_weights": _weekly_weights,
+    "duration_shares": _duration_shares,
+    "offpeak_share": _share,
+    "game_weights": _game_weights,
+    "start_offsets": _start_offsets,
+    "quality_ceiling": _quality_ceiling,
+    "downlink_cap_mbps": _positive_float,
+    "flash_crowds": _flash_crowds,
+}
+
+
 @dataclass(frozen=True)
 class WorkloadOverrides:
     """The workload overrides of one run; every field optional.
@@ -124,9 +269,12 @@ class WorkloadOverrides:
     flash_crowds: tuple[FlashCrowdStage, ...] = ()
 
     def __post_init__(self) -> None:
-        # Fail at config build, not on the first day's draw.
-        self.durations()
-        self.start_times()
+        # Fail at config build, not mid-run.
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if value is not None:
+                object.__setattr__(self, item.name,
+                                   _CHECKS[item.name](item.name, value))
 
     def durations(self) -> DurationMixture:
         """The daily play-duration mixture."""
@@ -143,14 +291,9 @@ class WorkloadOverrides:
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadOverrides":
         """Rebuild from ``dataclasses.asdict`` output, JSON-decoded or
-        not (lists back to tuples, crowds back to stages)."""
+        not (the checks turn lists back into tuples; crowds become
+        stages here)."""
         values = {item.name: data[item.name] for item in fields(cls)}
-        for name in ("weekly_weights", "duration_shares", "start_offsets"):
-            if values[name] is not None:
-                values[name] = tuple(values[name])
-        if values["game_weights"] is not None:
-            values["game_weights"] = tuple(
-                (name, weight) for name, weight in values["game_weights"])
         values["flash_crowds"] = tuple(
             FlashCrowdStage(**crowd) for crowd in values["flash_crowds"])
         return cls(**values)

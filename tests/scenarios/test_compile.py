@@ -129,3 +129,31 @@ def test_configurator_is_picklable_for_sharded_workers():
     for name in BUILTIN_SCENARIOS:
         config = compile_scenario(get_scenario(name)).config
         assert pickle.loads(pickle.dumps(config)) == config
+
+
+def _with_overrides(overrides: dict) -> Scenario:
+    return Scenario.from_dict({
+        "version": 1, "name": "t",
+        "infrastructure": {"overrides": overrides},
+        "schedule": {"days": 2, "warmup_days": 1}})
+
+
+def test_unknown_infrastructure_override_is_refused():
+    with pytest.raises(ValueError,
+                       match=r"^infrastructure\.overrides: unknown key "
+                             r"'num_supernodez'"):
+        compile_scenario(_with_overrides({"num_supernodez": 3}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 3),
+    ("num_players", 50),
+    ("schedule", None),
+    ("fault_plan", None),
+    ("workload", None),
+])
+def test_infrastructure_overrides_may_not_set_other_sections(key, value):
+    with pytest.raises(ValueError,
+                       match=rf"^infrastructure\.overrides: '{key}' is set "
+                             rf"by the document's"):
+        compile_scenario(_with_overrides({key: value}))

@@ -99,6 +99,16 @@ def test_cli_validate_rejects_malformed_files(tmp_path, capsys):
     assert "workload.flash_crowds[0]" in err
 
 
+def test_cli_validate_rejects_unknown_config_overrides(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({
+        "version": 1, "name": "typo",
+        "infrastructure": {"overrides": {"num_supernodez": 3}}}))
+    assert scenario_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: infrastructure.overrides: unknown key")
+
+
 def test_cli_validate_rejects_unknown_names(capsys):
     assert scenario_main(["validate", "no-such-scenario"]) == 1
     assert "unknown scenario" in capsys.readouterr().err

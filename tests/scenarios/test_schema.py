@@ -1,12 +1,16 @@
 """Scenario schema: strict parsing, indexed errors, exact round trips."""
 
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.faults.plan import FaultPlan
-from repro.scenarios import BUILTIN_SCENARIOS, Scenario, load_scenario
+from repro.scenarios import (BUILTIN_SCENARIOS, SECTION_OF, Scenario,
+                             load_scenario)
+from repro.workload.overrides import WorkloadOverrides
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -27,7 +31,8 @@ def test_every_builtin_round_trips_exactly(name):
 
 def test_round_trip_through_json_text():
     scenario = BUILTIN_SCENARIOS["regional-isp-outage"]
-    assert Scenario.from_dict(json.loads(scenario.to_json())) == scenario
+    text = json.dumps(scenario.to_dict())
+    assert Scenario.from_dict(json.loads(text)) == scenario
 
 
 @pytest.mark.parametrize("example", ["esports_final.toml",
@@ -65,14 +70,14 @@ def test_future_version_is_rejected():
 
 def test_weekly_weights_must_have_seven_entries():
     with pytest.raises(ValueError,
-                       match="population: weekly_weights needs 7"):
+                       match=r"population\.weekly_weights: needs 7"):
         Scenario.from_dict(minimal(
             population={"weekly_weights": [1.0, 1.0]}))
 
 
 def test_offpeak_share_must_be_a_share():
     with pytest.raises(ValueError,
-                       match=r"population: offpeak_share must lie in "
+                       match=r"population\.offpeak_share: must lie in "
                              r"\[0, 1\]"):
         Scenario.from_dict(minimal(population={"offpeak_share": 1.5}))
 
@@ -89,14 +94,14 @@ def test_flash_crowd_errors_carry_their_index():
     crowds = [{"day": 1, "subcycle": 2, "players": 5},
               {"day": 1, "subcycle": 2}]
     with pytest.raises(ValueError,
-                       match=r"workload\.flash_crowds\[1\]: missing "
-                             r"required key 'players'"):
+                       match=r"workload\.flash_crowds\[1\]\.players: "
+                             r"missing required key"):
         Scenario.from_dict(minimal(workload={"flash_crowds": crowds}))
 
 
 def test_flash_crowd_subcycle_is_one_based():
     with pytest.raises(ValueError,
-                       match=r"workload\.flash_crowds\[0\]: subcycle is "
+                       match=r"workload\.flash_crowds\[0\]\.subcycle: is "
                              r"1-based"):
         Scenario.from_dict(minimal(workload={"flash_crowds": [
             {"day": 1, "subcycle": 0, "players": 5}]}))
@@ -119,9 +124,35 @@ def test_unknown_testbed_and_variant_are_rejected():
 
 def test_quality_ceiling_must_fit_the_ladder():
     with pytest.raises(ValueError,
-                       match=r"streaming: quality ceiling must lie in "
-                             r"\[1, 5\], got 9"):
+                       match=r"streaming\.quality_ceiling: must be a "
+                             r"ladder level in \[1, 5\], got 9"):
         Scenario.from_dict(minimal(streaming={"quality_ceiling": 9}))
+
+
+@pytest.mark.parametrize("section, body, path", [
+    ("population", {"start_offsets": [0, -3]}, "population.start_offsets"),
+    ("population", {"daily_participants": 0},
+     "population.daily_participants"),
+    ("workload", {"game_weights": [["ArenaStrike", 1.0]]},
+     "workload.game_weights"),
+    ("workload", {"flash_crowds": [{"day": 1, "subcycle": 2, "players": 5,
+                                    "game": "Tetris"}]},
+     "workload.flash_crowds[0].game"),
+    ("streaming", {"downlink_cap_mbps": -1.5},
+     "streaming.downlink_cap_mbps"),
+])
+def test_workload_errors_name_their_document_path(section, body, path):
+    with pytest.raises(ValueError, match=re.escape(path + ":")):
+        Scenario.from_dict(minimal(**{section: body}))
+
+
+def test_every_workload_field_has_one_document_section():
+    workload_keys = {key for key in SECTION_OF
+                     if key not in ("players", "rate_adaptation")}
+    assert workload_keys == {item.name
+                             for item in fields(WorkloadOverrides)}
+    assert set(SECTION_OF.values()) == {"population", "workload",
+                                        "streaming"}
 
 
 def test_schedule_warmup_must_leave_a_measured_day():
