@@ -4,19 +4,29 @@ The paper prevents bitrate fluctuation by adjusting only after the
 trigger condition holds for several consecutive estimates.  This
 ablation runs the event-level session under congestion with hysteresis
 1 / 3 / 6 and reports the number of level adjustments and the resulting
-continuity and bitrate.
+continuity and bitrate.  A run's closed-form estimator has no
+hysteresis, so the session here is the frozen discrete-event oracle in
+``tests/streaming/event_session_oracle.py``.
 
 Expected: the rule trades *reaction speed* for stability — a larger
 hysteresis reacts later (lower continuity during the congested onset,
 higher average bitrate) while never increasing the adjustment count.
 """
 
+import pathlib
+import sys
+
 import numpy as np
 
 from repro.metrics.tables import ResultTable
 from repro.network.transport import PathSpec, TransportModel
-from repro.streaming.session import SessionConfig, simulate_session
 from repro.workload.games import game_for_level
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
+from tests.streaming.event_session_oracle import (  # noqa: E402
+    SessionConfig,
+    simulate_session,
+)
 
 
 def run_ablation(seed: int = 0, repetitions: int = 8):

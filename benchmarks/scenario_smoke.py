@@ -8,9 +8,10 @@ The CI ``scenario-smoke`` job runs this script and fails unless
 2. every built-in of the scenario library runs end to end and its JSON
    report carries measured days, sessions and an SLO verdict;
 3. ``python -m repro scenario validate`` refuses a handful of bad
-   documents — one bad value per workload section, one bad flash crowd
-   and one unknown ``infrastructure.overrides`` key — with exit 1 and a
-   single ``invalid: <document path>: …`` line, no traceback; and
+   documents — one bad value per workload section, a malformed flash
+   crowd, a crowd outside the run's days, an unknown and a wrong-typed
+   ``infrastructure.overrides`` value — with exit 1 and a single
+   ``invalid: <document path>: …`` line, no traceback; and
 4. the whole sweep stays inside the wall budget.
 
 Run standalone::
@@ -49,7 +50,12 @@ BAD_DOCUMENTS = [
         {"day": 1, "subcycle": 20, "players": 5},
         {"day": 1, "subcycle": 0, "players": 5}]}},
      "workload.flash_crowds[1].subcycle:"),
+    ({"schedule": {"days": 3}, "workload": {"flash_crowds": [
+        {"day": 9, "subcycle": 30, "players": 5}]}},
+     "workload.flash_crowds[0].day:"),
     ({"infrastructure": {"overrides": {"num_supernodez": 3}}},
+     "infrastructure.overrides:"),
+    ({"infrastructure": {"overrides": {"num_supernodes": "many"}}},
      "infrastructure.overrides:"),
 ]
 

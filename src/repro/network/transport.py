@@ -39,10 +39,6 @@ class PathSpec:
         if self.sender_share_mbps <= 0 or self.receiver_download_mbps <= 0:
             raise ValueError("path bandwidths must be positive")
 
-    @property
-    def bottleneck_mbps(self) -> float:
-        return min(self.sender_share_mbps, self.receiver_download_mbps)
-
 
 @dataclass
 class TransportModel:
@@ -133,31 +129,6 @@ class TransportModel:
         mbps = self.effective_throughput_mbps(path)
         base_ms = size_bits / (mbps * 1000.0)  # bits / (Mbit/s) -> ms
         return base_ms * self.congestion_factor(utilization)
-
-    def delivery_time_ms(self, size_bits: float, path: PathSpec,
-                         utilization: float = 0.0,
-                         rng: np.random.Generator | None = None) -> float:
-        """Total one-way delivery time of a message of ``size_bits``."""
-        total = path.one_way_latency_ms + self.serialization_ms(
-            size_bits, path, utilization)
-        if rng is not None and self.jitter_fraction > 0:
-            total *= float(rng.uniform(1.0 - self.jitter_fraction,
-                                       1.0 + self.jitter_fraction))
-        return total
-
-    def delivery_times_ms(self, size_bits: float, path: PathSpec,
-                          count: int, utilization: float = 0.0,
-                          rng: np.random.Generator | None = None) -> np.ndarray:
-        """Vectorised delivery times for ``count`` equal-size packets."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        base = path.one_way_latency_ms + self.serialization_ms(
-            size_bits, path, utilization)
-        times = np.full(count, base, dtype=np.float64)
-        if rng is not None and self.jitter_fraction > 0:
-            times *= rng.uniform(1.0 - self.jitter_fraction,
-                                 1.0 + self.jitter_fraction, size=count)
-        return times
 
     def sample_losses(self, count: int, utilization: float,
                       rng: np.random.Generator) -> np.ndarray:

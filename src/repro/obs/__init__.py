@@ -40,10 +40,6 @@ Instrumented code always fetches the current objects at call time::
     with obs.get_tracer().span("run_day", day=day):
         obs.get_registry().counter("repro_joins_total", kind="cloud").inc()
 
-The DES event loop, the one very hot path, adds its processed-event
-count to its counter once per ``Environment.run`` call instead of once
-per event.
-
 Telemetry survives checkpoint/resume: :func:`capture_telemetry` dumps
 the accumulated time series and event log into the checkpoint payload
 and :func:`restore_telemetry` reloads them into the live objects on

@@ -20,8 +20,9 @@ Experiments-rank module: imports ``repro.experiments`` freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from ..core.config import SystemConfig
 from ..experiments.runner import VARIANTS, variant_config
@@ -37,7 +38,8 @@ assert set(SCENARIO_VARIANTS) == set(VARIANTS), \
 
 _TESTBEDS = {"peersim": peersim, "planetlab": planetlab}
 
-_CONFIG_FIELDS = {item.name for item in fields(SystemConfig)}
+#: Config field -> its resolved type, for the override checks.
+_CONFIG_TYPES = get_type_hints(SystemConfig)
 
 #: Config fields that another part of the document sets, so
 #: ``infrastructure.overrides`` may not.
@@ -84,6 +86,46 @@ def _build_schedule(scenario: Scenario, hours_default: Schedule
     return replace(hours_default, days=days, warmup_days=warmup)
 
 
+def _check_override_type(key: str, value) -> None:
+    """Refuse an override whose value the config field cannot hold.
+
+    A document's scalars arrive untyped; ``SystemConfig`` checks ranges,
+    not types, so a string count would fail deep in its validation.
+    Integers may stand in for floats; booleans are not integers here.
+    """
+    hint = _CONFIG_TYPES[key]
+    allowed = get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    if (isinstance(value, bool) and bool not in allowed) \
+            or not isinstance(value, allowed):
+        expected = " or ".join(
+            "None" if kind is type(None) else kind.__name__
+            for kind in allowed)
+        raise ValueError(f"infrastructure.overrides: {key} must be "
+                         f"{expected}, got {value!r}")
+
+
+def _check_flash_crowds(config: SystemConfig) -> None:
+    """Refuse a flash crowd the compiled schedule can never reach.
+
+    Crowd coordinates are checked for shape when the workload is built;
+    only here, against the run's days and subcycles, can a crowd past
+    the last day or hour be seen.
+    """
+    schedule = config.schedule
+    for index, crowd in enumerate(config.workload.flash_crowds):
+        path = f"workload.flash_crowds[{index}]"
+        if crowd.day >= schedule.days:
+            raise ValueError(
+                f"{path}.day: {crowd.day} is past the last day "
+                f"({schedule.days - 1}) of a {schedule.days}-day run")
+        if crowd.subcycle > schedule.hours_per_day:
+            raise ValueError(
+                f"{path}.subcycle: {crowd.subcycle} is past the last "
+                f"subcycle of a {schedule.hours_per_day}-hour day")
+
+
 def compile_scenario(scenario: Scenario,
                      base_dir: str | Path | None = None,
                      seed: int | None = None) -> CompiledScenario:
@@ -100,13 +142,14 @@ def compile_scenario(scenario: Scenario,
     testbed = _TESTBEDS[infra.testbed](infra.scale)
     overrides = dict(infra.overrides)
     for key in sorted(overrides):
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_TYPES:
             raise ValueError(
                 f"infrastructure.overrides: unknown key {key!r}; valid "
-                f"keys: {sorted(_CONFIG_FIELDS - set(_OWNED))}")
+                f"keys: {sorted(set(_CONFIG_TYPES) - set(_OWNED))}")
         if key in _OWNED:
             raise ValueError(f"infrastructure.overrides: {key!r} is set "
                              f"by the document's {_OWNED[key]}")
+        _check_override_type(key, overrides[key])
     if scenario.players is not None:
         overrides["num_players"] = scenario.players
 
@@ -138,5 +181,6 @@ def compile_scenario(scenario: Scenario,
     if scenario.rate_adaptation is not None:
         config = config.with_(strategies=replace(
             config.strategies, rate_adaptation=scenario.rate_adaptation))
+    _check_flash_crowds(config)
     return CompiledScenario(scenario=scenario, testbed=testbed,
                             config=config, days=config.schedule.days)

@@ -9,45 +9,16 @@ game's response latency, we consider this user as a satisfied player."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 __all__ = [
     "SATISFIED_CONTINUITY_THRESHOLD",
-    "packet_continuity",
     "is_satisfied",
     "satisfied_ratio",
-    "ContinuityStats",
 ]
 
 #: A player is satisfied when at least this share of packets is on time.
 SATISFIED_CONTINUITY_THRESHOLD = 0.95
-
-
-def packet_continuity(response_latencies_ms: Sequence[float] | np.ndarray,
-                      budget_ms: float,
-                      lost_mask: Sequence[bool] | np.ndarray | None = None
-                      ) -> float:
-    """Fraction of packets whose response latency met the budget.
-
-    Lost packets (``lost_mask`` true) count as missed regardless of the
-    recorded latency.  An empty packet set has continuity 1.0 (an idle
-    stream misses nothing).
-    """
-    if budget_ms <= 0:
-        raise ValueError(f"budget must be positive, got {budget_ms}")
-    latencies = np.asarray(response_latencies_ms, dtype=np.float64)
-    if latencies.size == 0:
-        return 1.0
-    on_time = latencies <= budget_ms
-    if lost_mask is not None:
-        lost = np.asarray(lost_mask, dtype=bool)
-        if lost.shape != latencies.shape:
-            raise ValueError("lost_mask must match latencies in shape")
-        on_time = on_time & ~lost
-    return float(on_time.mean())
 
 
 def is_satisfied(continuity: float,
@@ -66,28 +37,3 @@ def satisfied_ratio(continuities: Iterable[float],
         return 0.0
     return sum(1 for c in values if is_satisfied(c, threshold)) / len(values)
 
-
-@dataclass(frozen=True)
-class ContinuityStats:
-    """Aggregate continuity outcome of one streaming session."""
-
-    packets_total: int
-    packets_on_time: int
-    stall_events: int
-    total_stall_s: float
-
-    def __post_init__(self) -> None:
-        if self.packets_total < 0 or self.packets_on_time < 0:
-            raise ValueError("packet counts must be non-negative")
-        if self.packets_on_time > self.packets_total:
-            raise ValueError("on-time packets cannot exceed total packets")
-
-    @property
-    def continuity(self) -> float:
-        if self.packets_total == 0:
-            return 1.0
-        return self.packets_on_time / self.packets_total
-
-    @property
-    def satisfied(self) -> bool:
-        return is_satisfied(self.continuity)

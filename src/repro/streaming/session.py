@@ -1,23 +1,17 @@
-"""Streaming sessions: detailed (discrete-event) and fast (estimated).
+"""Streaming sessions: the closed-form continuity estimate of a day.
 
-Two fidelities:
+:func:`estimate_continuity_batch` computes the continuity of a whole
+day's sessions in closed form (stationary adaptation level + sampled
+per-packet delays), one array slot per session.  It is the one
+streaming model a run scores with: hundreds of thousands of sessions
+per run make an event-level session too slow.
 
-* :func:`simulate_session` runs a full discrete-event session on the
-  :mod:`repro.sim` engine: a sender process paces segments at the
-  controller's current quality level through an M/D/1-style sender
-  queue, a receiver updates the playback buffer and the Eq. 8–9
-  estimate, and the rate controller adjusts the level with hysteresis.
-  Per-packet response latencies are recorded against the game's budget.
-  Used by the rate-adaptation ablation bench and example; the Fig. 11
-  sweep scores its sessions with the batch estimator below.
-
-* :func:`estimate_continuity_batch` computes the continuity of a whole
-  day's sessions in closed form (stationary adaptation level + sampled
-  per-packet delays), one array slot per session.  Used by the macro
-  experiments, where hundreds of thousands of sessions per run make the
-  event-level path too slow.  Tests pin it bit for bit against a frozen
-  per-session oracle (``tests/streaming/session_oracle.py``) and check
-  that oracle against the event-level path on clear cases.
+Tests pin it bit for bit against a frozen per-session oracle
+(``tests/streaming/session_oracle.py``).  The discrete-event session
+it approximates (sender queue, playback buffer, §3.3 rate controller
+with hysteresis) is a frozen test oracle too
+(``tests/streaming/event_session_oracle.py``); tests bound the
+estimate's error against it on the sessions a run really scores.
 """
 
 from __future__ import annotations
@@ -26,23 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..network.transport import PathSpec, TransportModel
-from ..sim.engine import Environment
-from .adaptation import RateController
-from .buffer import BufferEstimator, PlaybackBuffer
-from .continuity import SATISFIED_CONTINUITY_THRESHOLD, ContinuityStats
-from .segments import DEFAULT_SEGMENT_SECONDS, Segment
-from .video import (
-    FRAME_RATE_FPS,
-    QUALITY_LADDER,
-    get_level,
-    level_for_latency_requirement,
-)
+from ..network.transport import TransportModel
+from .continuity import SATISFIED_CONTINUITY_THRESHOLD
+from .video import FRAME_RATE_FPS, QUALITY_LADDER
 
-__all__ = ["SessionConfig", "SessionResult", "simulate_session",
-           "BatchSessionOutcome",
-           "estimate_continuity_batch", "initial_levels_batch",
-           "stationary_levels_batch"]
+__all__ = ["BatchSessionOutcome", "estimate_continuity_batch",
+           "initial_levels_batch", "stationary_levels_batch"]
 
 #: Per-level lookup tables (index = level - 1), used by the batch path.
 _LADDER_BITRATE_BPS = np.array([q.bitrate_bps for q in QUALITY_LADDER])
@@ -52,210 +35,6 @@ _LADDER_REQUIREMENTS_MS = np.array([q.latency_requirement_ms
                                     for q in QUALITY_LADDER])
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    """Everything one streaming session needs."""
-
-    #: The game's total response-latency requirement (ms).
-    response_budget_ms: float
-    #: Latency tolerance degree rho of the game (Table 2).
-    tolerance: float
-    #: Downstream delivery path (renderer -> player).
-    path: PathSpec
-    #: Upstream one-way latency of the action leg (player -> cloud), ms.
-    upstream_one_way_ms: float
-    #: Fixed playout + processing delay (ms).
-    processing_ms: float = 20.0
-    #: Sender upload utilisation from concurrently served players.
-    sender_utilization: float = 0.0
-    #: Session length in seconds of video.
-    duration_s: float = 60.0
-    #: Segment duration tau.
-    segment_s: float = DEFAULT_SEGMENT_SECONDS
-    #: Receiver-driven adaptation on/off.
-    adaptive: bool = True
-    #: Adjust-down threshold theta.
-    theta: float = 1.5
-    #: Consecutive estimates required before adjusting.
-    hysteresis: int = 3
-
-    def __post_init__(self) -> None:
-        if self.response_budget_ms <= 0:
-            raise ValueError("response budget must be positive")
-        if self.duration_s <= 0 or self.segment_s <= 0:
-            raise ValueError("durations must be positive")
-        if self.upstream_one_way_ms < 0 or self.processing_ms < 0:
-            raise ValueError("latencies must be non-negative")
-
-    @property
-    def network_budget_ms(self) -> float:
-        """Downstream packet deadline implied by the total budget."""
-        return max(1.0, self.response_budget_ms
-                   - self.upstream_one_way_ms - self.processing_ms)
-
-    def initial_level(self) -> int:
-        return level_for_latency_requirement(self.response_budget_ms).level
-
-
-@dataclass(frozen=True)
-class SessionResult:
-    """Outcome of one streaming session."""
-
-    stats: ContinuityStats
-    mean_response_latency_ms: float
-    final_level: int
-    mean_bitrate_kbps: float
-    adjustments: int
-
-    @property
-    def continuity(self) -> float:
-        return self.stats.continuity
-
-    @property
-    def satisfied(self) -> bool:
-        return self.stats.satisfied
-
-
-def _packet_delays_ms(segment: Segment, path: PathSpec,
-                      transport: TransportModel, utilization: float,
-                      queue_free_at_ms: float, gen_start_ms: float,
-                      rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Per-packet one-way delays through the sender queue.
-
-    Packets are generated evenly across the segment (one per frame) and
-    serialised FIFO through the sender's upload at the congested service
-    rate; delay = queueing + service + propagation (+ jitter).  Returns
-    (delay array, updated queue-free time).
-    """
-    n = segment.packet_count
-    service_ms = transport.serialization_ms(
-        segment.packet_size_bits, path, utilization)
-    gen_times = gen_start_ms + np.arange(n) * (segment.duration_s * 1000.0 / n)
-    delays = np.empty(n, dtype=np.float64)
-    free_at = queue_free_at_ms
-    for i in range(n):
-        start = max(gen_times[i], free_at)
-        free_at = start + service_ms
-        delays[i] = free_at - gen_times[i] + path.one_way_latency_ms
-    if transport.jitter_fraction > 0:
-        delays *= rng.uniform(1.0 - transport.jitter_fraction,
-                              1.0 + transport.jitter_fraction, size=n)
-    return delays, free_at
-
-
-def simulate_session(config: SessionConfig,
-                     rng: np.random.Generator,
-                     transport: TransportModel | None = None) -> SessionResult:
-    """Run one event-level streaming session and return its QoS."""
-    transport = transport or TransportModel()
-    env = Environment()
-    controller = RateController(
-        initial_level=config.initial_level(),
-        tolerance=config.tolerance,
-        theta=config.theta,
-        hysteresis=config.hysteresis,
-        enabled=config.adaptive,
-    )
-    # The client prebuffers before playback starts; the estimator opens
-    # midway between the adjust-down and adjust-up thresholds so the
-    # controller reacts to sustained rate imbalance, not to a cold start.
-    initial_segment_bits = (get_level(config.initial_level()).bitrate_bps
-                            * config.segment_s)
-    prebuffer_segments = 0.5 * (controller.down_threshold
-                                + controller.up_threshold)
-    estimator = BufferEstimator(
-        size_bits=prebuffer_segments * initial_segment_bits)
-    playback = PlaybackBuffer()
-    playback.add_segment(prebuffer_segments * config.segment_s)
-
-    num_segments = max(1, round(config.duration_s / config.segment_s))
-    response_latencies: list[float] = []
-    losses: list[bool] = []
-    bitrates: list[float] = []
-    state = {"queue_free_ms": 0.0, "last_arrival_ms": 0.0, "epoch": 0}
-
-    def sender(env: Environment):
-        previous_level = controller.level
-        for index in range(num_segments):
-            if controller.level < previous_level:
-                # Adapt-down flushes the stale high-bitrate backlog: the
-                # encoder switches immediately and late frames are
-                # skipped rather than delivered (§3.3: players "prefer
-                # fluent play of the game though the game video gets a
-                # bit blur").  The skipped packets were already counted
-                # as late; bumping the epoch voids their in-flight
-                # deliveries so they do not refill the buffer later.
-                state["queue_free_ms"] = env.now * 1000.0
-                state["epoch"] += 1
-            previous_level = controller.level
-            level = get_level(controller.level)
-            segment = Segment(index, level, config.segment_s)
-            bitrates.append(level.bitrate_kbps)
-            gen_ms = env.now * 1000.0
-            delays, state["queue_free_ms"] = _packet_delays_ms(
-                segment, config.path, transport, config.sender_utilization,
-                state["queue_free_ms"], gen_ms, rng)
-            loss_mask = transport.sample_losses(
-                segment.packet_count, config.sender_utilization, rng)
-            for delay, lost in zip(delays, loss_mask):
-                response_latencies.append(
-                    config.upstream_one_way_ms + float(delay)
-                    + config.processing_ms)
-                losses.append(bool(lost))
-            # The receiver sees the whole segment once its last packet
-            # lands.
-            arrival_offset_s = (segment.duration_s
-                                + float(delays.max()) / 1000.0)
-            env.process(receiver(env, segment, arrival_offset_s,
-                                 state["epoch"]))
-            yield env.timeout(config.segment_s)
-
-    def receiver(env: Environment, segment: Segment, arrival_offset_s: float,
-                 epoch: int):
-        yield env.timeout(arrival_offset_s)
-        if epoch != state["epoch"]:
-            return  # flushed: the sender skipped these frames
-        playback.add_segment(segment.duration_s)
-        now_s = env.now
-        elapsed = now_s - state["last_arrival_ms"] / 1000.0
-        download_bps = segment.size_bits / elapsed if elapsed > 0 else 0.0
-        state["last_arrival_ms"] = now_s * 1000.0
-        estimator.update(now_s, download_bps, segment.quality.bitrate_bps)
-        controller.observe(estimator.segments(segment.size_bits))
-
-    def playout(env: Environment):
-        # Playback starts after one segment of prebuffer time.
-        yield env.timeout(config.segment_s)
-        step = config.segment_s / 4.0
-        while env.now < config.duration_s + config.segment_s:
-            playback.play(step)
-            yield env.timeout(step)
-
-    env.process(sender(env))
-    env.process(playout(env))
-    env.run(until=config.duration_s + 4.0 * config.segment_s)
-
-    latencies = np.asarray(response_latencies)
-    lost = np.asarray(losses, dtype=bool)
-    on_time = int(((latencies <= config.response_budget_ms) & ~lost).sum())
-    stats = ContinuityStats(
-        packets_total=int(latencies.size),
-        packets_on_time=on_time,
-        stall_events=playback.stall_events,
-        total_stall_s=playback.total_stall_s,
-    )
-    return SessionResult(
-        stats=stats,
-        mean_response_latency_ms=float(latencies.mean()) if latencies.size else 0.0,
-        final_level=controller.level,
-        mean_bitrate_kbps=float(np.mean(bitrates)) if bitrates else 0.0,
-        adjustments=controller.adjustments,
-    )
-
-
-# ---------------------------------------------------------------------------
-# batch (vectorised) estimation — the macro-experiment hot path
-# ---------------------------------------------------------------------------
 def initial_levels_batch(response_budget_ms) -> np.ndarray:
     """Vectorised :func:`level_for_latency_requirement` over budgets.
 
@@ -308,10 +87,8 @@ def stationary_levels_batch(initial_levels, sender_share_mbps,
 class BatchSessionOutcome:
     """Vectorised session outcomes: one array slot per session.
 
-    Field semantics match :class:`SessionResult` /
-    :class:`~repro.streaming.continuity.ContinuityStats`; use
-    :meth:`result` to materialise one session as a scalar
-    :class:`SessionResult` (bit-identical to the scalar path).
+    Field semantics match the per-session oracle's ``SessionResult``
+    and its ``ContinuityStats`` (``tests/streaming``), bit for bit.
     """
 
     final_levels: np.ndarray          # (n,) int64
@@ -336,23 +113,6 @@ class BatchSessionOutcome:
         """The paper's satisfied-player predicate, per session."""
         return self.continuity >= SATISFIED_CONTINUITY_THRESHOLD
 
-    def result(self, index: int) -> SessionResult:
-        """Materialise session ``index`` as a scalar SessionResult."""
-        stats = ContinuityStats(
-            packets_total=int(self.packets_total[index]),
-            packets_on_time=int(self.packets_on_time[index]),
-            stall_events=int(self.stall_events[index]),
-            total_stall_s=float(self.total_stall_s[index]),
-        )
-        return SessionResult(
-            stats=stats,
-            mean_response_latency_ms=float(
-                self.mean_response_latency_ms[index]),
-            final_level=int(self.final_levels[index]),
-            mean_bitrate_kbps=float(self.mean_bitrate_kbps[index]),
-            adjustments=int(self.adjustments[index]),
-        )
-
 
 def estimate_continuity_batch(
     response_budget_ms,
@@ -365,7 +125,7 @@ def estimate_continuity_batch(
     rng: np.random.Generator,
     *,
     duration_s=60.0,
-    segment_s=DEFAULT_SEGMENT_SECONDS,
+    segment_s=1.0,
     adaptive=True,
     levels=None,
     transport: TransportModel | None = None,

@@ -29,8 +29,8 @@ from repro.core.scoring import (
 from repro.core.state import KIND_OF_CODE, SimState
 from repro.network.latency import PLAYOUT_PROCESSING_MS
 from repro.network.transport import PathSpec
-from repro.streaming.session import SessionConfig
 
+from ..streaming.event_session_oracle import SessionConfig
 from ..streaming.session_oracle import estimate_continuity
 
 

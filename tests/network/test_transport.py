@@ -14,8 +14,11 @@ def make_path(latency=10.0, sender=10.0, receiver=20.0):
 
 
 def test_pathspec_bottleneck():
-    assert make_path(sender=10.0, receiver=5.0).bottleneck_mbps == 5.0
-    assert make_path(sender=3.0, receiver=5.0).bottleneck_mbps == 3.0
+    model = TransportModel()
+    assert model.effective_throughput_mbps(
+        make_path(sender=10.0, receiver=5.0)) == 5.0
+    assert model.effective_throughput_mbps(
+        make_path(sender=3.0, receiver=5.0)) == 3.0
 
 
 def test_pathspec_validation():
@@ -61,31 +64,6 @@ def test_loss_rate_grows_past_85_percent():
     assert model.loss_rate(5.0) <= 0.5
 
 
-def test_delivery_time_includes_latency():
-    model = TransportModel(jitter_fraction=0.0)
-    path = make_path(latency=25.0, sender=10.0, receiver=99.0)
-    # 0.5 Mbit over 10 Mbit/s = 50 ms + 25 ms latency.
-    assert model.delivery_time_ms(500_000, path) == pytest.approx(75.0)
-
-
-def test_delivery_time_jitter_bounds():
-    model = TransportModel(jitter_fraction=0.2)
-    path = make_path(latency=10.0)
-    rng = np.random.default_rng(0)
-    base = TransportModel(jitter_fraction=0.0).delivery_time_ms(100_000, path)
-    times = [model.delivery_time_ms(100_000, path, rng=rng) for _ in range(200)]
-    assert all(0.8 * base <= t <= 1.2 * base for t in times)
-
-
-def test_delivery_times_vectorised_matches_scalar():
-    model = TransportModel(jitter_fraction=0.0)
-    path = make_path()
-    scalar = model.delivery_time_ms(200_000, path)
-    vector = model.delivery_times_ms(200_000, path, count=5)
-    assert vector.shape == (5,)
-    assert np.allclose(vector, scalar)
-
-
 def test_sample_losses_rate():
     model = TransportModel(base_loss_rate=0.0)
     rng = np.random.default_rng(0)
@@ -97,8 +75,8 @@ def test_sample_losses_rate():
 def test_congested_path_is_slower():
     model = TransportModel(jitter_fraction=0.0)
     path = make_path()
-    idle = model.delivery_time_ms(1_000_000, path, utilization=0.0)
-    busy = model.delivery_time_ms(1_000_000, path, utilization=0.9)
+    idle = model.serialization_ms(1_000_000, path, utilization=0.0)
+    busy = model.serialization_ms(1_000_000, path, utilization=0.9)
     assert busy > idle
 
 
@@ -117,7 +95,7 @@ def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         model.serialization_ms(-1, path)
     with pytest.raises(ValueError):
-        model.delivery_times_ms(1, path, count=-1)
+        model.sample_losses(-1, 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         model.loss_rate(-0.1)
 

@@ -7,7 +7,6 @@ import pytest
 from repro import obs
 from repro.experiments.runner import run_config, run_variant
 from repro.experiments.testbeds import Testbed
-from repro.sim.engine import Environment
 
 TINY = Testbed(name="tiny", num_players=80, num_datacenters=2,
                num_supernodes=6, supernode_capable_share=0.3,
@@ -113,31 +112,3 @@ def test_failures_count_migrations():
         summary.recovered
     assert dump["repro_time_to_recover_ms"][0]["count"] == \
         summary.recovered
-
-
-def test_environment_counts_processed_events():
-    _, registry = obs.enable()
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1.0)
-        yield env.timeout(2.0)
-
-    env.process(proc(env))
-    env.run()
-    assert env.events_processed > 0
-    counter = registry.counter("repro_des_events_total")
-    assert counter.value == env.events_processed
-
-
-def test_environment_counts_even_when_disabled():
-    assert not obs.enabled()
-    env = Environment()
-    env.process(_two_timeouts(env))
-    env.run()
-    assert env.events_processed > 0
-
-
-def _two_timeouts(env):
-    yield env.timeout(1.0)
-    yield env.timeout(2.0)

@@ -157,3 +157,54 @@ def test_infrastructure_overrides_may_not_set_other_sections(key, value):
                        match=rf"^infrastructure\.overrides: '{key}' is set "
                              rf"by the document's"):
         compile_scenario(_with_overrides({key: value}))
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("num_supernodes", "many", "int"),
+    ("num_supernodes", 2.5, "int"),
+    ("num_supernodes", True, "int"),
+    ("aging_factor", "high", "float or int"),
+    ("cloud_compression", 1, "bool"),
+    ("supernode_capacity_override", "4", "int or None"),
+    ("strategies", {"rate_adaptation": True}, "StrategyFlags"),
+])
+def test_wrong_typed_infrastructure_override_is_refused(key, value,
+                                                        expected):
+    with pytest.raises(ValueError,
+                       match=rf"^infrastructure\.overrides: {key} must be "
+                             rf"{expected}, got "):
+        compile_scenario(_with_overrides({key: value}))
+
+
+def test_right_typed_infrastructure_overrides_compile():
+    config = compile_scenario(_with_overrides({
+        "supernode_capable_share": 1, "aging_factor": 0.9,
+        "supernode_capacity_override": None, "cloud_compression": True,
+    })).config
+    assert config.supernode_capable_share == 1
+    assert config.aging_factor == 0.9
+    assert config.cloud_compression is True
+
+
+def _with_crowd(day: int, subcycle: int) -> Scenario:
+    return Scenario.from_dict({
+        "version": 1, "name": "t", "schedule": {"days": 3},
+        "workload": {"flash_crowds": [
+            {"day": 0, "subcycle": 20, "players": 5},
+            {"day": day, "subcycle": subcycle, "players": 5}]}})
+
+
+@pytest.mark.parametrize("day, subcycle, field", [
+    (9, 30, "day"),
+    (3, 20, "day"),
+    (2, 25, "subcycle"),
+])
+def test_flash_crowd_outside_the_run_is_refused(day, subcycle, field):
+    with pytest.raises(ValueError,
+                       match=rf"^workload\.flash_crowds\[1\]\.{field}: "):
+        compile_scenario(_with_crowd(day, subcycle))
+
+
+def test_flash_crowd_on_the_last_hour_of_the_last_day_compiles():
+    crowds = compile_scenario(_with_crowd(2, 24)).config.workload.flash_crowds
+    assert (crowds[1].day, crowds[1].subcycle) == (2, 24)

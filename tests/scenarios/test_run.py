@@ -109,6 +109,31 @@ def test_cli_validate_rejects_unknown_config_overrides(tmp_path, capsys):
     assert err.startswith("invalid: infrastructure.overrides: unknown key")
 
 
+def test_cli_validate_rejects_wrong_typed_config_overrides(tmp_path,
+                                                         capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({
+        "version": 1, "name": "typed",
+        "infrastructure": {"overrides": {"num_supernodes": "many"}}}))
+    assert scenario_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "invalid: infrastructure.overrides: num_supernodes must be int, "
+        "got 'many'"]
+
+
+def test_cli_validate_rejects_a_crowd_outside_the_run(tmp_path, capsys):
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps({
+        "version": 1, "name": "late", "schedule": {"days": 3},
+        "workload": {"flash_crowds": [
+            {"day": 9, "subcycle": 30, "players": 5}]}}))
+    assert scenario_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid: workload.flash_crowds[0].day: ")
+
+
 def test_cli_validate_rejects_unknown_names(capsys):
     assert scenario_main(["validate", "no-such-scenario"]) == 1
     assert "unknown scenario" in capsys.readouterr().err

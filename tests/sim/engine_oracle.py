@@ -1,11 +1,16 @@
-"""Discrete-event simulation engine.
+"""Frozen oracle: the discrete-event simulation engine.
+
+A verbatim copy, taken when it left ``src/``, of ``repro.sim.engine``
+without its observability counter.  No run drives an event loop: every
+session is scored by the closed-form batch estimator.  The engine
+remains the clock and event queue of the event-level test references
+(``tests/streaming/event_session_oracle.py`` and
+``tests/streaming/multiplex_oracle.py``).  Do not edit this file to
+follow the live code.
 
 A from-scratch implementation of the process-based discrete-event
-simulation style popularised by SimPy.  The paper's streaming-level
-experiments need an event engine (segment deliveries, buffer drains,
-rate-adaptation decisions happen at irregular instants); SimPy is not a
-dependency, so this module provides the subset of its primitives those
-models use:
+simulation style popularised by SimPy; SimPy is not a dependency, so
+this module provides the subset of its primitives those models use:
 
 * :class:`Environment` — the event loop and simulation clock.
 * :class:`Event` — a one-shot occurrence carrying a value or an error.
@@ -20,8 +25,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Any, Callable, Generator, Optional
-
-from .. import obs
 
 __all__ = [
     "Environment",
@@ -265,8 +268,7 @@ class Environment:
 
         ``until`` may be ``None`` (run to exhaustion), a time (run up to
         that instant), or an :class:`Event` (run until it is processed and
-        return its value).  The events this call processed are added to
-        ``repro_des_events_total`` once, when it returns or raises.
+        return its value).
         """
         stop: Optional[Event] = None
         if until is not None:
@@ -286,7 +288,6 @@ class Environment:
                 self.schedule(stop, priority=URGENT, delay=horizon - self._now)
                 stop.callbacks.append(self._stop_callback)
 
-        processed = self.events_processed
         try:
             while True:
                 self.step()
@@ -297,9 +298,6 @@ class Environment:
                 raise RuntimeError(
                     "no more events scheduled but the until-event never fired")
             return None
-        finally:
-            obs.get_registry().counter("repro_des_events_total").inc(
-                self.events_processed - processed)
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

@@ -1,8 +1,8 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine oracle."""
 
 import pytest
 
-from repro.sim.engine import EmptySchedule, Environment
+from .engine_oracle import EmptySchedule, Environment
 
 
 def test_clock_starts_at_zero():

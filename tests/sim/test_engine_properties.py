@@ -3,9 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Environment
-
 from ..streaming.multiplex_oracle import Resource
+from .engine_oracle import Environment
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1000.0),

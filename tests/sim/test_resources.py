@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.sim.engine import Environment
-
 from ..streaming.multiplex_oracle import Resource
+from .engine_oracle import Environment
 
 
 def test_resource_grants_up_to_capacity():

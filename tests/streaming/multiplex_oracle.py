@@ -7,9 +7,10 @@ Verbatim copies, taken when they left ``src/``, of
 multiplexer used.  The macro estimate approximates a supernode serving
 k players with a fair upload share and an M/D/1 waiting factor; this
 packet-level model, one shared uplink with every player's frames
-queued through it FIFO on the ``repro.sim.engine`` event loop, checks
-that approximation from below (``test_multiplex.py``).  Do not edit
-this file to follow the live code.
+queued through it FIFO on the event loop of ``engine_oracle.py``
+(``tests/sim``), checks that approximation from below
+(``test_multiplex.py``).  Do not edit this file to follow the live
+code.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.engine import Environment, Event
-from repro.streaming.segments import Segment
 from repro.streaming.video import FRAME_RATE_FPS
 from repro.workload.games import Game
+
+from ..sim.engine_oracle import Environment, Event
+from .event_session_oracle import Segment
 
 
 class Request(Event):

@@ -16,10 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network.transport import TransportModel
-from repro.streaming.continuity import ContinuityStats
-from repro.streaming.segments import Segment
-from repro.streaming.session import SessionConfig, SessionResult
 from repro.streaming.video import get_level
+
+from .event_session_oracle import (
+    ContinuityStats,
+    Segment,
+    SessionConfig,
+    SessionResult,
+)
 
 
 def stationary_level(config: SessionConfig,

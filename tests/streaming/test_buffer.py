@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming.buffer import BufferEstimator, PlaybackBuffer
+from .event_session_oracle import BufferEstimator, PlaybackBuffer
 
 
 # ----------------------------------------------------------- estimator

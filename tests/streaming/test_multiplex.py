@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.network.transport import PathSpec, TransportModel
-from repro.streaming.session import SessionConfig
 from repro.workload.games import game_for_level
 
+from .event_session_oracle import SessionConfig
 from .multiplex_oracle import (
     MultiplexConfig,
     simulate_supernode,

