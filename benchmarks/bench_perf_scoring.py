@@ -80,7 +80,7 @@ def bench_scoring(num_players: int, num_supernodes: int, seed: int,
             system.rng_factory.stream("qos-0"))
 
     # Equivalence before speed: same named RNG stream, same records.
-    assert batch() == scalar(), "batch scorer diverged from scalar"
+    assert list(batch()) == scalar(), "batch scorer diverged from scalar"
 
     # Interleaved best-of-N: round-robin keeps background noise from
     # landing entirely on one contender.

@@ -7,7 +7,11 @@ The CI ``scale-smoke`` job runs this script and fails unless
    wall-time budget, and
 2. re-running it with a different shard (worker) count reproduces the
    exact same digests — shard count is worker parallelism only, never
-   semantics.
+   semantics, and
+3. the merged run's session log holds at most
+   ``MAX_LOG_BYTES_PER_SESSION`` bytes per recorded session (the log's
+   typed columns need 48).  Peak RSS (this process and its largest
+   worker) is printed beside it.
 
 Run standalone::
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import resource
 import sys
 import time
 
@@ -31,6 +36,9 @@ from repro.experiments import (  # noqa: E402
     run_sharded_config,
     variant_config,
 )
+
+#: Ceiling on ``SessionLog.nbytes`` per recorded session.
+MAX_LOG_BYTES_PER_SESSION = 96
 
 
 def digests(result):
@@ -63,6 +71,12 @@ def main(argv: list[str] | None = None) -> int:
           f"{wall:.1f}s ({rate:,.0f} recorded sessions/s)")
     print(f"shards=1: {expected[0][:16]}…  faults {expected[1][:16]}…")
     print(f"shards=2: {actual[0][:16]}…  faults {actual[1][:16]}…")
+    per_session = first.sessions.nbytes / max(1, len(first.sessions))
+    own, worker = (resource.getrusage(who).ru_maxrss / 1024.0 for who in
+                   (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    print(f"session log: {per_session:.1f} bytes/session over "
+          f"{len(first.sessions):,} sessions; peak RSS {own:.1f} MB "
+          f"(largest worker {worker:.1f} MB)")
 
     if actual != expected:
         print("FAIL: shard count changed the run's digests",
@@ -72,7 +86,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: sharded run took {wall:.1f}s "
               f"(budget {args.budget:.0f}s)", file=sys.stderr)
         return 1
-    print("scale smoke OK (shard-invariant digests, inside budget)")
+    if per_session > MAX_LOG_BYTES_PER_SESSION:
+        print(f"FAIL: the session log holds {per_session:.1f} bytes per "
+              f"session (ceiling {MAX_LOG_BYTES_PER_SESSION})",
+              file=sys.stderr)
+        return 1
+    print("scale smoke OK (shard-invariant digests, inside budget, "
+          "compact session log)")
     return 0
 
 

@@ -57,6 +57,8 @@ BAD_DOCUMENTS = [
      "infrastructure.overrides:"),
     ({"infrastructure": {"overrides": {"num_supernodes": "many"}}},
      "infrastructure.overrides:"),
+    ({"infrastructure": {"overrides": {"num_supernodes": -1}}},
+     "infrastructure.overrides.num_supernodes:"),
 ]
 
 

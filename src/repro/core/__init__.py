@@ -39,6 +39,7 @@ from .server_assignment import (
 from .accounting import (
     DayMetrics,
     RunResult,
+    SessionLog,
     SessionRecord,
     SweepLoads,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "SimState",
     "DayMetrics",
     "RunResult",
+    "SessionLog",
     "SessionRecord",
     "SweepLoads",
     "MigrationOutcome",

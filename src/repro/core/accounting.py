@@ -1,7 +1,8 @@
 """Run accounting: result containers, load timelines, bandwidth/egress.
 
 The accounting stage of the pipeline: everything a run *produces* —
-:class:`SessionRecord` / :class:`DayMetrics` / :class:`RunResult` — plus
+:class:`SessionLog` (with its row type :class:`SessionRecord`) /
+:class:`DayMetrics` / :class:`RunResult` — plus
 the dense per-supernode load timelines (:class:`SweepLoads`) the sweep
 builds and the Eq.-2 cloud bandwidth / egress-budget arithmetic.
 
@@ -18,10 +19,14 @@ import numpy as np
 from ..cloud.gamestate import UPDATE_MESSAGE_BITS_PER_SUPERNODE
 from ..faults import FaultSummary
 from ..streaming.continuity import satisfied_ratio
+from ..workload.games import GAME_CATALOGUE
+from .columns import KIND_CDN, KIND_CLOUD, KIND_SUPERNODE
 from .entities import ConnectionKind
 
 __all__ = ["DEFAULT_DC_EGRESS_MBPS", "CLOUD_FLOW_HEADROOM",
-           "CLOUD_FLOW_SHARE_FLOOR_MBPS", "SessionRecord", "DayMetrics",
+           "CLOUD_FLOW_SHARE_FLOOR_MBPS", "SessionRecord", "SessionLog",
+           "SESSION_COLUMNS", "RECORD_FIELDS", "GAME_CODE", "chunk_values",
+           "DayMetrics",
            "RunResult", "SweepLoads", "cloud_egress_budget",
            "cloud_bandwidth", "summarize_day", "credit_contributors"]
 
@@ -45,7 +50,8 @@ CLOUD_FLOW_SHARE_FLOOR_MBPS = 0.5
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """QoS outcome of one player-day session."""
+    """QoS outcome of one player-day session: one row of a
+    :class:`SessionLog`, built on demand when the log is iterated."""
 
     player: int
     day: int
@@ -57,6 +63,154 @@ class SessionRecord:
     continuity: float
     satisfied: bool
     join_latency_ms: float | None  # None when the sticky connection held
+
+
+#: Game code of each catalogue game's name (the log's ``game`` column).
+GAME_CODE = {game.name: code for code, game in enumerate(GAME_CATALOGUE)}
+_GAME_NAMES = tuple(game.name for game in GAME_CATALOGUE)
+_KIND_OF = {KIND_SUPERNODE: ConnectionKind.SUPERNODE,
+            KIND_CLOUD: ConnectionKind.CLOUD, KIND_CDN: ConnectionKind.CDN}
+_KIND_CODE_OF_VALUE = {kind.value: code for code, kind in _KIND_OF.items()}
+
+#: The log's columns and their dtypes.  ``game`` holds the catalogue
+#: index of the game, ``kind`` the ``core.columns`` ``KIND_*`` code;
+#: ``join_latency_ms`` is NaN where ``joined`` is False (no selection ran:
+#: a sticky reuse, the cloud and CDN baselines).
+SESSION_COLUMNS = {
+    "player": np.int32, "day": np.int32, "game": np.int8, "kind": np.int8,
+    "target": np.int32, "response_latency_ms": np.float64,
+    "server_latency_ms": np.float64, "continuity": np.float64,
+    "satisfied": np.bool_, "join_latency_ms": np.float64,
+    "joined": np.bool_,
+}
+
+#: The :class:`SessionRecord` fields, in row order (the checkpoint's too).
+RECORD_FIELDS = ("player", "day", "game", "kind", "target",
+                 "response_latency_ms", "server_latency_ms", "continuity",
+                 "satisfied", "join_latency_ms")
+
+
+class SessionLog:
+    """A run's measured sessions as append-only typed columns.
+
+    The log is a list of chunks, one per appended day (or per merged
+    partition); a chunk maps every :data:`SESSION_COLUMNS` name to a
+    read-only array of its rows.  Appending adopts the other log's
+    chunks without copying, so the log never holds a second copy of its
+    rows; :meth:`column` concatenates one column on demand.  Iterating
+    yields one :class:`SessionRecord` per row, built chunk by chunk with
+    Python ``int``/``float``/``bool``/``None`` values, ``kind`` as a
+    :class:`ConnectionKind` and ``game`` as its name; compare two logs
+    by their rows (``list(log)``).  A pickled log carries one chunk per
+    column.
+    """
+
+    __slots__ = ("chunks", "_length")
+
+    def __init__(self) -> None:
+        #: The appended chunks, in order.  Each chunk is immutable, so
+        #: an encoder may trust a prefix while the same chunk objects
+        #: stay in place (``persist.snapshot``).
+        self.chunks: list[dict[str, np.ndarray]] = []
+        self._length = 0
+
+    @classmethod
+    def of(cls, **columns) -> "SessionLog":
+        """A one-chunk log of equally long columns (every name of
+        :data:`SESSION_COLUMNS`), converted to the log's dtypes.  The
+        log takes the arrays over and makes them read-only."""
+        if columns.keys() != SESSION_COLUMNS.keys():
+            raise ValueError(
+                f"a chunk needs the columns {sorted(SESSION_COLUMNS)}")
+        chunk = {}
+        for name, dtype in SESSION_COLUMNS.items():
+            array = np.asarray(columns[name], dtype=dtype)
+            array.flags.writeable = False
+            chunk[name] = array
+        lengths = {len(array) for array in chunk.values()}
+        if len(lengths) != 1:
+            raise ValueError("a chunk's columns differ in length")
+        log = cls()
+        if lengths != {0}:
+            log.chunks.append(chunk)
+            log._length = lengths.pop()
+        return log
+
+    @classmethod
+    def from_rows(cls, rows) -> "SessionLog":
+        """A log of checkpoint rows: ``[player, day, game name, kind
+        value, target, response, server, continuity, satisfied, join
+        latency or None]``."""
+        rows = list(rows)
+        if not rows:
+            return cls()
+        (player, day, game, kind, target, response, server, continuity,
+         satisfied, join) = zip(*rows)
+        return cls.of(
+            player=player, day=day,
+            game=[GAME_CODE[name] for name in game],
+            kind=[_KIND_CODE_OF_VALUE[value] for value in kind],
+            target=target, response_latency_ms=response,
+            server_latency_ms=server, continuity=continuity,
+            satisfied=satisfied,
+            join_latency_ms=[np.nan if ms is None else ms for ms in join],
+            joined=[ms is not None for ms in join])
+
+    def extend(self, other: "SessionLog") -> None:
+        """Append ``other``'s rows (its chunks are shared, not copied)."""
+        self.chunks.extend(other.chunks)
+        self._length += other._length
+
+    def __len__(self) -> int:
+        return self._length
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the columns' arrays."""
+        return sum(array.nbytes for chunk in self.chunks
+                   for array in chunk.values())
+
+    def column(self, name: str) -> np.ndarray:
+        """One column over every row (a chunk's own read-only array
+        when the log has one chunk, else a fresh concatenation)."""
+        if len(self.chunks) == 1:
+            return self.chunks[0][name]
+        if not self.chunks:
+            return np.empty(0, dtype=SESSION_COLUMNS[name])
+        return np.concatenate([chunk[name] for chunk in self.chunks])
+
+    def value_chunks(self, names=RECORD_FIELDS):
+        """Per chunk, the list of each named :class:`SessionRecord`
+        field's values over the chunk's rows, as the rows carry them
+        (:func:`chunk_values`)."""
+        for chunk in self.chunks:
+            yield [chunk_values(chunk, name) for name in names]
+
+    def __iter__(self):
+        for values in self.value_chunks():
+            yield from map(SessionRecord, *values)
+
+    def __getstate__(self) -> dict:
+        return {name: self.column(name) for name in SESSION_COLUMNS}
+
+    def __setstate__(self, columns: dict) -> None:
+        self.chunks, self._length = [], 0
+        self.extend(SessionLog.of(**columns))
+
+
+def chunk_values(chunk: dict, name: str) -> list:
+    """One :class:`SessionRecord` field of a :class:`SessionLog` chunk's
+    rows as Python values: ``game`` names, ``kind`` as
+    :class:`ConnectionKind`, ``join_latency_ms`` None where no join
+    ran, every other field by ``tolist``."""
+    if name == "game":
+        return list(map(_GAME_NAMES.__getitem__, chunk["game"].tolist()))
+    if name == "kind":
+        return list(map(_KIND_OF.__getitem__, chunk["kind"].tolist()))
+    if name == "join_latency_ms":
+        return [ms if joined else None for ms, joined in zip(
+            chunk["join_latency_ms"].tolist(), chunk["joined"].tolist())]
+    return chunk[name].tolist()
 
 
 @dataclass
@@ -79,7 +233,7 @@ class RunResult:
     """Everything a run produced (measured days only)."""
 
     days: list[DayMetrics] = field(default_factory=list)
-    sessions: list[SessionRecord] = field(default_factory=list)
+    sessions: SessionLog = field(default_factory=SessionLog)
     join_latencies_ms: list[float] = field(default_factory=list)
     supernode_join_latencies_ms: list[float] = field(default_factory=list)
     migration_latencies_ms: list[float] = field(default_factory=list)
@@ -256,24 +410,22 @@ def cloud_bandwidth(state, cloud_rate: np.ndarray,
 # ----------------------------------------------------------------------
 # day-level accounting stages
 # ----------------------------------------------------------------------
-def summarize_day(state, day: int, records: list[SessionRecord],
+def summarize_day(state, day: int, records: SessionLog,
                   cloud_rate: np.ndarray, loads: SweepLoads) -> DayMetrics:
-    """Fold one measured day's records into a :class:`DayMetrics`."""
+    """Fold one measured day's session log into a :class:`DayMetrics`."""
     metrics = DayMetrics(day=day)
+    kind = records.column("kind")
+    continuity = records.column("continuity")
     metrics.online_players = len(records)
-    metrics.supernode_players = sum(
-        1 for r in records if r.kind is ConnectionKind.SUPERNODE)
-    metrics.cloud_players = sum(
-        1 for r in records if r.kind is ConnectionKind.CLOUD)
+    metrics.supernode_players = int(np.count_nonzero(kind == KIND_SUPERNODE))
+    metrics.cloud_players = int(np.count_nonzero(kind == KIND_CLOUD))
     metrics.cloud_bandwidth_mbps = cloud_bandwidth(state, cloud_rate, loads)
     metrics.mean_response_latency_ms = float(np.mean(
-        [r.response_latency_ms for r in records]))
+        records.column("response_latency_ms")))
     metrics.mean_server_latency_ms = float(np.mean(
-        [r.server_latency_ms for r in records]))
-    metrics.mean_continuity = float(np.mean(
-        [r.continuity for r in records]))
-    metrics.satisfied_ratio = satisfied_ratio(
-        [r.continuity for r in records])
+        records.column("server_latency_ms")))
+    metrics.mean_continuity = float(np.mean(continuity))
+    metrics.satisfied_ratio = satisfied_ratio(continuity.tolist())
     return metrics
 
 

@@ -131,7 +131,8 @@ class SystemConfig:
         if not 0 < self.aging_factor < 1:
             raise ValueError("aging_factor must lie in (0, 1)")
         if self.throttle_80_share + self.throttle_50_share > 1:
-            raise ValueError("throttle shares cannot exceed 1 combined")
+            raise ValueError("throttle_80_share + throttle_50_share cannot "
+                             "exceed 1")
         if self.provisioning_epsilon < 0:
             raise ValueError("provisioning_epsilon must be non-negative")
         if self.provisioning_window_hours < 1:

@@ -16,23 +16,24 @@ the façade, or ``experiments`` (``tools/check_layering.py``).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .. import obs
 from ..network.latency import PLAYOUT_PROCESSING_MS
-from ..streaming.continuity import is_satisfied
+from ..streaming.continuity import SATISFIED_CONTINUITY_THRESHOLD
 from ..streaming.session import estimate_continuity_batch
 from .accounting import (
     CLOUD_FLOW_HEADROOM,
     CLOUD_FLOW_SHARE_FLOOR_MBPS,
-    SessionRecord,
+    GAME_CODE,
+    SESSION_COLUMNS,
+    SessionLog,
     cloud_egress_budget,
 )
 from .columns import KIND_CDN
-from .state import KIND_OF_CODE, SessionTable, SimState
+from .state import SessionTable, SimState
 
 __all__ = ["CDN_COORDINATION_MS", "QOS_SAMPLES", "QOS_DURATION_S",
            "score_sessions", "apply_fault_penalties",
@@ -53,7 +54,7 @@ QOS_DURATION_S = 60.0
 
 
 def score_sessions(state: SimState, day, sessions, loads, cloud_rate,
-                   rng) -> list[SessionRecord]:
+                   rng) -> SessionLog:
     with obs.get_tracer().span("score_sessions", day=day,
                                sessions=len(sessions)):
         records = score_sessions_batch(state, day, sessions, loads,
@@ -64,27 +65,33 @@ def score_sessions(state: SimState, day, sessions, loads, cloud_rate,
 
 
 def apply_fault_penalties(state: SimState,
-                          records: list[SessionRecord]
-                          ) -> list[SessionRecord]:
-    """Fold the day's fault penalties into the scored records.
+                          records: SessionLog) -> SessionLog:
+    """Fold the day's fault penalties into the scored day log.
 
     Penalties accumulate per player during the sweep (stream
     interruption while recovering, lost update messages) as a
     continuity fraction lost; they apply *after* scoring so the
     batch scorer stays bit-identical to the scalar oracle and the
-    RNG consumption of the scoring path never shifts.
+    RNG consumption of the scoring path never shifts.  A penalised
+    session keeps ``max(0, c * (1 - f))`` of its continuity — the same
+    bits elementwise as the scalar expression — and is re-judged
+    against the satisfied threshold; every other row is untouched.
     """
     penalties = state.faults.penalties
-    out = []
-    for record in records:
-        fraction = penalties.get(record.player)
-        if not fraction:
-            out.append(record)
-            continue
-        continuity = max(0.0, record.continuity * (1.0 - fraction))
-        out.append(replace(record, continuity=continuity,
-                           satisfied=is_satisfied(continuity)))
-    return out
+    columns = {name: records.column(name) for name in SESSION_COLUMNS}
+    fraction = np.array([penalties.get(player) or 0.0
+                         for player in columns["player"].tolist()],
+                        dtype=np.float64)
+    hit = fraction != 0.0
+    if not hit.any():
+        return records
+    continuity = columns["continuity"]
+    penalised = np.maximum(0.0, continuity * (1.0 - fraction))
+    columns["continuity"] = np.where(hit, penalised, continuity)
+    columns["satisfied"] = np.where(
+        hit, penalised >= SATISFIED_CONTINUITY_THRESHOLD,
+        columns["satisfied"])
+    return SessionLog.of(**columns)
 
 
 class SessionParams(NamedTuple):
@@ -194,8 +201,6 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
         # Scenario downlink cap (thin clients on constrained links).
         receiver = np.minimum(receiver, cap)
 
-    # The records keep the cache's own float objects: a run holds
-    # every record it scored, so fresh floats would cost 24 bytes each.
     server_cache = state.server_latency_cache
     default_hop_ms = state.datacenters[0].hop_ms
     server_ms = [CDN_COORDINATION_MS if kind == KIND_CDN
@@ -215,16 +220,17 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
 
 
 def score_sessions_batch(state: SimState, day, sessions: SessionTable,
-                         loads, cloud_rate, rng) -> list[SessionRecord]:
+                         loads, cloud_rate, rng) -> SessionLog:
     """Batch scorer: one vectorised QoS evaluation for the day.
 
     Bit-identical to the scalar oracle (``tests/core/scoring_oracle.py``)
     for the same RNG stream (pinned by tests): the gathered parameters
     carry the scalar loop's bits and the batched estimate draws the
-    identical random sequence.
+    identical random sequence.  Returns the day's sessions as one
+    :class:`SessionLog` chunk, in table order.
     """
     if not sessions:
-        return []
+        return SessionLog()
     params = gather_session_params(state, sessions, loads, cloud_rate)
     outcome = estimate_continuity_batch(
         params.budget_ms, params.path_ms, params.sender_mbps,
@@ -234,23 +240,19 @@ def score_sessions_batch(state: SimState, day, sessions: SessionTable,
         adaptive=state.config.strategies.rate_adaptation,
         transport=state.transport, n_samples=QOS_SAMPLES)
     # Element-wise float64 addition in the scalar loop's operand
-    # order, then one exact tolist() per column — identical bits to
-    # per-record Python-float arithmetic.
+    # order — identical bits to per-record Python-float arithmetic.
+    server_ms = np.array(params.server_ms, dtype=np.float64)
     responses = (params.upstream_ms + outcome.mean_response_latency_ms
-                 + np.array(params.server_ms)
-                 + PLAYOUT_PROCESSING_MS).tolist()
+                 + server_ms + PLAYOUT_PROCESSING_MS)
     cols = sessions.columns
     rows = np.asarray(params.players, dtype=np.intp)
-    kinds = [KIND_OF_CODE[code] for code in cols.kind[rows].tolist()]
-    joins = cols.join_latency_ms[rows].tolist()
-    return [
-        SessionRecord(
-            player=player, day=day, game=game.name, kind=kind,
-            target=target, response_latency_ms=response,
-            server_latency_ms=server, continuity=continuity,
-            satisfied=satisfied, join_latency_ms=join_ms)
-        for player, kind, join_ms, game, target, response, server,
-        continuity, satisfied in zip(
-            params.players, kinds, joins, params.games, params.targets,
-            responses, params.server_ms, outcome.continuity.tolist(),
-            outcome.satisfied.tolist())]
+    joins = cols.join_latency_ms[rows]
+    joined = np.array([ms is not None for ms in joins.tolist()], dtype=bool)
+    return SessionLog.of(
+        player=rows, day=np.full(len(rows), day),
+        game=[GAME_CODE[game.name] for game in params.games],
+        kind=cols.kind[rows], target=params.targets,
+        response_latency_ms=responses, server_latency_ms=server_ms,
+        continuity=outcome.continuity, satisfied=outcome.satisfied,
+        join_latency_ms=np.where(joined, joins, np.nan).astype(np.float64),
+        joined=joined)

@@ -77,7 +77,7 @@ from ..persist.snapshot import overlay_state, restore_result
 from ..sim.rng import RngFactory
 from ..social.graph import FriendGraph
 from ..workload.population import Population, build_population
-from .accounting import DayMetrics, RunResult, SessionRecord
+from .accounting import SESSION_COLUMNS, DayMetrics, RunResult, SessionLog
 from .config import SystemConfig
 from .state import SimState
 from .sweep import run_schedule
@@ -202,8 +202,9 @@ def merge_results(parts: list[RunResult],
     """Fold per-partition results into one run, in partition order.
 
     Counts and bandwidth sum; per-day means combine weighted by each
-    partition's online players; session records are re-labelled back to
-    global player ids (``SessionRecord.target`` stays partition-local —
+    partition's online players; each partition's session log is
+    re-labelled back to global player ids with one take (the ``target``
+    column stays partition-local —
     supernode ids only mean anything inside their partition's pool).
     Every float reduction runs left-to-right over ascending partition
     index, so the merged result is identical however the partitions
@@ -244,12 +245,10 @@ def merge_results(parts: list[RunResult],
                     for r in rows) / online)
         merged.days.append(day)
     for part, partition in zip(parts, partitions):
-        ids = partition.player_ids.tolist()
-        merged.sessions.extend(
-            SessionRecord(ids[r.player], r.day, r.game, r.kind, r.target,
-                          r.response_latency_ms, r.server_latency_ms,
-                          r.continuity, r.satisfied, r.join_latency_ms)
-            for r in part.sessions)
+        columns = {name: part.sessions.column(name)
+                   for name in SESSION_COLUMNS}
+        columns["player"] = partition.player_ids[columns["player"]]
+        merged.sessions.extend(SessionLog.of(**columns))
         merged.join_latencies_ms.extend(part.join_latencies_ms)
         merged.supernode_join_latencies_ms.extend(
             part.supernode_join_latencies_ms)

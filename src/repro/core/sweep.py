@@ -37,11 +37,12 @@ from ..workload.games import draw_weighted, under_ceiling, weighted_catalogue
 from ..workload.population import choose_game
 from .accounting import (RunResult, SweepLoads, cloud_bandwidth,
                          credit_contributors, summarize_day)
+from .columns import KIND_SUPERNODE
 from .entities import ConnectionKind
 from .lifecycle import admit_join, join
 from .scoring import score_sessions
 from .server_assignment import assign_players_randomly, assign_players_socially
-from .state import SessionTable, SimState, deploy
+from .state import KIND_OF_CODE, SessionTable, SimState, deploy
 
 __all__ = ["SweepContext", "SUBCYCLE_STAGES", "stage_departures",
            "stage_faults", "stage_scenario", "stage_arrivals",
@@ -510,14 +511,15 @@ def run_day(state: SimState, day: int, result: RunResult,
         qos_rng = state.rng_factory.stream(f"qos-{day}")
         records = score_sessions(state, day, sessions, loads,
                                  cloud_rate, qos_rng)
+        kind = records.column("kind")
         with tracer.span("ratings", day=day):
-            rated = [r for r in records
-                     if r.kind is ConnectionKind.SUPERNODE]
-            if rated:  # a day without fog sessions rates nothing
-                state.ledger.add_many([r.player for r in rated],
-                                      [r.target for r in rated],
-                                      [r.continuity for r in rated], day)
-                state.reputation.refresh([r.player for r in rated], day)
+            rated = kind == KIND_SUPERNODE
+            if rated.any():  # a day without fog sessions rates nothing
+                players = records.column("player")[rated].tolist()
+                state.ledger.add_many(
+                    players, records.column("target")[rated].tolist(),
+                    records.column("continuity")[rated].tolist(), day)
+                state.reputation.refresh(players, day)
 
         # (5b) Credit the contributors.
         credit_contributors(state, loads)
@@ -527,11 +529,11 @@ def run_day(state: SimState, day: int, result: RunResult,
             run_provisioning(
                 state, plans, state.rng_factory.stream(f"provision-{day}"))
 
-        for kind in ConnectionKind:
-            count = sum(1 for r in records if r.kind is kind)
+        for code, connection in KIND_OF_CODE.items():
+            count = int(np.count_nonzero(kind == code))
             if count:
                 registry.counter("repro_sessions_total",
-                                 kind=kind.value).inc(count)
+                                 kind=connection.value).inc(count)
         if timeseries.enabled:
             day_end_flush(state, day, records, loads, cloud_rate,
                           result, fault_base)

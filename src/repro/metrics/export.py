@@ -1,9 +1,9 @@
-"""Result export: a CSV dump of a run's per-session records.
+"""Result export: a CSV dump of a run's session log.
 
 Downstream analysis (pandas, R, spreadsheets) wants flat files, not
-Python objects.  :func:`export_sessions_csv` writes a
-:class:`~repro.core.RunResult`'s per-session records with a stable
-column order.
+Python objects.  :func:`export_sessions_csv` writes one row per session
+of a :class:`~repro.core.RunResult`'s :class:`~repro.core.SessionLog`
+with a stable column order, one log chunk at a time.
 """
 
 from __future__ import annotations
@@ -18,21 +18,6 @@ _SESSION_FIELDS = ("day", "player", "game", "kind", "target",
                    "continuity", "satisfied", "join_latency_ms")
 
 
-def _session_row(record) -> dict:
-    return {
-        "day": record.day,
-        "player": record.player,
-        "game": record.game,
-        "kind": record.kind.value,
-        "target": record.target,
-        "response_latency_ms": record.response_latency_ms,
-        "server_latency_ms": record.server_latency_ms,
-        "continuity": record.continuity,
-        "satisfied": record.satisfied,
-        "join_latency_ms": record.join_latency_ms,
-    }
-
-
 def _check_overwrite(path: Path, overwrite: bool) -> None:
     if not overwrite and path.exists():
         raise FileExistsError(
@@ -41,7 +26,7 @@ def _check_overwrite(path: Path, overwrite: bool) -> None:
 
 def export_sessions_csv(result, path: str | Path,
                         overwrite: bool = True) -> int:
-    """Write one CSV row per session record; returns the row count.
+    """Write one CSV row per logged session; returns the row count.
 
     By default an existing file is silently replaced (``overwrite=True``,
     matching historical behaviour); pass ``overwrite=False`` to raise
@@ -50,10 +35,10 @@ def export_sessions_csv(result, path: str | Path,
     path = Path(path)
     _check_overwrite(path, overwrite)
     with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_SESSION_FIELDS)
-        writer.writeheader()
-        count = 0
-        for record in result.sessions:
-            writer.writerow(_session_row(record))
-            count += 1
-    return count
+        writer = csv.writer(handle)
+        writer.writerow(_SESSION_FIELDS)
+        kind = _SESSION_FIELDS.index("kind")
+        for values in result.sessions.value_chunks(_SESSION_FIELDS):
+            values[kind] = [connection.value for connection in values[kind]]
+            writer.writerows(zip(*values))
+    return len(result.sessions)

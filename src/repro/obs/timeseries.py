@@ -1,10 +1,10 @@
 """Per-day / per-region telemetry time series of one run.
 
 Every simulated day the sweep orchestrator flushes the day's session
-records into the active :class:`TimeSeriesStore` (``repro.obs`` hands
+log into the active :class:`TimeSeriesStore` (``repro.obs`` hands
 out a shared :data:`NULL_TIMESERIES` no-op while observability is
 disabled, so a disabled run stays bit-identical).  Each flush folds the
-records into one :class:`DaySample` per region — players are grouped by
+sessions into one :class:`DaySample` per region — players are grouped by
 their nearest datacenter (``dc0``, ``dc1``, …) plus the synthetic
 ``all`` region — carrying session mix, join counts, response-latency
 percentiles, continuity/satisfaction, MOS via
@@ -20,8 +20,8 @@ Prometheus endpoint (:mod:`repro.obs.server`) always shows the latest
 day.
 
 Layering: a foundation module (rank 0) — it never imports ``repro.core``
-and reads session records duck-typed (any object with the
-:class:`~repro.core.accounting.SessionRecord` attributes works).
+and reads the day's sessions duck-typed: any object with
+:meth:`~repro.core.accounting.SessionLog.value_chunks` works.
 """
 
 from __future__ import annotations
@@ -126,6 +126,10 @@ class DaySample:
                       for f in dataclass_fields(cls)})
 
 
+#: The session fields a day sample reads from the log.
+_SAMPLE_FIELDS = ("player", "game", "kind", "response_latency_ms",
+                  "continuity", "satisfied", "join_latency_ms")
+
 #: Headline sample fields mirrored into ``repro_day_*`` gauges.
 _GAUGE_FIELDS = ("sessions", "p95_response_latency_ms", "mean_continuity",
                  "satisfied_ratio", "mean_mos", "cloud_bandwidth_mbps")
@@ -153,64 +157,72 @@ class TimeSeriesStore:
         return self._qoe
 
     # -- ingest ----------------------------------------------------------
-    def observe_day(self, day: int, records: Sequence,
+    def observe_day(self, day: int, records,
                     region_of=None,
                     cloud_bandwidth_mbps: float = 0.0,
                     fault_deltas: Mapping[str, int] | None = None,
                     recovery_ms: Sequence[float] = ()) -> list[DaySample]:
-        """Fold one day's session records into per-region samples.
+        """Fold one day's session log into per-region samples.
 
-        ``records`` are :class:`~repro.core.accounting.SessionRecord`
-        duck-typed objects; ``region_of`` maps player id -> region index
-        (the sweep passes ``state.nearest_dc``).  ``fault_deltas`` are
-        the day's *deltas* of the run-wide fault accounting and
-        ``recovery_ms`` the day's recovery times.  Returns the samples
-        appended (the ``all`` sample first).
+        ``records`` is the day's :class:`~repro.core.accounting.SessionLog`
+        (read through ``value_chunks``); ``region_of`` maps player id ->
+        region index (the sweep passes ``state.nearest_dc``).
+        ``fault_deltas`` are the day's *deltas* of the run-wide fault
+        accounting and ``recovery_ms`` the day's recovery times.
+        Returns the samples appended (the ``all`` sample first).
+        Every sum runs over the sessions in log order.
         """
-        groups: dict[str, list] = {ALL_REGIONS: list(records)}
+        columns: list[list] = [[] for _ in _SAMPLE_FIELDS]
+        for values in records.value_chunks(_SAMPLE_FIELDS):
+            for column, chunk in zip(columns, values):
+                column.extend(chunk)
+        rows = dict(zip(_SAMPLE_FIELDS, columns))
+        groups: dict[str, list[int]] = {}
         if region_of is not None:
-            for record in records:
-                region = f"dc{int(region_of[record.player])}"
-                groups.setdefault(region, []).append(record)
+            for index, player in enumerate(rows["player"]):
+                region = f"dc{int(region_of[player])}"
+                groups.setdefault(region, []).append(index)
         deltas = dict(fault_deltas or {})
         samples = [self._build_sample(
-            day, ALL_REGIONS, groups.pop(ALL_REGIONS),
-            cloud_bandwidth_mbps, deltas, recovery_ms)]
+            day, ALL_REGIONS, rows, cloud_bandwidth_mbps, deltas,
+            recovery_ms)]
         for region in sorted(groups):
             # Fault accounting is run-wide: region rows carry zeros.
+            index = groups[region]
+            region_rows = {name: [column[i] for i in index]
+                           for name, column in rows.items()}
             samples.append(self._build_sample(
-                day, region, groups[region], 0.0, {}, ()))
+                day, region, region_rows, 0.0, {}, ()))
         self._days.append(samples)
         self._update_gauges(samples)
         return samples
 
-    def _build_sample(self, day, region, records, cloud_bandwidth_mbps,
+    def _build_sample(self, day, region, rows, cloud_bandwidth_mbps,
                       deltas, recovery_ms) -> DaySample:
-        latencies = [r.response_latency_ms for r in records]
+        latencies = rows["response_latency_ms"]
+        continuity = rows["continuity"]
         qos_table, fallback = _game_qos()
         qoe = self._qoe_model()
         mos_values = []
-        for record in records:
-            requirement, bitrate = qos_table.get(record.game, fallback)
-            mos_values.append(
-                qoe.session_mos(record, requirement, bitrate))
-        supernode = sum(1 for r in records
-                        if getattr(r.kind, "value", r.kind) == "supernode")
-        cloud = sum(1 for r in records
-                    if getattr(r.kind, "value", r.kind) == "cloud")
-        satisfied = sum(1 for r in records if r.satisfied)
-        count = len(records)
+        for game, session_continuity, latency in zip(
+                rows["game"], continuity, latencies):
+            requirement, bitrate = qos_table.get(game, fallback)
+            mos_values.append(qoe.session_mos(
+                session_continuity, latency, requirement, bitrate))
+        kinds = [getattr(kind, "value", kind) for kind in rows["kind"]]
+        count = len(latencies)
         return DaySample(
             day=day, region=region, sessions=count,
-            supernode_sessions=supernode, cloud_sessions=cloud,
-            joins=sum(1 for r in records
-                      if r.join_latency_ms is not None),
+            supernode_sessions=kinds.count("supernode"),
+            cloud_sessions=kinds.count("cloud"),
+            joins=sum(1 for ms in rows["join_latency_ms"]
+                      if ms is not None),
             p50_response_latency_ms=percentile(latencies, 0.50),
             p95_response_latency_ms=percentile(latencies, 0.95),
             p99_response_latency_ms=percentile(latencies, 0.99),
-            mean_continuity=(sum(r.continuity for r in records) / count
-                             if count else 0.0),
-            satisfied_ratio=satisfied / count if count else 0.0,
+            mean_continuity=(sum(continuity) / count if count else 0.0),
+            satisfied_ratio=(sum(1 for ok in rows["satisfied"] if ok)
+                             / count if count else 0.0),
             mean_mos=sum(mos_values) / count if count else 0.0,
             min_mos=min(mos_values) if mos_values else 0.0,
             cloud_bandwidth_mbps=float(cloud_bandwidth_mbps),

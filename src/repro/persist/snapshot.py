@@ -73,10 +73,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.accounting import DayMetrics, RunResult, SessionRecord
+from ..core.accounting import (RECORD_FIELDS, DayMetrics, RunResult,
+                               SessionLog, chunk_values)
 from ..core.candidates import CandidateEntry
 from ..core.config import SystemConfig
-from ..core.entities import ConnectionKind
 from ..core.state import SimState, deploy
 from ..economics.ledger import SupernodeAccount
 from ..faults import FaultSummary
@@ -327,18 +327,26 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
 # ----------------------------------------------------------------------
 # RunResult
 # ----------------------------------------------------------------------
-def _session_rows(records) -> list[list]:
-    return [[r.player, r.day, r.game, r.kind.value, r.target,
-             r.response_latency_ms, r.server_latency_ms, r.continuity,
-             r.satisfied, r.join_latency_ms]
-            for r in records]
+def _session_rows(chunks) -> list[list]:
+    """Checkpoint rows of some :class:`SessionLog` chunks: one list per
+    session, built column by column (``kind`` as its value string)."""
+    rows: list[list] = []
+    for chunk in chunks:
+        values = {name: chunk_values(chunk, name) for name in RECORD_FIELDS}
+        values["kind"] = [kind.value for kind in values["kind"]]
+        rows.extend(map(list, zip(*values.values())))
+    return rows
 
 
-#: The :class:`RunResult` lists a running schedule only ever appends
-#: to, each with the function turning a run of its items into payload
-#: rows.  Their items are immutable (frozen records, floats), so an
-#: encoded prefix stays valid while the list only grows.
-_APPENDED = (("sessions", _session_rows), ("join_latencies_ms", list))
+#: The :class:`RunResult` sequences a running schedule only ever appends
+#: to: each entry names the result field, the append-only list of items
+#: it grows by, and the function turning a run of those items into
+#: payload rows.  The items are immutable (read-only session-log chunks,
+#: floats), so an encoded prefix stays valid while the list only grows.
+_APPENDED = (
+    ("sessions", lambda result: result.sessions.chunks, _session_rows),
+    ("join_latencies_ms", lambda result: result.join_latencies_ms, list),
+)
 
 
 def _result_rest(result: RunResult) -> dict:
@@ -361,8 +369,8 @@ def _result_rest(result: RunResult) -> dict:
 def capture_result(result: RunResult) -> dict:
     """Serialize the accumulated accounting of a (partial) run."""
     payload = _result_rest(result)
-    for name, rows in _APPENDED:
-        payload[name] = rows(getattr(result, name))
+    for name, items, rows in _APPENDED:
+        payload[name] = rows(items(result))
     return payload
 
 
@@ -371,7 +379,9 @@ class _EncodedList:
 
     The cached prefix is trusted only while the list is the same object,
     has not shrunk and still holds the last encoded item at the same
-    position; otherwise the whole list is encoded again.
+    position; otherwise the whole list is encoded again.  For the
+    session log the list is its ``chunks``: a restored or merged log is
+    a new list of new chunks, so its first save encodes it whole.
     """
 
     __slots__ = ("rows", "source", "count", "last", "text")
@@ -406,7 +416,7 @@ class SnapshotEncoder:
     is reused while ``state.config`` is that object.  The mutable state
     is encoded afresh each time.  :meth:`encode_result` encodes only
     the session records and join latencies appended since the previous
-    call; the mutable day rows, the fault summary and the small lists
+    call (the session log by its appended chunks); the mutable day rows, the fault summary and the small lists
     are encoded afresh each time.  The output is byte-identical to the
     one-shot encoding.
     """
@@ -414,7 +424,8 @@ class SnapshotEncoder:
     def __init__(self) -> None:
         self._config: SystemConfig | None = None
         self._config_text = ""
-        self._lists = {name: _EncodedList(rows) for name, rows in _APPENDED}
+        self._lists = {name: (items, _EncodedList(rows))
+                       for name, items, rows in _APPENDED}
 
     def encode_state(self, state: SimState) -> str:
         if state.config is not self._config:
@@ -428,8 +439,8 @@ class SnapshotEncoder:
     def encode_result(self, result: RunResult) -> str:
         members = {name: canonical_json(value)
                    for name, value in _result_rest(result).items()}
-        for name, encoded in self._lists.items():
-            members[name] = encoded.encode(getattr(result, name))
+        for name, (items, encoded) in self._lists.items():
+            members[name] = encoded.encode(items(result))
         return canonical_object(members)
 
 
@@ -446,14 +457,7 @@ def restore_result(payload: dict) -> RunResult:
                    satisfied_ratio=satisfied)
         for day, online, supernode, cloud, bandwidth, response, server,
         continuity, satisfied in payload["days"]]
-    result.sessions = [
-        SessionRecord(player=player, day=day, game=game,
-                      kind=ConnectionKind(kind), target=target,
-                      response_latency_ms=response,
-                      server_latency_ms=server, continuity=continuity,
-                      satisfied=satisfied, join_latency_ms=join)
-        for player, day, game, kind, target, response, server,
-        continuity, satisfied, join in payload["sessions"]]
+    result.sessions = SessionLog.from_rows(payload["sessions"])
     result.join_latencies_ms = list(payload["join_latencies_ms"])
     result.supernode_join_latencies_ms = list(
         payload["supernode_join_latencies_ms"])

@@ -20,6 +20,7 @@ Experiments-rank module: imports ``repro.experiments`` freely.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -106,6 +107,21 @@ def _check_override_type(key: str, value) -> None:
                          f"{expected}, got {value!r}")
 
 
+def _override_range_error(exc: ValueError, overrides) -> ValueError:
+    """Put the document path on a ``SystemConfig`` range error.
+
+    The config's checks name the field first (``num_supernodes must be
+    non-negative``); when that field came from
+    ``infrastructure.overrides`` the error is re-raised under its path.
+    Any other error passes through unchanged.
+    """
+    message = str(exc)
+    for key in re.findall(r"\w+", message):
+        if key in overrides:
+            return ValueError(f"infrastructure.overrides.{key}: {message}")
+    return exc
+
+
 def _check_flash_crowds(config: SystemConfig) -> None:
     """Refuse a flash crowd the compiled schedule can never reach.
 
@@ -175,9 +191,12 @@ def compile_scenario(scenario: Scenario,
     # fixed partitions keep that deterministic across shard counts.
     overrides["workload"] = scenario.workload
 
-    config = variant_config(infra.variant, testbed,
-                            seed if seed is not None else scenario.seed,
-                            **overrides)
+    try:
+        config = variant_config(infra.variant, testbed,
+                                seed if seed is not None else scenario.seed,
+                                **overrides)
+    except ValueError as exc:
+        raise _override_range_error(exc, dict(infra.overrides)) from None
     if scenario.rate_adaptation is not None:
         config = config.with_(strategies=replace(
             config.strategies, rate_adaptation=scenario.rate_adaptation))

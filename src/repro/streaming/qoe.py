@@ -108,8 +108,9 @@ class QoeModel:
                             fidelity=fidelity,
                             responsiveness=responsiveness)
 
-    def session_mos(self, record, requirement_ms: float,
-                    bitrate_kbps: float) -> float:
-        """MOS of one :class:`repro.core.SessionRecord`."""
-        return self.mos(record.continuity, bitrate_kbps,
-                        record.response_latency_ms, requirement_ms).mos
+    def session_mos(self, continuity: float, response_latency_ms: float,
+                    requirement_ms: float, bitrate_kbps: float) -> float:
+        """MOS of one logged session from its continuity and response
+        latency (columns of a :class:`repro.core.SessionLog`)."""
+        return self.mos(continuity, bitrate_kbps, response_latency_ms,
+                        requirement_ms).mos

@@ -17,6 +17,8 @@ from repro.core.accounting import (
 )
 from repro.core.state import SimState
 
+from ..helpers.sessions import log_of
+
 SMALL = dict(num_players=150, num_supernodes=12, seed=3)
 
 
@@ -46,7 +48,7 @@ def test_sweep_loads_rows_map_live_supernodes():
 
 def _record(player, kind, continuity):
     return SessionRecord(
-        player=player, day=0, game="g", kind=kind, target=0,
+        player=player, day=0, game="ArenaStrike", kind=kind, target=0,
         response_latency_ms=50.0, server_latency_ms=5.0,
         continuity=continuity, satisfied=continuity >= 0.95,
         join_latency_ms=None)
@@ -57,8 +59,8 @@ def test_summarize_day_aggregates_records():
     loads = SweepLoads.for_supernodes(state.live_supernodes, hours=24)
     cloud_rate = np.zeros(26)
     cloud_rate[1:25] = 12.0
-    records = [_record(0, ConnectionKind.SUPERNODE, 1.0),
-               _record(1, ConnectionKind.CLOUD, 0.5)]
+    records = log_of([_record(0, ConnectionKind.SUPERNODE, 1.0),
+                      _record(1, ConnectionKind.CLOUD, 0.5)])
     metrics = summarize_day(state, 3, records, cloud_rate, loads)
     assert metrics.day == 3
     assert metrics.online_players == 2

@@ -104,7 +104,7 @@ def _scored_days(config, days):
         twin = copy.deepcopy(rng)
         records = batch_scorer(state, day, sessions, loads, cloud_rate,
                                rng)
-        assert records == score_sessions_scalar(
+        assert list(records) == score_sessions_scalar(
             state, day, sessions, loads, cloud_rate, twin)
         cols = sessions.columns
         players = sessions.players()

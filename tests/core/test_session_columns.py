@@ -78,16 +78,17 @@ def test_table_discard_clears_active():
     assert 3 not in table and len(table) == 0
 
 
-def test_records_share_the_join_latency_float():
-    """A scored record holds the join's own latency float, the object
-    ``RunResult.join_latencies_ms`` also holds: a run keeps every
-    record, so a copy per record would grow its peak memory."""
+def test_logged_join_latencies_are_the_runs_join_latencies():
+    """A logged session's join latency is, bit for bit, a latency
+    ``RunResult.join_latencies_ms`` recorded for the same join; sticky
+    and cloud sessions log None."""
     result = CloudFogSystem(SCENARIOS["cloudfog_advanced"]).run(days=2)
-    shared = {id(ms) for ms in result.join_latencies_ms}
+    recorded = {ms.hex() for ms in result.join_latencies_ms}
     joined = [r.join_latency_ms for r in result.sessions
               if r.join_latency_ms is not None]
     assert joined
-    assert all(id(ms) in shared for ms in joined)
+    assert all(ms.hex() in recorded for ms in joined)
+    assert result.sessions.column("joined").sum() == len(joined)
 
 
 def test_disconnect_many_matches_sequential_disconnects():

@@ -4,6 +4,8 @@ Stage-level behaviour is covered next door: ``test_state.py``,
 ``test_lifecycle.py``, ``test_accounting.py``, ``test_sweep_pipeline.py``.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ def test_run_produces_measured_days(basic_result):
 def test_sessions_recorded_with_valid_fields(basic_result):
     _, result = basic_result
     assert result.sessions
-    for record in result.sessions[:50]:
+    for record in itertools.islice(result.sessions, 50):
         assert 0.0 <= record.continuity <= 1.0
         assert record.response_latency_ms > 0
         assert record.server_latency_ms >= 0

@@ -48,7 +48,7 @@ def test_parallel_matches_sequential_bitwise():
         results = run_variants(tasks, jobs=jobs)
         assert len(results) == len(tasks)
         for ref, got in zip(expected, results):
-            assert ref.sessions == got.sessions
+            assert list(ref.sessions) == list(got.sessions)
             assert ref.days == got.days
             assert ref.join_latencies_ms == got.join_latencies_ms
 
@@ -69,7 +69,7 @@ def test_sequential_sweep_builds_each_population_once(monkeypatch):
     results = run_variants(tasks, jobs=1)
     assert len(builds) == 1
     for ref, got in zip(reference(tasks), results):
-        assert ref.sessions == got.sessions
+        assert list(ref.sessions) == list(got.sessions)
 
 
 def test_results_come_back_in_task_order():
@@ -92,9 +92,9 @@ def test_run_seeds_orders_and_matches_sequential():
     parallel = run_seeds("CloudFog/B", TINY, seeds=(0, 1), days=1, jobs=2)
     assert len(sequential) == 2
     for ref, seq, par in zip(expected, sequential, parallel):
-        assert ref.sessions == seq.sessions == par.sessions
+        assert list(ref.sessions) == list(seq.sessions) == list(par.sessions)
     # Different seeds produce genuinely different runs.
-    assert sequential[0].sessions != sequential[1].sessions
+    assert list(sequential[0].sessions) != list(sequential[1].sessions)
 
 
 def test_variant_task_overrides_forwarded():
@@ -137,7 +137,7 @@ def test_small_sweep_never_starts_a_pool(monkeypatch):
     sequential = run_variants(tasks, jobs=1)
     inprocess = run_variants(tasks, jobs=4)
     for seq, par in zip(sequential, inprocess):
-        assert seq.sessions == par.sessions
+        assert list(seq.sessions) == list(par.sessions)
         assert seq.days == par.days
 
 
@@ -159,6 +159,6 @@ def test_pool_path_matches_sequential_bitwise(monkeypatch):
     pooled = run_variants(tasks, jobs=2)
     assert len(pooled) == len(tasks)
     for seq, par in zip(sequential, pooled):
-        assert seq.sessions == par.sessions
+        assert list(seq.sessions) == list(par.sessions)
         assert seq.days == par.days
         assert seq.join_latencies_ms == par.join_latencies_ms

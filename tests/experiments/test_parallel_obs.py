@@ -66,7 +66,7 @@ def test_parallel_metrics_match_sequential():
     assert sequential["repro_sweep_tasks_total"][0]["value"] == 3
     assert parallel["repro_sweep_tasks_total"][0]["value"] == 3
     for seq, par in zip(sequential_results, parallel_results):
-        assert seq.sessions == par.sessions
+        assert list(seq.sessions) == list(par.sessions)
         assert seq.join_latencies_ms == par.join_latencies_ms
 
 

@@ -28,6 +28,28 @@ def test_sessions_csv_round_trip(tmp_path, result):
     assert 0.0 <= float(first["continuity"]) <= 1.0
 
 
+def test_sessions_csv_equals_rows_written_from_the_records(tmp_path,
+                                                           result):
+    """The column-wise export writes the bytes a DictWriter over the
+    log's ``SessionRecord`` rows writes (None joins as empty cells)."""
+    fields = ("day", "player", "game", "kind", "target",
+              "response_latency_ms", "server_latency_ms", "continuity",
+              "satisfied", "join_latency_ms")
+    reference = tmp_path / "reference.csv"
+    with reference.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=fields)
+        writer.writeheader()
+        for record in result.sessions:
+            row = {name: getattr(record, name) for name in fields}
+            row["kind"] = record.kind.value
+            writer.writerow(row)
+    path = tmp_path / "sessions.csv"
+    export_sessions_csv(result, path)
+    assert any(r.join_latency_ms is None for r in result.sessions)
+    assert any(r.join_latency_ms is not None for r in result.sessions)
+    assert path.read_bytes() == reference.read_bytes()
+
+
 @pytest.mark.parametrize("export", [export_sessions_csv])
 def test_overwrite_false_refuses_existing_file(tmp_path, result, export):
     path = tmp_path / "out.dat"

@@ -35,7 +35,7 @@ def test_instrumented_run_is_bit_identical_to_uninstrumented():
     instrumented = run_variant("CloudFog/B", TINY, seed=3, days=2)
     assert _fingerprint(baseline) == _fingerprint(instrumented)
     assert baseline.days == instrumented.days
-    assert baseline.sessions == instrumented.sessions
+    assert list(baseline.sessions) == list(instrumented.sessions)
 
 
 def test_run_variant_emits_nested_spans():

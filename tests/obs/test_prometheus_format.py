@@ -16,6 +16,8 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesStore
 
+from .rows import RowLog
+
 SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>.*)\})? (?P<value>\S+)$")
@@ -149,7 +151,7 @@ def test_day_series_gauges_expose_per_region_labels():
         player=0, day=0, game="ArenaStrike", kind="supernode", target=0,
         response_latency_ms=88.0, server_latency_ms=44.0, continuity=0.95,
         satisfied=True, join_latency_ms=12.0)
-    store.observe_day(day=0, records=[record], region_of={0: 3},
+    store.observe_day(day=0, records=RowLog([record]), region_of={0: 3},
                       cloud_bandwidth_mbps=5.5)
     types, samples = parse_exposition(registry.to_prometheus())
     assert types["repro_day_p95_response_latency_ms"] == "gauge"

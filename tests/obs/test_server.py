@@ -10,6 +10,8 @@ from repro import obs
 from repro.obs.server import (PROMETHEUS_CONTENT_TYPE, build_snapshot,
                               start_server)
 
+from .rows import RowLog
+
 
 def _get(url):
     with urllib.request.urlopen(url, timeout=5.0) as response:
@@ -47,7 +49,7 @@ def test_metrics_route_reads_the_live_registry_at_request_time(live_obs,
 
 
 def test_snapshot_route_carries_all_pillars_and_slo(live_obs, server):
-    obs.get_timeseries().observe_day(day=0, records=[])
+    obs.get_timeseries().observe_day(day=0, records=RowLog([]))
     obs.get_events().emit("fault_injected", day=0, fault_kind="crash")
     status, headers, body = _get(server.url + "/snapshot.json")
     assert status == 200

@@ -9,9 +9,12 @@ from repro.obs.slo import (BurnWindow, SloObjective, SloPolicy,
                            default_policy, evaluate, load_policy)
 from repro.obs.timeseries import TimeSeriesStore
 
+from .rows import RowLog
+
 
 class FlatQoe:
-    def session_mos(self, record, requirement_ms, bitrate_kbps):
+    def session_mos(self, continuity, response_latency_ms,
+                    requirement_ms, bitrate_kbps):
         return 4.0
 
 
@@ -28,7 +31,7 @@ def _store(latencies, displaced=()):
     displaced = set(displaced)
     for day, latency in enumerate(latencies):
         store.observe_day(
-            day=day, records=[_record(latency)],
+            day=day, records=RowLog([_record(latency)]),
             fault_deltas={"displaced": 1} if day in displaced else None)
     return store
 
@@ -81,10 +84,10 @@ def test_days_without_data_get_no_verdict():
                              op="<=", threshold=1000.0)
     policy = SloPolicy(objectives=(objective,), windows=(BurnWindow(1),))
     store = TimeSeriesStore(qoe=FlatQoe())
-    store.observe_day(day=0, records=[_record(90.0)], recovery_ms=[])
-    store.observe_day(day=1, records=[_record(90.0)],
+    store.observe_day(day=0, records=RowLog([_record(90.0)]), recovery_ms=[])
+    store.observe_day(day=1, records=RowLog([_record(90.0)]),
                       recovery_ms=[1500.0])
-    store.observe_day(day=2, records=[_record(90.0)], recovery_ms=[])
+    store.observe_day(day=2, records=RowLog([_record(90.0)]), recovery_ms=[])
     report = evaluate(policy, store)
     (obj,) = report.objectives
     # Only the day with actual recoveries is judged (and violates).

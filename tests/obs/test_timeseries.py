@@ -8,12 +8,15 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (ALL_REGIONS, DaySample, NULL_TIMESERIES,
                                   TimeSeriesStore, percentile)
 
+from .rows import RowLog
+
 
 class FlatQoe:
-    """A stub MOS model: player id as the score (deterministic)."""
+    """A stub MOS model: response latency / 100 ms as the score."""
 
-    def session_mos(self, record, requirement_ms, bitrate_kbps):
-        return float(record.player)
+    def session_mos(self, continuity, response_latency_ms,
+                    requirement_ms, bitrate_kbps):
+        return response_latency_ms / 100.0
 
 
 def make_record(player, *, region=None, latency=100.0, continuity=0.99,
@@ -40,10 +43,11 @@ def test_percentile_nearest_rank():
 
 def test_observe_day_groups_by_region_with_all_first():
     store = TimeSeriesStore(qoe=FlatQoe())
-    records = [make_record(0), make_record(1), make_record(2, kind="cloud")]
+    records = [make_record(0, latency=0.0), make_record(1),
+               make_record(2, kind="cloud", latency=200.0)]
     region_of = {0: 0, 1: 1, 2: 1}
     samples = store.observe_day(
-        day=0, records=records, region_of=region_of,
+        day=0, records=RowLog(records), region_of=region_of,
         cloud_bandwidth_mbps=12.5,
         fault_deltas={"displaced": 2, "recovered": 1, "retries": 3},
         recovery_ms=[400.0, 800.0])
@@ -57,7 +61,7 @@ def test_observe_day_groups_by_region_with_all_first():
     assert head.faults_recovered == 1
     assert head.fault_retries == 3
     assert head.recovery_p95_ms == 800.0
-    assert head.mean_mos == pytest.approx(1.0)  # players 0,1,2
+    assert head.mean_mos == pytest.approx(1.0)  # latencies 0, 100, 200
     assert head.min_mos == 0.0
     # region rows never carry run-wide fault accounting or bandwidth
     for sample in samples[1:]:
@@ -71,7 +75,7 @@ def test_join_count_and_latency_percentiles():
     records = [make_record(i, latency=float(10 * (i + 1)),
                            join=5.0 if i % 2 else None)
                for i in range(10)]
-    (sample,) = store.observe_day(day=3, records=records)
+    (sample,) = store.observe_day(day=3, records=RowLog(records))
     assert sample.joins == 5
     assert sample.p50_response_latency_ms == 50.0
     assert sample.p95_response_latency_ms == 100.0
@@ -81,7 +85,7 @@ def test_join_count_and_latency_percentiles():
 def test_ring_buffer_drops_oldest_days():
     store = TimeSeriesStore(max_days=2, qoe=FlatQoe())
     for day in range(4):
-        store.observe_day(day=day, records=[make_record(0)])
+        store.observe_day(day=day, records=RowLog([make_record(0)]))
     assert len(store) == 2
     assert [sample.day for sample in store.samples()] == [2, 3]
     with pytest.raises(ValueError):
@@ -91,7 +95,7 @@ def test_ring_buffer_drops_oldest_days():
 def test_series_and_regions_query():
     store = TimeSeriesStore(qoe=FlatQoe())
     for day in range(3):
-        store.observe_day(day=day, records=[make_record(0), make_record(1)],
+        store.observe_day(day=day, records=RowLog([make_record(0), make_record(1)]),
                           region_of={0: 1, 1: 0})
     assert store.regions() == [ALL_REGIONS, "dc0", "dc1"]
     assert [(s.day, s.sessions) for s in store.samples(ALL_REGIONS)] \
@@ -107,17 +111,17 @@ def test_day_without_recoveries_reports_none_not_zero():
     skip them instead of exporting a fake zero."""
     registry = MetricsRegistry()
     store = TimeSeriesStore(registry=registry, qoe=FlatQoe())
-    (quiet,) = store.observe_day(day=0, records=[], recovery_ms=[])
+    (quiet,) = store.observe_day(day=0, records=RowLog([]), recovery_ms=[])
     assert quiet.recovery_p95_ms is None
     assert quiet.p95_response_latency_ms is None
     # None never reaches the registry: no latency gauge exists yet.
     assert not any(metric.name == "repro_day_p95_response_latency_ms"
                    for metric in registry)
-    (busy,) = store.observe_day(day=1, records=[make_record(0)],
+    (busy,) = store.observe_day(day=1, records=RowLog([make_record(0)]),
                                 recovery_ms=[640.0])
     assert busy.recovery_p95_ms == 640.0
     # A later empty day leaves the gauge at its last real value.
-    store.observe_day(day=2, records=[], recovery_ms=[])
+    store.observe_day(day=2, records=RowLog([]), recovery_ms=[])
     collected = {(metric.name, dict(metric.labels).get("region")):
                  metric.value for metric in registry}
     assert collected[("repro_day_p95_response_latency_ms",
@@ -126,7 +130,7 @@ def test_day_without_recoveries_reports_none_not_zero():
 
 def test_none_fields_round_trip_through_payload():
     store = TimeSeriesStore(qoe=FlatQoe())
-    (sample,) = store.observe_day(day=0, records=[], recovery_ms=[])
+    (sample,) = store.observe_day(day=0, records=RowLog([]), recovery_ms=[])
     assert sample.p95_response_latency_ms is None
     assert sample.recovery_p95_ms is None
     clone = TimeSeriesStore(qoe=FlatQoe())
@@ -136,7 +140,7 @@ def test_none_fields_round_trip_through_payload():
 
 def test_payload_round_trip_is_exact():
     store = TimeSeriesStore(qoe=FlatQoe())
-    store.observe_day(day=0, records=[make_record(0), make_record(5)],
+    store.observe_day(day=0, records=RowLog([make_record(0), make_record(5)]),
                       region_of={0: 0, 5: 2}, cloud_bandwidth_mbps=3.25,
                       fault_deltas={"degraded": 4}, recovery_ms=[123.5])
     payload = store.as_payload()
@@ -149,7 +153,7 @@ def test_payload_round_trip_is_exact():
 def test_headline_gauges_mirror_latest_day():
     registry = MetricsRegistry()
     store = TimeSeriesStore(registry=registry, qoe=FlatQoe())
-    store.observe_day(day=0, records=[make_record(2, latency=80.0)],
+    store.observe_day(day=0, records=RowLog([make_record(2, latency=80.0)]),
                       region_of={2: 0}, cloud_bandwidth_mbps=7.0)
     dump = registry.as_dict()
     gauge = {tuple(sorted(e["labels"].items())): e["value"]
@@ -168,7 +172,7 @@ def test_mos_uses_catalogue_qos_with_fallback():
     store = TimeSeriesStore()
     records = [make_record(0, game="ArenaStrike"),
                make_record(1, game="NoSuchGame")]
-    (sample,) = store.observe_day(day=0, records=records)
+    (sample,) = store.observe_day(day=0, records=RowLog(records))
     assert 1.0 <= sample.min_mos <= sample.mean_mos <= 5.0
 
 
@@ -179,5 +183,5 @@ def test_null_store_is_inert():
 
 def test_day_sample_dict_round_trip():
     store = TimeSeriesStore(qoe=FlatQoe())
-    (sample,) = store.observe_day(day=1, records=[make_record(4)])
+    (sample,) = store.observe_day(day=1, records=RowLog([make_record(4)]))
     assert DaySample.from_dict(sample.as_dict()) == sample

@@ -1,12 +1,12 @@
 """The incremental checkpoint writer equals the one-shot encoding.
 
 A :class:`~repro.persist.Checkpointer` encodes the config once and
-re-encodes only the session rows and join latencies appended since its
-previous save.  Whatever happens
-to the result between saves — appends, in-place mutation of the day
-rows and fault summary, a list swapped for a restored copy, a shrunk
-list, telemetry switched on or off — every file's payload must be
-byte-for-byte ``canonical_json`` of the payload built by
+re-encodes only the session-log chunks and join latencies appended
+since its previous save.  Whatever happens to the result between saves
+— appends, in-place mutation of the day rows and fault summary, a log
+or list swapped for a restored copy, a shorter log, a shrunk list, a
+replaced last item, telemetry switched on or off — every file's payload
+must be byte-for-byte ``canonical_json`` of the payload built by
 ``capture_state`` + ``capture_result``.
 """
 
@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import CloudFogSystem
-from repro.core.accounting import DayMetrics, RunResult, SessionRecord
+from repro.core.accounting import DayMetrics, RunResult, SessionLog
 from repro.core.config import cloudfog_advanced
 from repro.core.entities import ConnectionKind
 from repro.core.state import SimState
+from repro.persist import snapshot
 from repro.persist import (
     Checkpointer,
     SnapshotEncoder,
@@ -43,24 +44,21 @@ STATE = SimState(cloudfog_advanced(num_players=30, num_supernodes=3,
 TOTAL_DAYS = 9
 
 _floats = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
-_records = st.builds(
-    SessionRecord,
-    player=st.integers(0, 29), day=st.integers(0, 8),
-    game=st.sampled_from(["rpg", "fps"]),
-    kind=st.sampled_from(list(ConnectionKind)),
-    target=st.integers(-1, 5), response_latency_ms=_floats,
-    server_latency_ms=_floats,
-    continuity=st.floats(0.0, 1.0), satisfied=st.booleans(),
-    join_latency_ms=st.none() | _floats)
+_rows = st.tuples(
+    st.integers(0, 29), st.integers(0, 8),
+    st.sampled_from(["ArenaStrike", "KingdomSaga"]),
+    st.sampled_from([kind.value for kind in ConnectionKind]),
+    st.integers(-1, 5), _floats, _floats, st.floats(0.0, 1.0),
+    st.booleans(), st.none() | _floats)
 
 _ops = st.one_of(
-    st.tuples(st.just("sessions"), st.lists(_records, max_size=4)),
+    st.tuples(st.just("sessions"), st.lists(_rows, max_size=4)),
     st.tuples(st.just("joins"), st.lists(_floats, max_size=4)),
     st.tuples(st.just("day"), _floats),
     st.tuples(st.just("faults"), st.integers(1, 3), _floats),
     st.tuples(st.just("restore"), st.booleans()),
     st.tuples(st.just("shrink"), st.booleans()),
-    st.tuples(st.just("replace_last"), _records),
+    st.tuples(st.just("replace_last"), _floats),
     st.tuples(st.just("save"), st.booleans()),
 )
 
@@ -68,7 +66,7 @@ _ops = st.one_of(
 def _apply(result: RunResult, op) -> None:
     kind, *args = op
     if kind == "sessions":
-        result.sessions.extend(args[0])
+        result.sessions.extend(SessionLog.from_rows(args[0]))
     elif kind == "joins":
         result.join_latencies_ms.extend(args[0])
     elif kind == "day":
@@ -88,11 +86,15 @@ def _apply(result: RunResult, op) -> None:
         else:
             result.join_latencies_ms = restored.join_latencies_ms
     elif kind == "shrink":
-        values = result.sessions if args[0] else result.join_latencies_ms
-        del values[len(values) // 2:]
+        if args[0]:  # the log is append-only: swap in a shorter one
+            rows = capture_result(result)["sessions"]
+            result.sessions = SessionLog.from_rows(rows[:len(rows) // 2])
+        else:
+            values = result.join_latencies_ms
+            del values[len(values) // 2:]
     elif kind == "replace_last":
-        if result.sessions:
-            result.sessions[-1] = args[0]
+        if result.join_latencies_ms:
+            result.join_latencies_ms[-1] = args[0]
 
 
 def _reference_text(result: RunResult, day: int) -> str:
@@ -198,3 +200,40 @@ def test_a_new_config_object_is_encoded_afresh():
     after = encoder.encode_state(state)
     assert after == canonical_json(capture_state(state))
     assert after != before
+
+
+def _log(count: int, day: int) -> SessionLog:
+    return SessionLog.from_rows(
+        [player, day, "ArenaStrike", "supernode", 1, 90.5, 1.0, 0.97,
+         True, None if player % 2 else 12.25] for player in range(count))
+
+
+def test_a_second_save_encodes_only_the_new_tail(monkeypatch):
+    """Rows reach the row encoder once, when their chunk is new; a
+    restored log (new chunks in a new log) is encoded whole again."""
+    encoded = []
+    chunk_values = snapshot.chunk_values
+
+    def counting(chunk, name):
+        values = chunk_values(chunk, name)
+        if name == "player":
+            encoded.append(len(values))
+        return values
+
+    result = RunResult()
+    encoder = SnapshotEncoder()
+    monkeypatch.setattr(snapshot, "chunk_values", counting)
+    result.sessions.extend(_log(3, day=0))
+    first = encoder.encode_result(result)
+    result.sessions.extend(_log(2, day=1))
+    second = encoder.encode_result(result)
+    third = encoder.encode_result(result)
+    assert encoded == [3, 2]
+    assert second == third != first
+    monkeypatch.undo()
+    assert second == canonical_json(capture_result(result))
+
+    result.sessions = restore_result(capture_result(result)).sessions
+    monkeypatch.setattr(snapshot, "chunk_values", counting)
+    assert encoder.encode_result(result) == second
+    assert encoded == [3, 2, 5]

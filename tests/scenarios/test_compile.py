@@ -176,6 +176,17 @@ def test_wrong_typed_infrastructure_override_is_refused(key, value,
         compile_scenario(_with_overrides({key: value}))
 
 
+@pytest.mark.parametrize("overrides, path", [
+    ({"num_supernodes": -1}, "num_supernodes"),
+    ({"aging_factor": 1.5, "num_supernodes": 3}, "aging_factor"),
+    ({"throttle_50_share": 0.9}, "throttle_50_share"),
+])
+def test_override_range_error_names_its_document_path(overrides, path):
+    with pytest.raises(ValueError,
+                       match=rf"^infrastructure\.overrides\.{path}: "):
+        compile_scenario(_with_overrides(overrides))
+
+
 def test_right_typed_infrastructure_overrides_compile():
     config = compile_scenario(_with_overrides({
         "supernode_capable_share": 1, "aging_factor": 0.9,

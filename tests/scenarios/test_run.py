@@ -109,6 +109,18 @@ def test_cli_validate_rejects_unknown_config_overrides(tmp_path, capsys):
     assert err.startswith("invalid: infrastructure.overrides: unknown key")
 
 
+def test_cli_validate_names_the_path_of_an_override_range_error(
+        tmp_path, capsys):
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps({
+        "version": 1, "name": "range",
+        "infrastructure": {"overrides": {"num_supernodes": -1}}}))
+    assert scenario_main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid: infrastructure.overrides.num_supernodes: "
+        "num_supernodes must be non-negative"]
+
+
 def test_cli_validate_rejects_wrong_typed_config_overrides(tmp_path,
                                                          capsys):
     path = tmp_path / "typed.json"

@@ -70,13 +70,10 @@ def test_continuity_dominates_default_weights(model):
 
 
 def test_session_mos_uses_record_fields(model):
-    class FakeRecord:
-        continuity = 0.9
-        response_latency_ms = 80.0
-
-    value = model.session_mos(FakeRecord(), requirement_ms=90.0,
+    value = model.session_mos(0.9, 80.0, requirement_ms=90.0,
                               bitrate_kbps=800)
     assert 1.0 <= value <= 5.0
+    assert value == model.mos(0.9, 800, 80.0, 90.0).mos
 
 
 @given(continuity=st.floats(min_value=0.0, max_value=1.0),
