@@ -3,10 +3,16 @@
 Exercises the three hot per-player lifecycle paths that DESIGN.md §15
 moved onto columnar state, and writes ``BENCH_lifecycle.json``:
 
-* **Joins** — the workload run once through the full sweep on the
-  replay-exact join path (one §3.2.2 capacity ask per join).  The
-  arrivals wall clock comes from timer-wrapped ``SUBCYCLE_STAGES``.
-  Throughput only — there is no second join path to compare against.
+* **Joins** — the workload run once through the full sweep; the
+  arrivals wall clock comes from timer-wrapped ``SUBCYCLE_STAGES``
+  (raw throughput, which tracks host speed).  Then the join decision
+  alone — §3.2 selection plus the §3.2.2 candidate-list merge — for
+  every player of a warm run, one after another into an empty pool:
+  the live one-pass path against the frozen sort-then-ask oracle
+  (``tests/core/selection_oracle.py``) on the same inputs.  The two
+  are asserted equal (outcomes, generator state, pool and candidate
+  lists) before timing; ``speedup`` is the median wall ratio of
+  interleaved rounds.
 * **Departures** — :meth:`SupernodePool.disconnect_many` over each
   node's whole departing batch (one set difference + one
   availability write) against one call per departing player.  The
@@ -22,7 +28,8 @@ moved onto columnar state, and writes ``BENCH_lifecycle.json``:
 Default workload is the paper's population (100 k players, 6 000
 supernodes) over a 2-day schedule; ``--tiny`` shrinks everything to
 CI seconds-scale.  ``--check`` exits non-zero when batched departures
-are not faster than their scalar reference (the perf-smoke gate).  The committed snapshot under ``benchmarks/results``
+or the live join decision are not faster than their reference (the
+perf-smoke gate).  The committed snapshot under ``benchmarks/results``
 is the ``--tiny`` workload so ``tools/bench_trend.py`` diffs CI runs
 against a like-for-like baseline; the paper-scale arrivals figure
 lives in ``BENCH_full_scale.json``.
@@ -36,19 +43,29 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import json
 import os
 import pathlib
+import statistics
 import sys
 import time
 
 import numpy as np
 
 from repro.core import sweep
+from repro.core.candidates import CandidateManager
 from repro.core.config import cloudfog_advanced
 from repro.core.columns import SupernodePool
+from repro.core.selection import (SupernodeDirectory, delay_threshold_ms,
+                                  select_supernode)
 from repro.core.system import CloudFogSystem
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.workload.games import random_game
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
+from tests.core import selection_oracle as oracle  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -93,6 +110,77 @@ def bench_joins(num_players: int, num_supernodes: int, days: int,
         "days": days,
         "arrivals_s": arrivals_s,
         "joins_per_s": joins / arrivals_s,
+    }
+
+
+def _oracle_remember(manager, player, qualified) -> None:
+    # As the join called it before the one-pass selection: on a list.
+    oracle.remember(manager, player, list(qualified))
+
+
+def bench_join_decisions(num_players: int, num_supernodes: int,
+                         rounds: int, seed: int) -> dict:
+    """Selection plus candidate merge for every player of a warm run.
+
+    Two warm days give real Eq.-7 scores and candidate lists; then
+    each player in a seeded order joins, with a random game's L_max,
+    an initially empty pool that fills up as the sequence goes on.
+    """
+    config = cloudfog_advanced(num_players=num_players, num_datacenters=6,
+                               num_supernodes=num_supernodes, seed=seed)
+    system = CloudFogSystem(config)
+    system.run(days=2)
+    state = system.state
+    rng = np.random.default_rng(seed)
+    players = rng.permutation(num_players).tolist()
+    limits = [delay_threshold_ms(random_game(rng).latency_requirement_ms)
+              for _ in players]
+    count = config.candidate_count
+
+    def replay(select, remember):
+        pool = copy.deepcopy(state.supernode_pool)
+        directory = SupernodeDirectory(state.topology, pool)
+        directory.candidates_for(0, count)  # the ranking, built untimed
+        manager = copy.deepcopy(state.candidates)
+        select_rng = np.random.default_rng(seed)
+        reputation = state.reputation
+        outcomes = []
+        t0 = time.perf_counter()
+        for player, l_max in zip(players, limits):
+            outcome = select(player, directory, l_max, select_rng,
+                             reputation, count)
+            if outcome.qualified:
+                remember(manager, player, outcome.qualified)
+            outcomes.append(outcome)
+        wall = time.perf_counter() - t0
+        return wall, (outcomes, select_rng.bit_generator.state,
+                      pool.connected, bytes(pool.available),
+                      manager._lists)
+
+    live = (select_supernode, CandidateManager.remember)
+    frozen = (oracle.select_supernode, _oracle_remember)
+
+    # Equivalence before speed: same outcomes, same end state.
+    _, got = replay(*live)
+    _, want = replay(*frozen)
+    assert got[1:] == want[1:] and got[0] == [
+        dataclasses.astuple(outcome) for outcome in want[0]], \
+        "the live join decision diverged from the frozen oracle"
+
+    # Interleaved rounds; the speedup is the median of the per-round
+    # ratios, since a round's two replays share the host's speed.
+    live_times, oracle_times = [], []
+    for _ in range(rounds):
+        oracle_times.append(replay(*frozen)[0])
+        live_times.append(replay(*live)[0])
+    ratios = [o / t for o, t in zip(oracle_times, live_times)]
+    return {
+        "decisions": len(players),
+        "fog_ratio": sum(outcome[0] is not None
+                         for outcome in got[0]) / len(players),
+        "oracle_decisions_per_s": len(players) / min(oracle_times),
+        "live_decisions_per_s": len(players) / min(live_times),
+        "speedup": statistics.median(ratios),
     }
 
 
@@ -204,10 +292,13 @@ def main(argv=None) -> int:
         depart_nodes, per_node, rounds = 2000, 100, 3
         fail_count = 600
 
+    joins = bench_joins(players, supernodes, days=args.days, seed=11)
+    joins.update(bench_join_decisions(players, supernodes, rounds=9,
+                                      seed=11))
     results = {
         "workload": {"players": players, "supernodes": supernodes,
                      "tiny": args.tiny, "cpu_count": os.cpu_count()},
-        "joins": bench_joins(players, supernodes, days=args.days, seed=11),
+        "joins": joins,
         "departures": bench_departures(depart_nodes, per_node, rounds,
                                        seed=11),
         "migrations": bench_migrations(players, supernodes, fail_count,
@@ -222,7 +313,10 @@ def main(argv=None) -> int:
     joins, departs, migrations = (results["joins"], results["departures"],
                                   results["migrations"])
     print(f"joins:      {joins['joins']:,} at "
-          f"{joins['joins_per_s']:,.0f}/s")
+          f"{joins['joins_per_s']:,.0f}/s; decisions "
+          f"{joins['live_decisions_per_s']:,.0f}/s live vs "
+          f"{joins['oracle_decisions_per_s']:,.0f}/s oracle "
+          f"({joins['speedup']:.2f}x)")
     print(f"departures: {departs['batch_departures_per_s']:,.0f}/s batched "
           f"vs {departs['scalar_departures_per_s']:,.0f}/s scalar "
           f"({departs['speedup']:.2f}x)")
@@ -234,6 +328,10 @@ def main(argv=None) -> int:
     if args.check and departs["speedup"] <= 1.0:
         print("FAIL: batched disconnect_many is not faster than one call "
               "per player", file=sys.stderr)
+        return 1
+    if args.check and joins["speedup"] <= 1.0:
+        print("FAIL: the live join decision is not faster than the "
+              "frozen oracle", file=sys.stderr)
         return 1
     return 0
 

@@ -326,41 +326,120 @@ class RunResult:
         return table
 
 
-@dataclass
 class SweepLoads:
-    """Per-supernode load timelines of one day as dense 2-D arrays.
+    """The load timelines of one sweep day, with spans committed when read.
 
-    Row ``i`` belongs to live supernode ``ids[i]``; columns are the
-    ``hours + 2`` subcycle slots the sweep indexes (slot 0 unused, the
-    trailing slot absorbs sessions running through the last subcycle).
-    Replaces the former per-supernode dict-of-arrays so the batch
-    scorer can gather load statistics without dict churn.
+    Four timelines over the ``hours + 2`` subcycle slots the sweep
+    indexes (slot 0 unused, the trailing slot absorbs sessions running
+    through the last subcycle): per live supernode the concurrent
+    players (``counts``) and committed stream Mbit/s (``rates``), one
+    row per ``ids`` entry; the cloud's direct-stream Mbit/s
+    (``cloud_rate``); and, under admission control only, the
+    concurrent cloud sessions (``cloud_count``, else None).
+
+    :meth:`commit` only logs a cohort's spans.  Reading any timeline
+    first applies the whole log, with one ``np.add.at`` per timeline in
+    commit order, so every cell sums the same terms in the same order
+    as eager per-cohort adds would, and no reader ever sees a stale
+    cell.  Writers (the fault handlers) write through the arrays they
+    read, after the log is applied.
     """
 
-    ids: tuple[int, ...]
-    counts: np.ndarray  # (num_live, hours + 2) concurrent players
-    rates: np.ndarray   # (num_live, hours + 2) committed stream Mbit/s
-    _rows: dict[int, int] = field(repr=False)
+    __slots__ = ("ids", "_rows", "_counts", "_rates", "_cloud_rate",
+                 "_cloud_count", "_fog", "_cloud")
 
-    @classmethod
-    def for_supernodes(cls, supernode_ids: list[int],
-                       hours: int) -> "SweepLoads":
-        ids = tuple(supernode_ids)
-        shape = (len(ids), hours + 2)
-        return cls(ids=ids, counts=np.zeros(shape), rates=np.zeros(shape),
-                   _rows={sn_id: row for row, sn_id in enumerate(ids)})
+    def __init__(self, supernode_ids: list[int], hours: int,
+                 occupancy: bool = False) -> None:
+        self.ids = tuple(supernode_ids)
+        self._rows = {sn_id: row for row, sn_id in enumerate(self.ids)}
+        shape = (len(self.ids), hours + 2)
+        self._counts = np.zeros(shape)
+        self._rates = np.zeros(shape)
+        self._cloud_rate = np.zeros(hours + 2)
+        self._cloud_count = np.zeros(hours + 2) if occupancy else None
+        #: The pending spans, in commit order, as columns: (row, first
+        #: subcycle, last subcycle, Mbit/s) for supernodes, the same
+        #: without the row for the cloud.
+        self._fog: tuple[list, list, list, list] = ([], [], [], [])
+        self._cloud: tuple[list, list, list] = ([], [], [])
 
     def row(self, supernode_id: int) -> int | None:
         """Row index of a live supernode (None when not deployed)."""
         return self._rows.get(supernode_id)
 
+    def commit(self, start: int, rows: list[int], ends: list[int],
+               rates: list[float], cloud_ends: list[int],
+               cloud_rates: list[float]) -> None:
+        """Log one cohort's spans, all starting at subcycle ``start``.
+
+        Fog session ``i`` loads row ``rows[i]`` with one player and
+        ``rates[i]`` Mbit/s for subcycles ``start`` through ``ends[i]``
+        inclusive; cloud session ``j`` adds ``cloud_rates[j]`` to
+        ``cloud_rate`` (and one session to ``cloud_count``) through
+        ``cloud_ends[j]``.
+        """
+        if rows:
+            for column, values in zip(self._fog, (
+                    rows, [start] * len(rows), ends, rates)):
+                column.extend(values)
+        if cloud_ends:
+            for column, values in zip(self._cloud, (
+                    [start] * len(cloud_ends), cloud_ends, cloud_rates)):
+                column.extend(values)
+
+    def _apply(self) -> None:
+        """Add every logged span to its timelines, in commit order."""
+        fog_rows, fog_starts, fog_ends, fog_rates = self._fog
+        if fog_rows:
+            width = self._counts.shape[1]
+            cells, lengths = _span_cells(fog_starts, fog_ends, fog_rows,
+                                         width)
+            np.add.at(self._counts.reshape(-1), cells, 1)
+            np.add.at(self._rates.reshape(-1), cells,
+                      np.repeat(np.asarray(fog_rates, dtype=np.float64),
+                                lengths))
+            self._fog = ([], [], [], [])
+        starts, ends, rates = self._cloud
+        if starts:
+            cells, lengths = _span_cells(starts, ends)
+            np.add.at(self._cloud_rate, cells, np.repeat(
+                np.asarray(rates, dtype=np.float64), lengths))
+            if self._cloud_count is not None:
+                np.add.at(self._cloud_count, cells, 1)
+            self._cloud = ([], [], [])
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(rows, hours + 2) concurrent players per supernode."""
+        self._apply()
+        return self._counts
+
+    @property
+    def rates(self) -> np.ndarray:
+        """(rows, hours + 2) committed stream Mbit/s per supernode."""
+        self._apply()
+        return self._rates
+
+    @property
+    def cloud_rate(self) -> np.ndarray:
+        """(hours + 2,) the cloud's direct-stream Mbit/s."""
+        self._apply()
+        return self._cloud_rate
+
+    @property
+    def cloud_count(self) -> np.ndarray | None:
+        """(hours + 2,) concurrent cloud sessions, or None without
+        admission control."""
+        self._apply()
+        return self._cloud_count
+
     def ensure_row(self, supernode_id: int) -> int:
         """Row index for a supernode, growing a zero row if absent.
 
         The self-healing hook brings replacement capacity online
-        mid-day; its load timeline starts empty.  Stages must re-read
-        ``counts``/``rates`` after fault handling (they already do —
-        both are fetched per subcycle) because growth reallocates.
+        mid-day; its load timeline starts empty.  Growth reallocates
+        ``counts`` and ``rates``, so readers fetch them again after
+        fault handling (the stages read them per subcycle).
         """
         row = self._rows.get(supernode_id)
         if row is not None:
@@ -368,10 +447,25 @@ class SweepLoads:
         row = len(self.ids)
         self.ids = self.ids + (supernode_id,)
         zero = np.zeros((1, self.counts.shape[1]))
-        self.counts = np.vstack([self.counts, zero])
-        self.rates = np.vstack([self.rates, zero])
+        self._counts = np.vstack([self.counts, zero])
+        self._rates = np.vstack([self.rates, zero])
         self._rows[supernode_id] = row
         return row
+
+
+def _span_cells(starts, ends, rows=None, width: int = 0):
+    """The flat cells of spans ``starts[i]..ends[i]`` (of row
+    ``rows[i]`` in a ``width``-column matrix, when given) and the span
+    lengths: span after span, each in subcycle order."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(ends, dtype=np.int64) - starts + 1
+    offsets = np.cumsum(lengths) - lengths
+    cells = (np.arange(int(lengths.sum()), dtype=np.int64)
+             + np.repeat(starts - offsets, lengths))
+    if rows is not None:
+        cells += np.repeat(np.asarray(rows, dtype=np.int64) * width,
+                           lengths)
+    return cells, lengths
 
 
 # ----------------------------------------------------------------------

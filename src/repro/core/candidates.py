@@ -65,33 +65,37 @@ class CandidateManager:
         """Merge freshly probed (supernode id, delay) pairs.
 
         Keeps the ``max_entries`` lowest-delay candidates; a re-probed
-        supernode's delay is updated in place.  Probe delays are
-        geometric and static, so the steady-state call — every pair
-        already known at the same delay — returns without rebuilding
-        or re-sorting the list.
+        supernode's delay is updated in place, and a tie keeps the
+        listed entry ahead of the newcomer.  Probe delays are geometric
+        and static, so most calls change nothing and return after one
+        look-up per pair, before any entry is built or sorted: every
+        pair already listed at the same delay, or — once the list is
+        full — unlisted and no closer than its worst entry, which the
+        merge would sort past the cut.
         """
-        make = CandidateEntry._make
         existing = self._lists.get(player)
-        if existing is None:
-            fresh: dict[int, CandidateEntry] = {}
+        if existing is not None:
+            listed = {sn_id: delay for sn_id, delay in existing}
+            worst = (existing[-1].delay_ms
+                     if len(existing) == self.max_entries else None)
             for sn_id, delay in candidates:
-                if delay < 0:
-                    raise ValueError("delay must be non-negative")
-                fresh[sn_id] = make((sn_id, float(delay)))
-            ranked = sorted(fresh.values(), key=_by_delay)
-            self._lists[player] = ranked[:self.max_entries]
-            return
-        entries = {e.supernode_id: e for e in existing}
-        changed = False
+                known = listed.get(sn_id)
+                if known is None:
+                    if worst is None or not delay >= worst:
+                        break  # may enter the list
+                elif known != delay:
+                    break  # a listed supernode's delay changed
+            else:
+                return
+        make = CandidateEntry._make
+        entries = ({} if existing is None
+                   else {e.supernode_id: e for e in existing})
         for sn_id, delay in candidates:
             if delay < 0:
                 raise ValueError("delay must be non-negative")
             prev = entries.get(sn_id)
             if prev is None or prev.delay_ms != delay:
                 entries[sn_id] = make((sn_id, float(delay)))
-                changed = True
-        if not changed:
-            return
         ranked = sorted(entries.values(), key=_by_delay)
         self._lists[player] = ranked[:self.max_entries]
 

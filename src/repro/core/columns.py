@@ -208,7 +208,7 @@ class SessionColumns:
 
     __slots__ = ("size", "active", "supernode_id", "kind", "latency_ms",
                  "upstream_ms", "start_subcycle", "end_subcycle",
-                 "join_latency_ms")
+                 "join_latency_ms", "joined")
 
     def __init__(self, size: int) -> None:
         if size < 0:
@@ -227,8 +227,9 @@ class SessionColumns:
         #: Inclusive play window in subcycles, clamped to the day.
         self.start_subcycle = np.zeros(size, dtype=np.int64)
         self.end_subcycle = np.zeros(size, dtype=np.int64)
-        #: Join latency (ms), or None when the join ran no selection.
-        #: Object dtype: the row holds the join's own float, which the
-        #: scored record then shares with ``RunResult.join_latencies_ms``
-        #: (a run keeps every record, so a copy would cost 24 bytes each).
-        self.join_latency_ms = np.full(size, None, dtype=object)
+        #: Join latency (ms) where ``joined``, else NaN: the session
+        #: log's two columns, copied as they are by the scorer.
+        self.join_latency_ms = np.full(size, np.nan, dtype=np.float64)
+        #: True when the join ran a selection (not a sticky reuse or a
+        #: cloud or CDN baseline join).
+        self.joined = np.zeros(size, dtype=bool)

@@ -58,10 +58,14 @@ def join(state: SimState, player: int,
     Joins happen thousands of times per simulated day, so they are
     counted (by connection kind, sticky reuse, join latency
     histogram) rather than individually spanned — the enclosing
-    ``sweep_day`` span carries their aggregate wall clock.
+    ``sweep_day`` span carries their aggregate wall clock.  With
+    metrics off the null registry would record nothing, so the join
+    skips the lookups.
     """
     outcome = _join_inner(state, player, rng)
     registry = obs.get_registry()
+    if not registry.enabled:
+        return outcome
     registry.counter("repro_joins_total", kind=outcome.kind.value).inc()
     if outcome.join_latency_ms is not None:
         registry.histogram("repro_join_latency_ms").observe(
@@ -109,7 +113,7 @@ def _join_inner(state: SimState, player: int,
         candidate_count=config.candidate_count,
         cloud_rtt_ms=2.0 * upstream)
     if outcome.qualified:
-        state.candidates.remember(player, list(outcome.qualified))
+        state.candidates.remember(player, outcome.qualified)
     if outcome.supernode_id is not None:
         state.sticky[player] = outcome.supernode_id
         return JoinOutcome(ConnectionKind.SUPERNODE, outcome.supernode_id,
@@ -308,7 +312,7 @@ def migrate(state: SimState, player: int, l_max: float,
             exclude=refused if refused else None)
         latency += outcome.join_latency_ms
         if outcome.qualified:
-            state.candidates.remember(player, list(outcome.qualified))
+            state.candidates.remember(player, outcome.qualified)
         sid = outcome.supernode_id
         if sid is not None:
             if (transient_refusal > 0.0

@@ -246,13 +246,12 @@ def score_sessions_batch(state: SimState, day, sessions: SessionTable,
                  + server_ms + PLAYOUT_PROCESSING_MS)
     cols = sessions.columns
     rows = np.asarray(params.players, dtype=np.intp)
-    joins = cols.join_latency_ms[rows]
-    joined = np.array([ms is not None for ms in joins.tolist()], dtype=bool)
+    joined = cols.joined[rows]
     return SessionLog.of(
         player=rows, day=np.full(len(rows), day),
         game=[GAME_CODE[game.name] for game in params.games],
         kind=cols.kind[rows], target=params.targets,
         response_latency_ms=responses, server_latency_ms=server_ms,
         continuity=outcome.continuity, satisfied=outcome.satisfied,
-        join_latency_ms=np.where(joined, joins, np.nan).astype(np.float64),
+        join_latency_ms=np.where(joined, cols.join_latency_ms[rows], np.nan),
         joined=joined)

@@ -11,8 +11,11 @@ The protocol, exactly as the paper lays it out:
    response-latency requirement.
 3. The survivors are ordered by the player's own Eq.-7 reputation score
    (descending); the player asks each in turn whether it still has
-   capacity and connects to the first that does.  CloudFog/B skips the
-   reputation ordering and picks randomly among the qualified survivors.
+   capacity and connects to the first that does.  The cloud's list
+   holds only supernodes with a free slot, so the first ask succeeds
+   and the selection is one pass that keeps the best survivor.
+   CloudFog/B skips the reputation ordering and picks randomly among
+   the qualified survivors.
 4. No survivor ⇒ the player connects to the cloud directly.
 
 The selection also reports a modelled *join latency* (Fig. 9): one RTT
@@ -23,7 +26,7 @@ slowest candidate's RTT) and the connect handshake.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,11 +80,11 @@ class SupernodeDirectory:
         self.topology = topology
         self.pool = pool
         self._topk: np.ndarray | None = None
-        # Python-float copies of the immutable probe columns: a join
-        # probes a handful of rows, and list reads keep the probe
-        # arithmetic in Python floats.
-        self._probe_columns = (pool.x_km.tolist(), pool.y_km.tolist(),
-                               pool.access_ms.tolist())
+        #: Python-float copies of the immutable probe columns (x, y,
+        #: access delay): a join probes a handful of rows, and list
+        #: reads keep the probe arithmetic in Python floats.
+        self.probe_columns = (pool.x_km.tolist(), pool.y_km.tolist(),
+                              pool.access_ms.tolist())
 
     def candidates_for(self, player: int, count: int) -> list[int]:
         """Ids of the ``count`` closest supernodes with free capacity.
@@ -160,34 +163,6 @@ class SupernodeDirectory:
         d2 = dx * dx + dy * dy
         return _nearest(d2[None, :], pool.size, np.arange(pool.size))[0]
 
-    def probe_delays_ms(self, player: int,
-                        candidates: list[int]) -> list[float]:
-        """One-way transmission delays from the player to each candidate.
-
-        Scalar mirror of ``players_to_points_one_way_ms`` for the
-        handful of candidates a join probes, in Python floats.  Operand
-        order matches the vectorised path bit for bit:
-        ``pairwise_distances`` squares via numpy's x*x fast path
-        (mirrored as ``dx*dx``, never ``dx**2``, which would round
-        through libm pow) under a correctly rounded sqrt, and
-        ``one_way_ms`` adds left-associatively.
-        """
-        if not candidates:
-            return []
-        topo = self.topology
-        px = float(topo.player_coords[player, 0])
-        py = float(topo.player_coords[player, 1])
-        pa = float(topo.player_access_ms[player])
-        mskm = topo.latency_model.ms_per_km
-        xs, ys, access = self._probe_columns
-        delays = []
-        for sid in candidates:
-            dx = px - xs[sid]
-            dy = py - ys[sid]
-            delays.append(pa + mskm * math.sqrt(dx * dx + dy * dy)
-                          + access[sid])
-        return delays
-
 
 def _first_available(ranked: np.ndarray, avail: bytearray,
                      count: int) -> list[int]:
@@ -226,8 +201,7 @@ def _nearest(d2: np.ndarray, k: int, keys: np.ndarray) -> np.ndarray:
     return part[:, :k]
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
+class SelectionOutcome(NamedTuple):
     """Result of one player's supernode selection.
 
     ``supernode_id`` is the *global* supernode id (stable across
@@ -261,9 +235,21 @@ def select_supernode(
     """Run the full §3.2 selection for one player.
 
     ``reputation`` None reproduces CloudFog/B's random pick among the
-    qualified candidates; otherwise candidates are tried in descending
-    Eq.-7 score order (ties keep the delay ordering, so cold-start
-    players effectively prefer closer supernodes).
+    qualified candidates; otherwise the player takes the candidate with
+    the highest Eq.-7 score, and among equal scores the lowest delay,
+    then the cloud's (distance², pool id) order — so cold-start players
+    effectively prefer closer supernodes.
+
+    One pass over the candidates probes each, applies L_max and keeps
+    the best (−score, delay) pair: the first entry of the stable sort
+    the paper's ordered capacity asks would walk.  The ask ends at that
+    entry, because :meth:`SupernodeDirectory.candidates_for` returns
+    only rows with a free slot and nothing connects before this one.
+
+    The probe is the scalar form of ``players_to_points_one_way_ms``,
+    in Python floats and bit-identical to it: ``dx * dx`` (numpy's
+    square fast path, never ``dx ** 2``, which rounds through libm
+    pow) under a correctly rounded sqrt, added left to right.
 
     ``exclude`` drops specific supernode ids before probing — retry
     rounds after a failed migration pass the nodes that just refused
@@ -274,35 +260,37 @@ def select_supernode(
     candidates = directory.candidates_for(player, candidate_count)
     if exclude:
         candidates = [sid for sid in candidates if sid not in exclude]
-    delays = directory.probe_delays_ms(player, candidates)
-
-    join_latency = cloud_rtt_ms
-    if candidates:
-        join_latency += 2.0 * max(delays)  # parallel probe RTTs
-
-    qualified = tuple((sid, delay) for sid, delay in zip(candidates, delays)
-                      if delay <= l_max_ms)
+    if not candidates:
+        return SelectionOutcome(None, 0.0, cloud_rtt_ms, 0)
+    topo = directory.topology
+    px, py = topo.player_coords[player].tolist()
+    pa = float(topo.player_access_ms[player])
+    mskm = topo.latency_model.ms_per_km
+    xs, ys, access = directory.probe_columns
+    score = reputation.score if reputation is not None else None
+    qualified = []
+    slowest = -math.inf
+    best = None
+    best_score = best_delay = 0.0
+    for sid in candidates:
+        dx = px - xs[sid]
+        dy = py - ys[sid]
+        delay = pa + mskm * math.sqrt(dx * dx + dy * dy) + access[sid]
+        if delay > slowest:
+            slowest = delay
+        if delay <= l_max_ms:
+            qualified.append((sid, delay))
+            if score is not None:
+                rank = -score(player, sid)
+                if best is None or rank < best_score or (
+                        rank == best_score and delay < best_delay):
+                    best, best_score, best_delay = sid, rank, delay
+    join_latency = cloud_rtt_ms + 2.0 * slowest  # parallel probe RTTs
     if not qualified:
         return SelectionOutcome(None, 0.0, join_latency, len(candidates))
-
-    if reputation is not None:
-        # Descending reputation; delay breaks ties so cold-start players
-        # effectively prefer closer supernodes.
-        ordered = sorted(
-            qualified,
-            key=lambda item: (-reputation.score(player, item[0]), item[1]))
-    else:
-        indices = rng.permutation(len(qualified))
-        ordered = [qualified[int(i)] for i in indices]
-
-    # Sequential capacity ask (§3.2.2): a candidate may have filled up
-    # between the cloud's answer and now.
-    pool = directory.pool
-    for sid, delay in ordered:
-        if pool.available[sid]:
-            pool.connect(sid, player)
-            join_latency += handshake_ms + delay
-            return SelectionOutcome(sid, delay, join_latency,
-                                    len(candidates), qualified)
-    return SelectionOutcome(None, 0.0, join_latency, len(candidates),
-                            qualified)
+    if score is None:
+        best, best_delay = qualified[int(rng.permutation(len(qualified))[0])]
+    directory.pool.connect(best, player)
+    return SelectionOutcome(best, best_delay,
+                            join_latency + (handshake_ms + best_delay),
+                            len(candidates), tuple(qualified))

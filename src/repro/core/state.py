@@ -109,7 +109,9 @@ class SessionTable:
                                    for sid in sids]
         cols.latency_ms[rows] = downstream
         cols.upstream_ms[rows] = upstream
+        # A float64 column takes None as NaN.
         cols.join_latency_ms[rows] = join_ms
+        cols.joined[rows] = [ms is not None for ms in join_ms]
         cols.start_subcycle[rows] = start
         cols.end_subcycle[rows] = ends
         self._order.update(dict.fromkeys(players))

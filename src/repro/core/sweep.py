@@ -126,18 +126,17 @@ class SweepContext:
     rng: np.random.Generator
     result: RunResult
     measuring: bool
+    #: The day's load timelines (supernode rows, the cloud line and,
+    #: under admission control, the cloud occupancy line).
     loads: SweepLoads
-    cloud_rate: np.ndarray
     #: Start subcycle → the plans joining then, in plan order.
     starts: dict[int, DayPlans]
     #: The day's sessions, one ``sessions.columns`` row per player.
     sessions: SessionTable
     fault_rng: np.random.Generator | None = None
-    #: Admission-control policy (duck-typed AdmissionPolicy) and the
-    #: concurrent cloud-session occupancy line it caps against; both
-    #: None unless an active FaultPlan carries an admission policy.
+    #: Admission-control policy (duck-typed AdmissionPolicy); None
+    #: unless an active FaultPlan carries an admission policy.
     admission: object | None = None
-    cloud_count: np.ndarray | None = None
     subcycle: int = 0
 
 
@@ -179,45 +178,27 @@ def stage_faults(state: SimState, ctx: SweepContext) -> None:
     """
     if ctx.fault_rng is not None:
         handlers.apply_faults(state, ctx.day, ctx.subcycle, ctx.sessions,
-                              ctx.loads, ctx.cloud_rate, ctx.fault_rng,
-                              ctx.result, ctx.measuring, ctx.hours)
-
-
-def _span_add(target: np.ndarray, rows, ends, start: int, values) -> None:
-    """``target[rows[i], start:ends[i]+1] += values[i]`` for all ``i``.
-
-    Flattens every span into one ``np.add.at`` call.  Increments apply
-    in array order, i.e. plan order — the same order the per-session
-    slice adds would have used, so float accumulation is bit-identical.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    lengths = ends - start + 1
-    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    cols = start + np.arange(int(lengths.sum()), dtype=np.int64) - offsets
-    flat = np.repeat(rows, lengths) * target.shape[-1] + cols
-    if np.isscalar(values):
-        np.add.at(target.reshape(-1), flat, values)
-    else:
-        np.add.at(target.reshape(-1), flat,
-                  np.repeat(np.asarray(values, dtype=np.float64), lengths))
+                              ctx.loads, ctx.fault_rng, ctx.result,
+                              ctx.measuring, ctx.hours)
 
 
 def _commit_cohort(state: SimState, ctx: SweepContext, players: list[int],
                    hours, joins) -> None:
-    """Insert a cohort of joined sessions; commit their load spans.
+    """Insert a cohort of joined sessions; log their load spans.
 
     ``players`` joined this subcycle with play times ``hours`` and
-    outcomes ``joins``.  The table rows are written in one insert, and
-    the load and cloud-rate span additions collapse into one
-    :func:`_span_add` per array.  A session is committed for the
-    subcycles ``ctx.subcycle`` through its clamped end, inclusive.
+    outcomes ``joins``.  The table rows are written in one insert and
+    the spans go to one :meth:`SweepLoads.commit`, in plan order; they
+    reach the timelines when something next reads them.  A session is
+    committed for the subcycles ``ctx.subcycle`` through its clamped
+    end, inclusive.
     """
     subcycle = ctx.subcycle
     games = state.games
     compression = state.compression
     measuring = ctx.measuring
     latencies = ctx.result.join_latencies_ms
+    row_of = ctx.loads.row
     ends = np.minimum(ctx.hours, subcycle - 1 + np.ceil(hours).astype(
         np.int64)).tolist()
     ctx.sessions.add(players, subcycle, ends, joins)
@@ -229,7 +210,7 @@ def _commit_cohort(state: SimState, ctx: SweepContext, players: list[int],
     for player, joined, end in zip(players, joins, ends):
         rate = games[player].stream_rate_mbps
         if joined.supernode_id is not None:
-            sn_rows.append(ctx.loads.row(joined.supernode_id))
+            sn_rows.append(row_of(joined.supernode_id))
             sn_ends.append(end)
             sn_rates.append(rate)
         elif joined.kind is ConnectionKind.CLOUD:
@@ -239,14 +220,8 @@ def _commit_cohort(state: SimState, ctx: SweepContext, players: list[int],
             cloud_rates.append(rate)
         if measuring and joined.join_latency_ms is not None:
             latencies.append(joined.join_latency_ms)
-    if sn_rows:
-        _span_add(ctx.loads.counts, sn_rows, sn_ends, subcycle, 1)
-        _span_add(ctx.loads.rates, sn_rows, sn_ends, subcycle, sn_rates)
-    if cloud_ends:
-        zeros = np.zeros(len(cloud_ends), dtype=np.int64)
-        _span_add(ctx.cloud_rate, zeros, cloud_ends, subcycle, cloud_rates)
-        if ctx.cloud_count is not None:
-            _span_add(ctx.cloud_count, zeros, cloud_ends, subcycle, 1)
+    ctx.loads.commit(subcycle, sn_rows, sn_ends, sn_rates, cloud_ends,
+                     cloud_rates)
 
 
 def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
@@ -257,8 +232,8 @@ def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
     join reads the sweep's load timelines, so the whole cohort commits
     afterwards in one :func:`_commit_cohort`, in plan order.  Under
     admission control (backpressure) each admitted join commits on its
-    own before the next one joins: its shed decision depends on the
-    cloud occupancy each prior join in the *same* subcycle committed.
+    own before the next one joins: its shed decision reads the cloud
+    occupancy each prior join in the *same* subcycle committed.
     """
     subcycle = ctx.subcycle
     plans = ctx.starts.pop(subcycle, None)
@@ -272,7 +247,7 @@ def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
     for player, hours in zip(players, plans.hours.tolist()):
         joined = join(state, player, ctx.rng)
         if not admit_join(state, joined, ctx.admission, subcycle,
-                          ctx.cloud_count):
+                          ctx.loads.cloud_count):
             # Backpressure: the join is refused before it becomes a
             # session — never displaced, never scored.
             ctx.result.faults.joins_shed += 1
@@ -329,20 +304,20 @@ def sweep_day(state: SimState, plans, rng, result, measuring, day=0):
     pairable with its fault-free baseline.
     """
     hours = state.config.schedule.hours_per_day
+    admission = (state.faults.plan.admission if state.faults.active
+                 else None)
     ctx = SweepContext(
         day=day, hours=hours, rng=rng, result=result, measuring=measuring,
-        loads=SweepLoads.for_supernodes(state.live_supernodes, hours),
-        cloud_rate=np.zeros(hours + 2),
+        loads=SweepLoads(state.live_supernodes, hours,
+                         occupancy=admission is not None),
         starts=start_cohorts(plans, hours),
-        sessions=SessionTable(state.topology.num_players))
+        sessions=SessionTable(state.topology.num_players),
+        admission=admission)
 
     if state.faults.active:
         state.faults.start_day(day)
         if state.faults.has_events_on(day):
             ctx.fault_rng = state.rng_factory.stream(f"faults-{day}")
-        if state.faults.plan.admission is not None:
-            ctx.admission = state.faults.plan.admission
-            ctx.cloud_count = np.zeros(hours + 2)
 
     for subcycle in range(1, hours + 1):
         ctx.subcycle = subcycle
@@ -357,7 +332,7 @@ def sweep_day(state: SimState, plans, rng, result, measuring, day=0):
     live = np.flatnonzero((cols.active == 1) & (cols.supernode_id >= 0))
     if live.size:
         _grouped_disconnect(state, live, cols.supernode_id[live])
-    return ctx.sessions, ctx.loads, ctx.cloud_rate
+    return ctx.sessions, ctx.loads, ctx.loads.cloud_rate
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ __all__ = ["apply_faults", "finish_day", "fault_targets", "inject_crash",
 
 
 def apply_faults(state: SimState, day, subcycle, sessions, loads,
-                 cloud_rate, frng, result, measuring, hours) -> None:
+                 frng, result, measuring, hours) -> None:
     """Fire every fault scheduled for this (day, subcycle).
 
     Before the instant's events, two deferred-work steps run: the
@@ -61,7 +61,7 @@ def apply_faults(state: SimState, day, subcycle, sessions, loads,
     event_log = obs.get_events()
     injector = state.faults
     if injector.queued:
-        _drain_partition_queue(state, day, subcycle, sessions, cloud_rate,
+        _drain_partition_queue(state, day, subcycle, sessions, loads,
                                result)
     if injector.pending_heals:
         _execute_heals(state, day, subcycle, loads, frng)
@@ -76,7 +76,7 @@ def apply_faults(state: SimState, day, subcycle, sessions, loads,
                        extra_ms=event.extra_ms)
         if event.kind == "crash":
             inject_crash(state, event, day, subcycle, sessions, loads,
-                         cloud_rate, frng, result, measuring)
+                         frng, result, measuring)
         elif event.kind == "flaky":
             inject_flaky(state, event, frng)
         elif event.kind == "degrade_link":
@@ -86,14 +86,14 @@ def apply_faults(state: SimState, day, subcycle, sessions, loads,
                                registry)
         elif event.kind == "dc_outage":
             inject_dc_outage(state, event, day, subcycle, sessions, loads,
-                             cloud_rate, frng, result, measuring, hours)
+                             frng, result, measuring, hours)
         elif event.kind == "regional_outage":
             inject_regional_outage(state, event, day, subcycle, sessions,
-                                   loads, cloud_rate, frng, result,
+                                   loads, frng, result,
                                    measuring, hours)
         elif event.kind == "preempt":
             inject_preempt(state, event, day, subcycle, sessions, loads,
-                           cloud_rate, frng, result, measuring, hours)
+                           frng, result, measuring, hours)
         elif event.kind == "partition":
             inject_partition(state, event, day, subcycle, hours)
 
@@ -112,7 +112,7 @@ def fault_targets(state: SimState, event: FaultEvent,
 
 
 def inject_crash(state: SimState, event, day, subcycle, sessions, loads,
-                 cloud_rate, frng, result, measuring) -> None:
+                 frng, result, measuring) -> None:
     """Crash supernodes mid-day and walk their sessions to recovery.
 
     Every displaced session is accounted exactly once per
@@ -129,11 +129,11 @@ def inject_crash(state: SimState, event, day, subcycle, sessions, loads,
     orphan_sets = take_offline(state, targets)
     state.faults.failed_ids.update(targets)
     _rehome_orphans(state, orphan_sets, day, subcycle, sessions, loads,
-                    cloud_rate, frng, result, measuring)
+                    frng, result, measuring)
 
 
 def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
-                    loads, cloud_rate, frng, result, measuring, *,
+                    loads, frng, result, measuring, *,
                     graceful: bool = False) -> None:
     """Walk every orphaned session down the §3.2.2 recovery ladder.
 
@@ -231,7 +231,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             rate = game.stream_rate_mbps
             if state.compression is not None:
                 rate = state.compression.compressed_mbps(rate)
-            cloud_rate[span] += rate
+            loads.cloud_rate[span] += rate
             summary.degraded += 1
             registry.counter("repro_fault_degraded_total").inc()
             event_log.emit("cloud_fallback", day=day,
@@ -257,7 +257,7 @@ def _to_cloud(cols, player: int) -> None:
 
 
 def _fail_domain(state: SimState, targets, event, day, subcycle, sessions,
-                 loads, cloud_rate, frng, result, measuring, hours, *,
+                 loads, frng, result, measuring, hours, *,
                  graceful: bool = False) -> None:
     """Fail a whole domain at once and schedule its self-healing."""
     if not targets:
@@ -272,7 +272,7 @@ def _fail_domain(state: SimState, targets, event, day, subcycle, sessions,
                           datacenter=event.datacenter,
                           graceful=graceful)
     _rehome_orphans(state, orphan_sets, day, subcycle, sessions, loads,
-                    cloud_rate, frng, result, measuring, graceful=graceful)
+                    frng, result, measuring, graceful=graceful)
     healing = injector.plan.healing
     if healing is not None:
         due = subcycle + healing.delay_subcycles
@@ -283,7 +283,7 @@ def _fail_domain(state: SimState, targets, event, day, subcycle, sessions,
 
 
 def inject_dc_outage(state: SimState, event, day, subcycle, sessions,
-                     loads, cloud_rate, frng, result, measuring,
+                     loads, frng, result, measuring,
                      hours) -> None:
     """A datacenter goes dark: its whole fog domain fails together.
 
@@ -301,7 +301,7 @@ def inject_dc_outage(state: SimState, event, day, subcycle, sessions,
     targets = live[nearest[state.supernode_pool.host_player[live]]
                    == dc].tolist()
     _fail_domain(state, targets, event, day, subcycle, sessions, loads,
-                 cloud_rate, frng, result, measuring, hours)
+                 frng, result, measuring, hours)
     if state.config.num_datacenters < 2:
         return
     topology = state.topology
@@ -335,7 +335,7 @@ def inject_dc_outage(state: SimState, event, day, subcycle, sessions,
 
 
 def inject_regional_outage(state: SimState, event, day, subcycle,
-                           sessions, loads, cloud_rate, frng, result,
+                           sessions, loads, frng, result,
                            measuring, hours) -> None:
     """A regional ISP melt: everything inside the blast radius fails.
 
@@ -355,11 +355,11 @@ def inject_regional_outage(state: SimState, event, day, subcycle,
     targets = [sid for sid in state.live_supernodes
                if (xs[sid] - cx) ** 2 + (ys[sid] - cy) ** 2 <= radius_sq]
     _fail_domain(state, targets, event, day, subcycle, sessions, loads,
-                 cloud_rate, frng, result, measuring, hours)
+                 frng, result, measuring, hours)
 
 
 def inject_preempt(state: SimState, event, day, subcycle, sessions,
-                   loads, cloud_rate, frng, result, measuring,
+                   loads, frng, result, measuring,
                    hours) -> None:
     """Spot-style mass preemption of ``count`` supernodes.
 
@@ -370,7 +370,7 @@ def inject_preempt(state: SimState, event, day, subcycle, sessions,
     """
     targets = fault_targets(state, event, frng)
     _fail_domain(state, targets, event, day, subcycle, sessions, loads,
-                 cloud_rate, frng, result, measuring, hours,
+                 frng, result, measuring, hours,
                  graceful=event.warning_subcycles > 0)
 
 
@@ -394,7 +394,7 @@ def inject_partition(state: SimState, event, day, subcycle,
 
 
 def _drain_partition_queue(state: SimState, day, subcycle, sessions,
-                           cloud_rate, result) -> None:
+                           loads, result) -> None:
     """Resolve queued sessions once the partition window has closed.
 
     Sessions whose play window is still open degrade to cloud from
@@ -410,7 +410,7 @@ def _drain_partition_queue(state: SimState, day, subcycle, sessions,
     summary = result.faults
     for player, rate, end, queued_at in injector.queued:
         if player in sessions and end >= subcycle:
-            cloud_rate[subcycle:end + 1] += rate
+            loads.cloud_rate[subcycle:end + 1] += rate
             summary.degraded += 1
             registry.counter("repro_fault_degraded_total").inc()
             stalled = subcycle - queued_at

@@ -45,25 +45,22 @@ DEFAULT_MAX_DAYS = 512
 #: The synthetic region aggregating every player.
 ALL_REGIONS = "all"
 
-#: Game name -> (latency requirement ms, bitrate kbps) for the MOS
-#: model; unknown game names fall back to the catalogue's middle row.
+#: Catalogue game name -> (latency requirement ms, bitrate kbps) for
+#: the MOS model; a session log holds catalogue games only.
 #: Built lazily: the streaming/workload packages import ``repro.sim``,
 #: which imports ``repro.obs`` — a module-level import here would cycle.
-_GAME_QOS_CACHE: tuple[dict, tuple[float, float]] | None = None
+_GAME_QOS_CACHE: dict | None = None
 
 
-def _game_qos() -> tuple[dict, tuple[float, float]]:
+def _game_qos() -> dict[str, tuple[float, float]]:
     global _GAME_QOS_CACHE
     if _GAME_QOS_CACHE is None:
         from ..workload.games import GAME_CATALOGUE
 
-        table = {
+        _GAME_QOS_CACHE = {
             game.name: (game.latency_requirement_ms,
                         game.quality.bitrate_kbps)
             for game in GAME_CATALOGUE}
-        middle = GAME_CATALOGUE[len(GAME_CATALOGUE) // 2]
-        _GAME_QOS_CACHE = (table, (middle.latency_requirement_ms,
-                                   middle.quality.bitrate_kbps))
     return _GAME_QOS_CACHE
 
 
@@ -201,12 +198,12 @@ class TimeSeriesStore:
                       deltas, recovery_ms) -> DaySample:
         latencies = rows["response_latency_ms"]
         continuity = rows["continuity"]
-        qos_table, fallback = _game_qos()
+        qos_table = _game_qos()
         qoe = self._qoe_model()
         mos_values = []
         for game, session_continuity, latency in zip(
                 rows["game"], continuity, latencies):
-            requirement, bitrate = qos_table.get(game, fallback)
+            requirement, bitrate = qos_table[game]
             mos_values.append(qoe.session_mos(
                 session_continuity, latency, requirement, bitrate))
         kinds = [getattr(kind, "value", kind) for kind in rows["kind"]]

@@ -190,15 +190,6 @@ class ReputationTable:
                              today)
         self.refresh(players, today)
 
-    def rank(self, player: int, candidates: list[int]) -> list[int]:
-        """Candidates in descending reputation order (§3.2.2).
-
-        Ties (including the all-zero cold-start case) preserve the input
-        order, so callers can pre-order candidates by e.g. delay.
-        """
-        return sorted(candidates,
-                      key=lambda sn: -self.score(player, sn))
-
     # -- columns out / in (checkpoints) -------------------------------------
     def to_columns(self) -> dict[str, list]:
         """The cached scores as one column aligned to the ledger's pair

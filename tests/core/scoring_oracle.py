@@ -121,6 +121,7 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
             server_latency_ms=server_latency,
             continuity=outcome.continuity,
             satisfied=outcome.satisfied,
-            join_latency_ms=cols.join_latency_ms[player],
+            join_latency_ms=(float(cols.join_latency_ms[player])
+                             if cols.joined[player] else None),
         ))
     return records

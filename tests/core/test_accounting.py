@@ -39,7 +39,7 @@ def test_aggregate_cache_invalidated_by_day_count():
 
 def test_sweep_loads_rows_map_live_supernodes():
     state = SimState(cloudfog_basic(**SMALL))
-    loads = SweepLoads.for_supernodes(state.live_supernodes, hours=24)
+    loads = SweepLoads(state.live_supernodes, hours=24)
     assert loads.counts.shape == (len(state.live_supernodes), 26)
     for row, sid in enumerate(state.live_supernodes):
         assert loads.row(sid) == row
@@ -56,7 +56,7 @@ def _record(player, kind, continuity):
 
 def test_summarize_day_aggregates_records():
     state = SimState(cloudfog_basic(**SMALL))
-    loads = SweepLoads.for_supernodes(state.live_supernodes, hours=24)
+    loads = SweepLoads(state.live_supernodes, hours=24)
     cloud_rate = np.zeros(26)
     cloud_rate[1:25] = 12.0
     records = log_of([_record(0, ConnectionKind.SUPERNODE, 1.0),
@@ -82,7 +82,7 @@ def test_cloud_egress_budget_by_mode():
 
 def test_cloud_bandwidth_counts_serving_supernodes():
     state = SimState(cloudfog_basic(**SMALL))
-    loads = SweepLoads.for_supernodes(state.live_supernodes, hours=24)
+    loads = SweepLoads(state.live_supernodes, hours=24)
     cloud_rate = np.zeros(26)
     bare = cloud_bandwidth(state, cloud_rate, loads)
     assert bare == 0.0

@@ -69,7 +69,8 @@ def test_directory_count_validation(topology):
     with pytest.raises(ValueError):
         directory.candidates_for(0, 0)
     assert directory.candidates_for(0, 3) == []
-    assert directory.probe_delays_ms(0, []) == []
+    outcome = select_supernode(0, directory, 50.0, np.random.default_rng(0))
+    assert outcome == (None, 0.0, 60.0, 0, ())
 
 
 def test_selection_connects_to_qualified_supernode(topology):
@@ -131,7 +132,9 @@ def test_selection_random_without_reputation_varies(topology):
 
 
 def test_sequential_ask_skips_filled_candidate(topology):
-    """§3.2.2: a candidate may fill up between cloud answer and connect."""
+    """§3.2.2: a favourite that filled up is not asked; the cloud's list
+    holds only supernodes with a free slot, so the player connects to
+    the next best."""
     pool = make_pool(topology, hosts=[1, 2], capacity=1)
     directory = SupernodeDirectory(topology, pool)
     ledger = RatingLedger()
@@ -231,12 +234,13 @@ def test_lookup_after_failure_matches_fresh_construction(big_topology):
     fresh_pool = make_pool(big_topology, hosts=hosts)
     fresh_pool.set_online(failed, False)
     fresh = SupernodeDirectory(big_topology, fresh_pool)
-    survivors = [sid for sid in range(len(hosts)) if sid not in failed]
     for player in range(0, 200, 11):
         assert directory.candidates_for(player, 6) == \
             fresh.candidates_for(player, 6)
-        assert directory.probe_delays_ms(player, survivors[:5]) == \
-            fresh.probe_delays_ms(player, survivors[:5])
+        assert select_supernode(
+            player, directory, 500.0, np.random.default_rng(player)) == \
+            select_supernode(player, fresh, 500.0,
+                             np.random.default_rng(player))
 
 
 def test_lookup_handles_single_supernode_pool(topology):

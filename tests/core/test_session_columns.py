@@ -39,7 +39,7 @@ def test_add_writes_the_full_row():
     assert cols.upstream_ms[3] == 30.0
     assert cols.start_subcycle[3] == 2
     assert cols.end_subcycle[3] == 4
-    assert cols.join_latency_ms[3] == 95.0
+    assert cols.join_latency_ms[3] == 95.0 and cols.joined[3]
     assert 3 in table and len(table) == 1
 
 
@@ -55,7 +55,7 @@ def test_add_overwrites_dead_garbage_from_an_earlier_session():
     assert cols.kind[3] == KIND_CLOUD
     assert cols.latency_ms[3] == 40.0
     assert (cols.start_subcycle[3], cols.end_subcycle[3]) == (5, 5)
-    assert cols.join_latency_ms[3] is None
+    assert np.isnan(cols.join_latency_ms[3]) and not cols.joined[3]
 
 
 def test_table_keeps_insertion_order_of_live_players():

@@ -67,7 +67,7 @@ def test_stages_share_one_context(monkeypatch):
     # The returned structures are the context's own, handed through.
     assert ctx.sessions is sessions
     assert ctx.loads is loads
-    assert ctx.cloud_rate is cloud_rate
+    assert ctx.loads.cloud_rate is cloud_rate
 
 
 def test_arrivals_populate_sessions_and_loads():

@@ -75,7 +75,7 @@ def test_sweep_loads_rows_track_live_supernodes():
     system = CloudFogSystem(configs.cloudfog_basic(
         num_players=100, num_supernodes=8, seed=1))
     hours = system.config.schedule.hours_per_day
-    loads = SweepLoads.for_supernodes(system.live_supernodes, hours)
+    loads = SweepLoads(system.live_supernodes, hours)
     assert loads.counts.shape == (len(system.live_supernodes), hours + 2)
     assert loads.rates.shape == loads.counts.shape
     for row, sid in enumerate(system.live_supernodes):

@@ -7,6 +7,8 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (ALL_REGIONS, DaySample, NULL_TIMESERIES,
                                   TimeSeriesStore, percentile)
+from repro.streaming.qoe import QoeModel
+from repro.workload.games import GAME_CATALOGUE
 
 from .rows import RowLog
 
@@ -166,14 +168,22 @@ def test_headline_gauges_mirror_latest_day():
     assert bandwidth["dc0"] == 0.0
 
 
-def test_mos_uses_catalogue_qos_with_fallback():
-    """The real QoE path: known games use their catalogue row; unknown
-    game names fall back to the middle row instead of raising."""
-    store = TimeSeriesStore()
+def test_mos_uses_catalogue_qos():
+    """The real QoE path: each session's MOS uses its game's catalogue
+    row (latency requirement and bitrate)."""
+    qoe = QoeModel()
+    store = TimeSeriesStore(qoe=qoe)
     records = [make_record(0, game="ArenaStrike"),
-               make_record(1, game="NoSuchGame")]
+               make_record(1, game="KingdomSaga")]
     (sample,) = store.observe_day(day=0, records=RowLog(records))
-    assert 1.0 <= sample.min_mos <= sample.mean_mos <= 5.0
+    expected = [qoe.session_mos(0.99, 100.0, game.latency_requirement_ms,
+                                game.quality.bitrate_kbps)
+                for game in (GAME_CATALOGUE[0], GAME_CATALOGUE[-1])]
+    assert GAME_CATALOGUE[0].name == "ArenaStrike"
+    assert GAME_CATALOGUE[-1].name == "KingdomSaga"
+    assert expected[0] != expected[1]
+    assert sample.min_mos == min(expected)
+    assert sample.mean_mos == sum(expected) / 2
 
 
 def test_null_store_is_inert():

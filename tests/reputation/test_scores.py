@@ -54,21 +54,15 @@ def test_aging_factor_bounds():
         raw_reputation_sum(ledger, 1, 7, 0, aging_factor=1.5)
 
 
-def test_table_refresh_and_rank():
+def test_table_refresh_scores_rated_pairs():
     ledger = RatingLedger()
     ledger.add(1, 10, 0.9, day=0)
     ledger.add(1, 20, 0.4, day=0)
     table = ReputationTable(ledger)
     table.refresh((1,), today=0)
     assert table.score(1, 10) == pytest.approx(0.9)
+    assert table.score(1, 20) == pytest.approx(0.4)
     assert table.score(1, 99) == 0.0
-    assert table.rank(1, [20, 10, 99]) == [10, 20, 99]
-
-
-def test_table_rank_preserves_order_on_ties():
-    """Cold-start candidates keep their (delay-sorted) input order."""
-    table = ReputationTable(RatingLedger())
-    assert table.rank(1, [5, 3, 8]) == [5, 3, 8]
 
 
 def test_table_tracks_updates_after_refresh():
