@@ -13,7 +13,10 @@ Measures three things and writes them to ``BENCH_perf.json``:
   linear-scan + full-sort reference, in lookups/second.  The two
   return identical candidate lists (asserted here before timing).
 * **Sweep wall-clock** — a multi-variant comparison sweep run
-  sequentially vs with ``--jobs`` worker processes.
+  sequentially vs with ``--jobs`` worker processes.  Each task is
+  sized past ``MIN_TASK_PLAYER_DAYS``, so the parallel run really
+  starts a pool; ``workers`` records how many processes it used (1 on
+  a one-core host, where the two runs are the same loop).
 
 Run standalone::
 
@@ -40,7 +43,12 @@ from repro.core.config import cloudfog_basic
 from repro.core.selection import SupernodeDirectory
 from repro.core.accounting import RunResult
 from repro.core.system import CloudFogSystem
-from repro.experiments.parallel import VariantTask, run_variants
+from repro.experiments.parallel import (
+    MIN_TASK_PLAYER_DAYS,
+    VariantTask,
+    plan_workers,
+    run_variants,
+)
 from repro.experiments.testbeds import Testbed
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
@@ -158,6 +166,7 @@ def bench_sweep(num_players: int, seed: int, days: int, jobs: int) -> dict:
                       supernode_capable_share=0.5, jitter_fraction=0.15)
     tasks = [VariantTask(variant=v, testbed=testbed, seed=seed, days=days)
              for v in ("Cloud", "CDN", "CloudFog/B", "CloudFog/A")]
+    workers = plan_workers(tasks, jobs)
     t0 = time.perf_counter()
     sequential = run_variants(tasks, jobs=1)
     sequential_s = time.perf_counter() - t0
@@ -169,6 +178,7 @@ def bench_sweep(num_players: int, seed: int, days: int, jobs: int) -> dict:
     return {
         "tasks": len(tasks),
         "jobs": jobs,
+        "workers": workers,
         "sequential_s": sequential_s,
         "parallel_s": parallel_s,
         "speedup": sequential_s / parallel_s,
@@ -191,9 +201,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.tiny:
-        players, supernodes, repeats, lookups, days = 400, 24, 3, 2000, 2
+        players, supernodes, repeats, lookups = 400, 24, 3, 2000
     else:
-        players, supernodes, repeats, lookups, days = 2000, 120, 9, 10000, 3
+        players, supernodes, repeats, lookups = 2000, 120, 9, 10000
+    # Enough days that each sweep task crosses the pool threshold.
+    days = max(3, -(-MIN_TASK_PLAYER_DAYS // players))
 
     results = {
         "workload": {"players": players, "supernodes": supernodes,
@@ -219,8 +231,8 @@ def main(argv=None) -> int:
           f"{joins['linear_joins_per_s']:,.0f} linear "
           f"({joins['speedup']:.1f}x)")
     print(f"sweep:   {sweep['parallel_s']:.1f}s at --jobs {sweep['jobs']} "
-          f"vs {sweep['sequential_s']:.1f}s sequential "
-          f"({sweep['speedup']:.1f}x)")
+          f"({sweep['workers']} workers) vs {sweep['sequential_s']:.1f}s "
+          f"sequential ({sweep['speedup']:.1f}x)")
     print(f"wrote {output}")
 
     if args.check and scoring["speedup"] <= 1.0:

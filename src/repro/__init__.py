@@ -15,7 +15,9 @@ Quickstart::
 Packages:
 
 * ``repro.core`` — the CloudFog system and its four strategies.
-* ``repro.sim`` — discrete-event engine + cycle schedule.
+* ``repro.sim`` — the cycle schedule and seeded RNG streams (the
+  event-level session's discrete-event engine is a test oracle,
+  ``tests/sim/engine_oracle.py``).
 * ``repro.network`` / ``repro.cloud`` / ``repro.streaming`` /
   ``repro.social`` / ``repro.reputation`` / ``repro.forecast`` /
   ``repro.economics`` / ``repro.workload`` — the substrates.

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .server import SERVER_HOP_MS, GameServer
 
 __all__ = ["Datacenter", "DEFAULT_SERVERS_PER_DATACENTER"]
@@ -53,12 +51,6 @@ class Datacenter:
         self.servers[server_index].assign(player)
         self._player_server[player] = server_index
 
-    def assign_randomly(self, players: Iterable[int],
-                        rng: np.random.Generator) -> None:
-        """Baseline: uniform random server per player."""
-        for player in players:
-            self.assign(player, int(rng.integers(0, self.num_servers)))
-
     def assign_partition(self, partition: Mapping[int, int]) -> None:
         """Assign players according to a {player: community} map.
 
@@ -70,18 +62,6 @@ class Datacenter:
 
     def server_of(self, player: int) -> int | None:
         return self._player_server.get(player)
-
-    def remove(self, player: int) -> None:
-        server_index = self._player_server.pop(player, None)
-        if server_index is not None:
-            self.servers[server_index].unassign(player)
-
-    @property
-    def assigned_players(self) -> int:
-        return len(self._player_server)
-
-    def loads(self) -> list[int]:
-        return [server.load for server in self.servers]
 
     # -- latency -----------------------------------------------------------
     def interaction_latency_ms(self, player_a: int, player_b: int) -> float:

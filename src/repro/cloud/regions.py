@@ -119,11 +119,3 @@ class KdTreePartitioner:
         positions = np.asarray(positions, dtype=np.float64)
         return {i: self.server_of(float(x), float(y))
                 for i, (x, y) in enumerate(positions)}
-
-    def load_balance(self, positions: np.ndarray) -> float:
-        """Max/mean region load — 1.0 is perfectly balanced."""
-        assignment = self.assign(positions)
-        counts = np.bincount(list(assignment.values()),
-                             minlength=len(self.regions))
-        mean = counts.mean()
-        return float(counts.max() / mean) if mean > 0 else 1.0

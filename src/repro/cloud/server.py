@@ -34,13 +34,6 @@ class GameServer:
     def unassign(self, player: int) -> None:
         self.players.discard(player)
 
-    def hosts(self, player: int) -> bool:
-        return player in self.players
-
-    @property
-    def load(self) -> int:
-        return len(self.players)
-
     def interaction_latency_ms(self, other: "GameServer",
                                hop_ms: float = SERVER_HOP_MS) -> float:
         """Server-latency cost of one interaction with ``other``'s player.

@@ -117,9 +117,6 @@ class CandidateManager:
         """The player's list, best (lowest delay) first."""
         return list(self._lists.get(player, ()))
 
-    def list_size(self, player: int) -> int:
-        return len(self._lists.get(player, ()))
-
     def notify_new_supernode(self, supernode_id: int, delay_by_player:
                              dict[int, float], l_max_by_player:
                              dict[int, float]) -> int:

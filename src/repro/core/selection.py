@@ -216,10 +216,6 @@ class SelectionOutcome(NamedTuple):
     candidates_probed: int
     qualified: tuple[tuple[int, float], ...] = ()
 
-    @property
-    def used_cloud(self) -> bool:
-        return self.supernode_id is None
-
 
 def select_supernode(
     player: int,

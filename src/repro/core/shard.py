@@ -329,56 +329,47 @@ def _test_hang_hook(index: int):
 
 def _run_partition(partition: ShardPartition, days: int | None,
                    checkpoint_dir, checkpoint_every: int,
-                   extra_hook=None, configure=None) -> RunResult:
-    """Run one partition's full schedule in the current process."""
-    state = SimState(partition.config, population=partition.population)
-    if configure is not None:
-        configure(state)
-    hook = None
-    if checkpoint_dir is not None:
-        hook = Checkpointer(_shard_dir(checkpoint_dir, partition.index),
-                            every=checkpoint_every).on_day_end
-    return run_schedule(state, days,
-                        on_day_end=_compose_hooks(hook, extra_hook))
+                   extra_hook=None, configure=None,
+                   resume: bool = False) -> RunResult:
+    """Run one partition's schedule in the current process.
 
-
-def _resume_partition(partition: ShardPartition, days: int | None,
-                      checkpoint_dir, checkpoint_every: int,
-                      extra_hook=None, configure=None) -> RunResult:
-    """Resume one partition from its newest digest-valid checkpoint.
-
-    A corrupt latest checkpoint falls back to the previous day's
-    snapshot (:func:`repro.persist.checkpoint.latest_valid_checkpoint`);
-    with nothing valid on disk the partition simply runs from scratch —
+    With ``resume`` the partition continues from its newest
+    digest-valid checkpoint: a corrupt latest checkpoint falls back to
+    the previous day's snapshot
+    (:func:`repro.persist.checkpoint.latest_valid_checkpoint`), and with
+    nothing valid on disk the partition runs from scratch —
     bit-identical either way, because resume replays the exact
     day-scoped RNG schedule.  The partition config carries the run's
-    workload overrides, so the rebuilt state has the original run's
-    flash crowds and the rest; ``configure`` (extra hooks) is
-    re-applied to it *before* the snapshot overlay.
+    workload overrides, so a rebuilt state has the original run's flash
+    crowds and the rest; ``configure`` (extra hooks) is applied to the
+    fresh state *before* any snapshot overlay.
     """
     directory = _shard_dir(checkpoint_dir, partition.index) \
         if checkpoint_dir is not None else None
     found = latest_valid_checkpoint(directory) \
-        if directory is not None and directory.is_dir() else None
-    if found is None:
-        return _run_partition(partition, days, checkpoint_dir,
-                              checkpoint_every, extra_hook,
-                              configure=configure)
-    path, payload = found
-    if payload["state"]["config"]["num_players"] != \
-            partition.config.num_players:
-        raise ValueError(
-            f"checkpoint {path} does not match partition "
-            f"{partition.index} of this config")
-    fresh = SimState(partition.config, population=partition.population)
+        if resume and directory is not None and directory.is_dir() \
+        else None
+    if found is not None:
+        path, payload = found
+        if payload["state"]["config"]["num_players"] != \
+                partition.config.num_players:
+            raise ValueError(
+                f"checkpoint {path} does not match partition "
+                f"{partition.index} of this config")
+    state = SimState(partition.config, population=partition.population)
     if configure is not None:
-        configure(fresh)
-    state = overlay_state(fresh, payload["state"])
-    result = restore_result(payload["result"])
-    total = payload["run"]["total_days"] if days is None else days
-    hook = Checkpointer(directory, every=checkpoint_every).on_day_end
-    return run_schedule(state, total, result=result,
-                        start_day=payload["day"] + 1,
+        configure(state)
+    result, start_day = None, 0
+    if found is not None:
+        state = overlay_state(state, payload["state"])
+        result = restore_result(payload["result"])
+        start_day = payload["day"] + 1
+        if days is None:
+            days = payload["run"]["total_days"]
+    hook = None
+    if directory is not None:
+        hook = Checkpointer(directory, every=checkpoint_every).on_day_end
+    return run_schedule(state, days, result=result, start_day=start_day,
                         on_day_end=_compose_hooks(hook, extra_hook))
 
 
@@ -396,12 +387,9 @@ def _partition_worker(args) -> RunResult:
     partition = build_partitions(config)[index]
     extra_hook = _compose_hooks(_test_kill_hook(index),
                                 _test_hang_hook(index))
-    if resume:
-        return _resume_partition(
-            partition, days, checkpoint_dir, checkpoint_every, extra_hook,
-            configure=configure)
     return _run_partition(partition, days, checkpoint_dir,
-                          checkpoint_every, extra_hook, configure=configure)
+                          checkpoint_every, extra_hook, configure=configure,
+                          resume=resume)
 
 
 def _checkpoint_signature(checkpoint_dir, indexes) -> frozenset | None:
@@ -554,8 +542,8 @@ def resume_sharded(config: SystemConfig, checkpoint_dir, *,
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     partitions = build_partitions(config)
-    parts = [_resume_partition(
-        partition, days, checkpoint_dir, checkpoint_every,
-        configure=configure)
+    parts = [_run_partition(partition, days, checkpoint_dir,
+                            checkpoint_every, configure=configure,
+                            resume=True)
              for partition in partitions]
     return merge_results(parts, partitions)

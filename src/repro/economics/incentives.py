@@ -56,11 +56,6 @@ class IncentiveModel:
         """c_s * c_j * u_j per hour of service (USD)."""
         return self.reward_per_gb * self.gb_per_hour(upload_mbps, utilization)
 
-    def hourly_profit(self, upload_mbps: float, utilization: float) -> float:
-        """Eq. 1 per hour: reward minus running cost."""
-        return (self.hourly_reward(upload_mbps, utilization)
-                - self.hourly_running_cost)
-
 
 @dataclass(frozen=True)
 class SupernodeEconomics:
@@ -72,11 +67,6 @@ class SupernodeEconomics:
     @property
     def profit_usd(self) -> float:
         return self.rewards_usd - self.costs_usd
-
-    @property
-    def is_lucrative(self) -> bool:
-        """Contribution is worthwhile when P_s(j) > 0 (threshold 0)."""
-        return self.profit_usd > 0
 
 
 def daily_economics(model: IncentiveModel, upload_mbps: float,

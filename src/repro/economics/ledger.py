@@ -76,10 +76,3 @@ class CreditLedger:
         profitable = sum(1 for a in self.accounts.values()
                          if a.profit_usd > 0)
         return profitable / len(self.accounts)
-
-    def top_earners(self, count: int = 5) -> list[SupernodeAccount]:
-        """Contributors by descending credits."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return sorted(self.accounts.values(),
-                      key=lambda a: -a.credits_usd)[:count]

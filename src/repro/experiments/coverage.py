@@ -17,7 +17,7 @@ import numpy as np
 from ..network.geo import place_datacenters
 from ..network.topology import Topology
 
-__all__ = ["coverage_by_datacenters", "coverage_by_supernodes",
+__all__ = ["coverage_by_datacenters", "coverage_by_supernode_hosts",
            "PAPER_LATENCY_REQUIREMENTS_MS"]
 
 #: The network-latency requirement series of Figs. 4-5 (ms).
@@ -78,21 +78,3 @@ def coverage_by_supernode_hosts(topology: Topology, hosts: np.ndarray,
                         supernode_access_cap_ms)
     return _covered_ratio(_best_one_way(topology, coords, access),
                           requirement_ms)
-
-
-def coverage_by_supernodes(topology: Topology, num_supernodes: int,
-                           requirement_ms: float,
-                           rng: np.random.Generator,
-                           capable_players: np.ndarray | None = None,
-                           supernode_access_cap_ms: float = 8.0) -> float:
-    """Fig. 4(b)/5(b): coverage with randomly selected supernodes."""
-    if num_supernodes < 0:
-        raise ValueError("num_supernodes must be non-negative")
-    if num_supernodes == 0:
-        return 0.0
-    pool = (capable_players if capable_players is not None
-            else np.arange(topology.num_players))
-    count = min(num_supernodes, len(pool))
-    hosts = rng.choice(pool, size=count, replace=False)
-    return coverage_by_supernode_hosts(topology, hosts, requirement_ms,
-                                       supernode_access_cap_ms)

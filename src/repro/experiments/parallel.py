@@ -1,12 +1,12 @@
 """Parallel sweep execution across processes.
 
 The comparison figures (6-8 and the PlanetLab companions) run
-``len(player_counts) x len(VARIANTS)`` independent system simulations;
-the seed-sweep utilities run one simulation per seed.  Every run is
-fully determined by its :class:`VariantTask` (named per-day RNG streams
-derive from the config seed), so the runs can execute in any order and
-on any process without changing a single bit of the results — the
-parallel path is pinned against the sequential one by tests.
+``len(player_counts) x len(VARIANTS)`` independent system simulations.
+Every run is fully determined by its :class:`VariantTask` (named
+per-day RNG streams derive from the config seed), so the runs can
+execute in any order and on any process without changing a single bit
+of the results — the parallel path is pinned against the sequential
+one by tests.
 
 Three deliberate choices:
 
@@ -30,8 +30,8 @@ Three deliberate choices:
   the parent's observability runtime (spawn-started children begin
   with the null objects; fork-started children inherit stale live
   ones), so the pool's initializer carries the parent's
-  :func:`repro.obs.enablement` flags into every worker and each task
-  re-enables a *fresh* runtime matching them.  On collect, the
+  :func:`repro.obs.enabled` switch into every worker and each task
+  re-enables a *fresh* runtime when it is on.  On collect, the
   worker's metrics dump is folded back into the parent registry
   (:meth:`~repro.obs.MetricsRegistry.merge_dump`) in task order, so
   counters and histograms come out identical to a sequential run.
@@ -57,7 +57,7 @@ from .runner import variant_config
 from .testbeds import Testbed
 
 __all__ = ["MIN_TASK_PLAYER_DAYS", "VariantTask", "resolve_jobs",
-           "run_variants", "run_seeds"]
+           "plan_workers", "run_variants"]
 
 #: Below this much simulated work per task (player-days, averaged over
 #: the sweep) a process pool cannot amortize worker start-up and IPC;
@@ -87,14 +87,31 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-#: Obs enablement flags installed by the pool initializer (per worker).
-_WORKER_OBS_FLAGS: dict | None = None
+def plan_workers(tasks: list[VariantTask], jobs: int | None) -> int:
+    """Worker processes ``run_variants`` starts for ``tasks`` (1 = none).
+
+    More workers than cores only thrash the scheduler, and tasks below
+    :data:`MIN_TASK_PLAYER_DAYS` of work on average never pay back pool
+    start-up, so those run in-process with the shared population cache.
+    """
+    workers = min(resolve_jobs(jobs), len(tasks))
+    if workers <= 1:
+        return 1
+    mean_work = (sum(t.testbed.num_players * t.days for t in tasks)
+                 / len(tasks))
+    if mean_work < MIN_TASK_PLAYER_DAYS:
+        return 1
+    return min(workers, os.cpu_count() or 1)
 
 
-def _obs_worker_init(flags: dict) -> None:
-    """Pool initializer: remember the parent's obs enablement."""
-    global _WORKER_OBS_FLAGS
-    _WORKER_OBS_FLAGS = dict(flags)
+#: The parent's obs switch, installed by the pool initializer (per worker).
+_WORKER_OBS_ENABLED = False
+
+
+def _obs_worker_init(enabled: bool) -> None:
+    """Pool initializer: remember whether the parent observes."""
+    global _WORKER_OBS_ENABLED
+    _WORKER_OBS_ENABLED = enabled
 
 
 def _population_for(config, cache: dict) -> Population:
@@ -138,7 +155,7 @@ def _run_chunk_inprocess(tasks: list[VariantTask]) -> list[RunResult]:
 def _run_chunk_task(tasks: list[VariantTask]
                     ) -> tuple[list[RunResult], dict | None]:
     """Worker entry point: run a contiguous task chunk under the
-    parent's obs flags.
+    parent's obs switch.
 
     Always starts from a fresh runtime (fork-started workers inherit
     the parent's live objects — reusing them would double-count across
@@ -146,16 +163,11 @@ def _run_chunk_task(tasks: list[VariantTask]
     population cache), then returns the results plus the worker
     registry's dump for the parent-side merge.
     """
-    flags = _WORKER_OBS_FLAGS or {}
     obs.disable()
-    if any(flags.values()):
-        obs.enable(tracing=flags.get("tracing", False),
-                   metrics=flags.get("metrics", False),
-                   timeseries=flags.get("timeseries", False),
-                   events=flags.get("events", False))
+    if _WORKER_OBS_ENABLED:
+        obs.enable()
     results = _run_chunk_inprocess(tasks)
-    registry = obs.get_registry()
-    dump = registry.as_dict() if registry.enabled else None
+    dump = obs.get_registry().as_dict() if _WORKER_OBS_ENABLED else None
     obs.disable()
     return results, dump
 
@@ -185,26 +197,17 @@ def run_variants(tasks, jobs: int | None = None) -> list[RunResult]:
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
-    workers = min(jobs, len(tasks)) if tasks else 0
-    if workers > 1:
-        # More workers than cores only thrash the scheduler; and tiny
-        # tasks never pay back pool start-up — run those in-process
-        # with the shared population cache instead.
-        workers = min(workers, os.cpu_count() or 1)
-        mean_work = (sum(t.testbed.num_players * t.days for t in tasks)
-                     / len(tasks))
-        if mean_work < MIN_TASK_PLAYER_DAYS:
-            workers = 1
+    workers = plan_workers(tasks, jobs)
     registry = obs.get_registry()
     with obs.get_tracer().span("run_variants", tasks=len(tasks),
-                               jobs=jobs, workers=max(1, workers)):
+                               jobs=jobs, workers=workers):
         registry.counter("repro_sweep_tasks_total").inc(len(tasks))
         if workers <= 1:
             return _run_chunk_inprocess(tasks)
         chunks = _chunk_evenly(tasks, workers)
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_obs_worker_init,
-                                 initargs=(obs.enablement(),)) as pool:
+                                 initargs=(obs.enabled(),)) as pool:
             futures = [pool.submit(_run_chunk_task, chunk)
                        for chunk in chunks]
             results = []
@@ -214,12 +217,3 @@ def run_variants(tasks, jobs: int | None = None) -> list[RunResult]:
                     registry.merge_dump(dump)
                 results.extend(chunk_results)
             return results
-
-
-def run_seeds(variant: str, testbed: Testbed, seeds, days: int = 3,
-              jobs: int | None = None, **overrides) -> list[RunResult]:
-    """Run one variant across seeds; results in seed order."""
-    tasks = [VariantTask(variant=variant, testbed=testbed, seed=int(seed),
-                         days=days, overrides=dict(overrides))
-             for seed in seeds]
-    return run_variants(tasks, jobs=jobs)

@@ -14,10 +14,9 @@ Detection latency therefore spans the *phase* of the crash within the
 heartbeat period — a crash right after a beat takes almost a full
 extra interval to notice.  :meth:`FailureDetector.detection_latency_ms`
 draws that phase uniformly from the crash handler's ``faults-{day}``
-stream, once per displaced session; ``expected_detection_ms`` is the
-mean of those draws.
+stream, once per displaced session.
 
-The defaults put the expectation at the paper's half second:
+The defaults put the mean draw at the paper's half second:
 ``125 + 250·(2−1) + 125 = 500 ms``.
 """
 
@@ -45,24 +44,6 @@ class FailureDetector:
             raise ValueError("misses_to_declare must be >= 1")
         if self.probe_timeout_ms < 0:
             raise ValueError("probe_timeout_ms must be non-negative")
-
-    @property
-    def expected_detection_ms(self) -> float:
-        """Mean time from crash to declared failure.
-
-        The crash lands uniformly inside a heartbeat interval (expected
-        half an interval until the first missed beat), then
-        ``misses_to_declare − 1`` further silent intervals, then the
-        confirming probe timeout.
-        """
-        return (0.5 * self.heartbeat_interval_ms
-                + (self.misses_to_declare - 1) * self.heartbeat_interval_ms
-                + self.probe_timeout_ms)
-
-    @property
-    def worst_case_detection_ms(self) -> float:
-        return (self.misses_to_declare * self.heartbeat_interval_ms
-                + self.probe_timeout_ms)
 
     @property
     def announced_detection_ms(self) -> float:

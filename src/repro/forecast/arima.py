@@ -46,10 +46,6 @@ class SeasonalArima:
 
     # -- state -----------------------------------------------------------
     @property
-    def num_observations(self) -> int:
-        return len(self._history)
-
-    @property
     def ready(self) -> bool:
         """True once Eq. 14 has all the lags it needs (T + 1 points)."""
         return len(self._history) > self.period

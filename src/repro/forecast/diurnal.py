@@ -73,8 +73,3 @@ class DiurnalPattern:
             noise = rng.normal(1.0, self.weekly_noise, size=series.shape)
             series = series * np.clip(noise, 0.5, 1.5)
         return np.maximum(series, 0.0)
-
-    def peak_hours(self) -> list[int]:
-        """Hours-of-day in the top quartile of the shape (the nightly peak)."""
-        threshold = np.quantile(self.hourly_shape, 0.75)
-        return [h for h in range(24) if self.hourly_shape[h] >= threshold]

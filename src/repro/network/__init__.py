@@ -11,7 +11,6 @@ from .geo import (
     GeoPoint,
     Metro,
     Region,
-    nearest_index,
     pairwise_distances,
     place_datacenters,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "GeoPoint",
     "Metro",
     "Region",
-    "nearest_index",
     "pairwise_distances",
     "place_datacenters",
     "DEFAULT_ACCESS_TRACE",

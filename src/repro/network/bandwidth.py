@@ -97,15 +97,3 @@ class BandwidthModel:
             minimum=1.0,
             maximum=self.supernode_capacity_max,
         )
-
-    def supernode_upload_for_capacity(self, capacities: np.ndarray,
-                                      stream_rate_mbps: float) -> np.ndarray:
-        """Upload bandwidth implied by a supernode's player capacity.
-
-        A supernode able to serve ``c`` players at the default stream
-        rate needs at least ``c * stream_rate`` of upload; contributors
-        provision a small headroom (20 %).
-        """
-        if stream_rate_mbps <= 0:
-            raise ValueError("stream_rate_mbps must be positive")
-        return np.asarray(capacities, dtype=np.float64) * stream_rate_mbps * 1.2

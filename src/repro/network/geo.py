@@ -28,7 +28,6 @@ __all__ = [
     "Region",
     "US_REGION",
     "place_datacenters",
-    "nearest_index",
     "pairwise_distances",
 ]
 
@@ -43,9 +42,6 @@ class GeoPoint:
     def distance_to(self, other: "GeoPoint") -> float:
         """Euclidean distance in kilometres."""
         return math.hypot(self.x_km - other.x_km, self.y_km - other.y_km)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_km, self.y_km], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -102,9 +98,6 @@ class Region:
         points[:, 0] = np.clip(points[:, 0], 0.0, self.width_km)
         points[:, 1] = np.clip(points[:, 1], 0.0, self.height_km)
         return points
-
-    def contains(self, point: GeoPoint) -> bool:
-        return 0 <= point.x_km <= self.width_km and 0 <= point.y_km <= self.height_km
 
 
 def _us_metros() -> list[Metro]:
@@ -194,14 +187,3 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
         raise ValueError("coordinate arrays must be 2-D (n, 2)")
     deltas = points_a[:, None, :] - points_b[None, :, :]
     return np.sqrt((deltas ** 2).sum(axis=2))
-
-
-def nearest_index(point: np.ndarray, candidates: np.ndarray) -> tuple[int, float]:
-    """Index and distance of the candidate nearest to ``point``."""
-    candidates = np.asarray(candidates, dtype=np.float64)
-    if candidates.size == 0:
-        raise ValueError("no candidates to search")
-    deltas = candidates - np.asarray(point, dtype=np.float64)[None, :]
-    distances = np.sqrt((deltas ** 2).sum(axis=1))
-    index = int(np.argmin(distances))
-    return index, float(distances[index])

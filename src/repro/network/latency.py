@@ -112,10 +112,6 @@ class LatencyModel:
                 + self.propagation_ms(distance_km)
                 + np.asarray(access_b_ms, dtype=np.float64))
 
-    def rtt_ms(self, distance_km, access_a_ms, access_b_ms):
-        """Round-trip latency between two endpoints."""
-        return 2.0 * self.one_way_ms(distance_km, access_a_ms, access_b_ms)
-
     def point_one_way_ms(self, ax_km: float, ay_km: float,
                          bx_km: float, by_km: float,
                          access_a_ms: float, access_b_ms: float) -> float:
@@ -129,18 +125,3 @@ class LatencyModel:
         """
         distance_km = float(np.hypot(ax_km - bx_km, ay_km - by_km))
         return float(self.one_way_ms(distance_km, access_a_ms, access_b_ms))
-
-    def response_latency_ms(self, upstream_one_way_ms: float,
-                            downstream_one_way_ms: float,
-                            processing_ms: float = PLAYOUT_PROCESSING_MS) -> float:
-        """End-to-end response latency for one player action.
-
-        Action travels upstream (player → state computation), the video
-        travels downstream (renderer → player); playout/processing adds
-        the fixed 20 ms share of the budget (§1).  In CloudFog the two
-        legs differ (cloud upstream, supernode downstream), which is
-        exactly why the fog shortens the response path.
-        """
-        if upstream_one_way_ms < 0 or downstream_one_way_ms < 0:
-            raise ValueError("latencies must be non-negative")
-        return upstream_one_way_ms + downstream_one_way_ms + processing_ms

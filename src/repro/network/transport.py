@@ -60,11 +60,14 @@ class TransportModel:
             raise ValueError("base_loss_rate must lie in [0, 1)")
 
     def congestion_factors(self, utilization: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`congestion_factor` over an array.
+        """Service-time inflation for senders at ``utilization``.
 
-        Element-for-element the arithmetic matches the scalar method
-        (same operations in the same order), so batch session scoring
-        stays bit-identical to the scalar loop.
+        Utilisation is a sender's committed upload share in [0, 1+).
+        Paced video streaming behaves like an M/D/1 queue, whose mean
+        waiting factor is ``1 + rho / (2 (1 - rho))`` — gentle at
+        moderate load, exploding near saturation — clipped to
+        ``max_congestion_factor`` (overload does not stretch forever;
+        packets start getting dropped instead, see :meth:`loss_rates`).
         """
         u = np.asarray(utilization, dtype=np.float64)
         if np.any(u < 0):
@@ -76,66 +79,12 @@ class TransportModel:
                         np.minimum(factor, self.max_congestion_factor))
 
     def loss_rates(self, utilization: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`loss_rate` over an array."""
+        """Packet-loss probability as a function of sender utilisation."""
         u = np.asarray(utilization, dtype=np.float64)
         if np.any(u < 0):
             raise ValueError("utilization must be non-negative")
         overload = np.maximum(0.0, u - 0.85)
         return np.minimum(0.5, self.base_loss_rate + overload * 0.8)
-
-    def congestion_factor(self, utilization: float) -> float:
-        """Service-time inflation for a sender at ``utilization``.
-
-        Utilisation is the sender's committed upload share in [0, 1+).
-        Paced video streaming behaves like an M/D/1 queue, whose mean
-        waiting factor is ``1 + rho / (2 (1 - rho))`` — gentle at
-        moderate load, exploding near saturation — clipped to
-        ``max_congestion_factor`` (overload does not stretch forever;
-        packets start getting dropped instead, see :meth:`loss_rate`).
-        """
-        if utilization < 0:
-            raise ValueError(f"utilization must be non-negative, got {utilization}")
-        if utilization >= 1:
-            return self.max_congestion_factor
-        factor = 1.0 + utilization / (2.0 * (1.0 - utilization))
-        return min(factor, self.max_congestion_factor)
-
-    def loss_rate(self, utilization: float) -> float:
-        """Packet-loss probability as a function of sender utilisation."""
-        if utilization < 0:
-            raise ValueError(f"utilization must be non-negative, got {utilization}")
-        overload = max(0.0, utilization - 0.85)
-        return min(0.5, self.base_loss_rate + overload * 0.8)
-
-    def effective_throughput_mbps(self, path: PathSpec) -> float:
-        """Sustainable per-flow throughput: sender share capped by the
-        receiver's download link.
-
-        Queueing at the sender inflates *delay* (see
-        :meth:`serialization_ms`), not sustainable throughput — a stable
-        queue still drains at the offered rate.
-        """
-        return min(path.sender_share_mbps, path.receiver_download_mbps)
-
-    def serialization_ms(self, size_bits: float, path: PathSpec,
-                         utilization: float = 0.0) -> float:
-        """Time for ``size_bits`` to clear the sender, queueing included.
-
-        Base serialisation through the path bottleneck, inflated by the
-        M/D/1 waiting factor of the sender's utilisation.
-        """
-        if size_bits < 0:
-            raise ValueError("size_bits must be non-negative")
-        mbps = self.effective_throughput_mbps(path)
-        base_ms = size_bits / (mbps * 1000.0)  # bits / (Mbit/s) -> ms
-        return base_ms * self.congestion_factor(utilization)
-
-    def sample_losses(self, count: int, utilization: float,
-                      rng: np.random.Generator) -> np.ndarray:
-        """Boolean loss mask for ``count`` packets at a utilisation."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return rng.random(count) < self.loss_rate(utilization)
 
     def degraded(self, loss_boost: float) -> "TransportModel":
         """A copy with an elevated baseline loss floor.

@@ -59,7 +59,6 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
-    "enablement",
     "get_tracer",
     "get_registry",
     "get_timeseries",
@@ -92,15 +91,8 @@ _events: EventLog | NullEventLog = NULL_EVENT_LOG
 
 
 def enabled() -> bool:
-    """True when any live observability object is installed."""
-    return (_tracer.enabled or _registry.enabled
-            or _timeseries.enabled or _events.enabled)
-
-
-def enablement() -> dict[str, bool]:
-    """The current switch state per pillar (worker propagation)."""
-    return {"tracing": _tracer.enabled, "metrics": _registry.enabled,
-            "timeseries": _timeseries.enabled, "events": _events.enabled}
+    """True while the live observability objects are installed."""
+    return _registry.enabled
 
 
 def get_tracer() -> Tracer | NullTracer:
@@ -123,27 +115,21 @@ def get_events() -> EventLog | NullEventLog:
     return _events
 
 
-def enable(tracing: bool = True, metrics: bool = True,
-           log_level: str | int | None = None, *,
-           timeseries: bool = True, events: bool = True
-           ) -> tuple[Tracer | NullTracer, MetricsRegistry | NullRegistry]:
+def enable(log_level: str | int | None = None
+           ) -> tuple[Tracer, MetricsRegistry]:
     """Install live observability objects; returns ``(tracer, registry)``.
 
-    Re-enabling replaces the selected live objects with fresh empty ones
-    (runs do not bleed into each other).  The time-series store feeds
-    its per-day gauges into the registry installed by the same call;
-    the event log span-links against the tracer.  ``log_level``
+    All four pillars switch on together.  Re-enabling replaces them with
+    fresh empty ones (runs do not bleed into each other).  The
+    time-series store feeds its per-day gauges into the new registry;
+    the event log span-links against the new tracer.  ``log_level``
     additionally configures the ``repro`` logging hierarchy.
     """
     global _tracer, _registry, _timeseries, _events
-    if tracing:
-        _tracer = Tracer()
-    if metrics:
-        _registry = MetricsRegistry()
-    if timeseries:
-        _timeseries = TimeSeriesStore(registry=_registry)
-    if events:
-        _events = EventLog(tracer=_tracer)
+    _tracer = Tracer()
+    _registry = MetricsRegistry()
+    _timeseries = TimeSeriesStore(registry=_registry)
+    _events = EventLog(tracer=_tracer)
     if log_level is not None:
         configure_logging(log_level)
     return _tracer, _registry
@@ -161,26 +147,24 @@ def disable() -> None:
 def capture_telemetry() -> dict | None:
     """Dump the accumulated time series + event log for a checkpoint.
 
-    Returns ``None`` when neither is live, so disabled runs write
+    Returns ``None`` when observability is off, so disabled runs write
     byte-identical checkpoints.
     """
-    payload: dict = {}
-    if _timeseries.enabled:
-        payload["timeseries"] = _timeseries.as_payload()
-    if _events.enabled:
-        payload["events"] = _events.as_payload()
-    return payload or None
+    if not enabled():
+        return None
+    return {"timeseries": _timeseries.as_payload(),
+            "events": _events.as_payload()}
 
 
 def restore_telemetry(payload: dict | None) -> None:
     """Reload captured telemetry into the *live* objects (resume path).
 
-    A no-op for missing payloads or disabled pillars: resuming with
-    observability off never materialises live objects.
+    A no-op for missing payloads or with observability off: resuming
+    with observability off never materialises live objects.
     """
-    if not payload:
+    if not payload or not enabled():
         return
-    if _timeseries.enabled and payload.get("timeseries") is not None:
+    if payload.get("timeseries") is not None:
         _timeseries.load_payload(payload["timeseries"])
-    if _events.enabled and payload.get("events") is not None:
+    if payload.get("events") is not None:
         _events.load_payload(payload["events"])

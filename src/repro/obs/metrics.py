@@ -88,10 +88,6 @@ class Counter:
                              f"(amount={amount})")
         self.value += amount
 
-    def __repr__(self) -> str:
-        return (f"Counter({self.name}{_render_labels(self.labels)} "
-                f"= {self.value:g})")
-
 
 class Gauge:
     """A value that can go up and down (live supernodes, queue depth)."""
@@ -105,16 +101,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def __repr__(self) -> str:
-        return (f"Gauge({self.name}{_render_labels(self.labels)} "
-                f"= {self.value:g})")
 
 
 class Histogram:
@@ -161,14 +147,6 @@ class Histogram:
             out.append(running)
         return out
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:
-        return (f"Histogram({self.name}{_render_labels(self.labels)} "
-                f"n={self.count} mean={self.mean:.3f})")
-
 
 def _format_value(value: float) -> str:
     return f"{int(value)}" if float(value).is_integer() else repr(value)
@@ -212,9 +190,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def reset(self) -> None:
-        self._metrics.clear()
 
     # -- export ----------------------------------------------------------
     def to_prometheus(self) -> str:
@@ -319,18 +294,11 @@ class NullGauge:
     def set(self, value: float) -> None:
         pass
 
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
 
 class NullHistogram:
     kind = "histogram"
     sum = 0.0
     count = 0
-    mean = 0.0
 
     def observe(self, value: float) -> None:
         pass

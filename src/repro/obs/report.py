@@ -25,7 +25,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import get_events, get_registry, get_timeseries, get_tracer
+from . import enabled, get_events, get_registry, get_timeseries, get_tracer
 from .profile import phase_breakdown
 from .slo import SloPolicy, default_policy, evaluate
 from .timeseries import TimeSeriesStore
@@ -56,37 +56,29 @@ def write_run_dir(directory: str | Path,
                   meta: dict | None = None) -> list[Path]:
     """Dump the live observability objects into ``directory``.
 
-    Only live pillars write their artifact (a metrics-only run produces
-    no ``timeseries.json``); ``slo.json`` carries both the policy and
-    its evaluation.  Returns the written paths.
+    With observability off only ``run.json`` is written; ``slo.json``
+    carries both the policy and its evaluation.  Returns the written
+    paths.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tracer, registry = get_tracer(), get_registry()
-    timeseries, events = get_timeseries(), get_events()
-    written = [directory / RUN_FILES["meta"]]
-    written[0].write_text(
+    path = {key: directory / name for key, name in RUN_FILES.items()}
+    path["meta"].write_text(
         json.dumps(meta or {}, indent=2, sort_keys=True) + "\n")
-    if tracer.enabled:
-        tracer.export_jsonl(directory / RUN_FILES["trace"])
-        written.append(directory / RUN_FILES["trace"])
-    if registry.enabled:
-        registry.write_prometheus(directory / RUN_FILES["metrics_prom"])
-        registry.write_json(directory / RUN_FILES["metrics_json"])
-        written += [directory / RUN_FILES["metrics_prom"],
-                    directory / RUN_FILES["metrics_json"]]
-    if timeseries.enabled:
-        timeseries.write_json(directory / RUN_FILES["timeseries"])
-        used = policy if policy is not None else default_policy()
-        report = evaluate(used, timeseries)
-        (directory / RUN_FILES["slo"]).write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
-        written += [directory / RUN_FILES["timeseries"],
-                    directory / RUN_FILES["slo"]]
-    if events.enabled:
-        events.export_jsonl(directory / RUN_FILES["events"])
-        written.append(directory / RUN_FILES["events"])
-    return written
+    if not enabled():
+        return [path["meta"]]
+    get_tracer().export_jsonl(path["trace"])
+    registry, timeseries = get_registry(), get_timeseries()
+    registry.write_prometheus(path["metrics_prom"])
+    registry.write_json(path["metrics_json"])
+    timeseries.write_json(path["timeseries"])
+    used = policy if policy is not None else default_policy()
+    path["slo"].write_text(json.dumps(evaluate(used, timeseries).as_dict(),
+                                      indent=2, sort_keys=True) + "\n")
+    get_events().export_jsonl(path["events"])
+    return [path[key] for key in ("meta", "trace", "metrics_prom",
+                                  "metrics_json", "timeseries", "slo",
+                                  "events")]
 
 
 # ---------------------------------------------------------------------------

@@ -291,11 +291,6 @@ class NullTimeSeries:
 
     enabled = False
 
-    def observe_day(self, day, records, region_of=None,
-                    cloud_bandwidth_mbps=0.0, fault_deltas=None,
-                    recovery_ms=()) -> list:
-        return []
-
 
 #: The module-wide disabled store (see :mod:`repro.obs`).
 NULL_TIMESERIES = NullTimeSeries()

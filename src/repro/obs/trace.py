@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Iterator
 
 __all__ = ["Span", "Tracer", "NullSpan", "NullTracer", "NULL_TRACER"]
 
@@ -81,11 +80,6 @@ class Span:
             "error": self.error,
         }
 
-    def __repr__(self) -> str:
-        state = ("live" if self.end_s is None
-                 else f"{self.duration_s * 1e3:.3f}ms")
-        return f"<Span {self.name!r} depth={self.depth} {state}>"
-
 
 class Tracer:
     """Creates, nests and collects spans."""
@@ -115,25 +109,15 @@ class Tracer:
         self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
-        if not self._stack or self._stack[-1] is not span:
+        top = self.current
+        if top is not span:
             raise RuntimeError(
                 f"span {span.name!r} exited out of order "
-                f"(stack top: {self.current!r})")
+                f"(stack top: {top.name if top else None!r})")
         self._stack.pop()
         self.finished.append(span)
 
-    def clear(self) -> None:
-        if self._stack:
-            raise RuntimeError(
-                f"cannot clear while {len(self._stack)} spans are live")
-        self.finished.clear()
-
     # -- export ----------------------------------------------------------
-    def iter_finished(self, name: str | None = None) -> Iterator[Span]:
-        for span in self.finished:
-            if name is None or span.name == name:
-                yield span
-
     def export_jsonl(self, path: str | Path) -> int:
         """Write finished spans, one JSON object per line; return count."""
         count = 0

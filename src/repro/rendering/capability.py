@@ -74,12 +74,6 @@ class RenderCapability:
         cost = self.stream_cost_mpps(quality, fps)
         return max(0, int(self.megapixels_per_second / cost))
 
-    def can_render(self, qualities: list[QualityLevel],
-                   fps: int = FRAME_RATE_FPS) -> bool:
-        """Does a concrete mix of streams fit the budget?"""
-        total = sum(self.stream_cost_mpps(q, fps) for q in qualities)
-        return total <= self.megapixels_per_second
-
     def render_capacity(self, fps: int = FRAME_RATE_FPS) -> int:
         """Player capacity assuming the mid-ladder level-3 stream mix."""
         return self.max_streams(QUALITY_LADDER[2], fps)

@@ -1,6 +1,6 @@
 """Reputation substrate: first-person rating ledgers and Eq.-7 scores."""
 
-from .ratings import Rating, RatingLedger
+from .ratings import RatingLedger
 from .scores import (
     DEFAULT_AGING_FACTOR,
     ReputationTable,
@@ -9,7 +9,6 @@ from .scores import (
 )
 
 __all__ = [
-    "Rating",
     "RatingLedger",
     "DEFAULT_AGING_FACTOR",
     "ReputationTable",

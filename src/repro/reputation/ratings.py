@@ -7,8 +7,8 @@ use[s] its own evaluation without gathering opinions from other players"
 rates the supernode using the value of its game video playback
 continuity during this gaming activity."
 
-Each rating carries the day it was given; ages (in days) weight the
-aggregation in :mod:`repro.reputation.scores`.
+Each rating is a continuity in [0, 1] and carries the day it was
+given; ages (in days) weight the aggregation in :mod:`repro.reputation.scores`.
 
 The ledger is columnar: a pair table maps each (player, supernode) to
 a pair id, and the ratings form one append-only log of three columns
@@ -19,33 +19,11 @@ always its newest ``max_ratings_per_pair`` log entries, oldest first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Rating", "RatingLedger"]
-
-
-@dataclass(frozen=True)
-class Rating:
-    """One rating a player gave a supernode after one game session."""
-
-    value: float
-    day: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(
-                f"rating must lie in [0, 1] (a continuity), got {self.value}")
-        if self.day < 0:
-            raise ValueError(f"day must be non-negative, got {self.day}")
-
-    def age_days(self, today: int) -> int:
-        """Days elapsed since the rating was given."""
-        if today < self.day:
-            raise ValueError(f"today ({today}) precedes the rating day ({self.day})")
-        return today - self.day
+__all__ = ["RatingLedger"]
 
 
 #: The largest day the int32 day column holds.
@@ -196,30 +174,8 @@ class RatingLedger:
         return [pair for player in dict.fromkeys(players)
                 for pair in by_player.get(player, ())]
 
-    # -- queries ------------------------------------------------------------
-    def ratings(self, player: int, supernode: int) -> list[Rating]:
-        """This player's ratings of this supernode (oldest first)."""
-        pair = self.pair_id(player, supernode)
-        if pair is None:
-            return []
-        _, values, days = self.live_entries(np.array([pair]))
-        return [Rating(value=value, day=day)
-                for value, day in zip(values.tolist(), days.tolist())]
-
-    def has_history(self, player: int, supernode: int) -> bool:
-        return (player, supernode) in self._pair_ids
-
-    def rated_supernodes(self, player: int) -> list[int]:
-        """Supernodes this player has ever rated."""
-        return sorted(self._pair_keys[pair][1]
-                      for pair in self._pairs_by_player.get(player, ()))
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         return iter(self._pair_keys)
-
-    def total_ratings(self) -> int:
-        cap = self.max_ratings_per_pair
-        return sum(min(count, cap) for count in self._pair_counts)
 
     # -- columns out / in (checkpoints) -------------------------------------
     def to_columns(self) -> dict[str, list]:

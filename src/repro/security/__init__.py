@@ -4,7 +4,6 @@ from .detection import (
     AuditResult,
     DelayAttackDetector,
     RewardAuditor,
-    payload_policy_violations,
 )
 from .threats import (
     MaliciousProfile,
@@ -18,7 +17,6 @@ __all__ = [
     "AuditResult",
     "DelayAttackDetector",
     "RewardAuditor",
-    "payload_policy_violations",
     "MaliciousProfile",
     "ThreatKind",
     "TrafficReport",

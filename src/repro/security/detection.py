@@ -1,6 +1,6 @@
 """Provider-side defences against the §3.6 threats.
 
-Three detectors, one per attack:
+Two detectors, one per detectable attack:
 
 * **Reward audit** (vs junk injection): the provider independently
   knows which players it brokered to each supernode and their game
@@ -12,11 +12,10 @@ Three detectors, one per attack:
   The detector aggregates per-supernode rating statistics the provider
   can request (first-person scores stay sybil-proof; the provider only
   thresholds their per-supernode mean).
-* **Eavesdropping**: not detectable from traffic at all — the defence
-  is structural (end-to-end encryption of user data; supernodes only
-  ever hold world-state updates and rendered frames).  Provided here as
-  a policy check that the streaming payload carries no personal data
-  fields.
+
+Eavesdropping is not detectable from traffic at all: its defence is
+structural (end-to-end encryption of user data; supernodes only ever
+hold world-state updates and rendered frames), so it has no detector.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ import numpy as np
 
 from .threats import TrafficReport
 
-__all__ = ["AuditResult", "RewardAuditor", "DelayAttackDetector",
-           "payload_policy_violations"]
+__all__ = ["AuditResult", "RewardAuditor", "DelayAttackDetector"]
 
 
 @dataclass(frozen=True)
@@ -37,9 +35,6 @@ class AuditResult:
 
     flagged: tuple[int, ...]
     ratios: dict[int, float] = field(compare=False, default_factory=dict)
-
-    def is_flagged(self, supernode_id: int) -> bool:
-        return supernode_id in self.flagged
 
 
 @dataclass
@@ -114,14 +109,3 @@ class DelayAttackDetector:
             return []
         return sorted(sn for sn, mean in means.items()
                       if (median - mean) / spread > self.z_threshold)
-
-
-#: Payload fields a rendered-video stream may legitimately carry.
-_ALLOWED_PAYLOAD_FIELDS = frozenset(
-    {"frame", "sequence", "timestamp", "level", "segment"})
-
-
-def payload_policy_violations(payload_fields: list[str]) -> list[str]:
-    """Structural eavesdropping defence: the streaming payload schema
-    must not include personal-data fields.  Returns the violations."""
-    return sorted(set(payload_fields) - _ALLOWED_PAYLOAD_FIELDS)

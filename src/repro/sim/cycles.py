@@ -43,10 +43,6 @@ class Schedule:
         if not 1 <= lo <= hi <= self.hours_per_day:
             raise ValueError(f"invalid peak window {self.peak_subcycles}")
 
-    @property
-    def measured_days(self) -> int:
-        return self.days - self.warmup_days
-
 
 #: The exact schedule used by the paper's evaluation (§4.1): 28 one-day
 #: cycles of 24 subcycles, 3 warm-up weeks, nightly peak 8 pm–midnight.

@@ -129,17 +129,3 @@ class EmpiricalDistribution:
             picks = picks + rng.uniform(-self.jitter / 2, self.jitter / 2, size=n)
             picks = np.maximum(picks, 0.0)
         return float(picks[0]) if size is None else picks
-
-    def mean(self) -> float:
-        """Expected value of the bucket centres."""
-        return float(np.dot(self.values, self.probabilities))
-
-    def quantile(self, q: float) -> float:
-        """Quantile over the discrete bucket distribution."""
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        order = np.argsort(self.values)
-        cum = np.cumsum(self.probabilities[order])
-        index = int(np.searchsorted(cum, q, side="left"))
-        index = min(index, len(order) - 1)
-        return float(self.values[order][index])

@@ -145,12 +145,6 @@ class Partition:
         """The community's players in ascending id order."""
         return sorted(self._members.get(community, ()))
 
-    def sizes(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for community in self.community_of:
-            counts[community] = counts.get(community, 0) + 1
-        return counts
-
     def as_dict(self) -> dict[int, int]:
         return dict(enumerate(self.community_of))
 

@@ -64,10 +64,6 @@ class CompressionModel:
             raise ValueError("bitrate must be non-negative")
         return bitrate_mbps * self.effective_ratio
 
-    def bandwidth_saving(self) -> float:
-        """Fraction of the raw bitrate saved."""
-        return 1.0 - self.effective_ratio
-
 
 #: Calibration in the regime LiveRender reports: roughly 2-3x bandwidth
 #: reduction with a few ms of added pipeline latency.

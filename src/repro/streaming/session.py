@@ -100,9 +100,6 @@ class BatchSessionOutcome:
     mean_bitrate_kbps: np.ndarray
     adjustments: np.ndarray           # (n,) int64
 
-    def __len__(self) -> int:
-        return int(self.final_levels.shape[0])
-
     @property
     def continuity(self) -> np.ndarray:
         """Per-session continuity (on-time share of total packets)."""

@@ -54,10 +54,6 @@ class QualityLevel:
     def bitrate_bps(self) -> float:
         return self.bitrate_kbps * 1000.0
 
-    @property
-    def resolution(self) -> str:
-        return f"{self.width}x{self.height}"
-
 
 #: Table 2, ordered by quality level 1..5 (index = level - 1).
 QUALITY_LADDER: tuple[QualityLevel, ...] = (

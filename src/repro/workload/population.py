@@ -38,10 +38,6 @@ class Population:
         if self.supernode_capable.shape != (n,):
             raise ValueError("capability mask must match the player count")
 
-    @property
-    def num_players(self) -> int:
-        return self.topology.num_players
-
     def capable_players(self) -> np.ndarray:
         """Ids of supernode-capable players."""
         return np.flatnonzero(self.supernode_capable)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cloud.datacenter import DEFAULT_SERVERS_PER_DATACENTER, Datacenter
 from repro.cloud.server import SERVER_HOP_MS, GameServer
+from repro.core.server_assignment import assign_players_randomly
 
 
 def test_default_server_count_matches_paper():
@@ -17,10 +18,9 @@ def test_server_assign_and_load():
     server = GameServer(0)
     server.assign(1)
     server.assign(2)
-    assert server.load == 2
-    assert server.hosts(1)
+    assert server.players == {1, 2}
     server.unassign(1)
-    assert not server.hosts(1)
+    assert server.players == {2}
     server.unassign(99)  # idempotent
 
 
@@ -48,8 +48,8 @@ def test_datacenter_assignment_moves_player():
     dc.assign(1, 0)
     dc.assign(1, 2)  # reassignment removes the old copy (single copy!)
     assert dc.server_of(1) == 2
-    assert dc.servers[0].load == 0
-    assert dc.servers[2].load == 1
+    assert dc.servers[0].players == set()
+    assert dc.servers[2].players == {1}
 
 
 def test_datacenter_assignment_bounds():
@@ -68,11 +68,11 @@ def test_datacenter_validation():
 
 
 def test_random_assignment_covers_all_players():
+    """The random baseline places every player on exactly one server."""
     dc = Datacenter(0, num_servers=5)
-    rng = np.random.default_rng(0)
-    dc.assign_randomly(range(100), rng)
-    assert dc.assigned_players == 100
-    assert sum(dc.loads()) == 100
+    assign_players_randomly(dc, list(range(100)), np.random.default_rng(0))
+    assert all(dc.server_of(p) is not None for p in range(100))
+    assert sum(len(server.players) for server in dc.servers) == 100
 
 
 def test_partition_assignment_maps_communities_to_servers():
@@ -108,12 +108,3 @@ def test_mean_interaction_latency_and_cross_fraction():
     assert dc.cross_server_fraction(pairs) == pytest.approx(0.5)
     assert dc.mean_interaction_latency_ms([]) == 0.0
     assert dc.cross_server_fraction([]) == 0.0
-
-
-def test_remove_player():
-    dc = Datacenter(0, num_servers=2)
-    dc.assign(1, 1)
-    dc.remove(1)
-    assert dc.server_of(1) is None
-    assert dc.servers[1].load == 0
-    dc.remove(1)  # idempotent

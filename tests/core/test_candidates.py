@@ -41,7 +41,6 @@ def test_remember_caps_list_size():
 
 def test_candidates_empty_for_unknown_player():
     assert CandidateManager().candidates(99) == []
-    assert CandidateManager().list_size(99) == 0
 
 
 def test_forget_supernode_drops_everywhere():
@@ -61,9 +60,9 @@ def test_notify_new_supernode_respects_l_max():
         delay_by_player={1: 20.0, 2: 90.0, 3: 15.0},
         l_max_by_player={1: 38.0, 2: 38.0, 3: 10.0})
     assert added == 1
-    assert manager.list_size(1) == 1
-    assert manager.list_size(2) == 0  # too far
-    assert manager.list_size(3) == 0  # stricter than its delay
+    assert [e.supernode_id for e in manager.candidates(1)] == [7]
+    assert manager.candidates(2) == []  # too far
+    assert manager.candidates(3) == []  # stricter than its delay
 
 
 def test_notify_ignores_players_without_l_max():
@@ -78,7 +77,7 @@ def test_system_populates_candidate_lists():
     system = CloudFogSystem(cloudfog_basic(num_players=150,
                                            num_supernodes=12, seed=3))
     system.run(days=2)
-    sizes = [system.candidates.list_size(p) for p in range(150)]
+    sizes = [len(system.candidates.candidates(p)) for p in range(150)]
     assert max(sizes) > 0
     assert all(s <= system.config.candidate_count for s in sizes)
 

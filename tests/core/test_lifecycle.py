@@ -89,8 +89,8 @@ def test_fail_supernodes_migrates_players():
     # ~0.8 s migrations: one heartbeat-phase detection draw plus the
     # reconnect ladder, everything under ~2 s.
     detector = FailureDetector()
-    floor = (detector.worst_case_detection_ms
-             - detector.heartbeat_interval_ms)
+    floor = ((detector.misses_to_declare - 1)
+             * detector.heartbeat_interval_ms + detector.probe_timeout_ms)
     assert all(floor <= lat <= 2000.0 for lat in latencies)
 
 

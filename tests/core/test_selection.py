@@ -79,7 +79,6 @@ def test_selection_connects_to_qualified_supernode(topology):
     rng = np.random.default_rng(0)
     outcome = select_supernode(0, directory, l_max_ms=500.0, rng=rng)
     assert outcome.supernode_id is not None
-    assert not outcome.used_cloud
     assert pool.connected[outcome.supernode_id] == {0}
     assert outcome.join_latency_ms > 0
     assert outcome.downstream_one_way_ms <= 500.0
@@ -92,7 +91,7 @@ def test_selection_falls_back_to_cloud_when_all_too_far(topology):
     outcome = select_supernode(0, directory, l_max_ms=0.001 + 5.0 - 4.999,
                                rng=rng)
     # l_max so small nothing qualifies.
-    assert outcome.used_cloud
+    assert outcome.supernode_id is None
     assert loads(pool) == [0, 0, 0]
 
 
@@ -156,7 +155,7 @@ def test_no_capacity_anywhere_falls_back_to_cloud(topology):
         pool.connect(sid, 90 + sid)
     outcome = select_supernode(0, directory, l_max_ms=500.0,
                                rng=np.random.default_rng(0))
-    assert outcome.used_cloud
+    assert outcome.supernode_id is None
 
 
 def test_join_latency_includes_cloud_round_trip(topology):

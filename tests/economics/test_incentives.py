@@ -30,7 +30,7 @@ def test_hourly_reward_is_cs_cj_uj():
 
 def test_eq1_profit():
     model = IncentiveModel()
-    profit = model.hourly_profit(10.0, 0.8)
+    profit = daily_economics(model, 10.0, 0.8, hours_per_day=1).profit_usd
     assert profit == pytest.approx(3.6 - 0.027)
 
 
@@ -40,7 +40,7 @@ def test_costs_are_trivial_compared_to_rewards():
     economics = daily_economics(model, upload_mbps=10.0, utilization=0.6,
                                 hours_per_day=12)
     assert economics.costs_usd < 0.05 * economics.rewards_usd
-    assert economics.is_lucrative
+    assert economics.profit_usd > 0
 
 
 def test_profits_grow_with_hours():
@@ -57,7 +57,7 @@ def test_idle_supernode_loses_electricity_money():
     economics = daily_economics(model, upload_mbps=10.0, utilization=0.0,
                                 hours_per_day=24)
     assert economics.rewards_usd == 0.0
-    assert not economics.is_lucrative
+    assert economics.profit_usd < 0
 
 
 def test_validation():
@@ -77,5 +77,5 @@ def test_validation():
 def test_supernode_economics_dataclass():
     economics = SupernodeEconomics(rewards_usd=10.0, costs_usd=3.0)
     assert economics.profit_usd == 7.0
-    assert economics.is_lucrative
-    assert not SupernodeEconomics(1.0, 2.0).is_lucrative
+    assert economics.profit_usd > 0
+    assert SupernodeEconomics(1.0, 2.0).profit_usd == -1.0

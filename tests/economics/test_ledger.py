@@ -49,8 +49,6 @@ def test_validation():
         ledger.record_day(1, gb_served=-1.0, hours_online=5.0)
     with pytest.raises(ValueError):
         ledger.record_day(1, gb_served=1.0, hours_online=25.0)
-    with pytest.raises(ValueError):
-        ledger.top_earners(-1)
 
 
 def test_provider_outlay_and_profitable_share():
@@ -62,15 +60,6 @@ def test_provider_outlay_and_profitable_share():
         ledger.account(1).credits_usd + ledger.account(2).credits_usd)
     assert 0.0 <= ledger.profitable_share() <= 1.0
     assert CreditLedger().profitable_share() == 0.0
-
-
-def test_top_earners_ordering():
-    ledger = CreditLedger()
-    ledger.record_day(1, gb_served=1.0, hours_online=24.0)
-    ledger.record_day(2, gb_served=50.0, hours_online=24.0)
-    ledger.record_day(3, gb_served=10.0, hours_online=24.0)
-    top = ledger.top_earners(2)
-    assert [a.supernode_id for a in top] == [2, 3]
 
 
 def test_system_accrues_credits_during_a_run():

@@ -7,7 +7,6 @@ from repro.experiments.coverage import (
     PAPER_LATENCY_REQUIREMENTS_MS,
     coverage_by_datacenters,
     coverage_by_supernode_hosts,
-    coverage_by_supernodes,
 )
 from repro.network.topology import build_topology
 
@@ -16,6 +15,11 @@ from repro.network.topology import build_topology
 def topology():
     return build_topology(np.random.default_rng(0), num_players=800,
                           num_datacenters=5)
+
+
+def random_hosts(topology, count, rng):
+    """Fig. 4(b)/5(b): ``count`` supernodes at randomly drawn players."""
+    return rng.choice(topology.num_players, size=count, replace=False)
 
 
 def test_requirement_series_matches_figures():
@@ -42,14 +46,14 @@ def test_coverage_is_a_ratio(topology):
 def test_supernode_coverage_grows_with_count(topology):
     rng_few = np.random.default_rng(1)
     rng_many = np.random.default_rng(1)
-    few = coverage_by_supernodes(topology, 10, 70.0, rng_few)
-    many = coverage_by_supernodes(topology, 200, 70.0, rng_many)
+    few = coverage_by_supernode_hosts(
+        topology, random_hosts(topology, 10, rng_few), 70.0)
+    many = coverage_by_supernode_hosts(
+        topology, random_hosts(topology, 200, rng_many), 70.0)
     assert many > few
 
 
 def test_zero_supernodes_cover_nothing(topology):
-    assert coverage_by_supernodes(topology, 0, 90.0,
-                                  np.random.default_rng(0)) == 0.0
     assert coverage_by_supernode_hosts(topology, np.array([], dtype=int),
                                        90.0) == 0.0
 
@@ -66,14 +70,13 @@ def test_validation(topology):
     with pytest.raises(ValueError):
         coverage_by_datacenters(topology, 0, 90.0)
     with pytest.raises(ValueError):
-        coverage_by_supernodes(topology, -1, 90.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
         coverage_by_supernode_hosts(topology, np.array([0]), -5.0)
 
 
 def test_supernodes_beat_datacenters_at_strict_budgets(topology):
     """The paper's core coverage claim: fog sites sit near players."""
     rng = np.random.default_rng(2)
-    sn = coverage_by_supernodes(topology, 60, 30.0, rng)
+    sn = coverage_by_supernode_hosts(topology, random_hosts(topology, 60, rng),
+                                     30.0)
     dc = coverage_by_datacenters(topology, 5, 30.0)
     assert sn > dc

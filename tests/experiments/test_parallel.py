@@ -8,7 +8,6 @@ from repro.experiments.parallel import (
     VariantTask,
     _chunk_evenly,
     resolve_jobs,
-    run_seeds,
     run_variants,
 )
 from repro.experiments.runner import run_variant
@@ -85,11 +84,13 @@ def test_run_variants_empty_task_list():
     assert run_variants([], jobs=4) == []
 
 
-def test_run_seeds_orders_and_matches_sequential():
+def test_seed_tasks_keep_order_and_match_sequential():
     expected = [run_variant("CloudFog/B", TINY, seed=seed, days=1)
                 for seed in (0, 1)]
-    sequential = run_seeds("CloudFog/B", TINY, seeds=(0, 1), days=1)
-    parallel = run_seeds("CloudFog/B", TINY, seeds=(0, 1), days=1, jobs=2)
+    tasks = [VariantTask(variant="CloudFog/B", testbed=TINY, seed=seed,
+                         days=1) for seed in (0, 1)]
+    sequential = run_variants(tasks)
+    parallel = run_variants(tasks, jobs=2)
     assert len(sequential) == 2
     for ref, seq, par in zip(expected, sequential, parallel):
         assert list(ref.sessions) == list(seq.sessions) == list(par.sessions)

@@ -1,6 +1,6 @@
 """Observability across process workers: the satellite pin.
 
-The pool initializer carries the parent's enablement flags into every
+The pool initializer carries the parent's obs switch into every
 worker, each task runs under a fresh worker-local runtime, and the
 per-worker metric dumps merge back into the parent registry in task
 order — so an instrumented parallel sweep produces the same counters,

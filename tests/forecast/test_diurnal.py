@@ -19,9 +19,11 @@ def test_expected_peak_is_evening():
 
 
 def test_peak_hours_cover_the_evening():
-    peak = DiurnalPattern().peak_hours()
-    assert set(range(19, 23)).issubset(set(peak))
-    assert 4 not in peak
+    """The 19-22 h evening sits in the shape's top quartile, 4 h not."""
+    shape = DiurnalPattern().hourly_shape
+    threshold = np.quantile(shape, 0.75)
+    assert all(shape[h] >= threshold for h in range(19, 23))
+    assert shape[4] < threshold
 
 
 def test_generate_length_and_positivity():

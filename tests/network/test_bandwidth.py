@@ -55,14 +55,6 @@ def test_supernode_capacities_pareto():
     assert 3.0 < caps.mean() < 7.0  # target mean 5
 
 
-def test_supernode_upload_for_capacity():
-    model = BandwidthModel()
-    uploads = model.supernode_upload_for_capacity(np.array([5, 10]), 2.0)
-    assert np.allclose(uploads, [12.0, 24.0])  # 20 % headroom
-    with pytest.raises(ValueError):
-        model.supernode_upload_for_capacity(np.array([5]), 0.0)
-
-
 def test_link_bandwidths_validation():
     with pytest.raises(ValueError):
         LinkBandwidths(np.array([1.0, 2.0]), np.array([1.0]))

@@ -10,7 +10,6 @@ from repro.network.geo import (
     GeoPoint,
     Metro,
     Region,
-    nearest_index,
     pairwise_distances,
     place_datacenters,
 )
@@ -114,18 +113,6 @@ def test_pairwise_distances_matches_manual():
 def test_pairwise_distances_requires_2d():
     with pytest.raises(ValueError):
         pairwise_distances(np.zeros(3), np.zeros((2, 2)))
-
-
-def test_nearest_index():
-    candidates = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 2.0]])
-    index, distance = nearest_index(np.array([0.0, 1.5]), candidates)
-    assert index == 2
-    assert distance == pytest.approx(0.5)
-
-
-def test_nearest_index_empty_candidates():
-    with pytest.raises(ValueError):
-        nearest_index(np.array([0.0, 0.0]), np.empty((0, 2)))
 
 
 @given(count=st.integers(min_value=1, max_value=30))  # grid+midpoints >= 59 sites

@@ -42,11 +42,6 @@ def test_one_way_combines_components():
     assert model.one_way_ms(100.0, 5.0, 3.0) == pytest.approx(10.0)
 
 
-def test_rtt_is_twice_one_way():
-    model = LatencyModel(ms_per_km=0.02)
-    assert model.rtt_ms(100.0, 5.0, 3.0) == pytest.approx(20.0)
-
-
 def test_one_way_vectorised():
     model = LatencyModel(ms_per_km=0.01)
     distances = np.array([0.0, 1000.0])
@@ -63,26 +58,6 @@ def test_sample_access_delays():
     assert model.sample_access_delays(rng, 0).shape == (0,)
     with pytest.raises(ValueError):
         model.sample_access_delays(rng, -1)
-
-
-def test_response_latency_adds_processing():
-    model = LatencyModel()
-    total = model.response_latency_ms(30.0, 40.0)
-    assert total == pytest.approx(30.0 + 40.0 + PLAYOUT_PROCESSING_MS)
-
-
-def test_response_latency_asymmetric_legs():
-    """CloudFog's point: a short downstream leg shrinks the total."""
-    model = LatencyModel()
-    cloud_path = model.response_latency_ms(50.0, 50.0)
-    fog_path = model.response_latency_ms(50.0, 10.0)
-    assert fog_path < cloud_path
-
-
-def test_response_latency_validation():
-    model = LatencyModel()
-    with pytest.raises(ValueError):
-        model.response_latency_ms(-1.0, 10.0)
 
 
 def test_model_validation():

@@ -34,11 +34,9 @@ def test_write_run_dir_writes_every_live_artifact(chaos_run_dir):
 
 
 def test_write_run_dir_skips_disabled_pillars(tmp_path):
-    obs.enable(timeseries=False, events=False)
+    assert not obs.enabled()
     written = write_run_dir(tmp_path)
-    names = {path.name for path in written}
-    assert "timeseries.json" not in names and "slo.json" not in names
-    assert "metrics.prom" in names and "run.json" in names
+    assert [path.name for path in written] == ["run.json"]
 
 
 def test_report_names_crash_day_and_correlates_the_fault_window(
@@ -89,10 +87,8 @@ def test_write_report_emits_markdown_and_json(chaos_run_dir):
 
 
 def test_render_report_tolerates_a_sparse_run_dir(tmp_path):
-    """Artifacts are optional: a metrics-only dump still renders."""
-    obs.enable(timeseries=False, events=False)
+    """Artifacts are optional: a dump with only ``run.json`` renders."""
     write_run_dir(tmp_path)
-    obs.disable()
     markdown, payload = render_report(tmp_path)
     assert payload["slo"] is None
     assert payload["fault_timeline"] == []

@@ -188,7 +188,6 @@ def test_mos_uses_catalogue_qos():
 
 def test_null_store_is_inert():
     assert not NULL_TIMESERIES.enabled
-    assert NULL_TIMESERIES.observe_day(0, [make_record(0)]) == []
 
 
 def test_day_sample_dict_round_trip():

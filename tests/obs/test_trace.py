@@ -72,24 +72,6 @@ def test_jsonl_round_trip(tmp_path):
     assert all(row["duration_s"] >= 0 for row in rows)
 
 
-def test_clear_refuses_while_spans_live():
-    tracer = Tracer()
-    with tracer.span("live"):
-        with pytest.raises(RuntimeError):
-            tracer.clear()
-    tracer.clear()
-    assert tracer.finished == []
-
-
-def test_iter_finished_filters_by_name():
-    tracer = Tracer()
-    with tracer.span("a"):
-        pass
-    with tracer.span("b"):
-        pass
-    assert [s.name for s in tracer.iter_finished("a")] == ["a"]
-
-
 def test_null_tracer_is_inert():
     with NULL_TRACER.span("anything", day=1) as span:
         span.annotate(x=1)

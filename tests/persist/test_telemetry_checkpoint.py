@@ -86,14 +86,6 @@ def test_disabled_runs_write_no_telemetry_key(tmp_path):
     assert "telemetry" not in payload
 
 
-def test_metrics_only_enablement_writes_no_telemetry_key(tmp_path):
-    obs.enable(timeseries=False, events=False)
-    hook = Checkpointer(tmp_path, every=1)
-    CloudFogSystem(CHAOS).run(days=2, on_day_end=hook.on_day_end)
-    payload = read_checkpoint(hook.path_for(0))
-    assert "telemetry" not in payload
-
-
 def test_resume_with_observability_off_ignores_telemetry(tmp_path):
     obs.enable()
     hook = Checkpointer(tmp_path, every=1)

@@ -19,6 +19,8 @@ from repro.reputation.scores import (
     reputation_score,
 )
 
+from ..helpers.ratings import live_ratings
+
 PLAYERS = range(4)
 SUPERNODES = range(5)
 PRIOR = 0.9
@@ -116,8 +118,7 @@ def test_kernel_matches_per_rating_formula(history, cap, aging_factor):
     assert_same_scores(table, oracle)
     ledger = table.ledger
     for (player, supernode), kept in oracle.ratings.items():
-        assert [(r.value, r.day) for r in
-                ledger.ratings(player, supernode)] == kept
+        assert live_ratings(ledger, player, supernode) == kept
         mass, weighted = oracle_sums(kept, today, aging_factor)
         assert raw_reputation_sum(ledger, player, supernode, today,
                                   aging_factor) == weighted

@@ -10,7 +10,7 @@ def test_paper_schedule_matches_section_4_1():
     assert PAPER_SCHEDULE.hours_per_day == 24
     assert PAPER_SCHEDULE.warmup_days == 21
     assert PAPER_SCHEDULE.peak_subcycles == (20, 24)
-    assert PAPER_SCHEDULE.measured_days == 7
+    assert PAPER_SCHEDULE.days - PAPER_SCHEDULE.warmup_days == 7
 
 
 def test_invalid_schedules_rejected():

@@ -6,7 +6,9 @@ Verbatim copies, taken when they left ``src/``, of
 (``Adjustment``, ``RateController``), ``ContinuityStats`` from
 ``repro.streaming.continuity`` and ``SessionConfig``, ``SessionResult``,
 ``_packet_delays_ms`` and ``simulate_session`` from
-``repro.streaming.session``.
+``repro.streaming.session``.  The scalar transport methods they call
+now live in ``session_oracle.py`` as functions of the model, imported
+where they are used because that module imports this one.
 
 A run scores every session through the closed-form
 ``estimate_continuity_batch``.  This module is the discrete-event model
@@ -366,9 +368,11 @@ def _packet_delays_ms(segment: Segment, path: PathSpec,
     rate; delay = queueing + service + propagation (+ jitter).  Returns
     (delay array, updated queue-free time).
     """
+    from .session_oracle import serialization_ms
+
     n = segment.packet_count
-    service_ms = transport.serialization_ms(
-        segment.packet_size_bits, path, utilization)
+    service_ms = serialization_ms(
+        transport, segment.packet_size_bits, path, utilization)
     gen_times = gen_start_ms + np.arange(n) * (segment.duration_s * 1000.0 / n)
     delays = np.empty(n, dtype=np.float64)
     free_at = queue_free_at_ms
@@ -386,6 +390,8 @@ def simulate_session(config: SessionConfig,
                      rng: np.random.Generator,
                      transport: TransportModel | None = None) -> SessionResult:
     """Run one event-level streaming session and return its QoS."""
+    from .session_oracle import sample_losses
+
     transport = transport or TransportModel()
     env = Environment()
     controller = RateController(
@@ -434,8 +440,9 @@ def simulate_session(config: SessionConfig,
             delays, state["queue_free_ms"] = _packet_delays_ms(
                 segment, config.path, transport, config.sender_utilization,
                 state["queue_free_ms"], gen_ms, rng)
-            loss_mask = transport.sample_losses(
-                segment.packet_count, config.sender_utilization, rng)
+            loss_mask = sample_losses(
+                transport, segment.packet_count, config.sender_utilization,
+                rng)
             for delay, lost in zip(delays, loss_mask):
                 response_latencies.append(
                     config.upstream_one_way_ms + float(delay)

@@ -97,7 +97,7 @@ def test_batch_matches_scalar_bitwise(jitter, adaptive):
     batch = estimate_continuity_batch(
         **params, rng=np.random.default_rng(5), duration_s=60.0,
         adaptive=adaptive, transport=transport, n_samples=N_SAMPLES)
-    assert len(batch) == len(scalars)
+    assert len(batch.final_levels) == len(scalars)
     for i, scalar in enumerate(scalars):
         assert batch_result(batch, i) == scalar  # dataclass ==, exact floats
         assert float(batch.continuity[i]) == scalar.continuity
@@ -159,7 +159,7 @@ def test_batch_broadcasts_scalars_to_one_session():
     outcome = estimate_continuity_batch(
         90.0, 10.0, 5.0, 10.0, 20.0, 0.0, 0.4,
         rng=np.random.default_rng(0), n_samples=N_SAMPLES)
-    assert len(outcome) == 1
+    assert len(outcome.final_levels) == 1
     assert 0.0 <= float(outcome.continuity[0]) <= 1.0
 
 

@@ -23,7 +23,7 @@ def test_table2_worked_examples():
     # leads to 50 ms latency".
     level2 = get_level(2)
     assert level2.bitrate_kbps == 500
-    assert level2.resolution == "384x216"
+    assert (level2.width, level2.height) == (384, 216)
     assert level2.latency_requirement_ms == 50.0
     # "a latency requirement of 90 ms [uses] 1200 kbps ... level 4".
     level4 = get_level(4)

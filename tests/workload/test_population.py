@@ -12,7 +12,7 @@ def test_build_population_shares():
     rng = np.random.default_rng(0)
     population = build_population(rng, num_players=2000, num_datacenters=5,
                                   supernode_capable_share=0.10)
-    assert population.num_players == 2000
+    assert population.topology.num_players == 2000
     share = population.supernode_capable.mean()
     assert abs(share - 0.10) < 0.03
     assert len(population.capable_players()) == population.supernode_capable.sum()

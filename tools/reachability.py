@@ -6,7 +6,12 @@ figure at its smallest flags, the smoke scripts, the perf benches at
 their tiny sizes, ``perfbench --self-test``, the examples and the
 ``pytest benchmarks`` figure and ablation benches) under a
 ``sys.setprofile`` hook, then prints, per ``repro`` module, the
-functions no run called.
+functions no run called.  It also runs the paths only some inputs
+reach: ``--log-level``, an ``--slo`` policy file and its report, a
+checkpoint resume with observability on, a built-in scenario through
+``checkpoint_smoke.py --scenario``, and a fault plan whose fog-cloud
+partition closes mid-day with sessions queued behind it.  A function
+the output lists is therefore one no input of the repository reaches.
 
 The hook lives in a generated ``sitecustomize`` put first on the
 children's ``PYTHONPATH``, so every interpreter the runs start is
@@ -17,7 +22,8 @@ reached when its code object was called; a class body that ran at
 import does not count, and neither does a module body.
 
 Run from the repository root (a full pass takes several minutes on
-2 cores; stdlib only, no CI job)::
+2 cores; stdlib only).  No CI job runs it: it is a manual audit, and its
+count is recorded in ROADMAP.md::
 
     python tools/reachability.py [--out DIR]
 
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -77,15 +84,37 @@ def commands(work: Path) -> list[list[str]]:
     """Every traced run, as argv lists for ``python``."""
     sys.path.insert(0, str(SRC))
     from repro.__main__ import FIGURES
+    from repro.obs.slo import default_policy
 
     ck, obs_dir, scen_dir = work / "ck", work / "obs", work / "scen"
+    policy = work / "slo.json"
+    policy.write_text(json.dumps(default_policy().as_dict()))
+    # A fog-cloud partition over subcycles 10-17 with most supernodes
+    # crashing inside it: displaced sessions queue, and when the window
+    # closes at 18 the queue drains (sessions still playing degrade to
+    # the cloud, the rest are shed).
+    partition = work / "partition.json"
+    partition.write_text(json.dumps({"events": [
+        {"kind": "partition", "day": 0, "subcycle": 10,
+         "duration_subcycles": 8},
+        {"kind": "crash", "day": 0, "subcycle": 11, "count": 11}]}))
     runs = [["-m", "repro", "run", "--days", "3", "--players", "120",
              "--supernodes", "8", "--faults", "examples/chaos_scenario.json",
              "--checkpoint-dir", str(ck), "--obs-dir", str(obs_dir)],
             ["-m", "repro", "run", "--days", "3", "--checkpoint-dir",
              str(work / "ck2"), "--resume-from",
              str(ck / "checkpoint-day0000.json")],
+            ["-m", "repro", "run", "--days", "3", "--checkpoint-dir",
+             str(work / "ck3"), "--resume-from",
+             str(ck / "checkpoint-day0000.json"),
+             "--obs-dir", str(work / "obs-resumed")],
             ["-m", "repro", "report", str(obs_dir)],
+            ["-m", "repro", "run", "--days", "1", "--log-level", "debug"],
+            ["-m", "repro", "run", "--days", "1", "--slo", str(policy),
+             "--obs-dir", str(work / "obs-slo")],
+            ["-m", "repro", "report", str(work / "obs-slo")],
+            ["-m", "repro", "run", "--days", "1", "--players", "200",
+             "--supernodes", "12", "--faults", str(partition)],
             ["-m", "repro", "list"],
             ["-m", "repro", "fig16a", "--chart"],
             ["-m", "repro", "scenario", "list"],
@@ -104,6 +133,8 @@ def commands(work: Path) -> list[list[str]]:
         "chaos_smoke.py", "checkpoint_smoke.py", "resilience_smoke.py",
         "scenario_smoke.py", "obs_smoke.py")]
     runs += [["benchmarks/checkpoint_smoke.py", "--chaos"],
+             ["benchmarks/checkpoint_smoke.py", "--scenario",
+              "esports-final"],
              ["benchmarks/scale_smoke.py", "--scale", "0.05"],
              ["benchmarks/bench_perf_scoring.py", "--tiny", "--output",
               str(work / "perf.json")],
