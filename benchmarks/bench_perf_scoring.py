@@ -7,7 +7,8 @@ Measures three things and writes them to ``BENCH_perf.json``:
   reference loop (``score_sessions_scalar``, the frozen oracle in
   ``tests/core/scoring_oracle.py``) on one day's sessions, in sessions/second.  The two
   paths are bit-identical (asserted here before timing); the benchmark
-  exists to show the batch path is also much faster.
+  exists to show the batch path is also much faster.  ``speedup`` is
+  the median wall ratio of interleaved rounds.
 * **Directory joins** — :meth:`SupernodeDirectory.candidates_for`
   (a walk of the cached per-player pool ranking) against a
   linear-scan + full-sort reference, in lookups/second.  The two
@@ -33,6 +34,7 @@ import argparse
 import json
 import os
 import pathlib
+import statistics
 import sys
 import time
 
@@ -56,6 +58,9 @@ from tests.core.scoring_oracle import score_sessions_scalar  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+#: Interleaved timing rounds of the scoring speedup.
+ROUNDS = 9
+
 
 def _build_scored_day(num_players: int, num_supernodes: int, seed: int):
     """A system with one swept day's sessions and load timelines."""
@@ -73,7 +78,7 @@ def _build_scored_day(num_players: int, num_supernodes: int, seed: int):
 
 
 def bench_scoring(num_players: int, num_supernodes: int, seed: int,
-                  repeats: int) -> dict:
+                  rounds: int) -> dict:
     system, sessions, loads, cloud_rate = _build_scored_day(
         num_players, num_supernodes, seed)
 
@@ -90,23 +95,23 @@ def bench_scoring(num_players: int, num_supernodes: int, seed: int,
     # Equivalence before speed: same named RNG stream, same records.
     assert list(batch()) == scalar(), "batch scorer diverged from scalar"
 
-    # Interleaved best-of-N: round-robin keeps background noise from
-    # landing entirely on one contender.
+    # Interleaved rounds; the speedup is the median of the per-round
+    # ratios, since a round's two passes share the host's speed.
     scalar_times, batch_times = [], []
-    for _ in range(repeats):
+    for _ in range(rounds):
         t0 = time.perf_counter()
         scalar()
         scalar_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         batch()
         batch_times.append(time.perf_counter() - t0)
-    scalar_s, batch_s = min(scalar_times), min(batch_times)
+    ratios = [s / b for s, b in zip(scalar_times, batch_times)]
     n = len(sessions)
     return {
         "sessions": n,
-        "scalar_sessions_per_s": n / scalar_s,
-        "batch_sessions_per_s": n / batch_s,
-        "speedup": scalar_s / batch_s,
+        "scalar_sessions_per_s": n / min(scalar_times),
+        "batch_sessions_per_s": n / min(batch_times),
+        "speedup": statistics.median(ratios),
     }
 
 
@@ -136,9 +141,10 @@ def bench_joins(num_players: int, num_supernodes: int, seed: int,
         linear = _linear_candidates(directory, int(player), count)
         assert ranked == linear, "ranking lookup diverged"
 
-    # Interleaved best-of-3, same rationale as the scoring bench.  The
-    # first lookup above built the cached ranking, so the timed loops
-    # measure steady-state lookups.
+    # Interleaved best-of-3: round-robin keeps background noise from
+    # landing entirely on one contender.  The first lookup above built
+    # the cached ranking, so the timed loops measure steady-state
+    # lookups.
     ranked_times, linear_times = [], []
     for _ in range(3):
         t0 = time.perf_counter()
@@ -201,9 +207,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.tiny:
-        players, supernodes, repeats, lookups = 400, 24, 3, 2000
+        players, supernodes, lookups = 400, 24, 2000
     else:
-        players, supernodes, repeats, lookups = 2000, 120, 9, 10000
+        players, supernodes, lookups = 2000, 120, 10000
     # Enough days that each sweep task crosses the pool threshold.
     days = max(3, -(-MIN_TASK_PLAYER_DAYS // players))
 
@@ -211,7 +217,7 @@ def main(argv=None) -> int:
         "workload": {"players": players, "supernodes": supernodes,
                      "tiny": args.tiny, "cpu_count": os.cpu_count()},
         "scoring": bench_scoring(players, supernodes, seed=3,
-                                 repeats=repeats),
+                                 rounds=ROUNDS),
         "joins": bench_joins(players, supernodes, seed=3, lookups=lookups),
         "sweep": bench_sweep(players, seed=3, days=days, jobs=args.jobs),
     }

@@ -58,8 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     median = float(np.median(ttr)) if ttr else float("inf")
     print(f"events: {summary.events_applied}/{len(plan)} applied")
     print(f"displaced: {summary.displaced}  recovered: {summary.recovered}"
-          f"  degraded: {summary.degraded}  dropped: {summary.dropped}")
-    print(f"retries: {summary.retries}  median ttr: {median:.1f} ms")
+          f"  degraded: {summary.degraded}")
+    print(f"median ttr: {median:.1f} ms")
 
     failures = []
     if summary.events_applied < len(plan):

@@ -122,7 +122,7 @@ def check_live_endpoint_and_report(days: int, players: int) -> None:
             "landed; the endpoint was not observed live"
         snapshot, _ = _scrape(url + "/snapshot.json", deadline)
         parsed = json.loads(snapshot)
-        assert parsed["enabled"]["metrics"] is True
+        assert parsed["enabled"] is True
         print(f"live scrape: {len(metrics.splitlines())} exposition "
               f"lines mid-run from {url}")
 

@@ -61,10 +61,9 @@ def check_scenario(args) -> list[str]:
     median = float(np.median(ttr)) if ttr else float("inf")
     print(f"events: {summary.events_applied}/{len(plan)} applied")
     print(f"displaced: {summary.displaced}  recovered: {summary.recovered}"
-          f"  degraded: {summary.degraded}  dropped: {summary.dropped}"
-          f"  shed: {summary.shed}")
+          f"  degraded: {summary.degraded}  shed: {summary.shed}")
     print(f"drained: {summary.drained}  joins shed: {summary.joins_shed}"
-          f"  retries: {summary.retries}  median ttr: {median:.1f} ms")
+          f"  median ttr: {median:.1f} ms")
 
     failures = []
     if summary.events_applied < len(plan):

@@ -26,7 +26,7 @@ from .state import (JoinOutcome, SimState, cloud_one_way_ms,
 
 __all__ = ["MigrationOutcome", "join", "join_cdn", "migrate",
            "ordered_orphans", "penalize_orphans",
-           "take_offline", "bring_online", "admit_join",
+           "take_offline", "bring_online", "admit_joins",
            "fog_availability"]
 
 
@@ -34,9 +34,8 @@ __all__ = ["MigrationOutcome", "join", "join_cdn", "migrate",
 class MigrationOutcome:
     """Result of one displaced player's walk down the reconnect ladder.
 
-    ``attempts`` counts the §3.2 selection rounds consumed (0 when the
-    player's own candidate list served the reconnect); ``via`` names the
-    rung that ended the walk: ``"candidates"``, ``"selection"`` or
+    ``via`` names the rung that ended the walk: ``"candidates"`` (the
+    player's own list, no selection round), ``"selection"`` or
     ``"cloud"`` (graceful degradation to direct streaming,
     ``supernode_id`` None).  ``latency_ms`` excludes failure detection —
     the caller adds the detector's latency on top.
@@ -44,7 +43,6 @@ class MigrationOutcome:
 
     latency_ms: float
     supernode_id: int | None
-    attempts: int
     via: str
 
 
@@ -232,30 +230,30 @@ def bring_online(state: SimState, supernode_ids: list[int]) -> None:
         fog_availability(state))
 
 
-def admit_join(state: SimState, outcome: JoinOutcome, policy,
-               subcycle: int, cloud_count: np.ndarray | None) -> bool:
-    """Admission control: may this just-joined session enter service?
+def admit_joins(state: SimState, joins: list[JoinOutcome], policy,
+                subcycle: int, cloud_count: np.ndarray) -> np.ndarray:
+    """Admission control: which of a subcycle's joins enter service?
 
     Applies only to cloud-direct sessions — a session that landed on a
     supernode consumes surviving fog capacity, which is the resource
-    admission control protects.  A cloud join is refused while a
+    admission control protects.  Cloud joins are refused while a
     fog↔cloud partition is active (``policy.shed_during_partition``)
-    or when the concurrent cloud-session cap is already full at its
-    start subcycle (``policy.max_cloud_sessions``, tracked by the
-    sweep's ``cloud_count`` occupancy line).  ``policy`` is a
+    or once the concurrent cloud-session cap is full at their start
+    subcycle (``policy.max_cloud_sessions``): the sweep's
+    ``cloud_count`` occupancy line plus the cloud joins admitted
+    earlier in plan order.  ``policy`` is a
     :class:`~repro.faults.plan.AdmissionPolicy` duck-typed to keep
     the layering acyclic.
     """
-    if outcome.kind is not ConnectionKind.CLOUD:
-        return True
+    cloud = np.array([outcome.kind is ConnectionKind.CLOUD
+                      for outcome in joins], dtype=bool)
     if policy.shed_during_partition and state.faults.partition_active(
             subcycle):
-        return False
-    if (policy.max_cloud_sessions is not None
-            and cloud_count is not None
-            and cloud_count[subcycle] >= policy.max_cloud_sessions):
-        return False
-    return True
+        return ~cloud
+    if policy.max_cloud_sessions is None:
+        return np.ones(len(joins), dtype=bool)
+    room = policy.max_cloud_sessions - cloud_count[subcycle]
+    return ~cloud | (np.cumsum(cloud) <= room)
 
 
 def fog_availability(state: SimState) -> float:
@@ -268,19 +266,17 @@ def fog_availability(state: SimState) -> float:
 def migrate(state: SimState, player: int, l_max: float,
             rng: np.random.Generator,
             transient_refusal: float = 0.0) -> MigrationOutcome:
-    """Walk a displaced player down the reconnect ladder.
+    """Walk a displaced player down the §3.2.2 reconnect ladder.
 
-    §3.2.2: the player first walks its own candidate list (probe +
-    handshake, no cloud round trip).  Only if every remembered
-    candidate is gone or full does it ask the cloud again — with
-    bounded, jittered exponential backoff between rounds and the
-    nodes that already refused excluded from re-selection.  When no
-    rung lands on a supernode the player degrades to direct cloud
-    streaming (``supernode_id`` None).
+    The player first walks its own candidate list (probe + handshake,
+    no cloud round trip).  Only if every remembered candidate is gone
+    or full does it contact the cloud, for one §3.2 selection round.
+    When neither lands on a supernode the player degrades to direct
+    cloud streaming (``supernode_id`` None).
 
-    ``transient_refusal`` models churn turbulence: each selection
-    round's handshake independently times out with this probability
-    (never on the final attempt's success), forcing a backoff retry.
+    ``transient_refusal`` models churn turbulence: the round's
+    handshake times out with this probability, the slot is released
+    and the player degrades to the cloud.
     """
     pool = state.supernode_pool
     for entry in state.candidates.candidates(player):
@@ -290,43 +286,24 @@ def migrate(state: SimState, player: int, l_max: float,
             state.sticky[player] = sid
             # Probe RTT + connect handshake, no cloud involvement.
             return MigrationOutcome(
-                2.0 * entry.delay_ms + 10.0 + entry.delay_ms, sid, 0,
+                2.0 * entry.delay_ms + 10.0 + entry.delay_ms, sid,
                 "candidates")
-    upstream = cloud_one_way_ms(state, player)
     reputation = (state.reputation
                   if state.config.strategies.reputation_selection
                   else None)
-    policy = state.faults.retry
-    latency = 0.0
-    refused: set[int] = set()
-    attempts = 0
-    for attempt in range(policy.max_attempts):
-        if attempt:
-            latency += policy.backoff_ms(attempt - 1, rng)
-        attempts = attempt + 1
-        outcome = select_supernode(
-            player, state.directory, l_max, rng,
-            reputation=reputation,
-            candidate_count=state.config.candidate_count,
-            cloud_rtt_ms=2.0 * upstream,
-            exclude=refused if refused else None)
-        latency += outcome.join_latency_ms
-        if outcome.qualified:
-            state.candidates.remember(player, outcome.qualified)
-        sid = outcome.supernode_id
-        if sid is not None:
-            if (transient_refusal > 0.0
-                    and attempt < policy.max_attempts - 1
-                    and rng.random() < transient_refusal):
-                # Handshake timed out mid-churn: release the slot,
-                # remember the refusal, back off and retry.
-                pool.disconnect_many(sid, (player,))
-                refused.add(sid)
-                continue
-            state.sticky[player] = sid
-            return MigrationOutcome(latency, sid, attempts, "selection")
-        if not outcome.qualified:
-            # Nothing clears the delay filter; a retry would re-ask
-            # an unchanged table.  Degrade to the cloud.
-            break
-    return MigrationOutcome(latency, None, attempts, "cloud")
+    outcome = select_supernode(
+        player, state.directory, l_max, rng,
+        reputation=reputation,
+        candidate_count=state.config.candidate_count,
+        cloud_rtt_ms=2.0 * cloud_one_way_ms(state, player))
+    if outcome.qualified:
+        state.candidates.remember(player, outcome.qualified)
+    sid = outcome.supernode_id
+    if sid is None:
+        return MigrationOutcome(outcome.join_latency_ms, None, "cloud")
+    if transient_refusal > 0.0 and rng.random() < transient_refusal:
+        # Handshake timed out mid-churn: release the slot.
+        pool.disconnect_many(sid, (player,))
+        return MigrationOutcome(outcome.join_latency_ms, None, "cloud")
+    state.sticky[player] = sid
+    return MigrationOutcome(outcome.join_latency_ms, sid, "selection")

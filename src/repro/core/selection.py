@@ -226,7 +226,6 @@ def select_supernode(
     candidate_count: int = 8,
     cloud_rtt_ms: float = 60.0,
     handshake_ms: float = 10.0,
-    exclude: set[int] | None = None,
 ) -> SelectionOutcome:
     """Run the full §3.2 selection for one player.
 
@@ -246,16 +245,10 @@ def select_supernode(
     in Python floats and bit-identical to it: ``dx * dx`` (numpy's
     square fast path, never ``dx ** 2``, which rounds through libm
     pow) under a correctly rounded sqrt, added left to right.
-
-    ``exclude`` drops specific supernode ids before probing — retry
-    rounds after a failed migration pass the nodes that just refused
-    or crashed, so a backoff retry cannot re-ask a known-bad node.
     """
     if l_max_ms <= 0:
         raise ValueError("l_max_ms must be positive")
     candidates = directory.candidates_for(player, candidate_count)
-    if exclude:
-        candidates = [sid for sid in candidates if sid not in exclude]
     if not candidates:
         return SelectionOutcome(None, 0.0, cloud_rtt_ms, 0)
     topo = directory.topology

@@ -8,7 +8,7 @@ The top of the core layering.  One day runs as the §4.1 cycle:
    + social game choice;
 4. the subcycle sweep — per subcycle the explicit stage tuple
    :data:`SUBCYCLE_STAGES` runs in order: departures → fault
-   injection (which walks migration/retry ladders) → scenario hooks
+   injection (which walks the migration ladder) → scenario hooks
    (flash crowds and other ``repro.scenarios`` stages, a no-op by
    default) → arrivals/joins;
 5. session scoring (``core.scoring``) and ratings;
@@ -39,7 +39,7 @@ from .accounting import (RunResult, SweepLoads, cloud_bandwidth,
                          credit_contributors, summarize_day)
 from .columns import KIND_SUPERNODE
 from .entities import ConnectionKind
-from .lifecycle import admit_join, join
+from .lifecycle import admit_joins, join
 from .scoring import score_sessions
 from .server_assignment import assign_players_randomly, assign_players_socially
 from .state import KIND_OF_CODE, SessionTable, SimState, deploy
@@ -170,7 +170,7 @@ def stage_departures(state: SimState, ctx: SweepContext) -> None:
 
 
 def stage_faults(state: SimState, ctx: SweepContext) -> None:
-    """Fire scheduled faults (crash → migration/retry, flaky, …).
+    """Fire scheduled faults (crash → migration, flaky, …).
 
     Runs between departures and arrivals: streaming sessions see the
     failure mid-day and walk the §3.2.2 recovery ladder, while this
@@ -231,31 +231,31 @@ def stage_arrivals(state: SimState, ctx: SweepContext) -> None:
     each join seeing the supernode slots the previous one took.  No
     join reads the sweep's load timelines, so the whole cohort commits
     afterwards in one :func:`_commit_cohort`, in plan order.  Under
-    admission control (backpressure) each admitted join commits on its
-    own before the next one joins: its shed decision reads the cloud
-    occupancy each prior join in the *same* subcycle committed.
+    admission control (backpressure) the cohort is admitted in one
+    pass first (:func:`~repro.core.lifecycle.admit_joins`): a shed join
+    is refused before it becomes a session — never displaced, never
+    scored — and only the admitted rows commit.
     """
     subcycle = ctx.subcycle
     plans = ctx.starts.pop(subcycle, None)
     if not plans:
         return
     players = plans.player.tolist()
-    if ctx.admission is None:
-        _commit_cohort(state, ctx, players, plans.hours,
-                       [join(state, player, ctx.rng) for player in players])
-        return
-    for player, hours in zip(players, plans.hours.tolist()):
-        joined = join(state, player, ctx.rng)
-        if not admit_join(state, joined, ctx.admission, subcycle,
-                          ctx.loads.cloud_count):
-            # Backpressure: the join is refused before it becomes a
-            # session — never displaced, never scored.
+    joins = [join(state, player, ctx.rng) for player in players]
+    if ctx.admission is not None:
+        admitted = admit_joins(state, joins, ctx.admission, subcycle,
+                               ctx.loads.cloud_count)
+        for player in plans.player[~admitted].tolist():
             ctx.result.faults.joins_shed += 1
             obs.get_registry().counter("repro_joins_shed_total").inc()
             obs.get_events().emit("join_shed", day=ctx.day,
                                   subcycle=subcycle, player=player)
-            continue
-        _commit_cohort(state, ctx, [player], [hours], [joined])
+        if not admitted.any():
+            return  # an empty cohort has no rows to insert
+        plans = plans.take(admitted)
+        players = plans.player.tolist()
+        joins = [joined for joined, admit in zip(joins, admitted) if admit]
+    _commit_cohort(state, ctx, players, plans.hours, joins)
 
 
 def stage_scenario(state: SimState, ctx: SweepContext) -> None:

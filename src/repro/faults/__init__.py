@@ -1,6 +1,6 @@
 """``repro.faults`` — fault schedules and resilience machinery.
 
-Four pieces, mirroring the repo's null-object/toggle convention:
+Three pieces, mirroring the repo's null-object/toggle convention:
 
 * :mod:`repro.faults.plan` — deterministic, seedable
   :class:`FaultPlan` schedules (crashes, flaky supernodes, link
@@ -10,8 +10,6 @@ Four pieces, mirroring the repo's null-object/toggle convention:
   :class:`AdmissionPolicy` / :class:`HealingPolicy` knobs.
 * :mod:`repro.faults.detection` — the heartbeat timeout model behind
   the paper's ~0.5 s failure-detection share of migration latency.
-* :mod:`repro.faults.retry` — bounded, jittered exponential backoff
-  for join/migration retries.
 * :mod:`repro.faults.injector` — the runtime a
   :class:`~repro.core.system.CloudFogSystem` holds: schedule lookup,
   continuity-penalty ledger, and :class:`FaultSummary` accounting whose
@@ -39,7 +37,6 @@ from .plan import (
     HealingPolicy,
     load_fault_plan,
 )
-from .retry import RetryPolicy
 
 __all__ = [
     "FAULT_KINDS",
@@ -49,7 +46,6 @@ __all__ = [
     "HealingPolicy",
     "load_fault_plan",
     "FailureDetector",
-    "RetryPolicy",
     "FaultSummary",
     "FaultInjector",
     "NullFaultInjector",

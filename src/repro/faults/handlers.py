@@ -179,10 +179,6 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
         l_max = delay_threshold_ms(game.latency_requirement_ms)
         outcome = migrate(state, player, l_max, frng,
                           transient_refusal=transient)
-        retries = max(0, outcome.attempts - 1)
-        summary.retries += retries
-        if retries:
-            registry.counter("repro_fault_retries_total").inc(retries)
         ttr = detection + outcome.latency_ms
         queued = False
         if outcome.supernode_id is not None:
@@ -208,7 +204,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
                            player=player,
                            from_supernode=sid,
                            to_supernode=outcome.supernode_id,
-                           retries=retries, ttr_ms=ttr)
+                           ttr_ms=ttr)
         elif partitioned:
             # The cloud fallback is the severed link: park the
             # session until the partition window closes.  Its
@@ -222,8 +218,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             registry.counter("repro_fault_queued_total").inc()
             event_log.emit("session_queued", day=day,
                            subcycle=subcycle, player=player,
-                           from_supernode=sid,
-                           retries=retries)
+                           from_supernode=sid)
         else:
             # Graceful degradation: the cloud streams directly
             # for the rest of the session.
@@ -236,8 +231,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             registry.counter("repro_fault_degraded_total").inc()
             event_log.emit("cloud_fallback", day=day,
                            subcycle=subcycle, player=player,
-                           from_supernode=sid,
-                           retries=retries, ttr_ms=ttr)
+                           from_supernode=sid, ttr_ms=ttr)
         if queued or graceful:
             # Queue wait is charged at drain time; a graceful
             # drain had the warning window to hand over cleanly.
@@ -418,7 +412,7 @@ def _drain_partition_queue(state: SimState, day, subcycle, sessions,
             state.faults.add_penalty(player, stalled / span_len)
             event_log.emit("cloud_fallback", day=day, subcycle=subcycle,
                            player=player, from_supernode=None,
-                           retries=0, ttr_ms=None)
+                           ttr_ms=None)
         else:
             sessions.discard(player)
             summary.shed += 1

@@ -105,7 +105,6 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.detector = plan.detector
-        self.retry = plan.retry
         #: Per-player continuity penalty fractions for the current day,
         #: cleared at day start and applied after session scoring.
         self.penalties: dict[int, float] = {}

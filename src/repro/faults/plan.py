@@ -11,7 +11,7 @@ Four event kinds model the volatility of consumer-grade fog nodes:
 ``crash``
     ``count`` live supernodes (or one specific ``supernode_id``) go
     offline instantly.  Connected players are displaced and walk the
-    degradation ladder (candidate list → retried selection → cloud).
+    degradation ladder (candidate list → one selection round → cloud).
 ``flaky``
     A supernode silently throttles its upload to ``severity`` of
     nominal for the rest of the day — the §4.1 misbehaviour model,
@@ -62,7 +62,6 @@ from pathlib import Path
 import numpy as np
 
 from .detection import FailureDetector
-from .retry import RetryPolicy
 
 __all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan", "AdmissionPolicy",
            "HealingPolicy", "load_fault_plan"]
@@ -183,21 +182,19 @@ class HealingPolicy:
 class FaultPlan:
     """A full fault schedule plus the resilience parameters to run it.
 
-    ``detector`` and ``retry`` configure the failure-detection timeout
-    model and the join/migration backoff; ``ambient_loss_boost`` adds a
-    constant packet-loss floor to the whole transport substrate (an
-    always-degraded network, independent of scheduled events);
-    ``transient_refusal_prob`` makes each fault-driven selection round
-    independently time out with that probability (churn turbulence),
-    which is what exercises the backoff retries.  ``admission`` and
-    ``healing`` opt in to join backpressure and self-healing
-    re-provisioning; both default to off (None) so existing plans keep
-    their exact behaviour.
+    ``detector`` configures the failure-detection timeout model;
+    ``ambient_loss_boost`` adds a constant packet-loss floor to the
+    whole transport substrate (an always-degraded network, independent
+    of scheduled events); ``transient_refusal_prob`` makes a
+    fault-driven migration's selection-round handshake time out with
+    that probability (churn turbulence), degrading the player to the
+    cloud.  ``admission`` and ``healing`` opt in to join backpressure
+    and self-healing re-provisioning; both default to off (None) so
+    existing plans keep their exact behaviour.
     """
 
     events: tuple[FaultEvent, ...] = ()
     detector: FailureDetector = field(default_factory=FailureDetector)
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     ambient_loss_boost: float = 0.0
     transient_refusal_prob: float = 0.0
     admission: AdmissionPolicy | None = None
@@ -311,7 +308,6 @@ class FaultPlan:
         data = {
             "events": [asdict(event) for event in self.events],
             "detector": asdict(self.detector),
-            "retry": asdict(self.retry),
             "ambient_loss_boost": self.ambient_loss_boost,
             "transient_refusal_prob": self.transient_refusal_prob,
         }
@@ -326,7 +322,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        known = {"events", "detector", "retry", "ambient_loss_boost",
+        known = {"events", "detector", "ambient_loss_boost",
                  "transient_refusal_prob", "admission", "healing"}
         unknown = set(data) - known
         if unknown:
@@ -349,7 +345,6 @@ class FaultPlan:
         healing = data.get("healing")
         return cls(events=tuple(events),
                    detector=FailureDetector(**data.get("detector", {})),
-                   retry=RetryPolicy(**data.get("retry", {})),
                    ambient_loss_boost=float(
                        data.get("ambient_loss_boost", 0.0)),
                    transient_refusal_prob=float(

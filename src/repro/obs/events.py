@@ -1,8 +1,8 @@
 """Structured event log: what happened to a run, and when.
 
 The fault stage, the checkpointer and the CLI emit discrete events —
-fault injections, detector trips, migrations with their retry counts,
-cloud fallbacks, dropped sessions, checkpoint writes/loads — into the
+fault injections, detector trips, migrations with their recovery
+times, cloud fallbacks, dropped sessions, checkpoint writes/loads — into the
 active :class:`EventLog` (:data:`NULL_EVENT_LOG` while observability is
 disabled, so a disabled run pays nothing and stays bit-identical).
 

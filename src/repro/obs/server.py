@@ -33,7 +33,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from . import get_events, get_registry, get_timeseries
+from . import enabled, get_events, get_registry, get_timeseries
 from .slo import SloPolicy, default_policy, evaluate
 
 __all__ = ["ObsServer", "start_server", "build_snapshot"]
@@ -48,23 +48,20 @@ SNAPSHOT_EVENT_TAIL = 200
 def build_snapshot(policy: SloPolicy | None = None) -> dict:
     """The /snapshot.json document over the live observability objects.
 
-    A disabled pillar contributes an empty section.
+    With observability off every section is empty.
     """
-    registry = get_registry()
+    if not enabled():
+        return {"enabled": False, "metrics": {},
+                "timeseries": {"max_days": 0, "days": []}, "events": []}
     timeseries = get_timeseries()
-    events = get_events()
     snapshot = {
-        "enabled": {"metrics": registry.enabled,
-                    "timeseries": timeseries.enabled,
-                    "events": events.enabled},
-        "metrics": registry.as_dict() if registry.enabled else {},
-        "timeseries": (timeseries.as_payload() if timeseries.enabled
-                       else {"max_days": 0, "days": []}),
-        "events": ([event.as_dict()
-                    for event in events.tail(SNAPSHOT_EVENT_TAIL)]
-                   if events.enabled else []),
+        "enabled": True,
+        "metrics": get_registry().as_dict(),
+        "timeseries": timeseries.as_payload(),
+        "events": [event.as_dict()
+                   for event in get_events().tail(SNAPSHOT_EVENT_TAIL)],
     }
-    if timeseries.enabled and len(timeseries):
+    if len(timeseries):
         used = policy if policy is not None else default_policy()
         snapshot["slo"] = evaluate(used, timeseries).as_dict()
     return snapshot

@@ -68,7 +68,9 @@ FORMAT_NAME = "repro-checkpoint"
 #: v5: the state's ``workload`` member is gone; the workload overrides
 #: are the config's ``workload`` value, which the ``config`` member
 #: already carries (flash crowds, game mix and the rest included).
-SCHEMA_VERSION = 5
+#: v6: the config's fault plan lost its ``retry`` member; a displaced
+#: player makes one selection round, with no backoff policy.
+SCHEMA_VERSION = 6
 
 #: The bytes around the payload in a file :func:`write_checkpoint_text`
 #: wrote; the reader's fast path recognises exactly this layout.

@@ -52,10 +52,9 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    * supernode ``throttle`` *semantics*: captured for robustness, but
      ``SupernodePool.roll_throttle`` re-rolls it unconditionally at
      day start;
-   * retry/backoff state — :class:`~repro.faults.retry.RetryPolicy`
-     and :class:`~repro.faults.detection.FailureDetector` are frozen
-     members of the config's fault plan;
-     attempt counters live on the stack inside ``lifecycle.migrate``;
+   * failure-detection state — the
+     :class:`~repro.faults.detection.FailureDetector` is a frozen
+     member of the config's fault plan;
    * obs tracer/registry — telemetry, not simulation state.  The
      accumulated *telemetry series* (time-series samples + event log)
      does ride along, but at the checkpoint layer — an optional

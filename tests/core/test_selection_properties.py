@@ -93,26 +93,22 @@ def test_property_lookup_is_exact_k_nearest_available(pool, count):
             brute_force(TOPOLOGY, pool, player, count)
 
 
-@given(pool=pools(), count=st.integers(1, 8),
-       exclude=st.sets(st.integers(0, 89), max_size=12),
-       l_max=st.floats(5.0, 120.0))
+@given(pool=pools(), count=st.integers(1, 8), l_max=st.floats(5.0, 120.0))
 @settings(max_examples=100, deadline=None)
-def test_property_selection_probes_the_exact_candidates(
-        pool, count, exclude, l_max):
-    """select_supernode probes the brute-force candidates minus the
-    excluded ids, with delays bit-identical to the topology's
-    vectorised latency matrix: the qualified ones carry them, and the
-    slowest sets the probe round of the join latency."""
+def test_property_selection_probes_the_exact_candidates(pool, count, l_max):
+    """select_supernode probes the brute-force candidates, with delays
+    bit-identical to the topology's vectorised latency matrix: the
+    qualified ones carry them, and the slowest sets the probe round of
+    the join latency."""
     directory = SupernodeDirectory(TOPOLOGY, pool)
     player = 3
-    expected = [sid for sid in brute_force(TOPOLOGY, pool, player, count)
-                if sid not in exclude]
+    expected = brute_force(TOPOLOGY, pool, player, count)
     reference = TOPOLOGY.players_to_points_one_way_ms(
         np.array([player]),
         np.column_stack((pool.x_km[expected], pool.y_km[expected])),
         pool.access_ms[expected])[0].tolist()
     outcome = select_supernode(player, directory, l_max,
-                               np.random.default_rng(0), exclude=exclude,
+                               np.random.default_rng(0),
                                candidate_count=count)
     assert outcome.candidates_probed == len(expected)
     assert list(outcome.qualified) == [
@@ -137,7 +133,7 @@ def rated_table(ratings, prior: float) -> ReputationTable:
 
 
 def assert_selection_matches_oracle(pool, reputation, joins, count, seed):
-    """Run ``joins`` — (player, L_max, excluded ids) — through the live
+    """Run ``joins`` — (player, L_max) pairs — through the live
     selection and the oracle on twin pools and generators; every
     outcome, generator state and pool state must be equal."""
     live_pool, frozen_pool = copy.deepcopy(pool), copy.deepcopy(pool)
@@ -146,11 +142,11 @@ def assert_selection_matches_oracle(pool, reputation, joins, count, seed):
     live_rng = np.random.default_rng(seed)
     frozen_rng = np.random.default_rng(seed)
     outcomes = []
-    for player, l_max, exclude in joins:
+    for player, l_max in joins:
         got = select_supernode(player, live, l_max, live_rng, reputation,
-                               count, exclude=exclude)
+                               count)
         want = oracle.select_supernode(player, frozen, l_max, frozen_rng,
-                                       reputation, count, exclude=exclude)
+                                       reputation, count)
         assert got == dataclasses.astuple(want)
         assert live_rng.bit_generator.state == \
             frozen_rng.bit_generator.state
@@ -165,12 +161,11 @@ ratings = st.lists(st.tuples(st.integers(0, 39), st.integers(0, 89),
                              st.sampled_from([0.0, 0.5, 0.9, 1.0])),
                    max_size=80)
 
-#: Joins of distinct players: (player, L_max, excluded ids or None).
+#: Joins of distinct players: (player, L_max).
 join_sequences = st.lists(st.integers(0, 39), min_size=1, max_size=25,
                           unique=True).flatmap(
     lambda players: st.tuples(*(
-        st.tuples(st.just(player), st.floats(5.0, 120.0),
-                  st.none() | st.sets(st.integers(0, 89), max_size=8))
+        st.tuples(st.just(player), st.floats(5.0, 120.0))
         for player in players)))
 
 
@@ -205,7 +200,7 @@ def test_fused_selection_keeps_delay_order_on_tied_scores():
     pool = four_host_pool()
     for prior in (0.0, 0.9):
         (outcome,) = assert_selection_matches_oracle(
-            pool, rated_table([], prior), [(3, 500.0, None)], 4, 0)
+            pool, rated_table([], prior), [(3, 500.0)], 4, 0)
         qualified = sorted(outcome.qualified, key=lambda pair: pair[1])
         assert outcome.supernode_id == qualified[0][0]
 
@@ -220,5 +215,5 @@ def test_fused_selection_scores_never_rated_rows_at_the_prior():
                                      (0.5, 0.0, True)):
         (outcome,) = assert_selection_matches_oracle(
             pool, rated_table([(3, far, value)], prior),
-            [(3, 500.0, None)], 4, 0)
+            [(3, 500.0)], 4, 0)
         assert (outcome.supernode_id == far) is picked_far

@@ -29,9 +29,9 @@ SCENARIOS = {
         num_players=250, num_supernodes=12, seed=7),
 }
 
-#: A busy, deterministic schedule exercising every fault kind plus the
-#: retry/backoff machinery — the refactor-guard chaos pin runs this on
-#: top of the ``cloudfog_advanced`` baseline scenario.
+#: A busy, deterministic schedule exercising every fault kind plus
+#: transient handshake refusals — the refactor-guard chaos pin runs
+#: this on top of the ``cloudfog_advanced`` baseline scenario.
 CHAOS_PLAN = FaultPlan(
     events=(
         FaultEvent(day=1, subcycle=8, kind="crash", count=2),

@@ -1,10 +1,9 @@
-"""Failure detection timing and retry/backoff policy."""
+"""Failure detection timing."""
 
 import numpy as np
 import pytest
 
 from repro.faults.detection import FailureDetector
-from repro.faults.retry import RetryPolicy
 
 
 def test_default_expectation_matches_legacy_constant():
@@ -31,30 +30,3 @@ def test_detection_with_rng_spans_the_phase_window():
     # The mean converges to the middle of the phase window.
     assert np.mean(draws) == pytest.approx((low + high) / 2, rel=0.05)
 
-
-def test_backoff_grows_exponentially_to_the_cap():
-    policy = RetryPolicy(max_attempts=5, base_delay_ms=50.0,
-                         multiplier=2.0, cap_ms=300.0, jitter_fraction=0.0)
-    assert policy.backoff_ms(0) == 50.0
-    assert policy.backoff_ms(1) == 100.0
-    assert policy.backoff_ms(2) == 200.0
-    assert policy.backoff_ms(3) == 300.0  # capped
-    assert policy.backoff_ms(4) == 300.0
-
-
-def test_backoff_jitter_stays_bounded():
-    policy = RetryPolicy(jitter_fraction=0.2)
-    rng = np.random.default_rng(1)
-    for attempt in range(3):
-        nominal = policy.backoff_ms(attempt)
-        for _ in range(100):
-            jittered = policy.backoff_ms(attempt, rng)
-            assert 0.8 * nominal <= jittered <= 1.2 * nominal
-
-
-def test_backoff_budget_sums_worst_case():
-    policy = RetryPolicy(max_attempts=3, base_delay_ms=50.0,
-                         multiplier=2.0, cap_ms=1000.0,
-                         jitter_fraction=0.0)
-    # Two backoffs can occur between three attempts: 50 + 100.
-    assert policy.total_backoff_budget_ms() == pytest.approx(150.0)

@@ -46,9 +46,9 @@ GOLDEN = {
     "state_cloudfog_advanced":
         "163bd9fcc48b1fe286c26abbc4e6f3178a49d21e85cefdd93f763abe3f32a9ce",
     "state_chaos_advanced":
-        "4b3d2f60a2467b3138cded069b3c24136a017bb8a3e7eefd4d06445c483e6832",
+        "7ac73a19c7b342570ea8eabbc1f418e8d3584b3f2f53d05902f0ae645984d0e1",
     "state_chaos_domains":
-        "f3f1074cca152687f5dbfe5424957c27ea9ffdc7e31ba71bfe4008393c69cc0e",
+        "988cc8ab41006e7cfbc8ae7ab96f920147e7237f4c3f3964328314c5a08e94de",
 }
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import CloudFogSystem
+from repro.core import CloudFogSystem, lifecycle
 from repro.core.config import cloudfog_advanced
 from repro.core.entities import ConnectionKind
 from repro.experiments.chaos import (baseline_chaos_plan, chaos_failure_sweep,
@@ -76,15 +76,33 @@ def test_mass_crash_degrades_to_cloud_without_losing_sessions():
     assert any(r.kind is ConnectionKind.CLOUD for r in result.sessions)
 
 
-def test_transient_refusals_drive_retries():
-    """Handshake timeouts push displaced players into backoff retries.
+def test_refused_handshake_degrades_after_one_selection_round(monkeypatch):
+    """A timed-out handshake sends the displaced player to the cloud.
 
-    The candidate-list rung needs no cloud round trip, so to exercise
-    the retry machinery a scenario stage wipes the lists after every
-    subcycle's faults — every player displaced by the peak-hour crash
-    must then re-ask the cloud, where each round's handshake times out
-    with the plan's ``transient_refusal_prob``.
+    The candidate-list rung needs no cloud round trip, so a scenario
+    stage wipes the lists after every subcycle's faults — a player
+    displaced by the peak-hour crash that has not joined since must
+    then ask the cloud, where the round's handshake times out with the
+    plan's ``transient_refusal_prob``.  §3.2.2 has one cloud round: a
+    refusal degrades the player, it never asks again.
     """
+    selections = []
+    rungs = []  # (via, selection rounds) per migration
+    select = lifecycle.select_supernode
+    migrate = handlers.migrate
+
+    def counting_select(*args, **kwargs):
+        selections.append(None)
+        return select(*args, **kwargs)
+
+    def counting_migrate(*args, **kwargs):
+        before = len(selections)
+        outcome = migrate(*args, **kwargs)
+        rungs.append((outcome.via, len(selections) - before))
+        return outcome
+
+    monkeypatch.setattr(lifecycle, "select_supernode", counting_select)
+    monkeypatch.setattr(handlers, "migrate", counting_migrate)
     plan = FaultPlan(events=(
         FaultEvent(day=1, subcycle=21, kind="crash", count=3),),
         transient_refusal_prob=0.9)
@@ -98,8 +116,12 @@ def test_transient_refusals_drive_retries():
     system.state.scenario_stages = (forget_candidates,)
     summary = system.run(days=2).faults
     assert summary.displaced > 0
+    assert len(rungs) == summary.displaced
+    assert all(rounds == (via != "candidates") for via, rounds in rungs)
+    assert any(via == "cloud" for via, _ in rungs)
+    assert summary.degraded > 0
+    assert summary.retries == 0
     assert summary.conserved()
-    assert summary.retries > 0
     assert summary.recovered == len(summary.time_to_recover_ms)
 
 

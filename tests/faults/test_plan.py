@@ -196,6 +196,14 @@ def test_from_dict_rejects_unknown_keys():
         FaultPlan.from_dict({"events": [], "chaos_level": 11})
 
 
+def test_from_dict_refuses_a_retry_policy():
+    """A displaced player makes one selection round (§3.2.2); a plan
+    that still configures backoff retries is refused by key."""
+    with pytest.raises(ValueError, match=r"unknown fault plan keys: "
+                                         r"\['retry'\]"):
+        FaultPlan.from_dict({"events": [], "retry": {"max_attempts": 3}})
+
+
 def test_from_dict_rejects_unknown_event_keys_with_valid_list():
     with pytest.raises(ValueError) as excinfo:
         FaultPlan.from_dict({"events": [

@@ -55,7 +55,7 @@ def test_snapshot_route_carries_all_pillars_and_slo(live_obs, server):
     assert status == 200
     assert headers["Content-Type"] == "application/json"
     snapshot = json.loads(body)
-    assert snapshot["enabled"]["timeseries"] is True
+    assert snapshot["enabled"] is True
     assert snapshot["timeseries"]["days"][0][0]["region"] == "all"
     assert snapshot["events"][-1]["kind"] == "fault_injected"
     assert snapshot["slo"]["policy"]["name"] == "cloudfog-default"
@@ -71,8 +71,7 @@ def test_healthz_and_unknown_routes(server):
 
 def test_build_snapshot_disabled_omits_slo():
     snapshot = build_snapshot()
-    assert snapshot["enabled"] == {"metrics": False, "timeseries": False,
-                                   "events": False}
+    assert snapshot["enabled"] is False
     assert "slo" not in snapshot
     assert snapshot["events"] == []
 

@@ -150,7 +150,7 @@ def test_latest_valid_checkpoint_skips_corrupt_snapshots(tmp_path):
 def test_schema_3_checkpoint_is_refused(tmp_path):
     """A schema-3 file (the state still carrying its own
     ``fault_outcomes`` ledger) is refused by version, never restored."""
-    assert SCHEMA_VERSION == 5
+    assert SCHEMA_VERSION == 6
     hook = Checkpointer(tmp_path / "run", every=1)
     CloudFogSystem(BASELINE).run(days=1, on_day_end=hook.on_day_end)
     payload = read_checkpoint(hook.path_for(0))
@@ -179,6 +179,24 @@ def test_schema_4_checkpoint_is_refused(tmp_path):
         "manifest": {"day": 0, "payload_sha256": payload_digest(payload)},
         "payload": payload}, sort_keys=True))
     with pytest.raises(CheckpointVersionError, match="version 4"):
+        resume_run(old)
+
+
+def test_schema_5_checkpoint_is_refused(tmp_path):
+    """A schema-5 file (the config's fault plan still carrying its
+    ``retry`` backoff policy) is refused by version, never restored."""
+    hook = Checkpointer(tmp_path / "run", every=1)
+    CloudFogSystem(CHAOS).run(days=1, on_day_end=hook.on_day_end)
+    payload = read_checkpoint(hook.path_for(0))
+    payload["state"]["config"]["fault_plan"]["retry"] = {
+        "max_attempts": 3, "base_delay_ms": 50.0, "multiplier": 2.0,
+        "cap_ms": 1000.0, "jitter_fraction": 0.2}
+    old = tmp_path / "v5.json"
+    old.write_text(json.dumps({
+        "format": FORMAT_NAME, "schema_version": 5,
+        "manifest": {"day": 0, "payload_sha256": payload_digest(payload)},
+        "payload": payload}, sort_keys=True))
+    with pytest.raises(CheckpointVersionError, match="version 5"):
         resume_run(old)
 
 
