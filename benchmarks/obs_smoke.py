@@ -10,7 +10,10 @@ The CI ``obs-smoke`` job runs this script.  It fails unless:
    live endpoint *while the run executes*;
 3. ``python -m repro report`` on the produced run dir emits SLO
    verdicts naming at least one violating day and correlates it to the
-   injected fault window.
+   injected fault window;
+4. a 2-shard run with observability on leaves the same
+   ``repro_sessions_total`` and ``repro_joins_total`` in the parent
+   registry as the 1-shard run (the workers' metrics come home).
 
 Run standalone::
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -28,6 +32,7 @@ import sys
 import tempfile
 import time
 import urllib.request
+from unittest import mock
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 sys.path.insert(0, str(REPO_ROOT))
@@ -38,7 +43,9 @@ from tests.helpers.golden import (fault_summary_digest,  # noqa: E402
                                   run_result_digest)
 
 from repro import obs  # noqa: E402
-from repro.core import CloudFogSystem  # noqa: E402
+from repro.core import CloudFogSystem, cloudfog_advanced  # noqa: E402
+from repro.core.shard import build_partitions, run_sharded  # noqa: E402
+from repro.sim.cycles import Schedule  # noqa: E402
 
 _SERVING_RE = re.compile(r"\[obs\] serving metrics on (http://\S+)")
 
@@ -62,6 +69,36 @@ def check_digests_with_observability_on() -> None:
     finally:
         obs.disable()
     print("digests: all goldens bit-identical with observability ON")
+
+
+def check_sharded_metrics_come_home() -> None:
+    """Part 4: pooled shard workers merge their metrics into the parent.
+
+    ``os.cpu_count`` is patched so the 2-shard run starts its worker
+    pool even on a 1-CPU runner, where it would otherwise run both
+    partitions in-process and merge no worker dump at all.
+    """
+    config = cloudfog_advanced(num_players=300, num_supernodes=18, seed=5,
+                               schedule=Schedule(days=3, warmup_days=1))
+    workers = min(2, len(build_partitions(config)))
+    assert workers == 2, f"the config has {workers} partition(s), need 2"
+    totals = {}
+    for shards in (1, 2):
+        obs.enable()
+        try:
+            with mock.patch.object(os, "cpu_count", lambda: 8):
+                run_sharded(config, shards=shards)
+            dump = obs.get_registry().as_dict()
+        finally:
+            obs.disable()
+        totals[shards] = {name: sum(e["value"] for e in dump.get(name, []))
+                          for name in ("repro_sessions_total",
+                                       "repro_joins_total")}
+    assert totals[1]["repro_sessions_total"] > 0, "no sessions counted"
+    assert totals[2] == totals[1], \
+        f"2-shard metrics differ from the 1-shard run: {totals}"
+    print(f"sharded metrics: {totals[2]} at 1 and 2 shards "
+          f"({workers} worker processes)")
 
 
 def _scrape(url: str, deadline: float) -> tuple[str, str]:
@@ -156,6 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     check_digests_with_observability_on()
+    check_sharded_metrics_come_home()
     check_live_endpoint_and_report(args.days, args.players)
     print("obs smoke OK")
     return 0

@@ -41,10 +41,12 @@ overrides and flash crowds included, since they are
 ``SystemConfig.workload`` — before overlaying the captured mutable
 state (:func:`repro.persist.snapshot.overlay_state`).
 
-The parallel runner is itself **self-healing**: a worker process that
+The parallel runner is itself **self-healing**, and it is the one
+process pool of the package (:func:`run_supervised`; the variant sweeps
+of ``experiments.parallel`` run on it too): a worker process that
 dies (OOM-killed, SIGKILLed, segfaulted) breaks the pool, and the
-supervisor loop in :func:`run_sharded` restarts the unfinished
-partitions — each resuming from the latest *digest-valid* checkpoint
+supervisor restarts the unfinished partitions — each resuming from the
+latest *digest-valid* checkpoint
 in its shard directory (corrupt files fall back to the previous day's
 snapshot), or from scratch when none exists — up to ``max_restarts``
 times per partition.  Because resume is bit-identical by construction,
@@ -53,7 +55,12 @@ produces, which ``tests/persist/test_shard_determinism.py`` pins by
 SIGKILLing a worker mid-run.  An optional ``heartbeat_timeout_s``
 additionally treats a pool that completes nothing and writes no new
 checkpoint for a whole window as stalled and recycles it through the
-same restart path.
+same restart path.  With observability on, each worker's metrics dump
+merges into the parent registry in partition order, so after an
+uninterrupted run, or one whose restarts began from scratch, the
+parent's counters and histograms match a 1-shard run's.  A partition
+healed from a checkpoint contributes only the days it ran after the
+resume: checkpoints do not carry the metrics registry (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -76,14 +84,14 @@ from ..persist.checkpoint import (CHECKPOINT_GLOB, Checkpointer,
 from ..persist.snapshot import overlay_state, restore_result
 from ..sim.rng import RngFactory
 from ..social.graph import FriendGraph
-from ..workload.population import Population, build_population
+from ..workload.population import Population
 from .accounting import SESSION_COLUMNS, DayMetrics, RunResult, SessionLog
 from .config import SystemConfig
-from .state import SimState
+from .state import SimState, derive_population
 from .sweep import run_schedule
 
 __all__ = ["ShardPartition", "build_partitions", "run_sharded",
-           "resume_sharded", "merge_results"]
+           "resume_sharded", "merge_results", "run_supervised"]
 
 
 @dataclass(frozen=True)
@@ -165,10 +173,7 @@ def build_partitions(config: SystemConfig) -> list[ShardPartition]:
     :class:`SimState` would build it, so the partitioning depends only
     on the config — never on how many workers later execute it.
     """
-    rng = RngFactory(config.seed).stream("population")
-    parent = build_population(rng, config.num_players,
-                              config.num_datacenters,
-                              config.supernode_capable_share)
+    parent = derive_population(config)
     nearest = np.argmin(parent.topology.player_datacenter_distances(),
                         axis=1)
     regions = [r for r in range(config.num_datacenters)
@@ -373,8 +378,8 @@ def _run_partition(partition: ShardPartition, days: int | None,
                         on_day_end=_compose_hooks(hook, extra_hook))
 
 
-def _partition_worker(args) -> RunResult:
-    """Process-pool entry point: rebuild the partition and run it.
+def _partition_worker(args, resume: bool) -> RunResult:
+    """Supervised task: rebuild one partition and run it.
 
     Workers receive the parent config and a partition index instead of
     a pickled partition — rebuilding is deterministic and cheaper than
@@ -382,8 +387,7 @@ def _partition_worker(args) -> RunResult:
     marks a restart after a worker death: the partition continues from
     its newest valid checkpoint instead of starting over.
     """
-    (config, index, days, checkpoint_dir, checkpoint_every, resume,
-     configure) = args
+    config, index, days, checkpoint_dir, checkpoint_every, configure = args
     partition = build_partitions(config)[index]
     extra_hook = _compose_hooks(_test_kill_hook(index),
                                 _test_hang_hook(index))
@@ -406,33 +410,56 @@ def _checkpoint_signature(checkpoint_dir, indexes) -> frozenset | None:
     return frozenset(names)
 
 
-def _run_supervised(config: SystemConfig, partitions, days,
-                    checkpoint_dir, checkpoint_every, workers: int,
-                    max_restarts: int, heartbeat_timeout_s: float | None,
-                    configure=None) -> dict[int, RunResult]:
-    """The self-healing supervisor loop over a worker pool.
+def _run_task(task, argument, resume: bool, observed: bool) -> tuple:
+    """Worker wrapper: ``(task(argument, resume), registry dump or None)``.
 
-    Submits every unfinished partition to a fresh pool, collects
-    results, and on a worker death (``BrokenProcessPool`` — the whole
-    pool is poisoned) or a heartbeat stall rebuilds the pool and
-    resubmits the survivors in resume mode.  Raises once any single
-    partition exceeds ``max_restarts`` restarts.
+    When the parent observes, the task runs under a fresh runtime —
+    fork-started workers inherit the parent's live objects, and reusing
+    them would double-count across tasks — whose metrics dump travels
+    home for the parent-side merge.  Spans, time series and events stay
+    worker-local.
+    """
+    if not observed:
+        return task(argument, resume), None
+    obs.enable()
+    try:
+        return task(argument, resume), obs.get_registry().as_dict()
+    finally:
+        obs.disable()
+
+
+def run_supervised(task, arguments: list, workers: int,
+                   max_restarts: int = 2,
+                   heartbeat_timeout_s: float | None = None,
+                   progress=lambda pending: None) -> list:
+    """Run ``task(arguments[i], resume)`` for every ``i`` over a
+    self-healing process pool; return the values in index order.
+
+    ``task`` must be picklable and deterministic.  On a worker death
+    (``BrokenProcessPool`` — the whole pool is poisoned) or a heartbeat
+    stall the supervisor rebuilds the pool and resubmits the unfinished
+    tasks with ``resume=True``; it raises once any task exceeds
+    ``max_restarts`` restarts.  With ``heartbeat_timeout_s`` set, a
+    window in which no task completes and ``progress(pending)`` (a
+    fingerprint of on-disk progress) does not change is a stall.
+
+    When the parent observes, every task's metrics dump merges into the
+    parent registry in index order after collection; a restarted task
+    contributes the dump of the attempt that survived.
     """
     registry = obs.get_registry()
-    results: dict[int, RunResult] = {}
-    pending = {p.index for p in partitions}
+    outcomes: dict[int, tuple] = {}
+    pending = set(range(len(arguments)))
     restarts = dict.fromkeys(pending, 0)
     resume = dict.fromkeys(pending, False)
     while pending:
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(pending))) as pool:
-            futures = {pool.submit(
-                _partition_worker,
-                (config, index, days, checkpoint_dir, checkpoint_every,
-                 resume[index], configure)): index
-                for index in sorted(pending)}
+            futures = {pool.submit(_run_task, task, arguments[index],
+                                   resume[index], obs.enabled()): index
+                       for index in sorted(pending)}
             broken = False
-            last_progress = _checkpoint_signature(checkpoint_dir, pending)
+            last_progress = progress(pending)
             not_done = set(futures)
             while not_done and not broken:
                 done, not_done = wait(not_done,
@@ -440,16 +467,15 @@ def _run_supervised(config: SystemConfig, partitions, days,
                 for future in done:
                     index = futures[future]
                     try:
-                        results[index] = future.result()
+                        outcomes[index] = future.result()
                         pending.discard(index)
                     except BrokenProcessPool:
                         broken = True
                 if broken or not not_done:
                     break
                 if not done and heartbeat_timeout_s is not None:
-                    progress = _checkpoint_signature(checkpoint_dir,
-                                                     pending)
-                    if progress == last_progress:
+                    progress_now = progress(pending)
+                    if progress_now == last_progress:
                         # Nothing finished and nothing checkpointed for
                         # a whole heartbeat window: declare the pool
                         # stalled and recycle it through the restart
@@ -461,21 +487,27 @@ def _run_supervised(config: SystemConfig, partitions, days,
                                                {}).values():
                             process.terminate()
                         broken = True
-                    last_progress = progress
+                    last_progress = progress_now
             if broken:
                 for index in sorted(pending):
                     restarts[index] += 1
                     resume[index] = True
                     if restarts[index] > max_restarts:
                         raise RuntimeError(
-                            f"shard worker for partition {index} died or "
-                            f"stalled {restarts[index]} times "
+                            f"worker for task {index} died or stalled "
+                            f"{restarts[index]} times "
                             f"(max_restarts={max_restarts}); giving up")
                 registry.counter("repro_shard_restarts_total").inc(
                     len(pending))
                 obs.get_events().emit("shard_restart",
-                                      partitions=sorted(pending))
-    return results
+                                      tasks=sorted(pending))
+    values = []
+    for index in range(len(arguments)):
+        value, dump = outcomes[index]
+        if dump is not None:
+            registry.merge_dump(dump)
+        values.append(value)
+    return values
 
 
 def run_sharded(config: SystemConfig, days: int | None = None, *,
@@ -516,12 +548,12 @@ def run_sharded(config: SystemConfig, days: int | None = None, *,
                                 configure=configure)
                  for p in partitions]
     else:
-        results = _run_supervised(config, partitions, days,
-                                  checkpoint_dir, checkpoint_every,
-                                  workers, max_restarts,
-                                  heartbeat_timeout_s,
-                                  configure=configure)
-        parts = [results[p.index] for p in partitions]
+        parts = run_supervised(
+            _partition_worker,
+            [(config, p.index, days, checkpoint_dir, checkpoint_every,
+              configure) for p in partitions],
+            workers, max_restarts, heartbeat_timeout_s,
+            progress=partial(_checkpoint_signature, checkpoint_dir))
     return merge_results(parts, partitions)
 
 

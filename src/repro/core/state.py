@@ -44,7 +44,7 @@ from .provisioning import Provisioner
 from .selection import SupernodeDirectory
 
 __all__ = ["SUPERNODE_MBPS_PER_SLOT", "JoinOutcome", "SessionTable",
-           "SimState",
+           "SimState", "derive_population",
            "build_supernode_pool", "build_cdn_sites", "deploy",
            "cloud_one_way_ms", "player_supernode_ms",
            "KIND_OF_CODE"]
@@ -137,6 +137,15 @@ class SessionTable:
         return player in self._order
 
 
+def derive_population(config: SystemConfig) -> Population:
+    """The population a config's run plays, drawn from the
+    ``population`` stream of the config seed: the same config always
+    derives the same players, topology and friend graph."""
+    return build_population(RngFactory(config.seed).stream("population"),
+                            config.num_players, config.num_datacenters,
+                            config.supernode_capable_share)
+
+
 class SimState:
     """The shared mutable state of one deployed gaming system."""
 
@@ -145,10 +154,7 @@ class SimState:
         self.config = config
         self.rng_factory = RngFactory(config.seed)
         self.supernode_join_latencies_ms: list[float] = []
-        rng = self.rng_factory.stream("population")
-        self.population = population or build_population(
-            rng, config.num_players, config.num_datacenters,
-            config.supernode_capable_share)
+        self.population = population or derive_population(config)
         self.topology = self.population.topology
         self.transport = TransportModel()
         # Fault injection (repro.faults).  Without a FaultPlan this is

@@ -18,41 +18,41 @@ Three deliberate choices:
   simulated work per task) the sweep runs in-process instead, as a
   ``jobs <= 1`` sweep always does — with a shared population cache, since every task keyed by the same
   ``(seed, players, datacenters, capable share)`` deterministically
-  builds the *same* population (``SimState`` derives it from the
-  ``population`` stream of the config seed), so a 4-variant comparison
-  builds it once instead of four times.  Pool submission is chunked —
+  builds the *same* population (:func:`repro.core.state.
+  derive_population`), so a 4-variant comparison builds it once
+  instead of four times.  Pool submission is chunked —
   contiguous task slices, one submit per worker — so IPC and worker
   warm-up amortize across a chunk, and chunk workers share the same
   population cache.  Results stay bit-identical to the naive
   sequential loop in every case.
 
-* **Obs propagation + registry merge.**  Process workers do not share
-  the parent's observability runtime (spawn-started children begin
-  with the null objects; fork-started children inherit stale live
-  ones), so the pool's initializer carries the parent's
-  :func:`repro.obs.enabled` switch into every worker and each task
-  re-enables a *fresh* runtime when it is on.  On collect, the
-  worker's metrics dump is folded back into the parent registry
-  (:meth:`~repro.obs.MetricsRegistry.merge_dump`) in task order, so
-  counters and histograms come out identical to a sequential run.
-  Worker-side spans/time series stay worker-local (they describe runs,
-  not the sweep); the parent keeps the sweep-level spans.
-* **Ordered merge.**  Futures are collected as submitted and results
-  are returned in task order, never completion order, keeping callers
+* **One supervised pool.**  The chunks run as the tasks of
+  :func:`repro.core.shard.run_supervised`, the process pool sharded
+  runs use: it carries the parent's :func:`repro.obs.enabled` switch
+  into every worker, runs each chunk under a fresh worker-local
+  runtime, and merges the workers' metric dumps into the parent
+  registry in task order, so counters and histograms come out
+  identical to a sequential run.  A worker that dies restarts its
+  chunk from scratch — bit-identical, since every task is
+  deterministic.  Worker-side spans/time series stay worker-local
+  (they describe runs, not the sweep); the parent keeps the
+  sweep-level spans.
+* **Ordered merge.**  Results and metric dumps come back in task
+  order, never completion order, keeping callers
   (table builders indexing by ``(players, variant)``) deterministic.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .. import obs
 from ..core.accounting import RunResult
+from ..core.shard import run_supervised
+from ..core.state import derive_population
 from ..core.system import CloudFogSystem
-from ..sim.rng import RngFactory
-from ..workload.population import Population, build_population
+from ..workload.population import Population
 from .runner import variant_config
 from .testbeds import Testbed
 
@@ -104,39 +104,23 @@ def plan_workers(tasks: list[VariantTask], jobs: int | None) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-#: The parent's obs switch, installed by the pool initializer (per worker).
-_WORKER_OBS_ENABLED = False
-
-
-def _obs_worker_init(enabled: bool) -> None:
-    """Pool initializer: remember whether the parent observes."""
-    global _WORKER_OBS_ENABLED
-    _WORKER_OBS_ENABLED = enabled
-
-
 def _population_for(config, cache: dict) -> Population:
-    """The deterministic population of a config, via a shared cache.
-
-    ``SimState`` builds its population from the ``population`` stream
-    of the config seed; rebuilding through the exact same stream here
-    keeps the result bit-identical to an uncached construction, and
-    tasks that share the key (e.g. every variant of one comparison
-    sweep) share one build.
-    """
+    """The config's population (:func:`repro.core.state.
+    derive_population`) via a shared cache: tasks that share the key
+    (e.g. every variant of one comparison sweep) share one build."""
     key = (config.seed, config.num_players, config.num_datacenters,
            config.supernode_capable_share)
     population = cache.get(key)
     if population is None:
-        rng = RngFactory(config.seed).stream("population")
-        population = build_population(rng, config.num_players,
-                                      config.num_datacenters,
-                                      config.supernode_capable_share)
-        cache[key] = population
+        population = cache[key] = derive_population(config)
     return population
 
 
-def _run_chunk_inprocess(tasks: list[VariantTask]) -> list[RunResult]:
-    """Run a task slice in this process, sharing population builds."""
+def _run_chunk(tasks: list[VariantTask], resume: bool = False
+               ) -> list[RunResult]:
+    """Run a contiguous task slice in this process, sharing population
+    builds.  The supervised pool's task: ``resume`` is ignored — a
+    restarted chunk runs again from scratch, bit-identically."""
     cache: dict = {}
     results = []
     for task in tasks:
@@ -150,26 +134,6 @@ def _run_chunk_inprocess(tasks: list[VariantTask]) -> list[RunResult]:
                                    players=config.num_players):
             results.append(system.run(days=task.days))
     return results
-
-
-def _run_chunk_task(tasks: list[VariantTask]
-                    ) -> tuple[list[RunResult], dict | None]:
-    """Worker entry point: run a contiguous task chunk under the
-    parent's obs switch.
-
-    Always starts from a fresh runtime (fork-started workers inherit
-    the parent's live objects — reusing them would double-count across
-    tasks), runs the whole chunk (amortizing dispatch and sharing the
-    population cache), then returns the results plus the worker
-    registry's dump for the parent-side merge.
-    """
-    obs.disable()
-    if _WORKER_OBS_ENABLED:
-        obs.enable()
-    results = _run_chunk_inprocess(tasks)
-    dump = obs.get_registry().as_dict() if _WORKER_OBS_ENABLED else None
-    obs.disable()
-    return results, dump
 
 
 def _chunk_evenly(tasks: list[VariantTask],
@@ -190,10 +154,10 @@ def run_variants(tasks, jobs: int | None = None) -> list[RunResult]:
 
     ``jobs`` <= 1 runs sequentially in-process (observability stays
     live), sharing one population build per key; ``jobs`` > 1 fans
-    the tasks out over a :class:`~concurrent.futures.
-    ProcessPoolExecutor` unless the work plan decides one worker.
-    Results are identical either way — each task's randomness is
-    self-contained.
+    contiguous task chunks out over the supervised process pool
+    (:func:`repro.core.shard.run_supervised`) unless the work plan
+    decides one worker.  Results are identical either way — each
+    task's randomness is self-contained.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
@@ -203,17 +167,7 @@ def run_variants(tasks, jobs: int | None = None) -> list[RunResult]:
                                jobs=jobs, workers=workers):
         registry.counter("repro_sweep_tasks_total").inc(len(tasks))
         if workers <= 1:
-            return _run_chunk_inprocess(tasks)
-        chunks = _chunk_evenly(tasks, workers)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_obs_worker_init,
-                                 initargs=(obs.enabled(),)) as pool:
-            futures = [pool.submit(_run_chunk_task, chunk)
-                       for chunk in chunks]
-            results = []
-            for future in futures:
-                chunk_results, dump = future.result()
-                if dump:
-                    registry.merge_dump(dump)
-                results.extend(chunk_results)
-            return results
+            return _run_chunk(tasks)
+        chunks = run_supervised(_run_chunk, _chunk_evenly(tasks, workers),
+                                workers)
+        return [result for chunk in chunks for result in chunk]

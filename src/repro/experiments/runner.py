@@ -84,33 +84,25 @@ def run_variant(variant: str, testbed: Testbed, seed: int = 0,
                 checkpoint_every: int = 1, **overrides) -> RunResult:
     """Build and run one variant; returns the measured results.
 
-    Each invocation opens one top-level ``run_variant`` trace span (a
-    no-op unless :func:`repro.obs.enable` ran) so a multi-variant sweep
-    decomposes cleanly in a trace or ``--profile`` breakdown.  Passing
-    ``checkpoint_dir`` snapshots the run every ``checkpoint_every``
-    days (:mod:`repro.persist`); resume with :func:`resume_config`.
+    :func:`run_config` over :func:`variant_config`, labelled with the
+    variant name.
     """
-    if days <= 0:
-        raise ValueError("days must be positive")
-    system = build_system(variant, testbed, seed, **overrides)
-    hook = _checkpointer(checkpoint_dir, checkpoint_every)
-    with obs.get_tracer().span("run_variant", variant=variant,
-                               testbed=testbed.name, seed=seed, days=days,
-                               players=system.config.num_players):
-        return system.run(days=days,
-                          on_day_end=None if hook is None
-                          else hook.on_day_end)
+    return run_config(variant_config(variant, testbed, seed, **overrides),
+                      days, label=variant, checkpoint_dir=checkpoint_dir,
+                      checkpoint_every=checkpoint_every)
 
 
 def run_config(config: SystemConfig, days: int, label: str = "custom",
                checkpoint_dir=None, checkpoint_every: int = 1) -> RunResult:
     """Run an explicitly configured system under a ``run_variant`` span.
 
-    The ablation figures (10-15) build bespoke :class:`SystemConfig`\\ s
-    instead of named variants; routing them through this helper keeps
-    every system run visible in traces under the same span name.
-    ``checkpoint_dir``/``checkpoint_every`` behave as in
-    :func:`run_variant`.
+    Every system run opens one top-level ``run_variant`` trace span (a
+    no-op unless :func:`repro.obs.enable` ran), labelled ``label``, so
+    a multi-run sweep decomposes cleanly in a trace or ``--profile``
+    breakdown.  The ablation figures (10-15) build bespoke
+    :class:`SystemConfig`\\ s instead of named variants.  Passing
+    ``checkpoint_dir`` snapshots the run every ``checkpoint_every``
+    days (:mod:`repro.persist`); resume with :func:`resume_config`.
     """
     if days <= 0:
         raise ValueError("days must be positive")

@@ -238,9 +238,8 @@ class MetricsRegistry:
 
         Counters and histogram state add; gauges take the dump's value
         (last writer wins — gauges are point-in-time readings).  The
-        parallel sweep uses this to merge per-worker registries back
-        into the parent after a :class:`~concurrent.futures.
-        ProcessPoolExecutor` fan-out.
+        supervised process pool (:func:`repro.core.shard.run_supervised`)
+        uses this to merge per-task registries back into the parent.
         """
         for name, entries in dump.items():
             for entry in entries:

@@ -3,10 +3,11 @@
 ``run_scenario`` drives the full pipeline — resolve, compile, run
 (optionally sharded), evaluate the SLO policy over the per-day time
 series, summarise the §4.4 economics — and returns the JSON-ready
-report.  The per-day time series is forced on (the chaos-run pattern)
-when observability isn't already enabled, so the SLO verdict always has
-data; ``obs_dir`` additionally captures the full telemetry bundle via
-:func:`repro.obs.report.write_run_dir` for ``python -m repro report``.
+report.  On an unsharded run the per-day time series is forced on (the
+chaos-run pattern) when observability isn't already enabled, so the SLO
+verdict always has data; ``obs_dir`` additionally captures the full
+telemetry bundle via :func:`repro.obs.report.write_run_dir` for
+``python -m repro report``.  A sharded run reports no SLO verdict.
 
 CLI::
 
@@ -93,21 +94,31 @@ def run_scenario(scenario: Scenario,
     flash-crowd injection) differ from the single-process run;
     ``policy`` defaults to the calibrated built-in; ``obs_dir``
     captures the telemetry bundle.
+
+    A sharded run's per-day time series and events stay in its worker
+    processes (ROADMAP item 1), so it reports ``"slo": None`` instead
+    of a verdict over an empty series, and refuses ``policy`` and
+    ``obs_dir``, which both need that series.
     """
+    if shards > 1 and (obs_dir is not None or policy is not None):
+        raise ValueError(
+            "--obs-dir and --slo need --shards 1: a sharded run's time "
+            "series and events stay in its workers, so there is nothing "
+            "to judge or bundle (ROADMAP item 1)")
     compiled = compile_scenario(scenario, base_dir=base_dir, seed=seed)
     run_days = days if days is not None else compiled.days
+    if shards > 1:
+        result = run_sharded_config(compiled.config, run_days,
+                                    shards=shards, label=compiled.label)
+        return _build_report(scenario, compiled, result, run_days, seed,
+                             shards, None, None)
     policy = policy or default_policy()
     forced = not obs.enabled()
     if forced:
         obs.enable()
     try:
-        if shards > 1:
-            result = run_sharded_config(
-                compiled.config, run_days, shards=shards,
-                label=compiled.label)
-        else:
-            result = run_config(compiled.config, run_days,
-                                label=compiled.label)
+        result = run_config(compiled.config, run_days,
+                            label=compiled.label)
         slo = evaluate(policy, obs.get_timeseries())
         report = _build_report(scenario, compiled, result, run_days,
                                seed, shards, slo, policy)
@@ -129,7 +140,7 @@ def run_scenario(scenario: Scenario,
 
 def _build_report(scenario: Scenario, compiled: CompiledScenario,
                   result, run_days: int, seed: int | None, shards: int,
-                  slo, policy: SloPolicy) -> dict:
+                  slo, policy: SloPolicy | None) -> dict:
     infra = scenario.infrastructure
     report = {
         "scenario": scenario.name,
@@ -143,8 +154,9 @@ def _build_report(scenario: Scenario, compiled: CompiledScenario,
         "measured_days": len(result.days),
         "shards": shards,
         "faults": dataclasses.asdict(result.faults),
-        "slo": {"policy": policy.name, "ok": slo.ok,
-                "violating_days": slo.violating_days()},
+        "slo": None if slo is None else {
+            "policy": policy.name, "ok": slo.ok,
+            "violating_days": slo.violating_days()},
     }
     if result.days:
         report["results"] = {
@@ -190,10 +202,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default 1: in-process)")
     run.add_argument("--obs-dir", metavar="DIR", default=None,
                      help="also capture the full telemetry bundle into "
-                          "DIR (render with 'python -m repro report')")
+                          "DIR (render with 'python -m repro report'); "
+                          "needs --shards 1")
     run.add_argument("--slo", metavar="PATH", default=None,
                      help="SLO policy JSON (default: the calibrated "
-                          "built-in policy)")
+                          "built-in policy); needs --shards 1")
     return parser
 
 

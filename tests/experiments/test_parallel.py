@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import shard
 from repro.experiments import parallel
 from repro.experiments.parallel import (
     MIN_TASK_PLAYER_DAYS,
@@ -63,7 +64,6 @@ def test_sequential_sweep_builds_each_population_once(monkeypatch):
         return build_population(*args, **kwargs)
 
     monkeypatch.setattr(state_module, "build_population", counting)
-    monkeypatch.setattr(parallel, "build_population", counting)
     tasks = tiny_tasks()[1:]
     results = run_variants(tasks, jobs=1)
     assert len(builds) == 1
@@ -134,7 +134,7 @@ def test_small_sweep_never_starts_a_pool(monkeypatch):
     tasks = tiny_tasks()  # 60 players x 1 day << MIN_TASK_PLAYER_DAYS
     assert TINY.num_players * 1 < MIN_TASK_PLAYER_DAYS
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)  # cores exist
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _PoolMustNotStart)
+    monkeypatch.setattr(shard, "ProcessPoolExecutor", _PoolMustNotStart)
     sequential = run_variants(tasks, jobs=1)
     inprocess = run_variants(tasks, jobs=4)
     for seq, par in zip(sequential, inprocess):
@@ -146,7 +146,7 @@ def test_workers_clamped_to_core_count(monkeypatch):
     """One core -> one worker, even for big sweeps asking for many."""
     monkeypatch.setattr(parallel, "MIN_TASK_PLAYER_DAYS", 0)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _PoolMustNotStart)
+    monkeypatch.setattr(shard, "ProcessPoolExecutor", _PoolMustNotStart)
     results = run_variants(tiny_tasks(), jobs=8)
     assert len(results) == 3
 

@@ -1,10 +1,11 @@
 """Observability across process workers: the satellite pin.
 
-The pool initializer carries the parent's obs switch into every
-worker, each task runs under a fresh worker-local runtime, and the
-per-worker metric dumps merge back into the parent registry in task
-order — so an instrumented parallel sweep produces the same counters,
-histograms and (bit-identical) results as a sequential one.
+The supervised pool (``repro.core.shard.run_supervised``) carries the
+parent's obs switch into every worker, each task runs under a fresh
+worker-local runtime, and the per-worker metric dumps merge back into
+the parent registry in task order — so an instrumented parallel sweep
+produces the same counters, histograms and (bit-identical) results as a
+sequential one.
 """
 
 import pytest
@@ -13,6 +14,8 @@ from repro import obs
 from repro.experiments.parallel import VariantTask, run_variants
 from repro.experiments.testbeds import Testbed
 from repro.obs.metrics import MetricsRegistry
+
+from ..helpers.metrics import assert_dumps_match
 
 TINY = Testbed(name="tiny", num_players=60, num_datacenters=2,
                num_supernodes=5, supernode_capable_share=0.5,
@@ -45,24 +48,10 @@ def _run_scoped(dump):
             if name != "repro_sweep_tasks_total"}
 
 
-def _assert_dumps_match(parallel, sequential):
-    """Everything must match exactly except histogram sums, which may
-    differ in the last ulp: the merge adds per-worker partial sums,
-    associating the float additions differently than one sequential
-    accumulation."""
-    assert parallel.keys() == sequential.keys()
-    for name in sequential:
-        for par, seq in zip(parallel[name], sequential[name], strict=True):
-            if seq["kind"] == "histogram":
-                assert par["sum"] == pytest.approx(seq["sum"])
-                par, seq = (dict(par, sum=None), dict(seq, sum=None))
-            assert par == seq, f"metric {name} diverged across the pool"
-
-
 def test_parallel_metrics_match_sequential():
     sequential_results, sequential = _run_dump(jobs=1)
     parallel_results, parallel = _run_dump(jobs=2)
-    _assert_dumps_match(_run_scoped(parallel), _run_scoped(sequential))
+    assert_dumps_match(_run_scoped(parallel), _run_scoped(sequential))
     assert sequential["repro_sweep_tasks_total"][0]["value"] == 3
     assert parallel["repro_sweep_tasks_total"][0]["value"] == 3
     for seq, par in zip(sequential_results, parallel_results):

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.config import cloudfog_advanced
 from repro.core.shard import (build_partitions, merge_results,
                               resume_sharded, run_sharded)
@@ -25,6 +26,7 @@ from repro.scenarios.compile import compile_scenario
 from repro.sim.cycles import Schedule
 
 from ..helpers.golden import fault_summary_digest, run_result_digest
+from ..helpers.metrics import assert_dumps_match
 
 BASELINE = cloudfog_advanced(
     num_players=600, num_datacenters=3, num_supernodes=36, seed=7,
@@ -257,3 +259,43 @@ def test_healed_run_resumes_from_valid_snapshot_despite_corruption(
         newest.write_text(newest.read_text()[:-40])  # truncate: corrupt
     resumed = resume_sharded(CHAOS, tmp_path, days=days)
     assert digests(resumed) == expected
+
+
+# ----------------------------------------------------------------------
+# pooled workers bring their metrics home
+# ----------------------------------------------------------------------
+def _observed(config, **kwargs):
+    """Run with observability on; return the result and the parent's
+    metrics dump."""
+    obs.enable()
+    try:
+        result = run_sharded(config, **kwargs)
+        return result, obs.get_registry().as_dict()
+    finally:
+        obs.disable()
+
+
+def test_pooled_metrics_match_the_one_shard_run(_pooled):
+    """Each worker's metrics dump merges into the parent registry in
+    partition order, so 1, 2 and 4 shards leave the same metrics."""
+    _, one = _observed(BASELINE, shards=1)
+    assert sum(e["value"] for e in one["repro_sessions_total"]) > 0
+    for shards in (2, 4):
+        result, dump = _observed(BASELINE, shards=shards)
+        assert digests(result) == GOLDEN_BASELINE
+        assert_dumps_match(dump, one)
+
+
+def test_healed_worker_reports_the_surviving_attempt(
+        tmp_path, monkeypatch, _pooled):
+    """A SIGKILLed worker's metrics die with it; its partition restarts
+    from scratch (no checkpoints) and the parent holds that surviving
+    attempt's dump once — the 1-shard metrics plus the restart count."""
+    _, expected = _observed(BASELINE, shards=1)
+    sentinel = tmp_path / "killed"
+    monkeypatch.setenv("REPRO_SHARD_TEST_KILL", f"0:0:{sentinel}")
+    result, dump = _observed(BASELINE, shards=3)
+    assert sentinel.exists()
+    assert digests(result) == GOLDEN_BASELINE
+    assert dump.pop("repro_shard_restarts_total")[0]["value"] >= 1
+    assert_dumps_match(dump, expected)

@@ -3,7 +3,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from repro import obs
 from repro.__main__ import main
+from repro.obs.slo import default_policy
 from repro.scenarios import Scenario
 from repro.scenarios.run import run_scenario, scenario_main
 
@@ -57,6 +61,25 @@ def test_sharded_run_is_deterministic_across_shard_counts():
     four = run_scenario(scenario, shards=4)
     assert two["results"] == four["results"]
     assert two["faults"] == four["faults"]
+
+
+def test_sharded_run_reports_no_slo_verdict(tmp_path, monkeypatch):
+    """A sharded run's time series stays in its workers: the report
+    says so with ``"slo": None`` (an empty series would read as a
+    vacuous pass), observability is not forced on, and an SLO policy
+    or a telemetry bundle, which would have no series, is refused."""
+    def forced(*args, **kwargs):
+        raise AssertionError("a sharded scenario run enabled observability")
+
+    monkeypatch.setattr(obs, "enable", forced)
+    report = run_scenario(tiny(), shards=2)
+    assert report["slo"] is None
+    assert report["results"]["sessions"] > 0
+    with pytest.raises(ValueError, match="--obs-dir.*ROADMAP item 1"):
+        run_scenario(tiny(), shards=2, obs_dir=tmp_path / "rundir")
+    assert not (tmp_path / "rundir").exists()
+    with pytest.raises(ValueError, match="--slo.*ROADMAP item 1"):
+        run_scenario(tiny(), shards=2, policy=default_policy())
 
 
 def test_obs_dir_captures_the_telemetry_bundle(tmp_path):
