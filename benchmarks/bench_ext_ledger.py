@@ -18,7 +18,7 @@ def run_extension(num_players: int = 400, num_supernodes: int = 25,
     system = CloudFogSystem(cloudfog_basic(
         num_players=num_players, num_supernodes=num_supernodes, seed=seed))
     system.run(days=days)
-    accounts = list(system.credits.accounts.values())
+    accounts = list(system.state.credits.accounts.values())
     table = ResultTable(
         title=f"Extension: simulated contributor economics over {days} days",
         columns=["quantity", "value"])
@@ -30,9 +30,9 @@ def run_extension(num_players: int = 400, num_supernodes: int = 25,
     table.add_row("mean costs (usd)", float(costs.mean()))
     table.add_row("mean profit (usd)", float((credits - costs).mean()))
     table.add_row("mean GB served", float(gb.mean()))
-    table.add_row("profitable share", system.credits.profitable_share())
+    table.add_row("profitable share", system.state.credits.profitable_share())
     table.add_row("provider outlay (usd)",
-                  system.credits.provider_outlay_usd())
+                  system.state.credits.provider_outlay_usd())
     return table
 
 

@@ -68,11 +68,11 @@ def _build_scored_day(num_players: int, num_supernodes: int, seed: int):
                             num_supernodes=num_supernodes, seed=seed)
     system = CloudFogSystem(config)
     state = system.state
-    plans = sweep.sample_plans(state, system.rng_factory.stream("plans-0"),
+    plans = sweep.sample_plans(state, state.rng_factory.stream("plans-0"),
                                day=0)
-    sweep.choose_games(state, plans, system.rng_factory.stream("games-0"))
+    sweep.choose_games(state, plans, state.rng_factory.stream("games-0"))
     sessions, loads, cloud_rate = sweep.sweep_day(
-        state, plans, system.rng_factory.stream("selection-0"), RunResult(),
+        state, plans, state.rng_factory.stream("selection-0"), RunResult(),
         measuring=False)
     return system, sessions, loads, cloud_rate
 
@@ -85,12 +85,12 @@ def bench_scoring(num_players: int, num_supernodes: int, seed: int,
     def scalar():
         return score_sessions_scalar(
             system.state, 0, sessions, loads, cloud_rate,
-            system.rng_factory.stream("qos-0"))
+            system.state.rng_factory.stream("qos-0"))
 
     def batch():
         return scoring.score_sessions_batch(
             system.state, 0, sessions, loads, cloud_rate,
-            system.rng_factory.stream("qos-0"))
+            system.state.rng_factory.stream("qos-0"))
 
     # Equivalence before speed: same named RNG stream, same records.
     assert list(batch()) == scalar(), "batch scorer diverged from scalar"
@@ -132,9 +132,9 @@ def bench_joins(num_players: int, num_supernodes: int, seed: int,
     config = cloudfog_basic(num_players=num_players,
                             num_supernodes=num_supernodes, seed=seed)
     system = CloudFogSystem(config)
-    directory = system.directory
+    directory = system.state.directory
     rng = np.random.default_rng(seed)
-    players = rng.integers(0, system.topology.num_players, size=lookups)
+    players = rng.integers(0, system.state.topology.num_players, size=lookups)
 
     for player in players[:50]:  # correctness spot-check before timing
         ranked = directory.candidates_for(int(player), count)
@@ -158,7 +158,7 @@ def bench_joins(num_players: int, num_supernodes: int, seed: int,
     ranked_s, linear_s = min(ranked_times), min(linear_times)
     return {
         "lookups": lookups,
-        "supernodes": len(system.live_supernodes),
+        "supernodes": len(system.state.live_supernodes),
         "ranking_joins_per_s": lookups / ranked_s,
         "linear_joins_per_s": lookups / linear_s,
         "speedup": linear_s / ranked_s,

@@ -13,7 +13,10 @@ The CI ``obs-smoke`` job runs this script.  It fails unless:
    injected fault window;
 4. a 2-shard run with observability on leaves the same
    ``repro_sessions_total`` and ``repro_joins_total`` in the parent
-   registry as the 1-shard run (the workers' metrics come home).
+   registry as the 1-shard run (the workers' metrics come home);
+5. a run resumed from its day-0 checkpoint into a fresh observability
+   runtime reports the uninterrupted run's ``repro_sessions_total`` and
+   ``repro_joins_total`` (the checkpoint carries the metrics).
 
 Run standalone::
 
@@ -45,6 +48,7 @@ from tests.helpers.golden import (fault_summary_digest,  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.core import CloudFogSystem, cloudfog_advanced  # noqa: E402
 from repro.core.shard import build_partitions, run_sharded  # noqa: E402
+from repro.persist import Checkpointer, resume_run  # noqa: E402
 from repro.sim.cycles import Schedule  # noqa: E402
 
 _SERVING_RE = re.compile(r"\[obs\] serving metrics on (http://\S+)")
@@ -71,6 +75,16 @@ def check_digests_with_observability_on() -> None:
     print("digests: all goldens bit-identical with observability ON")
 
 
+_SMOKE_CONFIG = cloudfog_advanced(num_players=300, num_supernodes=18, seed=5,
+                                  schedule=Schedule(days=3, warmup_days=1))
+_COUNTED = ("repro_sessions_total", "repro_joins_total")
+
+
+def _counted(dump: dict) -> dict:
+    return {name: sum(e["value"] for e in dump.get(name, []))
+            for name in _COUNTED}
+
+
 def check_sharded_metrics_come_home() -> None:
     """Part 4: pooled shard workers merge their metrics into the parent.
 
@@ -78,8 +92,7 @@ def check_sharded_metrics_come_home() -> None:
     pool even on a 1-CPU runner, where it would otherwise run both
     partitions in-process and merge no worker dump at all.
     """
-    config = cloudfog_advanced(num_players=300, num_supernodes=18, seed=5,
-                               schedule=Schedule(days=3, warmup_days=1))
+    config = _SMOKE_CONFIG
     workers = min(2, len(build_partitions(config)))
     assert workers == 2, f"the config has {workers} partition(s), need 2"
     totals = {}
@@ -91,14 +104,38 @@ def check_sharded_metrics_come_home() -> None:
             dump = obs.get_registry().as_dict()
         finally:
             obs.disable()
-        totals[shards] = {name: sum(e["value"] for e in dump.get(name, []))
-                          for name in ("repro_sessions_total",
-                                       "repro_joins_total")}
+        totals[shards] = _counted(dump)
     assert totals[1]["repro_sessions_total"] > 0, "no sessions counted"
     assert totals[2] == totals[1], \
         f"2-shard metrics differ from the 1-shard run: {totals}"
     print(f"sharded metrics: {totals[2]} at 1 and 2 shards "
           f"({workers} worker processes)")
+
+
+def check_resumed_metrics() -> None:
+    """Part 5: a resume starts from the metrics its checkpoint carries.
+
+    The run checkpoints every day with observability on; resuming its
+    day-0 checkpoint in a fresh runtime must end with the uninterrupted
+    run's session and join counts, not only the resumed days'.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        obs.enable()
+        try:
+            hook = Checkpointer(pathlib.Path(tmp), every=1)
+            CloudFogSystem(_SMOKE_CONFIG).run(on_day_end=hook.on_day_end)
+            full = _counted(obs.get_registry().as_dict())
+            obs.enable()  # fresh runtime, as a restarted process has
+            resume_run(hook.path_for(0))
+            resumed = _counted(obs.get_registry().as_dict())
+        finally:
+            obs.disable()
+    assert full["repro_sessions_total"] > 0, "no sessions counted"
+    assert resumed == full, \
+        f"resumed metrics differ from the uninterrupted run: " \
+        f"{resumed} vs {full}"
+    print(f"resumed metrics: {resumed} after a day-0 resume, as "
+          f"uninterrupted")
 
 
 def _scrape(url: str, deadline: float) -> tuple[str, str]:
@@ -194,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
 
     check_digests_with_observability_on()
     check_sharded_metrics_come_home()
+    check_resumed_metrics()
     check_live_endpoint_and_report(args.days, args.players)
     print("obs smoke OK")
     return 0

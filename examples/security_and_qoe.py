@@ -36,8 +36,8 @@ def main() -> None:
     fraudsters = {3, 11, 19}
     profile = MaliciousProfile(ThreatKind.JUNK_INJECTION, inflation=3.0)
     reports = []
-    supported = system.supernode_pool.supported_total.tolist()
-    for sid in system.live_supernodes:
+    supported = system.state.supernode_pool.supported_total.tolist()
+    for sid in system.state.live_supernodes:
         expected_gb = supported[sid] * 0.45  # ~1 Mbit/s for an hour
         if sid in fraudsters:
             reports.append(malicious_report(

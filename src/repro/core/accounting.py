@@ -70,12 +70,12 @@ GAME_CODE = {game.name: code for code, game in enumerate(GAME_CATALOGUE)}
 _GAME_NAMES = tuple(game.name for game in GAME_CATALOGUE)
 _KIND_OF = {KIND_SUPERNODE: ConnectionKind.SUPERNODE,
             KIND_CLOUD: ConnectionKind.CLOUD, KIND_CDN: ConnectionKind.CDN}
-_KIND_CODE_OF_VALUE = {kind.value: code for code, kind in _KIND_OF.items()}
 
 #: The log's columns and their dtypes.  ``game`` holds the catalogue
-#: index of the game, ``kind`` the ``core.columns`` ``KIND_*`` code;
-#: ``join_latency_ms`` is NaN where ``joined`` is False (no selection ran:
-#: a sticky reuse, the cloud and CDN baselines).
+#: index of the game, ``kind`` the ``core.columns`` ``KIND_*`` code (the
+#: checkpoint stores both codes as they are, so their meaning is part of
+#: its schema); ``join_latency_ms`` is NaN where ``joined`` is False (no
+#: selection ran: a sticky reuse, the cloud and CDN baselines).
 SESSION_COLUMNS = {
     "player": np.int32, "day": np.int32, "game": np.int8, "kind": np.int8,
     "target": np.int32, "response_latency_ms": np.float64,
@@ -84,7 +84,7 @@ SESSION_COLUMNS = {
     "joined": np.bool_,
 }
 
-#: The :class:`SessionRecord` fields, in row order (the checkpoint's too).
+#: The :class:`SessionRecord` fields, in row order.
 RECORD_FIELDS = ("player", "day", "game", "kind", "target",
                  "response_latency_ms", "server_latency_ms", "continuity",
                  "satisfied", "join_latency_ms")
@@ -135,26 +135,6 @@ class SessionLog:
             log.chunks.append(chunk)
             log._length = lengths.pop()
         return log
-
-    @classmethod
-    def from_rows(cls, rows) -> "SessionLog":
-        """A log of checkpoint rows: ``[player, day, game name, kind
-        value, target, response, server, continuity, satisfied, join
-        latency or None]``."""
-        rows = list(rows)
-        if not rows:
-            return cls()
-        (player, day, game, kind, target, response, server, continuity,
-         satisfied, join) = zip(*rows)
-        return cls.of(
-            player=player, day=day,
-            game=[GAME_CODE[name] for name in game],
-            kind=[_KIND_CODE_OF_VALUE[value] for value in kind],
-            target=target, response_latency_ms=response,
-            server_latency_ms=server, continuity=continuity,
-            satisfied=satisfied,
-            join_latency_ms=[np.nan if ms is None else ms for ms in join],
-            joined=[ms is not None for ms in join])
 
     def extend(self, other: "SessionLog") -> None:
         """Append ``other``'s rows (its chunks are shared, not copied)."""

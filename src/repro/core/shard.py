@@ -56,11 +56,11 @@ SIGKILLing a worker mid-run.  An optional ``heartbeat_timeout_s``
 additionally treats a pool that completes nothing and writes no new
 checkpoint for a whole window as stalled and recycles it through the
 same restart path.  With observability on, each worker's metrics dump
-merges into the parent registry in partition order, so after an
-uninterrupted run, or one whose restarts began from scratch, the
-parent's counters and histograms match a 1-shard run's.  A partition
-healed from a checkpoint contributes only the days it ran after the
-resume: checkpoints do not carry the metrics registry (ROADMAP item 1).
+merges into the parent registry in partition order, and a partition
+healed from a checkpoint starts from the metrics dump that checkpoint
+carries, so the parent's counters and histograms match a 1-shard run's
+whether a restart began from scratch or from a checkpoint (apart from
+the restart and checkpoint-load counters).
 """
 
 from __future__ import annotations
@@ -347,7 +347,11 @@ def _run_partition(partition: ShardPartition, days: int | None,
     day-scoped RNG schedule.  The partition config carries the run's
     workload overrides, so a rebuilt state has the original run's flash
     crowds and the rest; ``configure`` (extra hooks) is applied to the
-    fresh state *before* any snapshot overlay.
+    fresh state *before* any snapshot overlay.  The partition records
+    its metrics in its own registry (:func:`repro.obs.scoped_metrics`),
+    added to the live one when it finishes, so its checkpoints carry
+    its metrics only and a resume starts from that dump (the time series
+    and events stay out of sharded runs).
     """
     directory = _shard_dir(checkpoint_dir, partition.index) \
         if checkpoint_dir is not None else None
@@ -361,21 +365,26 @@ def _run_partition(partition: ShardPartition, days: int | None,
             raise ValueError(
                 f"checkpoint {path} does not match partition "
                 f"{partition.index} of this config")
-    state = SimState(partition.config, population=partition.population)
-    if configure is not None:
-        configure(state)
-    result, start_day = None, 0
-    if found is not None:
-        state = overlay_state(state, payload["state"])
-        result = restore_result(payload["result"])
-        start_day = payload["day"] + 1
-        if days is None:
-            days = payload["run"]["total_days"]
-    hook = None
-    if directory is not None:
-        hook = Checkpointer(directory, every=checkpoint_every).on_day_end
-    return run_schedule(state, days, result=result, start_day=start_day,
-                        on_day_end=_compose_hooks(hook, extra_hook))
+    with obs.scoped_metrics():
+        state = SimState(partition.config, population=partition.population)
+        if configure is not None:
+            configure(state)
+        result, start_day = None, 0
+        if found is not None:
+            state = overlay_state(state, payload["state"])
+            result = restore_result(payload["result"])
+            start_day = payload["day"] + 1
+            telemetry = payload.get("telemetry")
+            if telemetry is not None and obs.enabled():
+                obs.get_registry().merge_dump(telemetry["metrics"])
+            obs.get_registry().counter("repro_checkpoint_loads_total").inc()
+            if days is None:
+                days = payload["run"]["total_days"]
+        hook = None
+        if directory is not None:
+            hook = Checkpointer(directory, every=checkpoint_every).on_day_end
+        return run_schedule(state, days, result=result, start_day=start_day,
+                            on_day_end=_compose_hooks(hook, extra_hook))
 
 
 def _partition_worker(args, resume: bool) -> RunResult:

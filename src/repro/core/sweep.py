@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..faults import handlers
+from ..faults import FAULT_COUNTS, handlers
 from ..workload.churn import DayPlans, sample_day_plans
 from ..workload.games import draw_weighted, under_ceiling, weighted_catalogue
 from ..workload.population import choose_game
@@ -421,28 +421,19 @@ def day_end_flush(state: SimState, day: int, records, loads,
     not pay for.
     """
     faults = result.faults
-    base = fault_base or (0,) * 9
+    counts, recoveries = fault_base
     obs.get_timeseries().observe_day(
         day=day, records=records, region_of=state.nearest_dc,
         cloud_bandwidth_mbps=cloud_bandwidth(state, cloud_rate, loads),
-        fault_deltas={
-            "displaced": faults.displaced - base[0],
-            "recovered": faults.recovered - base[1],
-            "degraded": faults.degraded - base[2],
-            "dropped": faults.dropped - base[3],
-            "retries": faults.retries - base[4],
-            "shed": faults.shed - base[5],
-            "drained": faults.drained - base[6],
-            "joins_shed": faults.joins_shed - base[7],
-        },
-        recovery_ms=faults.time_to_recover_ms[base[8]:])
+        fault_deltas={name: getattr(faults, name) - counts[name]
+                      for name in FAULT_COUNTS},
+        recovery_ms=faults.time_to_recover_ms[recoveries:])
 
 
-def _fault_counts(result: RunResult) -> tuple[int, ...]:
+def _fault_counts(result: RunResult) -> tuple[dict[str, int], int]:
     faults = result.faults
-    return (faults.displaced, faults.recovered, faults.degraded,
-            faults.dropped, faults.retries, faults.shed, faults.drained,
-            faults.joins_shed, len(faults.time_to_recover_ms))
+    return ({name: getattr(faults, name) for name in FAULT_COUNTS},
+            len(faults.time_to_recover_ms))
 
 
 def run_day(state: SimState, day: int, result: RunResult,
@@ -451,7 +442,7 @@ def run_day(state: SimState, day: int, result: RunResult,
     tracer = obs.get_tracer()
     registry = obs.get_registry()
     timeseries = obs.get_timeseries()
-    fault_base = _fault_counts(result) if timeseries.enabled else None
+    fault_base = _fault_counts(result)
     day_span = tracer.span("run_day", day=day, measuring=measuring,
                            mode=config.mode)
     state.current_day = day

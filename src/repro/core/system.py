@@ -41,31 +41,13 @@ from .state import SimState
 
 __all__ = ["CloudFogSystem"]
 
-#: SimState attributes mirrored 1:1 on the façade (read and write).
-_STATE_ATTRS = (
-    "config", "rng_factory", "supernode_join_latencies_ms", "population",
-    "topology", "transport", "faults", "compression",
-    "credits", "ledger", "reputation", "datacenters", "supernode_pool",
-    "live_supernodes", "directory", "cdn_coords", "cdn_access",
-    "provisioner", "candidates",
-)
-
-
-def _state_property(attr: str) -> property:
-    def fget(self):
-        return getattr(self._state, attr)
-
-    def fset(self, value):
-        setattr(self._state, attr, value)
-
-    return property(fget, fset, doc=f"Delegates to ``SimState.{attr}``.")
-
 
 class CloudFogSystem:
     """One deployed gaming system (CloudFog, Cloud or CDN).
 
-    A façade: construction builds a :class:`SimState`, every method
-    delegates to the stage modules.  No stage logic lives here.
+    A façade: construction builds a :class:`SimState`, :meth:`run`
+    delegates to the sweep; read the deployed system through
+    :attr:`state`.  No stage logic lives here.
     """
 
     def __init__(self, config: SystemConfig,
@@ -90,7 +72,3 @@ class CloudFogSystem:
                                   start_day=start_day,
                                   on_day_end=on_day_end)
 
-
-for _attr in _STATE_ATTRS:
-    setattr(CloudFogSystem, _attr, _state_property(_attr))
-del _attr

@@ -281,7 +281,7 @@ def _latency_row(testbed: Testbed, seed: int, players: int,
     social = build_system("CloudFog/A", testbed, seed=seed, **overrides)
     timed = RunResult()
     sweep.run_server_assignment(
-        social.state, social.rng_factory.stream("assignment-0"), timed)
+        social.state, social.state.rng_factory.stream("assignment-0"), timed)
     return [timed.assignment_wall_times_s[0],
             float(np.mean(result.assignment_wall_times_s)),
             float(np.mean(result.supernode_join_latencies_ms)),

@@ -23,6 +23,7 @@ produces bit-identical results to the pre-faults code — pinned by
 
 from .detection import FailureDetector
 from .injector import (
+    FAULT_COUNTS,
     NULL_INJECTOR,
     FaultInjector,
     FaultSummary,
@@ -47,6 +48,7 @@ __all__ = [
     "load_fault_plan",
     "FailureDetector",
     "FaultSummary",
+    "FAULT_COUNTS",
     "FaultInjector",
     "NullFaultInjector",
     "NULL_INJECTOR",

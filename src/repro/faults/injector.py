@@ -27,12 +27,12 @@ matrices it has to reconcile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .plan import FaultEvent, FaultPlan
 
-__all__ = ["FaultSummary", "FaultInjector", "NullFaultInjector",
-           "NULL_INJECTOR", "build_injector"]
+__all__ = ["FaultSummary", "FAULT_COUNTS", "FaultInjector",
+           "NullFaultInjector", "NULL_INJECTOR", "build_injector"]
 
 
 @dataclass
@@ -72,16 +72,15 @@ class FaultSummary:
                                  + self.dropped + self.shed)
 
     def merge(self, other: "FaultSummary") -> None:
-        self.events_applied += other.events_applied
-        self.displaced += other.displaced
-        self.recovered += other.recovered
-        self.degraded += other.degraded
-        self.dropped += other.dropped
-        self.retries += other.retries
-        self.shed += other.shed
-        self.drained += other.drained
-        self.joins_shed += other.joins_shed
+        for name in FAULT_COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.time_to_recover_ms.extend(other.time_to_recover_ms)
+
+
+#: The ledger's counters: every :class:`FaultSummary` field but the
+#: recovery-time samples, in field order.
+FAULT_COUNTS = tuple(f.name for f in fields(FaultSummary)
+                     if f.name != "time_to_recover_ms")
 
 
 class NullFaultInjector:

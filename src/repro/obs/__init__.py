@@ -41,12 +41,14 @@ Instrumented code always fetches the current objects at call time::
         obs.get_registry().counter("repro_joins_total", kind="cloud").inc()
 
 Telemetry survives checkpoint/resume: :func:`capture_telemetry` dumps
-the accumulated time series and event log into the checkpoint payload
-and :func:`restore_telemetry` reloads them into the live objects on
-resume (:mod:`repro.persist.checkpoint`).
+the accumulated time series, event log and metrics into the checkpoint
+payload and :func:`restore_telemetry` reloads them into the live
+objects on resume (:mod:`repro.persist.checkpoint`).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from .events import NULL_EVENT_LOG, EventLog, NullEventLog
 from .log import configure_logging, get_logger, kv
@@ -65,6 +67,7 @@ __all__ = [
     "get_events",
     "capture_telemetry",
     "restore_telemetry",
+    "scoped_metrics",
     "configure_logging",
     "get_logger",
     "kv",
@@ -145,7 +148,8 @@ def disable() -> None:
 
 
 def capture_telemetry() -> dict | None:
-    """Dump the accumulated time series + event log for a checkpoint.
+    """Dump the accumulated time series, event log and metrics registry
+    for a checkpoint.
 
     Returns ``None`` when observability is off, so disabled runs write
     byte-identical checkpoints.
@@ -153,14 +157,18 @@ def capture_telemetry() -> dict | None:
     if not enabled():
         return None
     return {"timeseries": _timeseries.as_payload(),
-            "events": _events.as_payload()}
+            "events": _events.as_payload(),
+            "metrics": _registry.as_dict()}
 
 
 def restore_telemetry(payload: dict | None) -> None:
     """Reload captured telemetry into the *live* objects (resume path).
 
-    A no-op for missing payloads or with observability off: resuming
-    with observability off never materialises live objects.
+    The metrics dump is added to the live registry
+    (:meth:`MetricsRegistry.merge_dump`), so counters keep counting from
+    the checkpoint's totals.  A no-op for missing payloads or with
+    observability off: resuming with observability off never
+    materialises live objects.
     """
     if not payload or not enabled():
         return
@@ -168,3 +176,23 @@ def restore_telemetry(payload: dict | None) -> None:
         _timeseries.load_payload(payload["timeseries"])
     if payload.get("events") is not None:
         _events.load_payload(payload["events"])
+    if payload.get("metrics") is not None:
+        _registry.merge_dump(payload["metrics"])
+
+
+@contextmanager
+def scoped_metrics():
+    """Record a block's metrics in a fresh registry, added to the live
+    one when the block ends; a no-op with observability off.  A shard
+    partition's checkpoints thus carry its own metrics only."""
+    global _registry
+    if not enabled():
+        yield
+        return
+    outer, feed = _registry, _timeseries._registry
+    scoped = _registry = _timeseries._registry = MetricsRegistry()
+    try:
+        yield
+    finally:
+        _registry, _timeseries._registry = outer, feed
+    outer.merge_dump(scoped.as_dict())

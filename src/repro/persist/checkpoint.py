@@ -15,8 +15,9 @@ the golden digests by ``tests/persist``.
 
 Save/load emit ``checkpoint_save`` / ``checkpoint_load`` spans and
 ``repro_checkpoint_{saves,loads}_total`` counters plus a
-``repro_checkpoint_bytes`` gauge (no-ops unless :func:`repro.obs.enable`
-ran, like all instrumentation).
+``repro_checkpoint_bytes`` gauge, the encoded size of the simulation
+snapshot (the payload without its telemetry); all are no-ops unless
+:func:`repro.obs.enable` ran, like all instrumentation.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ def save_checkpoint(path: str | Path, state: SimState, result: RunResult,
     without it a throwaway encoder encodes everything.
 
     When telemetry is live (:func:`repro.obs.enable`), the accumulated
-    time series and event log ride along under a ``telemetry`` key —
-    the save event itself is emitted first so it is carried too — and
-    :func:`load_checkpoint` reloads them, so a resumed run's telemetry
-    matches the uninterrupted run's.  Disabled runs write the exact
-    payload they always did.
+    time series, event log and metrics dump ride along under a
+    ``telemetry`` key — the save event, counter and bytes gauge are
+    recorded first so they are carried too — and :func:`load_checkpoint`
+    reloads them, so a resumed run's telemetry matches the uninterrupted
+    run's.  Disabled runs write no ``telemetry`` key.
     """
     if encoder is None:
         encoder = SnapshotEncoder()
@@ -76,15 +77,15 @@ def save_checkpoint(path: str | Path, state: SimState, result: RunResult,
             "state": encoder.encode_state(state),
             "result": encoder.encode_result(result),
         }
+        text = canonical_object(members)
+        registry = obs.get_registry()
+        registry.counter("repro_checkpoint_saves_total").inc()
+        registry.gauge("repro_checkpoint_bytes").set(len(text))
         telemetry = obs.capture_telemetry()
         if telemetry is not None:
             members["telemetry"] = canonical_json(telemetry)
-        written = write_checkpoint_text(path, canonical_object(members),
-                                        day)
-    registry = obs.get_registry()
-    registry.counter("repro_checkpoint_saves_total").inc()
-    registry.gauge("repro_checkpoint_bytes").set(written.stat().st_size)
-    return written
+            text = canonical_object(members)
+        return write_checkpoint_text(path, text, day)
 
 
 @dataclass(frozen=True)

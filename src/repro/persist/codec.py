@@ -6,7 +6,7 @@ keys, no whitespace)::
     {"format":"repro-checkpoint",
      "manifest":{"day":3,"payload_sha256":"<hex digest>"},
      "payload":{...},
-     "schema_version":5}
+     "schema_version":7}
 
 (shown wrapped; the file is one line).  The payload is encoded exactly
 once, as canonical JSON, and the manifest digest is the SHA-256 of
@@ -70,7 +70,13 @@ FORMAT_NAME = "repro-checkpoint"
 #: already carries (flash crowds, game mix and the rest included).
 #: v6: the config's fault plan lost its ``retry`` member; a displaced
 #: player makes one selection round, with no backoff policy.
-SCHEMA_VERSION = 6
+#: v7: the result's ``sessions`` is one object of ``SESSION_COLUMNS``
+#: values per session-log chunk (``game`` as the ``GAME_CATALOGUE``
+#: index and ``kind`` as the ``KIND_*`` code, so both are part of this
+#: schema; join latency 0.0 where not ``joined``); the state's
+#: ``supernodes`` is one object of pool columns in id order, with no
+#: ``id``; ``telemetry`` also carries the metrics registry's dump.
+SCHEMA_VERSION = 7
 
 #: The bytes around the payload in a file :func:`write_checkpoint_text`
 #: wrote; the reader's fast path recognises exactly this layout.

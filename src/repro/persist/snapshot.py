@@ -14,8 +14,8 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
 
 2. **Everything else that crosses a day boundary is enumerated here.**
    Captured: the supernode pool's mutable columns (throttle/online/
-   supported_total/connected, one record per id), the *ordered* live
-   id list (fault targeting
+   supported_total/connected, as columns in pool-id order), the
+   *ordered* live id list (fault targeting
    indexes into it; ``SweepLoads`` rows follow its order), sticky
    assignments, per-player candidate lists, the rating ledger (its
    pair table and append-only rating log, as columns) with the
@@ -28,11 +28,13 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    non-None at day boundaries once the model is ready), the fault
    penalty ledger, and the accumulated
    :class:`~repro.core.accounting.RunResult`, whose ``faults`` summary
-   is the run's one fault ledger.  There is no workload member: the
-   workload overrides (participation, start times, durations, game
-   mix, timezone offsets, quality ceiling, downlink cap, flash crowds)
-   are ``SystemConfig.workload``, so they travel in the serialized
-   config and the restored state rebuilds them from it.
+   is the run's one fault ledger and whose session log is stored as its
+   chunks' columns (``game`` and ``kind`` as the log's codes).  There
+   is no workload member: the workload overrides (participation, start
+   times, durations, game mix, timezone offsets, quality ceiling,
+   downlink cap, flash crowds) are ``SystemConfig.workload``, so they
+   travel in the serialized config and the restored state rebuilds
+   them from it.
 
    Deliberately *not* captured, with reasons:
 
@@ -56,8 +58,8 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
      :class:`~repro.faults.detection.FailureDetector` is a frozen
      member of the config's fault plan;
    * obs tracer/registry — telemetry, not simulation state.  The
-     accumulated *telemetry series* (time-series samples + event log)
-     does ride along, but at the checkpoint layer — an optional
+     accumulated telemetry (time-series samples, event log and metrics
+     dump) does ride along, but at the checkpoint layer — an optional
      ``telemetry`` payload key written by
      :func:`~repro.persist.checkpoint.save_checkpoint` via
      :func:`repro.obs.capture_telemetry` — precisely so this
@@ -70,19 +72,20 @@ object keys are strings) in original insertion order.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from ..core.accounting import (RECORD_FIELDS, DayMetrics, RunResult,
-                               SessionLog, chunk_values)
+from ..core.accounting import (SESSION_COLUMNS, DayMetrics, RunResult,
+                               SessionLog)
 from ..core.candidates import CandidateEntry
 from ..core.config import SystemConfig
 from ..core.state import SimState, deploy
 from ..economics.ledger import SupernodeAccount
-from ..faults import FaultSummary
+from ..faults import FAULT_COUNTS, FaultSummary
 from ..faults.plan import FaultPlan
 from ..sim.cycles import Schedule
 from ..sim.rng import RngFactory
-from ..workload.games import GAME_CATALOGUE
 from ..workload.overrides import WorkloadOverrides
 from .codec import CheckpointCorruptError, canonical_json, canonical_object
 
@@ -90,10 +93,8 @@ __all__ = ["config_to_dict", "config_from_dict", "capture_state",
            "restore_state", "overlay_state", "capture_result",
            "restore_result", "SnapshotEncoder"]
 
-_GAME_BY_NAME = {game.name: game for game in GAME_CATALOGUE}
-
-_SUMMARY_COUNTS = ("events_applied", "displaced", "recovered", "degraded",
-                   "dropped", "retries", "shed", "drained", "joins_shed")
+#: The pool's captured columns, in pool-id order.
+_POOL_COLUMNS = ("online", "throttle", "supported_total", "connected")
 
 
 # ----------------------------------------------------------------------
@@ -101,8 +102,6 @@ _SUMMARY_COUNTS = ("events_applied", "displaced", "recovered", "degraded",
 # ----------------------------------------------------------------------
 def config_to_dict(config: SystemConfig) -> dict:
     """A JSON-ready dict capturing every :class:`SystemConfig` field."""
-    import dataclasses
-
     return dataclasses.asdict(config)
 
 
@@ -119,21 +118,6 @@ def config_from_dict(data: dict) -> SystemConfig:
     data["fault_plan"] = None if plan is None else FaultPlan.from_dict(plan)
     data["workload"] = WorkloadOverrides.from_dict(data["workload"])
     return SystemConfig(**data)
-
-
-# ----------------------------------------------------------------------
-# fault summaries
-# ----------------------------------------------------------------------
-def _summary_to_dict(summary: FaultSummary) -> dict:
-    data = {name: getattr(summary, name) for name in _SUMMARY_COUNTS}
-    data["time_to_recover_ms"] = list(summary.time_to_recover_ms)
-    return data
-
-
-def _summary_from_dict(data: dict) -> FaultSummary:
-    return FaultSummary(
-        **{name: data[name] for name in _SUMMARY_COUNTS},
-        time_to_recover_ms=list(data["time_to_recover_ms"]))
 
 
 # ----------------------------------------------------------------------
@@ -160,12 +144,11 @@ def _state_rest(state: SimState) -> dict:
         "seed": state.rng_factory.seed,
         "current_day": state.current_day,
         "pool_size": len(pool),
-        "supernodes": [
-            {"id": sid, "online": online, "throttle": throttle,
-             "supported_total": supported, "connected": sorted(connected)}
-            for sid, (online, throttle, supported, connected) in enumerate(
-                zip(pool.online.tolist(), pool.throttle.tolist(),
-                    pool.supported_total.tolist(), pool.connected))],
+        "supernodes": {
+            "online": pool.online.tolist(),
+            "throttle": pool.throttle.tolist(),
+            "supported_total": pool.supported_total.tolist(),
+            "connected": [sorted(players) for players in pool.connected]},
         # Ordered: fault targeting draws indices into this list and
         # SweepLoads rows follow its order, so a set would not do.
         "live_ids": list(state.live_supernodes),
@@ -216,12 +199,16 @@ def _check_supernode_ids(field: str, rows, ids, pool_size: int) -> None:
 
 
 def _check_payload_ids(payload: dict, pool_size: int) -> None:
-    """Every supernode id the payload names must index the pool."""
+    """Every pool column must cover the pool, and every supernode id
+    the payload names must index it."""
     live = payload["live_ids"]
     _check_supernode_ids("live_ids", range(len(live)), live, pool_size)
-    records = payload["supernodes"]
-    _check_supernode_ids("supernodes", range(len(records)),
-                         [record["id"] for record in records], pool_size)
+    for name in _POOL_COLUMNS:
+        column = payload["supernodes"][name]
+        if len(column) != pool_size:
+            raise CheckpointCorruptError(
+                f"supernodes.{name}: {len(column)} values for a pool of "
+                f"{pool_size}")
     sticky = payload["sticky"]
     _check_supernode_ids("sticky", range(len(sticky)),
                          [sid for _, sid in sticky], pool_size)
@@ -268,14 +255,11 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
         deploy(state, payload["live_ids"])
     state.supernode_join_latencies_ms = list(
         payload["supernode_join_latencies_ms"])
-    records = payload["supernodes"]
-    ids = [record["id"] for record in records]
-    pool.online[ids] = [record["online"] for record in records]
-    pool.throttle[ids] = [record["throttle"] for record in records]
-    pool.supported_total[ids] = [record["supported_total"]
-                                 for record in records]
-    for sid, record in zip(ids, records):
-        pool.connected[sid] = set(record["connected"])
+    columns = payload["supernodes"]
+    pool.online[:] = columns["online"]
+    pool.throttle[:] = columns["throttle"]
+    pool.supported_total[:] = columns["supported_total"]
+    pool.connected[:] = [set(players) for players in columns["connected"]]
     pool.sync_available()
 
     state.sticky = {player: sn for player, sn in payload["sticky"]}
@@ -326,24 +310,40 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
 # ----------------------------------------------------------------------
 # RunResult
 # ----------------------------------------------------------------------
-def _session_rows(chunks) -> list[list]:
-    """Checkpoint rows of some :class:`SessionLog` chunks: one list per
-    session, built column by column (``kind`` as its value string)."""
-    rows: list[list] = []
-    for chunk in chunks:
-        values = {name: chunk_values(chunk, name) for name in RECORD_FIELDS}
-        values["kind"] = [kind.value for kind in values["kind"]]
-        rows.extend(map(list, zip(*values.values())))
-    return rows
+def _chunk_columns(chunk: dict) -> dict:
+    """One :class:`SessionLog` chunk as a payload object: every column's
+    values, with 0.0 for the join latency where ``joined`` is false
+    (JSON has no NaN; restore puts it back)."""
+    columns = {name: chunk[name].tolist() for name in SESSION_COLUMNS}
+    columns["join_latency_ms"] = np.where(
+        chunk["joined"], chunk["join_latency_ms"], 0.0).tolist()
+    return columns
+
+
+def _restore_sessions(chunks: list) -> SessionLog:
+    """The session log of a payload's chunk objects, one chunk each."""
+    log = SessionLog()
+    for index, columns in enumerate(chunks):
+        try:
+            joined = np.asarray(columns["joined"], dtype=bool)
+            log.extend(SessionLog.of(**{
+                **columns, "join_latency_ms": np.where(
+                    joined, columns["join_latency_ms"], np.nan)}))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointCorruptError(
+                f"sessions[{index}]: {exc!r}") from exc
+    return log
 
 
 #: The :class:`RunResult` sequences a running schedule only ever appends
 #: to: each entry names the result field, the append-only list of items
 #: it grows by, and the function turning a run of those items into
-#: payload rows.  The items are immutable (read-only session-log chunks,
-#: floats), so an encoded prefix stays valid while the list only grows.
+#: payload values.  The items are immutable (read-only session-log
+#: chunks, floats), so an encoded prefix stays valid while the list only
+#: grows.
 _APPENDED = (
-    ("sessions", lambda result: result.sessions.chunks, _session_rows),
+    ("sessions", lambda result: result.sessions.chunks,
+     lambda chunks: [_chunk_columns(chunk) for chunk in chunks]),
     ("join_latencies_ms", lambda result: result.join_latencies_ms, list),
 )
 
@@ -351,25 +351,20 @@ _APPENDED = (
 def _result_rest(result: RunResult) -> dict:
     """Every captured :class:`RunResult` field except ``_APPENDED``."""
     return {
-        "days": [
-            [d.day, d.online_players, d.supernode_players,
-             d.cloud_players, d.cloud_bandwidth_mbps,
-             d.mean_response_latency_ms, d.mean_server_latency_ms,
-             d.mean_continuity, d.satisfied_ratio]
-            for d in result.days],
+        "days": [list(dataclasses.astuple(day)) for day in result.days],
         "supernode_join_latencies_ms":
             list(result.supernode_join_latencies_ms),
         "migration_latencies_ms": list(result.migration_latencies_ms),
         "assignment_wall_times_s": list(result.assignment_wall_times_s),
-        "faults": _summary_to_dict(result.faults),
+        "faults": dataclasses.asdict(result.faults),
     }
 
 
 def capture_result(result: RunResult) -> dict:
     """Serialize the accumulated accounting of a (partial) run."""
     payload = _result_rest(result)
-    for name, items, rows in _APPENDED:
-        payload[name] = rows(items(result))
+    for name, items, to_payload in _APPENDED:
+        payload[name] = to_payload(items(result))
     return payload
 
 
@@ -383,10 +378,10 @@ class _EncodedList:
     a new list of new chunks, so its first save encodes it whole.
     """
 
-    __slots__ = ("rows", "source", "count", "last", "text")
+    __slots__ = ("to_payload", "source", "count", "last", "text")
 
-    def __init__(self, rows) -> None:
-        self.rows = rows
+    def __init__(self, to_payload) -> None:
+        self.to_payload = to_payload
         self.source: list | None = None
         self.count = 0
         self.last = None
@@ -399,7 +394,8 @@ class _EncodedList:
             self.source, self.count, self.last, self.text = \
                 values, 0, None, ""
         if count > self.count:
-            tail = canonical_json(self.rows(values[self.count:]))[1:-1]
+            tail = canonical_json(
+                self.to_payload(values[self.count:]))[1:-1]
             self.text = f"{self.text},{tail}" if self.text else tail
             self.count, self.last = count, values[-1]
         return f"[{self.text}]"
@@ -414,17 +410,17 @@ class SnapshotEncoder:
     fields, so its text is a pure function of the object, and the text
     is reused while ``state.config`` is that object.  The mutable state
     is encoded afresh each time.  :meth:`encode_result` encodes only
-    the session records and join latencies appended since the previous
-    call (the session log by its appended chunks); the mutable day rows, the fault summary and the small lists
-    are encoded afresh each time.  The output is byte-identical to the
-    one-shot encoding.
+    the session-log chunks and join latencies appended since the
+    previous call; the mutable day rows, the fault summary and the small
+    lists are encoded afresh each time.  The output is byte-identical to
+    the one-shot encoding.
     """
 
     def __init__(self) -> None:
         self._config: SystemConfig | None = None
         self._config_text = ""
-        self._lists = {name: (items, _EncodedList(rows))
-                       for name, items, rows in _APPENDED}
+        self._lists = {name: (items, _EncodedList(to_payload))
+                       for name, items, to_payload in _APPENDED}
 
     def encode_state(self, state: SimState) -> str:
         if state.config is not self._config:
@@ -446,17 +442,8 @@ class SnapshotEncoder:
 def restore_result(payload: dict) -> RunResult:
     """Rebuild the :class:`RunResult` a resumed run keeps appending to."""
     result = RunResult()
-    result.days = [
-        DayMetrics(day=day, online_players=online,
-                   supernode_players=supernode, cloud_players=cloud,
-                   cloud_bandwidth_mbps=bandwidth,
-                   mean_response_latency_ms=response,
-                   mean_server_latency_ms=server,
-                   mean_continuity=continuity,
-                   satisfied_ratio=satisfied)
-        for day, online, supernode, cloud, bandwidth, response, server,
-        continuity, satisfied in payload["days"]]
-    result.sessions = SessionLog.from_rows(payload["sessions"])
+    result.days = [DayMetrics(*row) for row in payload["days"]]
+    result.sessions = _restore_sessions(payload["sessions"])
     result.join_latencies_ms = list(payload["join_latencies_ms"])
     result.supernode_join_latencies_ms = list(
         payload["supernode_join_latencies_ms"])
@@ -464,5 +451,8 @@ def restore_result(payload: dict) -> RunResult:
         payload["migration_latencies_ms"])
     result.assignment_wall_times_s = list(
         payload["assignment_wall_times_s"])
-    result.faults = _summary_from_dict(payload["faults"])
+    faults = payload["faults"]
+    result.faults = FaultSummary(
+        **{name: faults[name] for name in FAULT_COUNTS},
+        time_to_recover_ms=list(faults["time_to_recover_ms"]))
     return result

@@ -77,9 +77,9 @@ def test_system_populates_candidate_lists():
     system = CloudFogSystem(cloudfog_basic(num_players=150,
                                            num_supernodes=12, seed=3))
     system.run(days=2)
-    sizes = [len(system.candidates.candidates(p)) for p in range(150)]
+    sizes = [len(system.state.candidates.candidates(p)) for p in range(150)]
     assert max(sizes) > 0
-    assert all(s <= system.config.candidate_count for s in sizes)
+    assert all(s <= system.state.config.candidate_count for s in sizes)
 
 
 def test_migration_prefers_own_list_over_cloud():
@@ -92,12 +92,12 @@ def test_migration_prefers_own_list_over_cloud():
     rng = np.random.default_rng(0)
     system.run(days=1)
     # Hand-craft: player 0 connected to supernode A, remembers B nearby.
-    pool = system.supernode_pool
-    live = [sid for sid in system.live_supernodes if pool.available[sid]]
+    pool = system.state.supernode_pool
+    live = [sid for sid in system.state.live_supernodes if pool.available[sid]]
     assert len(live) >= 2
     a, b = live[0], live[1]
     pool.connect(a, 0)
-    system.candidates.remember(0, [(b, 12.0)])
+    system.state.candidates.remember(0, [(b, 12.0)])
     system.state.games[0] = __import__(
         "repro.workload.games", fromlist=["game_for_level"]).game_for_level(5)
     # Fail only supernode A.

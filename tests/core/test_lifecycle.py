@@ -72,9 +72,9 @@ def test_fail_supernodes_migrates_players():
     """A peak-hour crash wave re-homes its sessions (§3.2.2)."""
     system = CloudFogSystem(cloudfog_basic(
         fault_plan=_crash_wave(1, 21, 4), **SMALL))
-    before = len(system.live_supernodes)
+    before = len(system.state.live_supernodes)
     result = system.run(days=2)
-    assert len(system.live_supernodes) == before - 4
+    assert len(system.state.live_supernodes) == before - 4
     # Conservation: every displacement is recovered, degraded or
     # dropped — nothing is silently folded into the latency list.
     summary = result.faults

@@ -18,14 +18,14 @@ def test_dynamic_provisioning_redeploys_after_one_season():
     config = provisioning_only(num_players=150, num_supernodes=4,
                                provisioning_window_hours=8, seed=2)
     system = CloudFogSystem(config)
-    assert system.provisioner is not None
+    assert system.state.provisioner is not None
     result = system.run(days=8)  # one 21-window season + one day
-    assert system.provisioner.ready
+    assert system.state.provisioner.ready
     # After the season the live set follows Eq. 15 for the last window's
     # forecast, not the configured num_supernodes.
-    expected = min(system.provisioner.target_supernodes(),
-                   len(system.supernode_pool))
-    assert len(system.live_supernodes) == expected
+    expected = min(system.state.provisioner.target_supernodes(),
+                   len(system.state.supernode_pool))
+    assert len(system.state.live_supernodes) == expected
     assert result.days  # the run still measured
 
 
@@ -46,22 +46,22 @@ def test_supernode_join_samples_come_from_the_initial_deployment(
                                               num_supernodes=18, seed=5))
     result = system.run(days=9)
     assert len(redeploys) > 1  # provisioning redeployed every window
-    assert len(system.supernode_join_latencies_ms) == 18
+    assert len(system.state.supernode_join_latencies_ms) == 18
     assert result.supernode_join_latencies_ms \
-        == system.supernode_join_latencies_ms
-    healed = list(system.live_supernodes[:3])
+        == system.state.supernode_join_latencies_ms
+    healed = list(system.state.live_supernodes[:3])
     take_offline(system.state, healed)
     bring_online(system.state, healed)
-    assert len(system.supernode_join_latencies_ms) == 18
+    assert len(system.state.supernode_join_latencies_ms) == 18
 
 
 def test_fixed_mode_never_changes_live_set():
     config = cloudfog_basic(num_players=150, num_supernodes=6, seed=2)
     system = CloudFogSystem(config)
-    assert system.provisioner is None
-    live_before = list(system.live_supernodes)
+    assert system.state.provisioner is None
+    live_before = list(system.state.live_supernodes)
     system.run(days=3)
-    live_after = list(system.live_supernodes)
+    live_after = list(system.state.live_supernodes)
     assert live_before == live_after
 
 
@@ -74,7 +74,7 @@ def test_provisioned_target_tracks_population():
             workload=WorkloadOverrides(daily_participants=participants))
         system = CloudFogSystem(config)
         system.run(days=8)
-        return len(system.live_supernodes)
+        return len(system.state.live_supernodes)
 
     assert live_after(350) > live_after(80)
 

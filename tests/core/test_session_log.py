@@ -5,7 +5,7 @@ measured day.  Whatever the chunks hold — every connection kind and
 catalogue game, joined and sticky sessions, empty days — iterating the
 log must give back the ``SessionRecord`` rows that went in, field for
 field and ``repr`` for ``repr``; pickling (the shard workers' return
-path) and the checkpoint row round trip must be exact; and the
+path) and the checkpoint chunk round trip must be exact; and the
 column-wise shard merge must equal the frozen per-record merge
 (``merge_oracle.py``).
 """

@@ -17,7 +17,6 @@ from repro.core import (
     cloudfog_basic,
 )
 from repro.core.scoring import CDN_COORDINATION_MS
-from repro.core.state import SimState
 from repro.workload.overrides import WorkloadOverrides
 
 SMALL = dict(num_players=150, num_supernodes=12, seed=3)
@@ -75,7 +74,7 @@ def test_assignment_wall_times_recorded(basic_result):
 
 def test_supernode_loads_respect_capacity(basic_result):
     system, _ = basic_result
-    pool = system.supernode_pool
+    pool = system.state.supernode_pool
     for players, capacity in zip(pool.connected, pool.capacity.tolist()):
         assert len(players) <= capacity
 
@@ -118,7 +117,7 @@ def test_cloud_bandwidth_higher_without_fog():
 
 def test_reputation_accumulates_ratings(basic_result):
     system, _ = basic_result
-    assert list(system.ledger.pairs())
+    assert list(system.state.ledger.pairs())
 
 
 def test_daily_participants_override():
@@ -126,30 +125,6 @@ def test_daily_participants_override():
         **SMALL, workload=WorkloadOverrides(daily_participants=30)))
     result = system.run(days=2)
     assert all(d.online_players <= 30 for d in result.days)
-
-
-# ----------------------------------------------------------------------
-# façade mechanics
-# ----------------------------------------------------------------------
-def test_facade_exposes_shared_state():
-    system = CloudFogSystem(cloudfog_basic(**SMALL))
-    assert isinstance(system.state, SimState)
-    # The mirrored attributes are live views of the same state, not
-    # copies.
-    assert system.supernode_pool is system.state.supernode_pool
-    assert system.live_supernodes is system.state.live_supernodes
-    assert system.candidates is system.state.candidates
-    assert system.directory is system.state.directory
-    assert system.reputation is system.state.reputation
-
-
-def test_facade_attribute_writes_reach_state():
-    system = CloudFogSystem(cloudfog_basic(**SMALL))
-    system.provisioner = None
-    assert system.state.provisioner is None
-    live = list(range(len(system.supernode_pool)))
-    system.live_supernodes = live
-    assert system.state.live_supernodes is live
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ def run_both(build, days=2, transport=None):
     for scalar in (False, True):
         system = CloudFogSystem(build())
         if transport is not None:
-            system.transport = transport
+            system.state.transport = transport
         with pytest.MonkeyPatch.context() as patch:
             if scalar:
                 patch.setattr(scoring, "score_sessions_batch",
@@ -74,11 +74,11 @@ def test_batch_identical_without_and_with_heavy_jitter(jitter):
 def test_sweep_loads_rows_track_live_supernodes():
     system = CloudFogSystem(configs.cloudfog_basic(
         num_players=100, num_supernodes=8, seed=1))
-    hours = system.config.schedule.hours_per_day
-    loads = SweepLoads(system.live_supernodes, hours)
-    assert loads.counts.shape == (len(system.live_supernodes), hours + 2)
+    hours = system.state.config.schedule.hours_per_day
+    loads = SweepLoads(system.state.live_supernodes, hours)
+    assert loads.counts.shape == (len(system.state.live_supernodes), hours + 2)
     assert loads.rates.shape == loads.counts.shape
-    for row, sid in enumerate(system.live_supernodes):
+    for row, sid in enumerate(system.state.live_supernodes):
         assert loads.row(sid) == row
     assert loads.row(10_000) is None
 
@@ -88,16 +88,16 @@ def test_fail_supernodes_keeps_live_ids_consistent():
                                         count=3),))
     system = CloudFogSystem(configs.cloudfog_basic(
         num_players=150, num_supernodes=10, seed=3, fault_plan=plan))
-    online = system.supernode_pool.online
-    before = set(system.live_supernodes)
+    online = system.state.supernode_pool.online
+    before = set(system.state.live_supernodes)
     assert set(np.flatnonzero(online).tolist()) == before
     system.run(days=1)
-    after = set(system.live_supernodes)
+    after = set(system.state.live_supernodes)
     assert len(after) == len(before) - 3
     assert set(np.flatnonzero(online).tolist()) == after
     # The directory only ever serves live supernodes afterwards.
     for player in range(0, 150, 30):
-        for sid in system.directory.candidates_for(player, 5):
+        for sid in system.state.directory.candidates_for(player, 5):
             assert sid in after
 
 

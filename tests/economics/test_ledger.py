@@ -68,11 +68,12 @@ def test_system_accrues_credits_during_a_run():
     system = CloudFogSystem(cloudfog_basic(num_players=200,
                                            num_supernodes=12, seed=4))
     system.run(days=2)
-    assert system.credits.provider_outlay_usd() > 0.0
+    assert system.state.credits.provider_outlay_usd() > 0.0
     # Serving supernodes earned more than idle ones.
-    served = [a for a in system.credits.accounts.values() if a.gb_served > 0]
+    served = [a for a in system.state.credits.accounts.values()
+              if a.gb_served > 0]
     assert served
-    assert system.credits.profitable_share() > 0.5
+    assert system.state.credits.profitable_share() > 0.5
 
 
 def test_supernode_account_dataclass():

@@ -76,7 +76,7 @@ def test_overrides_win(testbed):
 
 def test_build_and_run(testbed):
     system = build_system("CloudFog/B", testbed, seed=1)
-    assert system.config.num_players == testbed.num_players
+    assert system.state.config.num_players == testbed.num_players
     result = run_variant("Cloud", testbed, seed=1, days=2)
     assert result.days
     with pytest.raises(ValueError):

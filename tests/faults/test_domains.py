@@ -58,9 +58,9 @@ def test_dc_outage_fails_the_whole_datacenter_together():
     # Every supernode homed to datacenter 0 went down with it.
     nearest = np.argmin(
         system._state.topology.player_datacenter_distances(), axis=1)
-    hosts = system.supernode_pool.host_player
+    hosts = system.state.supernode_pool.host_player
     assert not any(int(nearest[hosts[sid]]) == 0
-                   for sid in system.live_supernodes)
+                   for sid in system.state.live_supernodes)
 
 
 def test_dc_outage_reroutes_cloud_sessions_to_next_datacenter():
@@ -264,7 +264,7 @@ def test_healing_spins_up_replacement_capacity():
     failed = {e.attrs["datacenter"] for e in _events("domain_outage")}
     assert failed == {0}
     assert set(healed[0].attrs["supernode_ids"]) \
-        <= set(system.live_supernodes)
+        <= set(system.state.live_supernodes)
 
 
 def test_healing_reports_exhaustion_when_no_spares_remain():

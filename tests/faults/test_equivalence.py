@@ -44,11 +44,11 @@ GOLDEN = {
     "scenario_workload_faults":
         "face2738a57bc42581f97144dbcf5b3329253ddc0b1172fa656aefd5c33281b8",
     "state_cloudfog_advanced":
-        "163bd9fcc48b1fe286c26abbc4e6f3178a49d21e85cefdd93f763abe3f32a9ce",
+        "39a9114ac432afcbe1bf7fef305ae801b070df0e340878b89c07f0ca9b18d5b1",
     "state_chaos_advanced":
-        "7ac73a19c7b342570ea8eabbc1f418e8d3584b3f2f53d05902f0ae645984d0e1",
+        "edce5ccbecfad1dd9a3bc5e1affc95170c2cad46586ee6a7adcd87f7b7274ec0",
     "state_chaos_domains":
-        "988cc8ab41006e7cfbc8ae7ab96f920147e7237f4c3f3964328314c5a08e94de",
+        "bf7ca1151832bae861800a321f331307c24e2f4e0654cd9b216227937b00e2c1",
 }
 
 

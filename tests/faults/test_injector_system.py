@@ -155,12 +155,12 @@ def test_flaky_event_caps_throttle():
         num_players=150, num_supernodes=10, seed=2,
         fault_plan=FaultPlan()))
     system.run(days=1)
-    throttle = system.supernode_pool.throttle
+    throttle = system.state.supernode_pool.throttle
     before = throttle.copy()
     event = FaultEvent(day=0, subcycle=1, kind="flaky", severity=0.3,
-                       count=len(system.live_supernodes))
+                       count=len(system.state.live_supernodes))
     handlers.inject_flaky(system.state, event, np.random.default_rng(0))
-    for sid in system.live_supernodes:
+    for sid in system.state.live_supernodes:
         assert throttle[sid] == min(before[sid], 0.3)
 
 

@@ -52,9 +52,9 @@ def test_cloud_only_bandwidth_identity():
     day = result.days[-1]
     # Reconstruct: every session streams its game's bitrate for its
     # whole-subcycle span; the mean over 24 subcycles is the metric.
-    rng = system.rng_factory.stream(f"plans-{day.day}")
+    rng = system.state.rng_factory.stream(f"plans-{day.day}")
     plans = sweep.sample_plans(system.state, rng)
-    games_rng = system.rng_factory.stream(f"games-{day.day}")
+    games_rng = system.state.rng_factory.stream(f"games-{day.day}")
     sweep.choose_games(system.state, plans, games_rng)
     row = {player: index for index, player in enumerate(plans.player.tolist())}
     expected = 0.0
@@ -80,14 +80,14 @@ def test_fog_bandwidth_below_cloud_identity(fog_run):
     max_rate = max(g.stream_rate_mbps for g in GAME_CATALOGUE)
     update_mbps = UPDATE_MESSAGE_BITS_PER_SUPERNODE / 1e6
     upper = (day.cloud_players * max_rate
-             + len(system.supernode_pool) * update_mbps)
+             + len(system.state.supernode_pool) * update_mbps)
     assert day.cloud_bandwidth_mbps <= upper + 1e-9
 
 
 def test_credit_ledger_matches_served_traffic(fog_run):
     """Every credited GB corresponds to supernode-served stream time."""
     system, result = fog_run
-    total_gb = sum(a.gb_served for a in system.credits.accounts.values())
+    total_gb = sum(a.gb_served for a in system.state.credits.accounts.values())
     # Supernode sessions exist, so traffic was served and credited.
     assert total_gb > 0.0
     # A loose upper bound: every session at the top bitrate for 24 h.

@@ -32,7 +32,7 @@ def test_total_fog_outage_falls_back_to_cloud():
         num_players=200, num_supernodes=12, seed=5,
         fault_plan=_crashes((0, 21, 12))))
     result = system.run(days=2)
-    assert system.live_supernodes == []
+    assert system.state.live_supernodes == []
     assert result.faults.displaced > 0
     assert result.faults.conserved()
     (day,) = result.days
@@ -46,7 +46,7 @@ def test_partial_outage_migrates_and_keeps_serving():
         num_players=300, num_supernodes=20, seed=5,
         fault_plan=_crashes((1, 21, 10))))
     result = system.run(days=3)
-    assert len(system.live_supernodes) == 10
+    assert len(system.state.live_supernodes) == 10
     # Every displacement is accounted for: recovered onto a survivor,
     # or degraded to the cloud when the survivors had no room — never
     # silently lost.
@@ -63,9 +63,9 @@ def test_failed_supernodes_never_get_new_connections():
     system = _checked(cloudfog_basic(
         num_players=200, num_supernodes=10, seed=5,
         fault_plan=_crashes((0, 12, 5))))
-    deployed = set(system.live_supernodes)
+    deployed = set(system.state.live_supernodes)
     result = system.run(days=2)
-    dead = deployed - set(system.live_supernodes)
+    dead = deployed - set(system.state.live_supernodes)
     assert len(dead) == 5
     served = {r.target for r in result.sessions
               if r.kind is ConnectionKind.SUPERNODE}
@@ -82,9 +82,9 @@ def test_repeated_failures_are_stable():
                             (0, 20, 2),
                             # More failures than survivors is clamped.
                             (1, 10, 999))), log)
-    deployed = len(system.live_supernodes)
+    deployed = len(system.state.live_supernodes)
     result = system.run(days=2)
-    assert system.live_supernodes == []
+    assert system.state.live_supernodes == []
     assert result.faults.events_applied == 5
     assert result.faults.conserved()
     live_after = {(day, subcycle): live for day, subcycle, live in log}

@@ -42,6 +42,6 @@ def test_property_run_invariants(seed):
         assert record.kind in (ConnectionKind.SUPERNODE,
                                ConnectionKind.CLOUD)
     # No supernode ever exceeds its advertised capacity.
-    pool = system.supernode_pool
+    pool = system.state.supernode_pool
     for players, capacity in zip(pool.connected, pool.capacity.tolist()):
         assert len(players) <= capacity

@@ -13,7 +13,9 @@ import json
 import pytest
 
 from repro.core import CloudFogSystem
+from repro.core.accounting import SESSION_COLUMNS
 from repro.core.config import cloudfog_advanced, cloudfog_basic
+from repro.core.state import KIND_OF_CODE
 from repro.persist import (
     CheckpointCorruptError,
     Checkpointer,
@@ -31,6 +33,7 @@ from repro.persist import (
     save_checkpoint,
 )
 from repro.persist.codec import FORMAT_NAME, SCHEMA_VERSION, payload_digest
+from repro.workload.games import GAME_CATALOGUE
 
 from ..faults.regen_golden import CHAOS_PLAN, CHAOS_SCENARIOS, SCENARIOS
 from ..faults.test_equivalence import GOLDEN
@@ -150,7 +153,7 @@ def test_latest_valid_checkpoint_skips_corrupt_snapshots(tmp_path):
 def test_schema_3_checkpoint_is_refused(tmp_path):
     """A schema-3 file (the state still carrying its own
     ``fault_outcomes`` ledger) is refused by version, never restored."""
-    assert SCHEMA_VERSION == 6
+    assert SCHEMA_VERSION == 7
     hook = Checkpointer(tmp_path / "run", every=1)
     CloudFogSystem(BASELINE).run(days=1, on_day_end=hook.on_day_end)
     payload = read_checkpoint(hook.path_for(0))
@@ -197,6 +200,33 @@ def test_schema_5_checkpoint_is_refused(tmp_path):
         "manifest": {"day": 0, "payload_sha256": payload_digest(payload)},
         "payload": payload}, sort_keys=True))
     with pytest.raises(CheckpointVersionError, match="version 5"):
+        resume_run(old)
+
+
+def test_schema_6_checkpoint_is_refused(tmp_path):
+    """A schema-6 file (one JSON row per session, one ``{"id", …}``
+    record per supernode) is refused by version, never restored."""
+    hook = Checkpointer(tmp_path / "run", every=1)
+    CloudFogSystem(BASELINE).run(days=1, on_day_end=hook.on_day_end)
+    payload = read_checkpoint(hook.path_for(0))
+    pool = payload["state"]["supernodes"]
+    payload["state"]["supernodes"] = [
+        {"id": sid, **{name: column[sid] for name, column in pool.items()}}
+        for sid in range(payload["state"]["pool_size"])]
+    payload["result"]["sessions"] = [
+        [player, day, GAME_CATALOGUE[game].name, KIND_OF_CODE[kind].value,
+         target, response, server, continuity, satisfied,
+         join if joined else None]
+        for chunk in payload["result"]["sessions"]
+        for (player, day, game, kind, target, response, server, continuity,
+             satisfied, join, joined) in zip(
+            *(chunk[name] for name in SESSION_COLUMNS))]
+    old = tmp_path / "v6.json"
+    old.write_text(json.dumps({
+        "format": FORMAT_NAME, "schema_version": 6,
+        "manifest": {"day": 0, "payload_sha256": payload_digest(payload)},
+        "payload": payload}, sort_keys=True))
+    with pytest.raises(CheckpointVersionError, match="version 6"):
         resume_run(old)
 
 
@@ -312,7 +342,6 @@ def day_one_payload():
 @pytest.mark.parametrize("bad_id", [-1, 10**6])
 @pytest.mark.parametrize("field, corrupt", [
     ("live_ids", lambda p, v: p["live_ids"].__setitem__(2, v)),
-    ("supernodes", lambda p, v: p["supernodes"][2].__setitem__("id", v)),
     ("sticky", lambda p, v: p["sticky"][2].__setitem__(1, v)),
     ("candidates", lambda p, v: p["candidates"][2][1][0].__setitem__(0, v)),
 ])
@@ -324,6 +353,21 @@ def test_restore_rejects_supernode_ids_outside_the_pool(
     corrupt(payload, bad_id)
     with pytest.raises(CheckpointCorruptError,
                        match=rf"^{field}\[2\]: supernode id {bad_id} "):
+        restore_state(payload)
+
+
+@pytest.mark.parametrize("column", ["online", "throttle", "supported_total",
+                                    "connected"])
+def test_restore_rejects_a_pool_column_of_the_wrong_length(
+        day_one_payload, column):
+    """The pool is stored as columns in id order; a column that does not
+    cover the pool exactly is named in the error."""
+    payload = copy.deepcopy(day_one_payload)
+    payload["supernodes"][column].pop()
+    size = payload["pool_size"]
+    with pytest.raises(CheckpointCorruptError,
+                       match=rf"^supernodes\.{column}: {size - 1} values "
+                             rf"for a pool of {size}$"):
         restore_state(payload)
 
 

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import CloudFogSystem
 from repro.core.accounting import DayMetrics, RunResult, SessionLog
+from repro.core.columns import KIND_SUPERNODE
 from repro.core.config import cloudfog_advanced
-from repro.core.entities import ConnectionKind
 from repro.core.state import SimState
 from repro.persist import snapshot
 from repro.persist import (
@@ -38,21 +38,16 @@ from repro.persist import (
 )
 
 from ..faults.regen_golden import CHAOS_PLAN
+from ..helpers.sessions import chunk_columns
 
 STATE = SimState(cloudfog_advanced(num_players=30, num_supernodes=3,
                                    seed=1))
 TOTAL_DAYS = 9
 
 _floats = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
-_rows = st.tuples(
-    st.integers(0, 29), st.integers(0, 8),
-    st.sampled_from(["ArenaStrike", "KingdomSaga"]),
-    st.sampled_from([kind.value for kind in ConnectionKind]),
-    st.integers(-1, 5), _floats, _floats, st.floats(0.0, 1.0),
-    st.booleans(), st.none() | _floats)
 
 _ops = st.one_of(
-    st.tuples(st.just("sessions"), st.lists(_rows, max_size=4)),
+    st.tuples(st.just("sessions"), chunk_columns(min_rows=0, max_rows=4)),
     st.tuples(st.just("joins"), st.lists(_floats, max_size=4)),
     st.tuples(st.just("day"), _floats),
     st.tuples(st.just("faults"), st.integers(1, 3), _floats),
@@ -66,7 +61,7 @@ _ops = st.one_of(
 def _apply(result: RunResult, op) -> None:
     kind, *args = op
     if kind == "sessions":
-        result.sessions.extend(SessionLog.from_rows(args[0]))
+        result.sessions.extend(SessionLog.of(**args[0]))
     elif kind == "joins":
         result.join_latencies_ms.extend(args[0])
     elif kind == "day":
@@ -87,8 +82,11 @@ def _apply(result: RunResult, op) -> None:
             result.join_latencies_ms = restored.join_latencies_ms
     elif kind == "shrink":
         if args[0]:  # the log is append-only: swap in a shorter one
-            rows = capture_result(result)["sessions"]
-            result.sessions = SessionLog.from_rows(rows[:len(rows) // 2])
+            chunks = result.sessions.chunks
+            shorter = SessionLog()
+            for chunk in chunks[:len(chunks) // 2]:
+                shorter.extend(SessionLog.of(**chunk))
+            result.sessions = shorter
         else:
             values = result.join_latencies_ms
             del values[len(values) // 2:]
@@ -203,26 +201,30 @@ def test_a_new_config_object_is_encoded_afresh():
 
 
 def _log(count: int, day: int) -> SessionLog:
-    return SessionLog.from_rows(
-        [player, day, "ArenaStrike", "supernode", 1, 90.5, 1.0, 0.97,
-         True, None if player % 2 else 12.25] for player in range(count))
+    players = range(count)
+    return SessionLog.of(
+        player=players, day=[day] * count, game=[0] * count,
+        kind=[KIND_SUPERNODE] * count, target=[1] * count,
+        response_latency_ms=[90.5] * count, server_latency_ms=[1.0] * count,
+        continuity=[0.97] * count, satisfied=[True] * count,
+        join_latency_ms=[float("nan") if p % 2 else 12.25 for p in players],
+        joined=[not p % 2 for p in players])
 
 
 def test_a_second_save_encodes_only_the_new_tail(monkeypatch):
-    """Rows reach the row encoder once, when their chunk is new; a
-    restored log (new chunks in a new log) is encoded whole again."""
+    """A chunk reaches the chunk encoder once, when it is new; a
+    restored log (new chunks in a new log) is encoded whole again,
+    chunk by chunk."""
     encoded = []
-    chunk_values = snapshot.chunk_values
+    encode_chunk = snapshot._chunk_columns
 
-    def counting(chunk, name):
-        values = chunk_values(chunk, name)
-        if name == "player":
-            encoded.append(len(values))
-        return values
+    def counting(chunk):
+        encoded.append(len(chunk["player"]))
+        return encode_chunk(chunk)
 
     result = RunResult()
     encoder = SnapshotEncoder()
-    monkeypatch.setattr(snapshot, "chunk_values", counting)
+    monkeypatch.setattr(snapshot, "_chunk_columns", counting)
     result.sessions.extend(_log(3, day=0))
     first = encoder.encode_result(result)
     result.sessions.extend(_log(2, day=1))
@@ -234,6 +236,6 @@ def test_a_second_save_encodes_only_the_new_tail(monkeypatch):
     assert second == canonical_json(capture_result(result))
 
     result.sessions = restore_result(capture_result(result)).sessions
-    monkeypatch.setattr(snapshot, "chunk_values", counting)
+    monkeypatch.setattr(snapshot, "_chunk_columns", counting)
     assert encoder.encode_result(result) == second
-    assert encoded == [3, 2, 5]
+    assert encoded == [3, 2, 3, 2]

@@ -299,3 +299,47 @@ def test_healed_worker_reports_the_surviving_attempt(
     assert digests(result) == GOLDEN_BASELINE
     assert dump.pop("repro_shard_restarts_total")[0]["value"] >= 1
     assert_dumps_match(dump, expected)
+
+
+def test_checkpoint_healed_worker_carries_its_metrics(
+        tmp_path, monkeypatch, _pooled):
+    """A worker SIGKILLed after its day-1 checkpoint resumes from it, and
+    from the metrics dump that checkpoint carries: the parent holds the
+    1-shard metrics (same cadence of saves) plus the restart and
+    checkpoint-load counts."""
+    _, expected = _observed(CHAOS, shards=1, checkpoint_dir=tmp_path / "one")
+    sentinel = tmp_path / "killed"
+    monkeypatch.setenv("REPRO_SHARD_TEST_KILL", f"0:1:{sentinel}")
+    result, dump = _observed(CHAOS, shards=3,
+                             checkpoint_dir=tmp_path / "healed")
+    assert sentinel.exists()
+    assert digests(result) == GOLDEN_CHAOS
+    assert dump["repro_sessions_total"] == expected["repro_sessions_total"]
+    assert dump.pop("repro_shard_restarts_total")[0]["value"] >= 1
+    assert dump.pop("repro_checkpoint_loads_total")[0]["value"] >= 1
+    # The snapshot holds host-timed assignment walls, so its encoded
+    # size differs by a few bytes between two runs.
+    for metrics in (dump, expected):
+        assert metrics.pop("repro_checkpoint_bytes")[0]["value"] > 0
+    assert_dumps_match(dump, expected)
+
+
+def test_in_process_resume_counts_each_partition_once(tmp_path):
+    """The in-process runner runs the partitions one after another under
+    one live registry, yet each partition's checkpoints carry its own
+    metrics only: resuming every partition from its day-1 checkpoint
+    leaves the uninterrupted metrics plus one load per partition."""
+    _, expected = _observed(CHAOS, shards=1, checkpoint_dir=tmp_path)
+    for shard_dir in tmp_path.iterdir():
+        sorted(shard_dir.glob("checkpoint-day*.json"))[-1].unlink()
+    obs.enable()
+    try:
+        result = resume_sharded(CHAOS, tmp_path)
+        dump = obs.get_registry().as_dict()
+    finally:
+        obs.disable()
+    assert digests(result) == GOLDEN_CHAOS
+    assert dump["repro_sessions_total"] == expected["repro_sessions_total"]
+    loads = dump.pop("repro_checkpoint_loads_total")
+    assert loads[0]["value"] == len(build_partitions(CHAOS))
+    assert_dumps_match(dump, expected)

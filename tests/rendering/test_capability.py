@@ -69,7 +69,7 @@ def test_system_pool_respects_render_limits():
     from repro.core import CloudFogSystem, cloudfog_basic
     system = CloudFogSystem(cloudfog_basic(num_players=300,
                                            num_supernodes=10, seed=2))
-    pool = system.supernode_pool
+    pool = system.state.supernode_pool
     assert pool
     for tier, capacity in zip(pool.gpu_tier, pool.capacity.tolist()):
         cap = RenderCapability(tier)
