@@ -60,11 +60,11 @@ from repro.core import sweep
 from repro.core.candidates import CandidateManager
 from repro.core.config import cloudfog_advanced
 from repro.core.columns import SupernodePool
-from repro.core.selection import (SupernodeDirectory, delay_threshold_ms,
+from repro.core.selection import (GAME_L_MAX_MS, SupernodeDirectory,
                                   select_supernode)
 from repro.core.system import CloudFogSystem
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.workload.games import random_game
+from repro.workload.games import random_codes
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 from tests.core import selection_oracle as oracle  # noqa: E402
@@ -135,8 +135,8 @@ def bench_join_decisions(num_players: int, num_supernodes: int,
     state = system.state
     rng = np.random.default_rng(seed)
     players = rng.permutation(num_players).tolist()
-    limits = [delay_threshold_ms(random_game(rng).latency_requirement_ms)
-              for _ in players]
+    limits = [GAME_L_MAX_MS[code]
+              for code in random_codes(rng, len(players)).tolist()]
     count = config.candidate_count
 
     def replay(select, remember):

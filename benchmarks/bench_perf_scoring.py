@@ -1,6 +1,6 @@
 """Performance benchmark for the vectorised hot paths.
 
-Measures three things and writes them to ``BENCH_perf.json``:
+Measures four things and writes them to ``BENCH_perf.json``:
 
 * **Session scoring** — the batch scorer
   (:func:`repro.core.scoring.score_sessions_batch`) against the scalar
@@ -9,6 +9,11 @@ Measures three things and writes them to ``BENCH_perf.json``:
   paths are bit-identical (asserted here before timing); the benchmark
   exists to show the batch path is also much faster.  ``speedup`` is
   the median wall ratio of interleaved rounds.
+* **Game choice** — one day of :func:`repro.core.sweep.choose_games`
+  (catalogue codes, one fallback draw block) against the frozen
+  ``Game``-object loop (``tests/workload/game_choice_oracle.py``).
+  Every participant gets the oracle's game (asserted here before
+  timing); ``speedup`` is the median wall ratio of interleaved rounds.
 * **Directory joins** — :meth:`SupernodeDirectory.candidates_for`
   (a walk of the cached per-player pool ranking) against a
   linear-scan + full-sort reference, in lookups/second.  The two
@@ -52,14 +57,19 @@ from repro.experiments.parallel import (
     run_variants,
 )
 from repro.experiments.testbeds import Testbed
+from repro.workload.games import GAME_CATALOGUE
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 from tests.core.scoring_oracle import score_sessions_scalar  # noqa: E402
+from tests.workload import game_choice_oracle  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Interleaved timing rounds of the scoring speedup.
+#: Interleaved timing rounds of the scoring and game-choice speedups.
 ROUNDS = 9
+#: Game-choice days timed per round (one day is well under a millisecond
+#: at the tiny size).
+GAME_DAYS_PER_ROUND = 5
 
 
 def _build_scored_day(num_players: int, num_supernodes: int, seed: int):
@@ -111,6 +121,48 @@ def bench_scoring(num_players: int, num_supernodes: int, seed: int,
         "sessions": n,
         "scalar_sessions_per_s": n / min(scalar_times),
         "batch_sessions_per_s": n / min(batch_times),
+        "speedup": statistics.median(ratios),
+    }
+
+
+def bench_games(num_players: int, num_supernodes: int, seed: int,
+                rounds: int) -> dict:
+    config = cloudfog_basic(num_players=num_players,
+                            num_supernodes=num_supernodes, seed=seed)
+    state = CloudFogSystem(config).state
+    plans = sweep.sample_plans(state, state.rng_factory.stream("plans-0"),
+                               day=0)
+
+    def live():
+        sweep.choose_games(state, plans, state.rng_factory.stream("games-0"))
+        return state.game_code
+
+    def frozen():
+        return game_choice_oracle.choose_games(
+            state, plans, state.rng_factory.stream("games-0"))
+
+    # Equivalence before speed: every participant, the oracle's game.
+    code = live()
+    assert {player: GAME_CATALOGUE[code[player]]
+            for player in plans.player.tolist()} == frozen(), \
+        "game choice diverged from the oracle"
+
+    oracle_times, live_times = [], []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(GAME_DAYS_PER_ROUND):
+            frozen()
+        oracle_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for _ in range(GAME_DAYS_PER_ROUND):
+            live()
+        live_times.append(time.perf_counter() - t0)
+    ratios = [o / v for o, v in zip(oracle_times, live_times)]
+    n = len(plans) * GAME_DAYS_PER_ROUND
+    return {
+        "participants": len(plans),
+        "oracle_players_per_s": n / min(oracle_times),
+        "live_players_per_s": n / min(live_times),
         "speedup": statistics.median(ratios),
     }
 
@@ -218,6 +270,7 @@ def main(argv=None) -> int:
                      "tiny": args.tiny, "cpu_count": os.cpu_count()},
         "scoring": bench_scoring(players, supernodes, seed=3,
                                  rounds=ROUNDS),
+        "games": bench_games(players, supernodes, seed=3, rounds=ROUNDS),
         "joins": bench_joins(players, supernodes, seed=3, lookups=lookups),
         "sweep": bench_sweep(players, seed=3, days=days, jobs=args.jobs),
     }
@@ -227,11 +280,14 @@ def main(argv=None) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(results, indent=2) + "\n")
 
-    scoring, joins, sweep = (results["scoring"], results["joins"],
-                             results["sweep"])
+    scoring, games, joins, sweep = (results["scoring"], results["games"],
+                                    results["joins"], results["sweep"])
     print(f"scoring: {scoring['batch_sessions_per_s']:,.0f} sessions/s "
           f"batch vs {scoring['scalar_sessions_per_s']:,.0f} scalar "
           f"({scoring['speedup']:.1f}x)")
+    print(f"games:   {games['live_players_per_s']:,.0f} players/s "
+          f"codes vs {games['oracle_players_per_s']:,.0f} Game objects "
+          f"({games['speedup']:.1f}x)")
     print(f"joins:   {joins['ranking_joins_per_s']:,.0f} lookups/s "
           f"ranking vs "
           f"{joins['linear_joins_per_s']:,.0f} linear "

@@ -25,7 +25,7 @@ from .entities import ConnectionKind
 
 __all__ = ["DEFAULT_DC_EGRESS_MBPS", "CLOUD_FLOW_HEADROOM",
            "CLOUD_FLOW_SHARE_FLOOR_MBPS", "SessionRecord", "SessionLog",
-           "SESSION_COLUMNS", "RECORD_FIELDS", "GAME_CODE", "chunk_values",
+           "SESSION_COLUMNS", "RECORD_FIELDS", "chunk_values",
            "DayMetrics",
            "RunResult", "SweepLoads", "cloud_egress_budget",
            "cloud_bandwidth", "summarize_day", "credit_contributors"]
@@ -65,8 +65,6 @@ class SessionRecord:
     join_latency_ms: float | None  # None when the sticky connection held
 
 
-#: Game code of each catalogue game's name (the log's ``game`` column).
-GAME_CODE = {game.name: code for code, game in enumerate(GAME_CATALOGUE)}
 _GAME_NAMES = tuple(game.name for game in GAME_CATALOGUE)
 _KIND_OF = {KIND_SUPERNODE: ConnectionKind.SUPERNODE,
             KIND_CLOUD: ConnectionKind.CLOUD, KIND_CDN: ConnectionKind.CDN}
@@ -325,68 +323,71 @@ class SweepLoads:
     read, after the log is applied.
     """
 
-    __slots__ = ("ids", "_rows", "_counts", "_rates", "_cloud_rate",
+    __slots__ = ("ids", "row_of", "_counts", "_rates", "_cloud_rate",
                  "_cloud_count", "_fog", "_cloud")
 
     def __init__(self, supernode_ids: list[int], hours: int,
                  occupancy: bool = False) -> None:
         self.ids = tuple(supernode_ids)
-        self._rows = {sn_id: row for row, sn_id in enumerate(self.ids)}
+        #: Supernode id → load row, -1 for an id with no row (kept in
+        #: step with ``ids`` by :meth:`ensure_row`).
+        self.row_of = np.full(max(self.ids, default=-1) + 1, -1,
+                              dtype=np.intp)
+        self.row_of[list(self.ids)] = np.arange(len(self.ids))
         shape = (len(self.ids), hours + 2)
         self._counts = np.zeros(shape)
         self._rates = np.zeros(shape)
         self._cloud_rate = np.zeros(hours + 2)
         self._cloud_count = np.zeros(hours + 2) if occupancy else None
-        #: The pending spans, in commit order, as columns: (row, first
-        #: subcycle, last subcycle, Mbit/s) for supernodes, the same
-        #: without the row for the cloud.
-        self._fog: tuple[list, list, list, list] = ([], [], [], [])
-        self._cloud: tuple[list, list, list] = ([], [], [])
+        #: The pending cohorts' columns, in commit order: (first
+        #: subcycles, rows, last subcycles, Mbit/s) for supernodes, the
+        #: same without the rows for the cloud.
+        self._fog: list[tuple] = []
+        self._cloud: list[tuple] = []
 
     def row(self, supernode_id: int) -> int | None:
         """Row index of a live supernode (None when not deployed)."""
-        return self._rows.get(supernode_id)
+        row_of = self.row_of
+        if 0 <= supernode_id < len(row_of) and row_of[supernode_id] >= 0:
+            return int(row_of[supernode_id])
+        return None
 
-    def commit(self, start: int, rows: list[int], ends: list[int],
-               rates: list[float], cloud_ends: list[int],
-               cloud_rates: list[float]) -> None:
+    def commit(self, start: int, rows, ends, rates, cloud_ends,
+               cloud_rates) -> None:
         """Log one cohort's spans, all starting at subcycle ``start``.
 
         Fog session ``i`` loads row ``rows[i]`` with one player and
         ``rates[i]`` Mbit/s for subcycles ``start`` through ``ends[i]``
         inclusive; cloud session ``j`` adds ``cloud_rates[j]`` to
         ``cloud_rate`` (and one session to ``cloud_count``) through
-        ``cloud_ends[j]``.
+        ``cloud_ends[j]``.  The columns are arrays or lists.
         """
-        if rows:
-            for column, values in zip(self._fog, (
-                    rows, [start] * len(rows), ends, rates)):
-                column.extend(values)
-        if cloud_ends:
-            for column, values in zip(self._cloud, (
-                    [start] * len(cloud_ends), cloud_ends, cloud_rates)):
-                column.extend(values)
+        if len(rows):
+            self._fog.append((np.full(len(rows), start), rows, ends, rates))
+        if len(cloud_ends):
+            self._cloud.append((np.full(len(cloud_ends), start), cloud_ends,
+                                cloud_rates))
 
     def _apply(self) -> None:
         """Add every logged span to its timelines, in commit order."""
-        fog_rows, fog_starts, fog_ends, fog_rates = self._fog
-        if fog_rows:
+        if self._fog:
+            fog_starts, fog_rows, fog_ends, fog_rates = map(
+                np.concatenate, zip(*self._fog))
             width = self._counts.shape[1]
             cells, lengths = _span_cells(fog_starts, fog_ends, fog_rows,
                                          width)
             np.add.at(self._counts.reshape(-1), cells, 1)
-            np.add.at(self._rates.reshape(-1), cells,
-                      np.repeat(np.asarray(fog_rates, dtype=np.float64),
-                                lengths))
-            self._fog = ([], [], [], [])
-        starts, ends, rates = self._cloud
-        if starts:
+            np.add.at(self._rates.reshape(-1), cells, np.repeat(
+                np.asarray(fog_rates, dtype=np.float64), lengths))
+            self._fog = []
+        if self._cloud:
+            starts, ends, rates = map(np.concatenate, zip(*self._cloud))
             cells, lengths = _span_cells(starts, ends)
             np.add.at(self._cloud_rate, cells, np.repeat(
                 np.asarray(rates, dtype=np.float64), lengths))
             if self._cloud_count is not None:
                 np.add.at(self._cloud_count, cells, 1)
-            self._cloud = ([], [], [])
+            self._cloud = []
 
     @property
     def counts(self) -> np.ndarray:
@@ -421,7 +422,7 @@ class SweepLoads:
         ``counts`` and ``rates``, so readers fetch them again after
         fault handling (the stages read them per subcycle).
         """
-        row = self._rows.get(supernode_id)
+        row = self.row(supernode_id)
         if row is not None:
             return row
         row = len(self.ids)
@@ -429,7 +430,10 @@ class SweepLoads:
         zero = np.zeros((1, self.counts.shape[1]))
         self._counts = np.vstack([self.counts, zero])
         self._rates = np.vstack([self.rates, zero])
-        self._rows[supernode_id] = row
+        if supernode_id >= len(self.row_of):
+            self.row_of = np.append(
+                self.row_of, [-1] * (supernode_id + 1 - len(self.row_of)))
+        self.row_of[supernode_id] = row
         return row
 
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..workload.games import Game
 from .entities import ConnectionKind
-from .selection import delay_threshold_ms, select_supernode
+from .selection import GAME_L_MAX_MS, select_supernode
 from .state import (JoinOutcome, SimState, cloud_one_way_ms,
                     player_supernode_ms)
 
@@ -75,11 +74,10 @@ def join(state: SimState, player: int,
 
 def _join_inner(state: SimState, player: int,
                 rng: np.random.Generator) -> JoinOutcome:
-    game = state.games[player]
     config = state.config
 
     if config.mode == "cdn":
-        return join_cdn(state, player, game)
+        return join_cdn(state, player)
     if (config.mode != "cloudfog" or state.directory is None
             or not state.live_supernodes):
         upstream = cloud_one_way_ms(state, player)
@@ -87,7 +85,7 @@ def _join_inner(state: SimState, player: int,
                            None)
 
     upstream = cloud_one_way_ms(state, player)
-    l_max = delay_threshold_ms(game.latency_requirement_ms)
+    l_max = GAME_L_MAX_MS[state.game_code[player]]
 
     # Sticky connection: reuse yesterday's supernode when still valid.
     # With reputation-based selection enabled, players re-select every
@@ -121,7 +119,7 @@ def _join_inner(state: SimState, player: int,
                        outcome.join_latency_ms)
 
 
-def join_cdn(state: SimState, player: int, game: Game) -> JoinOutcome:
+def join_cdn(state: SimState, player: int) -> JoinOutcome:
     """CDN baseline: the nearest edge site serves everything if it
     meets the game's delivery deadline; otherwise fall back to the
     cloud (the CDN's user-coverage limit)."""
@@ -129,7 +127,7 @@ def join_cdn(state: SimState, player: int, game: Game) -> JoinOutcome:
         np.array([player]), state.cdn_coords, state.cdn_access)[0]
     site = int(np.argmin(delays))
     site_delay = float(delays[site])
-    l_max = delay_threshold_ms(game.latency_requirement_ms)
+    l_max = GAME_L_MAX_MS[state.game_code[player]]
     if 2.0 * site_delay <= l_max:
         return JoinOutcome(ConnectionKind.CDN, None, site_delay,
                            site_delay, None)

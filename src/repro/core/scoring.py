@@ -24,10 +24,10 @@ from .. import obs
 from ..network.latency import PLAYOUT_PROCESSING_MS
 from ..streaming.continuity import SATISFIED_CONTINUITY_THRESHOLD
 from ..streaming.session import estimate_continuity_batch
+from ..workload.games import LATENCY_REQUIREMENT_MS, STREAM_RATE_MBPS
 from .accounting import (
     CLOUD_FLOW_HEADROOM,
     CLOUD_FLOW_SHARE_FLOOR_MBPS,
-    GAME_CODE,
     SESSION_COLUMNS,
     SessionLog,
     cloud_egress_budget,
@@ -98,7 +98,8 @@ class SessionParams(NamedTuple):
     """One day's scoring inputs, one entry per session in table order."""
 
     players: list[int]
-    games: list
+    #: Each session's catalogue game index (``SimState.game_code``).
+    games: np.ndarray
     targets: list[int]
     server_ms: list[float]
     upstream_ms: np.ndarray
@@ -151,7 +152,7 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
     cols = sessions.columns
     players = sessions.players()
     player_list = players.tolist()
-    games = [state.games[player] for player in player_list]
+    games = state.game_code[players]
     starts = cols.start_subcycle[players]
     lengths = cols.end_subcycle[players] - starts + 1
     sids = cols.supernode_id[players]
@@ -161,9 +162,7 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
     # Window rows into [counts; rates; cloud_rate]: a fog session reads
     # its supernode's count and rate rows, any other session the cloud.
     num_rows = len(loads.ids)
-    row_of = np.zeros(len(state.supernode_pool), dtype=np.intp)
-    row_of[list(loads.ids)] = np.arange(num_rows)
-    fog_rows = row_of[sids[fog_at]]
+    fog_rows = loads.row_of[sids[fog_at]]
     means = window_means(
         np.vstack((loads.counts, loads.rates, cloud_rate)),
         np.concatenate((fog_rows, fog_rows + num_rows,
@@ -188,8 +187,8 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
     sender = np.empty(len(players))
     sender[fog_at] = np.maximum(0.05, upload / mean_count)
     sender[cloud_at] = np.maximum(
-        CLOUD_FLOW_SHARE_FLOOR_MBPS, CLOUD_FLOW_HEADROOM * np.array(
-            [games[i].stream_rate_mbps for i in cloud_at.tolist()]))
+        CLOUD_FLOW_SHARE_FLOOR_MBPS,
+        CLOUD_FLOW_HEADROOM * STREAM_RATE_MBPS[games[cloud_at]])
     processing = np.zeros(len(players))
     if state.compression is not None:
         processing[cloud_at] = state.compression.encode_latency_ms
@@ -211,8 +210,7 @@ def gather_session_params(state: SimState, sessions: SessionTable, loads,
         players=player_list, games=games,
         targets=np.where(fog, sids, state.nearest_dc[players]).tolist(),
         server_ms=server_ms, upstream_ms=cols.upstream_ms[players],
-        budget_ms=np.array([game.latency_requirement_ms
-                            for game in games], dtype=np.float64),
+        budget_ms=LATENCY_REQUIREMENT_MS[games],
         path_ms=cols.latency_ms[players],
         sender_mbps=sender,
         receiver_mbps=receiver,
@@ -249,7 +247,7 @@ def score_sessions_batch(state: SimState, day, sessions: SessionTable,
     joined = cols.joined[rows]
     return SessionLog.of(
         player=rows, day=np.full(len(rows), day),
-        game=[GAME_CODE[game.name] for game in params.games],
+        game=params.games,
         kind=cols.kind[rows], target=params.targets,
         response_latency_ms=responses, server_latency_ms=server_ms,
         continuity=outcome.continuity, satisfied=outcome.satisfied,

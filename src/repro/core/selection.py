@@ -32,10 +32,11 @@ import numpy as np
 
 from ..network.topology import Topology
 from ..reputation.scores import ReputationTable
+from ..workload.games import GAME_CATALOGUE
 from .columns import SupernodePool
 
 __all__ = ["SupernodeDirectory", "SelectionOutcome", "select_supernode",
-           "delay_threshold_ms"]
+           "delay_threshold_ms", "GAME_L_MAX_MS"]
 
 
 #: Margin reserved for serialisation, jitter and server interaction when
@@ -59,6 +60,12 @@ def delay_threshold_ms(game_requirement_ms: float,
     if margin_ms < 0:
         raise ValueError("margin must be non-negative")
     return max(5.0, game_requirement_ms - margin_ms)
+
+
+#: L_max of each catalogue game, indexed by ``SimState.game_code``.
+GAME_L_MAX_MS: tuple[float, ...] = tuple(
+    delay_threshold_ms(game.latency_requirement_ms)
+    for game in GAME_CATALOGUE)
 
 
 class SupernodeDirectory:

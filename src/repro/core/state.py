@@ -33,7 +33,6 @@ from ..reputation.ratings import RatingLedger
 from ..reputation.scores import ReputationTable
 from ..sim.rng import RngFactory
 from ..streaming.compression import LIVERENDER_LIKE
-from ..workload.games import Game
 from ..workload.population import Population, build_population
 from .candidates import CandidateManager
 from .columns import (KIND_CDN, KIND_CLOUD, KIND_SUPERNODE, SessionColumns,
@@ -92,13 +91,13 @@ class SessionTable:
         #: Live players in insertion order (an ordered set).
         self._order: dict[int, None] = {}
 
-    def add(self, players: list[int], start: int, ends: list[int],
-            joins: list[JoinOutcome]) -> None:
+    def add(self, players: list[int], start: int, ends,
+            joins: list[JoinOutcome]) -> np.ndarray:
         """Insert the sessions of ``players``, all starting at ``start``.
 
         ``joins`` are the players' join outcomes and ``ends`` their
         inclusive last subcycles.  Each row is written whole, since the
-        slot may hold a dead earlier session.
+        slot may hold a dead earlier session.  Returns the rows.
         """
         cols = self.columns
         rows = np.asarray(players, dtype=np.intp)
@@ -115,6 +114,7 @@ class SessionTable:
         cols.start_subcycle[rows] = start
         cols.end_subcycle[rows] = ends
         self._order.update(dict.fromkeys(players))
+        return rows
 
     def discard(self, player: int) -> None:
         """Take ``player``'s session out of service, if it has one."""
@@ -246,7 +246,11 @@ class SimState:
         self.candidates = CandidateManager(
             max_entries=config.candidate_count)
         self.sticky: dict[int, int] = {}
-        self.games: dict[int, Game] = {}
+        #: Each player's game today, as its ``GAME_CATALOGUE`` index
+        #: (-1: not playing); ``sweep.choose_games`` rebuilds it at
+        #: every day start.
+        self.game_code = np.full(self.topology.num_players, -1,
+                                 dtype=np.int8)
         self.server_latency_cache: dict[int, float] = {}
 
         #: Extra sweep stages, run by ``stage_scenario`` each subcycle:

@@ -33,12 +33,11 @@ import numpy as np
 from .. import obs
 from ..faults import FAULT_COUNTS, handlers
 from ..workload.churn import DayPlans, sample_day_plans
-from ..workload.games import draw_weighted, under_ceiling, weighted_catalogue
+from ..workload.games import STREAM_RATE_MBPS, random_codes, weighted_codes
 from ..workload.population import choose_game
 from .accounting import (RunResult, SweepLoads, cloud_bandwidth,
                          credit_contributors, summarize_day)
-from .columns import KIND_SUPERNODE
-from .entities import ConnectionKind
+from .columns import KIND_CLOUD, KIND_SUPERNODE
 from .lifecycle import admit_joins, join
 from .scoring import score_sessions
 from .server_assignment import assign_players_randomly, assign_players_socially
@@ -87,27 +86,37 @@ def sample_plans(state: SimState, rng: np.random.Generator,
 
 def choose_games(state: SimState, plans: DayPlans,
                  rng: np.random.Generator) -> None:
-    state.games.clear()
+    """Write every participant's game today into ``state.game_code``.
+
+    Participants choose in one random permutation by the §4.1 social
+    rule; the k-th with no friend playing takes the k-th value of one
+    uniform block, equal to the k-th scalar draw (DESIGN.md §8).
+    """
     players = plans.player.tolist()
+    order = rng.permutation(len(players))
     workload = state.config.workload
     if workload.game_weights is not None:
         # Scenario game mix: a weighted catalogue draw replaces the
         # social rule wholesale (an esports final is not organic play).
-        mix = weighted_catalogue(dict(workload.game_weights))
-        for index in rng.permutation(len(players)).tolist():
-            state.games[players[index]] = draw_weighted(rng, *mix)
+        code = np.full(state.topology.num_players, -1, dtype=np.int8)
+        code[plans.player[order]] = weighted_codes(
+            rng, dict(workload.game_weights), len(players))
     else:
         adjacency = state.population.friends.adjacency()
-        games = state.games
-        for index in rng.permutation(len(players)).tolist():
+        fallbacks = iter(random_codes(rng, len(players)).tolist())
+        chosen = [-1] * state.topology.num_players
+        for index in order.tolist():
             player = players[index]
-            games[player] = choose_game(player, adjacency, games, rng)
+            chosen[player] = choose_game(player, adjacency, chosen,
+                                         fallbacks)
+        code = np.array(chosen, dtype=np.int8)
     cap = workload.quality_ceiling
     if cap is not None:
         # Bandwidth-constrained thin clients: nothing streams above
-        # the ceiling level, whatever game the social rule picked.
-        for player, game in state.games.items():
-            state.games[player] = under_ceiling(game, cap)
+        # the ceiling level, whatever game the social rule picked
+        # (catalogue index i is the level-(i + 1) game).
+        np.minimum(code, cap - 1, out=code)
+    state.game_code = code
 
 
 # ----------------------------------------------------------------------
@@ -187,41 +196,30 @@ def _commit_cohort(state: SimState, ctx: SweepContext, players: list[int],
     """Insert a cohort of joined sessions; log their load spans.
 
     ``players`` joined this subcycle with play times ``hours`` and
-    outcomes ``joins``.  The table rows are written in one insert and
-    the spans go to one :meth:`SweepLoads.commit`, in plan order; they
-    reach the timelines when something next reads them.  A session is
+    outcomes ``joins``.  The table rows are written in one insert;
+    their spans, read back from those rows and the game rate table, go
+    to one :meth:`SweepLoads.commit` as arrays in plan order and reach
+    the timelines when something next reads them.  A session is
     committed for the subcycles ``ctx.subcycle`` through its clamped
     end, inclusive.
     """
     subcycle = ctx.subcycle
-    games = state.games
-    compression = state.compression
-    measuring = ctx.measuring
-    latencies = ctx.result.join_latencies_ms
-    row_of = ctx.loads.row
     ends = np.minimum(ctx.hours, subcycle - 1 + np.ceil(hours).astype(
-        np.int64)).tolist()
-    ctx.sessions.add(players, subcycle, ends, joins)
-    sn_rows: list[int] = []
-    sn_ends: list[int] = []
-    sn_rates: list[float] = []
-    cloud_ends: list[int] = []
-    cloud_rates: list[float] = []
-    for player, joined, end in zip(players, joins, ends):
-        rate = games[player].stream_rate_mbps
-        if joined.supernode_id is not None:
-            sn_rows.append(row_of(joined.supernode_id))
-            sn_ends.append(end)
-            sn_rates.append(rate)
-        elif joined.kind is ConnectionKind.CLOUD:
-            if compression is not None:
-                rate = compression.compressed_mbps(rate)
-            cloud_ends.append(end)
-            cloud_rates.append(rate)
-        if measuring and joined.join_latency_ms is not None:
-            latencies.append(joined.join_latency_ms)
-    ctx.loads.commit(subcycle, sn_rows, sn_ends, sn_rates, cloud_ends,
-                     cloud_rates)
+        np.int64))
+    rows = ctx.sessions.add(players, subcycle, ends, joins)
+    cols = ctx.sessions.columns
+    sids = cols.supernode_id[rows]
+    rates = STREAM_RATE_MBPS[state.game_code[rows]]
+    fog = sids >= 0
+    cloud = cols.kind[rows] == KIND_CLOUD
+    cloud_rates = rates[cloud]
+    if state.compression is not None:
+        cloud_rates *= state.compression.effective_ratio
+    ctx.loads.commit(subcycle, ctx.loads.row_of[sids[fog]], ends[fog],
+                     rates[fog], ends[cloud], cloud_rates)
+    if ctx.measuring:
+        ctx.result.join_latencies_ms.extend(
+            cols.join_latency_ms[rows[cols.joined[rows]]].tolist())
 
 
 def stage_arrivals(state: SimState, ctx: SweepContext) -> None:

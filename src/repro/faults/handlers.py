@@ -35,9 +35,10 @@ from ..core.columns import KIND_CLOUD
 from ..core.lifecycle import (bring_online, migrate, ordered_orphans,
                               penalize_orphans, take_offline)
 from ..core.provisioning import choose_replacements
-from ..core.selection import delay_threshold_ms
+from ..core.selection import GAME_L_MAX_MS
 from ..core.state import SimState, player_supernode_ms
 from ..obs.metrics import DEFAULT_RECOVERY_BUCKETS_MS
+from ..workload.games import STREAM_RATE_MBPS
 from .plan import FaultEvent
 
 __all__ = ["apply_faults", "finish_day", "fault_targets", "inject_crash",
@@ -160,13 +161,16 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
         state.sticky.pop(player, None)
         summary.displaced += 1
         registry.counter("repro_fault_displaced_total").inc()
-        game = state.games[player]
+        code = state.game_code[player]
+        stream_mbps = float(STREAM_RATE_MBPS[code])
+        cloud_mbps = (stream_mbps if state.compression is None
+                      else state.compression.compressed_mbps(stream_mbps))
         end = int(cols.end_subcycle[player])
         span = slice(subcycle, end + 1)
         row = loads.row(sid)
         if row is not None:
             counts[row, span] -= 1
-            rates[row, span] -= game.stream_rate_mbps
+            rates[row, span] -= stream_mbps
         if graceful:
             detection = detector.announced_detection_ms
             summary.drained += 1
@@ -176,7 +180,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
         event_log.emit("detector_trip", day=day, subcycle=subcycle,
                        player=player, supernode_id=sid,
                        detection_ms=detection)
-        l_max = delay_threshold_ms(game.latency_requirement_ms)
+        l_max = GAME_L_MAX_MS[code]
         outcome = migrate(state, player, l_max, frng,
                           transient_refusal=transient)
         ttr = detection + outcome.latency_ms
@@ -185,7 +189,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             new_row = loads.row(outcome.supernode_id)
             if new_row is not None:
                 counts[new_row, span] += 1
-                rates[new_row, span] += game.stream_rate_mbps
+                rates[new_row, span] += stream_mbps
             cols.supernode_id[player] = outcome.supernode_id
             cols.latency_ms[player] = player_supernode_ms(
                 state, player, outcome.supernode_id)
@@ -210,10 +214,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             # session until the partition window closes.  Its
             # resolution (degraded or shed) is deferred.
             _to_cloud(cols, player)
-            rate = game.stream_rate_mbps
-            if state.compression is not None:
-                rate = state.compression.compressed_mbps(rate)
-            injector.queued.append((player, rate, end, subcycle))
+            injector.queued.append((player, cloud_mbps, end, subcycle))
             queued = True
             registry.counter("repro_fault_queued_total").inc()
             event_log.emit("session_queued", day=day,
@@ -223,10 +224,7 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             # Graceful degradation: the cloud streams directly
             # for the rest of the session.
             _to_cloud(cols, player)
-            rate = game.stream_rate_mbps
-            if state.compression is not None:
-                rate = state.compression.compressed_mbps(rate)
-            loads.cloud_rate[span] += rate
+            loads.cloud_rate[span] += cloud_mbps
             summary.degraded += 1
             registry.counter("repro_fault_degraded_total").inc()
             event_log.emit("cloud_fallback", day=day,

@@ -49,8 +49,8 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    * the supernode pool's immutable columns, its ``available`` bytes
      and the directory's distance ranking — rebuilt from the config,
      and recomputed from the restored columns;
-   * ``state.games`` — cleared by ``choose_games`` at each day start
-     before any read;
+   * ``state.game_code`` — rebuilt whole by ``choose_games`` at each
+     day start before any read;
    * supernode ``throttle`` *semantics*: captured for robustness, but
      ``SupernodePool.roll_throttle`` re-rolls it unconditionally at
      day start;

@@ -199,19 +199,25 @@ def estimate_continuity_batch(
     deliverable = np.minimum(1.0, mbps / (bitrate_bps / 1e6))
 
     base_delay = path_latency + service_ms
+    # Responses built in place: the oracle's IEEE operations on the same
+    # operands, ``upstream + base * (low + span * u) + processing``.
     if transport.jitter_fraction > 0:
         low = 1.0 - transport.jitter_fraction
         span = (1.0 + transport.jitter_fraction) - low
         block = rng.random((n, 2 * n_samples))
-        delays = base_delay[:, None] * (low + span * block[:, :n_samples])
+        responses = block[:, :n_samples] * span
+        responses += low
+        responses *= base_delay[:, None]
         loss_uniforms = block[:, n_samples:]
     else:
-        delays = np.broadcast_to(base_delay[:, None], (n, n_samples))
+        responses = np.repeat(base_delay[:, None], n_samples, axis=1)
         loss_uniforms = rng.random((n, n_samples))
-    lost = loss_uniforms < transport.loss_rates(util)[:, None]
-    responses = upstream[:, None] + delays + processing[:, None]
-    on_time_share = ((responses <= budgets[:, None]) & ~lost).mean(axis=1)
-    continuity = deliverable * on_time_share
+    responses += upstream[:, None]
+    responses += processing[:, None]
+    on_time = responses <= budgets[:, None]
+    on_time &= loss_uniforms >= transport.loss_rates(util)[:, None]
+    continuity = deliverable * (np.count_nonzero(on_time, axis=1)
+                                / n_samples)
 
     total_packets = (np.rint(duration / segment).astype(np.int64)
                      * packets_per_segment)

@@ -6,7 +6,7 @@ from .churn import (
     StartTimeModel,
     sample_day_plans,
 )
-from .games import GAME_CATALOGUE, Game, game_for_level, random_game
+from .games import GAME_CATALOGUE, Game, game_for_level, random_codes
 from .population import Population, build_population, choose_game
 
 __all__ = [
@@ -17,7 +17,7 @@ __all__ = [
     "GAME_CATALOGUE",
     "Game",
     "game_for_level",
-    "random_game",
+    "random_codes",
     "Population",
     "build_population",
     "choose_game",

@@ -16,8 +16,9 @@ import numpy as np
 
 from ..streaming.video import QUALITY_LADDER, QualityLevel
 
-__all__ = ["Game", "GAME_CATALOGUE", "game_for_level", "random_game",
-           "weighted_catalogue", "draw_weighted", "under_ceiling"]
+__all__ = ["Game", "GAME_CATALOGUE", "GAME_CODE", "STREAM_RATE_MBPS",
+           "LATENCY_REQUIREMENT_MS", "game_for_level", "random_codes",
+           "weighted_codes"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,19 @@ GAME_CATALOGUE: tuple[Game, ...] = tuple(
 )
 
 
+#: Catalogue index of each game name: a player's ``SimState.game_code``
+#: and the session log's ``game`` column hold these.
+GAME_CODE = {game.name: code for code, game in enumerate(GAME_CATALOGUE)}
+
+#: Per-game tables indexed by catalogue position (a player's
+#: ``SimState.game_code``), each value taken from its :class:`Game`
+#: property so it keeps that property's bits.
+STREAM_RATE_MBPS = np.array([game.stream_rate_mbps
+                             for game in GAME_CATALOGUE])
+LATENCY_REQUIREMENT_MS = np.array([game.latency_requirement_ms
+                                   for game in GAME_CATALOGUE])
+
+
 def game_for_level(level: int) -> Game:
     """The catalogue game whose default quality level is ``level``."""
     for game in GAME_CATALOGUE:
@@ -70,29 +84,22 @@ def game_for_level(level: int) -> Game:
     raise ValueError(f"no game with quality level {level}")
 
 
-def random_game(rng: np.random.Generator) -> Game:
-    """Uniform random game (a joining player with no friends playing)."""
-    return GAME_CATALOGUE[int(rng.integers(0, len(GAME_CATALOGUE)))]
+def random_codes(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform catalogue indices, one per player with no
+    friend playing.  Numpy's bounded integers agree one at a time or in
+    a block, so value k equals the k-th scalar
+    ``rng.integers(0, len(GAME_CATALOGUE))`` draw."""
+    return rng.integers(0, len(GAME_CATALOGUE), size=size)
 
 
-def weighted_catalogue(weights) -> tuple[tuple[Game, ...], np.ndarray]:
-    """A scenario game mix: the catalogue games of positive weight and
-    their draw probabilities (``weights`` maps game name to weight)."""
-    games = tuple(game for game in GAME_CATALOGUE
-                  if weights.get(game.name, 0.0) > 0.0)
-    probs = np.array([weights[game.name] for game in games])
-    return games, probs / probs.sum()
-
-
-def draw_weighted(rng: np.random.Generator, games: tuple[Game, ...],
-                  probs: np.ndarray) -> Game:
-    """One game from a :func:`weighted_catalogue` mix."""
-    return games[int(rng.choice(len(games), p=probs))]
-
-
-def under_ceiling(game: Game, ceiling: int | None) -> Game:
-    """``game``, or the ceiling level's game when ``game`` would stream
-    above it (bandwidth-constrained thin clients; None = no ceiling)."""
-    if ceiling is None or game.default_level <= ceiling:
-        return game
-    return game_for_level(ceiling)
+def weighted_codes(rng: np.random.Generator, weights,
+                   size: int) -> np.ndarray:
+    """``size`` catalogue indices from a scenario game mix
+    (``weights`` maps game name to weight; games of positive weight
+    are drawn in proportion).  One ``rng.choice`` block: the same
+    values and generator state as ``size`` scalar calls."""
+    codes = [code for code, game in enumerate(GAME_CATALOGUE)
+             if weights.get(game.name, 0.0) > 0.0]
+    probs = np.array([weights[GAME_CATALOGUE[code].name] for code in codes])
+    picks = rng.choice(len(codes), size=size, p=probs / probs.sum())
+    return np.array(codes, dtype=np.int8)[picks]

@@ -38,12 +38,9 @@ import numpy as np
 from ..forecast.diurnal import DiurnalPattern
 from ..streaming.video import QUALITY_LADDER
 from .churn import DayPlans, DurationMixture, StartTimeModel
-from .games import (GAME_CATALOGUE, draw_weighted, random_game,
-                    under_ceiling, weighted_catalogue)
+from .games import GAME_CODE, random_codes, weighted_codes
 
 __all__ = ["FlashCrowdStage", "WorkloadOverrides", "set_arrival_rates"]
-
-_GAMES_BY_NAME = {game.name: game for game in GAME_CATALOGUE}
 
 
 def _is_int(value) -> bool:
@@ -113,9 +110,9 @@ class FlashCrowdStage:
         _positive_int("players", self.players)
         object.__setattr__(self, "duration_hours", _positive_float(
             "duration_hours", self.duration_hours))
-        if self.game is not None and self.game not in _GAMES_BY_NAME:
+        if self.game is not None and self.game not in GAME_CODE:
             raise ValueError(f"game: unknown game {self.game!r}; one of "
-                             f"{sorted(_GAMES_BY_NAME)}")
+                             f"{sorted(GAME_CODE)}")
 
     def __call__(self, state, ctx) -> None:
         if ctx.day != self.day or ctx.subcycle != self.subcycle:
@@ -132,19 +129,21 @@ class FlashCrowdStage:
         chosen = rng.choice(len(idle), size=count, replace=False)
         joiners = [idle[index] for index in np.sort(chosen).tolist()]
         workload = state.config.workload
-        weights = workload.game_weights
-        mix = None if weights is None else weighted_catalogue(dict(weights))
-        games = state.games
-        for player in joiners:
-            if self.game is not None:
-                game = _GAMES_BY_NAME[self.game]
-            elif player in games:
-                game = games[player]
-            elif mix is None:
-                game = random_game(rng)
-            else:
-                game = draw_weighted(rng, *mix)
-            games[player] = under_ceiling(game, workload.quality_ceiling)
+        games = state.game_code[joiners]
+        if self.game is not None:
+            games[:] = GAME_CODE[self.game]
+        else:
+            # Joiners without a game today draw one each, in joiner
+            # order: one block, as the day's choice draws.
+            missing = games < 0
+            draws = int(np.count_nonzero(missing))
+            weights = workload.game_weights
+            games[missing] = (
+                random_codes(rng, draws) if weights is None
+                else weighted_codes(rng, dict(weights), draws))
+        if workload.quality_ceiling is not None:
+            np.minimum(games, workload.quality_ceiling - 1, out=games)
+        state.game_code[joiners] = games
         crowd = DayPlans.of(joiners, self.subcycle, self.duration_hours)
         queued = ctx.starts.get(self.subcycle)
         ctx.starts[self.subcycle] = (crowd if queued is None
@@ -186,17 +185,17 @@ def _game_weights(name: str, pairs) -> tuple[tuple[str, float], ...]:
     weights = dict(pairs)
     if len(weights) != len(pairs):
         raise ValueError(f"{name}: a game appears more than once")
-    unknown = sorted(set(weights) - set(_GAMES_BY_NAME))
+    unknown = sorted(set(weights) - set(GAME_CODE))
     if unknown:
         raise ValueError(f"{name}: unknown games {unknown}; valid games: "
-                         f"{sorted(_GAMES_BY_NAME)}")
+                         f"{sorted(GAME_CODE)}")
     if not all(_is_number(w) and w >= 0 for w in weights.values()):
         raise ValueError(f"{name}: weights must be non-negative numbers")
     if not any(w > 0 for w in weights.values()):
         raise ValueError(f"{name}: at least one game needs positive "
                          f"weight")
     # Catalogue order: one canonical value however the pairs were given.
-    return tuple((game, float(weights[game])) for game in _GAMES_BY_NAME
+    return tuple((game, float(weights[game])) for game in GAME_CODE
                  if game in weights)
 
 

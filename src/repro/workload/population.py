@@ -11,13 +11,13 @@ friends playing."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..network.topology import Topology, build_topology
 from ..social.graph import FriendGraph, generate_friend_graph
-from .games import GAME_CATALOGUE, Game, random_game
+from .games import GAME_CATALOGUE
 
 __all__ = ["Population", "build_population", "choose_game"]
 
@@ -62,44 +62,22 @@ def build_population(rng: np.random.Generator, num_players: int,
                       supernode_capable=capable)
 
 
-#: Catalogue position of each game name (built backwards, so a repeated
-#: name keeps its earliest position).
-_CATALOGUE_POSITION: dict[str, int] = {
-    game.name: position
-    for position, game in reversed(list(enumerate(GAME_CATALOGUE)))}
-
-
 def choose_game(player: int, adjacency: Mapping[int, Sequence[int]],
-                playing: Mapping[int, Game],
-                rng: np.random.Generator) -> Game:
-    """The §4.1 social game-choice rule.
+                code: Sequence[int], fallbacks: Iterator[int]) -> int:
+    """The §4.1 social game-choice rule, as a catalogue index.
 
     ``adjacency`` is the friend graph's cached :meth:`~repro.social.
-    graph.FriendGraph.adjacency`; ``playing`` maps currently-online
-    players to the game they play.  Friends' games are counted by name
-    at their catalogue position; ties go to the earlier catalogue entry
-    (deterministic).  If a non-catalogue name alone holds the top
-    count, the first playing friend's game is returned.  The RNG draws
-    only when no friend plays.
+    graph.FriendGraph.adjacency`; ``code`` holds each player's
+    catalogue index today, -1 while it has none.  Friends' games are
+    counted by index; ties go to the earlier catalogue entry
+    (deterministic).  A player with no friend playing takes the next
+    value of ``fallbacks`` (its uniform draw); no other player
+    consumes one.
     """
     counts = [0] * len(GAME_CATALOGUE)
-    first: Game | None = None
-    others: dict[str, int] | None = None
     for friend in adjacency.get(player, ()):
-        if friend in playing:
-            game = playing[friend]
-            if first is None:
-                first = game
-            position = _CATALOGUE_POSITION.get(game.name)
-            if position is not None:
-                counts[position] += 1
-            else:
-                if others is None:
-                    others = {}
-                others[game.name] = others.get(game.name, 0) + 1
-    if first is None:
-        return random_game(rng)
+        game = code[friend]
+        if game >= 0:
+            counts[game] += 1
     best = max(counts)
-    if others is not None and max(others.values()) > best:
-        return first
-    return GAME_CATALOGUE[counts.index(best)]
+    return counts.index(best) if best else next(fallbacks)

@@ -29,6 +29,7 @@ from repro.core.scoring import (
 from repro.core.state import KIND_OF_CODE, SimState
 from repro.network.latency import PLAYOUT_PROCESSING_MS
 from repro.network.transport import PathSpec
+from repro.workload.games import GAME_CATALOGUE
 
 from ..streaming.event_session_oracle import SessionConfig
 from ..streaming.session_oracle import estimate_continuity
@@ -59,7 +60,7 @@ def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
     budget = cloud_egress_budget(state)
     cols = sessions.columns
     for player in sessions:
-        game = state.games[player]
+        game = GAME_CATALOGUE[state.game_code[player]]
         start = int(cols.start_subcycle[player])
         end = int(cols.end_subcycle[player])
         sid = int(cols.supernode_id[player])

@@ -87,6 +87,7 @@ def test_migration_prefers_own_list_over_cloud():
     without the cloud round trip (latency ~= probe + handshake)."""
     from repro.core import CloudFogSystem, cloudfog_basic
     from repro.core.lifecycle import migrate, take_offline
+    from repro.workload.games import GAME_CODE, game_for_level
     system = CloudFogSystem(cloudfog_basic(num_players=100,
                                            num_supernodes=10, seed=3))
     rng = np.random.default_rng(0)
@@ -98,8 +99,7 @@ def test_migration_prefers_own_list_over_cloud():
     a, b = live[0], live[1]
     pool.connect(a, 0)
     system.state.candidates.remember(0, [(b, 12.0)])
-    system.state.games[0] = __import__(
-        "repro.workload.games", fromlist=["game_for_level"]).game_for_level(5)
+    system.state.game_code[0] = GAME_CODE[game_for_level(5).name]
     # Fail only supernode A.
     assert take_offline(system.state, [a]) == [(a, {0})]
     outcome = migrate(system.state, 0, l_max=98.0, rng=rng)

@@ -7,9 +7,9 @@ import math
 
 from hypothesis import strategies as st
 
-from repro.core.accounting import GAME_CODE, SessionLog
+from repro.core.accounting import SessionLog
 from repro.core.state import KIND_OF_CODE
-from repro.workload.games import GAME_CATALOGUE
+from repro.workload.games import GAME_CATALOGUE, GAME_CODE
 
 _CODE_OF_KIND = {kind: code for code, kind in KIND_OF_CODE.items()}
 

@@ -65,7 +65,7 @@ def test_cloud_only_bandwidth_identity():
         start = min(int(plans.start[index]), 24)
         hours = min(24, start + int(np.ceil(plans.hours[index])) - 1) \
             - start + 1
-        game = system.state.games[record.player]
+        game = GAME_CATALOGUE[system.state.game_code[record.player]]
         expected += game.stream_rate_mbps * hours
     assert day.cloud_bandwidth_mbps == pytest.approx(expected / 24,
                                                      rel=1e-6)

@@ -27,7 +27,8 @@ def run_crowd(game_weights=None, quality_ceiling=None, crowd=CROWD):
     crowd(state, ctx)
     joiners = ctx.starts[crowd.subcycle].player.tolist()
     assert len(joiners) == crowd.players
-    return state, [state.games[player] for player in joiners]
+    return state, [GAME_CATALOGUE[state.game_code[player]]
+                   for player in joiners]
 
 
 def test_crowd_draws_from_the_game_mix_under_the_ceiling():

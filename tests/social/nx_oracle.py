@@ -20,7 +20,9 @@ from typing import Iterable, Mapping
 import networkx as nx
 import numpy as np
 
-from repro.workload.games import GAME_CATALOGUE, Game, random_game
+from repro.workload.games import GAME_CATALOGUE, Game
+
+from ..workload.game_choice_oracle import random_game
 
 DEFAULT_SWAP_ATTEMPTS = 100
 DEFAULT_MISS_LIMIT = 10

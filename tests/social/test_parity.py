@@ -7,6 +7,8 @@ rule must return the same values and leave the generator in the same
 state, so no RNG draw and no keep/rollback decision moved.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +17,7 @@ from hypothesis import strategies as st
 from repro.core.server_assignment import _restrict
 from repro.social.communities import Partition, paper_partition
 from repro.social.graph import FriendGraph, generate_friend_graph
-from repro.streaming.video import QUALITY_LADDER
-from repro.workload.games import GAME_CATALOGUE, Game
+from repro.workload.games import GAME_CATALOGUE, GAME_CODE, random_codes
 from repro.workload.population import choose_game
 
 nx = pytest.importorskip(
@@ -132,41 +133,35 @@ def test_restrict_adds_the_same_friendships_in_the_same_order(seed, n, share):
     assert dense.adjacency() == expected.adjacency()
 
 
-#: Games outside the catalogue: a fresh name, and a catalogue name on a
-#: different object (the rule counts by name, so it joins that count).
-CUSTOM = Game("Offline", "custom", QUALITY_LADDER[0])
-NAMESAKE = Game(GAME_CATALOGUE[3].name, "custom", QUALITY_LADDER[0])
-GAMES = [*GAME_CATALOGUE, CUSTOM, NAMESAKE]
-
-
-@given(friend_games=st.lists(st.one_of(st.none(), st.sampled_from(GAMES)),
+@given(friend_games=st.lists(st.one_of(st.none(),
+                                       st.sampled_from(GAME_CATALOGUE)),
                              max_size=12),
-       strangers=st.lists(st.sampled_from(GAMES), max_size=3),
+       strangers=st.lists(st.sampled_from(GAME_CATALOGUE), max_size=3),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(friend_games=[GAME_CATALOGUE[4], GAME_CATALOGUE[1]],
          strangers=[], seed=0)  # a tie: the earlier catalogue entry wins
-@example(friend_games=[CUSTOM, GAME_CATALOGUE[2], CUSTOM],
-         strangers=[], seed=0)  # a non-catalogue game tops the count
-@example(friend_games=[None, CUSTOM, GAME_CATALOGUE[0]],
-         strangers=[], seed=0)  # a non-catalogue tie with a catalogue game
-@example(friend_games=[NAMESAKE, GAME_CATALOGUE[3], GAME_CATALOGUE[1]],
-         strangers=[], seed=0)  # a namesake counts toward its catalogue name
 @example(friend_games=[None], strangers=[GAME_CATALOGUE[0]], seed=0)
 @settings(max_examples=200, deadline=None)
 def test_choose_game_matches_the_counter_rule(friend_games, strangers, seed):
-    """Friends are players 1..k of player 0; ``None`` is offline."""
+    """Friends are players 1..k of player 0; ``None`` is offline.  The
+    live rule reads catalogue indices and takes its uniform draw from
+    ``fallbacks`` only when no friend plays."""
     k = len(friend_games)
     n = 1 + k + len(strangers)
     edges = [(0, f) for f in range(1, k + 1)]
     playing = {f: game for f, game in enumerate(friend_games, start=1)
                if game is not None}
     playing.update({k + 1 + i: game for i, game in enumerate(strangers)})
+    code = [-1] * n
+    for player, game in playing.items():
+        code[player] = GAME_CODE[game.name]
     graph, reference = _both_graphs(n, edges)
     rng = np.random.default_rng(seed)
     reference_rng = np.random.default_rng(seed)
+    fallbacks = (int(random_codes(rng, 1)[0]) for _ in itertools.count())
 
-    ours = choose_game(0, graph.adjacency(), playing, rng)
+    ours = choose_game(0, graph.adjacency(), code, fallbacks)
     theirs = nx_oracle.choose_game(0, reference, playing, reference_rng)
 
-    assert ours is theirs
+    assert GAME_CATALOGUE[ours] is theirs
     assert rng.bit_generator.state == reference_rng.bit_generator.state

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.workload.games import GAME_CATALOGUE, game_for_level, random_game
+from repro.core.selection import GAME_L_MAX_MS, delay_threshold_ms
+from repro.workload.games import (GAME_CATALOGUE, GAME_CODE,
+                                  LATENCY_REQUIREMENT_MS, STREAM_RATE_MBPS,
+                                  game_for_level, random_codes)
 
 
 def test_five_games_one_per_quality_level():
@@ -33,7 +36,26 @@ def test_game_for_level_unknown():
 
 def test_random_game_uniform():
     rng = np.random.default_rng(0)
-    names = [random_game(rng).name for _ in range(5000)]
+    names = [GAME_CATALOGUE[code].name
+             for code in random_codes(rng, 5000).tolist()]
     for game in GAME_CATALOGUE:
         share = names.count(game.name) / len(names)
         assert 0.15 < share < 0.25
+
+
+def test_catalogue_tables_equal_the_game_properties_bit_for_bit():
+    """The code-indexed tables every stage reads hold each game's own
+    property values, and catalogue index ``i`` is the level-``i + 1``
+    game, which the quality-ceiling clamp ``min(code, ceiling - 1)``
+    relies on."""
+    assert len(STREAM_RATE_MBPS) == len(LATENCY_REQUIREMENT_MS) \
+        == len(GAME_L_MAX_MS) == len(GAME_CATALOGUE)
+    for code, game in enumerate(GAME_CATALOGUE):
+        assert game.default_level == code + 1
+        assert GAME_CODE[game.name] == code
+        assert float(STREAM_RATE_MBPS[code]).hex() \
+            == game.stream_rate_mbps.hex()
+        assert float(LATENCY_REQUIREMENT_MS[code]).hex() \
+            == game.latency_requirement_ms.hex()
+        assert GAME_L_MAX_MS[code].hex() == delay_threshold_ms(
+            game.latency_requirement_ms).hex()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.social.graph import FriendGraph
-from repro.workload.games import GAME_CATALOGUE, game_for_level
+from repro.workload.games import (GAME_CATALOGUE, GAME_CODE, game_for_level,
+                                  random_codes)
 from repro.workload.population import Population, build_population, choose_game
 
 
@@ -37,21 +38,34 @@ def test_population_consistency_checks():
                    supernode_capable=np.zeros(10, dtype=bool))
 
 
+def _codes(num_players, playing):
+    """The day's code column: each playing player's catalogue index."""
+    code = [-1] * num_players
+    for player, game in playing.items():
+        code[player] = GAME_CODE[game.name]
+    return code
+
+
+def _choose(friends, playing, fallbacks):
+    return GAME_CATALOGUE[choose_game(
+        0, friends.adjacency(), _codes(friends.num_players, playing),
+        fallbacks)]
+
+
 def test_choose_game_random_without_friends_playing():
     rng = np.random.default_rng(0)
     friends = FriendGraph(5, edges=[(0, 1)])
-    games = {choose_game(0, friends.adjacency(), playing={}, rng=rng).name
-             for _ in range(200)}
+    fallbacks = iter(random_codes(rng, 200).tolist())
+    games = {_choose(friends, {}, fallbacks).name for _ in range(200)}
     assert len(games) >= 3  # spreads across the catalogue
 
 
 def test_choose_game_follows_friend_majority():
     """§4.1: join the game most friends are playing."""
-    rng = np.random.default_rng(0)
     friends = FriendGraph(6, edges=[(0, 1), (0, 2), (0, 3)])
     playing = {1: game_for_level(2), 2: game_for_level(2),
                3: game_for_level(4)}
-    chosen = choose_game(0, friends.adjacency(), playing, rng)
+    chosen = _choose(friends, playing, iter(()))  # draws nothing
     assert chosen.default_level == 2
 
 
@@ -59,13 +73,13 @@ def test_choose_game_ignores_non_friends():
     rng = np.random.default_rng(0)
     friends = FriendGraph(6, edges=[(0, 1)])
     playing = {5: game_for_level(3)}  # player 5 is not a friend of 0
-    counts = {choose_game(0, friends.adjacency(), playing, rng).name for _ in range(200)}
+    fallbacks = iter(random_codes(rng, 200).tolist())
+    counts = {_choose(friends, playing, fallbacks).name for _ in range(200)}
     assert len(counts) >= 3  # still effectively random
 
 
 def test_choose_game_tie_is_deterministic():
-    rng = np.random.default_rng(0)
     friends = FriendGraph(6, edges=[(0, 1), (0, 2)])
     playing = {1: game_for_level(5), 2: game_for_level(2)}
-    results = {choose_game(0, friends.adjacency(), playing, rng).name for _ in range(20)}
+    results = {_choose(friends, playing, iter(())).name for _ in range(20)}
     assert results == {GAME_CATALOGUE[1].name}  # earlier catalogue entry wins
